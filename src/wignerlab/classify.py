@@ -39,8 +39,8 @@ from .states import (
     OrthoSystem,
     PureState,
     basis_state,
+    distance,
     is_cosp,
-    operator_norm_distance,
     pure_state,
     sample_pure_state,
     state_from_params,
@@ -230,14 +230,9 @@ def _validation_states(dim: int, count: int = VALIDATION_STATES) -> list[PureSta
     return [sample_pure_state(rng, dim) for _ in range(count)]
 
 
-def _model_residual(map_: StateMap, model: StateMap, states) -> float:
-    worst = 0.0
-    for s in states:
-        worst = max(
-            worst,
-            operator_norm_distance(model(s).projector(), map_(s).projector()),
-        )
-    return worst
+def _residual(pairs) -> float:
+    """Largest state distance over (expected, actual) image pairs."""
+    return max((distance(want, got) for want, got in pairs), default=0.0)
 
 
 def _not_classified(reason: str) -> ClassificationResult:
@@ -295,7 +290,7 @@ def classify_canonical(
         model = wigner_map(u, antiunitary=True)
     else:
         model = composed_phi_form(np.eye(dim, dtype=complex), u)
-    residual = _model_residual(map_, model, _validation_states(dim))
+    residual = _residual((model(s), map_(s)) for s in _validation_states(dim))
     if residual > tol:
         return _not_classified(
             f"reconstruction residual {residual:.3e} exceeds {tol:.1e}"
@@ -334,15 +329,11 @@ def classify_dim2(
         g = extract_pair_map(map_, 0, 1, grid)
     except ProbeError as err:
         return _not_classified(str(err))
-    residual = 0.0
-    for p in np.linspace(0.1, 0.9, 9):
-        for z in grid:
-            expected = state_from_params(p, g(z))
-            actual = map_(state_from_params(p, z))
-            residual = max(
-                residual,
-                operator_norm_distance(expected.projector(), actual.projector()),
-            )
+    residual = _residual(
+        (state_from_params(p, g(z)), map_(state_from_params(p, z)))
+        for p in np.linspace(0.1, 0.9, 9)
+        for z in grid
+    )
     if residual > tol:
         return _not_classified(
             f"phase-lift residual {residual:.3e} exceeds {tol:.1e}"
@@ -451,15 +442,14 @@ def classify(
         model = _compose_model(
             STANDARD_DIM2, b, c, None, _total_lift(inner.g, inner.g_form)
         )
-        residual = 0.0
-        for p in np.linspace(0.1, 0.9, 9):
-            for z in probe_grid(grid_size):
-                s = pure_state(b @ state_from_params(p, z).vec)
-                expected = pure_state(c @ state_from_params(p, inner.g(z)).vec)
-                residual = max(
-                    residual,
-                    operator_norm_distance(expected.projector(), map_(s).projector()),
-                )
+        residual = _residual(
+            (
+                pure_state(c @ state_from_params(p, inner.g(z)).vec),
+                map_(pure_state(b @ state_from_params(p, z).vec)),
+            )
+            for p in np.linspace(0.1, 0.9, 9)
+            for z in probe_grid(grid_size)
+        )
         if residual > tol:
             return _not_classified(
                 f"reconstruction residual {residual:.3e} exceeds {tol:.1e}"
@@ -481,7 +471,7 @@ def classify(
         model = _compose_model(inner.branch, b, c, inner.diag_u, None)
     except ValueError as err:
         return _not_classified(f"recovered unitaries fail validation: {err}")
-    residual = _model_residual(map_, model, _validation_states(dim))
+    residual = _residual((model(s), map_(s)) for s in _validation_states(dim))
     if residual > tol:
         return _not_classified(
             f"reconstruction residual {residual:.3e} exceeds {tol:.1e}"

@@ -27,18 +27,15 @@ from .maps import (
     standard_map,
     wigner_map,
 )
-from .states import (
-    OrthoSystem,
-    basis_state,
-    is_cosp,
-    random_unitary,
-    sample_pure_state,
-)
+from .states import basis_state, random_unitary, sample_pure_state
 from .verify import (
+    INJECTIVITY_SAMPLES,
+    basis_image_completes_span,
     check_isometry,
     check_noncontractive,
     check_nonexpansive,
     check_orthogonality_preserving,
+    max_image_overlap,
 )
 
 EXIT_HOLDS = 0
@@ -96,7 +93,7 @@ def _load_map(source: str, dim: int, seed: int) -> StateMap:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True) + "\n"
+    text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -172,12 +169,7 @@ def _demo_separable_embed(args) -> tuple[dict, bool]:
         map_, args.dim, n_samples=args.samples,
         refine_steps=args.refine_steps, seed=args.seed,
     )
-    states = [sample_pure_state(rng, args.dim) for _ in range(1000)]
-    images = np.array([map_(s).vec for s in states])
-    gram = np.abs(images.conj() @ images.T) ** 2
-    np.fill_diagonal(gram, 0.0)
-    max_overlap = float(gram.max())
-    injective = max_overlap < 1.0 - 1e-9
+    max_overlap, injective = max_image_overlap(map_, rng)
     iso = check_isometry(
         map_, args.dim, n_samples=args.samples,
         refine_steps=args.refine_steps, seed=args.seed,
@@ -189,7 +181,7 @@ def _demo_separable_embed(args) -> tuple[dict, bool]:
         "checks": {
             "nonexpansive": nonexp.to_json(),
             "injectivity": {
-                "samples": len(states),
+                "samples": INJECTIVITY_SAMPLES,
                 "max_image_overlap": max_overlap,
                 "distinct": injective,
             },
@@ -211,14 +203,7 @@ def _demo_proper_subspace(args) -> tuple[dict, bool]:
         map_, args.dim, n_samples=args.samples,
         refine_steps=args.refine_steps, seed=args.seed,
     )
-    preimages = [basis_state(args.dim, a) for a in range(k)]
-    try:
-        images = OrthoSystem(tuple(map_(q) for q in preimages))
-        complete = is_cosp(images, k) and all(
-            bool(np.all(np.abs(m.vec[k:]) <= 1e-12)) for m in images
-        )
-    except ValueError:
-        complete = False
+    complete = basis_image_completes_span(map_, k)
     ok = nonexp.holds and complete
     bundle = {
         "target": "proper-subspace",

@@ -69,7 +69,12 @@ class StateMap:
             raise ValueError(
                 f"map expects dimension {self.dim_in}, got {state.dim}"
             )
-        return self.fn(state)
+        image = self.fn(state)
+        if image.dim != self.dim_out:
+            raise ValueError(
+                f"map image has dimension {image.dim}, expected {self.dim_out}"
+            )
+        return image
 
 
 def wigner_map(unitary: np.ndarray, antiunitary: bool = False) -> StateMap:

@@ -72,7 +72,7 @@ class PureState:
         vec = np.asarray(self.vec, dtype=complex)
         if vec.ndim != 1 or vec.size < 2:
             raise ValueError("state vector must be one-dimensional with dim >= 2")
-        if abs(np.linalg.norm(vec) - 1.0) > UNIT_NORM_TOL:
+        if not abs(np.linalg.norm(vec) - 1.0) <= UNIT_NORM_TOL:
             raise ValueError("state vector is not normalized within 1e-12")
         k = _pivot_index(vec)
         if not (abs(vec[k].imag) <= GAUGE_TOL and vec[k].real > 0.0):
@@ -120,6 +120,8 @@ def pure_state(entries) -> PureState:
     if vec.ndim != 1 or vec.size < 2:
         raise ValueError("state vector must be one-dimensional with dim >= 2")
     nrm = np.vdot(vec, vec).real ** 0.5
+    if not np.isfinite(nrm):
+        raise ValueError("cannot build a state from a non-finite vector")
     if nrm <= GAUGE_TOL:
         raise ValueError("cannot build a state from a (near) zero vector")
     vec = vec / nrm
@@ -322,7 +324,11 @@ def state_to_json(state: PureState) -> dict:
 
 
 def state_from_json(obj: dict) -> PureState:
-    """Rebuild a state from its JSON object, re-fixing the gauge."""
+    """Rebuild a state from its JSON object.
+
+    Canonical amplitudes are kept exactly, so a witness on a decision
+    boundary reloads on its side; others are renormalized and re-gauged.
+    """
     if not isinstance(obj, dict) or "dim" not in obj or "vec" not in obj:
         raise ValueError("state JSON must carry 'dim' and 'vec'")
     dim = int(obj["dim"])
@@ -330,4 +336,7 @@ def state_from_json(obj: dict) -> PureState:
     if len(pairs) != dim:
         raise ValueError(f"state JSON length {len(pairs)} does not match dim {dim}")
     vec = np.array([complex(re, im) for re, im in pairs])
-    return pure_state(vec)
+    try:
+        return PureState(vec)
+    except ValueError:
+        return pure_state(vec)

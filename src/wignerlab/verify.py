@@ -1,16 +1,15 @@
 """Seeded witness search for metric properties of state maps.
 
-Each check samples input pairs, measures the relevant gap, sharpens the
-worst pair by local refinement, and reports a witness when the final gap
-exceeds 1e-9.  Sampling is split into fixed-size chunks with RNG
-substreams derived from (seed, chunk index), so reports are identical
-for any worker count; WIGNERLAB_THREADS caps the thread pool.
+Each check samples inputs, maps them, measures the relevant gap, and
+reports a witness when the worst gap exceeds 1e-9; the metric checks
+first sharpen the worst pair by local refinement.  Every check runs
+through one serial engine: sampling is split into fixed-size chunks
+with RNG substreams derived from (seed, chunk index), and the chunks run
+one after another.  The WIGNERLAB_THREADS variable is no longer read.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,9 @@ from .states import (
     PureState,
     _trusted_state,
     distance,
-    is_cosp,
     pure_state,
     sample_unitary,
     state_to_json,
-    transition_probability,
 )
 
 __all__ = [
@@ -39,10 +36,14 @@ __all__ = [
     "check_orthogonality_preserving",
     "check_inclusion_lemma",
     "find_cosp_in_image",
+    "INJECTIVITY_SAMPLES",
+    "max_image_overlap",
+    "basis_image_completes_span",
 ]
 
 WITNESS_TOL = 1e-9
 CHUNK_SIZE = 512
+INJECTIVITY_SAMPLES = 1000
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
 
@@ -91,45 +92,8 @@ class CheckReport:
         }
 
 
-def _thread_count() -> int:
-    env = os.environ.get("WIGNERLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
-
-
-def _run_chunks(worker, n_samples: int, seed: int):
-    """Evaluate chunks in index order, possibly across threads.
-
-    worker(rng, count) -> (best_gap, payload).  The combined result is
-    the strictly largest gap with earlier chunks winning ties, which
-    makes the outcome independent of the worker count.
-    """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if n_samples < 1:
-        raise ValueError("sample budget must be at least 1")
-    sizes = []
-    remaining = n_samples
-    while remaining > 0:
-        sizes.append(min(CHUNK_SIZE, remaining))
-        remaining -= CHUNK_SIZE
-    args = [(_chunk_rng(seed, i), count) for i, count in enumerate(sizes)]
-    threads = _thread_count()
-    if threads > 1 and len(args) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: worker(*a), args))
-    else:
-        results = [worker(*a) for a in args]
-    best_gap, best_payload = -np.inf, None
-    for gap, payload in results:
-        if payload is not None and gap > best_gap:
-            best_gap, best_payload = gap, payload
-    return best_gap, best_payload
 
 
 def _canonical_rows(raw: np.ndarray) -> np.ndarray:
@@ -145,32 +109,76 @@ def _sample_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return _canonical_rows(z[0] + 1j * z[1])
 
 
-def _sample_state(rng: np.random.Generator, dim: int) -> PureState:
-    return _trusted_state(_sample_rows(rng, 1, dim)[0])
+def _row_overlaps(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rowwise inner products <w_i, v_i>."""
+    return np.einsum("ij,ij->i", w.conj(), v)
 
 
 def _row_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rowwise state distance between two arrays of unit vectors."""
-    overlap = np.einsum("ij,ij->i", w.conj(), v)
-    residual = v - overlap[:, None] * w
+    residual = v - _row_overlaps(v, w)[:, None] * w
     norms = np.sqrt(np.einsum("ij,ij->i", residual.conj(), residual).real)
     return np.minimum(norms, 1.0)
 
 
-def _pair_scan(map_: StateMap, dim: int, n_samples: int, seed: int, oriented):
-    """Worst oriented gap over seeded random pairs, chunk by chunk."""
+def _map_rows(map_: StateMap, rows: np.ndarray) -> np.ndarray:
+    """Images of a block of canonical state rows, as an (n, dim_out) array.
 
-    def worker(rng, count):
-        rows = _sample_rows(rng, 2 * count, dim)
-        states = [_trusted_state(r) for r in rows]
-        images = np.array([map_(s).vec for s in states])
-        d_in = _row_distances(rows[:count], rows[count:])
-        d_out = _row_distances(images[:count], images[count:])
-        gaps = oriented(d_in, d_out)
+    The one place the searches evaluate the map.  StateMap.__call__
+    rejects an image of the wrong dimension and PureState a non-finite
+    one, so every returned row is a valid state.
+    """
+    images = np.empty((len(rows), map_.dim_out), dtype=complex)
+    for k, row in enumerate(rows):
+        images[k] = map_(_trusted_state(row)).vec
+    return images
+
+
+def _orthogonal_images(map_: StateMap, rows: np.ndarray) -> np.ndarray | None:
+    """Images of a family of state rows, or None unless pairwise orthogonal.
+
+    An invalid image is an error (ValueError), never a missing system.
+    """
+    images = _map_rows(map_, rows)
+    try:
+        OrthoSystem(tuple(_trusted_state(r) for r in images))
+    except ValueError:
+        return None
+    return images
+
+
+def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
+    """The serial search engine: worst gap over seeded samples.
+
+    sample(rng, count) -> input rows stacked as k blocks of count rows,
+    sample i being rows i, count + i, ...; gap(rows, images) -> the count
+    gaps.  Chunk i draws from the RNG substream (seed, i).  The strictly
+    largest gap wins, earliest first.  Returns the worst gap with the
+    input states and image states of its sample.
+    """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if n_samples < 1:
+        raise ValueError("sample budget must be at least 1")
+    worst, states, image_states = -np.inf, None, None
+    for index, start in enumerate(range(0, n_samples, CHUNK_SIZE)):
+        count = min(CHUNK_SIZE, n_samples - start)
+        rows = sample(_chunk_rng(seed, index), count)
+        images = _map_rows(map_, rows)
+        gaps = gap(rows, images)
         i = int(np.argmax(gaps))
-        return float(gaps[i]), (states[i], states[count + i])
+        if gaps[i] > worst:
+            worst = float(gaps[i])
+            states = [_trusted_state(r.copy()) for r in rows[i::count]]
+            image_states = [_trusted_state(r.copy()) for r in images[i::count]]
+    return worst, states, image_states
 
-    return _run_chunks(worker, n_samples, seed)
+
+def _report(prop, n_samples, seed, worst, p, q, d_in, d_out) -> CheckReport:
+    """The verdict of a search: the one place a gap becomes a witness."""
+    worst = float(worst)
+    witness = ViolationWitness(p, q, d_in, d_out, worst) if worst > WITNESS_TOL else None
+    return CheckReport(prop, n_samples, worst, witness, seed)
 
 
 def _perturbed(state: PureState, coord: int, delta: complex) -> PureState:
@@ -179,14 +187,14 @@ def _perturbed(state: PureState, coord: int, delta: complex) -> PureState:
     return pure_state(vec)
 
 
-def _refine_pair(map_: StateMap, oriented, p: PureState, q: PureState, steps: int):
+def _refine_pair(map_: StateMap, oriented, p, q, fp, fq, steps: int):
     """Pattern search maximizing the oriented gap from a starting pair.
 
     Tries single-coordinate complex perturbations of both representative
     vectors; the step starts at 0.1 and halves whenever no candidate
-    improves.  Every candidate is renormalized and re-gauged.
+    improves.  Every candidate is renormalized and re-gauged.  fp and fq
+    are the images of p and q; the final pair is returned with its images.
     """
-    fp, fq = map_(p), map_(q)
     gap = oriented(distance(p, q), distance(fp, fq))
     step = REFINE_START_STEP
     for _ in range(steps):
@@ -209,7 +217,7 @@ def _refine_pair(map_: StateMap, oriented, p: PureState, q: PureState, steps: in
             p, fp = cand, f_cand
         else:
             q, fq = cand, f_cand
-    return gap, p, q
+    return gap, p, q, fp, fq
 
 
 def _metric_check(
@@ -223,23 +231,27 @@ def _metric_check(
 ) -> CheckReport:
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
-    worst, pair = _pair_scan(map_, dim, n_samples, seed, oriented)
-    if pair is not None and refine_steps > 0:
-        worst, p, q = _refine_pair(map_, oriented, pair[0], pair[1], refine_steps)
-        pair = (p, q)
-    witness = None
-    if pair is not None and worst > WITNESS_TOL:
-        p, q = pair
-        witness = ViolationWitness(
-            p, q, distance(p, q), distance(map_(p), map_(q)), float(worst)
+
+    def gap(rows, images):
+        half = len(rows) // 2
+        return oriented(
+            _row_distances(rows[:half], rows[half:]),
+            _row_distances(images[:half], images[half:]),
         )
-    return CheckReport(prop, n_samples, float(worst), witness, seed)
+
+    worst, (p, q), (fp, fq) = _search(
+        map_, n_samples, seed, lambda rng, count: _sample_rows(rng, 2 * count, dim), gap
+    )
+    if refine_steps > 0:
+        worst, p, q, fp, fq = _refine_pair(map_, oriented, p, q, fp, fq, refine_steps)
+    return _report(prop, n_samples, seed, worst, p, q, distance(p, q), distance(fp, fq))
 
 
 def check_nonexpansive(
     map_: StateMap,
     dim: int,
     n_samples: int = 10000,
+    *,
     refine_steps: int = 200,
     seed: int = 42,
 ) -> CheckReport:
@@ -254,6 +266,7 @@ def check_noncontractive(
     map_: StateMap,
     dim: int,
     n_samples: int = 10000,
+    *,
     refine_steps: int = 200,
     seed: int = 42,
 ) -> CheckReport:
@@ -268,8 +281,9 @@ def check_isometry(
     map_: StateMap,
     dim: int,
     n_samples: int = 10000,
-    seed: int = 42,
+    *,
     refine_steps: int = 200,
+    seed: int = 42,
 ) -> CheckReport:
     """Witness search for |d(f(P), f(Q)) - d(P, Q)| > 0."""
     return _metric_check(
@@ -279,7 +293,7 @@ def check_isometry(
 
 
 def check_orthogonality_preserving(
-    map_: StateMap, dim: int, n_samples: int = 10000, seed: int = 42
+    map_: StateMap, dim: int, n_samples: int = 10000, *, seed: int = 42
 ) -> CheckReport:
     """Witness search for an orthogonal pair with non-orthogonal images.
 
@@ -289,37 +303,27 @@ def check_orthogonality_preserving(
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
 
-    def worker(rng, count):
+    def sample(rng, count):
         first = _sample_rows(rng, count, dim)
         second = _sample_rows(rng, count, dim)
-        overlap = np.einsum("ij,ij->i", first.conj(), second)
-        residual = second - overlap[:, None] * first
+        residual = second - _row_overlaps(second, first)[:, None] * first
         norms = np.linalg.norm(residual, axis=1)
         # degenerate draws (second parallel to first) are resampled
         while (bad := np.flatnonzero(norms < 1e-6)).size > 0:
             redraw = _sample_rows(rng, bad.size, dim)
-            ov = np.einsum("ij,ij->i", first[bad].conj(), redraw)
-            residual[bad] = redraw - ov[:, None] * first[bad]
+            residual[bad] = redraw - _row_overlaps(redraw, first[bad])[:, None] * first[bad]
             norms[bad] = np.linalg.norm(residual[bad], axis=1)
-        second = _canonical_rows(residual)
-        best, payload = -np.inf, None
-        for i in range(count):
-            p = _trusted_state(first[i])
-            q = _trusted_state(second[i])
-            gap = transition_probability(map_(p), map_(q))
-            if gap > best:
-                best, payload = gap, (p, q)
-        return best, payload
+        return np.concatenate([first, _canonical_rows(residual)])
 
-    worst, pair = _run_chunks(worker, n_samples, seed)
-    witness = None
-    if pair is not None and worst > WITNESS_TOL:
-        p, q = pair
-        witness = ViolationWitness(
-            p, q, distance(p, q), distance(map_(p), map_(q)), float(worst)
-        )
-    return CheckReport(
-        "orthogonality-preserving", n_samples, float(worst), witness, seed
+    def gap(rows, images):
+        half = len(rows) // 2
+        overlaps = _row_overlaps(images[half:], images[:half])
+        return np.minimum(np.abs(overlaps) ** 2, 1.0)
+
+    worst, (p, q), (fp, fq) = _search(map_, n_samples, seed, sample, gap)
+    return _report(
+        "orthogonality-preserving", n_samples, seed, worst,
+        p, q, distance(p, q), distance(fp, fq),
     )
 
 
@@ -327,6 +331,7 @@ def check_inclusion_lemma(
     map_: StateMap,
     preimages: OrthoSystem,
     n_samples: int = 1000,
+    *,
     seed: int = 42,
 ) -> CheckReport:
     """Check that states dominated by the preimage sum stay dominated.
@@ -334,35 +339,55 @@ def check_inclusion_lemma(
     Requires the image family to be an orthogonal system (validated
     first).  Samples states in the span of the preimages and measures
     gap = 1 - sum of transition probabilities to the image members,
-    which must stay below 1e-9 for a nonexpansive map.
+    which must stay below 1e-9 for a nonexpansive map.  A witness is the
+    state and its image, with d_in 1 and d_out the covered weight.
     """
     if preimages.dim != map_.dim_in:
         raise ValueError("preimage system dimension does not match the map domain")
-    images = OrthoSystem(tuple(map_(q) for q in preimages))
     span_basis = np.array([q.vec for q in preimages])
-    image_rows = np.array([p.vec for p in images])
+    image_rows = _orthogonal_images(map_, span_basis)
+    if image_rows is None:
+        raise ValueError("the image of the preimage system is not orthogonal")
 
-    def covered_weight(state: PureState) -> float:
-        return float(np.sum(np.abs(image_rows.conj() @ map_(state).vec) ** 2))
+    def covered(images):
+        return np.sum(np.abs(images @ image_rows.conj().T) ** 2, axis=1)
 
-    def worker(rng, count):
+    def sample(rng, count):
         z = rng.standard_normal((2, count, len(preimages)))
-        rows = _canonical_rows((z[0] + 1j * z[1]) @ span_basis)
-        best, payload = -np.inf, None
-        for i in range(count):
-            state = _trusted_state(rows[i])
-            gap = 1.0 - covered_weight(state)
-            if gap > best:
-                best, payload = gap, state
-        return best, payload
+        return _canonical_rows((z[0] + 1j * z[1]) @ span_basis)
 
-    worst, state = _run_chunks(worker, n_samples, seed)
-    witness = None
-    if state is not None and worst > WITNESS_TOL:
-        witness = ViolationWitness(
-            state, map_(state), 1.0, covered_weight(state), float(worst)
-        )
-    return CheckReport("inclusion", n_samples, float(worst), witness, seed)
+    worst, (state,), (image,) = _search(
+        map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images)
+    )
+    return _report(
+        "inclusion", n_samples, seed, worst,
+        state, image, 1.0, float(covered(image.vec[None])[0]),
+    )
+
+
+def max_image_overlap(map_: StateMap, rng: np.random.Generator) -> tuple[float, bool]:
+    """Injectivity probe: the largest image overlap of distinct samples.
+
+    Maps INJECTIVITY_SAMPLES states drawn from rng; returns the largest
+    transition probability between two of their images, and whether it
+    stays below 1 - 1e-9 (no two sampled states collide).
+    """
+    z = rng.standard_normal((INJECTIVITY_SAMPLES, 2, map_.dim_in))
+    images = _map_rows(map_, _canonical_rows(z[:, 0] + 1j * z[:, 1]))
+    gram = np.abs(images.conj() @ images.T) ** 2
+    np.fill_diagonal(gram, 0.0)
+    overlap = float(gram.max())
+    return overlap, overlap < 1.0 - WITNESS_TOL
+
+
+def basis_image_completes_span(map_: StateMap, k: int) -> bool:
+    """Subspace-completeness probe for a map collapsing onto k coordinates.
+
+    True when the first k basis states map onto a complete orthogonal
+    system of the span of the first k basis vectors.
+    """
+    rows = _orthogonal_images(map_, np.eye(map_.dim_in, dtype=complex)[:k])
+    return rows is not None and bool(np.all(np.abs(rows[:, k:]) <= 1e-12))
 
 
 def find_cosp_in_image(
@@ -381,10 +406,6 @@ def find_cosp_in_image(
         candidates.append(sample_unitary(_chunk_rng(seed, trial + 1), dim))
     for cols in candidates:
         preimages = tuple(pure_state(cols[:, j]) for j in range(dim))
-        try:
-            images = OrthoSystem(tuple(map_(q) for q in preimages))
-        except ValueError:
-            continue
-        if is_cosp(images, dim):
+        if _orthogonal_images(map_, np.array([q.vec for q in preimages])) is not None:
             return OrthoSystem(preimages)
     return None

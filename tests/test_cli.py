@@ -7,9 +7,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from wignerlab import map_to_json, random_unitary, wigner_map
+from wignerlab import cli, map_to_json, opaque_map, pure_state, random_unitary, wigner_map
 
 TIMEOUT = 120
 
@@ -205,3 +206,21 @@ def test_builtin_tau_power2_finds_witness():
     )
     assert result.returncode == 1
     assert json.loads(result.stdout)["witness"]["gap"] >= 0.25
+
+
+def test_emit_refuses_non_finite_numbers(capsys):
+    with pytest.raises(ValueError):
+        cli._emit({"worst_gap": float("-inf")}, None)
+    assert capsys.readouterr().out == ""
+
+
+def test_invalid_map_image_exits_two(monkeypatch, capsys):
+    nan_map = opaque_map(lambda s: pure_state(np.full(3, np.nan)), 3, 3)
+    monkeypatch.setattr(cli, "_load_map", lambda source, dim, seed: nan_map)
+    code = cli.main(
+        ["verify", "--property", "nonexpansive", "--map", "nan", "--samples", "600"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in captured.err

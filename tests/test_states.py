@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from wignerlab import (
     OrthoSystem,
     PureState,
     basis_state,
+    block_embed,
     block_split,
+    check_isometry,
     distance,
     is_cosp,
     is_orthogonal,
@@ -115,6 +118,18 @@ def test_pure_state_rejects_degenerate_input():
         pure_state([1.0])
     with pytest.raises(ValueError):
         pure_state(np.ones((2, 2)))
+
+
+def test_pure_state_rejects_non_finite_input():
+    with pytest.raises(ValueError, match="non-finite"):
+        pure_state([np.nan, np.nan])
+    with pytest.raises(ValueError, match="non-finite"):
+        pure_state([1.0, np.inf])
+
+
+def test_constructor_rejects_a_nan_norm():
+    with pytest.raises(ValueError):
+        PureState(np.array([1.0, np.nan], dtype=complex))
 
 
 def test_constructor_enforces_canonical_form():
@@ -289,3 +304,15 @@ def test_state_from_json_restores_gauge():
     assert state_from_json(rotated) == s
     with pytest.raises(ValueError):
         state_from_json({"dim": 3, "vec": [[1.0, 0.0]]})
+
+
+def test_state_from_json_keeps_canonical_amplitudes():
+    # block_embed's isometry witness sits on the weight-1/2 boundary; a
+    # renormalized reload can land in the other block and lose d_out = 1
+    phi = block_embed(2)
+    witness = check_isometry(phi, 2, n_samples=500, seed=1).witness
+    obj = json.loads(json.dumps(witness.to_json()))
+    p, q = state_from_json(obj["P"]), state_from_json(obj["Q"])
+    assert np.array_equal(p.vec, witness.P.vec)
+    assert np.array_equal(q.vec, witness.Q.vec)
+    assert distance(phi(p), phi(q)) == pytest.approx(1.0, abs=1e-12)

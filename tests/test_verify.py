@@ -21,6 +21,7 @@ from wignerlab import (
     identity_map,
     opaque_map,
     power,
+    proper_subspace_map,
     pure_state,
     random_unitary,
     sample_pure_state,
@@ -31,6 +32,7 @@ from wignerlab import (
     transition_probability,
     wigner_map,
 )
+from wignerlab.verify import basis_image_completes_span, max_image_overlap
 
 
 def test_abs_map_has_no_nonexpansive_witness():
@@ -198,3 +200,58 @@ def test_report_json_shape():
     assert set(obj) == {"property", "samples", "worst_gap", "witness", "seed"}
     assert obj["property"] == "isometry"
     assert set(obj["witness"]) == {"P", "Q", "d_in", "d_out", "gap"}
+
+
+def test_non_finite_map_is_an_error_not_a_pass():
+    nan_map = opaque_map(lambda s: pure_state(np.full(2, np.nan)), 2, 2)
+    with pytest.raises(ValueError):
+        check_nonexpansive(nan_map, 2, n_samples=600)
+
+
+def test_partly_non_finite_map_cannot_hide_its_witness():
+    # expanding where the first weight exceeds 1/2, NaN elsewhere: every
+    # chunk meets a NaN image, which must stop the search
+    tau = standard_map(power(2))
+
+    def half_nan(s):
+        if abs(s.vec[0]) ** 2 > 0.5:
+            return tau(s)
+        return pure_state([np.nan, np.nan])
+
+    with pytest.raises(ValueError):
+        check_nonexpansive(opaque_map(half_nan, 2, 2), 2, n_samples=1000)
+
+
+def test_cosp_search_reports_an_invalid_image_as_an_error():
+    nan_map = opaque_map(lambda s: pure_state(np.full(3, np.nan)), 3, 3)
+    with pytest.raises(ValueError):
+        find_cosp_in_image(nan_map, 3)
+
+
+def test_wrong_dimension_image_is_rejected():
+    wide = opaque_map(lambda s: pure_state(np.append(s.vec, 0.0)), 3, 3)
+    with pytest.raises(ValueError, match="dimension 4"):
+        wide(basis_state(3, 0))
+    with pytest.raises(ValueError):
+        check_isometry(wide, 3, n_samples=600)
+
+
+def test_checks_take_refinement_and_seed_by_keyword_only():
+    phi = entrywise_abs(2)
+    for check in (check_nonexpansive, check_noncontractive, check_isometry):
+        with pytest.raises(TypeError):
+            check(phi, 2, 100, 0)
+    with pytest.raises(TypeError):
+        check_orthogonality_preserving(phi, 2, 100, 1)
+    with pytest.raises(TypeError):
+        check_inclusion_lemma(phi, standard_cosp(2), 100, 1)
+
+
+def test_shared_probes_of_the_embeddings():
+    rng = np.random.default_rng(32)
+    overlap, distinct = max_image_overlap(entrywise_abs(2), rng)
+    assert overlap == pytest.approx(1.0) and not distinct
+    overlap, distinct = max_image_overlap(identity_map(3), rng)
+    assert overlap < 1.0 - 1e-9 and distinct
+    assert basis_image_completes_span(proper_subspace_map(5, 3), 3)
+    assert not basis_image_completes_span(wigner_map(random_unitary(3, 35)), 2)
