@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .states import (
     state_from_params,
     transition_probability,
 )
+from .verify import find_cosp_in_image
 
 __all__ = [
     "WIGNER_UNITARY",
@@ -169,16 +170,9 @@ def _require_fixes_basis(map_: StateMap, dim: int) -> None:
             raise ProbeError(f"map does not fix basis projection {k} within 1e-8")
 
 
-def extract_pair_map(map_, i: int, j: int, grid) -> CircleMap:
-    """Sample the phase action of a canonical map on one coordinate pair.
-
-    For each probe phase u the image of the (i, j) probe must again be a
-    balanced state on coordinates {i, j}; its scaled (i, j) matrix entry
-    is recorded as the value at u.  Raises ProbeError when a response
-    leaves the pair block, which refutes the canonical hypothesis.
-    """
+def _pair_map(map_: StateMap, i: int, j: int, grid) -> CircleMap:
+    """The probe loop of extract_pair_map, for a map already known to fix the basis."""
     dim = map_.dim_in
-    _require_fixes_basis(map_, dim)
     pairs = []
     for u in grid:
         out = map_(probe_state(u, i, j, dim)).vec
@@ -195,6 +189,19 @@ def extract_pair_map(map_, i: int, j: int, grid) -> CircleMap:
             )
         pairs.append((u, value / abs(value)))
     return sampled(pairs)
+
+
+def extract_pair_map(map_, i: int, j: int, grid) -> CircleMap:
+    """Sample the phase action of a canonical map on one coordinate pair.
+
+    For each probe phase u the image of the (i, j) probe must again be a
+    balanced state on coordinates {i, j}; its scaled (i, j) matrix entry
+    is recorded as the value at u.  Raises ProbeError when the map moves
+    a basis projection or a response leaves the pair block, either of
+    which refutes the canonical hypothesis.
+    """
+    _require_fixes_basis(map_, map_.dim_in)
+    return _pair_map(map_, i, j, grid)
 
 
 def _same_grids(maps: tuple[CircleMap, ...]) -> None:
@@ -230,13 +237,73 @@ def _validation_states(dim: int, count: int = VALIDATION_STATES) -> list[PureSta
     return [sample_pure_state(rng, dim) for _ in range(count)]
 
 
-def _residual(pairs) -> float:
-    """Largest state distance over (expected, actual) image pairs."""
-    return max((distance(want, got) for want, got in pairs), default=0.0)
+def _lift_states(u: np.ndarray, grid) -> list[PureState]:
+    """Preimages under u* of the weight/phase grid that validates dim-2 lifts."""
+    b = u.conj().T
+    return [
+        pure_state(b @ state_from_params(p, z).vec)
+        for p in np.linspace(0.1, 0.9, 9)
+        for z in grid
+    ]
 
 
 def _not_classified(reason: str) -> ClassificationResult:
     return ClassificationResult(branch=NOT_CLASSIFIED, reason=reason)
+
+
+def _verdict(model: StateMap, map_: StateMap, states, tol: float, what: str, **fields):
+    """The result with these fields if model reproduces map_ on states within tol.
+
+    The residual is the largest state distance between model and map
+    images; above tol it becomes the NOT_CLASSIFIED reason.
+    """
+    residual = max((distance(model(s), map_(s)) for s in states), default=0.0)
+    if residual > tol:
+        return _not_classified(f"{what} residual {residual:.3e} exceeds {tol:.1e}")
+    return ClassificationResult(residual=residual, model=model, **fields)
+
+
+def _classify_branch(
+    map_: StateMap, canonical: StateMap, u: np.ndarray, v: np.ndarray,
+    grid_size: int, tol: float,
+) -> ClassificationResult:
+    """Dimension >= 3 pipeline for map_(P) = v canonical(u P u*) v*.
+
+    Decides the branch and the diagonal on the canonical map (checking
+    its basis once) and validates the composed model against map_ once.
+    The result reports U = u and V = v diag.
+    """
+    dim = map_.dim_in
+    grid = probe_grid(grid_size)
+    try:
+        _require_fixes_basis(canonical, dim)
+        f = {
+            (i, j): _pair_map(canonical, i, j, grid)
+            for i in range(dim)
+            for j in range(i + 1, dim)
+        }
+    except ProbeError as err:
+        return _not_classified(str(err))
+    branches = set()
+    for j in range(1, dim):
+        for k in range(j + 1, dim):
+            hom = induced_homomorphism(f[(0, j)], f[(0, k)], f[(j, k)])
+            branches.add(classify_homomorphism(hom))
+    if NOT_APPLICABLE in branches:
+        return _not_classified("an induced circle map is not multiplicative")
+    if len(branches) != 1:
+        return _not_classified("induced circle maps disagree across coordinate triples")
+    branch = _BRANCH_OF_HOM[branches.pop()]
+    diag = np.diag([1.0 + 0j] + [f[(0, j)](1.0 + 0j).conjugate() for j in range(1, dim)])
+    post = v @ diag
+    try:
+        model = _compose_model(branch, u, post)
+    except ValueError as err:
+        return _not_classified(f"recovered unitaries fail validation: {err}")
+    return _verdict(
+        model, map_, _validation_states(dim), tol, "reconstruction",
+        branch=branch, U=u, V=post, diag_u=diag,
+    )
 
 
 def classify_canonical(
@@ -259,45 +326,10 @@ def classify_canonical(
         raise ValueError("canonical classification requires an endomap of dim")
     if dim < 3:
         raise ValueError("canonical classification requires dimension >= 3")
-    grid = probe_grid(grid_size)
-    try:
-        f = {
-            (i, j): extract_pair_map(map_, i, j, grid)
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        }
-    except ProbeError as err:
-        return _not_classified(str(err))
-
-    branches = set()
-    for j in range(1, dim):
-        for k in range(j + 1, dim):
-            hom = induced_homomorphism(f[(0, j)], f[(0, k)], f[(j, k)])
-            branches.add(classify_homomorphism(hom))
-    if NOT_APPLICABLE in branches:
-        return _not_classified("an induced circle map is not multiplicative")
-    if len(branches) != 1:
-        return _not_classified("induced circle maps disagree across coordinate triples")
-    branch = _BRANCH_OF_HOM[branches.pop()]
-
-    diag = np.ones(dim, dtype=complex)
-    for j in range(1, dim):
-        diag[j] = f[(0, j)](1.0 + 0j).conjugate()
-    u = np.diag(diag)
-    if branch == WIGNER_UNITARY:
-        model = wigner_map(u)
-    elif branch == WIGNER_ANTIUNITARY:
-        model = wigner_map(u, antiunitary=True)
-    else:
-        model = composed_phi_form(np.eye(dim, dtype=complex), u)
-    residual = _residual((model(s), map_(s)) for s in _validation_states(dim))
-    if residual > tol:
-        return _not_classified(
-            f"reconstruction residual {residual:.3e} exceeds {tol:.1e}"
-        )
-    return ClassificationResult(
-        branch=branch, U=u, diag_u=u, residual=residual, model=model
-    )
+    eye = np.eye(dim, dtype=complex)
+    res = _classify_branch(map_, map_, eye, eye, grid_size, tol)
+    # in canonical coordinates the recovered unitary is the diagonal itself
+    return replace(res, U=res.diag_u, V=None)
 
 
 def _total_lift(g: CircleMap, form: CircleMapForm) -> CircleMap:
@@ -314,6 +346,38 @@ def _total_lift(g: CircleMap, form: CircleMapForm) -> CircleMap:
     return g
 
 
+def _classify_lift(
+    map_: StateMap, canonical: StateMap, u: np.ndarray, v: np.ndarray,
+    grid_size: int, tol: float,
+) -> ClassificationResult:
+    """Dimension-2 pipeline for map_(P) = v canonical(u P u*) v*.
+
+    Probes the phase map g of the canonical map, validates the lift of g
+    sandwiched by u and v against map_ once on the weight/phase grid,
+    and only then sorts g into its structural form; the returned model
+    lifts the total evaluator of that form.  The result reports U = u
+    and V = v.
+    """
+    grid = probe_grid(grid_size)
+    try:
+        _require_fixes_basis(canonical, 2)
+        g = _pair_map(canonical, 0, 1, grid)
+    except ProbeError as err:
+        return _not_classified(str(err))
+    checked = _verdict(
+        _compose_model(STANDARD_DIM2, u, v, g), map_, _lift_states(u, grid),
+        tol, "phase-lift", branch=STANDARD_DIM2, U=u, V=v, g=g,
+    )
+    if not checked.classified:
+        return checked
+    try:
+        form = classify_circle_map(g)
+    except ValueError as err:
+        return _not_classified(str(err))
+    model = _compose_model(STANDARD_DIM2, u, v, _total_lift(g, form))
+    return replace(checked, g_form=form, model=model)
+
+
 def classify_dim2(
     map_: StateMap, grid_size: int = 16, tol: float = RESIDUAL_TOL
 ) -> ClassificationResult:
@@ -324,31 +388,8 @@ def classify_dim2(
     """
     if map_.dim_in != 2 or map_.dim_out != 2:
         raise ValueError("dimension-2 classification requires an endomap of dim 2")
-    grid = probe_grid(grid_size)
-    try:
-        g = extract_pair_map(map_, 0, 1, grid)
-    except ProbeError as err:
-        return _not_classified(str(err))
-    residual = _residual(
-        (state_from_params(p, g(z)), map_(state_from_params(p, z)))
-        for p in np.linspace(0.1, 0.9, 9)
-        for z in grid
-    )
-    if residual > tol:
-        return _not_classified(
-            f"phase-lift residual {residual:.3e} exceeds {tol:.1e}"
-        )
-    try:
-        form = classify_circle_map(g)
-    except ValueError as err:
-        return _not_classified(str(err))
-    return ClassificationResult(
-        branch=STANDARD_DIM2,
-        g=g,
-        g_form=form,
-        residual=residual,
-        model=standard_map(_total_lift(g, form)),
-    )
+    eye = np.eye(2, dtype=complex)
+    return replace(_classify_lift(map_, map_, eye, eye, grid_size, tol), U=None, V=None)
 
 
 def reduce_to_canonical(
@@ -384,27 +425,26 @@ def reduce_to_canonical(
 
 
 def _compose_model(
-    branch: str,
-    b: np.ndarray,
-    c: np.ndarray,
-    diag: np.ndarray | None,
-    g: CircleMap | None,
+    branch: str, pre: np.ndarray, post: np.ndarray, g: CircleMap | None = None
 ) -> StateMap:
-    dim = b.shape[0]
-    post = c if diag is None else c @ diag
+    """The model P -> post branch-form(pre P pre*) post* of one branch.
+
+    g is the phase map of the dimension-2 lift.  The canonical stage
+    passes the identity sandwich pre = I, post = diag.
+    """
+    dim = pre.shape[0]
     if branch == WIGNER_UNITARY:
-        return wigner_map(post @ b.conj().T)
+        return wigner_map(post @ pre)
     if branch == WIGNER_ANTIUNITARY:
-        return wigner_map(post @ b.T, antiunitary=True)
+        return wigner_map(post @ pre.conj(), antiunitary=True)
     if branch == ENTRYWISE_ABS:
-        return composed_phi_form(b.conj().T, post)
+        return composed_phi_form(pre, post)
     lift = standard_map(g)
 
     def fn(s: PureState) -> PureState:
-        inner = lift(pure_state(b.conj().T @ s.vec))
-        return pure_state(post @ inner.vec)
+        return pure_state(post @ lift(pure_state(pre @ s.vec)).vec)
 
-    return StateMap("reduced_tau", dim, dim, fn, {"pre": b.conj().T, "post": post, "g": g})
+    return StateMap("reduced_tau", dim, dim, fn, {"pre": pre, "post": post, "g": g})
 
 
 def classify(
@@ -418,69 +458,17 @@ def classify(
 
     Locates a complete orthogonal system with complete orthogonal image
     (or uses the supplied hint), reduces to the canonical situation,
-    classifies there, and composes the recovered pieces into a model of
-    the original map whose residual is validated on fresh states.
+    decides the branch there, and composes the recovered pieces into a
+    model of the original map whose residual is validated once against
+    the black box.
     """
     if dim != map_.dim_in or map_.dim_in != map_.dim_out:
         raise ValueError("classification requires an endomap of the given dimension")
-    if dim < 2:
-        raise ValueError("classification requires dimension >= 2")
     preimages = preimage_hint
     if preimages is None:
-        from .verify import find_cosp_in_image
-
         preimages = find_cosp_in_image(map_, dim)
     if preimages is None:
         return _not_classified("COSP-image hypothesis unverified")
-    b_dag, c, canonical = reduce_to_canonical(map_, preimages)
-    b = b_dag.conj().T
-
-    if dim == 2:
-        inner = classify_dim2(canonical, grid_size, tol)
-        if not inner.classified:
-            return inner
-        model = _compose_model(
-            STANDARD_DIM2, b, c, None, _total_lift(inner.g, inner.g_form)
-        )
-        residual = _residual(
-            (
-                pure_state(c @ state_from_params(p, inner.g(z)).vec),
-                map_(pure_state(b @ state_from_params(p, z).vec)),
-            )
-            for p in np.linspace(0.1, 0.9, 9)
-            for z in probe_grid(grid_size)
-        )
-        if residual > tol:
-            return _not_classified(
-                f"reconstruction residual {residual:.3e} exceeds {tol:.1e}"
-            )
-        return ClassificationResult(
-            branch=STANDARD_DIM2,
-            U=b_dag,
-            V=c,
-            g=inner.g,
-            g_form=inner.g_form,
-            residual=residual,
-            model=model,
-        )
-
-    inner = classify_canonical(canonical, dim, grid_size, tol)
-    if not inner.classified:
-        return inner
-    try:
-        model = _compose_model(inner.branch, b, c, inner.diag_u, None)
-    except ValueError as err:
-        return _not_classified(f"recovered unitaries fail validation: {err}")
-    residual = _residual((model(s), map_(s)) for s in _validation_states(dim))
-    if residual > tol:
-        return _not_classified(
-            f"reconstruction residual {residual:.3e} exceeds {tol:.1e}"
-        )
-    return ClassificationResult(
-        branch=inner.branch,
-        U=b_dag,
-        V=c @ inner.diag_u,
-        diag_u=inner.diag_u,
-        residual=residual,
-        model=model,
-    )
+    u, v, canonical = reduce_to_canonical(map_, preimages)
+    pipeline = _classify_lift if dim == 2 else _classify_branch
+    return pipeline(map_, canonical, u, v, grid_size, tol)

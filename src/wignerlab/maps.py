@@ -56,13 +56,19 @@ def require_unitary(mat: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateMap:
-    """A map between pure-state spaces with family metadata."""
+    """A map between pure-state spaces of dimension >= 2 with family metadata."""
 
     family: str
     dim_in: int
     dim_out: int
     fn: Callable[[PureState], PureState] = field(repr=False, compare=False)
     params: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.dim_in < 2 or self.dim_out < 2:
+            raise ValueError(
+                f"map dimensions must be at least 2, got {self.dim_in} -> {self.dim_out}"
+            )
 
     def __call__(self, state: PureState) -> PureState:
         if state.dim != self.dim_in:
@@ -165,8 +171,6 @@ def block_embed(
     above the threshold) the map is noncontractive but not an isometry:
     a pair straddling the predicate boundary is pushed to distance 1.
     """
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
     pred = predicate if predicate is not None else _default_predicate(threshold)
 
     def fn(s: PureState) -> PureState:

@@ -5,7 +5,7 @@ reports a witness when the worst gap exceeds 1e-9; the metric checks
 first sharpen the worst pair by local refinement.  Every check runs
 through one serial engine: sampling is split into fixed-size chunks
 with RNG substreams derived from (seed, chunk index), and the chunks run
-one after another.  The WIGNERLAB_THREADS variable is no longer read.
+one after another.
 """
 
 from __future__ import annotations

@@ -94,6 +94,13 @@ def test_pair_map_rejects_non_canonical_maps():
         extract_pair_map(wigner_map(random_unitary(3, 40)), 0, 1, probe_grid(16))
 
 
+def test_pair_map_checks_every_basis_projection():
+    # the (0, 1) block is fixed, but e_2 and e_3 trade places
+    swap = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    with pytest.raises(ProbeError, match="basis projection"):
+        extract_pair_map(wigner_map(swap), 0, 1, probe_grid(16))
+
+
 def test_induced_homomorphism_examples():
     grid = probe_grid(16)
     ident = extract_pair_map(identity_map(3), 0, 1, grid)
@@ -178,6 +185,21 @@ def test_canonical_diag_gauge_is_exact():
     assert res.diag_u[0, 0] == 1.0
     assert np.allclose(res.diag_u, np.diag(np.diagonal(res.diag_u)))
     assert np.max(np.abs(res.diag_u - u)) <= 1e-8
+
+
+def test_canonical_classification_checks_the_basis_once():
+    basis = [basis_state(4, k).vec for k in range(4)]
+    hits = [0] * 4
+    ident = identity_map(4)
+
+    def counted(s):
+        for k, e_k in enumerate(basis):
+            hits[k] += np.array_equal(s.vec, e_k)
+        return ident(s)
+
+    res = classify_canonical(opaque_map(counted, 4, 4))
+    assert res.branch == WIGNER_UNITARY
+    assert hits == [1, 1, 1, 1]
 
 
 def test_canonical_classification_rejects_small_dims_and_non_endomaps():

@@ -208,6 +208,18 @@ def test_builtin_tau_power2_finds_witness():
     assert json.loads(result.stdout)["witness"]["gap"] >= 0.25
 
 
+def test_maps_below_dimension_two_exit_two():
+    # in dimension 1 every redrawn partner of a state is parallel to it, so an
+    # orthogonality search could never draw a pair: the map itself is refused
+    for dim in ("1", "0"):
+        result = run_cli(
+            "verify", "--property", "orthogonality", "--map", "phi", "--dim", dim,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "at least 2" in result.stderr
+
+
 def test_emit_refuses_non_finite_numbers(capsys):
     with pytest.raises(ValueError):
         cli._emit({"worst_gap": float("-inf")}, None)

@@ -219,6 +219,13 @@ def test_subspace_collapse_validates_parameters():
         proper_subspace_map(4, 2, alpha0=2)
 
 
+def test_maps_below_dimension_two_are_rejected():
+    with pytest.raises(ValueError, match="at least 2"):
+        entrywise_abs(1)
+    with pytest.raises(ValueError, match="at least 2"):
+        opaque_map(lambda s: s, 1, 1)
+
+
 def test_state_map_validates_input_dimension():
     phi = entrywise_abs(3)
     with pytest.raises(ValueError):
