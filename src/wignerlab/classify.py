@@ -34,19 +34,16 @@ from .circle import (
     unit_grid,
 )
 from .descriptors import matrix_to_json
-from .maps import StateMap, composed_phi_form, standard_map, wigner_map
+from .maps import StateMap, _apply, composed_phi_form, standard_map, wigner_map
 from .states import (
     OrthoSystem,
     PureState,
-    basis_state,
-    distance,
+    _canonical_rows,
+    _trusted_state,
     is_cosp,
     pure_state,
-    sample_pure_state,
-    state_from_params,
-    transition_probability,
 )
-from .verify import find_cosp_in_image
+from .verify import _row_distances, find_cosp_in_image
 
 __all__ = [
     "WIGNER_UNITARY",
@@ -164,31 +161,33 @@ def probe_state(u: complex, i: int, j: int, dim: int) -> PureState:
 
 
 def _require_fixes_basis(map_: StateMap, dim: int) -> None:
-    for k in range(dim):
-        e_k = basis_state(dim, k)
-        if transition_probability(map_(e_k), e_k) < 1.0 - CANONICAL_TOL:
-            raise ProbeError(f"map does not fix basis projection {k} within 1e-8")
+    # the weight of basis state k in its own image is its transition probability
+    weights = np.abs(np.diagonal(map_.batch(np.eye(dim, dtype=complex)))) ** 2
+    moved = np.flatnonzero(weights < 1.0 - CANONICAL_TOL)
+    if moved.size:
+        raise ProbeError(f"map does not fix basis projection {moved[0]} within 1e-8")
 
 
 def _pair_map(map_: StateMap, i: int, j: int, grid) -> CircleMap:
-    """The probe loop of extract_pair_map, for a map already known to fix the basis."""
-    dim = map_.dim_in
-    pairs = []
-    for u in grid:
-        out = map_(probe_state(u, i, j, dim)).vec
-        m_ii = abs(out[i]) ** 2
-        m_jj = abs(out[j]) ** 2
-        if abs(m_ii - 0.5) > SUPPORT_TOL or abs(m_jj - 0.5) > SUPPORT_TOL:
-            raise ProbeError(
-                f"probe image of pair ({i}, {j}) is not balanced on the pair"
-            )
-        value = 2.0 * out[i] * out[j].conjugate()
-        if abs(abs(value) - 1.0) > SUPPORT_TOL:
-            raise ProbeError(
-                f"probe image of pair ({i}, {j}) has off-block weight"
-            )
-        pairs.append((u, value / abs(value)))
-    return sampled(pairs)
+    """The probes of extract_pair_map, for a map already known to fix the basis.
+
+    Maps the probe states of every grid phase in one batch; the first
+    phase whose response fails a check names the ProbeError.
+    """
+    probes = np.zeros((len(grid), map_.dim_in), dtype=complex)
+    probes[:, i] = 1.0
+    probes[:, j] = np.conj(grid)
+    out = map_.batch(_canonical_rows(probes))
+    unbalanced = (np.abs(np.abs(out[:, i]) ** 2 - 0.5) > SUPPORT_TOL) | (
+        np.abs(np.abs(out[:, j]) ** 2 - 0.5) > SUPPORT_TOL
+    )
+    values = 2.0 * out[:, i] * out[:, j].conj()
+    failed = np.flatnonzero(unbalanced | (np.abs(np.abs(values) - 1.0) > SUPPORT_TOL))
+    if failed.size:
+        if unbalanced[failed[0]]:
+            raise ProbeError(f"probe image of pair ({i}, {j}) is not balanced on the pair")
+        raise ProbeError(f"probe image of pair ({i}, {j}) has off-block weight")
+    return sampled(zip(grid, values / np.abs(values)))
 
 
 def extract_pair_map(map_, i: int, j: int, grid) -> CircleMap:
@@ -232,32 +231,41 @@ def induced_homomorphism(
     return sampled(pairs)
 
 
-def _validation_states(dim: int, count: int = VALIDATION_STATES) -> list[PureState]:
+def _validation_rows(dim: int, count: int = VALIDATION_STATES) -> np.ndarray:
+    """The fixed validation states of dimension dim, as rows.
+
+    The same draws as count calls of sample_pure_state on one generator.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((dim, 104729)))
-    return [sample_pure_state(rng, dim) for _ in range(count)]
+    z = rng.standard_normal((count, 2, dim))
+    return _canonical_rows(z[:, 0] + 1j * z[:, 1])
 
 
-def _lift_states(u: np.ndarray, grid) -> list[PureState]:
-    """Preimages under u* of the weight/phase grid that validates dim-2 lifts."""
-    b = u.conj().T
-    return [
-        pure_state(b @ state_from_params(p, z).vec)
-        for p in np.linspace(0.1, 0.9, 9)
-        for z in grid
-    ]
+def _lift_rows(u: np.ndarray, grid) -> np.ndarray:
+    """Preimages under u* of the weight/phase grid that validates dim-2 lifts.
+
+    Row k * len(grid) + m is u* applied to the state that
+    state_from_params builds from weight linspace(0.1, 0.9, 9)[k] and
+    phase grid[m].
+    """
+    p = np.repeat(np.linspace(0.1, 0.9, 9), len(grid))
+    z = np.tile(np.asarray(grid, dtype=complex), 9)
+    grid_rows = np.column_stack([np.sqrt(p), z.conj() * np.sqrt(1.0 - p)])
+    return _canonical_rows(_apply(u.conj().T, grid_rows))
 
 
 def _not_classified(reason: str) -> ClassificationResult:
     return ClassificationResult(branch=NOT_CLASSIFIED, reason=reason)
 
 
-def _verdict(model: StateMap, map_: StateMap, states, tol: float, what: str, **fields):
-    """The result with these fields if model reproduces map_ on states within tol.
+def _verdict(model: StateMap, map_: StateMap, rows, tol: float, what: str, **fields):
+    """The result with these fields if model reproduces map_ on rows within tol.
 
-    The residual is the largest state distance between model and map
-    images; above tol it becomes the NOT_CLASSIFIED reason.
+    rows are state rows, each side mapped in one batch.  The residual is
+    the largest state distance between model and map images; above tol
+    it becomes the NOT_CLASSIFIED reason.
     """
-    residual = max((distance(model(s), map_(s)) for s in states), default=0.0)
+    residual = float(_row_distances(model.batch(rows), map_.batch(rows)).max())
     if residual > tol:
         return _not_classified(f"{what} residual {residual:.3e} exceeds {tol:.1e}")
     return ClassificationResult(residual=residual, model=model, **fields)
@@ -301,7 +309,7 @@ def _classify_branch(
     except ValueError as err:
         return _not_classified(f"recovered unitaries fail validation: {err}")
     return _verdict(
-        model, map_, _validation_states(dim), tol, "reconstruction",
+        model, map_, _validation_rows(dim), tol, "reconstruction",
         branch=branch, U=u, V=post, diag_u=diag,
     )
 
@@ -365,7 +373,7 @@ def _classify_lift(
     except ProbeError as err:
         return _not_classified(str(err))
     checked = _verdict(
-        _compose_model(STANDARD_DIM2, u, v, g), map_, _lift_states(u, grid),
+        _compose_model(STANDARD_DIM2, u, v, g), map_, _lift_rows(u, grid),
         tol, "phase-lift", branch=STANDARD_DIM2, U=u, V=v, g=g,
     )
     if not checked.classified:
@@ -409,17 +417,16 @@ def reduce_to_canonical(
         raise ValueError("reduction requires an endomap")
     if preimages.dim != dim or not is_cosp(preimages, dim):
         raise ValueError("preimage system is not complete for the map dimension")
+    pre_rows = np.array([q.vec for q in preimages])
     try:
-        images = OrthoSystem(tuple(map_(q) for q in preimages))
+        images = map_.batch(pre_rows)
+        OrthoSystem(tuple(_trusted_state(r) for r in images))
     except ValueError as err:
         raise ValueError(f"image of the preimage system is not a COSP: {err}") from err
-    b = np.column_stack([q.vec for q in preimages])
-    c = np.column_stack([p.vec for p in images])
-    c_h = c.conj().T
-
-    def fn(s: PureState) -> PureState:
-        return pure_state(c_h @ map_(pure_state(b @ s.vec)).vec)
-
+    b = pre_rows.T
+    c = images.T
+    c_h = images.conj()
+    fn = lambda rows: _apply(c_h, map_.batch(_canonical_rows(_apply(b, rows))))
     canonical = StateMap("canonical", dim, dim, fn, {"pre": b, "post": c})
     return b.conj().T, c, canonical
 
@@ -440,10 +447,7 @@ def _compose_model(
     if branch == ENTRYWISE_ABS:
         return composed_phi_form(pre, post)
     lift = standard_map(g)
-
-    def fn(s: PureState) -> PureState:
-        return pure_state(post @ lift(pure_state(pre @ s.vec)).vec)
-
+    fn = lambda rows: _apply(post, lift.batch(_canonical_rows(_apply(pre, rows))))
     return StateMap("reduced_tau", dim, dim, fn, {"pre": pre, "post": post, "g": g})
 
 

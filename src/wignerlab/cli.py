@@ -55,8 +55,9 @@ def _builtin_map(name: str, dim: int, seed: int) -> StateMap:
     if name == "wigner-random":
         return wigner_map(random_unitary(dim, seed))
     if name == "constant":
-        target = basis_state(dim, 0)
-        return StateMap("constant", dim, dim, lambda s: target, {})
+        target = basis_state(dim, 0).vec
+        fn = lambda rows: np.broadcast_to(target, rows.shape)
+        return StateMap("constant", dim, dim, fn, {})
     if name in ("tau-fold", "tau-constant", "tau-power2"):
         if dim != 2:
             raise CLIError(f"builtin map {name!r} requires --dim 2")

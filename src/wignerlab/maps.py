@@ -1,10 +1,11 @@
 """Constructors for the studied families of maps between state spaces.
 
-Every family is wrapped as a :class:`StateMap`: a callable on pure states
-carrying its domain/codomain dimensions, a family tag, and the parameters
-needed to serialize it.  Families cover unitary/antiunitary symmetries,
-the entrywise-absolute-value map and its conjugated forms, circle-map
-lifts in dimension 2, and three embedding constructions that separate
+Every family is wrapped as a :class:`StateMap`: a map of whole blocks of
+pure states, given as (n, dim) arrays of gauge-fixed unit rows, carrying
+its domain/codomain dimensions, a family tag, and the parameters needed
+to serialize it.  Families cover unitary/antiunitary symmetries, the
+entrywise-absolute-value map and its conjugated forms, circle-map lifts
+in dimension 2, and three embedding constructions that separate
 noncontractive from isometric behaviour.
 """
 
@@ -16,14 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circle import CircleMap
-from .states import (
-    GAUGE_TOL,
-    PureState,
-    _trusted_state,
-    pure_state,
-    state_from_params,
-    two_by_two_params,
-)
+from .states import GAUGE_TOL, PureState, _canonical_rows, _trusted_state
 
 __all__ = [
     "UNITARY_TOL",
@@ -54,14 +48,31 @@ def require_unitary(mat: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return mat
 
 
+def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ row for every row, i.e. rows @ mat.T.
+
+    Each row is multiplied on its own (one matrix-vector product per
+    row), so a row's image does not depend on the block it came in: a
+    single matrix-matrix product rounds differently for one row than
+    for many.
+    """
+    return (rows[:, None, :] @ mat.T)[:, 0, :]
+
+
 @dataclass(frozen=True)
 class StateMap:
-    """A map between pure-state spaces of dimension >= 2 with family metadata."""
+    """A map between pure-state spaces of dimension >= 2 with family metadata.
+
+    fn is the array form: it takes an (n, dim_in) block of gauge-fixed
+    unit rows and returns the raw (n, dim_out) images, which need be
+    neither normalized nor gauge-fixed.  :meth:`batch` is the validation
+    boundary every evaluation goes through.
+    """
 
     family: str
     dim_in: int
     dim_out: int
-    fn: Callable[[PureState], PureState] = field(repr=False, compare=False)
+    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
     params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -70,17 +81,32 @@ class StateMap:
                 f"map dimensions must be at least 2, got {self.dim_in} -> {self.dim_out}"
             )
 
+    def batch(self, rows: np.ndarray) -> np.ndarray:
+        """Images of an (n, dim_in) block of gauge-fixed unit rows.
+
+        Returns a new (n, dim_out) array of gauge-fixed unit rows.  An
+        image block of the wrong shape, or with a non-finite or (near)
+        zero row, is a ValueError.
+        """
+        rows = np.ascontiguousarray(rows, dtype=complex)
+        if rows.ndim != 2 or rows.shape[1] != self.dim_in:
+            raise ValueError(
+                f"map expects rows of dimension {self.dim_in}, got shape {rows.shape}"
+            )
+        images = np.asarray(self.fn(rows), dtype=complex)
+        if images.ndim != 2 or images.shape[0] != rows.shape[0]:
+            raise ValueError(
+                f"map returned shape {images.shape} for {rows.shape[0]} rows"
+            )
+        if images.shape[1] != self.dim_out:
+            raise ValueError(
+                f"map image has dimension {images.shape[1]}, expected {self.dim_out}"
+            )
+        return _canonical_rows(images)
+
     def __call__(self, state: PureState) -> PureState:
-        if state.dim != self.dim_in:
-            raise ValueError(
-                f"map expects dimension {self.dim_in}, got {state.dim}"
-            )
-        image = self.fn(state)
-        if image.dim != self.dim_out:
-            raise ValueError(
-                f"map image has dimension {image.dim}, expected {self.dim_out}"
-            )
-        return image
+        """The image of one state: a one-row batch."""
+        return _trusted_state(self.batch(state.vec[None])[0])
 
 
 def wigner_map(unitary: np.ndarray, antiunitary: bool = False) -> StateMap:
@@ -91,9 +117,9 @@ def wigner_map(unitary: np.ndarray, antiunitary: bool = False) -> StateMap:
     u = require_unitary(unitary)
     dim = u.shape[0]
     if antiunitary:
-        fn = lambda s: pure_state(u @ s.vec.conj())
+        fn = lambda rows: _apply(u, rows.conj())
     else:
-        fn = lambda s: pure_state(u @ s.vec)
+        fn = lambda rows: _apply(u, rows)
     return StateMap(
         "wigner", dim, dim, fn, {"unitary": u, "antiunitary": bool(antiunitary)}
     )
@@ -116,13 +142,13 @@ def entrywise_abs(dim: int, basis: np.ndarray | None = None) -> StateMap:
     """
     params: dict = {"basis": None}
     if basis is None:
-        fn = lambda s: pure_state(np.abs(s.vec))
+        fn = np.abs
     else:
         b = require_unitary(basis)
         if b.shape[0] != dim:
             raise ValueError("reference basis dimension mismatch")
         bh = b.conj().T
-        fn = lambda s: pure_state(b @ np.abs(bh @ s.vec))
+        fn = lambda rows: _apply(b, np.abs(_apply(bh, rows)))
         params = {"basis": b}
     return StateMap("phi", dim, dim, fn, params)
 
@@ -134,12 +160,18 @@ def standard_map(g: CircleMap) -> StateMap:
     parameters (p, z) to the state with parameters (p, g(z)).
     """
 
-    def fn(s: PureState) -> PureState:
-        p, z = two_by_two_params(s)
+    def fn(rows: np.ndarray) -> np.ndarray:
+        # the weight/phase parameters of two_by_two_params, row by row
+        p = np.clip(np.abs(rows[:, 0]) ** 2, 0.0, 1.0)
+        off = rows[:, 0] * rows[:, 1].conj()
         # degenerate off-diagonal: the state is a fixed basis projection
-        if p * (1.0 - p) <= GAUGE_TOL**2:
-            return s
-        return state_from_params(p, g(z))
+        moved = (np.abs(off) > GAUGE_TOL) & (p * (1.0 - p) > GAUGE_TOL**2)
+        out = rows.copy()
+        p, off = p[moved], off[moved]
+        w = np.array([g(z) for z in off / np.abs(off)], dtype=complex)
+        out[moved, 0] = np.sqrt(p)
+        out[moved, 1] = w.conj() * np.sqrt(1.0 - p)
+        return out
 
     return StateMap("tau", 2, 2, fn, {"g": g})
 
@@ -151,12 +183,8 @@ def composed_phi_form(pre: np.ndarray, post: np.ndarray) -> StateMap:
     if u.shape != v.shape:
         raise ValueError("pre and post unitaries must share a dimension")
     dim = u.shape[0]
-    fn = lambda s: pure_state(v @ np.abs(u @ s.vec))
+    fn = lambda rows: _apply(v, np.abs(_apply(u, rows)))
     return StateMap("composed", dim, dim, fn, {"pre": u, "post": v})
-
-
-def _default_predicate(threshold: float) -> Callable[[PureState], bool]:
-    return lambda s: abs(s.vec[0]) ** 2 > threshold
 
 
 def block_embed(
@@ -171,16 +199,16 @@ def block_embed(
     above the threshold) the map is noncontractive but not an isometry:
     a pair straddling the predicate boundary is pushed to distance 1.
     """
-    pred = predicate if predicate is not None else _default_predicate(threshold)
 
-    def fn(s: PureState) -> PureState:
-        out = np.zeros(2 * dim, dtype=complex)
-        if pred(s):
-            out[dim:] = s.vec
+    def fn(rows: np.ndarray) -> np.ndarray:
+        if predicate is None:
+            mask = np.abs(rows[:, 0]) ** 2 > threshold
         else:
-            out[:dim] = s.vec
-        # the shifted vector is still unit and gauge-fixed
-        return _trusted_state(out)
+            mask = np.array([predicate(_trusted_state(r.copy())) for r in rows], dtype=bool)
+        out = np.zeros((len(rows), 2 * dim), dtype=complex)
+        out[mask, dim:] = rows[mask]
+        out[~mask, :dim] = rows[~mask]
+        return out
 
     return StateMap("block_embed", dim, 2 * dim, fn, {"threshold": threshold})
 
@@ -204,10 +232,9 @@ def separable_embed(anchors: Sequence[PureState]) -> StateMap:
     conj_rows = np.array([a.vec.conj() for a in anchors])
     weights = np.array([2.0 ** (-(n + 1) / 2.0) for n in range(n_anchors)])
 
-    def fn(s: PureState) -> PureState:
-        t = np.clip(np.abs(conj_rows @ s.vec), 0.0, 1.0)
-        out = np.concatenate([weights * t, weights * np.sqrt(1.0 - t**2)])
-        return pure_state(out)
+    def fn(rows: np.ndarray) -> np.ndarray:
+        t = np.clip(np.abs(_apply(conj_rows, rows)), 0.0, 1.0)
+        return np.concatenate([weights * t, weights * np.sqrt(1.0 - t**2)], axis=1)
 
     return StateMap(
         "separable_embed", dim, 2 * n_anchors, fn, {"anchors": anchors}
@@ -228,13 +255,13 @@ def proper_subspace_map(dim: int, k: int, alpha0: int = 0) -> StateMap:
     if not 0 <= alpha0 < k:
         raise ValueError("alpha0 must index one of the first k coordinates")
 
-    def fn(s: PureState) -> PureState:
-        inside = np.abs(s.vec[:k])
-        rest_sq = float(np.linalg.norm(s.vec[k:]) ** 2)
-        out = np.zeros(dim, dtype=complex)
-        out[:k] = inside
-        out[alpha0] = np.sqrt(rest_sq + inside[alpha0] ** 2)
-        return pure_state(out)
+    def fn(rows: np.ndarray) -> np.ndarray:
+        inside = np.abs(rows[:, :k])
+        rest_sq = np.linalg.norm(rows[:, k:], axis=1) ** 2
+        out = np.zeros((len(rows), dim))
+        out[:, :k] = inside
+        out[:, alpha0] = np.sqrt(rest_sq + inside[:, alpha0] ** 2)
+        return out
 
     return StateMap("proper_subspace", dim, dim, fn, {"k": k, "alpha0": alpha0})
 
@@ -242,5 +269,13 @@ def proper_subspace_map(dim: int, k: int, alpha0: int = 0) -> StateMap:
 def opaque_map(
     fn: Callable[[PureState], PureState], dim_in: int, dim_out: int
 ) -> StateMap:
-    """Wrap an arbitrary state transformer without structural claims."""
-    return StateMap("opaque", dim_in, dim_out, fn)
+    """Wrap an arbitrary state transformer without structural claims.
+
+    The only family without an array form: its rows are mapped one
+    state at a time.
+    """
+
+    def rows_fn(rows: np.ndarray) -> np.ndarray:
+        return np.array([fn(_trusted_state(r.copy())).vec for r in rows])
+
+    return StateMap("opaque", dim_in, dim_out, rows_fn)

@@ -131,6 +131,23 @@ def pure_state(entries) -> PureState:
     return _trusted_state(vec)
 
 
+def _canonical_rows(raw: np.ndarray) -> np.ndarray:
+    """Normalize and phase-gauge each row of an (n, dim) matrix.
+
+    The row form of pure_state: a non-finite or (near) zero row is an
+    error.  Returns a new array and never writes into raw.
+    """
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("cannot build a state from a non-finite vector")
+    if not np.all(norms > GAUGE_TOL):
+        raise ValueError("cannot build a state from a (near) zero vector")
+    raw = raw / norms
+    piv = (np.abs(raw) > GAUGE_TOL).argmax(axis=1)
+    pivots = raw[np.arange(raw.shape[0]), piv]
+    return raw * (pivots.conj() / np.abs(pivots))[:, None]
+
+
 def basis_state(dim: int, k: int) -> PureState:
     """The state projecting onto the k-th standard basis vector."""
     if not 0 <= k < dim:

@@ -16,9 +16,9 @@ import numpy as np
 
 from .maps import StateMap
 from .states import (
-    GAUGE_TOL,
     OrthoSystem,
     PureState,
+    _canonical_rows,
     _trusted_state,
     distance,
     pure_state,
@@ -43,6 +43,8 @@ __all__ = [
 
 WITNESS_TOL = 1e-9
 CHUNK_SIZE = 512
+# rows per map batch: bounds the temporaries of wide maps (separable_embed)
+MAP_BLOCK = 128
 INJECTIVITY_SAMPLES = 1000
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
@@ -96,14 +98,6 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-def _canonical_rows(raw: np.ndarray) -> np.ndarray:
-    """Normalize and phase-gauge each row of a complex matrix."""
-    raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    piv = (np.abs(raw) > GAUGE_TOL).argmax(axis=1)
-    pivots = raw[np.arange(raw.shape[0]), piv]
-    return raw * (pivots.conj() / np.abs(pivots))[:, None]
-
-
 def _sample_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     z = rng.standard_normal((2, count, dim))
     return _canonical_rows(z[0] + 1j * z[1])
@@ -122,15 +116,15 @@ def _row_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _map_rows(map_: StateMap, rows: np.ndarray) -> np.ndarray:
-    """Images of a block of canonical state rows, as an (n, dim_out) array.
+    """Images of canonical state rows, as an (n, dim_out) array.
 
-    The one place the searches evaluate the map.  StateMap.__call__
-    rejects an image of the wrong dimension and PureState a non-finite
-    one, so every returned row is a valid state.
+    The one place the searches evaluate the map, in batches of MAP_BLOCK
+    rows.  StateMap.batch rejects an invalid image, so every returned
+    row is a valid state.
     """
     images = np.empty((len(rows), map_.dim_out), dtype=complex)
-    for k, row in enumerate(rows):
-        images[k] = map_(_trusted_state(row)).vec
+    for start in range(0, len(rows), MAP_BLOCK):
+        images[start : start + MAP_BLOCK] = map_.batch(rows[start : start + MAP_BLOCK])
     return images
 
 
@@ -154,24 +148,28 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     sample i being rows i, count + i, ...; gap(rows, images) -> the count
     gaps.  Chunk i draws from the RNG substream (seed, i).  The strictly
     largest gap wins, earliest first.  Returns the worst gap with the
-    input states and image states of its sample.
+    input rows and image rows of its sample.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if n_samples < 1:
         raise ValueError("sample budget must be at least 1")
-    worst, states, image_states = -np.inf, None, None
-    for index, start in enumerate(range(0, n_samples, CHUNK_SIZE)):
-        count = min(CHUNK_SIZE, n_samples - start)
+
+    def chunk(index: int):
+        # a function, so one chunk's arrays are freed before the next is mapped
+        count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
         rows = sample(_chunk_rng(seed, index), count)
         images = _map_rows(map_, rows)
         gaps = gap(rows, images)
         i = int(np.argmax(gaps))
-        if gaps[i] > worst:
-            worst = float(gaps[i])
-            states = [_trusted_state(r.copy()) for r in rows[i::count]]
-            image_states = [_trusted_state(r.copy()) for r in images[i::count]]
-    return worst, states, image_states
+        return float(gaps[i]), rows[i::count].copy(), images[i::count].copy()
+
+    worst = (-np.inf, None, None)
+    for index in range(-(-n_samples // CHUNK_SIZE)):
+        found = chunk(index)
+        if found[0] > worst[0]:
+            worst = found
+    return worst
 
 
 def _report(prop, n_samples, seed, worst, p, q, d_in, d_out) -> CheckReport:
@@ -181,43 +179,53 @@ def _report(prop, n_samples, seed, worst, p, q, d_in, d_out) -> CheckReport:
     return CheckReport(prop, n_samples, worst, witness, seed)
 
 
-def _perturbed(state: PureState, coord: int, delta: complex) -> PureState:
-    vec = state.vec.copy()
-    vec[coord] += delta
-    return pure_state(vec)
+def _pair_report(prop, n_samples, seed, worst, pair, images) -> CheckReport:
+    """_report for a witness pair given as (2, dim) input and image rows."""
+    p, q, fp, fq = (_trusted_state(r) for r in (*pair, *images))
+    return _report(prop, n_samples, seed, worst, p, q, distance(p, q), distance(fp, fq))
 
 
-def _refine_pair(map_: StateMap, oriented, p, q, fp, fq, steps: int):
+_DIRECTIONS = np.array([1.0, -1.0, 1.0j, -1.0j])
+
+
+def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     """Pattern search maximizing the oriented gap from a starting pair.
 
     Tries single-coordinate complex perturbations of both representative
-    vectors; the step starts at 0.1 and halves whenever no candidate
-    improves.  Every candidate is renormalized and re-gauged.  fp and fq
-    are the images of p and q; the final pair is returned with its images.
+    rows; the step starts at 0.1 and halves whenever no candidate
+    improves.  Every candidate is renormalized and re-gauged, and the
+    8 * dim candidates of a step are mapped together; the first
+    strictly best in (which row, coordinate, +step, -step, +i step,
+    -i step) order is taken.  pair and images are (2, dim) row arrays;
+    the final pair is returned with its images.
     """
-    gap = oriented(distance(p, q), distance(fp, fq))
+    pair, images = pair.copy(), images.copy()
+    dim = pair.shape[1]
+    gap = oriented(
+        _row_distances(pair[:1], pair[1:]), _row_distances(images[:1], images[1:])
+    )[0]
+    # candidate (which, coord, direction) perturbs row which at coord;
+    # its partner is the other row of the pair
+    coords = np.arange(dim)
+    partner = np.repeat([1, 0], 4 * dim)
     step = REFINE_START_STEP
     for _ in range(steps):
-        best_gap, best_move = gap, None
-        for which in (0, 1):
-            base, other, f_other = (p, q, fq) if which == 0 else (q, p, fp)
-            for coord in range(base.dim):
-                for delta in (step, -step, 1j * step, -1j * step):
-                    cand = _perturbed(base, coord, delta)
-                    f_cand = map_(cand)
-                    g = oriented(distance(cand, other), distance(f_cand, f_other))
-                    if g > best_gap:
-                        best_gap, best_move = g, (which, cand, f_cand)
-        if best_move is None:
-            step *= REFINE_SHRINK
-            continue
-        gap = best_gap
-        which, cand, f_cand = best_move
-        if which == 0:
-            p, fp = cand, f_cand
+        cands = np.repeat(pair, 4 * dim, axis=0).reshape(2, dim, 4, dim)
+        cands[:, coords, :, coords] += step * _DIRECTIONS
+        cands = _canonical_rows(cands.reshape(8 * dim, dim))
+        f_cands = _map_rows(map_, cands)
+        gaps = oriented(
+            _row_distances(cands, pair[partner]),
+            _row_distances(f_cands, images[partner]),
+        )
+        best = int(np.argmax(gaps))
+        if gaps[best] > gap:
+            gap = gaps[best]
+            which = best // (4 * dim)
+            pair[which], images[which] = cands[best], f_cands[best]
         else:
-            q, fq = cand, f_cand
-    return gap, p, q, fp, fq
+            step *= REFINE_SHRINK
+    return gap, pair, images
 
 
 def _metric_check(
@@ -239,12 +247,12 @@ def _metric_check(
             _row_distances(images[:half], images[half:]),
         )
 
-    worst, (p, q), (fp, fq) = _search(
+    worst, pair, images = _search(
         map_, n_samples, seed, lambda rng, count: _sample_rows(rng, 2 * count, dim), gap
     )
     if refine_steps > 0:
-        worst, p, q, fp, fq = _refine_pair(map_, oriented, p, q, fp, fq, refine_steps)
-    return _report(prop, n_samples, seed, worst, p, q, distance(p, q), distance(fp, fq))
+        worst, pair, images = _refine_pair(map_, oriented, pair, images, refine_steps)
+    return _pair_report(prop, n_samples, seed, worst, pair, images)
 
 
 def check_nonexpansive(
@@ -320,11 +328,8 @@ def check_orthogonality_preserving(
         overlaps = _row_overlaps(images[half:], images[:half])
         return np.minimum(np.abs(overlaps) ** 2, 1.0)
 
-    worst, (p, q), (fp, fq) = _search(map_, n_samples, seed, sample, gap)
-    return _report(
-        "orthogonality-preserving", n_samples, seed, worst,
-        p, q, distance(p, q), distance(fp, fq),
-    )
+    worst, pair, images = _search(map_, n_samples, seed, sample, gap)
+    return _pair_report("orthogonality-preserving", n_samples, seed, worst, pair, images)
 
 
 def check_inclusion_lemma(
@@ -356,12 +361,12 @@ def check_inclusion_lemma(
         z = rng.standard_normal((2, count, len(preimages)))
         return _canonical_rows((z[0] + 1j * z[1]) @ span_basis)
 
-    worst, (state,), (image,) = _search(
+    worst, state, image = _search(
         map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images)
     )
     return _report(
         "inclusion", n_samples, seed, worst,
-        state, image, 1.0, float(covered(image.vec[None])[0]),
+        _trusted_state(state[0]), _trusted_state(image[0]), 1.0, float(covered(image)[0]),
     )
 
 

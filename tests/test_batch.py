@@ -1,0 +1,168 @@
+"""The batched map protocol: StateMap.batch is the one evaluation path.
+
+Every family maps an (n, dim) block of gauge-fixed unit rows in one call;
+per-state calls are one-row batches, so both must agree bit for bit, and
+every invalid image block is rejected at the batch boundary.
+"""
+
+from __future__ import annotations
+
+import cmath
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wignerlab import (
+    OrthoSystem,
+    PureState,
+    StateMap,
+    block_embed,
+    classify,
+    composed_phi_form,
+    conjugate_rotation,
+    constant,
+    entrywise_abs,
+    fold,
+    opaque_map,
+    power,
+    proper_subspace_map,
+    pure_state,
+    random_unitary,
+    reduce_to_canonical,
+    rotation,
+    sample_pure_state,
+    separable_embed,
+    standard_map,
+    wigner_map,
+)
+from wignerlab.cli import _builtin_map
+
+
+def _canonical_model(dim: int) -> StateMap:
+    pre, post = random_unitary(dim, 61), random_unitary(dim, 62)
+    hint = OrthoSystem(tuple(pure_state(pre.conj().T[:, j]) for j in range(dim)))
+    return reduce_to_canonical(composed_phi_form(pre, post), hint)[2]
+
+
+def _reduced_tau_model() -> StateMap:
+    model = classify(wigner_map(random_unitary(2, 63)), 2).model
+    assert model.family == "reduced_tau"
+    return model
+
+
+def _square_entries(s: PureState) -> PureState:
+    return pure_state(s.vec**2 + 0.1)
+
+
+FAMILIES = {
+    "phi": (3, lambda: entrywise_abs(3)),
+    "phi basis": (3, lambda: entrywise_abs(3, random_unitary(3, 51))),
+    "wigner unitary": (4, lambda: wigner_map(random_unitary(4, 52))),
+    "wigner antiunitary": (4, lambda: wigner_map(random_unitary(4, 53), antiunitary=True)),
+    "composed": (3, lambda: composed_phi_form(random_unitary(3, 54), random_unitary(3, 55))),
+    "tau fold": (2, lambda: standard_map(fold())),
+    "tau constant": (2, lambda: standard_map(constant(1.0))),
+    "tau power2": (2, lambda: standard_map(power(2))),
+    "tau rotation": (2, lambda: standard_map(rotation(cmath.exp(0.7j)))),
+    "tau conj_rotation": (2, lambda: standard_map(conjugate_rotation(1j))),
+    "block_embed": (3, lambda: block_embed(3)),
+    "block_embed predicate": (3, lambda: block_embed(3, lambda s: abs(s.vec[2]) > 0.4)),
+    "separable_embed": (
+        4, lambda: separable_embed([sample_pure_state(np.random.default_rng(56), 4) for _ in range(16)])
+    ),
+    "proper_subspace": (5, lambda: proper_subspace_map(5, 3, alpha0=1)),
+    "opaque": (3, lambda: opaque_map(_square_entries, 3, 3)),
+    "constant": (3, lambda: _builtin_map("constant", 3, 0)),
+    "canonical": (3, lambda: _canonical_model(3)),
+    "reduced_tau": (2, _reduced_tau_model),
+}
+
+
+def _rows(seed: int, n: int, dim: int, special: bool) -> np.ndarray:
+    """n state rows; with special, basis states and a weight-1/2 boundary row too."""
+    rng = np.random.default_rng(seed)
+    rows = np.array([sample_pure_state(rng, dim).vec for _ in range(n)])
+    if special:
+        rows[: min(n, dim)] = np.eye(dim, dtype=complex)[: min(n, dim)]
+        rows[-1] = pure_state(np.r_[1.0, np.exp(0.3j), np.zeros(dim - 2)]).vec
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), special=st.booleans()
+)
+def test_batch_rows_equal_per_state_images_bit_for_bit(name, seed, n, special):
+    dim, build = FAMILIES[name]
+    map_ = build()
+    rows = _rows(seed, n, dim, special)
+    images = map_.batch(rows)
+    assert images.shape == (n, map_.dim_out) and images.dtype == complex
+    for k in range(n):
+        assert np.array_equal(images[k], map_(PureState(rows[k])).vec)
+        # the image is a canonical state: unit norm, gauge-fixed
+        PureState(images[k])
+
+
+class _Raw:
+    """What a misbehaving black box returns in place of a valid state."""
+
+    def __init__(self, vec):
+        self.vec = np.asarray(vec, dtype=complex)
+
+
+def _nan_row(rows):
+    out = rows.copy()
+    out[-1] = np.nan
+    return out
+
+
+def _zero_row(rows):
+    out = rows.copy()
+    out[-1] = 0.0
+    return out
+
+
+def _too_wide(rows):
+    return np.hstack([rows, rows[:, :1]])
+
+
+INVALID = {
+    "nan": (_nan_row, lambda s: _Raw(np.full(3, np.nan))),
+    "zero": (_zero_row, lambda s: _Raw(np.zeros(3))),
+    "too wide": (_too_wide, lambda s: _Raw(np.append(s.vec, 1.0))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID))
+@pytest.mark.parametrize("form", ["array", "opaque"])
+def test_batch_rejects_invalid_image_blocks(kind, form):
+    array_fn, state_fn = INVALID[kind]
+    if form == "array":
+        map_ = StateMap("custom", 3, 3, array_fn)
+    else:
+        map_ = opaque_map(state_fn, 3, 3)
+    rows = _rows(7, 5, 3, special=False)
+    with pytest.raises(ValueError):
+        map_.batch(rows)
+    with pytest.raises(ValueError):
+        map_(PureState(rows[-1]))
+
+
+def test_batch_checks_its_input_shape():
+    phi = entrywise_abs(3)
+    with pytest.raises(ValueError):
+        phi.batch(np.zeros((4, 2), dtype=complex))
+    with pytest.raises(ValueError):
+        phi.batch(np.zeros(3, dtype=complex))
+
+
+def test_batch_never_writes_into_the_image_block_of_fn():
+    target = np.eye(3, dtype=complex)[1]
+    map_ = StateMap("custom", 3, 3, lambda rows: np.broadcast_to(2.0 * target, rows.shape))
+    images = map_.batch(_rows(3, 4, 3, special=False))
+    assert np.array_equal(images, np.broadcast_to(target, (4, 3)))
+    images[0, 0] = 5.0  # a fresh, writable array

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wignerlab import (
     OrthoSystem,
+    PureState,
     basis_state,
     block_embed,
     check_inclusion_lemma,
@@ -32,7 +35,16 @@ from wignerlab import (
     transition_probability,
     wigner_map,
 )
-from wignerlab.verify import basis_image_completes_span, max_image_overlap
+from wignerlab.states import _canonical_rows
+from wignerlab.verify import (
+    REFINE_SHRINK,
+    REFINE_START_STEP,
+    _refine_pair,
+    _row_distances,
+    _sample_rows,
+    basis_image_completes_span,
+    max_image_overlap,
+)
 
 
 def test_abs_map_has_no_nonexpansive_witness():
@@ -255,3 +267,83 @@ def test_shared_probes_of_the_embeddings():
     assert overlap < 1.0 - 1e-9 and distinct
     assert basis_image_completes_span(proper_subspace_map(5, 3), 3)
     assert not basis_image_completes_span(wigner_map(random_unitary(3, 35)), 2)
+
+
+def _sequential_refine(map_, oriented, pair, images, steps):
+    """Reference pattern search: one candidate at a time, in (which, coord,
+    delta) order, keeping the first strictly better one, with per-state map
+    calls and the row kernels on single rows."""
+
+    def d(a, b):
+        return _row_distances(a[None], b[None])[0]
+
+    (p, q), (fp, fq) = pair, images
+    gap = oriented(d(p, q), d(fp, fq))
+    step = REFINE_START_STEP
+    for _ in range(steps):
+        best_gap, best_move = gap, None
+        for which in (0, 1):
+            base, other, f_other = (p, q, fq) if which == 0 else (q, p, fp)
+            for coord in range(len(base)):
+                for delta in (step, -step, 1j * step, -1j * step):
+                    vec = base.copy()
+                    vec[coord] += delta
+                    cand = _canonical_rows(vec[None])[0]
+                    f_cand = map_(PureState(cand)).vec
+                    g = oriented(d(cand, other), d(f_cand, f_other))
+                    if g > best_gap:
+                        best_gap, best_move = g, (which, cand, f_cand)
+        if best_move is None:
+            step *= REFINE_SHRINK
+            continue
+        gap = best_gap
+        which, cand, f_cand = best_move
+        if which == 0:
+            p, fp = cand, f_cand
+        else:
+            q, fq = cand, f_cand
+    return gap, np.array([p, q]), np.array([fp, fq])
+
+
+REFINE_CASES = {
+    "tau power2 nonexpansive": (
+        lambda: standard_map(power(2)), 2, lambda d_in, d_out: d_out - d_in
+    ),
+    "phi dim 2 isometry": (lambda: entrywise_abs(2), 2, lambda d_in, d_out: abs(d_out - d_in)),
+    "separable_embed isometry": (
+        lambda: separable_embed(
+            [sample_pure_state(np.random.default_rng(901), 4) for _ in range(32)]
+        ),
+        4,
+        lambda d_in, d_out: abs(d_out - d_in),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_CASES))
+def test_batched_refinement_matches_the_sequential_search(name):
+    build, dim, oriented = REFINE_CASES[name]
+    map_ = build()
+    pair = _sample_rows(np.random.default_rng(17), 2, dim)
+    images = map_.batch(pair)
+    ref_gap, ref_pair, _ = _sequential_refine(map_, oriented, pair, images, 200)
+    gap, got_pair, got_images = _refine_pair(map_, oriented, pair, images, 200)
+    assert np.array_equal(got_pair, ref_pair)
+    assert np.array_equal(got_images, map_.batch(got_pair))
+    assert abs(gap - ref_gap) <= 1e-12
+    assert gap > oriented(distance(*map(PureState, pair)), distance(*map(PureState, images)))
+
+
+def test_row_blocking_bounds_the_scan_memory():
+    # 64 anchors in dim 8: 128-dim images, so one unblocked 1024-row batch
+    # of a chunk would hold several MB of temporaries at once
+    rng = np.random.default_rng(8)
+    map_ = separable_embed([sample_pure_state(rng, 8) for _ in range(64)])
+    tracemalloc.start()
+    try:
+        report = check_nonexpansive(map_, 8, 20000, refine_steps=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 5e6
