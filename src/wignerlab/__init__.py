@@ -53,6 +53,7 @@ from .maps import (
     StateMap,
     block_embed,
     composed_phi_form,
+    constant_map,
     entrywise_abs,
     identity_map,
     opaque_map,

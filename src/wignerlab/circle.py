@@ -115,7 +115,9 @@ def fold() -> CircleMap:
 
 
 def power(k: int) -> CircleMap:
-    """z -> z**k; expanding for |k| >= 2."""
+    """z -> z**k for an integer k; expanding for |k| >= 2."""
+    if int(k) != k:
+        raise ValueError(f"power exponent must be an integer, got {k!r}")
     k = int(k)
     return CircleMap("power", lambda z: z**k, param=k)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,13 +22,14 @@ from .descriptors import map_from_json, map_to_json
 from .maps import (
     StateMap,
     block_embed,
+    constant_map,
     entrywise_abs,
     proper_subspace_map,
     separable_embed,
     standard_map,
     wigner_map,
 )
-from .states import basis_state, random_unitary, sample_pure_state
+from .states import random_unitary, sample_pure_state
 from .verify import (
     INJECTIVITY_SAMPLES,
     basis_image_completes_span,
@@ -47,28 +49,34 @@ class CLIError(ValueError):
     """Invalid invocation or unreadable input."""
 
 
+_BUILTINS = {
+    "phi": lambda dim, seed: entrywise_abs(dim),
+    "block-embed": lambda dim, seed: block_embed(dim),
+    "wigner-random": lambda dim, seed: wigner_map(random_unitary(dim, seed)),
+    "constant": lambda dim, seed: constant_map(dim),
+    "tau-fold": lambda dim, seed: standard_map(fold()),
+    "tau-constant": lambda dim, seed: standard_map(constant(1.0)),
+    "tau-power2": lambda dim, seed: standard_map(power(2)),
+}
+
+
 def _builtin_map(name: str, dim: int, seed: int) -> StateMap:
-    if name == "phi":
-        return entrywise_abs(dim)
-    if name == "block-embed":
-        return block_embed(dim)
-    if name == "wigner-random":
-        return wigner_map(random_unitary(dim, seed))
-    if name == "constant":
-        target = basis_state(dim, 0).vec
-        fn = lambda rows: np.broadcast_to(target, rows.shape)
-        return StateMap("constant", dim, dim, fn, {})
-    if name in ("tau-fold", "tau-constant", "tau-power2"):
-        if dim != 2:
-            raise CLIError(f"builtin map {name!r} requires --dim 2")
-        g = {"tau-fold": fold, "tau-constant": lambda: constant(1.0),
-             "tau-power2": lambda: power(2)}[name]()
-        return standard_map(g)
-    raise CLIError(
-        f"unknown builtin map {name!r}; use a name from "
-        "{phi, block-embed, wigner-random, constant, tau-fold, "
-        "tau-constant, tau-power2}, inline JSON, or @file"
-    )
+    if name not in _BUILTINS:
+        raise CLIError(
+            f"unknown builtin map {name!r}; use a name from "
+            f"{{{', '.join(_BUILTINS)}}}, inline JSON, or @file"
+        )
+    map_ = _BUILTINS[name](dim, seed)
+    if map_.dim_in != dim:
+        raise CLIError(f"builtin map {name!r} requires --dim {map_.dim_in}")
+    return map_
+
+
+def _finite_float(text: str) -> float:
+    """json.loads hook: descriptors are strict JSON, with finite numbers only."""
+    if not math.isfinite(value := float(text)):
+        raise CLIError(f"map descriptor has a non-finite number {text}")
+    return value
 
 
 def _load_map(source: str, dim: int, seed: int) -> StateMap:
@@ -84,7 +92,7 @@ def _load_map(source: str, dim: int, seed: int) -> StateMap:
     if not text.startswith("{"):
         return _builtin_map(text, dim, seed)
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as err:
         raise CLIError(f"malformed map descriptor: {err}") from err
     try:

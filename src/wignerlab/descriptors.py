@@ -1,8 +1,9 @@
 """JSON wire formats for matrices, circle maps, and map descriptors.
 
-Complex matrices serialize as flat row-major lists of [re, im] pairs;
-map descriptors are tagged objects {"family": ..., "params": ...} that
-round-trip every serializable family.
+Complex matrices serialize as flat row-major lists of [re, im] pairs.
+Circle maps are tagged objects {"kind": ..., <param>: ...}, declared once
+per kind in _CIRCLE_KINDS; map descriptors {"family": ..., "params": ...}
+carry a family's StateMap.params, one builder per family in _FAMILIES.
 """
 
 from __future__ import annotations
@@ -11,18 +12,9 @@ import math
 
 import numpy as np
 
-from . import circle
+from . import circle, maps
 from .circle import CircleMap, sampled_from_json, sampled_to_json
-from .maps import (
-    StateMap,
-    block_embed,
-    composed_phi_form,
-    entrywise_abs,
-    proper_subspace_map,
-    separable_embed,
-    standard_map,
-    wigner_map,
-)
+from .maps import StateMap
 from .states import state_from_json, state_to_json
 
 __all__ = [
@@ -50,124 +42,99 @@ def matrix_from_json(data, dim: int | None = None) -> np.ndarray:
     return flat.reshape(n, n)
 
 
-def _unit_from_pair(pair) -> complex:
-    return complex(pair[0], pair[1])
+def _unit_kind(build):
+    """A circle kind with one unit-complex parameter c, as an [re, im] pair."""
+    return "c", lambda g: [g.param.real, g.param.imag], lambda c: build(complex(*c))
+
+
+# kind -> (wire parameter or None, its encoder, constructor from its wire value)
+_CIRCLE_KINDS = {
+    "rotation": _unit_kind(circle.rotation),
+    "conj_rotation": _unit_kind(circle.conjugate_rotation),
+    "constant": _unit_kind(circle.constant),
+    "fold": (None, None, circle.fold),
+    "power": ("k", lambda g: int(g.param), circle.power),
+    "sampled": ("table", sampled_to_json, sampled_from_json),
+}
 
 
 def circle_map_to_json(g: CircleMap) -> dict:
     """Tagged JSON for a circle map with known structure."""
-    if g.kind in ("rotation", "conj_rotation", "constant"):
-        c = complex(g.param)
-        return {"kind": g.kind, "c": [c.real, c.imag]}
-    if g.kind == "fold":
-        return {"kind": "fold"}
-    if g.kind == "power":
-        return {"kind": "power", "k": int(g.param)}
-    if g.kind == "sampled":
-        return {"kind": "sampled", "table": sampled_to_json(g)}
-    raise ValueError(f"circle map kind {g.kind!r} has no JSON form")
+    if g.kind not in _CIRCLE_KINDS:
+        raise ValueError(f"circle map kind {g.kind!r} has no JSON form")
+    key, encode, _ = _CIRCLE_KINDS[g.kind]
+    return {"kind": g.kind} if key is None else {"kind": g.kind, key: encode(g)}
 
 
 def circle_map_from_json(obj: dict) -> CircleMap:
     """Rebuild a circle map from its tagged JSON."""
+    if not isinstance(obj, dict):
+        raise ValueError("circle map must be an object with a 'kind' tag")
     kind = obj.get("kind")
-    if kind == "rotation":
-        return circle.rotation(_unit_from_pair(obj["c"]))
-    if kind == "conj_rotation":
-        return circle.conjugate_rotation(_unit_from_pair(obj["c"]))
-    if kind == "constant":
-        return circle.constant(_unit_from_pair(obj["c"]))
-    if kind == "fold":
-        return circle.fold()
-    if kind == "power":
-        return circle.power(int(obj["k"]))
-    if kind == "sampled":
-        return sampled_from_json(obj["table"])
-    raise ValueError(f"unknown circle map kind {kind!r}")
+    if kind not in _CIRCLE_KINDS:
+        raise ValueError(f"unknown circle map kind {kind!r}")
+    key, _, build = _CIRCLE_KINDS[kind]
+    return build() if key is None else build(obj[key])
+
+
+def _dim_from_params(build):
+    # the family's dimension follows from its other params; map_from_json checks dim
+    return lambda dim=None, **params: build(**params)
+
+
+# family -> builder taking the decoded wire params as keywords
+_FAMILIES = {
+    "wigner": _dim_from_params(maps.wigner_map),
+    "phi": maps.entrywise_abs,
+    "tau": _dim_from_params(maps.standard_map),
+    "composed": _dim_from_params(maps.composed_phi_form),
+    "block_embed": lambda dim, threshold=0.5: maps.block_embed(dim, threshold=float(threshold)),
+    "separable_embed": _dim_from_params(maps.separable_embed),
+    "proper_subspace": maps.proper_subspace_map,
+    "constant": maps.constant_map,
+}
+
+# parameter name -> (encoder, decoder) of the params that are not JSON scalars
+_CODECS = {
+    **dict.fromkeys(("unitary", "basis", "pre", "post"), (matrix_to_json, matrix_from_json)),
+    "anchors": (lambda a: [state_to_json(s) for s in a], lambda a: [state_from_json(s) for s in a]),
+    "g": (circle_map_to_json, circle_map_from_json),
+}
+
+
+def _encode(name: str, value):
+    if value is None or isinstance(value, (bool, int, float)):
+        return value
+    if name not in _CODECS:
+        raise ValueError(f"map parameter {name!r} has no JSON form")
+    return _CODECS[name][0](value)
+
+
+def _decode(name: str, value):
+    return value if value is None or name not in _CODECS else _CODECS[name][1](value)
 
 
 def map_to_json(map_: StateMap) -> dict:
     """Tagged JSON descriptor of a serializable map family."""
-    family = map_.family
-    if family == "wigner":
-        return {
-            "family": "wigner",
-            "params": {
-                "dim": map_.dim_in,
-                "unitary": matrix_to_json(map_.params["unitary"]),
-                "antiunitary": map_.params["antiunitary"],
-            },
-        }
-    if family == "phi":
-        basis = map_.params.get("basis")
-        return {
-            "family": "phi",
-            "params": {
-                "dim": map_.dim_in,
-                "basis": None if basis is None else matrix_to_json(basis),
-            },
-        }
-    if family == "tau":
-        return {"family": "tau", "params": {"g": circle_map_to_json(map_.params["g"])}}
-    if family == "composed":
-        return {
-            "family": "composed",
-            "params": {
-                "dim": map_.dim_in,
-                "pre": matrix_to_json(map_.params["pre"]),
-                "post": matrix_to_json(map_.params["post"]),
-            },
-        }
-    if family == "block_embed":
-        return {
-            "family": "block_embed",
-            "params": {"dim": map_.dim_in, "threshold": map_.params["threshold"]},
-        }
-    if family == "separable_embed":
-        return {
-            "family": "separable_embed",
-            "params": {"anchors": [state_to_json(a) for a in map_.params["anchors"]]},
-        }
-    if family == "proper_subspace":
-        return {
-            "family": "proper_subspace",
-            "params": {
-                "dim": map_.dim_in,
-                "k": map_.params["k"],
-                "alpha0": map_.params["alpha0"],
-            },
-        }
-    raise ValueError(f"map family {family!r} has no JSON form")
+    if map_.family not in _FAMILIES:
+        raise ValueError(f"map family {map_.family!r} has no JSON form")
+    params = {name: _encode(name, value) for name, value in map_.params.items()}
+    return {"family": map_.family, "params": params}
 
 
 def map_from_json(obj: dict) -> StateMap:
-    """Build a map from its tagged JSON descriptor."""
+    """Build a map from its tagged JSON descriptor; a dim in params must be the map's."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError("map descriptor must be an object with a 'family' tag")
     family = obj["family"]
-    params = obj.get("params", {})
-    if family == "wigner":
-        u = matrix_from_json(params["unitary"], params.get("dim"))
-        return wigner_map(u, bool(params.get("antiunitary", False)))
-    if family == "phi":
-        basis = params.get("basis")
-        dim = params["dim"]
-        return entrywise_abs(
-            dim, None if basis is None else matrix_from_json(basis, dim)
-        )
-    if family == "tau":
-        return standard_map(circle_map_from_json(params["g"]))
-    if family == "composed":
-        dim = params.get("dim")
-        return composed_phi_form(
-            matrix_from_json(params["pre"], dim), matrix_from_json(params["post"], dim)
-        )
-    if family == "block_embed":
-        return block_embed(params["dim"], threshold=float(params.get("threshold", 0.5)))
-    if family == "separable_embed":
-        return separable_embed([state_from_json(a) for a in params["anchors"]])
-    if family == "proper_subspace":
-        return proper_subspace_map(
-            params["dim"], params["k"], params.get("alpha0", 0)
-        )
-    raise ValueError(f"unknown map family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown map family {family!r}")
+    wire = obj.get("params", {})
+    if not isinstance(wire, dict):
+        raise ValueError("map descriptor params must be an object")
+    params = {name: _decode(name, value) for name, value in wire.items()}
+    map_ = _FAMILIES[family](**params)
+    dim = params.get("dim")
+    if dim is not None and dim != map_.dim_in:
+        raise ValueError(f"descriptor dim {dim} is not the map's dimension {map_.dim_in}")
+    return map_

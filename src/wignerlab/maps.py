@@ -5,8 +5,8 @@ pure states, given as (n, dim) arrays of gauge-fixed unit rows, carrying
 its domain/codomain dimensions, a family tag, and the parameters needed
 to serialize it.  Families cover unitary/antiunitary symmetries, the
 entrywise-absolute-value map and its conjugated forms, circle-map lifts
-in dimension 2, and three embedding constructions that separate
-noncontractive from isometric behaviour.
+in dimension 2, three embedding constructions that separate
+noncontractive from isometric behaviour, and the constant map.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circle import CircleMap
-from .states import GAUGE_TOL, PureState, _canonical_rows, _trusted_state
+from .states import GAUGE_TOL, PureState, _canonical_rows, _trusted_state, basis_state
 
 __all__ = [
     "UNITARY_TOL",
@@ -31,6 +31,7 @@ __all__ = [
     "block_embed",
     "separable_embed",
     "proper_subspace_map",
+    "constant_map",
     "opaque_map",
 ]
 
@@ -43,7 +44,7 @@ def require_unitary(mat: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary parameter must be a square matrix")
     gram = mat.conj().T @ mat
-    if np.max(np.abs(gram - np.eye(mat.shape[0]))) > tol:
+    if not np.max(np.abs(gram - np.eye(mat.shape[0]))) <= tol:  # NaN fails too
         raise ValueError("matrix is not unitary within 1e-10")
     return mat
 
@@ -66,7 +67,8 @@ class StateMap:
     fn is the array form: it takes an (n, dim_in) block of gauge-fixed
     unit rows and returns the raw (n, dim_out) images, which need be
     neither normalized nor gauge-fixed.  :meth:`batch` is the validation
-    boundary every evaluation goes through.
+    boundary every evaluation goes through.  params are the family's
+    JSON wire parameters (see :mod:`wignerlab.descriptors`).
     """
 
     family: str
@@ -120,9 +122,8 @@ def wigner_map(unitary: np.ndarray, antiunitary: bool = False) -> StateMap:
         fn = lambda rows: _apply(u, rows.conj())
     else:
         fn = lambda rows: _apply(u, rows)
-    return StateMap(
-        "wigner", dim, dim, fn, {"unitary": u, "antiunitary": bool(antiunitary)}
-    )
+    params = {"dim": dim, "unitary": u, "antiunitary": bool(antiunitary)}
+    return StateMap("wigner", dim, dim, fn, params)
 
 
 def transpose_map(dim: int) -> StateMap:
@@ -140,7 +141,7 @@ def entrywise_abs(dim: int, basis: np.ndarray | None = None) -> StateMap:
     With the default standard basis this sends the projection matrix to
     the matrix of entrywise moduli.  Nonexpansive but never injective.
     """
-    params: dict = {"basis": None}
+    params: dict = {"dim": dim, "basis": None}
     if basis is None:
         fn = np.abs
     else:
@@ -149,7 +150,7 @@ def entrywise_abs(dim: int, basis: np.ndarray | None = None) -> StateMap:
             raise ValueError("reference basis dimension mismatch")
         bh = b.conj().T
         fn = lambda rows: _apply(b, np.abs(_apply(bh, rows)))
-        params = {"basis": b}
+        params["basis"] = b
     return StateMap("phi", dim, dim, fn, params)
 
 
@@ -184,7 +185,7 @@ def composed_phi_form(pre: np.ndarray, post: np.ndarray) -> StateMap:
         raise ValueError("pre and post unitaries must share a dimension")
     dim = u.shape[0]
     fn = lambda rows: _apply(v, np.abs(_apply(u, rows)))
-    return StateMap("composed", dim, dim, fn, {"pre": u, "post": v})
+    return StateMap("composed", dim, dim, fn, {"dim": dim, "pre": u, "post": v})
 
 
 def block_embed(
@@ -210,7 +211,10 @@ def block_embed(
         out[~mask, :dim] = rows[~mask]
         return out
 
-    return StateMap("block_embed", dim, 2 * dim, fn, {"threshold": threshold})
+    params = {"dim": dim, "threshold": threshold}
+    if predicate is not None:
+        params["predicate"] = predicate  # a function: the map has no JSON form
+    return StateMap("block_embed", dim, 2 * dim, fn, params)
 
 
 def separable_embed(anchors: Sequence[PureState]) -> StateMap:
@@ -263,7 +267,14 @@ def proper_subspace_map(dim: int, k: int, alpha0: int = 0) -> StateMap:
         out[:, alpha0] = np.sqrt(rest_sq + inside[:, alpha0] ** 2)
         return out
 
-    return StateMap("proper_subspace", dim, dim, fn, {"k": k, "alpha0": alpha0})
+    return StateMap("proper_subspace", dim, dim, fn, {"dim": dim, "k": k, "alpha0": alpha0})
+
+
+def constant_map(dim: int) -> StateMap:
+    """Send every state to the first basis state: nonexpansive, no symmetry."""
+    target = basis_state(dim, 0).vec
+    fn = lambda rows: np.broadcast_to(target, rows.shape)
+    return StateMap("constant", dim, dim, fn, {"dim": dim})
 
 
 def opaque_map(

@@ -23,6 +23,7 @@ from wignerlab import (
     composed_phi_form,
     conjugate_rotation,
     constant,
+    constant_map,
     entrywise_abs,
     fold,
     opaque_map,
@@ -37,7 +38,6 @@ from wignerlab import (
     standard_map,
     wigner_map,
 )
-from wignerlab.cli import _builtin_map
 
 
 def _canonical_model(dim: int) -> StateMap:
@@ -74,7 +74,7 @@ FAMILIES = {
     ),
     "proper_subspace": (5, lambda: proper_subspace_map(5, 3, alpha0=1)),
     "opaque": (3, lambda: opaque_map(_square_entries, 3, 3)),
-    "constant": (3, lambda: _builtin_map("constant", 3, 0)),
+    "constant": (3, lambda: constant_map(3)),
     "canonical": (3, lambda: _canonical_model(3)),
     "reduced_tau": (2, _reduced_tau_model),
 }

@@ -56,6 +56,23 @@ def test_verify_rejects_malformed_descriptor():
     assert "error" in result.stderr
 
 
+def test_descriptors_must_be_strict_json():
+    for number in ("NaN", "Infinity", "-Infinity", "1e999"):
+        desc = '{"family": "block_embed", "params": {"dim": 3, "threshold": %s}}' % number
+        result = run_cli("verify", "--property", "nonexpansive", "--map", desc)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "non-finite" in result.stderr
+
+
+def test_constant_descriptor_matches_the_builtin():
+    desc = json.dumps({"family": "constant", "params": {"dim": 3}})
+    from_json = run_cli("classify", "--map", desc, "--dim", "3")
+    builtin = run_cli("classify", "--map", "constant", "--dim", "3")
+    assert from_json.returncode == builtin.returncode == 1
+    assert from_json.stdout == builtin.stdout
+
+
 def test_verify_rejects_unknown_builtin_and_bad_usage():
     result = run_cli("verify", "--property", "isometry", "--map", "nope")
     assert result.returncode == 2

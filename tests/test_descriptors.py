@@ -10,6 +10,9 @@ import pytest
 from wignerlab import (
     block_embed,
     composed_phi_form,
+    conjugate_rotation,
+    constant,
+    constant_map,
     entrywise_abs,
     fold,
     map_from_json,
@@ -19,8 +22,11 @@ from wignerlab import (
     rotation,
     random_unitary,
     sample_pure_state,
+    sampled,
     separable_embed,
     standard_map,
+    state_from_params,
+    unit_grid,
     wigner_map,
 )
 from wignerlab.descriptors import (
@@ -49,11 +55,22 @@ def test_circle_map_round_trip():
         circle_map_from_json({"kind": "mystery"})
 
 
-def _agree_on_samples(a, b, dim, seed, count=25):
-    rng = np.random.default_rng(seed)
-    return all(
-        a(s) == b(s) for s in (sample_pure_state(rng, dim) for _ in range(count))
-    )
+def _rows(dim: int, g=None) -> np.ndarray:
+    """Sample rows: random states, or in dimension 2 the weight/phase grid
+    (at a sampled phase map's recorded inputs, where it is defined)."""
+    if dim == 2:
+        phases = unit_grid(8) if g is None or g.inputs is None else g.inputs
+        grid = [state_from_params(p, z) for p in (0.25, 0.5, 0.75) for z in phases]
+        return np.array([s.vec for s in grid] + [np.eye(2)[0], np.eye(2)[1]], dtype=complex)
+    rng = np.random.default_rng(67)
+    return np.array([sample_pure_state(rng, dim).vec for _ in range(25)])
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
+_SAMPLED = sampled((z, z**2) for z in unit_grid(8))
 
 
 @pytest.mark.parametrize(
@@ -73,17 +90,60 @@ def _agree_on_samples(a, b, dim, seed, count=25):
             3,
         ),
         (lambda: proper_subspace_map(4, 2, alpha0=1), 4),
+        pytest.param(lambda: constant_map(3), 3, id="constant"),
+        pytest.param(lambda: block_embed(3, threshold=0.3), 3, id="block_embed-threshold"),
+        pytest.param(
+            lambda: standard_map(conjugate_rotation(np.exp(-0.3j))), 2, id="tau-conj_rotation"
+        ),
+        pytest.param(lambda: standard_map(constant(1j)), 2, id="tau-constant"),
+        pytest.param(lambda: standard_map(fold()), 2, id="tau-fold"),
+        pytest.param(lambda: standard_map(power(3)), 2, id="tau-power"),
+        pytest.param(lambda: standard_map(_SAMPLED), 2, id="tau-sampled"),
     ],
 )
 def test_map_descriptor_round_trip(build, dim):
     original = build()
     obj = map_to_json(original)
-    text = json.dumps(obj, sort_keys=True)  # must be JSON-encodable
+    assert set(obj["params"]) == set(original.params)  # wire keys are the params
+    text = _dumps(obj)
     rebuilt = map_from_json(json.loads(text))
     assert rebuilt.family == original.family
-    assert rebuilt.dim_in == original.dim_in
+    assert rebuilt.dim_in == original.dim_in == dim
     assert rebuilt.dim_out == original.dim_out
-    assert _agree_on_samples(original, rebuilt, dim, seed=67)
+    g = original.params.get("g")
+    rows = _rows(dim, g)
+    if g is not None and g.kind == "sampled":
+        # the sampled kind's wire form is angles, and phase(exp(1j * t)) is not
+        # always t, so its round trip is exact only to rounding
+        table = np.array(obj["params"]["g"]["table"])
+        retable = np.array(map_to_json(rebuilt)["params"]["g"]["table"])
+        assert np.allclose(retable, table, rtol=0.0, atol=1e-15)
+        assert np.allclose(rebuilt.batch(rows), original.batch(rows), rtol=0.0, atol=1e-15)
+    else:
+        assert _dumps(map_to_json(rebuilt)) == text
+        assert np.array_equal(rebuilt.batch(rows), original.batch(rows))
+
+
+def test_custom_predicate_block_embed_has_no_descriptor():
+    map_ = block_embed(3, predicate=lambda s: abs(s.vec[2]) > 0.4)
+    with pytest.raises(ValueError, match="predicate"):
+        map_to_json(map_)
+
+
+def test_descriptor_dim_must_match_the_map():
+    obj = map_to_json(wigner_map(random_unitary(3, 68)))
+    obj["params"]["dim"] = 2
+    with pytest.raises(ValueError):
+        map_from_json(obj)
+    tau = {"family": "tau", "params": {"dim": 3, "g": {"kind": "fold"}}}
+    with pytest.raises(ValueError, match="dim"):
+        map_from_json(tau)
+
+
+def test_power_exponent_must_be_an_integer():
+    with pytest.raises(ValueError, match="integer"):
+        circle_map_from_json({"kind": "power", "k": 2.7})
+    assert circle_map_from_json({"kind": "power", "k": 2}).param == 2
 
 
 def test_map_from_json_rejects_malformed_descriptors():
@@ -91,6 +151,10 @@ def test_map_from_json_rejects_malformed_descriptors():
         map_from_json({"params": {}})
     with pytest.raises(ValueError):
         map_from_json({"family": "nope", "params": {}})
+    with pytest.raises(ValueError):
+        map_from_json({"family": "phi", "params": [3]})
+    with pytest.raises(ValueError):
+        map_from_json({"family": "tau", "params": {"g": 5}})
 
 
 def test_opaque_maps_have_no_descriptor():

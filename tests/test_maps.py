@@ -12,6 +12,7 @@ from wignerlab import (
     block_embed,
     composed_phi_form,
     constant,
+    constant_map,
     distance,
     entrywise_abs,
     fold,
@@ -78,6 +79,19 @@ def test_wigner_maps_are_isometries():
 def test_wigner_map_rejects_non_unitary():
     with pytest.raises(ValueError):
         wigner_map(np.ones((2, 2)))
+
+
+def test_wigner_map_rejects_a_non_finite_matrix():
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        wigner_map(u)
+
+
+def test_constant_map_sends_every_state_to_the_first_basis_state():
+    map_ = constant_map(3)
+    rows = np.array([sample_pure_state(np.random.default_rng(7), 3).vec for _ in range(5)])
+    assert np.array_equal(map_.batch(rows), np.tile(basis_state(3, 0).vec, (5, 1)))
 
 
 def test_abs_map_examples():
