@@ -8,6 +8,7 @@ carry a family's StateMap.params, one builder per family in _FAMILIES.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -77,19 +78,16 @@ def circle_map_from_json(obj: dict) -> CircleMap:
     return build() if key is None else build(obj[key])
 
 
-def _dim_from_params(build):
-    # the family's dimension follows from its other params; map_from_json checks dim
-    return lambda dim=None, **params: build(**params)
-
-
-# family -> builder taking the decoded wire params as keywords
+# family -> builder taking the decoded wire params as keywords; a
+# builder without a dim parameter gets its dimension from the other
+# params, and map_from_json checks a dim in the descriptor against it
 _FAMILIES = {
-    "wigner": _dim_from_params(maps.wigner_map),
+    "wigner": maps.wigner_map,
     "phi": maps.entrywise_abs,
-    "tau": _dim_from_params(maps.standard_map),
-    "composed": _dim_from_params(maps.composed_phi_form),
+    "tau": maps.standard_map,
+    "composed": maps.composed_phi_form,
     "block_embed": lambda dim, threshold=0.5: maps.block_embed(dim, threshold=float(threshold)),
-    "separable_embed": _dim_from_params(maps.separable_embed),
+    "separable_embed": maps.separable_embed,
     "proper_subspace": maps.proper_subspace_map,
     "constant": maps.constant_map,
 }
@@ -132,8 +130,16 @@ def map_from_json(obj: dict) -> StateMap:
     wire = obj.get("params", {})
     if not isinstance(wire, dict):
         raise ValueError("map descriptor params must be an object")
+    build = _FAMILIES[family]
+    accepted = inspect.signature(build).parameters
+    for name in wire:
+        if name != "dim" and name not in accepted:
+            raise ValueError(f"map family {family!r} has no param {name!r}")
+    for name, param in accepted.items():
+        if param.default is param.empty and name not in wire:
+            raise ValueError(f"map family {family!r} needs param {name!r}")
     params = {name: _decode(name, value) for name, value in wire.items()}
-    map_ = _FAMILIES[family](**params)
+    map_ = build(**{name: value for name, value in params.items() if name in accepted})
     dim = params.get("dim")
     if dim is not None and dim != map_.dim_in:
         raise ValueError(f"descriptor dim {dim} is not the map's dimension {map_.dim_in}")

@@ -2,10 +2,12 @@
 
 Each check samples inputs, maps them, measures the relevant gap, and
 reports a witness when the worst gap exceeds 1e-9; the metric checks
-first sharpen the worst pair by local refinement.  Every check runs
-through one serial engine: sampling is split into fixed-size chunks
-with RNG substreams derived from (seed, chunk index), and the chunks run
-one after another.
+first sharpen the worst pair by local refinement, a pattern search that
+accepts only gains above REFINE_TOL (1e-12) and stops once its step
+falls below REFINE_FLOOR (1e-10), after at most refine_steps steps.
+Every check runs through one serial engine: sampling is split into
+fixed-size chunks with RNG substreams derived from (seed, chunk index),
+and the chunks run one after another.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ MAP_BLOCK = 128
 INJECTIVITY_SAMPLES = 1000
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
+# a candidate must beat the current gap by more than rounding noise
+REFINE_TOL = 1e-12
+# refinement ends once the step is far below any witness gap
+REFINE_FLOOR = WITNESS_TOL / 10
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,11 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     improves.  Every candidate is renormalized and re-gauged, and the
     8 * dim candidates of a step are mapped together; the first
     strictly best in (which row, coordinate, +step, -step, +i step,
-    -i step) order is taken.  pair and images are (2, dim) row arrays;
-    the final pair is returned with its images.
+    -i step) order replaces its row when it beats the current gap by
+    more than REFINE_TOL.  The search stops once the step falls below
+    REFINE_FLOOR, or after steps steps.  pair and images are (2, dim)
+    row arrays; returns the final gap, pair, images and the number of
+    steps used.
     """
     pair, images = pair.copy(), images.copy()
     dim = pair.shape[1]
@@ -209,7 +218,9 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     coords = np.arange(dim)
     partner = np.repeat([1, 0], 4 * dim)
     step = REFINE_START_STEP
-    for _ in range(steps):
+    used = 0
+    while used < steps and step >= REFINE_FLOOR:
+        used += 1
         cands = np.repeat(pair, 4 * dim, axis=0).reshape(2, dim, 4, dim)
         cands[:, coords, :, coords] += step * _DIRECTIONS
         cands = _canonical_rows(cands.reshape(8 * dim, dim))
@@ -219,13 +230,13 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
             _row_distances(f_cands, images[partner]),
         )
         best = int(np.argmax(gaps))
-        if gaps[best] > gap:
+        if gaps[best] > gap + REFINE_TOL:
             gap = gaps[best]
             which = best // (4 * dim)
             pair[which], images[which] = cands[best], f_cands[best]
         else:
             step *= REFINE_SHRINK
-    return gap, pair, images
+    return gap, pair, images, used
 
 
 def _metric_check(
@@ -251,7 +262,7 @@ def _metric_check(
         map_, n_samples, seed, lambda rng, count: _sample_rows(rng, 2 * count, dim), gap
     )
     if refine_steps > 0:
-        worst, pair, images = _refine_pair(map_, oriented, pair, images, refine_steps)
+        worst, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
     return _pair_report(prop, n_samples, seed, worst, pair, images)
 
 

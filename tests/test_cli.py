@@ -56,6 +56,16 @@ def test_verify_rejects_malformed_descriptor():
     assert "error" in result.stderr
 
 
+def test_descriptor_error_names_the_family_and_the_param():
+    result = run_cli(
+        "verify", "--property", "isometry", "--dim", "3",
+        "--map", '{"family": "phi", "params": {"dim": 3, "foo": 1}}',
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: invalid map descriptor: map family 'phi' has no param 'foo'\n"
+
+
 def test_descriptors_must_be_strict_json():
     for number in ("NaN", "Infinity", "-Infinity", "1e999"):
         desc = '{"family": "block_embed", "params": {"dim": 3, "threshold": %s}}' % number

@@ -157,6 +157,19 @@ def test_map_from_json_rejects_malformed_descriptors():
         map_from_json({"family": "tau", "params": {"g": 5}})
 
 
+def test_descriptor_errors_name_the_family_and_the_param():
+    cases = [
+        ({"family": "phi", "params": {"dim": 3, "foo": 1}}, "map family 'phi' has no param 'foo'"),
+        ({"family": "tau", "params": {"g": {"kind": "fold"}, "bar": 1}}, "map family 'tau' has no param 'bar'"),
+        ({"family": "proper_subspace", "params": {"dim": 5}}, "map family 'proper_subspace' needs param 'k'"),
+        ({"family": "wigner", "params": {"dim": 3}}, "map family 'wigner' needs param 'unitary'"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(ValueError) as err:
+            map_from_json(obj)
+        assert str(err.value) == message
+
+
 def test_opaque_maps_have_no_descriptor():
     from wignerlab import opaque_map
 

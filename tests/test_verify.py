@@ -35,12 +35,16 @@ from wignerlab import (
     transition_probability,
     wigner_map,
 )
+from wignerlab import maps, verify
 from wignerlab.states import _canonical_rows
 from wignerlab.verify import (
+    REFINE_FLOOR,
     REFINE_SHRINK,
     REFINE_START_STEP,
+    REFINE_TOL,
     _refine_pair,
     _row_distances,
+    _row_overlaps,
     _sample_rows,
     basis_image_completes_span,
     max_image_overlap,
@@ -271,8 +275,9 @@ def test_shared_probes_of_the_embeddings():
 
 def _sequential_refine(map_, oriented, pair, images, steps):
     """Reference pattern search: one candidate at a time, in (which, coord,
-    delta) order, keeping the first strictly better one, with per-state map
-    calls and the row kernels on single rows."""
+    delta) order, taking the first strictly best one when it gains more
+    than REFINE_TOL, with per-state map calls and the row kernels on single
+    rows; stops below REFINE_FLOOR or after steps steps."""
 
     def d(a, b):
         return _row_distances(a[None], b[None])[0]
@@ -280,8 +285,10 @@ def _sequential_refine(map_, oriented, pair, images, steps):
     (p, q), (fp, fq) = pair, images
     gap = oriented(d(p, q), d(fp, fq))
     step = REFINE_START_STEP
-    for _ in range(steps):
-        best_gap, best_move = gap, None
+    used = 0
+    while used < steps and step >= REFINE_FLOOR:
+        used += 1
+        best_gap, best_move = -np.inf, None
         for which in (0, 1):
             base, other, f_other = (p, q, fq) if which == 0 else (q, p, fp)
             for coord in range(len(base)):
@@ -293,7 +300,7 @@ def _sequential_refine(map_, oriented, pair, images, steps):
                     g = oriented(d(cand, other), d(f_cand, f_other))
                     if g > best_gap:
                         best_gap, best_move = g, (which, cand, f_cand)
-        if best_move is None:
+        if not best_gap > gap + REFINE_TOL:
             step *= REFINE_SHRINK
             continue
         gap = best_gap
@@ -302,7 +309,7 @@ def _sequential_refine(map_, oriented, pair, images, steps):
             p, fp = cand, f_cand
         else:
             q, fq = cand, f_cand
-    return gap, np.array([p, q]), np.array([fp, fq])
+    return gap, np.array([p, q]), np.array([fp, fq]), used
 
 
 REFINE_CASES = {
@@ -326,12 +333,77 @@ def test_batched_refinement_matches_the_sequential_search(name):
     map_ = build()
     pair = _sample_rows(np.random.default_rng(17), 2, dim)
     images = map_.batch(pair)
-    ref_gap, ref_pair, _ = _sequential_refine(map_, oriented, pair, images, 200)
-    gap, got_pair, got_images = _refine_pair(map_, oriented, pair, images, 200)
+    ref_gap, ref_pair, _, ref_used = _sequential_refine(map_, oriented, pair, images, 200)
+    gap, got_pair, got_images, used = _refine_pair(map_, oriented, pair, images, 200)
     assert np.array_equal(got_pair, ref_pair)
     assert np.array_equal(got_images, map_.batch(got_pair))
     assert abs(gap - ref_gap) <= 1e-12
+    assert used == ref_used < 200
     assert gap > oriented(distance(*map(PureState, pair)), distance(*map(PureState, images)))
+
+
+def _isometry_refinement(steps):
+    map_ = wigner_map(random_unitary(4, 36))
+    pair = _sample_rows(np.random.default_rng(18), 2, 4)
+    return _refine_pair(map_, lambda d_in, d_out: abs(d_out - d_in), pair, map_.batch(pair), steps)
+
+
+def test_refinement_of_an_isometry_only_halves_its_step():
+    # no candidate gains more than rounding noise, so every step halves:
+    # 0.1 / 2**29 is still above the 1e-10 floor, 0.1 / 2**30 is below it
+    assert REFINE_START_STEP * REFINE_SHRINK**29 >= REFINE_FLOOR
+    assert REFINE_START_STEP * REFINE_SHRINK**30 < REFINE_FLOOR
+    gap, pair, _, used = _isometry_refinement(200)
+    assert used == 30
+    assert gap <= 1e-12
+    assert np.array_equal(pair, _sample_rows(np.random.default_rng(18), 2, 4))
+
+
+def test_refine_steps_caps_the_steps_used():
+    assert _isometry_refinement(7)[3] == 7
+    assert _isometry_refinement(0)[3] == 0
+    tau = standard_map(power(2))
+    pair = _sample_rows(np.random.default_rng(19), 2, 2)
+
+    def used(steps):
+        return _refine_pair(tau, lambda d_in, d_out: d_out - d_in, pair, tau.batch(pair), steps)[3]
+
+    assert 12 < used(200) < 200
+    assert used(12) == 12
+
+
+def _gemm_apply(mat, rows):
+    return rows @ mat.T
+
+
+def _norm_row_distances(v, w):
+    residual = v - _row_overlaps(v, w)[:, None] * w
+    return np.minimum(np.linalg.norm(residual, axis=1), 1.0)
+
+
+WITNESS_CASES = {
+    "tau power2 nonexpansive": lambda: check_nonexpansive(standard_map(power(2)), 2),
+    "phi dim 2 isometry": lambda: check_isometry(entrywise_abs(2), 2),
+    "block_embed dim 3 isometry": lambda: check_isometry(block_embed(3), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "target, mutation",
+    [(maps, ("_apply", _gemm_apply)), (verify, ("_row_distances", _norm_row_distances))],
+    ids=["gemm apply", "norm row distances"],
+)
+@pytest.mark.parametrize("name", sorted(WITNESS_CASES))
+def test_witnesses_survive_a_change_of_rounding(monkeypatch, name, target, mutation):
+    # the same arithmetic in another order must not move a refined witness:
+    # refinement ignores gains at the rounding level
+    run = WITNESS_CASES[name]
+    before = run().witness
+    monkeypatch.setattr(target, *mutation)
+    after = run().witness
+    assert before is not None and after is not None
+    for a, b in ((before.P, after.P), (before.Q, after.Q)):
+        assert np.max(np.abs(a.vec - b.vec)) <= 1e-12
 
 
 def test_row_blocking_bounds_the_scan_memory():
