@@ -64,6 +64,12 @@ def _require_unit(c: complex) -> complex:
     return c
 
 
+def _require_units(values: np.ndarray) -> None:
+    """The array form of _require_unit."""
+    if not (np.abs(np.abs(values) - 1.0) <= UNIT_TOL).all():  # NaN fails too
+        raise ValueError("circle values must have modulus 1 within 1e-12")
+
+
 @dataclass(frozen=True)
 class CircleMap:
     """A self-map of the unit circle with a structural form tag.
@@ -131,14 +137,36 @@ def _table_lookup(table: tuple[tuple[float, complex], ...], z: complex) -> compl
     raise ValueError(f"sampled circle map has no entry at angle {theta}")
 
 
+def _sampled_table(angles, values) -> CircleMap:
+    """Tabulated map from an array of input angles and one of unit output values."""
+    angles = np.asarray(angles, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    if not angles.size:
+        raise ValueError("sampled circle map needs at least one entry")
+    if not np.isfinite(angles).all():
+        raise ValueError("sampled circle map input angles must be finite")
+    _require_units(values)
+    table = tuple(zip(angles.tolist(), values.tolist()))
+    return CircleMap("sampled", lambda z: _table_lookup(table, z), table=table)
+
+
+def _table_arrays(g: CircleMap) -> tuple[np.ndarray, np.ndarray]:
+    """Input angles and output values of a sampled map, as two arrays."""
+    columns = np.array(g.table, dtype=complex)
+    return columns[:, 0].real, columns[:, 1]
+
+
 def sampled(pairs) -> CircleMap:
     """Tabulated map from (input point, output point) unit-complex pairs."""
-    table = tuple(
-        (cmath.phase(_require_unit(z)), _require_unit(w)) for z, w in pairs
-    )
-    if not table:
+    points = np.array(list(pairs), dtype=complex)
+    if not points.size:
         raise ValueError("sampled circle map needs at least one entry")
-    return CircleMap("sampled", lambda z: _table_lookup(table, z), table=table)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("sampled circle map entries must be (input, output) pairs")
+    _require_units(points[:, 0])
+    # cmath.phase, not np.angle: the table angles must not depend on the SIMD build
+    angles = [cmath.phase(z) for z in points[:, 0].tolist()]
+    return _sampled_table(angles, points[:, 1])
 
 
 def opaque(fn: Callable[[complex], complex]) -> CircleMap:
@@ -305,16 +333,21 @@ def classify_circle_map(g: CircleMap, n_grid: int = 64) -> CircleMapForm:
     return CircleMapForm("half_circle", spread=spread)
 
 
-def sampled_to_json(g: CircleMap) -> list[list[float]]:
-    """[theta_in, theta_out] radian pairs of a sampled map."""
+def sampled_to_json(g: CircleMap) -> list[list]:
+    """[theta_in, [re, im]] pairs of a sampled map: its stored input angle
+    and output value, so that decoding gives back the same table."""
     if g.table is None:
-        raise ValueError("only sampled circle maps serialize to angle pairs")
-    return [[float(t), float(cmath.phase(w))] for t, w in g.table]
+        raise ValueError("only sampled circle maps serialize to a table")
+    return [[t, [w.real, w.imag]] for t, w in g.table]
 
 
 def sampled_from_json(pairs) -> CircleMap:
-    """Rebuild a sampled map from [theta_in, theta_out] radian pairs."""
-    return sampled(
-        (cmath.exp(1j * float(t_in)), cmath.exp(1j * float(t_out)))
-        for t_in, t_out in pairs
-    )
+    """Rebuild a sampled map from [theta_in, [re, im]] pairs."""
+    try:
+        angles = [float(t) for t, _ in pairs]
+        values = [complex(float(re), float(im)) for _, (re, im) in pairs]
+    except (TypeError, ValueError) as err:
+        raise ValueError(
+            f"sampled circle map table must be [theta_in, [re, im]] pairs: {err}"
+        ) from err
+    return _sampled_table(angles, values)

@@ -25,11 +25,12 @@ from .circle import (
     NOT_APPLICABLE,
     CircleMap,
     CircleMapForm,
+    _sampled_table,
+    _table_arrays,
     classify_circle_map,
     classify_homomorphism,
     conjugate_rotation,
     rotation,
-    sampled,
     sampled_to_json,
     unit_grid,
 )
@@ -168,26 +169,35 @@ def _require_fixes_basis(map_: StateMap, dim: int) -> None:
         raise ProbeError(f"map does not fix basis projection {moved[0]} within 1e-8")
 
 
-def _pair_map(map_: StateMap, i: int, j: int, grid) -> CircleMap:
-    """The probes of extract_pair_map, for a map already known to fix the basis.
+def _pair_maps(map_: StateMap, pairs, grid) -> list[CircleMap]:
+    """The probes of extract_pair_map for every pair, on a map known to fix the basis.
 
-    Maps the probe states of every grid phase in one batch; the first
-    phase whose response fails a check names the ProbeError.
+    Maps the probe states of every (pair, grid phase) in one batch, row
+    p * len(grid) + m probing pairs[p] at phase grid[m]; the first
+    response in that order that fails a check names the ProbeError.
     """
-    probes = np.zeros((len(grid), map_.dim_in), dtype=complex)
-    probes[:, i] = 1.0
-    probes[:, j] = np.conj(grid)
+    n = len(grid)
+    i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
+    rows = np.arange(i.size)
+    probes = np.zeros((i.size, map_.dim_in), dtype=complex)
+    probes[rows, i] = 1.0
+    probes[rows, j] = np.tile(np.conj(grid), len(pairs))
     out = map_.batch(_canonical_rows(probes))
-    unbalanced = (np.abs(np.abs(out[:, i]) ** 2 - 0.5) > SUPPORT_TOL) | (
-        np.abs(np.abs(out[:, j]) ** 2 - 0.5) > SUPPORT_TOL
+    out_i, out_j = out[rows, i], out[rows, j]
+    unbalanced = (np.abs(np.abs(out_i) ** 2 - 0.5) > SUPPORT_TOL) | (
+        np.abs(np.abs(out_j) ** 2 - 0.5) > SUPPORT_TOL
     )
-    values = 2.0 * out[:, i] * out[:, j].conj()
+    values = 2.0 * out_i * out_j.conj()
     failed = np.flatnonzero(unbalanced | (np.abs(np.abs(values) - 1.0) > SUPPORT_TOL))
     if failed.size:
+        first_i, first_j = pairs[failed[0] // n]
+        pair = f"pair ({first_i}, {first_j})"
         if unbalanced[failed[0]]:
-            raise ProbeError(f"probe image of pair ({i}, {j}) is not balanced on the pair")
-        raise ProbeError(f"probe image of pair ({i}, {j}) has off-block weight")
-    return sampled(zip(grid, values / np.abs(values)))
+            raise ProbeError(f"probe image of {pair} is not balanced on the pair")
+        raise ProbeError(f"probe image of {pair} has off-block weight")
+    angles = [cmath.phase(z) for z in grid]  # as sampled() records them
+    values = (values / np.abs(values)).reshape(len(pairs), n)
+    return [_sampled_table(angles, row) for row in values]
 
 
 def extract_pair_map(map_, i: int, j: int, grid) -> CircleMap:
@@ -200,17 +210,7 @@ def extract_pair_map(map_, i: int, j: int, grid) -> CircleMap:
     which refutes the canonical hypothesis.
     """
     _require_fixes_basis(map_, map_.dim_in)
-    return _pair_map(map_, i, j, grid)
-
-
-def _same_grids(maps: tuple[CircleMap, ...]) -> None:
-    first = sorted(t for t, _ in maps[0].table)
-    for m in maps[1:]:
-        angles = sorted(t for t, _ in m.table)
-        if len(angles) != len(first) or any(
-            abs(a - b) > 1e-9 for a, b in zip(angles, first)
-        ):
-            raise ValueError("pair maps were sampled on different grids")
+    return _pair_maps(map_, [(i, j)], grid)[0]
 
 
 def induced_homomorphism(
@@ -222,13 +222,14 @@ def induced_homomorphism(
     is a multiplicative self-map of the circle whose branch identifies
     the global structure.  Sampled on the common probe grid.
     """
-    _same_grids((f_1j, f_1k, f_jk))
-    scale = f_1k(1.0 + 0j).conjugate() * f_1j(1.0 + 0j)
-    pairs = []
-    for theta, w in f_jk.table:
-        value = scale * w
-        pairs.append((cmath.exp(1j * theta), value / abs(value)))
-    return sampled(pairs)
+    angles, values = _table_arrays(f_jk)
+    reference = np.sort(angles)
+    for f in (f_1j, f_1k):
+        other = np.sort(_table_arrays(f)[0])
+        if other.shape != reference.shape or not (np.abs(other - reference) <= 1e-9).all():
+            raise ValueError("pair maps were sampled on different grids")
+    values = f_1k(1.0 + 0j).conjugate() * f_1j(1.0 + 0j) * values
+    return _sampled_table(angles, values / np.abs(values))
 
 
 def _validation_rows(dim: int, count: int = VALIDATION_STATES) -> np.ndarray:
@@ -285,11 +286,8 @@ def _classify_branch(
     grid = probe_grid(grid_size)
     try:
         _require_fixes_basis(canonical, dim)
-        f = {
-            (i, j): _pair_map(canonical, i, j, grid)
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        }
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        f = dict(zip(pairs, _pair_maps(canonical, pairs, grid)))
     except ProbeError as err:
         return _not_classified(str(err))
     branches = set()
@@ -369,7 +367,7 @@ def _classify_lift(
     grid = probe_grid(grid_size)
     try:
         _require_fixes_basis(canonical, 2)
-        g = _pair_map(canonical, 0, 1, grid)
+        (g,) = _pair_maps(canonical, [(0, 1)], grid)
     except ProbeError as err:
         return _not_classified(str(err))
     checked = _verdict(

@@ -411,16 +411,18 @@ def find_cosp_in_image(
 ) -> OrthoSystem | None:
     """Search for a complete orthogonal system whose image is one too.
 
-    Tries the standard basis states and a configurable number of seeded
-    Haar-rotated complete systems; returns the preimage system of the
-    first hit, or None.
+    Tries the standard basis states and then a configurable number of
+    seeded Haar-rotated complete systems, trial t drawn from the RNG
+    substream (seed, t) only when the earlier candidates missed; returns
+    the preimage system of the first hit, or None.
     """
     if map_.dim_in != dim or map_.dim_out != dim:
         raise ValueError("COSP search requires an endomap of the given dimension")
-    candidates = [np.eye(dim, dtype=complex)]
-    for trial in range(n_rotations):
-        candidates.append(sample_unitary(_chunk_rng(seed, trial + 1), dim))
-    for cols in candidates:
+    for trial in range(n_rotations + 1):
+        if trial == 0:
+            cols = np.eye(dim, dtype=complex)
+        else:
+            cols = sample_unitary(_chunk_rng(seed, trial), dim)
         preimages = tuple(pure_state(cols[:, j]) for j in range(dim))
         if _orthogonal_images(map_, np.array([q.vec for q in preimages])) is not None:
             return OrthoSystem(preimages)

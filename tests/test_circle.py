@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
+import numpy as np
 import pytest
 
 from wignerlab import (
@@ -27,6 +29,7 @@ from wignerlab import (
     sampled_to_json,
     unit_grid,
 )
+from wignerlab.descriptors import circle_map_from_json, circle_map_to_json
 
 
 def test_closed_form_values():
@@ -165,9 +168,26 @@ def test_sampled_homomorphism_check_uses_product_closed_pairs():
 def test_sampled_json_round_trip():
     g = sampled([(z, rotation(1j)(z)) for z in unit_grid(8)])
     pairs = sampled_to_json(g)
-    assert all(len(p) == 2 for p in pairs)
+    assert all(len(p) == 2 and len(p[1]) == 2 for p in pairs)
     back = sampled_from_json(pairs)
-    for z in unit_grid(8):
-        assert abs(back(z) - g(z)) <= 1e-12
+    assert back.table == g.table
     with pytest.raises(ValueError):
         sampled_to_json(rotation(1.0))
+    # the earlier [theta_in, theta_out] radian form is refused
+    with pytest.raises(ValueError, match="theta_in"):
+        sampled_from_json([[0.0, 0.5]])
+    with pytest.raises(ValueError, match="modulus"):
+        sampled_from_json([[0.0, [2.0, 0.0]]])
+    with pytest.raises(ValueError, match="finite"):
+        sampled_from_json([[math.nan, [1.0, 0.0]]])
+
+
+def test_sampled_tables_re_encode_to_the_same_bytes():
+    # the wire form is the stored table itself: input angles, [re, im] outputs
+    rng = np.random.default_rng(71)
+    for angles in rng.uniform(-math.pi, math.pi, size=(1000, 2, 3)):
+        g = sampled(zip(np.exp(1j * angles[0]), np.exp(1j * angles[1])))
+        text = json.dumps(circle_map_to_json(g))
+        back = circle_map_from_json(json.loads(text))
+        assert back.table == g.table
+        assert json.dumps(circle_map_to_json(back)) == text

@@ -39,6 +39,8 @@ from wignerlab import (
     transition_probability,
     wigner_map,
 )
+from wignerlab.classify import _pair_maps
+from wignerlab.maps import StateMap
 
 
 def test_probe_state_examples():
@@ -357,3 +359,69 @@ def test_classification_result_json_shape():
 def test_classify_validates_dimensions():
     with pytest.raises(ValueError):
         classify(entrywise_abs(3), 4)
+
+
+def _broken_pairs_map(dim: int) -> StateMap:
+    """Fixes every basis projection; breaks the probes of pairs (0, 2) and (1, 2).
+
+    On pair (0, 2) the probes with Im u > 0.6 (grid phases 2..6) leak
+    1.8e-8 of weight to coordinate 3, which keeps them balanced within
+    1e-8 but shrinks the pair entry (off-block weight); those with
+    Im u < -0.6 are unbalanced 0.6 / 0.4.  Every probe of pair (1, 2) is
+    unbalanced.
+    """
+
+    def fn(rows):
+        out = rows.copy()
+        support = np.abs(rows) > 1e-12
+        on = lambda i, j: support[:, i] & support[:, j] & (support.sum(axis=1) == 2)
+        # a probe row of (i, j) at phase u is gauge-fixed to (1, conj(u)) / sqrt(2)
+        u_imag = -np.sqrt(2.0) * rows[:, 2].imag
+        leak = on(0, 2) & (u_imag > 0.6)
+        out[leak, 0] *= np.sqrt(1.0 - 1.8e-8)
+        out[leak, 2] *= np.sqrt(1.0 - 1.8e-8)
+        out[leak, 3] = np.sqrt(1.8e-8)
+        tilt = (on(0, 2) & (u_imag < -0.6)) | on(1, 2)
+        first = np.where(on(0, 2), 0, 1)[tilt]
+        out[tilt, first] *= np.sqrt(1.2)
+        out[tilt, 2] *= np.sqrt(0.8)
+        return out
+
+    return StateMap("broken_pairs", dim, dim, fn)
+
+
+def test_probe_errors_name_the_first_failing_pair_and_phase():
+    # all probes go in one batch, yet the error is the one of the first
+    # failing (pair, phase) in pair order: (0, 2) at phase 2, off-block
+    broken = _broken_pairs_map(4)
+    grid = probe_grid(16)
+    res = classify_canonical(broken)
+    assert res.branch == NOT_CLASSIFIED
+    assert res.reason == "probe image of pair (0, 2) has off-block weight"
+    for (i, j), reason in (
+        ((0, 2), "probe image of pair (0, 2) has off-block weight"),
+        ((1, 2), "probe image of pair (1, 2) is not balanced on the pair"),
+    ):
+        with pytest.raises(ProbeError) as err:
+            extract_pair_map(broken, i, j, grid)
+        assert str(err.value) == reason
+    assert extract_pair_map(broken, 0, 1, grid).table is not None
+
+
+@pytest.mark.parametrize(
+    "make_map",
+    [
+        lambda: identity_map(5),
+        lambda: entrywise_abs(5),
+        lambda: reduce_to_canonical(wigner_map(random_unitary(5, 56)), standard_cosp(5))[2],
+    ],
+    ids=["identity", "phi", "canonical-wigner"],
+)
+def test_extract_pair_map_matches_the_all_pairs_batch(make_map):
+    # a pair map does not depend on the batch its probes were mapped in
+    map_ = make_map()
+    grid = probe_grid(16)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    batched = _pair_maps(map_, pairs, grid)
+    for (i, j), f in zip(pairs, batched):
+        assert extract_pair_map(map_, i, j, grid).table == f.table

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from wignerlab import (
     PureState,
     basis_state,
     block_embed,
+    composed_phi_form,
     check_inclusion_lemma,
     check_isometry,
     check_noncontractive,
@@ -28,6 +30,7 @@ from wignerlab import (
     pure_state,
     random_unitary,
     sample_pure_state,
+    sample_unitary,
     separable_embed,
     standard_cosp,
     standard_map,
@@ -42,6 +45,7 @@ from wignerlab.verify import (
     REFINE_SHRINK,
     REFINE_START_STEP,
     REFINE_TOL,
+    _chunk_rng,
     _refine_pair,
     _row_distances,
     _row_overlaps,
@@ -183,6 +187,28 @@ def test_cosp_search_outcomes():
     assert find_cosp_in_image(wigner_map(random_unitary(3, 34)), 3) is not None
     collapse = opaque_map(lambda s: basis_state(3, 0), 3, 3)
     assert find_cosp_in_image(collapse, 3) is None
+
+
+def test_cosp_search_draws_only_the_rotations_it_tries(monkeypatch):
+    drawn = []
+
+    def counted(rng, dim):
+        drawn.append(dim)
+        return sample_unitary(rng, dim)
+
+    monkeypatch.setattr(verify, "sample_unitary", counted)
+    # the standard basis hits: no rotation is drawn
+    assert find_cosp_in_image(entrywise_abs(4), 4) is not None
+    assert find_cosp_in_image(wigner_map(random_unitary(4, 35)), 4) is not None
+    assert drawn == []
+    # a composed form whose pre undoes the third rotation misses on the
+    # standard basis and on trials 1 and 2, and hits at trial 3
+    third = sample_unitary(_chunk_rng(0, 3), 4)
+    map_ = composed_phi_form(third.conj().T, random_unitary(4, 36))
+    found = find_cosp_in_image(map_, 4)
+    assert drawn == [4, 4, 4]
+    expected = [pure_state(third[:, j]).vec for j in range(4)]
+    assert all(np.array_equal(q.vec, e) for q, e in zip(found, expected))
 
 
 def test_reports_are_seed_deterministic():
@@ -419,3 +445,32 @@ def test_row_blocking_bounds_the_scan_memory():
         tracemalloc.stop()
     assert report.holds
     assert peak < 5e6
+
+
+def test_map_block_size_cannot_change_a_report(monkeypatch):
+    # chunk substreams are fixed by CHUNK_SIZE; MAP_BLOCK only splits the
+    # rows of a chunk into map batches, so no report may depend on it
+    def reports():
+        rng = np.random.default_rng(9)
+        sep = separable_embed([sample_pure_state(rng, 4) for _ in range(8)])
+        disjoint = OrthoSystem((pure_state([1.0, 1j, 0.0]), pure_state([0.0, 0.0, 1.0])))
+        cases = [
+            (entrywise_abs(3), 3, disjoint),
+            (sep, 4, OrthoSystem((sample_pure_state(rng, 4),))),
+            (standard_map(power(2)), 2, standard_cosp(2)),
+        ]
+        out = []
+        for map_, dim, pre in cases:
+            out += [
+                check_nonexpansive(map_, dim, 600, seed=3),
+                check_isometry(map_, dim, 600, seed=3),
+                check_orthogonality_preserving(map_, dim, 600, seed=3),
+                check_inclusion_lemma(map_, pre, 600, seed=3),
+            ]
+        return [json.dumps(r.to_json(), sort_keys=True) for r in out]
+
+    monkeypatch.setattr(verify, "MAP_BLOCK", 1)
+    reference = reports()
+    for block in (7, 128, 4096):
+        monkeypatch.setattr(verify, "MAP_BLOCK", block)
+        assert reports() == reference, f"MAP_BLOCK {block}"
