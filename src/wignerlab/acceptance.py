@@ -46,10 +46,10 @@ from .maps import (
 )
 from .states import (
     OrthoSystem,
+    _canonical_rows,
     pure_state,
     random_unitary,
     sample_pure_state,
-    transition_probability,
 )
 from .verify import (
     basis_image_completes_span,
@@ -93,15 +93,16 @@ def criterion_01() -> CriterionResult:
     worst = 0.0
     for dim in (2, 3, 4, 8):
         rng = np.random.default_rng(np.random.SeedSequence((101, dim)))
-        via_trace = np.empty(1000)
-        diffs = np.empty((1000, dim, dim), dtype=complex)
-        for i in range(1000):
-            p = sample_pure_state(rng, dim)
-            q = sample_pure_state(rng, dim)
-            via_trace[i] = math.sqrt(1.0 - transition_probability(p, q))
-            diffs[i] = p.projector() - q.projector()
+        # pair i draws p's real and imaginary parts, then q's: the draws of
+        # 2000 sample_pure_state calls, in their order
+        z = rng.standard_normal((1000, 2, 2, dim))
+        p = _canonical_rows(z[:, 0, 0] + 1j * z[:, 0, 1])
+        q = _canonical_rows(z[:, 1, 0] + 1j * z[:, 1, 1])
+        overlap = np.abs(np.sum(p.conj() * q, axis=1)) ** 2
+        via_trace = np.sqrt(1.0 - np.clip(overlap, 0.0, 1.0))
+        outer = lambda v: v[:, :, None] * v.conj()[:, None, :]
         # one stacked spectral-norm call for the dimension's 1000 pairs
-        via_norm = np.linalg.norm(diffs, 2, axis=(1, 2))
+        via_norm = np.linalg.norm(outer(p) - outer(q), 2, axis=(1, 2))
         worst = max(worst, float(np.max(np.abs(via_trace - via_norm))))
     return _result(
         1, "metric identity", t0, worst <= 1e-10, f"worst |diff| {worst:.2e}", 5.0
@@ -202,7 +203,7 @@ def criterion_06() -> CriterionResult:
         if res.branch != STANDARD_DIM2:
             failures.append(f"{g.kind}: {res.reason}")
             continue
-        err = max(abs(res.g(z) - g(z)) for z in probe_grid())
+        err = np.abs(res.g.batch(probe_grid()) - g.batch(probe_grid())).max()
         if err > 1e-8:
             failures.append(f"{g.kind}: recovery error {err:.2e}")
         elif res.g_form.kind != expected_kind:
@@ -310,24 +311,17 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Branch decision agrees with brute force and classes are exclusive."""
     t0 = time.time()
-    grid = unit_grid(256)
+    grid = np.array(unit_grid(256))
     maps = {
         IDENTITY: rotation(1.0),
         CONJUGATION: conjugate_rotation(1.0),
         CONSTANT_ONE: constant(1.0),
     }
-    references = {
-        IDENTITY: lambda z: z,
-        CONJUGATION: lambda z: z.conjugate(),
-        CONSTANT_ONE: lambda z: 1.0 + 0j,
-    }
+    references = {IDENTITY: grid, CONJUGATION: grid.conj(), CONSTANT_ONE: np.ones_like(grid)}
     failures = []
     for expected, g in maps.items():
-        matches = {
-            name
-            for name, ref in references.items()
-            if all(abs(g(z) - ref(z)) <= 1e-6 for z in grid)
-        }
+        values = g.batch(grid)
+        matches = {name for name, ref in references.items() if (np.abs(values - ref) <= 1e-6).all()}
         if matches != {expected}:
             failures.append(f"{expected}: grid matches {sorted(matches)}")
         if classify_homomorphism(g) != expected:

@@ -74,27 +74,41 @@ def _require_units(values: np.ndarray) -> None:
 class CircleMap:
     """A self-map of the unit circle with a structural form tag.
 
-    The evaluator must return unit-modulus values; every call verifies
-    this.  Sampled maps are defined only on their recorded input angles.
+    fn is the array form: it takes an (n,) complex array of unit points
+    and returns their (n,) images.  :meth:`batch` is the validation
+    boundary every evaluation goes through, and a scalar call is a
+    one-point batch.  Sampled maps are defined only on their recorded
+    input angles.
     """
 
     kind: str
-    fn: Callable[[complex], complex] = field(repr=False, compare=False)
+    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
     param: complex | int | None = None
     table: tuple[tuple[float, complex], ...] | None = None
 
-    def __call__(self, z: complex) -> complex:
-        w = self.fn(complex(z))
-        if abs(abs(w) - 1.0) > UNIT_TOL:
-            raise ValueError(f"{self.kind} map produced a non-unit value {w!r}")
+    def batch(self, zs) -> np.ndarray:
+        """Images of a 1-d array of unit points; a non-unit image is a ValueError."""
+        zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 1:
+            raise ValueError(f"circle maps take a 1-d array of points, got shape {zs.shape}")
+        w = np.asarray(self.fn(zs), dtype=complex)
+        if w.shape != zs.shape:
+            raise ValueError(f"{self.kind} map returned shape {w.shape} for {zs.size} points")
+        off = ~(np.abs(np.abs(w) - 1.0) <= UNIT_TOL)  # NaN is off too
+        if off.any():
+            raise ValueError(f"{self.kind} map produced a non-unit value {complex(w[off][0])!r}")
         return w
 
+    def __call__(self, z: complex) -> complex:
+        """The image of one point: a one-point batch."""
+        return complex(self.batch([z])[0])
+
     @property
-    def inputs(self) -> tuple[complex, ...] | None:
+    def inputs(self) -> np.ndarray | None:
         """Recorded input points of a sampled map, None otherwise."""
         if self.table is None:
             return None
-        return tuple(cmath.exp(1j * theta) for theta, _ in self.table)
+        return np.exp(1j * _table_arrays(self)[0])
 
 
 def rotation(c: complex) -> CircleMap:
@@ -106,18 +120,22 @@ def rotation(c: complex) -> CircleMap:
 def conjugate_rotation(c: complex) -> CircleMap:
     """z -> c*conj(z) for a fixed unit c."""
     c = _require_unit(c)
-    return CircleMap("conj_rotation", lambda z: c * z.conjugate(), param=c)
+    return CircleMap("conj_rotation", lambda z: c * z.conj(), param=c)
 
 
 def constant(c: complex) -> CircleMap:
     """z -> c for a fixed unit c."""
     c = _require_unit(c)
-    return CircleMap("constant", lambda z: c, param=c)
+    return CircleMap("constant", lambda z: np.full(z.shape, c), param=c)
 
 
 def fold() -> CircleMap:
-    """Reflect the lower half-circle up: exp(i*t) -> exp(i*|t|)."""
-    return CircleMap("fold", lambda z: cmath.exp(1j * abs(cmath.phase(z))))
+    """Reflect the lower half-circle up: exp(i*t) -> exp(i*|t|).
+
+    Computed as z on the upper half-circle and conj(z) on the lower one,
+    so no angle is taken and the bits do not depend on numpy's build.
+    """
+    return CircleMap("fold", lambda z: np.where(z.imag >= 0.0, z, z.conj()))
 
 
 def power(k: int) -> CircleMap:
@@ -128,26 +146,43 @@ def power(k: int) -> CircleMap:
     return CircleMap("power", lambda z: z**k, param=k)
 
 
-def _table_lookup(table: tuple[tuple[float, complex], ...], z: complex) -> complex:
-    theta = cmath.phase(z)
-    for t_in, w in table:
-        delta = abs(theta - t_in) % (2.0 * math.pi)
-        if min(delta, 2.0 * math.pi - delta) <= 1e-9:
-            return w
-    raise ValueError(f"sampled circle map has no entry at angle {theta}")
+def _phases(zs) -> np.ndarray:
+    """cmath.phase of every point.
+
+    Not np.angle: recorded angles and spreads must not depend on numpy's
+    SIMD build.
+    """
+    return np.array([cmath.phase(z) for z in np.asarray(zs, dtype=complex).tolist()])
+
+
+def _table_index(angles: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Per query point, the index of the first table angle within 1e-9 of
+    its angle, or -1 where there is none."""
+    delta = np.abs(np.angle(zs)[:, None] - angles) % (2.0 * math.pi)
+    hit = np.minimum(delta, 2.0 * math.pi - delta) <= 1e-9
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
 def _sampled_table(angles, values) -> CircleMap:
     """Tabulated map from an array of input angles and one of unit output values."""
-    angles = np.asarray(angles, dtype=float)
-    values = np.asarray(values, dtype=complex)
+    angles = np.array(angles, dtype=float)
+    values = np.array(values, dtype=complex)
     if not angles.size:
         raise ValueError("sampled circle map needs at least one entry")
     if not np.isfinite(angles).all():
         raise ValueError("sampled circle map input angles must be finite")
     _require_units(values)
     table = tuple(zip(angles.tolist(), values.tolist()))
-    return CircleMap("sampled", lambda z: _table_lookup(table, z), table=table)
+
+    def fn(zs: np.ndarray) -> np.ndarray:
+        index = _table_index(angles, zs)
+        missing = np.flatnonzero(index < 0)
+        if missing.size:
+            theta = cmath.phase(zs[missing[0]])
+            raise ValueError(f"sampled circle map has no entry at angle {theta}")
+        return values[index]
+
+    return CircleMap("sampled", fn, table=table)
 
 
 def _table_arrays(g: CircleMap) -> tuple[np.ndarray, np.ndarray]:
@@ -164,14 +199,16 @@ def sampled(pairs) -> CircleMap:
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("sampled circle map entries must be (input, output) pairs")
     _require_units(points[:, 0])
-    # cmath.phase, not np.angle: the table angles must not depend on the SIMD build
-    angles = [cmath.phase(z) for z in points[:, 0].tolist()]
-    return _sampled_table(angles, points[:, 1])
+    return _sampled_table(_phases(points[:, 0]), points[:, 1])
 
 
 def opaque(fn: Callable[[complex], complex]) -> CircleMap:
-    """Wrap an arbitrary unit-circle evaluator without structural claims."""
-    return CircleMap("opaque", fn)
+    """Wrap an arbitrary scalar unit-circle evaluator without structural claims.
+
+    The only kind without an array form: its points are evaluated one at
+    a time.
+    """
+    return CircleMap("opaque", lambda zs: np.array([fn(z) for z in zs.tolist()], dtype=complex))
 
 
 def unit_grid(n: int) -> list[complex]:
@@ -199,19 +236,24 @@ class HomViolation:
     gap: float
 
 
-def _sample_points(g: CircleMap, rng: np.random.Generator, count: int) -> list[complex]:
+def _sample_points(g: CircleMap, rng: np.random.Generator, count: int) -> np.ndarray:
     if g.table is not None:
-        points = list(g.inputs)
-        picks = rng.integers(0, len(points), size=count)
-        return [points[i] for i in picks]
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return [cmath.exp(1j * a) for a in angles]
+        return g.inputs[rng.integers(0, len(g.table), size=count)]
+    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=count))
 
 
-def _grid_points(g: CircleMap, grid_size: int) -> list[complex]:
+def _grid_points(g: CircleMap, grid_size: int) -> np.ndarray:
     if g.table is not None:
-        return list(g.inputs)
-    return unit_grid(grid_size)
+        return g.inputs
+    return np.array(unit_grid(grid_size))
+
+
+def _worst(gaps: np.ndarray) -> int | None:
+    """Index of the first strictly largest gap above CIRCLE_WITNESS_TOL, or None."""
+    if not gaps.size:
+        return None
+    k = int(np.argmax(gaps))
+    return k if gaps[k] > CIRCLE_WITNESS_TOL else None
 
 
 def check_nonexpansive_circle(
@@ -225,66 +267,61 @@ def check_nonexpansive_circle(
     """
     rng = np.random.default_rng(seed)
     points = _grid_points(g, grid_size)
-    pairs = [(points[i], points[j]) for i in range(len(points)) for j in range(i + 1, len(points))]
+    first, second = np.triu_indices(len(points), k=1)
     extra = _sample_points(g, rng, 2 * n_samples)
-    pairs.extend(zip(extra[:n_samples], extra[n_samples:]))
-    worst: CircleViolation | None = None
-    for z1, z2 in pairs:
-        gap = (z1 * z2.conjugate()).real - (g(z1) * g(z2).conjugate()).real
-        if gap > CIRCLE_WITNESS_TOL and (worst is None or gap > worst.gap):
-            worst = CircleViolation(z1, z2, gap)
-    return worst
-
-
-def _product_closed_pairs(g: CircleMap) -> list[tuple[complex, complex]]:
-    """Pairs of recorded inputs whose product is also recorded."""
-    points = list(g.inputs)
-    pairs = []
-    for z in points:
-        for w in points:
-            try:
-                _table_lookup(g.table, z * w)
-            except ValueError:
-                continue
-            pairs.append((z, w))
-    return pairs
+    z1 = np.concatenate([points[first], extra[:n_samples]])
+    z2 = np.concatenate([points[second], extra[n_samples:]])
+    w1, w2 = g.batch(z1), g.batch(z2)
+    # Re(a * conj(b)), written out
+    gaps = (z1.real * z2.real + z1.imag * z2.imag) - (w1.real * w2.real + w1.imag * w2.imag)
+    k = _worst(gaps)
+    return None if k is None else CircleViolation(complex(z1[k]), complex(z2[k]), float(gaps[k]))
 
 
 def check_homomorphism(
     g: CircleMap, n_samples: int = 1000, seed: int = 42, grid_size: int = 16
 ) -> HomViolation | None:
-    """Search for a pair violating g(z*w) = g(z)*g(w); None when none found."""
+    """Search for a pair violating g(z*w) = g(z)*g(w); None when none found.
+
+    Tests all pairs (z, w) of grid points, z-major, plus seeded random
+    pairs; a sampled map is tested on the pairs of recorded inputs whose
+    product is recorded too.
+    """
     rng = np.random.default_rng(seed)
+    points = _grid_points(g, grid_size)
+    z, w = np.repeat(points, len(points)), np.tile(points, len(points))
     if g.table is not None:
-        pairs = _product_closed_pairs(g)
+        closed = _table_index(_table_arrays(g)[0], z * w) >= 0
+        z, w = z[closed], w[closed]
     else:
-        points = unit_grid(grid_size)
-        pairs = [(z, w) for z in points for w in points]
         extra = _sample_points(g, rng, 2 * n_samples)
-        pairs.extend(zip(extra[:n_samples], extra[n_samples:]))
-    worst: HomViolation | None = None
-    for z, w in pairs:
-        gap = abs(g(z * w) - g(z) * g(w))
-        if gap > CIRCLE_WITNESS_TOL and (worst is None or gap > worst.gap):
-            worst = HomViolation(z, w, gap)
-    return worst
+        z, w = np.concatenate([z, extra[:n_samples]]), np.concatenate([w, extra[n_samples:]])
+    gaps = np.abs(g.batch(z * w) - g.batch(z) * g.batch(w))
+    k = _worst(gaps)
+    return None if k is None else HomViolation(complex(z[k]), complex(w[k]), float(gaps[k]))
+
+
+def _hom_branches(at_i: np.ndarray, at_minus_one: np.ndarray) -> np.ndarray:
+    """The branch of each multiplicative map from its values at i and -1.
+
+    The value at i separates the identity (i) from conjugation (-i); the
+    constant branch is confirmed at -1.  Anything else is NOT_APPLICABLE,
+    signalling a failed precondition.
+    """
+    near = lambda a, b: np.abs(a - b) <= HOM_BRANCH_TOL
+    return np.select(
+        [near(at_i, 1j), near(at_i, -1j), near(at_i, 1.0) & near(at_minus_one, 1.0)],
+        [IDENTITY, CONJUGATION, CONSTANT_ONE],
+        NOT_APPLICABLE,
+    )
 
 
 def classify_homomorphism(g: CircleMap) -> str:
-    """Decide which nonexpansive multiplicative branch g lies on.
-
-    The value at i separates the identity (i) from conjugation (-i); the
-    constant branch is confirmed at -1.  Anything else reports
-    NOT_APPLICABLE, signalling a failed precondition.
-    """
+    """Decide which nonexpansive multiplicative branch g lies on (see _hom_branches)."""
     at_i = g(1j)
-    if abs(at_i - 1j) <= HOM_BRANCH_TOL:
-        return IDENTITY
-    if abs(at_i + 1j) <= HOM_BRANCH_TOL:
-        return CONJUGATION
-    if abs(at_i - 1.0) <= HOM_BRANCH_TOL and abs(g(-1.0 + 0j) - 1.0) <= HOM_BRANCH_TOL:
-        return CONSTANT_ONE
-    return NOT_APPLICABLE
+    # the value at -1 matters, and is evaluated, only on the constant branch
+    at_minus_one = g(-1.0 + 0j) if abs(at_i - 1.0) <= HOM_BRANCH_TOL else math.nan
+    return str(_hom_branches(np.array([at_i]), np.array([at_minus_one]))[0])
 
 
 @dataclass(frozen=True)
@@ -300,14 +337,13 @@ class CircleMapForm:
     spread: float | None = None
 
 
-def _angular_spread(values: list[complex]) -> float:
+def _angular_spread(values: np.ndarray) -> float:
     """Width of the smallest arc containing all given unit values."""
-    angles = sorted(cmath.phase(v) % (2.0 * math.pi) for v in values)
-    if len(angles) == 1:
+    angles = np.sort(_phases(values) % (2.0 * math.pi))
+    if angles.size == 1:
         return 0.0
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(2.0 * math.pi - angles[-1] + angles[0])
-    return 2.0 * math.pi - max(gaps)
+    gaps = np.append(np.diff(angles), 2.0 * math.pi - angles[-1] + angles[0])
+    return float(2.0 * math.pi - gaps.max())
 
 
 def classify_circle_map(g: CircleMap, n_grid: int = 64) -> CircleMapForm:
@@ -320,10 +356,10 @@ def classify_circle_map(g: CircleMap, n_grid: int = 64) -> CircleMapForm:
     """
     points = _grid_points(g, n_grid)
     c = g(1.0 + 0j)
-    values = [g(z) for z in points]
-    if all(abs(v - c * z) <= FORM_MATCH_TOL for z, v in zip(points, values)):
+    values = g.batch(points)
+    if (np.abs(values - c * points) <= FORM_MATCH_TOL).all():
         return CircleMapForm("rotation", c=c)
-    if all(abs(v - c * z.conjugate()) <= FORM_MATCH_TOL for z, v in zip(points, values)):
+    if (np.abs(values - c * points.conj()) <= FORM_MATCH_TOL).all():
         return CircleMapForm("conj_rotation", c=c)
     spread = _angular_spread(values)
     if spread > math.pi + SPREAD_TOL:

@@ -13,6 +13,7 @@ situation by sandwiching with the two associated basis changes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -25,10 +26,11 @@ from .circle import (
     NOT_APPLICABLE,
     CircleMap,
     CircleMapForm,
+    _hom_branches,
+    _phases,
     _sampled_table,
     _table_arrays,
     classify_circle_map,
-    classify_homomorphism,
     conjugate_rotation,
     rotation,
     sampled_to_json,
@@ -169,8 +171,9 @@ def _require_fixes_basis(map_: StateMap, dim: int) -> None:
         raise ProbeError(f"map does not fix basis projection {moved[0]} within 1e-8")
 
 
-def _pair_maps(map_: StateMap, pairs, grid) -> list[CircleMap]:
-    """The probes of extract_pair_map for every pair, on a map known to fix the basis.
+def _pair_values(map_: StateMap, pairs, grid) -> np.ndarray:
+    """The probe values of extract_pair_map for every pair, on a map known
+    to fix the basis: entry [p, m] is the value of pairs[p]'s map at grid[m].
 
     Maps the probe states of every (pair, grid phase) in one batch, row
     p * len(grid) + m probing pairs[p] at phase grid[m]; the first
@@ -195,9 +198,13 @@ def _pair_maps(map_: StateMap, pairs, grid) -> list[CircleMap]:
         if unbalanced[failed[0]]:
             raise ProbeError(f"probe image of {pair} is not balanced on the pair")
         raise ProbeError(f"probe image of {pair} has off-block weight")
-    angles = [cmath.phase(z) for z in grid]  # as sampled() records them
-    values = (values / np.abs(values)).reshape(len(pairs), n)
-    return [_sampled_table(angles, row) for row in values]
+    return (values / np.abs(values)).reshape(len(pairs), n)
+
+
+def _pair_maps(map_: StateMap, pairs, grid) -> list[CircleMap]:
+    """The pair values of _pair_values as sampled circle maps, one per pair."""
+    angles = _phases(grid)  # as sampled() records them
+    return [_sampled_table(angles, row) for row in _pair_values(map_, pairs, grid)]
 
 
 def extract_pair_map(map_, i: int, j: int, grid) -> CircleMap:
@@ -228,18 +235,31 @@ def induced_homomorphism(
         other = np.sort(_table_arrays(f)[0])
         if other.shape != reference.shape or not (np.abs(other - reference) <= 1e-9).all():
             raise ValueError("pair maps were sampled on different grids")
-    values = f_1k(1.0 + 0j).conjugate() * f_1j(1.0 + 0j) * values
-    return _sampled_table(angles, values / np.abs(values))
+    return _sampled_table(angles, _induced_values(f_1j(1.0 + 0j), f_1k(1.0 + 0j), values))
 
 
+def _induced_values(f_1j_at_one, f_1k_at_one, f_jk_values) -> np.ndarray:
+    """conj(f_1k(1)) * f_1j(1) * f_jk on f_jk's points, renormalized to the circle.
+
+    Takes one triple's scalars and value row, or one entry and one row
+    per triple.
+    """
+    values = np.expand_dims(np.conj(f_1k_at_one) * f_1j_at_one, -1) * f_jk_values
+    return values / np.abs(values)
+
+
+@functools.cache
 def _validation_rows(dim: int, count: int = VALIDATION_STATES) -> np.ndarray:
-    """The fixed validation states of dimension dim, as rows.
+    """The fixed validation states of dimension dim, as read-only rows.
 
-    The same draws as count calls of sample_pure_state on one generator.
+    The same draws as count calls of sample_pure_state on one generator,
+    made once per dimension.
     """
     rng = np.random.default_rng(np.random.SeedSequence((dim, 104729)))
     z = rng.standard_normal((count, 2, dim))
-    return _canonical_rows(z[:, 0] + 1j * z[:, 1])
+    rows = _canonical_rows(z[:, 0] + 1j * z[:, 1])
+    rows.setflags(write=False)
+    return rows
 
 
 def _lift_rows(u: np.ndarray, grid) -> np.ndarray:
@@ -280,27 +300,32 @@ def _classify_branch(
 
     Decides the branch and the diagonal on the canonical map (checking
     its basis once) and validates the composed model against map_ once.
-    The result reports U = u and V = v diag.
+    Both are read from the probe values: the diagonal from the pair maps
+    at phase 1 (grid[0]), each triple's branch from its induced values at
+    i and -1 (grid[n/4] and grid[n/2]).  The result reports U = u and
+    V = v diag.
     """
     dim = map_.dim_in
     grid = probe_grid(grid_size)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     try:
         _require_fixes_basis(canonical, dim)
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        f = dict(zip(pairs, _pair_maps(canonical, pairs, grid)))
+        values = _pair_values(canonical, pairs, grid)
     except ProbeError as err:
         return _not_classified(str(err))
-    branches = set()
-    for j in range(1, dim):
-        for k in range(j + 1, dim):
-            hom = induced_homomorphism(f[(0, j)], f[(0, k)], f[(j, k)])
-            branches.add(classify_homomorphism(hom))
+    # pairs lists (0, 1) .. (0, dim - 1) first, then the (j, k) with 0 < j < k
+    # in the order of the triples (0, j, k) that triu_indices enumerates
+    at_one = values[: dim - 1, 0]
+    j, k = np.triu_indices(dim - 1, k=1)
+    induced = _induced_values(at_one[j], at_one[k], values[dim - 1 :])
+    quarter = grid_size // 4
+    branches = set(_hom_branches(induced[:, quarter], induced[:, 2 * quarter]).tolist())
     if NOT_APPLICABLE in branches:
         return _not_classified("an induced circle map is not multiplicative")
     if len(branches) != 1:
         return _not_classified("induced circle maps disagree across coordinate triples")
     branch = _BRANCH_OF_HOM[branches.pop()]
-    diag = np.diag([1.0 + 0j] + [f[(0, j)](1.0 + 0j).conjugate() for j in range(1, dim)])
+    diag = np.diag(np.r_[1.0 + 0j, at_one.conj()])
     post = v @ diag
     try:
         model = _compose_model(branch, u, post)

@@ -169,7 +169,7 @@ def standard_map(g: CircleMap) -> StateMap:
         moved = (np.abs(off) > GAUGE_TOL) & (p * (1.0 - p) > GAUGE_TOL**2)
         out = rows.copy()
         p, off = p[moved], off[moved]
-        w = np.array([g(z) for z in off / np.abs(off)], dtype=complex)
+        w = g.batch(off / np.abs(off))
         out[moved, 0] = np.sqrt(p)
         out[moved, 1] = w.conj() * np.sqrt(1.0 - p)
         return out

@@ -219,12 +219,13 @@ class OrthoSystem:
         for m in members:
             if m.dim != dim:
                 raise ValueError("orthogonal system members must share one dimension")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if not is_orthogonal(members[i], members[j]):
-                    raise ValueError(
-                        f"members {i} and {j} are not orthogonal within {ORTHO_TOL}"
-                    )
+        # transition probabilities of every pair at once, from the Gram matrix
+        vecs = np.array([m.vec for m in members])
+        overlapping = np.abs(vecs.conj() @ vecs.T) ** 2 > ORTHO_TOL
+        bad = np.argwhere(np.triu(overlapping, k=1))  # row-major: the first pair (i, j)
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"members {i} and {j} are not orthogonal within {ORTHO_TOL}")
         object.__setattr__(self, "members", members)
 
     @property

@@ -2,7 +2,8 @@
 
 Every family maps an (n, dim) block of gauge-fixed unit rows in one call;
 per-state calls are one-row batches, so both must agree bit for bit, and
-every invalid image block is rejected at the batch boundary.
+every invalid image block is rejected at the batch boundary.  Circle maps
+follow the same protocol on (n,) arrays of points (CircleMap.batch).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from wignerlab import (
     constant_map,
     entrywise_abs,
     fold,
+    opaque,
     opaque_map,
     power,
     proper_subspace_map,
@@ -34,10 +36,13 @@ from wignerlab import (
     reduce_to_canonical,
     rotation,
     sample_pure_state,
+    sampled,
     separable_embed,
     standard_map,
+    unit_grid,
     wigner_map,
 )
+from wignerlab.states import _canonical_rows
 
 
 def _canonical_model(dim: int) -> StateMap:
@@ -56,6 +61,10 @@ def _square_entries(s: PureState) -> PureState:
     return pure_state(s.vec**2 + 0.1)
 
 
+def _scalar_fold(z: complex) -> complex:
+    return cmath.exp(1j * abs(cmath.phase(z)))
+
+
 FAMILIES = {
     "phi": (3, lambda: entrywise_abs(3)),
     "phi basis": (3, lambda: entrywise_abs(3, random_unitary(3, 51))),
@@ -65,6 +74,8 @@ FAMILIES = {
     "tau fold": (2, lambda: standard_map(fold())),
     "tau constant": (2, lambda: standard_map(constant(1.0))),
     "tau power2": (2, lambda: standard_map(power(2))),
+    "tau power-3": (2, lambda: standard_map(power(-3))),
+    "tau opaque": (2, lambda: standard_map(opaque(_scalar_fold))),
     "tau rotation": (2, lambda: standard_map(rotation(cmath.exp(0.7j)))),
     "tau conj_rotation": (2, lambda: standard_map(conjugate_rotation(1j))),
     "block_embed": (3, lambda: block_embed(3)),
@@ -105,6 +116,46 @@ def test_batch_rows_equal_per_state_images_bit_for_bit(name, seed, n, special):
         assert np.array_equal(images[k], map_(PureState(rows[k])).vec)
         # the image is a canonical state: unit norm, gauge-fixed
         PureState(images[k])
+
+
+CIRCLES = {
+    "rotation": lambda: rotation(cmath.exp(0.7j)),
+    "conj_rotation": lambda: conjugate_rotation(1j),
+    "constant": lambda: constant(cmath.exp(-0.4j)),
+    "fold": fold,
+    "power 2": lambda: power(2),
+    "power -3": lambda: power(-3),
+    "sampled": lambda: sampled((z, z**3) for z in unit_grid(12)),
+    "opaque": lambda: opaque(_scalar_fold),
+}
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLES))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_circle_batch_entries_equal_scalar_calls_bit_for_bit(name, seed, n):
+    g = CIRCLES[name]()
+    rng = np.random.default_rng(seed)
+    if g.table is None:
+        zs = np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+        zs[:4] = np.array([1.0, 1j, -1.0, -1j])[: min(n, 4)]
+    else:  # a sampled map is defined on its recorded inputs only
+        zs = g.inputs[rng.integers(0, len(g.table), size=n)]
+    values = g.batch(zs)
+    assert values.shape == (n,) and values.dtype == complex
+    for k in range(n):
+        assert np.array_equal(_bits([g(zs[k])]), _bits(values[k : k + 1]))
+    # the lift of g, on states with these phases: one batch against per-state calls
+    p = rng.uniform(0.05, 0.95, size=n)
+    rows = _canonical_rows(np.column_stack([np.sqrt(p), zs.conj() * np.sqrt(1.0 - p)]))
+    lift = standard_map(g)
+    images = lift.batch(rows)
+    for k in range(n):
+        assert np.array_equal(_bits(images[k]), _bits(lift(PureState(rows[k])).vec))
 
 
 class _Raw:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from wignerlab import (
     sampled_to_json,
     unit_grid,
 )
+from wignerlab.circle import CIRCLE_WITNESS_TOL
 from wignerlab.descriptors import circle_map_from_json, circle_map_to_json
 
 
@@ -65,6 +67,62 @@ def test_evaluator_output_is_validated():
     bad = opaque(lambda z: 2.0 * z)
     with pytest.raises(ValueError):
         bad(1.0 + 0j)
+
+
+def test_circle_batch_rejects_non_unit_values_and_off_table_queries():
+    with pytest.raises(ValueError, match=r"opaque map produced a non-unit value \(2\+0j\)"):
+        opaque(lambda z: 2.0 * z).batch(np.array([1.0, 1j]))
+    g = sampled([(1.0 + 0j, 1j), (1j, -1.0 + 0j)])
+    assert np.array_equal(g.batch(np.array([1j, 1.0, 1j])), [-1.0, 1j, -1.0])
+    # the first point without an entry names the error, by its angle
+    message = f"sampled circle map has no entry at angle {cmath.phase(-1j)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g.batch(np.array([1.0, -1j, -1.0]))
+    with pytest.raises(ValueError, match="1-d array"):
+        g.batch(np.ones((2, 2), dtype=complex))
+    # of two entries within 1e-9 of a query angle, the first one answers
+    close = sampled([(1.0 + 0j, 1j), (cmath.exp(5e-10j), -1j)])
+    assert np.array_equal(close.batch(np.array([1.0, cmath.exp(5e-10j)])), [1j, 1j])
+
+
+def _first_strictly_largest(gaps):
+    worst = None
+    for k, gap in enumerate(gaps):
+        if gap > CIRCLE_WITNESS_TOL and (worst is None or gap > gaps[worst]):
+            worst = k
+    return worst
+
+
+def _one(values):
+    """A scalar computed the way the checks compute an array of them."""
+    return np.asarray(values)[0]
+
+
+@pytest.mark.parametrize("n_samples", [0, 1000])
+def test_circle_checks_report_the_first_strictly_largest_gap(n_samples):
+    # the pair-by-pair searches written out: same pairs, same order, same pick
+    rng = np.random.default_rng(42)
+    extra = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=2 * n_samples))
+    extra = list(zip(extra[:n_samples], extra[n_samples:]))
+    square = power(2)
+    points = unit_grid(32)
+    pairs = [(points[i], points[j]) for i in range(32) for j in range(i + 1, 32)] + extra
+    re_dot = lambda a, b: a.real * b.real + a.imag * b.imag
+    gaps = [re_dot(z1, z2) - re_dot(square(z1), square(z2)) for z1, z2 in pairs]
+    k = _first_strictly_largest(gaps)
+    violation = check_nonexpansive_circle(square, n_samples=n_samples)
+    assert (violation.z1, violation.z2, violation.gap) == (*pairs[k], gaps[k])
+
+    g = fold()
+    points = unit_grid(16)
+    pairs = [(z, w) for z in points for w in points] + extra
+    gaps = []
+    for z, w in pairs:
+        zw = _one(np.array([z]) * np.array([w]))
+        gaps.append(_one(np.abs(g.batch([zw]) - g.batch([z]) * g.batch([w]))))
+    k = _first_strictly_largest(gaps)
+    violation = check_homomorphism(g, n_samples=n_samples)
+    assert (violation.z, violation.w, violation.gap) == (*pairs[k], gaps[k])
 
 
 def test_unit_grid():

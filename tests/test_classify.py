@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -14,11 +15,13 @@ from wignerlab import (
     STANDARD_DIM2,
     WIGNER_ANTIUNITARY,
     WIGNER_UNITARY,
+    NOT_APPLICABLE,
     OrthoSystem,
     ProbeError,
     basis_state,
     classify,
     classify_canonical,
+    classify_homomorphism,
     classify_dim2,
     composed_phi_form,
     entrywise_abs,
@@ -39,7 +42,13 @@ from wignerlab import (
     transition_probability,
     wigner_map,
 )
-from wignerlab.classify import _pair_maps
+from wignerlab.classify import (
+    _BRANCH_OF_HOM,
+    RESIDUAL_TOL,
+    _classify_branch,
+    _pair_maps,
+    _validation_rows,
+)
 from wignerlab.maps import StateMap
 
 
@@ -425,3 +434,71 @@ def test_extract_pair_map_matches_the_all_pairs_batch(make_map):
     batched = _pair_maps(map_, pairs, grid)
     for (i, j), f in zip(pairs, batched):
         assert extract_pair_map(map_, i, j, grid).table == f.table
+
+
+def _hinted(make_map, dim):
+    """A map of one branch and a preimage COSP whose image is a COSP."""
+    map_, pre = make_map(dim)
+    return map_, OrthoSystem(tuple(pure_state(pre.conj().T[:, j]) for j in range(dim)))
+
+
+BRANCH_CASES = {
+    "wigner": lambda d: (wigner_map(random_unitary(d, 81)), np.eye(d)),
+    "antiunitary": lambda d: (wigner_map(random_unitary(d, 82), antiunitary=True), np.eye(d)),
+    "composed": lambda d: (
+        composed_phi_form(random_unitary(d, 83), random_unitary(d, 84)), random_unitary(d, 83)
+    ),
+    "phi": lambda d: (entrywise_abs(d), np.eye(d)),
+}
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind", sorted(BRANCH_CASES))
+def test_branch_decision_matches_the_induced_homomorphism_path(kind, dim):
+    # the probe-array decision against one sampled pair map per pair and
+    # one induced circle map per triple
+    map_, hint = _hinted(BRANCH_CASES[kind], dim)
+    u, v, canonical = reduce_to_canonical(map_, hint)
+    res = _classify_branch(map_, canonical, u, v, 16, RESIDUAL_TOL)
+    grid = probe_grid(16)
+    f = {
+        (i, j): extract_pair_map(canonical, i, j, grid)
+        for i in range(dim)
+        for j in range(i + 1, dim)
+    }
+    homs = {
+        classify_homomorphism(induced_homomorphism(f[0, j], f[0, k], f[j, k]))
+        for j in range(1, dim)
+        for k in range(j + 1, dim)
+    }
+    assert len(homs) == 1
+    assert res.branch == _BRANCH_OF_HOM[homs.pop()]
+    diag = np.diag([1.0 + 0j] + [f[0, j](1.0 + 0j).conjugate() for j in range(1, dim)])
+    assert np.array_equal(res.diag_u, diag)
+
+
+def test_a_non_multiplicative_canonical_map_keeps_its_reason():
+    # squares every amplitude's phase: fixes the basis, keeps probes
+    # balanced, and every induced circle map is z -> z**2
+    square = StateMap("phase_square", 4, 4, lambda rows: rows**2 / np.maximum(np.abs(rows), 1e-300))
+    grid = probe_grid(16)
+    f = {(i, j): extract_pair_map(square, i, j, grid) for i in range(3) for j in range(i + 1, 3)}
+    hom = induced_homomorphism(f[0, 1], f[0, 2], f[1, 2])
+    assert classify_homomorphism(hom) == NOT_APPLICABLE
+    res = classify_canonical(square)
+    assert res.branch == NOT_CLASSIFIED
+    assert res.reason == "an induced circle map is not multiplicative"
+
+
+def test_validation_rows_are_drawn_once_per_dimension_and_read_only(monkeypatch):
+    rows = _validation_rows(4)
+    assert _validation_rows(4) is rows
+    assert np.array_equal(rows, _validation_rows.__wrapped__(4))
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    # the same reports as with rows drawn afresh on every classification
+    maps = [wigner_map(random_unitary(4, 85)), entrywise_abs(4), wigner_map(random_unitary(3, 86), True)]
+    cached = [classify(m, m.dim_in).to_json() for m in maps]
+    module = importlib.import_module("wignerlab.classify")  # the name classify is the function
+    monkeypatch.setattr(module, "_validation_rows", _validation_rows.__wrapped__)
+    assert [classify(m, m.dim_in).to_json() for m in maps] == cached

@@ -184,6 +184,19 @@ def test_ortho_system_rejects_non_orthogonal_members():
         OrthoSystem(())
 
 
+def test_ortho_system_names_the_first_overlapping_pair_in_row_major_order():
+    # (0, 3) and (1, 2) overlap: row-major order meets (0, 3) first
+    members = (
+        basis_state(4, 0),
+        basis_state(4, 1),
+        pure_state([0.0, 1.0, 1.0, 0.0]),
+        pure_state([1.0, 0.0, 0.0, 1.0]),
+    )
+    with pytest.raises(ValueError) as err:
+        OrthoSystem(members)
+    assert str(err.value) == "members 0 and 3 are not orthogonal within 1e-09"
+
+
 def test_two_by_two_params_examples():
     assert two_by_two_params(basis_state(2, 0)) == (1.0, 1.0 + 0j)
     assert two_by_two_params(basis_state(2, 1)) == (0.0, 1.0 + 0j)
