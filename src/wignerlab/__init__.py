@@ -55,25 +55,20 @@ from .maps import (
     composed_phi_form,
     constant_map,
     entrywise_abs,
-    identity_map,
     opaque_map,
     proper_subspace_map,
     separable_embed,
     standard_map,
-    transpose_map,
     wigner_map,
 )
 from .states import (
     OrthoSystem,
     PureState,
     basis_state,
-    block_split,
     distance,
     is_cosp,
-    is_orthogonal,
     operator_norm_distance,
     pure_state,
-    random_pure_state,
     random_unitary,
     sample_pure_state,
     sample_unitary,

@@ -3,6 +3,8 @@
 Each criterion is a function returning a :class:`CriterionResult`; the
 test suite asserts them one by one and the CLI selftest prints them as a
 table.  Seeds and tolerances are fixed so results are reproducible.
+The paper's counterexamples are declared once, in COUNTEREXAMPLES:
+criteria 08-10 and the CLI demo both run them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +38,9 @@ from .classify import (
     classify_dim2,
     probe_grid,
 )
+from .descriptors import map_to_json
 from .maps import (
+    StateMap,
     block_embed,
     composed_phi_form,
     entrywise_abs,
@@ -52,10 +57,11 @@ from .states import (
     sample_pure_state,
 )
 from .verify import (
+    _METRIC_CHECKS,
+    INJECTIVITY_SAMPLES,
     basis_image_completes_span,
     check_inclusion_lemma,
     check_isometry,
-    check_noncontractive,
     check_nonexpansive,
     max_image_overlap,
 )
@@ -258,21 +264,92 @@ def criterion_07() -> CriterionResult:
     return _result(7, "inclusion of dominated states", t0, passed, f"worst gap {worst:.2e}", 10.0)
 
 
+def _run_check(name, map_, dim, rng, samples, seed, refine_steps):
+    """One check of a counterexample.
+
+    Returns whether it holds, its report, its demo-bundle JSON (None: the
+    check shows in the summary only) and its summary label on failure.
+    """
+    if name == "injectivity":
+        overlap, distinct = max_image_overlap(map_, rng)
+        shown = {"samples": INJECTIVITY_SAMPLES, "max_image_overlap": overlap, "distinct": distinct}
+        return distinct, overlap, shown, "collision"
+    if name == "cosp_image":
+        complete = basis_image_completes_span(map_, map_.params["k"])
+        return complete, complete, None, "fail"
+    report = _METRIC_CHECKS[name](map_, dim, samples, refine_steps=refine_steps, seed=seed)
+    return report.holds, report, report.to_json(), "witness"
+
+
+@dataclass(frozen=True)
+class Counterexample:
+    """A counterexample of the paper, declared once for demo and criterion.
+
+    build(rng, dim, **params) returns the map; expect gives, in run
+    order, whether each check must hold; params names the demo options
+    build takes; shown names map params repeated atop the demo bundle.
+    """
+
+    build: Callable[..., StateMap]
+    expect: dict[str, bool]
+    params: tuple[str, ...] = ()
+    shown: tuple[str, ...] = ()
+
+
+COUNTEREXAMPLES = {
+    "block-embed": Counterexample(
+        lambda rng, dim: block_embed(dim), {"noncontractive": True, "isometry": False}
+    ),
+    "separable-embed": Counterexample(
+        lambda rng, dim, anchors: separable_embed(
+            [sample_pure_state(rng, dim) for _ in range(anchors)]
+        ),
+        {"nonexpansive": True, "injectivity": True, "isometry": False},
+        params=("anchors",),
+    ),
+    "proper-subspace": Counterexample(
+        lambda rng, dim, k: proper_subspace_map(dim, dim - 1 if k is None else k),
+        {"nonexpansive": True, "cosp_image": True},
+        params=("k",),
+        shown=("k",),
+    ),
+}
+
+
+def run_counterexample(target, dim, rng, samples, seed, refine_steps, **params):
+    """Build a counterexample and run its checks.
+
+    samples is the metric checks' budget, or a dict with one per check.
+    Returns the demo bundle, whether every check came out as expected,
+    and the report of each check.
+    """
+    entry = COUNTEREXAMPLES[target]
+    map_ = entry.build(rng, dim, **params)
+    bundle = {"target": target, "map": map_to_json(map_), "checks": {}, "summary": {}}
+    bundle.update((name, map_.params[name]) for name in entry.shown)
+    ok, reports = True, {}
+    for name, expected in entry.expect.items():
+        n = samples.get(name) if isinstance(samples, dict) else samples
+        holds, reports[name], shown, on_fail = _run_check(
+            name, map_, dim, rng, n, seed, refine_steps
+        )
+        if shown is not None:
+            bundle["checks"][name] = shown
+        bundle["summary"][name] = "pass" if holds else on_fail
+        ok = ok and holds == expected
+    return bundle, ok, reports
+
+
 def criterion_08() -> CriterionResult:
     """Block embedding is noncontractive yet tears a boundary pair apart."""
     t0 = time.time()
-    map_ = block_embed(3)
-    non_contr = check_noncontractive(map_, 3, 10000, seed=42)
-    iso = check_isometry(map_, 3, 10000, seed=42)
-    w = iso.witness
-    passed = (
-        non_contr.holds
-        and w is not None
-        and w.d_in < 0.5
-        and abs(w.d_out - 1.0) <= 1e-12
+    _, ok, reports = run_counterexample(
+        "block-embed", 3, np.random.default_rng(801), 10000, 42, 200
     )
+    w = reports["isometry"].witness
+    passed = ok and w.d_in < 0.5 and abs(w.d_out - 1.0) <= 1e-12
     detail = (
-        f"noncontractive holds {non_contr.holds}, witness d_in "
+        f"noncontractive holds {reports['noncontractive'].holds}, witness d_in "
         f"{w.d_in if w else float('nan'):.2e}, d_out {w.d_out if w else float('nan')}"
     )
     return _result(8, "block embedding", t0, passed, detail, 10.0)
@@ -281,17 +358,16 @@ def criterion_08() -> CriterionResult:
 def criterion_09() -> CriterionResult:
     """Overlap-profile embedding: nonexpansive, injective, never isometric."""
     t0 = time.time()
-    rng = np.random.default_rng(901)
-    dim = 4
-    map_ = separable_embed([sample_pure_state(rng, dim) for _ in range(32)])
-    rep = check_nonexpansive(map_, dim, 10000, seed=42)
-    overlap, injective = max_image_overlap(map_, rng)
-    iso = check_isometry(map_, dim, 1000, seed=42)
-    strict = iso.witness is not None and iso.witness.d_out < iso.witness.d_in - 1e-9
-    passed = rep.holds and injective and strict
+    _, ok, reports = run_counterexample(
+        "separable-embed", 4, np.random.default_rng(901),
+        {"nonexpansive": 10000, "isometry": 1000}, 42, 200, anchors=32,
+    )
+    w = reports["isometry"].witness
+    strict = w is not None and w.d_out < w.d_in - 1e-9
+    passed = ok and strict
     detail = (
-        f"nonexpansive holds {rep.holds}, max image overlap {overlap:.4f}, "
-        f"strict witness {strict}"
+        f"nonexpansive holds {reports['nonexpansive'].holds}, max image overlap "
+        f"{reports['injectivity']:.4f}, strict witness {strict}"
     )
     return _result(9, "overlap-profile embedding", t0, passed, detail, 30.0)
 
@@ -299,12 +375,13 @@ def criterion_09() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Subspace collapse is nonexpansive and completes the designated system."""
     t0 = time.time()
-    dim, k = 5, 3
-    map_ = proper_subspace_map(dim, k)
-    rep = check_nonexpansive(map_, dim, 10000, seed=42)
-    complete = basis_image_completes_span(map_, k)
-    passed = rep.holds and complete
-    detail = f"nonexpansive holds {rep.holds}, image complete in span {complete}"
+    _, passed, reports = run_counterexample(
+        "proper-subspace", 5, np.random.default_rng(1001), 10000, 42, 200, k=3
+    )
+    detail = (
+        f"nonexpansive holds {reports['nonexpansive'].holds}, "
+        f"image complete in span {reports['cosp_image']}"
+    )
     return _result(10, "subspace collapse", t0, passed, detail, 10.0)
 
 

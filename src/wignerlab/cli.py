@@ -15,30 +15,20 @@ import sys
 
 import numpy as np
 
-from .acceptance import run_all
+from .acceptance import COUNTEREXAMPLES, run_all, run_counterexample
 from .circle import constant, fold, power
 from .classify import classify
-from .descriptors import map_from_json, map_to_json
+from .descriptors import map_from_json
 from .maps import (
     StateMap,
     block_embed,
     constant_map,
     entrywise_abs,
-    proper_subspace_map,
-    separable_embed,
     standard_map,
     wigner_map,
 )
-from .states import random_unitary, sample_pure_state
-from .verify import (
-    INJECTIVITY_SAMPLES,
-    basis_image_completes_span,
-    check_isometry,
-    check_noncontractive,
-    check_nonexpansive,
-    check_orthogonality_preserving,
-    max_image_overlap,
-)
+from .states import random_unitary
+from .verify import _METRIC_CHECKS, check_orthogonality_preserving
 
 EXIT_HOLDS = 0
 EXIT_WITNESS = 1
@@ -120,12 +110,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             map_, args.dim, n_samples=args.samples, seed=args.seed
         )
     else:
-        checker = {
-            "nonexpansive": check_nonexpansive,
-            "noncontractive": check_noncontractive,
-            "isometry": check_isometry,
-        }[args.property]
-        report = checker(
+        report = _METRIC_CHECKS[args.property](
             map_,
             args.dim,
             n_samples=args.samples,
@@ -143,99 +128,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_HOLDS if result.classified else EXIT_WITNESS
 
 
-def _verdict(ok: bool, on_pass: str = "pass", on_fail: str = "witness") -> str:
-    return on_pass if ok else on_fail
-
-
-def _demo_block_embed(args) -> tuple[dict, bool]:
-    map_ = block_embed(args.dim)
-    non_contr = check_noncontractive(
-        map_, args.dim, n_samples=args.samples,
-        refine_steps=args.refine_steps, seed=args.seed,
-    )
-    iso = check_isometry(
-        map_, args.dim, n_samples=args.samples,
-        refine_steps=args.refine_steps, seed=args.seed,
-    )
-    ok = non_contr.holds and not iso.holds
-    bundle = {
-        "target": "block-embed",
-        "map": map_to_json(map_),
-        "checks": {"noncontractive": non_contr.to_json(), "isometry": iso.to_json()},
-        "summary": {
-            "noncontractive": _verdict(non_contr.holds),
-            "isometry": _verdict(not iso.holds, "witness", "pass"),
-        },
-    }
-    return bundle, ok
-
-
-def _demo_separable_embed(args) -> tuple[dict, bool]:
-    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 9)))
-    anchors = [sample_pure_state(rng, args.dim) for _ in range(args.anchors)]
-    map_ = separable_embed(anchors)
-    nonexp = check_nonexpansive(
-        map_, args.dim, n_samples=args.samples,
-        refine_steps=args.refine_steps, seed=args.seed,
-    )
-    max_overlap, injective = max_image_overlap(map_, rng)
-    iso = check_isometry(
-        map_, args.dim, n_samples=args.samples,
-        refine_steps=args.refine_steps, seed=args.seed,
-    )
-    ok = nonexp.holds and injective and not iso.holds
-    bundle = {
-        "target": "separable-embed",
-        "map": map_to_json(map_),
-        "checks": {
-            "nonexpansive": nonexp.to_json(),
-            "injectivity": {
-                "samples": INJECTIVITY_SAMPLES,
-                "max_image_overlap": max_overlap,
-                "distinct": injective,
-            },
-            "isometry": iso.to_json(),
-        },
-        "summary": {
-            "nonexpansive": _verdict(nonexp.holds),
-            "injectivity": _verdict(injective, "pass", "collision"),
-            "isometry": _verdict(not iso.holds, "witness", "pass"),
-        },
-    }
-    return bundle, ok
-
-
-def _demo_proper_subspace(args) -> tuple[dict, bool]:
-    k = args.k if args.k is not None else args.dim - 1
-    map_ = proper_subspace_map(args.dim, k)
-    nonexp = check_nonexpansive(
-        map_, args.dim, n_samples=args.samples,
-        refine_steps=args.refine_steps, seed=args.seed,
-    )
-    complete = basis_image_completes_span(map_, k)
-    ok = nonexp.holds and complete
-    bundle = {
-        "target": "proper-subspace",
-        "k": k,
-        "map": map_to_json(map_),
-        "checks": {"nonexpansive": nonexp.to_json()},
-        "summary": {
-            "nonexpansive": _verdict(nonexp.holds),
-            "cosp_image": _verdict(complete, "pass", "fail"),
-        },
-    }
-    return bundle, ok
-
-
-_DEMOS = {
-    "block-embed": _demo_block_embed,
-    "separable-embed": _demo_separable_embed,
-    "proper-subspace": _demo_proper_subspace,
-}
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
-    bundle, ok = _DEMOS[args.target](args)
+    if args.seed < 0:  # the demo's rng is seeded before any search checks it
+        raise CLIError("seed must be nonnegative")
+    params = {name: getattr(args, name) for name in COUNTEREXAMPLES[args.target].params}
+    bundle, ok, _ = run_counterexample(
+        args.target, args.dim, np.random.default_rng(np.random.SeedSequence((args.seed, 9))),
+        args.samples, args.seed, args.refine_steps, **params,
+    )
     _emit(bundle, args.out)
     return EXIT_HOLDS if ok else EXIT_WITNESS
 
@@ -253,17 +153,21 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_HOLDS if passed else EXIT_WITNESS
 
 
-def _add_common(sub: argparse.ArgumentParser, dim_default: int = 3) -> None:
-    sub.add_argument("--dim", type=int, default=dim_default,
-                     help=f"state-space dimension (default {dim_default})")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--dim", type=int, default=3,
+                     help="state-space dimension (default 3)")
     sub.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
+    sub.add_argument("--out", default=None, help="write JSON here instead of stdout")
+
+
+def _add_search(sub: argparse.ArgumentParser) -> None:
+    """The witness-search options of verify and demo."""
     sub.add_argument("--samples", type=int, default=10000,
                      help="sample budget (default 10000)")
     sub.add_argument("--refine-steps", type=int, default=200,
                      help="cap on the local refinement steps of the worst pair; "
                      "refinement takes only gains above 1e-12 and stops once its "
                      "step is below 1e-10 (default 200)")
-    sub.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,12 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="seeded witness search for one property")
     verify.add_argument(
         "--property",
-        choices=["nonexpansive", "noncontractive", "isometry", "orthogonality"],
+        choices=[*_METRIC_CHECKS, "orthogonality"],
         required=True,
     )
     verify.add_argument("--map", required=True,
                         help="builtin name, inline JSON descriptor, or @file")
     _add_common(verify)
+    _add_search(verify)
     verify.set_defaults(handler=_cmd_verify)
 
     cls = subs.add_parser("classify", help="classify a black-box nonexpansive map")
@@ -292,12 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     cls.set_defaults(handler=_cmd_classify)
 
     demo = subs.add_parser("demo", help="build a counterexample and verify it")
-    demo.add_argument("target", choices=sorted(_DEMOS))
+    demo.add_argument("target", choices=sorted(COUNTEREXAMPLES))
     demo.add_argument("--anchors", type=int, default=32,
                       help="anchor count for separable-embed (default 32)")
     demo.add_argument("--k", type=int, default=None,
                       help="subspace dimension for proper-subspace (default dim-1)")
     _add_common(demo)
+    _add_search(demo)
     demo.set_defaults(handler=_cmd_demo)
 
     selftest = subs.add_parser("selftest", help="run the acceptance suite")

@@ -23,8 +23,6 @@ __all__ = [
     "UNITARY_TOL",
     "StateMap",
     "wigner_map",
-    "transpose_map",
-    "identity_map",
     "entrywise_abs",
     "standard_map",
     "composed_phi_form",
@@ -124,15 +122,6 @@ def wigner_map(unitary: np.ndarray, antiunitary: bool = False) -> StateMap:
         fn = lambda rows: _apply(u, rows)
     params = {"dim": dim, "unitary": u, "antiunitary": bool(antiunitary)}
     return StateMap("wigner", dim, dim, fn, params)
-
-
-def transpose_map(dim: int) -> StateMap:
-    """P -> P^t, the antiunitary symmetry with U = I."""
-    return wigner_map(np.eye(dim, dtype=complex), antiunitary=True)
-
-
-def identity_map(dim: int) -> StateMap:
-    return wigner_map(np.eye(dim, dtype=complex))
 
 
 def entrywise_abs(dim: int, basis: np.ndarray | None = None) -> StateMap:

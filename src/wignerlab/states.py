@@ -4,7 +4,7 @@ A pure state is stored as its representative unit vector with the phase
 gauge fixed: the first coordinate of modulus above the gauge threshold is
 real and strictly positive.  All metric quantities reduce to inner
 products of representatives; dense Hermitian matrices appear only in the
-spectral-norm oracle and in block decompositions.
+spectral-norm oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "ORTHO_TOL",
     "STATE_EQ_TOL",
     "HERMITIAN_TOL",
-    "PROJECTION_TOL",
     "PureState",
     "OrthoSystem",
     "pure_state",
@@ -27,14 +26,11 @@ __all__ = [
     "transition_probability",
     "distance",
     "operator_norm_distance",
-    "is_orthogonal",
     "is_cosp",
     "standard_cosp",
     "two_by_two_params",
     "state_from_params",
-    "block_split",
     "sample_pure_state",
-    "random_pure_state",
     "sample_unitary",
     "random_unitary",
     "state_to_json",
@@ -46,7 +42,6 @@ GAUGE_TOL = 1e-12
 ORTHO_TOL = 1e-9
 STATE_EQ_TOL = 1e-9
 HERMITIAN_TOL = 1e-10
-PROJECTION_TOL = 1e-9
 
 
 def _pivot_index(vec: np.ndarray) -> int:
@@ -200,11 +195,6 @@ def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b, 2))
 
 
-def is_orthogonal(p: PureState, q: PureState, tol: float = ORTHO_TOL) -> bool:
-    """True when the transition probability is below tol."""
-    return transition_probability(p, q) <= tol
-
-
 @dataclass(frozen=True)
 class OrthoSystem:
     """A pairwise-orthogonal system of equal-dimension states."""
@@ -277,45 +267,10 @@ def state_from_params(p: float, z: complex) -> PureState:
     return pure_state(vec)
 
 
-def block_split(
-    mat: np.ndarray, r: int
-) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """Split a rank-one projection into corner blocks of sizes (r, n-r).
-
-    Returns (weight, upper_state_matrix, lower_state_matrix, coupling)
-    where weight is the trace of the upper-left corner, the corner blocks
-    are renormalized to unit trace (None when their weight vanishes), and
-    coupling is the off-diagonal r x (n-r) block.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    n = mat.shape[0]
-    if not 1 <= r < n:
-        raise ValueError(f"split index {r} out of range for size {n}")
-    if np.max(np.abs(mat - mat.conj().T)) > PROJECTION_TOL:
-        raise ValueError("input is not Hermitian within 1e-9")
-    if np.max(np.abs(mat @ mat - mat)) > PROJECTION_TOL:
-        raise ValueError("input is not idempotent within 1e-9")
-    if abs(np.trace(mat).real - 1.0) > PROJECTION_TOL:
-        raise ValueError("input does not have unit trace within 1e-9")
-    weight = min(max(float(np.trace(mat[:r, :r]).real), 0.0), 1.0)
-    upper = mat[:r, :r] / weight if weight > GAUGE_TOL else None
-    lower = mat[r:, r:] / (1.0 - weight) if 1.0 - weight > GAUGE_TOL else None
-    return (weight, upper, lower, mat[:r, r:].copy())
-
-
 def sample_pure_state(rng: np.random.Generator, dim: int) -> PureState:
     """Draw one state from the rotation-invariant distribution."""
     z = rng.standard_normal((2, dim))
     return pure_state(z[0] + 1j * z[1])
-
-
-def random_pure_state(dim: int, seed: int) -> PureState:
-    """Seeded draw from the rotation-invariant distribution on states."""
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
-    return sample_pure_state(np.random.default_rng(seed), dim)
 
 
 def sample_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -250,6 +250,8 @@ def _metric_check(
 ) -> CheckReport:
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
+    if refine_steps < 0:
+        raise ValueError("refinement cap must be nonnegative")
 
     def gap(rows, images):
         half = len(rows) // 2
@@ -309,6 +311,14 @@ def check_isometry(
         "isometry", map_, dim, n_samples, refine_steps, seed,
         lambda d_in, d_out: abs(d_out - d_in),
     )
+
+
+# the metric checks by property name, as the CLI and the counterexamples name them
+_METRIC_CHECKS = {
+    "nonexpansive": check_nonexpansive,
+    "noncontractive": check_noncontractive,
+    "isometry": check_isometry,
+}
 
 
 def check_orthogonality_preserving(

@@ -27,7 +27,6 @@ from wignerlab import (
     entrywise_abs,
     extract_pair_map,
     fold,
-    identity_map,
     induced_homomorphism,
     opaque_map,
     probe_grid,
@@ -81,7 +80,7 @@ def test_probe_grid_shape():
 
 
 def test_pair_map_of_identity_is_identity():
-    f = extract_pair_map(identity_map(3), 0, 1, probe_grid(16))
+    f = extract_pair_map(wigner_map(np.eye(3)), 0, 1, probe_grid(16))
     for z in probe_grid(16):
         assert abs(f(z) - z) <= 1e-12
 
@@ -114,7 +113,7 @@ def test_pair_map_checks_every_basis_projection():
 
 def test_induced_homomorphism_examples():
     grid = probe_grid(16)
-    ident = extract_pair_map(identity_map(3), 0, 1, grid)
+    ident = extract_pair_map(wigner_map(np.eye(3)), 0, 1, grid)
     g = induced_homomorphism(ident, ident, ident)
     assert all(abs(g(z) - z) <= 1e-12 for z in grid)
 
@@ -142,7 +141,7 @@ def test_induced_homomorphism_cancels_diagonal_phases():
 
 def test_induced_homomorphism_requires_matching_grids():
     small = sampled([(1.0 + 0j, 1.0 + 0j)])
-    full = extract_pair_map(identity_map(3), 0, 1, probe_grid(16))
+    full = extract_pair_map(wigner_map(np.eye(3)), 0, 1, probe_grid(16))
     with pytest.raises(ValueError):
         induced_homomorphism(full, full, small)
 
@@ -170,7 +169,7 @@ def test_pair_maps_satisfy_the_coherence_relation(make_map):
 
 
 def test_canonical_classification_identity():
-    res = classify_canonical(identity_map(3))
+    res = classify_canonical(wigner_map(np.eye(3)))
     assert res.branch == WIGNER_UNITARY
     assert np.allclose(res.U, np.eye(3))
     assert res.residual <= 1e-10
@@ -201,7 +200,7 @@ def test_canonical_diag_gauge_is_exact():
 def test_canonical_classification_checks_the_basis_once():
     basis = [basis_state(4, k).vec for k in range(4)]
     hits = [0] * 4
-    ident = identity_map(4)
+    ident = wigner_map(np.eye(4))
 
     def counted(s):
         for k, e_k in enumerate(basis):
@@ -238,7 +237,7 @@ def test_entrywise_phase_fold_is_not_classified():
 
 
 def test_dim2_classification_examples():
-    res = classify_dim2(identity_map(2))
+    res = classify_dim2(wigner_map(np.eye(2)))
     assert res.branch == STANDARD_DIM2
     assert res.g_form.kind == "rotation" and abs(res.g_form.c - 1.0) <= 1e-9
 
@@ -287,7 +286,7 @@ def test_reduction_handles_rotated_preimages_for_composed_forms():
 
 
 def test_reduction_validates_its_preimages():
-    phi = identity_map(3)
+    phi = wigner_map(np.eye(3))
     with pytest.raises(ValueError):
         reduce_to_canonical(phi, OrthoSystem((basis_state(3, 0),)))  # incomplete
     collapse = opaque_map(lambda s: basis_state(3, 0), 3, 3)
@@ -420,7 +419,7 @@ def test_probe_errors_name_the_first_failing_pair_and_phase():
 @pytest.mark.parametrize(
     "make_map",
     [
-        lambda: identity_map(5),
+        lambda: wigner_map(np.eye(5)),
         lambda: entrywise_abs(5),
         lambda: reduce_to_canonical(wigner_map(random_unitary(5, 56)), standard_cosp(5))[2],
     ],

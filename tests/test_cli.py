@@ -3,26 +3,27 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wignerlab import cli, map_to_json, opaque_map, pure_state, random_unitary, wigner_map
+from wignerlab.acceptance import COUNTEREXAMPLES
 
 TIMEOUT = 120
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "wignerlab", *args],
         capture_output=True,
         text=True,
         check=False,
         timeout=TIMEOUT,
-        env=env,
     )
 
 
@@ -126,30 +127,20 @@ def test_verify_out_flag_writes_file_and_keeps_stdout_clean(tmp_path):
     assert json.loads(out.read_text())["property"] == "nonexpansive"
 
 
-def test_identical_invocations_are_byte_identical():
-    args = (
-        "verify", "--property", "nonexpansive", "--map", "phi",
-        "--dim", "3", "--samples", "1200", "--seed", "11",
-    )
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("nonexpansive", "--dim", "3", "--seed", "11"), 0),
+        # phi in dim 2 is not noncontractive: the report holds a refined witness
+        (("noncontractive", "--dim", "2"), 1),
+    ],
+    ids=["holds", "witness"],
+)
+def test_identical_invocations_are_byte_identical(args, code):
+    args = ("verify", "--map", "phi", "--samples", "1200", "--property", *args)
     first, second = run_cli(*args), run_cli(*args)
     assert first.stdout == second.stdout
-    assert first.returncode == second.returncode == 0
-
-
-def test_thread_cap_does_not_change_output():
-    base_env = dict(os.environ)
-    one = run_cli(
-        "verify", "--property", "noncontractive", "--map", "phi",
-        "--dim", "2", "--samples", "1200",
-        env={**base_env, "WIGNERLAB_THREADS": "1"},
-    )
-    many = run_cli(
-        "verify", "--property", "noncontractive", "--map", "phi",
-        "--dim", "2", "--samples", "1200",
-        env={**base_env, "WIGNERLAB_THREADS": "4"},
-    )
-    assert one.stdout == many.stdout
-    assert one.returncode == many.returncode == 1
+    assert first.returncode == second.returncode == code
 
 
 def test_classify_phi_reports_abs_branch():
@@ -174,6 +165,22 @@ def test_classify_constant_map_exits_one():
     payload = json.loads(result.stdout)
     assert payload["branch"] == "not_classified"
     assert payload["reason"]
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--refine-steps"])
+def test_classify_has_no_search_options(flag):
+    result = run_cli("classify", "--map", "phi", flag, "-1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+
+
+def test_verify_rejects_a_negative_refinement_cap():
+    result = run_cli(
+        "verify", "--property", "nonexpansive", "--map", "phi", "--refine-steps", "-1",
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: refinement cap must be nonnegative\n"
 
 
 def test_classify_rejects_non_endomap():
@@ -210,6 +217,26 @@ def test_demo_proper_subspace():
     payload = json.loads(result.stdout)
     assert payload["k"] == 3
     assert payload["summary"] == {"nonexpansive": "pass", "cosp_image": "pass"}
+
+
+@pytest.mark.parametrize(
+    "invocation",
+    [
+        "block-embed --dim 3",
+        "separable-embed --dim 4 --anchors 32",
+        "proper-subspace --dim 5 --k 3",
+    ],
+    ids=lambda invocation: invocation.split()[0],
+)
+def test_demo_reports_the_declared_outcome(invocation, capsys):
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    target = next(a for a in subs.choices["demo"]._actions if a.dest == "target")
+    assert sorted(target.choices) == sorted(COUNTEREXAMPLES)
+    assert f"wignerlab demo {invocation}\n" in README.read_text(encoding="utf-8")
+    assert cli.main(["demo", *invocation.split()]) == cli.EXIT_HOLDS
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    expect = COUNTEREXAMPLES[invocation.split()[0]].expect
+    assert {name: label == "pass" for name, label in summary.items()} == expect
 
 
 def test_demo_rejects_unknown_target():

@@ -16,7 +16,6 @@ from wignerlab import (
     distance,
     entrywise_abs,
     fold,
-    identity_map,
     opaque_map,
     proper_subspace_map,
     pure_state,
@@ -27,20 +26,19 @@ from wignerlab import (
     standard_map,
     state_from_params,
     transition_probability,
-    transpose_map,
     wigner_map,
 )
 
 
 def test_wigner_identity_fixes_states():
-    phi = identity_map(3)
+    phi = wigner_map(np.eye(3))
     s = sample_pure_state(np.random.default_rng(0), 3)
     assert phi(s) == s
 
 
 def test_transpose_conjugates_amplitudes():
     s = pure_state([1.0, 1j])
-    out = transpose_map(2)(s)
+    out = wigner_map(np.eye(2), antiunitary=True)(s)
     assert np.allclose(out.vec, pure_state([1.0, -1j]).vec)
 
 

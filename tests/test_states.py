@@ -13,11 +13,9 @@ from wignerlab import (
     PureState,
     basis_state,
     block_embed,
-    block_split,
     check_isometry,
     distance,
     is_cosp,
-    is_orthogonal,
     operator_norm_distance,
     pure_state,
     random_unitary,
@@ -29,6 +27,7 @@ from wignerlab import (
     transition_probability,
     two_by_two_params,
 )
+from wignerlab.states import ORTHO_TOL
 
 T_1 = state_from_params(0.5, 1.0 + 0j)
 
@@ -154,10 +153,10 @@ def test_ray_equality_tolerance():
 
 
 def test_orthogonality_examples():
-    assert is_orthogonal(basis_state(2, 0), basis_state(2, 1))
+    assert transition_probability(basis_state(2, 0), basis_state(2, 1)) <= ORTHO_TOL
     p = pure_state([2.0, 1.0])
-    assert not is_orthogonal(p, p)
-    assert is_orthogonal(pure_state([1.0, 1.0]), pure_state([1.0, -1.0]))
+    assert transition_probability(p, p) > ORTHO_TOL
+    assert transition_probability(pure_state([1.0, 1.0]), pure_state([1.0, -1.0])) <= ORTHO_TOL
 
 
 def test_ortho_system_examples():
@@ -230,40 +229,6 @@ def test_state_from_params_validates_inputs():
         state_from_params(1.5, 1.0)
     with pytest.raises(ValueError):
         state_from_params(0.5, 2.0)
-
-
-def test_block_split_examples():
-    weight, upper, lower, coupling = block_split(basis_state(2, 0).projector(), 1)
-    assert weight == 1.0
-    assert np.allclose(upper, [[1.0]])
-    assert lower is None
-    assert np.allclose(coupling, [[0.0]])
-
-    weight, upper, lower, coupling = block_split(T_1.projector(), 1)
-    assert weight == pytest.approx(0.5)
-    assert np.allclose(upper, [[1.0]]) and np.allclose(lower, [[1.0]])
-    assert np.allclose(coupling, [[0.5]])
-
-
-def test_block_split_reassembles_random_state():
-    s = sample_pure_state(np.random.default_rng(14), 3)
-    mat = s.projector()
-    weight, upper, lower, coupling = block_split(mat, 2)
-    rebuilt = np.zeros((3, 3), dtype=complex)
-    rebuilt[:2, :2] = weight * upper
-    rebuilt[2:, 2:] = (1.0 - weight) * lower
-    rebuilt[:2, 2:] = coupling
-    rebuilt[2:, :2] = coupling.conj().T
-    assert np.max(np.abs(rebuilt - mat)) <= 1e-10
-
-
-def test_block_split_rejects_non_projections():
-    with pytest.raises(ValueError):
-        block_split(np.eye(3) / 3.0, 1)  # idempotence fails
-    with pytest.raises(ValueError):
-        block_split(np.eye(2), 1)  # trace 2
-    with pytest.raises(ValueError):
-        block_split(basis_state(2, 0).projector(), 2)  # split out of range
 
 
 def test_sampling_is_seed_deterministic():

@@ -23,7 +23,6 @@ from wignerlab import (
     distance,
     entrywise_abs,
     find_cosp_in_image,
-    identity_map,
     opaque_map,
     power,
     proper_subspace_map,
@@ -117,7 +116,7 @@ def test_block_embed_is_noncontractive_but_not_isometric():
 
 
 def test_identity_map_passes_noncontractive():
-    assert check_noncontractive(identity_map(2), 2, n_samples=1000).holds
+    assert check_noncontractive(wigner_map(np.eye(2)), 2, n_samples=1000).holds
 
 
 def test_abs_map_contracts_an_orthogonal_pair_to_zero():
@@ -157,7 +156,7 @@ def test_inclusion_holds_for_abs_and_wigner_maps():
     pre = OrthoSystem((basis_state(3, 0), basis_state(3, 1)))
     assert check_inclusion_lemma(entrywise_abs(3), pre, n_samples=400).holds
     assert check_inclusion_lemma(wigner_map(random_unitary(3, 33)), pre, 400).holds
-    assert check_inclusion_lemma(identity_map(3), standard_cosp(3), 400).holds
+    assert check_inclusion_lemma(wigner_map(np.eye(3)), standard_cosp(3), 400).holds
 
 
 def test_inclusion_finds_a_leaky_map():
@@ -234,6 +233,8 @@ def test_check_validates_arguments():
         check_nonexpansive(entrywise_abs(3), 3, n_samples=0)
     with pytest.raises(ValueError):
         check_nonexpansive(entrywise_abs(3), 3, n_samples=100, seed=-1)
+    with pytest.raises(ValueError, match="refinement cap"):
+        check_isometry(entrywise_abs(3), 3, n_samples=100, refine_steps=-1)
 
 
 def test_report_json_shape():
@@ -293,7 +294,7 @@ def test_shared_probes_of_the_embeddings():
     rng = np.random.default_rng(32)
     overlap, distinct = max_image_overlap(entrywise_abs(2), rng)
     assert overlap == pytest.approx(1.0) and not distinct
-    overlap, distinct = max_image_overlap(identity_map(3), rng)
+    overlap, distinct = max_image_overlap(wigner_map(np.eye(3)), rng)
     assert overlap < 1.0 - 1e-9 and distinct
     assert basis_image_completes_span(proper_subspace_map(5, 3), 3)
     assert not basis_image_completes_span(wigner_map(random_unitary(3, 35)), 2)
