@@ -51,7 +51,8 @@ from .maps import (
 )
 from .states import (
     OrthoSystem,
-    _canonical_rows,
+    _row_transition_probabilities,
+    _sample_state_rows,
     pure_state,
     random_unitary,
     sample_pure_state,
@@ -99,13 +100,10 @@ def criterion_01() -> CriterionResult:
     worst = 0.0
     for dim in (2, 3, 4, 8):
         rng = np.random.default_rng(np.random.SeedSequence((101, dim)))
-        # pair i draws p's real and imaginary parts, then q's: the draws of
-        # 2000 sample_pure_state calls, in their order
-        z = rng.standard_normal((1000, 2, 2, dim))
-        p = _canonical_rows(z[:, 0, 0] + 1j * z[:, 0, 1])
-        q = _canonical_rows(z[:, 1, 0] + 1j * z[:, 1, 1])
-        overlap = np.abs(np.sum(p.conj() * q, axis=1)) ** 2
-        via_trace = np.sqrt(1.0 - np.clip(overlap, 0.0, 1.0))
+        # pair i is draws 2i and 2i + 1 of 2000 sample_pure_state calls
+        rows = _sample_state_rows(rng, 2000, dim)
+        p, q = rows[0::2], rows[1::2]
+        via_trace = np.sqrt(1.0 - _row_transition_probabilities(p, q))
         outer = lambda v: v[:, :, None] * v.conj()[:, None, :]
         # one stacked spectral-norm call for the dimension's 1000 pairs
         via_norm = np.linalg.norm(outer(p) - outer(q), 2, axis=(1, 2))
@@ -302,7 +300,7 @@ COUNTEREXAMPLES = {
     ),
     "separable-embed": Counterexample(
         lambda rng, dim, anchors: separable_embed(
-            [sample_pure_state(rng, dim) for _ in range(anchors)]
+            [sample_pure_state(rng, dim) for _ in range(32 if anchors is None else anchors)]
         ),
         {"nonexpansive": True, "injectivity": True, "isometry": False},
         params=("anchors",),

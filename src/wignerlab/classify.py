@@ -42,11 +42,14 @@ from .states import (
     OrthoSystem,
     PureState,
     _canonical_rows,
+    _param_rows,
+    _require_orthogonal,
+    _row_distances,
+    _sample_state_rows,
     _trusted_state,
     is_cosp,
-    pure_state,
 )
-from .verify import _row_distances, find_cosp_in_image
+from .verify import find_cosp_in_image
 
 __all__ = [
     "WIGNER_UNITARY",
@@ -157,10 +160,16 @@ def probe_state(u: complex, i: int, j: int, dim: int) -> PureState:
         raise ValueError("probe coordinates out of range")
     if abs(abs(u) - 1.0) > 1e-12:
         raise ValueError("probe phase must have modulus 1")
-    vec = np.zeros(dim, dtype=complex)
-    vec[i] = 1.0
-    vec[j] = complex(u).conjugate()
-    return pure_state(vec)
+    return _trusted_state(_probe_rows([u], i, j, dim)[0])
+
+
+def _probe_rows(phases, i, j, dim: int) -> np.ndarray:
+    """Rows of probe_state(phases[r], i[r], j[r], dim); i and j may be one for all."""
+    rows = np.zeros((len(phases), dim), dtype=complex)
+    r = np.arange(len(phases))
+    rows[r, i] = 1.0
+    rows[r, j] = np.conj(phases)
+    return _canonical_rows(rows)
 
 
 def _require_fixes_basis(map_: StateMap, dim: int) -> None:
@@ -181,11 +190,8 @@ def _pair_values(map_: StateMap, pairs, grid) -> np.ndarray:
     """
     n = len(grid)
     i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
+    out = map_.batch(_probe_rows(np.tile(grid, len(pairs)), i, j, map_.dim_in))
     rows = np.arange(i.size)
-    probes = np.zeros((i.size, map_.dim_in), dtype=complex)
-    probes[rows, i] = 1.0
-    probes[rows, j] = np.tile(np.conj(grid), len(pairs))
-    out = map_.batch(_canonical_rows(probes))
     out_i, out_j = out[rows, i], out[rows, j]
     unbalanced = (np.abs(np.abs(out_i) ** 2 - 0.5) > SUPPORT_TOL) | (
         np.abs(np.abs(out_j) ** 2 - 0.5) > SUPPORT_TOL
@@ -256,8 +262,7 @@ def _validation_rows(dim: int, count: int = VALIDATION_STATES) -> np.ndarray:
     made once per dimension.
     """
     rng = np.random.default_rng(np.random.SeedSequence((dim, 104729)))
-    z = rng.standard_normal((count, 2, dim))
-    rows = _canonical_rows(z[:, 0] + 1j * z[:, 1])
+    rows = _sample_state_rows(rng, count, dim)
     rows.setflags(write=False)
     return rows
 
@@ -271,8 +276,7 @@ def _lift_rows(u: np.ndarray, grid) -> np.ndarray:
     """
     p = np.repeat(np.linspace(0.1, 0.9, 9), len(grid))
     z = np.tile(np.asarray(grid, dtype=complex), 9)
-    grid_rows = np.column_stack([np.sqrt(p), z.conj() * np.sqrt(1.0 - p)])
-    return _canonical_rows(_apply(u.conj().T, grid_rows))
+    return _canonical_rows(_apply(u.conj().T, _param_rows(p, z)))
 
 
 def _not_classified(reason: str) -> ClassificationResult:
@@ -440,13 +444,12 @@ def reduce_to_canonical(
         raise ValueError("reduction requires an endomap")
     if preimages.dim != dim or not is_cosp(preimages, dim):
         raise ValueError("preimage system is not complete for the map dimension")
-    pre_rows = np.array([q.vec for q in preimages])
     try:
-        images = map_.batch(pre_rows)
-        OrthoSystem(tuple(_trusted_state(r) for r in images))
+        images = map_.batch(preimages.rows)
+        _require_orthogonal(images)
     except ValueError as err:
         raise ValueError(f"image of the preimage system is not a COSP: {err}") from err
-    b = pre_rows.T
+    b = preimages.rows.T
     c = images.T
     c_h = images.conj()
     fn = lambda rows: _apply(c_h, map_.batch(_canonical_rows(_apply(b, rows))))

@@ -128,10 +128,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_HOLDS if result.classified else EXIT_WITNESS
 
 
+# the target options of demo: each target takes the ones its builder declares
+_DEMO_OPTIONS = {name for entry in COUNTEREXAMPLES.values() for name in entry.params}
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.seed < 0:  # the demo's rng is seeded before any search checks it
         raise CLIError("seed must be nonnegative")
     params = {name: getattr(args, name) for name in COUNTEREXAMPLES[args.target].params}
+    refused = [f"--{name}" for name in sorted(_DEMO_OPTIONS - set(params))
+               if getattr(args, name) is not None]
+    if refused:
+        raise CLIError(f"demo {args.target} takes no {', '.join(refused)}")
     bundle, ok, _ = run_counterexample(
         args.target, args.dim, np.random.default_rng(np.random.SeedSequence((args.seed, 9))),
         args.samples, args.seed, args.refine_steps, **params,
@@ -198,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = subs.add_parser("demo", help="build a counterexample and verify it")
     demo.add_argument("target", choices=sorted(COUNTEREXAMPLES))
-    demo.add_argument("--anchors", type=int, default=32,
+    demo.add_argument("--anchors", type=int, default=None,
                       help="anchor count for separable-embed (default 32)")
     demo.add_argument("--k", type=int, default=None,
                       help="subspace dimension for proper-subspace (default dim-1)")

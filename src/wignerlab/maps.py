@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circle import CircleMap
-from .states import GAUGE_TOL, PureState, _canonical_rows, _trusted_state, basis_state
+from .states import GAUGE_TOL, PureState, _canonical_rows, _param_rows, _trusted_state, basis_state
 
 __all__ = [
     "UNITARY_TOL",
@@ -157,10 +157,7 @@ def standard_map(g: CircleMap) -> StateMap:
         # degenerate off-diagonal: the state is a fixed basis projection
         moved = (np.abs(off) > GAUGE_TOL) & (p * (1.0 - p) > GAUGE_TOL**2)
         out = rows.copy()
-        p, off = p[moved], off[moved]
-        w = g.batch(off / np.abs(off))
-        out[moved, 0] = np.sqrt(p)
-        out[moved, 1] = w.conj() * np.sqrt(1.0 - p)
+        out[moved] = _param_rows(p[moved], g.batch(off[moved] / np.abs(off[moved])))
         return out
 
     return StateMap("tau", 2, 2, fn, {"g": g})

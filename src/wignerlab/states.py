@@ -4,12 +4,13 @@ A pure state is stored as its representative unit vector with the phase
 gauge fixed: the first coordinate of modulus above the gauge threshold is
 real and strictly positive.  All metric quantities reduce to inner
 products of representatives; dense Hermitian matrices appear only in the
-spectral-norm oracle.
+spectral-norm oracle.  Each formula is one kernel on (n, dim) row arrays;
+a function of single states checks its arguments and makes a one-row call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,38 +110,37 @@ def _trusted_state(vec: np.ndarray) -> PureState:
     return state
 
 
+def _canonical_rows(raw: np.ndarray) -> np.ndarray:
+    """Normalize and phase-gauge each row of an (n, dim) matrix.
+
+    The one implementation of pure_state: a non-finite or (near) zero
+    row is an error.  Returns a new array and never writes into raw.
+    """
+    mods = np.abs(raw)
+    # einsum raises no floating-point warning: a non-finite row reaches the
+    # check below without one
+    norms = np.sqrt(np.einsum("ij,ij->i", mods, mods))[:, None]
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot build a state from a non-finite vector")
+    if not (norms > GAUGE_TOL).all():
+        raise ValueError("cannot build a state from a (near) zero vector")
+    # the pivot: the first entry of modulus above GAUGE_TOL in the unit row
+    # (a unit vector always has an entry of modulus >= dim**-0.5 > tol)
+    piv = (mods > GAUGE_TOL * norms).argmax(axis=1)
+    r = np.arange(len(raw))
+    phases = raw[r, piv].conj() / mods[r, piv]
+    # gauge first, then divide each real component by the gauged row's own
+    # norm: every row comes out unit to within about one rounding
+    parts = np.multiply(raw, phases[:, None], dtype=complex, order="C").view(float)
+    return (parts / np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]).view(complex)
+
+
 def pure_state(entries) -> PureState:
     """Normalize and phase-gauge a nonzero amplitude vector into a state."""
     vec = np.asarray(entries, dtype=complex)
     if vec.ndim != 1 or vec.size < 2:
         raise ValueError("state vector must be one-dimensional with dim >= 2")
-    nrm = np.vdot(vec, vec).real ** 0.5
-    if not np.isfinite(nrm):
-        raise ValueError("cannot build a state from a non-finite vector")
-    if nrm <= GAUGE_TOL:
-        raise ValueError("cannot build a state from a (near) zero vector")
-    vec = vec / nrm
-    # a unit vector always has an entry of modulus >= dim**-0.5 > tol
-    k = int(np.argmax(np.abs(vec) > GAUGE_TOL))
-    vec = vec * (vec[k].conjugate() / abs(vec[k]))
-    return _trusted_state(vec)
-
-
-def _canonical_rows(raw: np.ndarray) -> np.ndarray:
-    """Normalize and phase-gauge each row of an (n, dim) matrix.
-
-    The row form of pure_state: a non-finite or (near) zero row is an
-    error.  Returns a new array and never writes into raw.
-    """
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("cannot build a state from a non-finite vector")
-    if not np.all(norms > GAUGE_TOL):
-        raise ValueError("cannot build a state from a (near) zero vector")
-    raw = raw / norms
-    piv = (np.abs(raw) > GAUGE_TOL).argmax(axis=1)
-    pivots = raw[np.arange(raw.shape[0]), piv]
-    return raw * (pivots.conj() / np.abs(pivots))[:, None]
+    return _trusted_state(_canonical_rows(vec[None])[0])
 
 
 def basis_state(dim: int, k: int) -> PureState:
@@ -157,11 +157,27 @@ def _require_same_dim(p: PureState, q: PureState) -> None:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
+def _row_overlaps(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rowwise inner products <w_i, v_i>."""
+    return np.einsum("ij,ij->i", w.conj(), v)
+
+
+def _row_transition_probabilities(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rowwise squared overlaps of two arrays of unit vectors, clamped to 1."""
+    return np.minimum(np.abs(_row_overlaps(v, w)) ** 2, 1.0)
+
+
+def _row_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rowwise state distance between two arrays of unit vectors."""
+    residual = v - _row_overlaps(v, w)[:, None] * w
+    norms = np.sqrt(np.einsum("ij,ij->i", residual.conj(), residual).real)
+    return np.minimum(norms, 1.0)
+
+
 def transition_probability(p: PureState, q: PureState) -> float:
     """Squared overlap of the two rays, clamped to [0, 1]."""
     _require_same_dim(p, q)
-    t = abs(np.vdot(p.vec, q.vec)) ** 2
-    return min(max(t, 0.0), 1.0)
+    return float(_row_transition_probabilities(p.vec[None], q.vec[None])[0])
 
 
 def distance(p: PureState, q: PureState) -> float:
@@ -172,9 +188,7 @@ def distance(p: PureState, q: PureState) -> float:
     probability) but stays accurate for nearly equal states.
     """
     _require_same_dim(p, q)
-    overlap = np.vdot(q.vec, p.vec)
-    residual = p.vec - overlap * q.vec
-    return min(np.vdot(residual, residual).real ** 0.5, 1.0)
+    return float(_row_distances(p.vec[None], q.vec[None])[0])
 
 
 def _require_hermitian(mat: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -195,28 +209,34 @@ def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b, 2))
 
 
+def _require_orthogonal(rows: np.ndarray) -> None:
+    """Raise unless the state rows are pairwise orthogonal within ORTHO_TOL."""
+    # transition probabilities of every pair at once, from the Gram matrix
+    overlapping = np.abs(rows.conj() @ rows.T) ** 2 > ORTHO_TOL
+    bad = np.argwhere(np.triu(overlapping, k=1))  # row-major: the first pair (i, j)
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"members {i} and {j} are not orthogonal within {ORTHO_TOL}")
+
+
 @dataclass(frozen=True)
 class OrthoSystem:
-    """A pairwise-orthogonal system of equal-dimension states."""
+    """A pairwise-orthogonal system of equal-dimension states; rows stacks them, read-only."""
 
     members: tuple[PureState, ...]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
         if not members:
             raise ValueError("orthogonal system must be nonempty")
-        dim = members[0].dim
-        for m in members:
-            if m.dim != dim:
-                raise ValueError("orthogonal system members must share one dimension")
-        # transition probabilities of every pair at once, from the Gram matrix
-        vecs = np.array([m.vec for m in members])
-        overlapping = np.abs(vecs.conj() @ vecs.T) ** 2 > ORTHO_TOL
-        bad = np.argwhere(np.triu(overlapping, k=1))  # row-major: the first pair (i, j)
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"members {i} and {j} are not orthogonal within {ORTHO_TOL}")
+        if any(m.dim != members[0].dim for m in members):
+            raise ValueError("orthogonal system members must share one dimension")
+        rows = np.array([m.vec for m in members])
+        _require_orthogonal(rows)
+        rows.setflags(write=False)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:
@@ -256,6 +276,11 @@ def two_by_two_params(state: PureState) -> tuple[float, complex]:
     return (p, off / abs(off))
 
 
+def _param_rows(p, z) -> np.ndarray:
+    """The raw rows [sqrt(p), conj(z) sqrt(1 - p)] of dimension-2 parameters (p, z)."""
+    return np.column_stack([np.sqrt(p), np.conj(z) * np.sqrt(1.0 - p)])
+
+
 def state_from_params(p: float, z: complex) -> PureState:
     """Two-dimensional state with given weight p and unit phase z."""
     if not -1e-12 <= p <= 1.0 + 1e-12:
@@ -263,14 +288,20 @@ def state_from_params(p: float, z: complex) -> PureState:
     if abs(abs(z) - 1.0) > 1e-12:
         raise ValueError("phase parameter must have modulus 1 within 1e-12")
     p = min(max(p, 0.0), 1.0)
-    vec = np.array([np.sqrt(p), np.conj(z) * np.sqrt(1.0 - p)], dtype=complex)
-    return pure_state(vec)
+    return _trusted_state(_canonical_rows(_param_rows(p, z))[0])
+
+
+def _sample_state_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """count sample_pure_state draws from rng, as canonical rows."""
+    z = rng.standard_normal((count, 2, dim))
+    return _canonical_rows(z[:, 0] + 1j * z[:, 1])
 
 
 def sample_pure_state(rng: np.random.Generator, dim: int) -> PureState:
     """Draw one state from the rotation-invariant distribution."""
-    z = rng.standard_normal((2, dim))
-    return pure_state(z[0] + 1j * z[1])
+    if dim < 2:
+        raise ValueError("state vector must be one-dimensional with dim >= 2")
+    return _trusted_state(_sample_state_rows(rng, 1, dim)[0])
 
 
 def sample_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -304,7 +335,9 @@ def state_from_json(obj: dict) -> PureState:
     """
     if not isinstance(obj, dict) or "dim" not in obj or "vec" not in obj:
         raise ValueError("state JSON must carry 'dim' and 'vec'")
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"state JSON 'dim' must be an integer, got {dim!r}")
     pairs = obj["vec"]
     if len(pairs) != dim:
         raise ValueError(f"state JSON length {len(pairs)} does not match dim {dim}")

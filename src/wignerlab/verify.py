@@ -21,9 +21,13 @@ from .states import (
     OrthoSystem,
     PureState,
     _canonical_rows,
+    _require_orthogonal,
+    _row_distances,
+    _row_overlaps,
+    _row_transition_probabilities,
+    _sample_state_rows,
     _trusted_state,
     distance,
-    pure_state,
     sample_unitary,
     state_to_json,
 )
@@ -109,18 +113,6 @@ def _sample_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return _canonical_rows(z[0] + 1j * z[1])
 
 
-def _row_overlaps(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rowwise inner products <w_i, v_i>."""
-    return np.einsum("ij,ij->i", w.conj(), v)
-
-
-def _row_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rowwise state distance between two arrays of unit vectors."""
-    residual = v - _row_overlaps(v, w)[:, None] * w
-    norms = np.sqrt(np.einsum("ij,ij->i", residual.conj(), residual).real)
-    return np.minimum(norms, 1.0)
-
-
 def _map_rows(map_: StateMap, rows: np.ndarray) -> np.ndarray:
     """Images of canonical state rows, as an (n, dim_out) array.
 
@@ -141,7 +133,7 @@ def _orthogonal_images(map_: StateMap, rows: np.ndarray) -> np.ndarray | None:
     """
     images = _map_rows(map_, rows)
     try:
-        OrthoSystem(tuple(_trusted_state(r) for r in images))
+        _require_orthogonal(images)
     except ValueError:
         return None
     return images
@@ -346,8 +338,7 @@ def check_orthogonality_preserving(
 
     def gap(rows, images):
         half = len(rows) // 2
-        overlaps = _row_overlaps(images[half:], images[:half])
-        return np.minimum(np.abs(overlaps) ** 2, 1.0)
+        return _row_transition_probabilities(images[half:], images[:half])
 
     worst, pair, images = _search(map_, n_samples, seed, sample, gap)
     return _pair_report("orthogonality-preserving", n_samples, seed, worst, pair, images)
@@ -370,7 +361,7 @@ def check_inclusion_lemma(
     """
     if preimages.dim != map_.dim_in:
         raise ValueError("preimage system dimension does not match the map domain")
-    span_basis = np.array([q.vec for q in preimages])
+    span_basis = preimages.rows
     image_rows = _orthogonal_images(map_, span_basis)
     if image_rows is None:
         raise ValueError("the image of the preimage system is not orthogonal")
@@ -398,8 +389,7 @@ def max_image_overlap(map_: StateMap, rng: np.random.Generator) -> tuple[float, 
     transition probability between two of their images, and whether it
     stays below 1 - 1e-9 (no two sampled states collide).
     """
-    z = rng.standard_normal((INJECTIVITY_SAMPLES, 2, map_.dim_in))
-    images = _map_rows(map_, _canonical_rows(z[:, 0] + 1j * z[:, 1]))
+    images = _map_rows(map_, _sample_state_rows(rng, INJECTIVITY_SAMPLES, map_.dim_in))
     gram = np.abs(images.conj() @ images.T) ** 2
     np.fill_diagonal(gram, 0.0)
     overlap = float(gram.max())
@@ -433,7 +423,7 @@ def find_cosp_in_image(
             cols = np.eye(dim, dtype=complex)
         else:
             cols = sample_unitary(_chunk_rng(seed, trial), dim)
-        preimages = tuple(pure_state(cols[:, j]) for j in range(dim))
-        if _orthogonal_images(map_, np.array([q.vec for q in preimages])) is not None:
-            return OrthoSystem(preimages)
+        rows = _canonical_rows(cols.T)
+        if _orthogonal_images(map_, rows) is not None:
+            return OrthoSystem(tuple(_trusted_state(r) for r in rows))
     return None

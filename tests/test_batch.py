@@ -9,6 +9,7 @@ follow the same protocol on (n,) arrays of points (CircleMap.batch).
 from __future__ import annotations
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from wignerlab import (
     unit_grid,
     wigner_map,
 )
-from wignerlab.states import _canonical_rows
+from wignerlab.states import _canonical_rows, _param_rows
 
 
 def _canonical_model(dim: int) -> StateMap:
@@ -151,7 +152,7 @@ def test_circle_batch_entries_equal_scalar_calls_bit_for_bit(name, seed, n):
         assert np.array_equal(_bits([g(zs[k])]), _bits(values[k : k + 1]))
     # the lift of g, on states with these phases: one batch against per-state calls
     p = rng.uniform(0.05, 0.95, size=n)
-    rows = _canonical_rows(np.column_stack([np.sqrt(p), zs.conj() * np.sqrt(1.0 - p)]))
+    rows = _canonical_rows(_param_rows(p, zs))
     lift = standard_map(g)
     images = lift.batch(rows)
     for k in range(n):
@@ -201,6 +202,17 @@ def test_batch_rejects_invalid_image_blocks(kind, form):
         map_.batch(rows)
     with pytest.raises(ValueError):
         map_(PureState(rows[-1]))
+
+
+def test_non_finite_images_raise_without_a_numpy_warning():
+    # a non-finite image is a ValueError, with no RuntimeWarning before it
+    inf_map = StateMap("custom", 3, 3, lambda rows: np.full(rows.shape, np.inf + 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            inf_map.batch(_rows(7, 5, 3, special=False))
+        with pytest.raises(ValueError, match="non-finite"):
+            pure_state([np.inf, 0])
 
 
 def test_batch_checks_its_input_shape():

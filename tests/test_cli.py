@@ -243,6 +243,20 @@ def test_demo_rejects_unknown_target():
     assert run_cli("demo", "nope").returncode == 2
 
 
+def test_demo_refuses_options_its_target_does_not_take(capsys):
+    # only separable-embed reads --anchors, and only proper-subspace reads --k
+    for argv, refused in [
+        ("block-embed --anchors 0 --k 99 --samples 300", "--anchors, --k"),
+        ("separable-embed --k 99 --samples 300 --dim 2 --anchors 2", "--k"),
+        ("proper-subspace --anchors 32 --samples 300", "--anchors"),
+    ]:
+        assert cli.main(["demo", *argv.split()]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        target = argv.split()[0]
+        assert captured.err == f"error: demo {target} takes no {refused}\n"
+
+
 def test_builtin_tau_maps_require_dim_two():
     good = run_cli(
         "verify", "--property", "nonexpansive", "--map", "tau-fold",

@@ -147,6 +147,10 @@ def test_map_from_json_rejects_malformed_descriptors():
         map_from_json({"family": "phi", "params": [3]})
     with pytest.raises(ValueError):
         map_from_json({"family": "tau", "params": {"g": 5}})
+    for dim in ("2", 2.5):  # an anchor state's dim must be a JSON integer
+        anchor = {"dim": dim, "vec": [[1.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(ValueError, match="'dim' must be an integer"):
+            map_from_json({"family": "separable_embed", "params": {"anchors": [anchor]}})
 
 
 def test_descriptor_errors_name_the_family_and_the_param():

@@ -2,7 +2,9 @@
 
 Every way the package computes the distance must agree, and the
 distance must be a metric on rays: symmetric, subadditive, and blind to
-the phase of the representatives.
+the phase of the representatives.  Each state formula has one row
+kernel, and the function on single states is its one-row call, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -14,8 +16,25 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab import distance, operator_norm_distance, pure_state, sample_pure_state
-from wignerlab.verify import _row_distances
+from wignerlab import (
+    OrthoSystem,
+    distance,
+    operator_norm_distance,
+    probe_state,
+    pure_state,
+    random_unitary,
+    sample_pure_state,
+    state_from_params,
+    transition_probability,
+)
+from wignerlab.classify import _probe_rows
+from wignerlab.states import (
+    _canonical_rows,
+    _param_rows,
+    _row_distances,
+    _row_transition_probabilities,
+    _sample_state_rows,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(2, 8)
@@ -62,3 +81,31 @@ def test_distance_does_not_see_the_gauge(seed, dim, a, b):
     # the row kernel takes representatives in any gauge
     raw = _row_distances(cmath.exp(1j * a) * p.vec[None], cmath.exp(1j * b) * q.vec[None])[0]
     assert abs(raw - distance(p, q)) <= 1e-15
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, dim=DIMS, weight=st.floats(0.0, 1.0), angle=PHASES)
+def test_each_scalar_state_function_is_a_one_row_kernel_call(seed, dim, weight, angle):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    p, q = pure_state(raw[0]), pure_state(raw[1])
+    assert _same_bits(p.vec, _canonical_rows(raw[:1])[0])
+    assert _same_bits(distance(p, q), _row_distances(p.vec[None], q.vec[None])[0])
+    assert _same_bits(
+        transition_probability(p, q), _row_transition_probabilities(p.vec[None], q.vec[None])[0]
+    )
+    # count rows of the sampler are count sample_pure_state calls on one generator
+    calls = np.random.default_rng(seed)
+    drawn = [sample_pure_state(calls, dim).vec for _ in range(3)]
+    assert _same_bits(drawn, _sample_state_rows(np.random.default_rng(seed), 3, dim))
+    z = cmath.exp(1j * angle)
+    assert _same_bits(state_from_params(weight, z).vec, _canonical_rows(_param_rows(weight, z))[0])
+    i, j = rng.choice(dim, size=2, replace=False)
+    assert _same_bits(probe_state(z, i, j, dim).vec, _probe_rows([z], i, j, dim)[0])
+    system = OrthoSystem(tuple(pure_state(col) for col in random_unitary(dim, seed).T))
+    assert _same_bits(system.rows, np.array([m.vec for m in system.members]))
+    assert not system.rows.flags.writeable

@@ -284,6 +284,14 @@ def test_state_from_json_restores_gauge():
         state_from_json({"dim": 3, "vec": [[1.0, 0.0]]})
 
 
+def test_state_from_json_requires_an_integer_dim():
+    vec = state_to_json(pure_state([1.0, 1j]))["vec"]
+    assert state_from_json({"dim": 2, "vec": vec}) == pure_state([1.0, 1j])
+    for dim in ("2", 2.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="'dim' must be an integer"):
+            state_from_json({"dim": dim, "vec": vec})
+
+
 def test_state_from_json_keeps_canonical_amplitudes():
     # block_embed's isometry witness sits on the weight-1/2 boundary; a
     # renormalized reload can land in the other block and lose d_out = 1

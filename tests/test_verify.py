@@ -38,7 +38,7 @@ from wignerlab import (
     wigner_map,
 )
 from wignerlab import maps, verify
-from wignerlab.states import _canonical_rows
+from wignerlab.states import _canonical_rows, _row_distances, _row_overlaps
 from wignerlab.verify import (
     REFINE_FLOOR,
     REFINE_SHRINK,
@@ -46,8 +46,6 @@ from wignerlab.verify import (
     REFINE_TOL,
     _chunk_rng,
     _refine_pair,
-    _row_distances,
-    _row_overlaps,
     _sample_rows,
     basis_image_completes_span,
     max_image_overlap,
