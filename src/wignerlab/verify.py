@@ -7,7 +7,9 @@ accepts only gains above REFINE_TOL (1e-12) and stops once its step
 falls below REFINE_FLOOR (1e-10), after at most refine_steps steps.
 Every check runs through one serial engine: sampling is split into
 fixed-size chunks with RNG substreams derived from (seed, chunk index),
-and the chunks run one after another.
+and the chunks run one after another.  A chunk's rows are mapped in
+batches of at most MAP_ENTRIES entries, so a narrow map takes a whole
+chunk in one call and only a wide one splits it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .states import (
     _row_transition_probabilities,
     _sample_state_rows,
     _trusted_state,
-    distance,
     sample_unitary,
     state_to_json,
 )
@@ -49,8 +50,9 @@ __all__ = [
 
 WITNESS_TOL = 1e-9
 CHUNK_SIZE = 512
-# rows per map batch: bounds the temporaries of wide maps (separable_embed)
-MAP_BLOCK = 128
+# entries (rows times the wider of dim_in, dim_out) per map batch: bounds
+# the temporaries of wide maps (separable_embed) without splitting narrow ones
+MAP_ENTRIES = 16384
 INJECTIVITY_SAMPLES = 1000
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
@@ -116,13 +118,15 @@ def _sample_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 def _map_rows(map_: StateMap, rows: np.ndarray) -> np.ndarray:
     """Images of canonical state rows, as an (n, dim_out) array.
 
-    The one place the searches evaluate the map, in batches of MAP_BLOCK
-    rows.  StateMap.batch rejects an invalid image, so every returned
-    row is a valid state.
+    The one place the searches evaluate the map, in batches of at most
+    MAP_ENTRIES entries: max(1, MAP_ENTRIES // max(dim_in, dim_out)) rows,
+    so a narrow map takes a whole chunk in one call.  StateMap.batch
+    rejects an invalid image, so every returned row is a valid state.
     """
+    block = max(1, MAP_ENTRIES // max(map_.dim_in, map_.dim_out))
     images = np.empty((len(rows), map_.dim_out), dtype=complex)
-    for start in range(0, len(rows), MAP_BLOCK):
-        images[start : start + MAP_BLOCK] = map_.batch(rows[start : start + MAP_BLOCK])
+    for start in range(0, len(rows), block):
+        images[start : start + block] = map_.batch(rows[start : start + block])
     return images
 
 
@@ -179,8 +183,9 @@ def _report(prop, n_samples, seed, worst, p, q, d_in, d_out) -> CheckReport:
 
 def _pair_report(prop, n_samples, seed, worst, pair, images) -> CheckReport:
     """_report for a witness pair given as (2, dim) input and image rows."""
-    p, q, fp, fq = (_trusted_state(r) for r in (*pair, *images))
-    return _report(prop, n_samples, seed, worst, p, q, distance(p, q), distance(fp, fq))
+    p, q = (_trusted_state(r) for r in pair)
+    d_in, d_out = (float(_row_distances(r[:1], r[1:])[0]) for r in (pair, images))
+    return _report(prop, n_samples, seed, worst, p, q, d_in, d_out)
 
 
 _DIRECTIONS = np.array([1.0, -1.0, 1.0j, -1.0j])

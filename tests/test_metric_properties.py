@@ -109,3 +109,18 @@ def test_each_scalar_state_function_is_a_one_row_kernel_call(seed, dim, weight, 
     system = OrthoSystem(tuple(pure_state(col) for col in random_unitary(dim, seed).T))
     assert _same_bits(system.rows, np.array([m.vec for m in system.members]))
     assert not system.rows.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, dim=DIMS)
+def test_rows_of_disjoint_support_are_at_distance_one_up_to_a_few_ulps(seed, dim):
+    # the overlap of disjoint supports is exactly 0, so the residual is the
+    # first row and the distance is its computed norm: 1, or a few ulps
+    # below it (at most 4 * 2**-53 seen in dims 2-16; the bound is twice that)
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((2, 200, dim)) + 1j * rng.standard_normal((2, 200, dim))
+    split = int(rng.integers(1, dim))
+    raw[0, :, split:] = 0.0
+    raw[1, :, :split] = 0.0
+    d = _row_distances(_canonical_rows(raw[0]), _canonical_rows(raw[1]))
+    assert np.all((1.0 - 2.0**-50 <= d) & (d <= 1.0))

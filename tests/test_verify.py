@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -367,6 +368,29 @@ def test_batched_refinement_matches_the_sequential_search(name):
     assert gap > oriented(distance(*map(PureState, pair)), distance(*map(PureState, images)))
 
 
+def test_refinement_with_split_candidate_batches_matches_the_sequential_search():
+    # 256 anchors in dim 8: 512-dim images, 32 rows per map batch, so the
+    # 64 candidates of a step are mapped in two batches.  The isometry gap
+    # of this map climbs for every step of a long search, so the searches
+    # are compared over a fixed number of steps
+    rng = np.random.default_rng(902)
+    map_ = separable_embed([sample_pure_state(rng, 8) for _ in range(256)])
+    assert verify.MAP_ENTRIES // map_.dim_out < 8 * 8
+
+    def oriented(d_in, d_out):
+        return abs(d_out - d_in)
+
+    pair = _sample_rows(np.random.default_rng(17), 2, 8)
+    images = map_.batch(pair)
+    ref_gap, ref_pair, _, ref_used = _sequential_refine(map_, oriented, pair, images, 40)
+    gap, got_pair, got_images, used = _refine_pair(map_, oriented, pair, images, 40)
+    assert np.array_equal(got_pair, ref_pair)
+    assert np.array_equal(got_images, map_.batch(got_pair))
+    assert abs(gap - ref_gap) <= 1e-12
+    assert used == ref_used == 40
+    assert gap > oriented(distance(*map(PureState, pair)), distance(*map(PureState, images)))
+
+
 def _isometry_refinement(steps):
     map_ = wigner_map(random_unitary(4, 36))
     pair = _sample_rows(np.random.default_rng(18), 2, 4)
@@ -446,8 +470,39 @@ def test_row_blocking_bounds_the_scan_memory():
     assert peak < 5e6
 
 
+def _recording(map_, shapes):
+    """map_ with an fn that also records the shape of every block it maps."""
+
+    def fn(rows):
+        shapes.append(rows.shape)
+        return map_.fn(rows)
+
+    return dataclasses.replace(map_, fn=fn)
+
+
+def test_a_narrow_map_takes_a_whole_chunk_per_call():
+    # 10000 pairs are 19 chunks of 512 pairs and one of 272
+    shapes = []
+    report = check_nonexpansive(_recording(entrywise_abs(4), shapes), 4, 10000, refine_steps=0)
+    assert report.holds
+    assert shapes == [(1024, 4)] * 19 + [(544, 4)]
+    # no rows make no call, so a map need not accept an empty block
+    identity = opaque_map(lambda state: state, 3, 3)
+    assert verify._map_rows(identity, np.empty((0, 3), dtype=complex)).shape == (0, 3)
+
+
+def test_a_wide_map_batch_stays_within_the_entry_budget():
+    # 64 anchors in dim 8: 128-dim images, 128 rows per batch
+    rng = np.random.default_rng(8)
+    map_ = separable_embed([sample_pure_state(rng, 8) for _ in range(64)])
+    shapes = []
+    check_nonexpansive(_recording(map_, shapes), 8, 1000, refine_steps=5)
+    assert max(n * max(map_.dim_in, map_.dim_out) for n, _ in shapes) <= verify.MAP_ENTRIES
+    assert max(n for n, _ in shapes) == 128
+
+
 def test_map_block_size_cannot_change_a_report(monkeypatch):
-    # chunk substreams are fixed by CHUNK_SIZE; MAP_BLOCK only splits the
+    # chunk substreams are fixed by CHUNK_SIZE; MAP_ENTRIES only splits the
     # rows of a chunk into map batches, so no report may depend on it
     def reports():
         rng = np.random.default_rng(9)
@@ -468,8 +523,12 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
             ]
         return [json.dumps(r.to_json(), sort_keys=True) for r in out]
 
-    monkeypatch.setattr(verify, "MAP_BLOCK", 1)
+    # one-row batches; 7 rows of the widest map (8 anchors: 16-dim
+    # images), an odd split of every chunk; 128 rows of it, an even split
+    # of a 1024-row chunk; the default, a whole chunk per call
+    budgets = (7 * 16, 128 * 16, verify.MAP_ENTRIES)
+    monkeypatch.setattr(verify, "MAP_ENTRIES", 1)
     reference = reports()
-    for block in (7, 128, 4096):
-        monkeypatch.setattr(verify, "MAP_BLOCK", block)
-        assert reports() == reference, f"MAP_BLOCK {block}"
+    for entries in budgets:
+        monkeypatch.setattr(verify, "MAP_ENTRIES", entries)
+        assert reports() == reference, f"MAP_ENTRIES {entries}"
