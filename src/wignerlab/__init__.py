@@ -42,10 +42,7 @@ from .classify import (
     classify,
     classify_canonical,
     classify_dim2,
-    extract_pair_map,
-    induced_homomorphism,
     probe_grid,
-    probe_state,
     reduce_to_canonical,
 )
 from .descriptors import map_from_json, map_to_json

@@ -51,6 +51,7 @@ from .maps import (
 )
 from .states import (
     OrthoSystem,
+    _orthogonal_pair_rows,
     _row_transition_probabilities,
     _sample_state_rows,
     pure_state,
@@ -250,10 +251,10 @@ def criterion_07() -> CriterionResult:
             ),
         )
     )
-    a = sample_pure_state(rng, dim)
-    raw = sample_pure_state(rng, dim).vec
-    raw = raw - np.vdot(a.vec, raw) * a.vec
-    cases.append(("wigner", wigner_map(random_unitary(dim, 704)), OrthoSystem((a, pure_state(raw)))))
+    pair = _orthogonal_pair_rows(lambda n: _sample_state_rows(rng, n, dim), 1)
+    cases.append(
+        ("wigner", wigner_map(random_unitary(dim, 704)), OrthoSystem(tuple(map(pure_state, pair))))
+    )
     worst = -math.inf
     for _, map_, preimages in cases:
         rep = check_inclusion_lemma(map_, preimages, 1000, seed=42)

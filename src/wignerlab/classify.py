@@ -29,7 +29,6 @@ from .circle import (
     _hom_branches,
     _phases,
     _sampled_table,
-    _table_arrays,
     classify_circle_map,
     conjugate_rotation,
     rotation,
@@ -40,13 +39,12 @@ from .descriptors import matrix_to_json
 from .maps import StateMap, _apply, composed_phi_form, standard_map, wigner_map
 from .states import (
     OrthoSystem,
-    PureState,
     _canonical_rows,
     _param_rows,
     _require_orthogonal,
     _row_distances,
+    _row_transition_probabilities,
     _sample_state_rows,
-    _trusted_state,
     is_cosp,
 )
 from .verify import find_cosp_in_image
@@ -60,9 +58,6 @@ __all__ = [
     "ProbeError",
     "ClassificationResult",
     "probe_grid",
-    "probe_state",
-    "extract_pair_map",
-    "induced_homomorphism",
     "classify_canonical",
     "classify_dim2",
     "reduce_to_canonical",
@@ -148,23 +143,14 @@ def probe_grid(grid_size: int = 16) -> list[complex]:
     return unit_grid(grid_size) + [cmath.exp(1j * math.pi / 5.0)]
 
 
-def probe_state(u: complex, i: int, j: int, dim: int) -> PureState:
-    """Balanced superposition of coordinates i and j with relative phase u.
+def _probe_rows(phases, i, j, dim: int) -> np.ndarray:
+    """Probe states: row r is the balanced superposition of coordinates
+    i[r] and j[r] with relative phase phases[r]; i and j may be one for all.
 
     Its projection matrix has (i, i) and (j, j) entries 1/2 and (i, j)
-    entry u/2, so probe responses expose one matrix entry of the image.
+    entry phases[r]/2, so a probe response exposes one matrix entry of
+    the image.
     """
-    if i == j:
-        raise ValueError("probe coordinates must be distinct")
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise ValueError("probe coordinates out of range")
-    if abs(abs(u) - 1.0) > 1e-12:
-        raise ValueError("probe phase must have modulus 1")
-    return _trusted_state(_probe_rows([u], i, j, dim)[0])
-
-
-def _probe_rows(phases, i, j, dim: int) -> np.ndarray:
-    """Rows of probe_state(phases[r], i[r], j[r], dim); i and j may be one for all."""
     rows = np.zeros((len(phases), dim), dtype=complex)
     r = np.arange(len(phases))
     rows[r, i] = 1.0
@@ -173,20 +159,24 @@ def _probe_rows(phases, i, j, dim: int) -> np.ndarray:
 
 
 def _require_fixes_basis(map_: StateMap, dim: int) -> None:
-    # the weight of basis state k in its own image is its transition probability
-    weights = np.abs(np.diagonal(map_.batch(np.eye(dim, dtype=complex)))) ** 2
+    basis = np.eye(dim, dtype=complex)
+    weights = _row_transition_probabilities(map_.batch(basis), basis)
     moved = np.flatnonzero(weights < 1.0 - CANONICAL_TOL)
     if moved.size:
         raise ProbeError(f"map does not fix basis projection {moved[0]} within 1e-8")
 
 
 def _pair_values(map_: StateMap, pairs, grid) -> np.ndarray:
-    """The probe values of extract_pair_map for every pair, on a map known
-    to fix the basis: entry [p, m] is the value of pairs[p]'s map at grid[m].
+    """The phase action of a map known to fix the basis, on every pair:
+    entry [p, m] is the value of pairs[p]'s pair map at grid[m].
 
-    Maps the probe states of every (pair, grid phase) in one batch, row
-    p * len(grid) + m probing pairs[p] at phase grid[m]; the first
-    response in that order that fails a check names the ProbeError.
+    The image of the (i, j) probe at phase u must again be a balanced
+    state on coordinates {i, j}; its scaled (i, j) matrix entry is the
+    value at u.  A response that leaves the pair block refutes the
+    canonical hypothesis (ProbeError).  Maps the probe states of every
+    (pair, grid phase) in one batch, row p * len(grid) + m probing
+    pairs[p] at phase grid[m]; the first response in that order that
+    fails a check names the ProbeError.
     """
     n = len(grid)
     i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
@@ -213,44 +203,15 @@ def _pair_maps(map_: StateMap, pairs, grid) -> list[CircleMap]:
     return [_sampled_table(angles, row) for row in _pair_values(map_, pairs, grid)]
 
 
-def extract_pair_map(map_, i: int, j: int, grid) -> CircleMap:
-    """Sample the phase action of a canonical map on one coordinate pair.
-
-    For each probe phase u the image of the (i, j) probe must again be a
-    balanced state on coordinates {i, j}; its scaled (i, j) matrix entry
-    is recorded as the value at u.  Raises ProbeError when the map moves
-    a basis projection or a response leaves the pair block, either of
-    which refutes the canonical hypothesis.
-    """
-    _require_fixes_basis(map_, map_.dim_in)
-    return _pair_maps(map_, [(i, j)], grid)[0]
-
-
-def induced_homomorphism(
-    f_1j: CircleMap, f_1k: CircleMap, f_jk: CircleMap
-) -> CircleMap:
-    """Multiplicative combination conj(f_1k(1)) * f_1j(1) * f_jk(z).
-
-    For a canonical map the three pair maps cohere, so this combination
-    is a multiplicative self-map of the circle whose branch identifies
-    the global structure.  Sampled on the common probe grid.
-    """
-    angles, values = _table_arrays(f_jk)
-    reference = np.sort(angles)
-    for f in (f_1j, f_1k):
-        other = np.sort(_table_arrays(f)[0])
-        if other.shape != reference.shape or not (np.abs(other - reference) <= 1e-9).all():
-            raise ValueError("pair maps were sampled on different grids")
-    return _sampled_table(angles, _induced_values(f_1j(1.0 + 0j), f_1k(1.0 + 0j), values))
-
-
 def _induced_values(f_1j_at_one, f_1k_at_one, f_jk_values) -> np.ndarray:
     """conj(f_1k(1)) * f_1j(1) * f_jk on f_jk's points, renormalized to the circle.
 
-    Takes one triple's scalars and value row, or one entry and one row
-    per triple.
+    Takes one entry and one row of pair-map values per coordinate triple
+    (1, j, k).  For a canonical map the three pair maps cohere, so each
+    row samples a multiplicative self-map of the circle whose branch
+    identifies the global structure.
     """
-    values = np.expand_dims(np.conj(f_1k_at_one) * f_1j_at_one, -1) * f_jk_values
+    values = (np.conj(f_1k_at_one) * f_1j_at_one)[:, None] * f_jk_values
     return values / np.abs(values)
 
 

@@ -17,7 +17,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circle import CircleMap
-from .states import GAUGE_TOL, PureState, _canonical_rows, _param_rows, _trusted_state, basis_state
+from .states import (
+    PureState,
+    _canonical_rows,
+    _param_rows,
+    _row_params,
+    _trusted_state,
+    basis_state,
+)
 
 __all__ = [
     "UNITARY_TOL",
@@ -151,13 +158,11 @@ def standard_map(g: CircleMap) -> StateMap:
     """
 
     def fn(rows: np.ndarray) -> np.ndarray:
-        # the weight/phase parameters of two_by_two_params, row by row
-        p = np.clip(np.abs(rows[:, 0]) ** 2, 0.0, 1.0)
-        off = rows[:, 0] * rows[:, 1].conj()
-        # degenerate off-diagonal: the state is a fixed basis projection
-        moved = (np.abs(off) > GAUGE_TOL) & (p * (1.0 - p) > GAUGE_TOL**2)
+        p, z, degenerate = _row_params(rows)
+        # a degenerate row is a basis projection, which the lift fixes
+        moved = ~degenerate
         out = rows.copy()
-        out[moved] = _param_rows(p[moved], g.batch(off[moved] / np.abs(off[moved])))
+        out[moved] = _param_rows(p[moved], g.batch(z[moved]))
         return out
 
     return StateMap("tau", 2, 2, fn, {"g": g})
@@ -273,6 +278,7 @@ def opaque_map(
     """
 
     def rows_fn(rows: np.ndarray) -> np.ndarray:
-        return np.array([fn(_trusted_state(r.copy())).vec for r in rows])
+        images = [fn(_trusted_state(r.copy())).vec for r in rows]
+        return np.array(images) if images else np.empty((0, dim_out), dtype=complex)
 
     return StateMap("opaque", dim_in, dim_out, rows_fn)

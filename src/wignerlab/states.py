@@ -45,14 +45,6 @@ STATE_EQ_TOL = 1e-9
 HERMITIAN_TOL = 1e-10
 
 
-def _pivot_index(vec: np.ndarray) -> int:
-    """Index of the first entry with modulus above the gauge threshold."""
-    idx = np.flatnonzero(np.abs(vec) > GAUGE_TOL)
-    if idx.size == 0:
-        raise ValueError("vector has no entry above the gauge threshold")
-    return int(idx[0])
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A rank-one projection, stored as its gauge-fixed unit representative.
@@ -68,11 +60,9 @@ class PureState:
         vec = np.asarray(self.vec, dtype=complex)
         if vec.ndim != 1 or vec.size < 2:
             raise ValueError("state vector must be one-dimensional with dim >= 2")
-        if not abs(np.linalg.norm(vec) - 1.0) <= UNIT_NORM_TOL:
-            raise ValueError("state vector is not normalized within 1e-12")
-        k = _pivot_index(vec)
-        if not (abs(vec[k].imag) <= GAUGE_TOL and vec[k].real > 0.0):
-            raise ValueError("phase gauge violated: first significant entry must be real positive")
+        # canonical: pure_state would leave it in place, up to 1e-12 per entry
+        if not np.abs(_canonical_rows(vec[None])[0] - vec).max() <= UNIT_NORM_TOL:
+            raise ValueError("state vector is not a gauge-fixed unit vector within 1e-12")
         vec = vec.copy()
         vec.setflags(write=False)
         object.__setattr__(self, "vec", vec)
@@ -167,6 +157,14 @@ def _row_transition_probabilities(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(_row_overlaps(v, w)) ** 2, 1.0)
 
 
+def _pairwise_transition_probabilities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Transition probabilities of every row of a with every row of b.
+
+    Entry [i, j] is |<b_j, a_i>|**2, read off one Gram product (not clamped).
+    """
+    return np.abs(a.conj() @ b.T) ** 2
+
+
 def _row_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rowwise state distance between two arrays of unit vectors.
 
@@ -219,8 +217,7 @@ def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def _require_orthogonal(rows: np.ndarray) -> None:
     """Raise unless the state rows are pairwise orthogonal within ORTHO_TOL."""
-    # transition probabilities of every pair at once, from the Gram matrix
-    overlapping = np.abs(rows.conj() @ rows.T) ** 2 > ORTHO_TOL
+    overlapping = _pairwise_transition_probabilities(rows, rows) > ORTHO_TOL
     bad = np.argwhere(np.triu(overlapping, k=1))  # row-major: the first pair (i, j)
     if bad.size:
         i, j = bad[0]
@@ -267,21 +264,34 @@ def standard_cosp(dim: int) -> OrthoSystem:
     return OrthoSystem(tuple(basis_state(dim, k) for k in range(dim)))
 
 
+def _row_params(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight/phase parameters (p, z) of dimension-2 state rows, and which rows are degenerate.
+
+    p = |v_0|**2 and z is the phase of the off-diagonal entry v_0 conj(v_1).
+    A row is degenerate when that entry is at most GAUGE_TOL, or when p has
+    rounded so close to 0 or 1 (p (1 - p) at most GAUGE_TOL**2) that the
+    row of _param_rows would lose the smaller amplitude; a degenerate row
+    is a basis projection, reported with p rounded to 0 or 1 and z = 1.
+    """
+    p = np.clip(np.abs(rows[:, 0]) ** 2, 0.0, 1.0)
+    off = rows[:, 0] * rows[:, 1].conj()
+    mods = np.abs(off)
+    degenerate = (mods <= GAUGE_TOL) | (p * (1.0 - p) <= GAUGE_TOL**2)
+    z = np.divide(off, mods, out=np.ones_like(off), where=~degenerate)
+    return np.where(degenerate, np.round(p), p), z, degenerate
+
+
 def two_by_two_params(state: PureState) -> tuple[float, complex]:
     """Weight/phase parameters (p, z) of a two-dimensional state.
 
     The projection matrix is [[p, z*s], [conj(z)*s, 1-p]] with
-    s = sqrt(p*(1-p)).  When the off-diagonal entry vanishes, z is
-    reported as 1 by convention.
+    s = sqrt(p*(1-p)).  A degenerate state (see _row_params) is a basis
+    projection: p is 0 or 1 and z is 1 by convention.
     """
     if state.dim != 2:
         raise ValueError("two_by_two_params requires a dimension-2 state")
-    v0, v1 = state.vec
-    p = min(max(abs(v0) ** 2, 0.0), 1.0)
-    off = v0 * v1.conjugate()
-    if abs(off) <= GAUGE_TOL:
-        return (float(round(p)), 1.0 + 0.0j)
-    return (p, off / abs(off))
+    p, z, _ = _row_params(state.vec[None])
+    return float(p[0]), complex(z[0])
 
 
 def _param_rows(p, z) -> np.ndarray:
@@ -297,6 +307,25 @@ def state_from_params(p: float, z: complex) -> PureState:
         raise ValueError("phase parameter must have modulus 1 within 1e-12")
     p = min(max(p, 0.0), 1.0)
     return _trusted_state(_canonical_rows(_param_rows(p, z))[0])
+
+
+def _orthogonal_pair_rows(draw, count: int) -> np.ndarray:
+    """count orthogonal pairs of state rows, by Gram-Schmidt on two draws.
+
+    draw(n) returns n canonical state rows.  Returns 2 * count rows, pair
+    i being rows i and count + i: a first draw, and the normalized part of
+    a second draw orthogonal to it.  A second draw (nearly) parallel to
+    the first, with a residual norm below 1e-6, is drawn again.
+    """
+    first = draw(count)
+    second = draw(count)
+    residual = second - _row_overlaps(second, first)[:, None] * first
+    norms = np.linalg.norm(residual, axis=1)
+    while (bad := np.flatnonzero(norms < 1e-6)).size > 0:
+        redraw = draw(bad.size)
+        residual[bad] = redraw - _row_overlaps(redraw, first[bad])[:, None] * first[bad]
+        norms[bad] = np.linalg.norm(residual[bad], axis=1)
+    return np.concatenate([first, _canonical_rows(residual)])
 
 
 def _sample_state_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

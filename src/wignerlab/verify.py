@@ -23,9 +23,10 @@ from .states import (
     OrthoSystem,
     PureState,
     _canonical_rows,
+    _orthogonal_pair_rows,
+    _pairwise_transition_probabilities,
     _require_orthogonal,
     _row_distances,
-    _row_overlaps,
     _row_transition_probabilities,
     _sample_state_rows,
     _trusted_state,
@@ -197,13 +198,14 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     Tries single-coordinate complex perturbations of both representative
     rows; the step starts at 0.1 and halves whenever no candidate
     improves.  Every candidate is renormalized and re-gauged, and the
-    8 * dim candidates of a step are mapped together; the first
-    strictly best in (which row, coordinate, +step, -step, +i step,
-    -i step) order replaces its row when it beats the current gap by
-    more than REFINE_TOL.  The search stops once the step falls below
-    REFINE_FLOOR, or after steps steps.  pair and images are (2, dim)
-    row arrays; returns the final gap, pair, images and the number of
-    steps used.
+    8 * dim candidates of a step are mapped together.  When the step's
+    best beats the current gap by more than REFINE_TOL, the first
+    candidate within REFINE_TOL of that best in (which row, coordinate,
+    +step, -step, +i step, -i step) order replaces its row, so a tie at
+    the rounding level does not decide the pick.  The search stops once
+    the step falls below REFINE_FLOOR, or after steps steps.  pair and
+    images are (2, dim) row arrays; returns the final gap, pair, images
+    and the number of steps used.
     """
     pair, images = pair.copy(), images.copy()
     dim = pair.shape[1]
@@ -226,8 +228,9 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
             _row_distances(cands, pair[partner]),
             _row_distances(f_cands, images[partner]),
         )
-        best = int(np.argmax(gaps))
-        if gaps[best] > gap + REFINE_TOL:
+        top = gaps.max()
+        if top > gap + REFINE_TOL:
+            best = int(np.argmax(gaps >= top - REFINE_TOL))
             gap = gaps[best]
             which = best // (4 * dim)
             pair[which], images[which] = cands[best], f_cands[best]
@@ -330,16 +333,7 @@ def check_orthogonality_preserving(
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
 
     def sample(rng, count):
-        first = _sample_rows(rng, count, dim)
-        second = _sample_rows(rng, count, dim)
-        residual = second - _row_overlaps(second, first)[:, None] * first
-        norms = np.linalg.norm(residual, axis=1)
-        # degenerate draws (second parallel to first) are resampled
-        while (bad := np.flatnonzero(norms < 1e-6)).size > 0:
-            redraw = _sample_rows(rng, bad.size, dim)
-            residual[bad] = redraw - _row_overlaps(redraw, first[bad])[:, None] * first[bad]
-            norms[bad] = np.linalg.norm(residual[bad], axis=1)
-        return np.concatenate([first, _canonical_rows(residual)])
+        return _orthogonal_pair_rows(lambda n: _sample_rows(rng, n, dim), count)
 
     def gap(rows, images):
         half = len(rows) // 2
@@ -372,7 +366,7 @@ def check_inclusion_lemma(
         raise ValueError("the image of the preimage system is not orthogonal")
 
     def covered(images):
-        return np.sum(np.abs(images @ image_rows.conj().T) ** 2, axis=1)
+        return np.sum(_pairwise_transition_probabilities(images, image_rows), axis=1)
 
     def sample(rng, count):
         z = rng.standard_normal((2, count, len(preimages)))
@@ -395,7 +389,7 @@ def max_image_overlap(map_: StateMap, rng: np.random.Generator) -> tuple[float, 
     stays below 1 - 1e-9 (no two sampled states collide).
     """
     images = _map_rows(map_, _sample_state_rows(rng, INJECTIVITY_SAMPLES, map_.dim_in))
-    gram = np.abs(images.conj() @ images.T) ** 2
+    gram = _pairwise_transition_probabilities(images, images)
     np.fill_diagonal(gram, 0.0)
     overlap = float(gram.max())
     return overlap, overlap < 1.0 - WITNESS_TOL

@@ -95,8 +95,8 @@ FAMILIES = {
 def _rows(seed: int, n: int, dim: int, special: bool) -> np.ndarray:
     """n state rows; with special, basis states and a weight-1/2 boundary row too."""
     rng = np.random.default_rng(seed)
-    rows = np.array([sample_pure_state(rng, dim).vec for _ in range(n)])
-    if special:
+    rows = np.array([sample_pure_state(rng, dim).vec for _ in range(n)]).reshape(n, dim)
+    if special and n:
         rows[: min(n, dim)] = np.eye(dim, dtype=complex)[: min(n, dim)]
         rows[-1] = pure_state(np.r_[1.0, np.exp(0.3j), np.zeros(dim - 2)]).vec
     return rows
@@ -105,7 +105,7 @@ def _rows(seed: int, n: int, dim: int, special: bool) -> np.ndarray:
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @settings(max_examples=25, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), special=st.booleans()
+    seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), special=st.booleans()
 )
 def test_batch_rows_equal_per_state_images_bit_for_bit(name, seed, n, special):
     dim, build = FAMILIES[name]

@@ -20,14 +20,12 @@ from wignerlab import (
     OrthoSystem,
     distance,
     operator_norm_distance,
-    probe_state,
     pure_state,
     random_unitary,
     sample_pure_state,
     state_from_params,
     transition_probability,
 )
-from wignerlab.classify import _probe_rows
 from wignerlab.states import (
     _canonical_rows,
     _param_rows,
@@ -104,8 +102,6 @@ def test_each_scalar_state_function_is_a_one_row_kernel_call(seed, dim, weight, 
     assert _same_bits(drawn, _sample_state_rows(np.random.default_rng(seed), 3, dim))
     z = cmath.exp(1j * angle)
     assert _same_bits(state_from_params(weight, z).vec, _canonical_rows(_param_rows(weight, z))[0])
-    i, j = rng.choice(dim, size=2, replace=False)
-    assert _same_bits(probe_state(z, i, j, dim).vec, _probe_rows([z], i, j, dim)[0])
     system = OrthoSystem(tuple(pure_state(col) for col in random_unitary(dim, seed).T))
     assert _same_bits(system.rows, np.array([m.vec for m in system.members]))
     assert not system.rows.flags.writeable
