@@ -54,6 +54,7 @@ from .states import (
     _orthogonal_pair_rows,
     _row_transition_probabilities,
     _sample_state_rows,
+    _trusted_state,
     pure_state,
     random_unitary,
     sample_pure_state,
@@ -295,13 +296,19 @@ class Counterexample:
     shown: tuple[str, ...] = ()
 
 
+def _anchor_states(rng, dim, count):
+    """count sample_pure_state draws from rng, made as one block; none for count < 1."""
+    rows = _sample_state_rows(rng, count, dim) if count > 0 else ()
+    return [_trusted_state(r) for r in rows]
+
+
 COUNTEREXAMPLES = {
     "block-embed": Counterexample(
         lambda rng, dim: block_embed(dim), {"noncontractive": True, "isometry": False}
     ),
     "separable-embed": Counterexample(
         lambda rng, dim, anchors: separable_embed(
-            [sample_pure_state(rng, dim) for _ in range(32 if anchors is None else anchors)]
+            _anchor_states(rng, dim, 32 if anchors is None else anchors)
         ),
         {"nonexpansive": True, "injectivity": True, "isometry": False},
         params=("anchors",),

@@ -116,9 +116,14 @@ def _canonical_rows(raw: np.ndarray) -> np.ndarray:
         raise ValueError("cannot build a state from a (near) zero vector")
     # the pivot: the first entry of modulus above GAUGE_TOL in the unit row
     # (a unit vector always has an entry of modulus >= dim**-0.5 > tol)
-    piv = (mods > GAUGE_TOL * norms).argmax(axis=1)
-    r = np.arange(len(raw))
-    phases = raw[r, piv].conj() / mods[r, piv]
+    if (mods[:, 0] > GAUGE_TOL * norms[:, 0]).all():
+        # every pivot is entry 0, as for any Haar sample: the same phases
+        # without the (n, dim) comparison and the gather
+        phases = raw[:, 0].conj() / mods[:, 0]
+    else:
+        piv = (mods > GAUGE_TOL * norms).argmax(axis=1)
+        r = np.arange(len(raw))
+        phases = raw[r, piv].conj() / mods[r, piv]
     # gauge first, then divide each real component by the gauged row's own
     # norm: every row comes out unit to within about one rounding
     parts = np.multiply(raw, phases[:, None], dtype=complex, order="C").view(float)
@@ -330,14 +335,14 @@ def _orthogonal_pair_rows(draw, count: int) -> np.ndarray:
 
 def _sample_state_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """count sample_pure_state draws from rng, as canonical rows."""
+    if dim < 2:
+        raise ValueError("state vector must be one-dimensional with dim >= 2")
     z = rng.standard_normal((count, 2, dim))
     return _canonical_rows(z[:, 0] + 1j * z[:, 1])
 
 
 def sample_pure_state(rng: np.random.Generator, dim: int) -> PureState:
     """Draw one state from the rotation-invariant distribution."""
-    if dim < 2:
-        raise ValueError("state vector must be one-dimensional with dim >= 2")
     return _trusted_state(_sample_state_rows(rng, 1, dim)[0])
 
 

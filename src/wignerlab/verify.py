@@ -112,20 +112,35 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _sample_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """count Haar-random canonical state rows, as the searches draw them.
+
+    The draw is laid out (2, count, dim), all real parts and then all
+    imaginary parts, while states._sample_state_rows draws (count, 2, dim)
+    as sample_pure_state does.  Both layouts are fixed by seeded reports:
+    either one decides which normal variate lands in which row.  The
+    parts fill one complex block, without the temporaries of re + 1j * im.
+    """
     z = rng.standard_normal((2, count, dim))
-    return _canonical_rows(z[0] + 1j * z[1])
+    raw = np.empty((count, dim), dtype=complex)
+    raw.real, raw.imag = z
+    return _canonical_rows(raw)
 
 
-def _map_rows(map_: StateMap, rows: np.ndarray) -> np.ndarray:
+def _map_rows(map_: StateMap, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Images of canonical state rows, as an (n, dim_out) array.
 
     The one place the searches evaluate the map, in batches of at most
     MAP_ENTRIES entries: max(1, MAP_ENTRIES // max(dim_in, dim_out)) rows,
     so a narrow map takes a whole chunk in one call.  StateMap.batch
     rejects an invalid image, so every returned row is a valid state.
+    Given out, an array of at least n rows, the images are written into
+    its first n rows, and that prefix view is returned.
     """
     block = max(1, MAP_ENTRIES // max(map_.dim_in, map_.dim_out))
-    images = np.empty((len(rows), map_.dim_out), dtype=complex)
+    if out is None:
+        images = np.empty((len(rows), map_.dim_out), dtype=complex)
+    else:
+        images = out[: len(rows)]
     for start in range(0, len(rows), block):
         images[start : start + block] = map_.batch(rows[start : start + block])
     return images
@@ -152,17 +167,26 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     gaps.  Chunk i draws from the RNG substream (seed, i).  The strictly
     largest gap wins, earliest first.  Returns the worst gap with the
     input rows and image rows of its sample.
+
+    Every chunk maps into one image block, allocated for the first and
+    largest chunk: a multi-MB block freed after each chunk would go back
+    to the OS and be faulted in again by the next.  The winner's rows
+    are copied out, so no result aliases the block.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if n_samples < 1:
         raise ValueError("sample budget must be at least 1")
+    image_block = None
 
     def chunk(index: int):
-        # a function, so one chunk's arrays are freed before the next is mapped
+        # a function, so one chunk's rows and gaps are freed before the next is drawn
+        nonlocal image_block
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
         rows = sample(_chunk_rng(seed, index), count)
-        images = _map_rows(map_, rows)
+        if image_block is None:
+            image_block = np.empty((len(rows), map_.dim_out), dtype=complex)
+        images = _map_rows(map_, rows, image_block)
         gaps = gap(rows, images)
         i = int(np.argmax(gaps))
         return float(gaps[i]), rows[i::count].copy(), images[i::count].copy()

@@ -27,6 +27,7 @@ from wignerlab import (
     transition_probability,
 )
 from wignerlab.states import (
+    GAUGE_TOL,
     _canonical_rows,
     _param_rows,
     _row_distances,
@@ -120,3 +121,28 @@ def test_rows_of_disjoint_support_are_at_distance_one_up_to_a_few_ulps(seed, dim
     raw[1, :, :split] = 0.0
     d = _row_distances(_canonical_rows(raw[0]), _canonical_rows(raw[1]))
     assert np.all((1.0 - 2.0**-50 <= d) & (d <= 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=SEEDS,
+    dim=DIMS,
+    n=st.integers(1, 40),
+    at=st.integers(0, 40),
+    entry0=st.sampled_from([0.0, 5e-324, 1e-300, 1e-13, 0.5 * GAUGE_TOL]),
+)
+def test_both_gauge_paths_give_the_same_bits(seed, dim, n, at, entry0):
+    # a block whose every entry 0 is above GAUGE_TOL takes the pivot-0 fast
+    # path; one more row whose entry 0 is at or below it forces the general
+    # path on the whole block, and no other row may change by a bit
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(n, 1))
+    rows = scale * (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+    assert np.all(np.abs(rows[:, 0]) > GAUGE_TOL * np.linalg.norm(rows, axis=1))
+    extra = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    extra[0] = entry0 * np.linalg.norm(extra[1:]) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    at = min(at, n)
+    mixed = _canonical_rows(np.insert(rows, at, extra, axis=0))
+    assert _same_bits(_canonical_rows(rows), np.delete(mixed, at, axis=0))
+    # the extra row is gauged on its first entry above GAUGE_TOL, entry 1
+    assert abs(mixed[at, 1].imag) <= 1e-15 < mixed[at, 1].real

@@ -48,6 +48,7 @@ from wignerlab.verify import (
     _chunk_rng,
     _refine_pair,
     _sample_rows,
+    _search,
     basis_image_completes_span,
     max_image_overlap,
 )
@@ -482,11 +483,16 @@ def test_witnesses_survive_a_change_of_rounding(monkeypatch, name, target, mutat
         assert np.max(np.abs(a.vec - b.vec)) <= 1e-12
 
 
-def test_row_blocking_bounds_the_scan_memory():
-    # 64 anchors in dim 8: 128-dim images, so one unblocked 1024-row batch
-    # of a chunk would hold several MB of temporaries at once
+def _wide_separable_embed():
+    # 64 anchors in dim 8: 128-dim images, so a chunk maps in batches of 128 rows
     rng = np.random.default_rng(8)
-    map_ = separable_embed([sample_pure_state(rng, 8) for _ in range(64)])
+    return separable_embed([sample_pure_state(rng, 8) for _ in range(64)])
+
+
+def test_row_blocking_bounds_the_scan_memory():
+    # one unblocked 1024-row batch of a chunk would hold several MB of
+    # temporaries at once
+    map_ = _wide_separable_embed()
     tracemalloc.start()
     try:
         report = check_nonexpansive(map_, 8, 20000, refine_steps=0)
@@ -519,9 +525,7 @@ def test_a_narrow_map_takes_a_whole_chunk_per_call():
 
 
 def test_a_wide_map_batch_stays_within_the_entry_budget():
-    # 64 anchors in dim 8: 128-dim images, 128 rows per batch
-    rng = np.random.default_rng(8)
-    map_ = separable_embed([sample_pure_state(rng, 8) for _ in range(64)])
+    map_ = _wide_separable_embed()
     shapes = []
     check_nonexpansive(_recording(map_, shapes), 8, 1000, refine_steps=5)
     assert max(n * max(map_.dim_in, map_.dim_out) for n, _ in shapes) <= verify.MAP_ENTRIES
@@ -559,3 +563,54 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
     for entries in budgets:
         monkeypatch.setattr(verify, "MAP_ENTRIES", entries)
         assert reports() == reference, f"MAP_ENTRIES {entries}"
+
+
+def _fresh_search(map_, n_samples, seed, sample, gap):
+    """_search with fresh image arrays for every chunk: the reference for its reused block."""
+    worst = (-np.inf, None, None)
+    for index in range(-(-n_samples // verify.CHUNK_SIZE)):
+        count = min(verify.CHUNK_SIZE, n_samples - index * verify.CHUNK_SIZE)
+        rows = sample(_chunk_rng(seed, index), count)
+        images = verify._map_rows(map_, rows)
+        gaps = gap(rows, images)
+        i = int(np.argmax(gaps))
+        if gaps[i] > worst[0]:
+            worst = (gaps[i], rows[i::count], images[i::count])
+    return worst
+
+
+def _isometry_gap(rows, images):
+    half = len(rows) // 2
+    return abs(
+        _row_distances(images[:half], images[half:]) - _row_distances(rows[:half], rows[half:])
+    )
+
+
+@pytest.mark.parametrize("n_samples", [1, 511, 512, 513, 1537])
+@pytest.mark.parametrize(
+    "build, dim",
+    [(_wide_separable_embed, 8), (lambda: entrywise_abs(4), 4)],
+    ids=["separable_embed dim8/64", "entrywise_abs dim4"],
+)
+def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
+    # every chunk maps into one block, a short last chunk into its prefix;
+    # at seed 1 the winner of 1537 samples is in the first of four chunks,
+    # whose images the later chunks overwrite in the block
+    map_ = build()
+
+    def sample(rng, count):
+        return _sample_rows(rng, 2 * count, dim)
+
+    got = _search(map_, n_samples, 1, sample, _isometry_gap)
+    want = _fresh_search(map_, n_samples, 1, sample, _isometry_gap)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_a_witness_from_the_first_of_several_chunks_keeps_its_images():
+    map_ = _wide_separable_embed()
+    report = check_isometry(map_, 8, 1537, refine_steps=0, seed=1)
+    first_chunk = check_isometry(map_, 8, verify.CHUNK_SIZE, refine_steps=0, seed=1)
+    assert report.worst_gap == first_chunk.worst_gap
+    w = report.witness
+    assert w.d_out == distance(map_(w.P), map_(w.Q))
