@@ -34,6 +34,7 @@ from .circle import (
 from .classify import (
     ENTRYWISE_ABS,
     NOT_CLASSIFIED,
+    PROBE_GRID,
     STANDARD_DIM2,
     WIGNER_ANTIUNITARY,
     WIGNER_UNITARY,
@@ -42,7 +43,6 @@ from .classify import (
     classify,
     classify_canonical,
     classify_dim2,
-    probe_grid,
     reduce_to_canonical,
 )
 from .descriptors import map_from_json, map_to_json

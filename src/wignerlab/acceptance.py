@@ -31,12 +31,12 @@ from .circle import (
 )
 from .classify import (
     ENTRYWISE_ABS,
+    PROBE_GRID,
     STANDARD_DIM2,
     WIGNER_ANTIUNITARY,
     WIGNER_UNITARY,
     classify,
     classify_dim2,
-    probe_grid,
 )
 from .descriptors import map_to_json
 from .maps import (
@@ -51,6 +51,7 @@ from .maps import (
 )
 from .states import (
     OrthoSystem,
+    _canonical_rows,
     _orthogonal_pair_rows,
     _row_transition_probabilities,
     _sample_state_rows,
@@ -166,9 +167,8 @@ def _classifier_cases():
         yield WIGNER_ANTIUNITARY, dim, wigner_map(u, antiunitary=True), None
         pre = random_unitary(dim, 3000 + i)
         post = random_unitary(dim, 4000 + i)
-        hint = OrthoSystem(
-            tuple(pure_state(pre.conj().T[:, j]) for j in range(dim))
-        )
+        # the preimage system: the columns of pre*, that is the rows of conj(pre)
+        hint = OrthoSystem(tuple(map(_trusted_state, _canonical_rows(pre.conj()))))
         yield ENTRYWISE_ABS, dim, composed_phi_form(pre, post), hint
 
 
@@ -209,7 +209,7 @@ def criterion_06() -> CriterionResult:
         if res.branch != STANDARD_DIM2:
             failures.append(f"{g.kind}: {res.reason}")
             continue
-        err = np.abs(res.g.batch(probe_grid()) - g.batch(probe_grid())).max()
+        err = np.abs(res.g.batch(PROBE_GRID) - g.batch(PROBE_GRID)).max()
         if err > 1e-8:
             failures.append(f"{g.kind}: recovery error {err:.2e}")
         elif res.g_form.kind != expected_kind:

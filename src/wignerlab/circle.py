@@ -257,16 +257,17 @@ def _worst(gaps: np.ndarray) -> int | None:
 
 
 def check_nonexpansive_circle(
-    g: CircleMap, n_samples: int = 1000, seed: int = 42, grid_size: int = 32
+    g: CircleMap, n_samples: int = 1000, seed: int = 42
 ) -> CircleViolation | None:
     """Search for a chord-expanding input pair; None when none is found.
 
-    Tests all pairs from a deterministic grid plus seeded random pairs.
-    The gap of a pair is Re(z1*conj(z2)) - Re(g(z1)*conj(g(z2))), positive
-    exactly when the image chord is longer.
+    Tests all pairs from a grid of 32 points (a sampled map's recorded
+    inputs instead) plus seeded random pairs.  The gap of a pair is
+    Re(z1*conj(z2)) - Re(g(z1)*conj(g(z2))), positive exactly when the
+    image chord is longer.
     """
     rng = np.random.default_rng(seed)
-    points = _grid_points(g, grid_size)
+    points = _grid_points(g, 32)
     first, second = np.triu_indices(len(points), k=1)
     extra = _sample_points(g, rng, 2 * n_samples)
     z1 = np.concatenate([points[first], extra[:n_samples]])
@@ -279,16 +280,16 @@ def check_nonexpansive_circle(
 
 
 def check_homomorphism(
-    g: CircleMap, n_samples: int = 1000, seed: int = 42, grid_size: int = 16
+    g: CircleMap, n_samples: int = 1000, seed: int = 42
 ) -> HomViolation | None:
     """Search for a pair violating g(z*w) = g(z)*g(w); None when none found.
 
-    Tests all pairs (z, w) of grid points, z-major, plus seeded random
+    Tests all pairs (z, w) of 16 grid points, z-major, plus seeded random
     pairs; a sampled map is tested on the pairs of recorded inputs whose
     product is recorded too.
     """
     rng = np.random.default_rng(seed)
-    points = _grid_points(g, grid_size)
+    points = _grid_points(g, 16)
     z, w = np.repeat(points, len(points)), np.tile(points, len(points))
     if g.table is not None:
         closed = _table_index(_table_arrays(g)[0], z * w) >= 0
@@ -346,15 +347,15 @@ def _angular_spread(values: np.ndarray) -> float:
     return float(2.0 * math.pi - gaps.max())
 
 
-def classify_circle_map(g: CircleMap, n_grid: int = 64) -> CircleMapForm:
+def classify_circle_map(g: CircleMap) -> CircleMapForm:
     """Sort a nonexpansive map into rotation / conjugate rotation / half-circle.
 
     Matches the closed forms z -> c*z and z -> c*conj(z) with c = g(1) on
-    an evaluation grid; otherwise the image must fit in a closed
-    half-circle, and a wider image raises ValueError because it
-    contradicts nonexpansiveness.
+    a grid of 64 points (a sampled map's recorded inputs instead);
+    otherwise the image must fit in a closed half-circle, and a wider
+    image raises ValueError because it contradicts nonexpansiveness.
     """
-    points = _grid_points(g, n_grid)
+    points = _grid_points(g, 64)
     c = g(1.0 + 0j)
     values = g.batch(points)
     if (np.abs(values - c * points) <= FORM_MATCH_TOL).all():

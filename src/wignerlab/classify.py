@@ -57,7 +57,7 @@ __all__ = [
     "NOT_CLASSIFIED",
     "ProbeError",
     "ClassificationResult",
-    "probe_grid",
+    "PROBE_GRID",
     "classify_canonical",
     "classify_dim2",
     "reduce_to_canonical",
@@ -74,6 +74,11 @@ CANONICAL_TOL = 1e-8
 SUPPORT_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 VALIDATION_STATES = 32
+
+# probe phases: 16 equispaced roots of unity, then exp(i*pi/5), which
+# guards against structure visible only off the root-of-unity lattice;
+# the branch test reads entries 4 (i) and 8 (-1)
+PROBE_GRID = tuple(unit_grid(16) + [cmath.exp(1j * math.pi / 5.0)])
 
 _BRANCH_OF_HOM = {
     IDENTITY: WIGNER_UNITARY,
@@ -132,17 +137,6 @@ class ClassificationResult:
         }
 
 
-def probe_grid(grid_size: int = 16) -> list[complex]:
-    """Probe phases: equispaced roots of unity plus one off-lattice point.
-
-    The extra point exp(i*pi/5) guards against structure that is only
-    visible away from the root-of-unity lattice.
-    """
-    if grid_size % 4 != 0:
-        raise ValueError("probe grid size must be divisible by 4")
-    return unit_grid(grid_size) + [cmath.exp(1j * math.pi / 5.0)]
-
-
 def _probe_rows(phases, i, j, dim: int) -> np.ndarray:
     """Probe states: row r is the balanced superposition of coordinates
     i[r] and j[r] with relative phase phases[r]; i and j may be one for all.
@@ -158,29 +152,30 @@ def _probe_rows(phases, i, j, dim: int) -> np.ndarray:
     return _canonical_rows(rows)
 
 
-def _require_fixes_basis(map_: StateMap, dim: int) -> None:
+def _pair_values(map_: StateMap, pairs) -> np.ndarray:
+    """The phase action of a map on every pair: entry [p, m] is the value
+    of pairs[p]'s pair map at PROBE_GRID[m].
+
+    The map must fix every basis projection.  The image of the (i, j)
+    probe at phase u must then be a balanced state on coordinates
+    {i, j}; its scaled (i, j) matrix entry is the value at u.  A
+    response that refutes the canonical hypothesis is a ProbeError.
+    Maps the basis states and the probe states of every (pair, phase)
+    in one batch: the basis first, then row p * len(PROBE_GRID) + m
+    probing pairs[p] at phase PROBE_GRID[m].  A moved basis projection
+    names the ProbeError before any probe, and otherwise the first
+    response in that order that fails a check.
+    """
+    dim, n = map_.dim_in, len(PROBE_GRID)
     basis = np.eye(dim, dtype=complex)
-    weights = _row_transition_probabilities(map_.batch(basis), basis)
+    i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
+    probes = _probe_rows(np.tile(PROBE_GRID, len(pairs)), i, j, dim)
+    out = map_.batch(np.concatenate([basis, probes]))
+    weights = _row_transition_probabilities(out[:dim], basis)
     moved = np.flatnonzero(weights < 1.0 - CANONICAL_TOL)
     if moved.size:
         raise ProbeError(f"map does not fix basis projection {moved[0]} within 1e-8")
-
-
-def _pair_values(map_: StateMap, pairs, grid) -> np.ndarray:
-    """The phase action of a map known to fix the basis, on every pair:
-    entry [p, m] is the value of pairs[p]'s pair map at grid[m].
-
-    The image of the (i, j) probe at phase u must again be a balanced
-    state on coordinates {i, j}; its scaled (i, j) matrix entry is the
-    value at u.  A response that leaves the pair block refutes the
-    canonical hypothesis (ProbeError).  Maps the probe states of every
-    (pair, grid phase) in one batch, row p * len(grid) + m probing
-    pairs[p] at phase grid[m]; the first response in that order that
-    fails a check names the ProbeError.
-    """
-    n = len(grid)
-    i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
-    out = map_.batch(_probe_rows(np.tile(grid, len(pairs)), i, j, map_.dim_in))
+    out = out[dim:]
     rows = np.arange(i.size)
     out_i, out_j = out[rows, i], out[rows, j]
     unbalanced = (np.abs(np.abs(out_i) ** 2 - 0.5) > SUPPORT_TOL) | (
@@ -197,12 +192,6 @@ def _pair_values(map_: StateMap, pairs, grid) -> np.ndarray:
     return (values / np.abs(values)).reshape(len(pairs), n)
 
 
-def _pair_maps(map_: StateMap, pairs, grid) -> list[CircleMap]:
-    """The pair values of _pair_values as sampled circle maps, one per pair."""
-    angles = _phases(grid)  # as sampled() records them
-    return [_sampled_table(angles, row) for row in _pair_values(map_, pairs, grid)]
-
-
 def _induced_values(f_1j_at_one, f_1k_at_one, f_jk_values) -> np.ndarray:
     """conj(f_1k(1)) * f_1j(1) * f_jk on f_jk's points, renormalized to the circle.
 
@@ -216,27 +205,27 @@ def _induced_values(f_1j_at_one, f_1k_at_one, f_jk_values) -> np.ndarray:
 
 
 @functools.cache
-def _validation_rows(dim: int, count: int = VALIDATION_STATES) -> np.ndarray:
+def _validation_rows(dim: int) -> np.ndarray:
     """The fixed validation states of dimension dim, as read-only rows.
 
-    The same draws as count calls of sample_pure_state on one generator,
-    made once per dimension.
+    The same draws as VALIDATION_STATES calls of sample_pure_state on
+    one generator, made once per dimension.
     """
     rng = np.random.default_rng(np.random.SeedSequence((dim, 104729)))
-    rows = _sample_state_rows(rng, count, dim)
+    rows = _sample_state_rows(rng, VALIDATION_STATES, dim)
     rows.setflags(write=False)
     return rows
 
 
-def _lift_rows(u: np.ndarray, grid) -> np.ndarray:
+def _lift_rows(u: np.ndarray) -> np.ndarray:
     """Preimages under u* of the weight/phase grid that validates dim-2 lifts.
 
-    Row k * len(grid) + m is u* applied to the state that
+    Row k * len(PROBE_GRID) + m is u* applied to the state that
     state_from_params builds from weight linspace(0.1, 0.9, 9)[k] and
-    phase grid[m].
+    phase PROBE_GRID[m].
     """
-    p = np.repeat(np.linspace(0.1, 0.9, 9), len(grid))
-    z = np.tile(np.asarray(grid, dtype=complex), 9)
+    p = np.repeat(np.linspace(0.1, 0.9, 9), len(PROBE_GRID))
+    z = np.tile(np.asarray(PROBE_GRID, dtype=complex), 9)
     return _canonical_rows(_apply(u.conj().T, _param_rows(p, z)))
 
 
@@ -244,38 +233,35 @@ def _not_classified(reason: str) -> ClassificationResult:
     return ClassificationResult(branch=NOT_CLASSIFIED, reason=reason)
 
 
-def _verdict(model: StateMap, map_: StateMap, rows, tol: float, what: str, **fields):
-    """The result with these fields if model reproduces map_ on rows within tol.
+def _verdict(model: StateMap, map_: StateMap, rows, what: str, **fields):
+    """The result with these fields if model reproduces map_ on rows.
 
     rows are state rows, each side mapped in one batch.  The residual is
-    the largest state distance between model and map images; above tol
-    it becomes the NOT_CLASSIFIED reason.
+    the largest state distance between model and map images; above
+    RESIDUAL_TOL it becomes the NOT_CLASSIFIED reason.
     """
     residual = float(_row_distances(model.batch(rows), map_.batch(rows)).max())
-    if residual > tol:
-        return _not_classified(f"{what} residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > RESIDUAL_TOL:
+        return _not_classified(f"{what} residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return ClassificationResult(residual=residual, model=model, **fields)
 
 
 def _classify_branch(
-    map_: StateMap, canonical: StateMap, u: np.ndarray, v: np.ndarray,
-    grid_size: int, tol: float,
+    map_: StateMap, canonical: StateMap, u: np.ndarray, v: np.ndarray
 ) -> ClassificationResult:
     """Dimension >= 3 pipeline for map_(P) = v canonical(u P u*) v*.
 
-    Decides the branch and the diagonal on the canonical map (checking
-    its basis once) and validates the composed model against map_ once.
+    Decides the branch and the diagonal on the canonical map from one
+    probe batch and validates the composed model against map_ once.
     Both are read from the probe values: the diagonal from the pair maps
-    at phase 1 (grid[0]), each triple's branch from its induced values at
-    i and -1 (grid[n/4] and grid[n/2]).  The result reports U = u and
-    V = v diag.
+    at phase 1 (PROBE_GRID[0]), each triple's branch from its induced
+    values at i and -1 (PROBE_GRID[4] and PROBE_GRID[8]).  The result
+    reports U = u and V = v diag.
     """
     dim = map_.dim_in
-    grid = probe_grid(grid_size)
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     try:
-        _require_fixes_basis(canonical, dim)
-        values = _pair_values(canonical, pairs, grid)
+        values = _pair_values(canonical, pairs)
     except ProbeError as err:
         return _not_classified(str(err))
     # pairs lists (0, 1) .. (0, dim - 1) first, then the (j, k) with 0 < j < k
@@ -283,8 +269,7 @@ def _classify_branch(
     at_one = values[: dim - 1, 0]
     j, k = np.triu_indices(dim - 1, k=1)
     induced = _induced_values(at_one[j], at_one[k], values[dim - 1 :])
-    quarter = grid_size // 4
-    branches = set(_hom_branches(induced[:, quarter], induced[:, 2 * quarter]).tolist())
+    branches = set(_hom_branches(induced[:, 4], induced[:, 8]).tolist())
     if NOT_APPLICABLE in branches:
         return _not_classified("an induced circle map is not multiplicative")
     if len(branches) != 1:
@@ -297,17 +282,12 @@ def _classify_branch(
     except ValueError as err:
         return _not_classified(f"recovered unitaries fail validation: {err}")
     return _verdict(
-        model, map_, _validation_rows(dim), tol, "reconstruction",
+        model, map_, _validation_rows(dim), "reconstruction",
         branch=branch, U=u, V=post, diag_u=diag,
     )
 
 
-def classify_canonical(
-    map_: StateMap,
-    dim: int | None = None,
-    grid_size: int = 16,
-    tol: float = RESIDUAL_TOL,
-) -> ClassificationResult:
+def classify_canonical(map_: StateMap, dim: int | None = None) -> ClassificationResult:
     """Classify a map that fixes every standard basis projection, dim >= 3.
 
     Extracts all pair maps, forms the induced multiplicative maps for
@@ -315,7 +295,7 @@ def classify_canonical(
     branch.  The diagonal unitary is read off the pair-map values at 1
     and gauge-normalized to a leading entry of exactly 1; the
     reconstructed model must reproduce the black box on a validation set
-    within tol, otherwise the result is NOT_CLASSIFIED.
+    within RESIDUAL_TOL, otherwise the result is NOT_CLASSIFIED.
     """
     dim = map_.dim_in if dim is None else dim
     if dim != map_.dim_in or map_.dim_in != map_.dim_out:
@@ -323,7 +303,7 @@ def classify_canonical(
     if dim < 3:
         raise ValueError("canonical classification requires dimension >= 3")
     eye = np.eye(dim, dtype=complex)
-    res = _classify_branch(map_, map_, eye, eye, grid_size, tol)
+    res = _classify_branch(map_, map_, eye, eye)
     # in canonical coordinates the recovered unitary is the diagonal itself
     return replace(res, U=res.diag_u, V=None)
 
@@ -343,26 +323,24 @@ def _total_lift(g: CircleMap, form: CircleMapForm) -> CircleMap:
 
 
 def _classify_lift(
-    map_: StateMap, canonical: StateMap, u: np.ndarray, v: np.ndarray,
-    grid_size: int, tol: float,
+    map_: StateMap, canonical: StateMap, u: np.ndarray, v: np.ndarray
 ) -> ClassificationResult:
     """Dimension-2 pipeline for map_(P) = v canonical(u P u*) v*.
 
-    Probes the phase map g of the canonical map, validates the lift of g
-    sandwiched by u and v against map_ once on the weight/phase grid,
-    and only then sorts g into its structural form; the returned model
-    lifts the total evaluator of that form.  The result reports U = u
-    and V = v.
+    Probes the phase map g of the canonical map in one batch, validates
+    the lift of g sandwiched by u and v against map_ once on the
+    weight/phase grid, and only then sorts g into its structural form;
+    the returned model lifts the total evaluator of that form.  The
+    result reports U = u and V = v.
     """
-    grid = probe_grid(grid_size)
     try:
-        _require_fixes_basis(canonical, 2)
-        (g,) = _pair_maps(canonical, [(0, 1)], grid)
+        (values,) = _pair_values(canonical, [(0, 1)])
     except ProbeError as err:
         return _not_classified(str(err))
+    g = _sampled_table(_phases(PROBE_GRID), values)  # as sampled() records it
     checked = _verdict(
-        _compose_model(STANDARD_DIM2, u, v, g), map_, _lift_rows(u, grid),
-        tol, "phase-lift", branch=STANDARD_DIM2, U=u, V=v, g=g,
+        _compose_model(STANDARD_DIM2, u, v, g), map_, _lift_rows(u),
+        "phase-lift", branch=STANDARD_DIM2, U=u, V=v, g=g,
     )
     if not checked.classified:
         return checked
@@ -374,9 +352,7 @@ def _classify_lift(
     return replace(checked, g_form=form, model=model)
 
 
-def classify_dim2(
-    map_: StateMap, grid_size: int = 16, tol: float = RESIDUAL_TOL
-) -> ClassificationResult:
+def classify_dim2(map_: StateMap) -> ClassificationResult:
     """Classify a canonical map on dimension 2 as a circle-map lift.
 
     Extracts the phase action g, validates the lift model on a grid of
@@ -385,7 +361,7 @@ def classify_dim2(
     if map_.dim_in != 2 or map_.dim_out != 2:
         raise ValueError("dimension-2 classification requires an endomap of dim 2")
     eye = np.eye(2, dtype=complex)
-    return replace(_classify_lift(map_, map_, eye, eye, grid_size, tol), U=None, V=None)
+    return replace(_classify_lift(map_, map_, eye, eye), U=None, V=None)
 
 
 def reduce_to_canonical(
@@ -439,11 +415,7 @@ def _compose_model(
 
 
 def classify(
-    map_: StateMap,
-    dim: int,
-    preimage_hint: OrthoSystem | None = None,
-    grid_size: int = 16,
-    tol: float = RESIDUAL_TOL,
+    map_: StateMap, dim: int, preimage_hint: OrthoSystem | None = None
 ) -> ClassificationResult:
     """Full classification pipeline for a black-box nonexpansive endomap.
 
@@ -462,4 +434,4 @@ def classify(
         return _not_classified("COSP-image hypothesis unverified")
     u, v, canonical = reduce_to_canonical(map_, preimages)
     pipeline = _classify_lift if dim == 2 else _classify_branch
-    return pipeline(map_, canonical, u, v, grid_size, tol)
+    return pipeline(map_, canonical, u, v)

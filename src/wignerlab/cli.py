@@ -2,8 +2,9 @@
 
 Exit codes are the machine contract: 0 when the property holds (or the
 map classifies), 1 when a witness is found (or classification fails),
-2 on usage or input errors.  All results are JSON on standard output
-(or --out); diagnostics go to standard error.
+2 on usage or input errors, an input too large for memory included.
+All results are JSON on standard output (or --out); diagnostics go to
+standard error.
 """
 
 from __future__ import annotations
@@ -228,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as err:  # CLIError is a ValueError
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as err:  # an input too large to hold is an input error
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_ERROR
 
 

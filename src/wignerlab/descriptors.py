@@ -34,10 +34,10 @@ def matrix_to_json(mat: np.ndarray) -> list[list[float]]:
     return [[float(c.real), float(c.imag)] for c in mat.reshape(-1)]
 
 
-def matrix_from_json(data, dim: int | None = None) -> np.ndarray:
+def matrix_from_json(data) -> np.ndarray:
     """Rebuild a square matrix from flat row-major [re, im] pairs."""
     flat = np.array([complex(re, im) for re, im in data])
-    n = math.isqrt(flat.size) if dim is None else dim
+    n = math.isqrt(flat.size)
     if n * n != flat.size:
         raise ValueError(f"matrix entry count {flat.size} is not a square")
     return flat.reshape(n, n)
@@ -86,7 +86,7 @@ _FAMILIES = {
     "phi": maps.entrywise_abs,
     "tau": maps.standard_map,
     "composed": maps.composed_phi_form,
-    "block_embed": lambda dim, threshold=0.5: maps.block_embed(dim, threshold=float(threshold)),
+    "block_embed": maps.block_embed,
     "separable_embed": maps.separable_embed,
     "proper_subspace": maps.proper_subspace_map,
     "constant": maps.constant_map,

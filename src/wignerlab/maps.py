@@ -43,13 +43,13 @@ __all__ = [
 UNITARY_TOL = 1e-10
 
 
-def require_unitary(mat: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate and return a square matrix with U*U = I within tol."""
+def require_unitary(mat: np.ndarray) -> np.ndarray:
+    """Validate and return a square matrix with U*U = I within UNITARY_TOL."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary parameter must be a square matrix")
     gram = mat.conj().T @ mat
-    if not np.max(np.abs(gram - np.eye(mat.shape[0]))) <= tol:  # NaN fails too
+    if not np.max(np.abs(gram - np.eye(mat.shape[0]))) <= UNITARY_TOL:  # NaN fails too
         raise ValueError("matrix is not unitary within 1e-10")
     return mat
 
@@ -63,6 +63,11 @@ def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for many.
     """
     return (rows[:, None, :] @ mat.T)[:, 0, :]
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool; a whole float such as 3.0 is refused."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,10 @@ class StateMap:
     params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
+        if not (_is_integer(self.dim_in) and _is_integer(self.dim_out)):
+            raise ValueError(
+                f"map dimensions must be integers, got {self.dim_in!r} -> {self.dim_out!r}"
+            )
         if self.dim_in < 2 or self.dim_out < 2:
             raise ValueError(
                 f"map dimensions must be at least 2, got {self.dim_in} -> {self.dim_out}"
@@ -179,33 +188,24 @@ def composed_phi_form(pre: np.ndarray, post: np.ndarray) -> StateMap:
     return StateMap("composed", dim, dim, fn, {"dim": dim, "pre": u, "post": v})
 
 
-def block_embed(
-    dim: int,
-    predicate: Callable[[PureState], bool] | None = None,
-    threshold: float = 0.5,
-) -> StateMap:
-    """Embed dimension n into 2n, choosing the block by a predicate.
+def block_embed(dim: int, threshold: float = 0.5) -> StateMap:
+    """Embed dimension n into 2n, choosing the block by the first weight.
 
-    States satisfying the predicate land in the lower block, the rest in
-    the upper block.  With the default predicate (first-coordinate weight
-    above the threshold) the map is noncontractive but not an isometry:
-    a pair straddling the predicate boundary is pushed to distance 1.
+    States whose first-coordinate weight exceeds the threshold land in
+    the lower block, the rest in the upper block.  The map is
+    noncontractive but not an isometry: a pair straddling the threshold
+    is pushed to distance 1.
     """
+    threshold = float(threshold)
 
     def fn(rows: np.ndarray) -> np.ndarray:
-        if predicate is None:
-            mask = np.abs(rows[:, 0]) ** 2 > threshold
-        else:
-            mask = np.array([predicate(_trusted_state(r.copy())) for r in rows], dtype=bool)
+        mask = np.abs(rows[:, 0]) ** 2 > threshold
         out = np.zeros((len(rows), 2 * dim), dtype=complex)
         out[mask, dim:] = rows[mask]
         out[~mask, :dim] = rows[~mask]
         return out
 
-    params = {"dim": dim, "threshold": threshold}
-    if predicate is not None:
-        params["predicate"] = predicate  # a function: the map has no JSON form
-    return StateMap("block_embed", dim, 2 * dim, fn, params)
+    return StateMap("block_embed", dim, 2 * dim, fn, {"dim": dim, "threshold": threshold})
 
 
 def separable_embed(anchors: Sequence[PureState]) -> StateMap:
@@ -245,6 +245,8 @@ def proper_subspace_map(dim: int, k: int, alpha0: int = 0) -> StateMap:
     this is the entrywise-absolute-value map; the k basis states map onto
     a complete orthogonal system of the span.
     """
+    if not (_is_integer(k) and _is_integer(alpha0)):
+        raise ValueError(f"k and alpha0 must be integers, got {k!r} and {alpha0!r}")
     if not 1 <= k < dim:
         raise ValueError("k must satisfy 1 <= k < dim")
     if not 0 <= alpha0 < k:

@@ -202,11 +202,11 @@ def distance(p: PureState, q: PureState) -> float:
     return float(_row_distances(p.vec[None], q.vec[None])[0])
 
 
-def _require_hermitian(mat: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def _require_hermitian(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
+    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return mat
 

@@ -55,6 +55,9 @@ CHUNK_SIZE = 512
 # the temporaries of wide maps (separable_embed) without splitting narrow ones
 MAP_ENTRIES = 16384
 INJECTIVITY_SAMPLES = 1000
+# the COSP search: the standard basis, then this many seeded Haar rotations
+COSP_ROTATIONS = 8
+COSP_SEED = 0
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
 # a candidate must beat the current gap by more than rounding noise
@@ -429,23 +432,21 @@ def basis_image_completes_span(map_: StateMap, k: int) -> bool:
     return rows is not None and bool(np.all(np.abs(rows[:, k:]) <= 1e-12))
 
 
-def find_cosp_in_image(
-    map_: StateMap, dim: int, n_rotations: int = 8, seed: int = 0
-) -> OrthoSystem | None:
+def find_cosp_in_image(map_: StateMap, dim: int) -> OrthoSystem | None:
     """Search for a complete orthogonal system whose image is one too.
 
-    Tries the standard basis states and then a configurable number of
-    seeded Haar-rotated complete systems, trial t drawn from the RNG
-    substream (seed, t) only when the earlier candidates missed; returns
-    the preimage system of the first hit, or None.
+    Tries the standard basis states and then COSP_ROTATIONS Haar-rotated
+    complete systems, trial t drawn from the RNG substream
+    (COSP_SEED, t) only when the earlier candidates missed; returns the
+    preimage system of the first hit, or None.
     """
     if map_.dim_in != dim or map_.dim_out != dim:
         raise ValueError("COSP search requires an endomap of the given dimension")
-    for trial in range(n_rotations + 1):
+    for trial in range(COSP_ROTATIONS + 1):
         if trial == 0:
             cols = np.eye(dim, dtype=complex)
         else:
-            cols = sample_unitary(_chunk_rng(seed, trial), dim)
+            cols = sample_unitary(_chunk_rng(COSP_SEED, trial), dim)
         rows = _canonical_rows(cols.T)
         if _orthogonal_images(map_, rows) is not None:
             return OrthoSystem(tuple(_trusted_state(r) for r in rows))

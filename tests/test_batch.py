@@ -80,7 +80,6 @@ FAMILIES = {
     "tau rotation": (2, lambda: standard_map(rotation(cmath.exp(0.7j)))),
     "tau conj_rotation": (2, lambda: standard_map(conjugate_rotation(1j))),
     "block_embed": (3, lambda: block_embed(3)),
-    "block_embed predicate": (3, lambda: block_embed(3, lambda s: abs(s.vec[2]) > 0.4)),
     "separable_embed": (
         4, lambda: separable_embed([sample_pure_state(np.random.default_rng(56), 4) for _ in range(16)])
     ),

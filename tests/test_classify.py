@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from wignerlab import (
     entrywise_abs,
     fold,
     opaque_map,
-    probe_grid,
+    PROBE_GRID,
     pure_state,
     random_unitary,
     reduce_to_canonical,
@@ -50,13 +51,13 @@ from wignerlab import (
 from wignerlab.classify import (
     _BRANCH_OF_HOM,
     CANONICAL_TOL,
-    RESIDUAL_TOL,
     SUPPORT_TOL,
     _classify_branch,
-    _pair_maps,
+    _pair_values,
     _probe_rows,
     _validation_rows,
 )
+from wignerlab.circle import _phases, _sampled_table
 from wignerlab.maps import StateMap
 
 
@@ -121,48 +122,46 @@ def test_probe_rows_are_the_per_state_probes_bit_for_bit(seed, dim, n):
 
 
 def test_probe_grid_shape():
-    grid = probe_grid(16)
-    assert len(grid) == 17
-    assert any(abs(z - 1j) < 1e-12 for z in grid)
-    assert any(abs(z + 1.0) < 1e-12 for z in grid)
-    with pytest.raises(ValueError):
-        probe_grid(10)
+    assert len(PROBE_GRID) == 17
+    # the branch test reads entry 4 as i and entry 8 as -1
+    assert abs(PROBE_GRID[4] - 1j) < 1e-12
+    assert abs(PROBE_GRID[8] + 1.0) < 1e-12
 
 
 def test_pair_map_of_identity_is_identity():
-    f = extract_pair_map(wigner_map(np.eye(3)), 0, 1, probe_grid(16))
-    for z in probe_grid(16):
+    f = extract_pair_map(wigner_map(np.eye(3)), 0, 1, PROBE_GRID)
+    for z in PROBE_GRID:
         assert abs(f(z) - z) <= 1e-12
 
 
 def test_pair_map_of_abs_map_is_constant_one():
-    f = extract_pair_map(entrywise_abs(3), 0, 2, probe_grid(16))
-    for z in probe_grid(16):
+    f = extract_pair_map(entrywise_abs(3), 0, 2, PROBE_GRID)
+    for z in PROBE_GRID:
         assert abs(f(z) - 1.0) <= 1e-12
 
 
 def test_pair_map_of_diagonal_conjugation_is_a_rotation():
     theta = 0.9
     u = np.diag([1.0, np.exp(1j * theta)]).astype(complex)
-    f = extract_pair_map(wigner_map(u), 0, 1, probe_grid(16))
-    for z in probe_grid(16):
+    f = extract_pair_map(wigner_map(u), 0, 1, PROBE_GRID)
+    for z in PROBE_GRID:
         assert abs(f(z) - np.exp(-1j * theta) * z) <= 1e-12
 
 
 def test_pair_map_rejects_non_canonical_maps():
     with pytest.raises(ProbeError):
-        extract_pair_map(wigner_map(random_unitary(3, 40)), 0, 1, probe_grid(16))
+        extract_pair_map(wigner_map(random_unitary(3, 40)), 0, 1, PROBE_GRID)
 
 
 def test_pair_map_checks_every_basis_projection():
     # the (0, 1) block is fixed, but e_2 and e_3 trade places
     swap = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
     with pytest.raises(ProbeError, match="basis projection"):
-        extract_pair_map(wigner_map(swap), 0, 1, probe_grid(16))
+        extract_pair_map(wigner_map(swap), 0, 1, PROBE_GRID)
 
 
 def test_induced_homomorphism_examples():
-    grid = probe_grid(16)
+    grid = PROBE_GRID
     ident = extract_pair_map(wigner_map(np.eye(3)), 0, 1, grid)
     g = induced_homomorphism(ident, ident, ident)
     assert all(abs(g(z) - z) <= 1e-12 for z in grid)
@@ -177,7 +176,7 @@ def test_induced_homomorphism_cancels_diagonal_phases():
     a, b = cmath.exp(0.7j), cmath.exp(-1.2j)
     u = np.diag([1.0, a, b]).astype(complex)
     phi = wigner_map(u)
-    grid = probe_grid(16)
+    grid = PROBE_GRID
     f01 = extract_pair_map(phi, 0, 1, grid)
     f02 = extract_pair_map(phi, 0, 2, grid)
     f12 = extract_pair_map(phi, 1, 2, grid)
@@ -201,7 +200,7 @@ def test_pair_maps_satisfy_the_coherence_relation(make_map):
     # f01(z) * f12(conj(z) * w) == f02(w) on every canonical branch
     u = np.diag([1.0, cmath.exp(0.4j), cmath.exp(1.9j)]).astype(complex)
     phi = make_map(u)
-    grid = probe_grid(16)
+    grid = PROBE_GRID
     f01 = extract_pair_map(phi, 0, 1, grid)
     f02 = extract_pair_map(phi, 0, 2, grid)
     f12 = extract_pair_map(phi, 1, 2, grid)
@@ -253,6 +252,28 @@ def test_canonical_classification_checks_the_basis_once():
     res = classify_canonical(opaque_map(counted, 4, 4))
     assert res.branch == WIGNER_UNITARY
     assert hits == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "classify_one, dim",
+    [(classify_canonical, 4), (classify_dim2, 2)],
+    ids=["canonical-dim4", "dim2"],
+)
+def test_a_classification_maps_one_probe_batch_and_one_validation_batch(classify_one, dim):
+    # the basis and every pair probe go through the map in one call, the
+    # validation states in a second
+    calls = []
+    opaque = opaque_map(wigner_map(np.eye(dim)), dim, dim)
+
+    def counted(rows):
+        calls.append(len(rows))
+        return opaque.fn(rows)
+
+    res = classify_one(replace(opaque, fn=counted))
+    assert res.classified
+    n_pairs = dim * (dim - 1) // 2
+    assert calls[0] == dim + n_pairs * len(PROBE_GRID)
+    assert len(calls) == 2
 
 
 def test_canonical_classification_rejects_small_dims_and_non_endomaps():
@@ -445,7 +466,7 @@ def test_probe_errors_name_the_first_failing_pair_and_phase():
     # all probes go in one batch, yet the error is the one of the first
     # failing (pair, phase) in pair order: (0, 2) at phase 2, off-block
     broken = _broken_pairs_map(4)
-    grid = probe_grid(16)
+    grid = PROBE_GRID
     res = classify_canonical(broken)
     assert res.branch == NOT_CLASSIFIED
     assert res.reason == "probe image of pair (0, 2) has off-block weight"
@@ -471,11 +492,11 @@ def test_probe_errors_name_the_first_failing_pair_and_phase():
 def test_extract_pair_map_matches_the_all_pairs_batch(make_map):
     # a pair map does not depend on the batch its probes were mapped in
     map_ = make_map()
-    grid = probe_grid(16)
+    grid = PROBE_GRID
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    batched = _pair_maps(map_, pairs, grid)
-    for (i, j), f in zip(pairs, batched):
-        assert extract_pair_map(map_, i, j, grid).table == f.table
+    angles = _phases(grid)  # as sampled() records them
+    for (i, j), row in zip(pairs, _pair_values(map_, pairs)):
+        assert extract_pair_map(map_, i, j, grid).table == _sampled_table(angles, row).table
 
 
 def _hinted(make_map, dim):
@@ -501,8 +522,8 @@ def test_branch_decision_matches_the_induced_homomorphism_path(kind, dim):
     # one induced circle map per triple
     map_, hint = _hinted(BRANCH_CASES[kind], dim)
     u, v, canonical = reduce_to_canonical(map_, hint)
-    res = _classify_branch(map_, canonical, u, v, 16, RESIDUAL_TOL)
-    grid = probe_grid(16)
+    res = _classify_branch(map_, canonical, u, v)
+    grid = PROBE_GRID
     f = {
         (i, j): extract_pair_map(canonical, i, j, grid)
         for i in range(dim)
@@ -523,7 +544,7 @@ def test_a_non_multiplicative_canonical_map_keeps_its_reason():
     # squares every amplitude's phase: fixes the basis, keeps probes
     # balanced, and every induced circle map is z -> z**2
     square = StateMap("phase_square", 4, 4, lambda rows: rows**2 / np.maximum(np.abs(rows), 1e-300))
-    grid = probe_grid(16)
+    grid = PROBE_GRID
     f = {(i, j): extract_pair_map(square, i, j, grid) for i in range(3) for j in range(i + 1, 3)}
     hom = induced_homomorphism(f[0, 1], f[0, 2], f[1, 2])
     assert classify_homomorphism(hom) == NOT_APPLICABLE

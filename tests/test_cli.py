@@ -288,6 +288,41 @@ def test_maps_below_dimension_two_exit_two():
         assert "at least 2" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"family": "phi", "params": {"dim": 3.0}},
+        {"family": "block_embed", "params": {"dim": 3.0}},
+        {"family": "proper_subspace", "params": {"dim": 3.0, "k": 1, "alpha0": 0}},
+        {"family": "proper_subspace", "params": {"dim": 3, "k": 1.5}},
+        {"family": "proper_subspace", "params": {"dim": 3, "k": True}},
+    ],
+    ids=["phi-dim", "block_embed-dim", "proper_subspace-dim", "proper_subspace-k",
+         "proper_subspace-bool-k"],
+)
+def test_non_integer_descriptor_params_exit_two(params, capsys):
+    code = cli.main([
+        "verify", "--property", "nonexpansive", "--dim", "3", "--samples", "100",
+        "--map", json.dumps(params),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid map descriptor: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_running_out_of_memory_exits_two(capsys):
+    # 10**17 anchors in dimension 4 ask for 6.4e18 bytes of normal draws,
+    # beyond any address space, so the allocation fails before it starts
+    code = cli.main(["demo", "separable-embed", "--dim", "4", "--anchors", str(10**17)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert captured.err.count("\n") == 1
+
+
 def test_emit_refuses_non_finite_numbers(capsys):
     with pytest.raises(ValueError):
         cli._emit({"worst_gap": float("-inf")}, None)

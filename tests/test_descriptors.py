@@ -116,12 +116,6 @@ def test_map_descriptor_round_trip(build, dim):
     assert np.array_equal(rebuilt.batch(rows), original.batch(rows))
 
 
-def test_custom_predicate_block_embed_has_no_descriptor():
-    map_ = block_embed(3, predicate=lambda s: abs(s.vec[2]) > 0.4)
-    with pytest.raises(ValueError, match="predicate"):
-        map_to_json(map_)
-
-
 def test_descriptor_dim_must_match_the_map():
     obj = map_to_json(wigner_map(random_unitary(3, 68)))
     obj["params"]["dim"] = 2

@@ -153,16 +153,6 @@ def test_composed_form_is_nonexpansive_on_sampled_pairs():
         assert distance(phi(p), phi(q)) <= distance(p, q) + 1e-12
 
 
-def test_block_embed_with_trivial_predicate_is_isometric():
-    phi = block_embed(3, predicate=lambda s: False)
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        p, q = sample_pure_state(rng, 3), sample_pure_state(rng, 3)
-        ip, iq = phi(p), phi(q)
-        assert np.allclose(ip.vec[3:], 0.0) and np.allclose(iq.vec[3:], 0.0)
-        assert abs(distance(ip, iq) - distance(p, q)) <= 1e-12
-
-
 def test_block_embed_tears_pairs_across_the_boundary():
     phi = block_embed(2)
     # d(P, Q) = |cos 2a| for the swap pair; pick a so the input distance is 0.3
