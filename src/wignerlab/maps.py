@@ -70,6 +70,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_dims(dim_in, dim_out) -> None:
+    """Reject map dimensions that are not integers of at least 2."""
+    if not (_is_integer(dim_in) and _is_integer(dim_out)):
+        raise ValueError(f"map dimensions must be integers, got {dim_in!r} -> {dim_out!r}")
+    if dim_in < 2 or dim_out < 2:
+        raise ValueError(f"map dimensions must be at least 2, got {dim_in} -> {dim_out}")
+
+
 @dataclass(frozen=True)
 class StateMap:
     """A map between pure-state spaces of dimension >= 2 with family metadata.
@@ -88,14 +96,7 @@ class StateMap:
     params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.dim_in) and _is_integer(self.dim_out)):
-            raise ValueError(
-                f"map dimensions must be integers, got {self.dim_in!r} -> {self.dim_out!r}"
-            )
-        if self.dim_in < 2 or self.dim_out < 2:
-            raise ValueError(
-                f"map dimensions must be at least 2, got {self.dim_in} -> {self.dim_out}"
-            )
+        _require_dims(self.dim_in, self.dim_out)
 
     def batch(self, rows: np.ndarray) -> np.ndarray:
         """Images of an (n, dim_in) block of gauge-fixed unit rows.
@@ -265,6 +266,7 @@ def proper_subspace_map(dim: int, k: int, alpha0: int = 0) -> StateMap:
 
 def constant_map(dim: int) -> StateMap:
     """Send every state to the first basis state: nonexpansive, no symmetry."""
+    _require_dims(dim, dim)  # before the target state is built from dim
     target = basis_state(dim, 0).vec
     fn = lambda rows: np.broadcast_to(target, rows.shape)
     return StateMap("constant", dim, dim, fn, {"dim": dim})

@@ -7,9 +7,10 @@ accepts only gains above REFINE_TOL (1e-12) and stops once its step
 falls below REFINE_FLOOR (1e-10), after at most refine_steps steps.
 Every check runs through one serial engine: sampling is split into
 fixed-size chunks with RNG substreams derived from (seed, chunk index),
-and the chunks run one after another.  A chunk's rows are mapped in
-batches of at most MAP_ENTRIES entries, so a narrow map takes a whole
-chunk in one call and only a wide one splits it.
+and the chunks run one after another.  A chunk's rows are mapped, and
+its gaps measured, in blocks of at most MAP_ENTRIES entries, so a narrow
+map takes a whole chunk in one call and only a wide one splits it; the
+injectivity probe's Gram is built in blocks of rows under the same budget.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ __all__ = [
 
 WITNESS_TOL = 1e-9
 CHUNK_SIZE = 512
-# entries (rows times the wider of dim_in, dim_out) per map batch: bounds
-# the temporaries of wide maps (separable_embed) without splitting narrow ones
+# entries (rows times row width) per map batch, gap block or Gram block:
+# bounds the temporaries of wide maps (separable_embed) and of the
+# injectivity probe without splitting narrow ones
 MAP_ENTRIES = 16384
 INJECTIVITY_SAMPLES = 1000
 # the COSP search: the standard basis, then this many seeded Haar rotations
@@ -129,17 +131,39 @@ def _sample_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return _canonical_rows(raw)
 
 
+def _block_rows(width: int) -> int:
+    """Rows of width entries that fit in MAP_ENTRIES entries, at least one."""
+    return max(1, MAP_ENTRIES // width)
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices splitting n rows of width entries into blocks for a row kernel.
+
+    Blocks of _block_rows(width) rows, but at least two, and a lone last
+    row joins the block before it: numpy computes a one-row matrix
+    product as gemv, which rounds differently from the gemm of a larger
+    block, while every block of two or more rows of a Gram product
+    matches the whole product bit for bit.  Only n = 1 gives a one-row
+    block, as the whole product would be.
+    """
+    size = max(2, _block_rows(width))
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _map_rows(map_: StateMap, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Images of canonical state rows, as an (n, dim_out) array.
 
     The one place the searches evaluate the map, in batches of at most
-    MAP_ENTRIES entries: max(1, MAP_ENTRIES // max(dim_in, dim_out)) rows,
-    so a narrow map takes a whole chunk in one call.  StateMap.batch
-    rejects an invalid image, so every returned row is a valid state.
-    Given out, an array of at least n rows, the images are written into
-    its first n rows, and that prefix view is returned.
+    MAP_ENTRIES entries: _block_rows(max(dim_in, dim_out)) rows, so a
+    narrow map takes a whole chunk in one call.  StateMap.batch rejects
+    an invalid image, so every returned row is a valid state.  Given
+    out, an array of at least n rows, the images are written into its
+    first n rows, and that prefix view is returned.
     """
-    block = max(1, MAP_ENTRIES // max(map_.dim_in, map_.dim_out))
+    block = _block_rows(max(map_.dim_in, map_.dim_out))
     if out is None:
         images = np.empty((len(rows), map_.dim_out), dtype=complex)
     else:
@@ -166,21 +190,26 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     """The serial search engine: worst gap over seeded samples.
 
     sample(rng, count) -> input rows stacked as k blocks of count rows,
-    sample i being rows i, count + i, ...; gap(rows, images) -> the count
-    gaps.  Chunk i draws from the RNG substream (seed, i).  The strictly
-    largest gap wins, earliest first.  Returns the worst gap with the
-    input rows and image rows of its sample.
+    sample i being rows i, count + i, ...; gap(rows, images) -> the gaps
+    of m samples given as (k, m, dim) arrays, row [j, i] the j-th row of
+    sample i.  Chunk i draws from the RNG substream (seed, i).  The
+    strictly largest gap wins, earliest first.  Returns the worst gap
+    with the (k, dim) input rows and image rows of its sample.
 
     Every chunk maps into one image block, allocated for the first and
     largest chunk: a multi-MB block freed after each chunk would go back
-    to the OS and be faulted in again by the next.  The winner's rows
-    are copied out, so no result aliases the block.
+    to the OS and be faulted in again by the next.  Gaps are measured in
+    _row_blocks of as many samples as a map batch has rows (a whole
+    chunk for a narrow map), so a gap's temporaries are no larger than a
+    map batch's.  The winner's rows are copied out, so no result aliases
+    the block.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if n_samples < 1:
         raise ValueError("sample budget must be at least 1")
     image_block = None
+    width = max(map_.dim_in, map_.dim_out)
 
     def chunk(index: int):
         # a function, so one chunk's rows and gaps are freed before the next is drawn
@@ -190,9 +219,12 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
         if image_block is None:
             image_block = np.empty((len(rows), map_.dim_out), dtype=complex)
         images = _map_rows(map_, rows, image_block)
-        gaps = gap(rows, images)
+        rows, images = (a.reshape(-1, count, a.shape[1]) for a in (rows, images))
+        gaps = np.empty(count)
+        for block in _row_blocks(count, width):
+            gaps[block] = gap(rows[:, block], images[:, block])
         i = int(np.argmax(gaps))
-        return float(gaps[i]), rows[i::count].copy(), images[i::count].copy()
+        return float(gaps[i]), rows[:, i].copy(), images[:, i].copy()
 
     worst = (-np.inf, None, None)
     for index in range(-(-n_samples // CHUNK_SIZE)):
@@ -281,11 +313,7 @@ def _metric_check(
         raise ValueError("refinement cap must be nonnegative")
 
     def gap(rows, images):
-        half = len(rows) // 2
-        return oriented(
-            _row_distances(rows[:half], rows[half:]),
-            _row_distances(images[:half], images[half:]),
-        )
+        return oriented(_row_distances(*rows), _row_distances(*images))
 
     worst, pair, images = _search(
         map_, n_samples, seed, lambda rng, count: _sample_rows(rng, 2 * count, dim), gap
@@ -363,8 +391,7 @@ def check_orthogonality_preserving(
         return _orthogonal_pair_rows(lambda n: _sample_rows(rng, n, dim), count)
 
     def gap(rows, images):
-        half = len(rows) // 2
-        return _row_transition_probabilities(images[half:], images[:half])
+        return _row_transition_probabilities(images[1], images[0])
 
     worst, pair, images = _search(map_, n_samples, seed, sample, gap)
     return _pair_report("orthogonality-preserving", n_samples, seed, worst, pair, images)
@@ -400,7 +427,7 @@ def check_inclusion_lemma(
         return _canonical_rows((z[0] + 1j * z[1]) @ span_basis)
 
     worst, state, image = _search(
-        map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images)
+        map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images[0])
     )
     return _report(
         "inclusion", n_samples, seed, worst,
@@ -413,12 +440,16 @@ def max_image_overlap(map_: StateMap, rng: np.random.Generator) -> tuple[float, 
 
     Maps INJECTIVITY_SAMPLES states drawn from rng; returns the largest
     transition probability between two of their images, and whether it
-    stays below 1 - 1e-9 (no two sampled states collide).
+    stays below 1 - 1e-9 (no two sampled states collide).  The Gram of
+    the images is built in _row_blocks of rows, each row as wide as the
+    sample count (16 rows of 1000 by default), never all at once.
     """
     images = _map_rows(map_, _sample_state_rows(rng, INJECTIVITY_SAMPLES, map_.dim_in))
-    gram = _pairwise_transition_probabilities(images, images)
-    np.fill_diagonal(gram, 0.0)
-    overlap = float(gram.max())
+    overlap = 0.0
+    for block in _row_blocks(len(images), max(len(images), map_.dim_out)):
+        gram = _pairwise_transition_probabilities(images[block], images)
+        np.fill_diagonal(gram[:, block], 0.0)  # the block's own pairs with themselves
+        overlap = max(overlap, float(gram.max()))
     return overlap, overlap < 1.0 - WITNESS_TOL
 
 

@@ -312,6 +312,22 @@ def test_non_integer_descriptor_params_exit_two(params, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "dim, message",
+    [("3.0", "must be integers"), ("true", "must be integers"), ("1", "must be at least 2")],
+)
+def test_constant_descriptor_dim_is_checked_before_the_target_is_built(dim, message):
+    # the same messages as every other family, not numpy's or the state constructor's
+    result = run_cli(
+        "verify", "--property", "nonexpansive", "--dim", "3",
+        "--map", f'{{"family":"constant","params":{{"dim":{dim}}}}}',
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: invalid map descriptor: map dimensions {message}")
+    assert result.stderr.count("\n") == 1
+
+
 def test_running_out_of_memory_exits_two(capsys):
     # 10**17 anchors in dimension 4 ask for 6.4e18 bytes of normal draws,
     # beyond any address space, so the allocation fails before it starts

@@ -39,7 +39,14 @@ from wignerlab import (
     wigner_map,
 )
 from wignerlab import maps, verify
-from wignerlab.states import _canonical_rows, _row_distances, _row_overlaps
+from wignerlab.acceptance import COUNTEREXAMPLES
+from wignerlab.states import (
+    _canonical_rows,
+    _pairwise_transition_probabilities,
+    _row_distances,
+    _row_overlaps,
+    _sample_state_rows,
+)
 from wignerlab.verify import (
     REFINE_FLOOR,
     REFINE_SHRINK,
@@ -491,7 +498,9 @@ def _wide_separable_embed():
 
 def test_row_blocking_bounds_the_scan_memory():
     # one unblocked 1024-row batch of a chunk would hold several MB of
-    # temporaries at once
+    # temporaries at once, and one gap call on a whole 512-pair chunk holds
+    # 1 MB of distance temporaries where 128-pair gap blocks hold a quarter
+    # of that: the whole-chunk gap peaked at 4.35 MB here, the blocks at 3.23 MB
     map_ = _wide_separable_embed()
     tracemalloc.start()
     try:
@@ -500,7 +509,7 @@ def test_row_blocking_bounds_the_scan_memory():
     finally:
         tracemalloc.stop()
     assert report.holds
-    assert peak < 5e6
+    assert peak < 3.8e6
 
 
 def _recording(map_, shapes):
@@ -534,7 +543,8 @@ def test_a_wide_map_batch_stays_within_the_entry_budget():
 
 def test_map_block_size_cannot_change_a_report(monkeypatch):
     # chunk substreams are fixed by CHUNK_SIZE; MAP_ENTRIES only splits the
-    # rows of a chunk into map batches, so no report may depend on it
+    # rows of a chunk into map batches and gap blocks, and the injectivity
+    # probe's Gram into row blocks, so no report may depend on it
     def reports():
         rng = np.random.default_rng(9)
         sep = separable_embed([sample_pure_state(rng, 4) for _ in range(8)])
@@ -552,7 +562,9 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
                 check_orthogonality_preserving(map_, dim, 600, seed=3),
                 check_inclusion_lemma(map_, pre, 600, seed=3),
             ]
-        return [json.dumps(r.to_json(), sort_keys=True) for r in out]
+        out = [json.dumps(r.to_json(), sort_keys=True) for r in out]
+        # the injectivity probe's Gram blocks come from the same budget
+        return out + [json.dumps(max_image_overlap(sep, np.random.default_rng(10)))]
 
     # one-row batches; 7 rows of the widest map (8 anchors: 16-dim
     # images), an odd split of every chunk; 128 rows of it, an even split
@@ -566,27 +578,46 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
 
 
 def _fresh_search(map_, n_samples, seed, sample, gap):
-    """_search with fresh image arrays for every chunk: the reference for its reused block."""
+    """_search with fresh image arrays for every chunk and one gap call on the
+    whole chunk: the reference for its reused block and its blocks of gaps."""
     worst = (-np.inf, None, None)
     for index in range(-(-n_samples // verify.CHUNK_SIZE)):
         count = min(verify.CHUNK_SIZE, n_samples - index * verify.CHUNK_SIZE)
         rows = sample(_chunk_rng(seed, index), count)
         images = verify._map_rows(map_, rows)
+        rows, images = (a.reshape(-1, count, a.shape[1]) for a in (rows, images))
         gaps = gap(rows, images)
         i = int(np.argmax(gaps))
         if gaps[i] > worst[0]:
-            worst = (gaps[i], rows[i::count], images[i::count])
+            worst = (gaps[i], rows[:, i], images[:, i])
     return worst
 
 
 def _isometry_gap(rows, images):
-    half = len(rows) // 2
-    return abs(
-        _row_distances(images[:half], images[half:]) - _row_distances(rows[:half], rows[half:])
-    )
+    return abs(_row_distances(*images) - _row_distances(*rows))
 
 
-@pytest.mark.parametrize("n_samples", [1, 511, 512, 513, 1537])
+def _overlap_mass_gap(rows, images):
+    # a Gram product, like the inclusion gap: each pair's first input row
+    # against 3 fixed states.  Input rows, as they are complex: on the real
+    # images of both maps a one-row product matched the block's product
+    targets = _sample_rows(np.random.default_rng(3), 3, rows.shape[2])
+    return np.sum(_pairwise_transition_probabilities(rows[0], targets), axis=1)
+
+
+def _recorded(gap, calls):
+    """gap, also appending a copy of every result to calls."""
+
+    def recorded(rows, images):
+        calls.append(gap(rows, images).copy())
+        return calls[-1]
+
+    return recorded
+
+
+# 129 samples are one 128-sample gap block of the 128-wide map and a lone
+# last sample, which joins that block
+@pytest.mark.parametrize("n_samples", [1, 129, 511, 512, 513, 1537])
 @pytest.mark.parametrize(
     "build, dim",
     [(_wide_separable_embed, 8), (lambda: entrywise_abs(4), 4)],
@@ -595,16 +626,89 @@ def _isometry_gap(rows, images):
 def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
     # every chunk maps into one block, a short last chunk into its prefix;
     # at seed 1 the winner of 1537 samples is in the first of four chunks,
-    # whose images the later chunks overwrite in the block
+    # whose images the later chunks overwrite in the block.  The wide map's
+    # gaps are measured 128 samples at a time, the narrow map's a chunk at
+    # a time, and neither may differ from one gap call on the whole chunk
     map_ = build()
 
     def sample(rng, count):
         return _sample_rows(rng, 2 * count, dim)
 
-    got = _search(map_, n_samples, 1, sample, _isometry_gap)
-    want = _fresh_search(map_, n_samples, 1, sample, _isometry_gap)
-    for a, b in zip(got, want):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    for gap in (_isometry_gap, _overlap_mass_gap):
+        got_gaps, want_gaps = [], []
+        got = _search(map_, n_samples, 1, sample, _recorded(gap, got_gaps))
+        want = _fresh_search(map_, n_samples, 1, sample, _recorded(gap, want_gaps))
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        # every gap, not only the winner's, is the whole-chunk gap bit for bit
+        assert np.concatenate(got_gaps).tobytes() == np.concatenate(want_gaps).tobytes()
+
+
+def test_row_blocks_never_leave_a_lone_row(monkeypatch):
+    monkeypatch.setattr(verify, "MAP_ENTRIES", 1000)
+    sizes = lambda n, width: [b.stop - b.start for b in verify._row_blocks(n, width)]
+    assert sizes(1, 10) == [1]
+    assert sizes(250, 10) == [100, 100, 50]
+    assert sizes(201, 10) == [100, 101]
+    # a budget below two rows still gives two-row blocks
+    assert sizes(5, 1000) == [2, 3]
+    assert sizes(5, 10**6) == [2, 3]
+    assert sizes(0, 10) == []
+
+
+def _one_product_overlap(map_, rng):
+    """max_image_overlap's figure from the whole Gram of the images at once."""
+    rows = _sample_state_rows(rng, verify.INJECTIVITY_SAMPLES, map_.dim_in)
+    images = verify._map_rows(map_, rows)
+    gram = _pairwise_transition_probabilities(images, images)
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max()), gram, images
+
+
+def _demo_separable_embed():
+    # demo separable-embed --dim 4 --anchors 32, as criterion 09 builds it
+    return COUNTEREXAMPLES["separable-embed"].build(np.random.default_rng(901), 4, anchors=32)
+
+
+OVERLAP_MAPS = {
+    2: lambda: wigner_map(random_unitary(2, 41)),
+    3: lambda: composed_phi_form(random_unitary(3, 42), random_unitary(3, 43)),
+    64: _demo_separable_embed,
+    128: _wide_separable_embed,
+}
+
+
+# 1 gives two-row blocks; 27000 gives 27-row blocks of the 1000-wide Gram
+# rows, 37 of which leave a lone last row; the default gives 16-row blocks
+@pytest.mark.parametrize("entries", [1, 27000, verify.MAP_ENTRIES])
+@pytest.mark.parametrize("width", sorted(OVERLAP_MAPS))
+def test_gram_blocks_match_the_one_product_overlap(monkeypatch, width, entries):
+    map_ = OVERLAP_MAPS[width]()
+    assert map_.dim_out == width
+    want, gram, images = _one_product_overlap(map_, np.random.default_rng(width))
+    monkeypatch.setattr(verify, "MAP_ENTRIES", entries)
+    blocks = verify._row_blocks(len(images), len(images))
+    assert min(b.stop - b.start for b in blocks) >= 2
+    for block in blocks:
+        got = _pairwise_transition_probabilities(images[block], images)
+        np.fill_diagonal(got[:, block], 0.0)
+        assert got.tobytes() == gram[block].tobytes()
+    overlap, distinct = max_image_overlap(map_, np.random.default_rng(width))
+    assert overlap == want and distinct == (want < 1.0 - 1e-9)
+
+
+def test_gram_blocks_bound_the_injectivity_probe_memory():
+    # the whole 1000 x 1000 Gram and its moduli took 25 MB here
+    map_ = _demo_separable_embed()
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        _, distinct = max_image_overlap(map_, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distinct
+    assert peak < 6e6
 
 
 def test_a_witness_from_the_first_of_several_chunks_keeps_its_images():
