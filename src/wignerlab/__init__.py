@@ -15,15 +15,12 @@ from .circle import (
     CircleMap,
     CircleMapForm,
     CircleViolation,
-    HomViolation,
-    check_homomorphism,
     check_nonexpansive_circle,
     classify_circle_map,
     classify_homomorphism,
     conjugate_rotation,
     constant,
     fold,
-    opaque,
     power,
     rotation,
     sampled,
@@ -63,13 +60,10 @@ from .states import (
     PureState,
     basis_state,
     distance,
-    is_cosp,
-    operator_norm_distance,
     pure_state,
     random_unitary,
     sample_pure_state,
     sample_unitary,
-    standard_cosp,
     state_from_json,
     state_from_params,
     state_to_json,

@@ -21,6 +21,7 @@ from .circle import (
     CONJUGATION,
     CONSTANT_ONE,
     IDENTITY,
+    check_nonexpansive_circle,
     classify_homomorphism,
     conjugate_rotation,
     constant,
@@ -147,14 +148,22 @@ def criterion_03() -> CriterionResult:
 
 
 def criterion_04() -> CriterionResult:
-    """Phase-map lifts inherit circle behaviour: two pass, squaring fails."""
+    """Phase-map lifts inherit circle behaviour: each lift's verdict is its
+    circle map's, fold and constant 1 pass, squaring fails."""
     t0 = time.time()
-    ok_fold = check_nonexpansive(standard_map(fold()), 2, 10000, seed=42).holds
-    ok_const = check_nonexpansive(standard_map(constant(1.0)), 2, 10000, seed=42).holds
-    rep = check_nonexpansive(standard_map(power(2)), 2, 1000, seed=42)
-    gap = rep.witness.gap if rep.witness is not None else 0.0
-    passed = ok_fold and ok_const and gap >= 0.25
-    detail = f"fold holds {ok_fold}, constant holds {ok_const}, squaring gap {gap:.3f}"
+    cases = [
+        ("fold", fold(), 10000),
+        ("constant", constant(1.0), 10000),
+        ("squaring", power(2), 1000),
+    ]
+    lifts = {name: check_nonexpansive(standard_map(g), 2, n, seed=42) for name, g, n in cases}
+    circles = {name: check_nonexpansive_circle(g) is None for name, g, _ in cases}
+    witness = lifts["squaring"].witness
+    gap = witness.gap if witness is not None else 0.0
+    agree = all(lifts[name].holds == circles[name] for name in lifts)
+    passed = agree and lifts["fold"].holds and lifts["constant"].holds and gap >= 0.25
+    verdicts = ", ".join(f"{name} {lifts[name].holds}/{circles[name]}" for name in lifts)
+    detail = f"lift/circle holds: {verdicts}; squaring gap {gap:.3f}"
     return _result(4, "phase-lift equivalence", t0, passed, detail, 10.0)
 
 

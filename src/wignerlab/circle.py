@@ -5,6 +5,12 @@ Re(g(z1) * conj(g(z2))) >= Re(z1 * conj(z2)) for all inputs, and every
 nonexpansive map is a rotation, a conjugate rotation, or has image inside
 a closed half-circle.  Multiplicative maps reduce further to the
 identity, conjugation, or the constant 1.
+
+Every kind (rotation, conjugate rotation, constant, fold, power and
+sampled tables) has an array form.  check_nonexpansive_circle searches
+seeded pairs for an expanding chord, classify_homomorphism reads a
+multiplicative map's branch off its values at i and -1, and
+classify_circle_map sorts a nonexpansive map into the three forms.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .states import _is_integer
 
 __all__ = [
     "UNIT_TOL",
@@ -27,7 +35,6 @@ __all__ = [
     "NOT_APPLICABLE",
     "CircleMap",
     "CircleViolation",
-    "HomViolation",
     "CircleMapForm",
     "rotation",
     "conjugate_rotation",
@@ -35,10 +42,8 @@ __all__ = [
     "fold",
     "power",
     "sampled",
-    "opaque",
     "unit_grid",
     "check_nonexpansive_circle",
-    "check_homomorphism",
     "classify_homomorphism",
     "classify_circle_map",
     "sampled_to_json",
@@ -108,7 +113,7 @@ class CircleMap:
         """Recorded input points of a sampled map, None otherwise."""
         if self.table is None:
             return None
-        return np.exp(1j * _table_arrays(self)[0])
+        return np.exp(1j * np.array([theta for theta, _ in self.table]))
 
 
 def rotation(c: complex) -> CircleMap:
@@ -140,7 +145,7 @@ def fold() -> CircleMap:
 
 def power(k: int) -> CircleMap:
     """z -> z**k for an integer k; expanding for |k| >= 2."""
-    if int(k) != k:
+    if not _is_integer(k):
         raise ValueError(f"power exponent must be an integer, got {k!r}")
     k = int(k)
     return CircleMap("power", lambda z: z**k, param=k)
@@ -155,14 +160,6 @@ def _phases(zs) -> np.ndarray:
     return np.array([cmath.phase(z) for z in np.asarray(zs, dtype=complex).tolist()])
 
 
-def _table_index(angles: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Per query point, the index of the first table angle within 1e-9 of
-    its angle, or -1 where there is none."""
-    delta = np.abs(np.angle(zs)[:, None] - angles) % (2.0 * math.pi)
-    hit = np.minimum(delta, 2.0 * math.pi - delta) <= 1e-9
-    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-
-
 def _sampled_table(angles, values) -> CircleMap:
     """Tabulated map from an array of input angles and one of unit output values."""
     angles = np.array(angles, dtype=float)
@@ -175,20 +172,16 @@ def _sampled_table(angles, values) -> CircleMap:
     table = tuple(zip(angles.tolist(), values.tolist()))
 
     def fn(zs: np.ndarray) -> np.ndarray:
-        index = _table_index(angles, zs)
-        missing = np.flatnonzero(index < 0)
+        # per query point, the first table angle within 1e-9 of its angle
+        delta = np.abs(np.angle(zs)[:, None] - angles) % (2.0 * math.pi)
+        hit = np.minimum(delta, 2.0 * math.pi - delta) <= 1e-9
+        missing = np.flatnonzero(~hit.any(axis=1))
         if missing.size:
             theta = cmath.phase(zs[missing[0]])
             raise ValueError(f"sampled circle map has no entry at angle {theta}")
-        return values[index]
+        return values[hit.argmax(axis=1)]
 
     return CircleMap("sampled", fn, table=table)
-
-
-def _table_arrays(g: CircleMap) -> tuple[np.ndarray, np.ndarray]:
-    """Input angles and output values of a sampled map, as two arrays."""
-    columns = np.array(g.table, dtype=complex)
-    return columns[:, 0].real, columns[:, 1]
 
 
 def sampled(pairs) -> CircleMap:
@@ -200,15 +193,6 @@ def sampled(pairs) -> CircleMap:
         raise ValueError("sampled circle map entries must be (input, output) pairs")
     _require_units(points[:, 0])
     return _sampled_table(_phases(points[:, 0]), points[:, 1])
-
-
-def opaque(fn: Callable[[complex], complex]) -> CircleMap:
-    """Wrap an arbitrary scalar unit-circle evaluator without structural claims.
-
-    The only kind without an array form: its points are evaluated one at
-    a time.
-    """
-    return CircleMap("opaque", lambda zs: np.array([fn(z) for z in zs.tolist()], dtype=complex))
 
 
 def unit_grid(n: int) -> list[complex]:
@@ -227,33 +211,10 @@ class CircleViolation:
     gap: float
 
 
-@dataclass(frozen=True)
-class HomViolation:
-    """Input pair witnessing g(z*w) != g(z)*g(w)."""
-
-    z: complex
-    w: complex
-    gap: float
-
-
-def _sample_points(g: CircleMap, rng: np.random.Generator, count: int) -> np.ndarray:
-    if g.table is not None:
-        return g.inputs[rng.integers(0, len(g.table), size=count)]
-    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=count))
-
-
 def _grid_points(g: CircleMap, grid_size: int) -> np.ndarray:
     if g.table is not None:
         return g.inputs
     return np.array(unit_grid(grid_size))
-
-
-def _worst(gaps: np.ndarray) -> int | None:
-    """Index of the first strictly largest gap above CIRCLE_WITNESS_TOL, or None."""
-    if not gaps.size:
-        return None
-    k = int(np.argmax(gaps))
-    return k if gaps[k] > CIRCLE_WITNESS_TOL else None
 
 
 def check_nonexpansive_circle(
@@ -269,37 +230,20 @@ def check_nonexpansive_circle(
     rng = np.random.default_rng(seed)
     points = _grid_points(g, 32)
     first, second = np.triu_indices(len(points), k=1)
-    extra = _sample_points(g, rng, 2 * n_samples)
+    if g.table is not None:
+        extra = g.inputs[rng.integers(0, len(g.table), size=2 * n_samples)]
+    else:
+        extra = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=2 * n_samples))
     z1 = np.concatenate([points[first], extra[:n_samples]])
     z2 = np.concatenate([points[second], extra[n_samples:]])
     w1, w2 = g.batch(z1), g.batch(z2)
     # Re(a * conj(b)), written out
     gaps = (z1.real * z2.real + z1.imag * z2.imag) - (w1.real * w2.real + w1.imag * w2.imag)
-    k = _worst(gaps)
-    return None if k is None else CircleViolation(complex(z1[k]), complex(z2[k]), float(gaps[k]))
-
-
-def check_homomorphism(
-    g: CircleMap, n_samples: int = 1000, seed: int = 42
-) -> HomViolation | None:
-    """Search for a pair violating g(z*w) = g(z)*g(w); None when none found.
-
-    Tests all pairs (z, w) of 16 grid points, z-major, plus seeded random
-    pairs; a sampled map is tested on the pairs of recorded inputs whose
-    product is recorded too.
-    """
-    rng = np.random.default_rng(seed)
-    points = _grid_points(g, 16)
-    z, w = np.repeat(points, len(points)), np.tile(points, len(points))
-    if g.table is not None:
-        closed = _table_index(_table_arrays(g)[0], z * w) >= 0
-        z, w = z[closed], w[closed]
-    else:
-        extra = _sample_points(g, rng, 2 * n_samples)
-        z, w = np.concatenate([z, extra[:n_samples]]), np.concatenate([w, extra[n_samples:]])
-    gaps = np.abs(g.batch(z * w) - g.batch(z) * g.batch(w))
-    k = _worst(gaps)
-    return None if k is None else HomViolation(complex(z[k]), complex(w[k]), float(gaps[k]))
+    # the witness is the first strictly largest gap, if above CIRCLE_WITNESS_TOL
+    if not gaps.size or gaps.max() <= CIRCLE_WITNESS_TOL:
+        return None
+    k = int(np.argmax(gaps))
+    return CircleViolation(complex(z1[k]), complex(z2[k]), float(gaps[k]))
 
 
 def _hom_branches(at_i: np.ndarray, at_minus_one: np.ndarray) -> np.ndarray:

@@ -45,7 +45,6 @@ from .states import (
     _row_distances,
     _row_transition_probabilities,
     _sample_state_rows,
-    is_cosp,
 )
 from .verify import find_cosp_in_image
 
@@ -379,7 +378,7 @@ def reduce_to_canonical(
     dim = map_.dim_in
     if map_.dim_out != dim:
         raise ValueError("reduction requires an endomap")
-    if preimages.dim != dim or not is_cosp(preimages, dim):
+    if preimages.dim != dim or len(preimages) != dim:
         raise ValueError("preimage system is not complete for the map dimension")
     try:
         images = map_.batch(preimages.rows)

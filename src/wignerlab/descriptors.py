@@ -68,14 +68,21 @@ def circle_map_to_json(g: CircleMap) -> dict:
 
 
 def circle_map_from_json(obj: dict) -> CircleMap:
-    """Rebuild a circle map from its tagged JSON."""
+    """Rebuild a circle map from its tagged JSON: "kind" and that kind's own key."""
     if not isinstance(obj, dict):
         raise ValueError("circle map must be an object with a 'kind' tag")
     kind = obj.get("kind")
     if kind not in _CIRCLE_KINDS:
         raise ValueError(f"unknown circle map kind {kind!r}")
     key, _, build = _CIRCLE_KINDS[kind]
-    return build() if key is None else build(obj[key])
+    for name in obj:
+        if name not in ("kind", key):
+            raise ValueError(f"circle map kind {kind!r} has no param {name!r}")
+    if key is None:
+        return build()
+    if key not in obj:
+        raise ValueError(f"circle map kind {kind!r} needs param {key!r}")
+    return build(obj[key])
 
 
 # family -> builder taking the decoded wire params as keywords; a

@@ -20,6 +20,7 @@ from .circle import CircleMap
 from .states import (
     PureState,
     _canonical_rows,
+    _is_integer,
     _param_rows,
     _row_params,
     _trusted_state,
@@ -63,11 +64,6 @@ def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for many.
     """
     return (rows[:, None, :] @ mat.T)[:, 0, :]
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, and not a bool; a whole float such as 3.0 is refused."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _require_dims(dim_in, dim_out) -> None:

@@ -3,9 +3,10 @@
 A pure state is stored as its representative unit vector with the phase
 gauge fixed: the first coordinate of modulus above the gauge threshold is
 real and strictly positive.  All metric quantities reduce to inner
-products of representatives; dense Hermitian matrices appear only in the
-spectral-norm oracle.  Each formula is one kernel on (n, dim) row arrays;
-a function of single states checks its arguments and makes a one-row call.
+products of representatives; the only dense matrix is the rank-one
+projection that PureState.projector builds.  Each formula is one kernel
+on (n, dim) row arrays; a function of single states checks its arguments
+and makes a one-row call.
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ __all__ = [
     "GAUGE_TOL",
     "ORTHO_TOL",
     "STATE_EQ_TOL",
-    "HERMITIAN_TOL",
     "PureState",
     "OrthoSystem",
     "pure_state",
     "basis_state",
     "transition_probability",
     "distance",
-    "operator_norm_distance",
-    "is_cosp",
-    "standard_cosp",
     "two_by_two_params",
     "state_from_params",
     "sample_pure_state",
@@ -42,7 +39,6 @@ UNIT_NORM_TOL = 1e-12
 GAUGE_TOL = 1e-12
 ORTHO_TOL = 1e-9
 STATE_EQ_TOL = 1e-9
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +83,11 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool; a whole float such as 3.0 is refused."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _trusted_state(vec: np.ndarray) -> PureState:
@@ -202,24 +203,6 @@ def distance(p: PureState, q: PureState) -> float:
     return float(_row_distances(p.vec[None], q.vec[None])[0])
 
 
-def _require_hermitian(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return mat
-
-
-def operator_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm of the difference of two Hermitian matrices."""
-    a = _require_hermitian(a)
-    b = _require_hermitian(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b, 2))
-
-
 def _require_orthogonal(rows: np.ndarray) -> None:
     """Raise unless the state rows are pairwise orthogonal within ORTHO_TOL."""
     overlapping = _pairwise_transition_probabilities(rows, rows) > ORTHO_TOL
@@ -257,16 +240,6 @@ class OrthoSystem:
 
     def __iter__(self):
         return iter(self.members)
-
-
-def is_cosp(system: OrthoSystem, dim: int) -> bool:
-    """True when the orthogonal system is complete for the given dimension."""
-    return len(system) == dim
-
-
-def standard_cosp(dim: int) -> OrthoSystem:
-    """The complete system of standard basis states."""
-    return OrthoSystem(tuple(basis_state(dim, k) for k in range(dim)))
 
 
 def _row_params(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,7 +351,7 @@ def state_from_json(obj: dict) -> PureState:
     if not isinstance(obj, dict) or "dim" not in obj or "vec" not in obj:
         raise ValueError("state JSON must carry 'dim' and 'vec'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
+    if not _is_integer(dim):
         raise ValueError(f"state JSON 'dim' must be an integer, got {dim!r}")
     pairs = obj["vec"]
     if len(pairs) != dim:

@@ -30,6 +30,15 @@ def test_criterion_04_phase_lift_equivalence():
     _run(acceptance.criterion_04)
 
 
+def test_criterion_04_fails_when_the_circle_side_disagrees(monkeypatch):
+    # a circle check that finds no violation calls squaring nonexpansive,
+    # while its lift is not: the criterion must see the disagreement
+    monkeypatch.setattr(acceptance, "check_nonexpansive_circle", lambda g: None)
+    result = acceptance.criterion_04()
+    assert not result.passed
+    assert "squaring False/True" in result.detail
+
+
 def test_criterion_05_classifier_round_trip():
     _run(acceptance.criterion_05)
 

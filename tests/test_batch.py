@@ -28,7 +28,6 @@ from wignerlab import (
     constant_map,
     entrywise_abs,
     fold,
-    opaque,
     opaque_map,
     power,
     proper_subspace_map,
@@ -62,10 +61,6 @@ def _square_entries(s: PureState) -> PureState:
     return pure_state(s.vec**2 + 0.1)
 
 
-def _scalar_fold(z: complex) -> complex:
-    return cmath.exp(1j * abs(cmath.phase(z)))
-
-
 FAMILIES = {
     "phi": (3, lambda: entrywise_abs(3)),
     "phi basis": (3, lambda: entrywise_abs(3, random_unitary(3, 51))),
@@ -76,7 +71,6 @@ FAMILIES = {
     "tau constant": (2, lambda: standard_map(constant(1.0))),
     "tau power2": (2, lambda: standard_map(power(2))),
     "tau power-3": (2, lambda: standard_map(power(-3))),
-    "tau opaque": (2, lambda: standard_map(opaque(_scalar_fold))),
     "tau rotation": (2, lambda: standard_map(rotation(cmath.exp(0.7j)))),
     "tau conj_rotation": (2, lambda: standard_map(conjugate_rotation(1j))),
     "block_embed": (3, lambda: block_embed(3)),
@@ -126,7 +120,6 @@ CIRCLES = {
     "power 2": lambda: power(2),
     "power -3": lambda: power(-3),
     "sampled": lambda: sampled((z, z**3) for z in unit_grid(12)),
-    "opaque": lambda: opaque(_scalar_fold),
 }
 
 

@@ -15,14 +15,13 @@ from wignerlab import (
     CONSTANT_ONE,
     IDENTITY,
     NOT_APPLICABLE,
-    check_homomorphism,
+    CircleMap,
     check_nonexpansive_circle,
     classify_circle_map,
     classify_homomorphism,
     conjugate_rotation,
     constant,
     fold,
-    opaque,
     power,
     rotation,
     sampled,
@@ -64,14 +63,14 @@ def test_constructors_reject_non_unit_coefficients():
 
 
 def test_evaluator_output_is_validated():
-    bad = opaque(lambda z: 2.0 * z)
+    bad = CircleMap("scaled", lambda zs: 2.0 * zs)
     with pytest.raises(ValueError):
         bad(1.0 + 0j)
 
 
 def test_circle_batch_rejects_non_unit_values_and_off_table_queries():
-    with pytest.raises(ValueError, match=r"opaque map produced a non-unit value \(2\+0j\)"):
-        opaque(lambda z: 2.0 * z).batch(np.array([1.0, 1j]))
+    with pytest.raises(ValueError, match=r"scaled map produced a non-unit value \(2\+0j\)"):
+        CircleMap("scaled", lambda zs: 2.0 * zs).batch(np.array([1.0, 1j]))
     g = sampled([(1.0 + 0j, 1j), (1j, -1.0 + 0j)])
     assert np.array_equal(g.batch(np.array([1j, 1.0, 1j])), [-1.0, 1j, -1.0])
     # the first point without an entry names the error, by its angle
@@ -93,14 +92,9 @@ def _first_strictly_largest(gaps):
     return worst
 
 
-def _one(values):
-    """A scalar computed the way the checks compute an array of them."""
-    return np.asarray(values)[0]
-
-
 @pytest.mark.parametrize("n_samples", [0, 1000])
 def test_circle_checks_report_the_first_strictly_largest_gap(n_samples):
-    # the pair-by-pair searches written out: same pairs, same order, same pick
+    # the pair-by-pair search written out: same pairs, same order, same pick
     rng = np.random.default_rng(42)
     extra = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=2 * n_samples))
     extra = list(zip(extra[:n_samples], extra[n_samples:]))
@@ -112,17 +106,6 @@ def test_circle_checks_report_the_first_strictly_largest_gap(n_samples):
     k = _first_strictly_largest(gaps)
     violation = check_nonexpansive_circle(square, n_samples=n_samples)
     assert (violation.z1, violation.z2, violation.gap) == (*pairs[k], gaps[k])
-
-    g = fold()
-    points = unit_grid(16)
-    pairs = [(z, w) for z in points for w in points] + extra
-    gaps = []
-    for z, w in pairs:
-        zw = _one(np.array([z]) * np.array([w]))
-        gaps.append(_one(np.abs(g.batch([zw]) - g.batch([z]) * g.batch([w]))))
-    k = _first_strictly_largest(gaps)
-    violation = check_homomorphism(g, n_samples=n_samples)
-    assert (violation.z, violation.w, violation.gap) == (*pairs[k], gaps[k])
 
 
 def test_unit_grid():
@@ -138,6 +121,9 @@ def test_nonexpansive_circle_examples():
     assert check_nonexpansive_circle(rotation(1j)) is None
     assert check_nonexpansive_circle(constant(1.0)) is None
     assert check_nonexpansive_circle(fold()) is None
+    # a sampled map is checked on pairs of its recorded inputs
+    assert check_nonexpansive_circle(sampled((z, z) for z in unit_grid(12))) is None
+    assert check_nonexpansive_circle(sampled((z, z**2) for z in unit_grid(12))) is not None
 
 
 def test_squaring_expands_chords():
@@ -152,24 +138,6 @@ def test_squaring_expands_chords():
     ).real
     assert recomputed == pytest.approx(violation.gap)
     assert violation.gap > 1e-9
-
-
-def test_homomorphism_check_examples():
-    assert check_homomorphism(rotation(1.0)) is None
-    assert check_homomorphism(conjugate_rotation(1.0)) is None
-    assert check_homomorphism(constant(1.0)) is None
-    # rotations with c != 1 fail at z = w = 1: g(1) = c but g(1)*g(1) = c^2
-    violation = check_homomorphism(rotation(1j))
-    assert violation is not None
-    assert violation.gap > 1e-9
-
-
-def test_fold_is_not_multiplicative():
-    g = fold()
-    violation = check_homomorphism(g)
-    assert violation is not None
-    z, w = violation.z, violation.w
-    assert abs(g(z * w) - g(z) * g(w)) == pytest.approx(violation.gap)
 
 
 def test_homomorphism_branch_decision():
@@ -213,14 +181,6 @@ def test_sampled_map_rejects_bad_values():
         sampled([(1.0 + 0j, 2.0 + 0j)])
     with pytest.raises(ValueError):
         sampled([])
-
-
-def test_sampled_homomorphism_check_uses_product_closed_pairs():
-    grid = unit_grid(8)
-    table = [(z, z) for z in grid]  # identity on the 8th roots
-    assert check_homomorphism(sampled(table)) is None
-    twisted = [(z, z) for z in grid[:4]] + [(z, -z) for z in grid[4:]]
-    assert check_homomorphism(sampled(twisted)) is not None
 
 
 def test_sampled_json_round_trip():

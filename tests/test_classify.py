@@ -43,7 +43,6 @@ from wignerlab import (
     reduce_to_canonical,
     sample_pure_state,
     sampled,
-    standard_cosp,
     standard_map,
     transition_probability,
     wigner_map,
@@ -327,7 +326,8 @@ def test_dim2_rejects_wrong_dimension():
 def test_reduction_produces_a_basis_fixing_map():
     w = random_unitary(3, 42)
     phi = wigner_map(w)
-    u, v, canonical = reduce_to_canonical(phi, standard_cosp(3))
+    basis = OrthoSystem(tuple(basis_state(3, k) for k in range(3)))
+    u, v, canonical = reduce_to_canonical(phi, basis)
     for k in range(3):
         e_k = basis_state(3, k)
         assert transition_probability(canonical(e_k), e_k) >= 1.0 - 1e-10
@@ -354,8 +354,9 @@ def test_reduction_validates_its_preimages():
     with pytest.raises(ValueError):
         reduce_to_canonical(phi, OrthoSystem((basis_state(3, 0),)))  # incomplete
     collapse = opaque_map(lambda s: basis_state(3, 0), 3, 3)
+    basis = OrthoSystem(tuple(basis_state(3, k) for k in range(3)))
     with pytest.raises(ValueError, match="not a COSP"):
-        reduce_to_canonical(collapse, standard_cosp(3))
+        reduce_to_canonical(collapse, basis)
 
 
 def _fresh_states(dim, seed, count=100):
@@ -485,7 +486,10 @@ def test_probe_errors_name_the_first_failing_pair_and_phase():
     [
         lambda: wigner_map(np.eye(5)),
         lambda: entrywise_abs(5),
-        lambda: reduce_to_canonical(wigner_map(random_unitary(5, 56)), standard_cosp(5))[2],
+        lambda: reduce_to_canonical(
+            wigner_map(random_unitary(5, 56)),
+            OrthoSystem(tuple(basis_state(5, k) for k in range(5))),
+        )[2],
     ],
     ids=["identity", "phi", "canonical-wigner"],
 )

@@ -313,6 +313,30 @@ def test_non_integer_descriptor_params_exit_two(params, capsys):
 
 
 @pytest.mark.parametrize(
+    "g, message",
+    [
+        ({"kind": "power", "k": 2.0}, "power exponent must be an integer, got 2.0"),
+        ({"kind": "power", "k": True}, "power exponent must be an integer, got True"),
+        ({"kind": "fold", "c": [0, 1]}, "circle map kind 'fold' has no param 'c'"),
+        ({"kind": "rotation", "c": [0, 1], "k": 3}, "circle map kind 'rotation' has no param 'k'"),
+        ({"kind": "rotation"}, "circle map kind 'rotation' needs param 'c'"),
+    ],
+    ids=["power-float-k", "power-bool-k", "fold-extra-key", "rotation-extra-key",
+         "rotation-missing-key"],
+)
+def test_invalid_circle_descriptors_exit_two(g, message, capsys):
+    # in dimension 2, where a valid tau descriptor would be verified
+    code = cli.main([
+        "verify", "--property", "nonexpansive", "--dim", "2", "--samples", "100",
+        "--map", json.dumps({"family": "tau", "params": {"g": g}}),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: invalid map descriptor: {message}\n"
+
+
+@pytest.mark.parametrize(
     "dim, message",
     [("3.0", "must be integers"), ("true", "must be integers"), ("1", "must be at least 2")],
 )

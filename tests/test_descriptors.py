@@ -127,8 +127,9 @@ def test_descriptor_dim_must_match_the_map():
 
 
 def test_power_exponent_must_be_an_integer():
-    with pytest.raises(ValueError, match="integer"):
-        circle_map_from_json({"kind": "power", "k": 2.7})
+    for k in (2.7, 2.0, True):  # a whole float or a bool is not a JSON integer
+        with pytest.raises(ValueError, match="integer"):
+            circle_map_from_json({"kind": "power", "k": k})
     assert circle_map_from_json({"kind": "power", "k": 2}).param == 2
 
 
@@ -157,6 +158,20 @@ def test_descriptor_errors_name_the_family_and_the_param():
     for obj, message in cases:
         with pytest.raises(ValueError) as err:
             map_from_json(obj)
+        assert str(err.value) == message
+
+
+def test_circle_descriptor_errors_name_the_kind_and_the_param():
+    cases = [
+        ({"kind": "fold", "c": [0, 1]}, "circle map kind 'fold' has no param 'c'"),
+        ({"kind": "rotation", "c": [0, 1], "k": 3}, "circle map kind 'rotation' has no param 'k'"),
+        ({"kind": "power", "k": 2, "table": []}, "circle map kind 'power' has no param 'table'"),
+        ({"kind": "rotation"}, "circle map kind 'rotation' needs param 'c'"),
+        ({"kind": "sampled"}, "circle map kind 'sampled' needs param 'table'"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(ValueError) as err:
+            circle_map_from_json(obj)
         assert str(err.value) == message
 
 

@@ -15,12 +15,9 @@ from wignerlab import (
     block_embed,
     check_isometry,
     distance,
-    is_cosp,
-    operator_norm_distance,
     pure_state,
     random_unitary,
     sample_pure_state,
-    standard_cosp,
     state_from_json,
     state_from_params,
     state_to_json,
@@ -65,23 +62,6 @@ def test_metric_identity_against_spectral_oracle():
             assert distance(p, q) == pytest.approx(
                 float(np.max(np.abs(eigs))), abs=1e-10
             )
-
-
-def test_operator_norm_distance_examples():
-    e1, e2 = basis_state(2, 0), basis_state(2, 1)
-    assert operator_norm_distance(e1.projector(), e1.projector()) == 0.0
-    assert operator_norm_distance(e1.projector(), e2.projector()) == pytest.approx(1.0)
-    rng = np.random.default_rng(12)
-    p = sample_pure_state(rng, 4)
-    q = sample_pure_state(rng, 4)
-    assert operator_norm_distance(p.projector(), q.projector()) == pytest.approx(
-        distance(p, q), abs=1e-10
-    )
-
-
-def test_operator_norm_distance_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        operator_norm_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
 def test_distance_stays_accurate_for_nearly_equal_states():
@@ -161,8 +141,8 @@ def test_orthogonality_examples():
 
 def test_ortho_system_examples():
     cosp = OrthoSystem((basis_state(2, 0), basis_state(2, 1)))
-    assert is_cosp(cosp, 2)
-    assert not is_cosp(OrthoSystem((basis_state(2, 0),)), 2)
+    assert len(cosp) == 2
+    assert len(OrthoSystem((basis_state(2, 0),))) == 1
     mixed = OrthoSystem(
         (
             pure_state([1.0, 1.0, 0.0]),
@@ -170,8 +150,8 @@ def test_ortho_system_examples():
             basis_state(3, 2),
         )
     )
-    assert is_cosp(mixed, 3)
-    assert len(standard_cosp(4)) == 4
+    assert len(mixed) == 3
+    assert len(OrthoSystem(tuple(basis_state(4, k) for k in range(4)))) == 4
 
 
 def test_ortho_system_rejects_non_orthogonal_members():

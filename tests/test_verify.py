@@ -32,7 +32,6 @@ from wignerlab import (
     sample_pure_state,
     sample_unitary,
     separable_embed,
-    standard_cosp,
     standard_map,
     state_from_params,
     transition_probability,
@@ -163,7 +162,8 @@ def test_inclusion_holds_for_abs_and_wigner_maps():
     pre = OrthoSystem((basis_state(3, 0), basis_state(3, 1)))
     assert check_inclusion_lemma(entrywise_abs(3), pre, n_samples=400).holds
     assert check_inclusion_lemma(wigner_map(random_unitary(3, 33)), pre, 400).holds
-    assert check_inclusion_lemma(wigner_map(np.eye(3)), standard_cosp(3), 400).holds
+    basis = OrthoSystem(tuple(basis_state(3, k) for k in range(3)))
+    assert check_inclusion_lemma(wigner_map(np.eye(3)), basis, 400).holds
 
 
 def test_inclusion_finds_a_leaky_map():
@@ -294,7 +294,7 @@ def test_checks_take_refinement_and_seed_by_keyword_only():
     with pytest.raises(TypeError):
         check_orthogonality_preserving(phi, 2, 100, 1)
     with pytest.raises(TypeError):
-        check_inclusion_lemma(phi, standard_cosp(2), 100, 1)
+        check_inclusion_lemma(phi, OrthoSystem((basis_state(2, 0), basis_state(2, 1))), 100, 1)
 
 
 def test_shared_probes_of_the_embeddings():
@@ -552,7 +552,7 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
         cases = [
             (entrywise_abs(3), 3, disjoint),
             (sep, 4, OrthoSystem((sample_pure_state(rng, 4),))),
-            (standard_map(power(2)), 2, standard_cosp(2)),
+            (standard_map(power(2)), 2, OrthoSystem((basis_state(2, 0), basis_state(2, 1)))),
         ]
         out = []
         for map_, dim, pre in cases:
