@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import _is_integer
+from .states import _is_integer, _is_number, _is_number_pair
 
 __all__ = [
     "UNIT_TOL",
@@ -323,12 +323,14 @@ def sampled_to_json(g: CircleMap) -> list[list]:
 
 
 def sampled_from_json(pairs) -> CircleMap:
-    """Rebuild a sampled map from [theta_in, [re, im]] pairs."""
-    try:
-        angles = [float(t) for t, _ in pairs]
-        values = [complex(float(re), float(im)) for _, (re, im) in pairs]
-    except (TypeError, ValueError) as err:
-        raise ValueError(
-            f"sampled circle map table must be [theta_in, [re, im]] pairs: {err}"
-        ) from err
-    return _sampled_table(angles, values)
+    """Rebuild a sampled map from [theta_in, [re, im]] pairs of numbers."""
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"sampled circle map table must be a list, got {pairs!r}")
+    for entry in pairs:
+        pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+        if not (pair and _is_number(entry[0]) and _is_number_pair(entry[1])):
+            raise ValueError(
+                "sampled circle map table entries must be [theta_in, [re, im]] "
+                f"pairs of numbers, got {entry!r}"
+            )
+    return _sampled_table([t for t, _ in pairs], [complex(*w) for _, w in pairs])

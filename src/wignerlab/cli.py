@@ -134,8 +134,6 @@ _DEMO_OPTIONS = {name for entry in COUNTEREXAMPLES.values() for name in entry.pa
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    if args.seed < 0:  # the demo's rng is seeded before any search checks it
-        raise CLIError("seed must be nonnegative")
     params = {name: getattr(args, name) for name in COUNTEREXAMPLES[args.target].params}
     refused = [f"--{name}" for name in sorted(_DEMO_OPTIONS - set(params))
                if getattr(args, name) is not None]
@@ -226,6 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # one check for every subcommand, before a handler seeds anything:
+        # classify of a map that draws no rotation would never see the seed
+        if getattr(args, "seed", 0) < 0:
+            raise CLIError("seed must be nonnegative")
         return args.handler(args)
     except (ValueError, OSError) as err:  # CLIError is a ValueError
         print(f"error: {err}", file=sys.stderr)

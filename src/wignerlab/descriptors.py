@@ -16,7 +16,7 @@ import numpy as np
 from . import circle, maps
 from .circle import CircleMap, sampled_from_json, sampled_to_json
 from .maps import StateMap
-from .states import state_from_json, state_to_json
+from .states import _is_number_pair, state_from_json, state_to_json
 
 __all__ = [
     "matrix_to_json",
@@ -45,7 +45,13 @@ def matrix_from_json(data) -> np.ndarray:
 
 def _unit_kind(build):
     """A circle kind with one unit-complex parameter c, as an [re, im] pair."""
-    return "c", lambda g: [g.param.real, g.param.imag], lambda c: build(complex(*c))
+
+    def decode(c) -> CircleMap:
+        if not _is_number_pair(c):
+            raise ValueError(f"circle map param 'c' must be an [re, im] pair of numbers, got {c!r}")
+        return build(complex(*c))
+
+    return "c", lambda g: [g.param.real, g.param.imag], decode
 
 
 # kind -> (wire parameter or None, its encoder, constructor from its wire value)

@@ -21,6 +21,7 @@ from .states import (
     PureState,
     _canonical_rows,
     _is_integer,
+    _is_number,
     _param_rows,
     _row_params,
     _trusted_state,
@@ -80,7 +81,9 @@ class StateMap:
 
     fn is the array form: it takes an (n, dim_in) block of gauge-fixed
     unit rows and returns the raw (n, dim_out) images, which need be
-    neither normalized nor gauge-fixed.  :meth:`batch` is the validation
+    neither normalized nor gauge-fixed, nor complex: a real floating
+    image is taken as float64, and one with no negative entry is already
+    in gauge, so it is only normalized.  :meth:`batch` is the validation
     boundary every evaluation goes through.  params are the family's
     JSON wire parameters (see :mod:`wignerlab.descriptors`).
     """
@@ -106,7 +109,10 @@ class StateMap:
             raise ValueError(
                 f"map expects rows of dimension {self.dim_in}, got shape {rows.shape}"
             )
-        images = np.asarray(self.fn(rows), dtype=complex)
+        images = np.asarray(self.fn(rows))
+        # a real image stays real: _canonical_rows takes nonnegative rows
+        # without a phase step
+        images = images.astype(float if images.dtype.kind == "f" else complex, copy=False)
         if images.ndim != 2 or images.shape[0] != rows.shape[0]:
             raise ValueError(
                 f"map returned shape {images.shape} for {rows.shape[0]} rows"
@@ -127,6 +133,8 @@ def wigner_map(unitary: np.ndarray, antiunitary: bool = False) -> StateMap:
 
     The antiunitary case acts on representatives as v -> U conj(v).
     """
+    if not isinstance(antiunitary, (bool, np.bool_)):
+        raise ValueError(f"antiunitary must be a boolean, got {antiunitary!r}")
     u = require_unitary(unitary)
     dim = u.shape[0]
     if antiunitary:
@@ -193,6 +201,8 @@ def block_embed(dim: int, threshold: float = 0.5) -> StateMap:
     noncontractive but not an isometry: a pair straddling the threshold
     is pushed to distance 1.
     """
+    if not _is_number(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
     threshold = float(threshold)
 
     def fn(rows: np.ndarray) -> np.ndarray:
@@ -225,8 +235,15 @@ def separable_embed(anchors: Sequence[PureState]) -> StateMap:
     weights = np.array([2.0 ** (-(n + 1) / 2.0) for n in range(n_anchors)])
 
     def fn(rows: np.ndarray) -> np.ndarray:
-        t = np.clip(np.abs(_apply(conj_rows, rows)), 0.0, 1.0)
-        return np.concatenate([weights * t, weights * np.sqrt(1.0 - t**2)], axis=1)
+        t = np.minimum(np.abs(_apply(conj_rows, rows)), 1.0)
+        out = np.empty((len(rows), 2 * n_anchors))
+        upper, lower = out[:, :n_anchors], out[:, n_anchors:]
+        np.multiply(weights, t, out=upper)
+        np.square(t, out=lower)
+        np.subtract(1.0, lower, out=lower)
+        np.sqrt(lower, out=lower)
+        lower *= weights
+        return out
 
     return StateMap(
         "separable_embed", dim, 2 * n_anchors, fn, {"anchors": anchors}

@@ -90,6 +90,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """An int, float or numpy number, and not a bool: what a JSON number decodes to."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _is_number_pair(value) -> bool:
+    """A list or tuple of two numbers: the [re, im] wire form of a complex number."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
 def _trusted_state(vec: np.ndarray) -> PureState:
     """Wrap an already canonical vector without re-validating.
 
@@ -101,33 +111,54 @@ def _trusted_state(vec: np.ndarray) -> PureState:
     return state
 
 
-def _canonical_rows(raw: np.ndarray) -> np.ndarray:
-    """Normalize and phase-gauge each row of an (n, dim) matrix.
+def _checked_norms(parts: np.ndarray) -> np.ndarray:
+    """Row norms of a real (n, m) array; raises unless each is finite and above GAUGE_TOL.
 
-    The one implementation of pure_state: a non-finite or (near) zero
-    row is an error.  Returns a new array and never writes into raw.
+    A complex block passes its float view: the sum of its squared real
+    and imaginary parts is its squared norm.
     """
-    mods = np.abs(raw)
     # einsum raises no floating-point warning: a non-finite row reaches the
     # check below without one
-    norms = np.sqrt(np.einsum("ij,ij->i", mods, mods))[:, None]
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
     if not np.isfinite(norms).all():
         raise ValueError("cannot build a state from a non-finite vector")
     if not (norms > GAUGE_TOL).all():
         raise ValueError("cannot build a state from a (near) zero vector")
+    return norms
+
+
+def _canonical_rows(raw: np.ndarray) -> np.ndarray:
+    """Normalize and phase-gauge each row of an (n, dim) matrix.
+
+    The one implementation of pure_state: a non-finite or (near) zero
+    row is an error.  Returns a new complex array and never writes into
+    raw.  A float64 block with no sign bit set (no negative entry, no
+    -0.0) is already in gauge: each row is divided by its norm, and
+    every imaginary part is +0.0.  Any other block is cast to complex
+    and its rows are multiplied by the conjugate phase of their pivot.
+    """
+    if raw.dtype == np.float64 and not np.signbit(raw).any():
+        out = np.zeros(raw.shape, dtype=complex)
+        np.divide(raw, _checked_norms(raw)[:, None], out=out.real)
+        return out
+    raw = np.ascontiguousarray(raw, dtype=complex)
+    norms = _checked_norms(raw.view(float))
     # the pivot: the first entry of modulus above GAUGE_TOL in the unit row
     # (a unit vector always has an entry of modulus >= dim**-0.5 > tol)
-    if (mods[:, 0] > GAUGE_TOL * norms[:, 0]).all():
+    first = np.abs(raw[:, 0])
+    if (first > GAUGE_TOL * norms).all():
         # every pivot is entry 0, as for any Haar sample: the same phases
-        # without the (n, dim) comparison and the gather
-        phases = raw[:, 0].conj() / mods[:, 0]
+        # without the moduli of the other columns, the (n, dim) comparison
+        # and the gather
+        phases = raw[:, 0].conj() / first
     else:
-        piv = (mods > GAUGE_TOL * norms).argmax(axis=1)
+        mods = np.abs(raw)
+        piv = (mods > GAUGE_TOL * norms[:, None]).argmax(axis=1)
         r = np.arange(len(raw))
         phases = raw[r, piv].conj() / mods[r, piv]
     # gauge first, then divide each real component by the gauged row's own
     # norm: every row comes out unit to within about one rounding
-    parts = np.multiply(raw, phases[:, None], dtype=complex, order="C").view(float)
+    parts = (raw * phases[:, None]).view(float)
     return (parts / np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]).view(complex)
 
 

@@ -154,8 +154,8 @@ def test_circle_batch_entries_equal_scalar_calls_bit_for_bit(name, seed, n):
 class _Raw:
     """What a misbehaving black box returns in place of a valid state."""
 
-    def __init__(self, vec):
-        self.vec = np.asarray(vec, dtype=complex)
+    def __init__(self, vec, dtype=complex):
+        self.vec = np.asarray(vec, dtype=dtype)
 
 
 def _nan_row(rows):
@@ -170,14 +170,28 @@ def _zero_row(rows):
     return out
 
 
+def _inf_row(rows):
+    out = rows.copy()
+    out[-1] = np.inf
+    return out
+
+
 def _too_wide(rows):
     return np.hstack([rows, rows[:, :1]])
+
+
+def _real(array_fn):
+    """The same invalid row in a nonnegative float64 image block."""
+    return lambda rows: array_fn(np.abs(rows))
 
 
 INVALID = {
     "nan": (_nan_row, lambda s: _Raw(np.full(3, np.nan))),
     "zero": (_zero_row, lambda s: _Raw(np.zeros(3))),
     "too wide": (_too_wide, lambda s: _Raw(np.append(s.vec, 1.0))),
+    "nan real": (_real(_nan_row), lambda s: _Raw(np.full(3, np.nan), float)),
+    "inf real": (_real(_inf_row), lambda s: _Raw(np.full(3, np.inf), float)),
+    "zero real": (_real(_zero_row), lambda s: _Raw(np.zeros(3), float)),
 }
 
 
@@ -198,11 +212,14 @@ def test_batch_rejects_invalid_image_blocks(kind, form):
 
 def test_non_finite_images_raise_without_a_numpy_warning():
     # a non-finite image is a ValueError, with no RuntimeWarning before it
-    inf_map = StateMap("custom", 3, 3, lambda rows: np.full(rows.shape, np.inf + 0j))
+    for inf in (np.inf + 0j, np.inf):  # a complex image, and a real one
+        inf_map = StateMap("custom", 3, 3, lambda rows: np.full(rows.shape, inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                inf_map.batch(_rows(7, 5, 3, special=False))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-finite"):
-            inf_map.batch(_rows(7, 5, 3, special=False))
         with pytest.raises(ValueError, match="non-finite"):
             pure_state([np.inf, 0])
 
@@ -216,8 +233,45 @@ def test_batch_checks_its_input_shape():
 
 
 def test_batch_never_writes_into_the_image_block_of_fn():
-    target = np.eye(3, dtype=complex)[1]
-    map_ = StateMap("custom", 3, 3, lambda rows: np.broadcast_to(2.0 * target, rows.shape))
-    images = map_.batch(_rows(3, 4, 3, special=False))
-    assert np.array_equal(images, np.broadcast_to(target, (4, 3)))
-    images[0, 0] = 5.0  # a fresh, writable array
+    # a read-only broadcast image, complex and real
+    for target in (np.eye(3, dtype=complex)[1], np.eye(3)[1]):
+        map_ = StateMap("custom", 3, 3, lambda rows: np.broadcast_to(2.0 * target, rows.shape))
+        images = map_.batch(_rows(3, 4, 3, special=False))
+        assert images.dtype == complex
+        assert np.array_equal(images, np.broadcast_to(target, (4, 3)))
+        images[0, 0] = 5.0  # a fresh, writable array
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dim=st.integers(2, 16),
+    zeros=st.integers(0, 15), scale=st.integers(-20, 20),
+)
+def test_nonnegative_real_blocks_are_normalized_without_a_phase_step(seed, n, dim, zeros, scale):
+    rng = np.random.default_rng(seed)
+    x = np.abs(rng.standard_normal((n, dim))) * 2.0**scale
+    x[:, : min(zeros, dim - 1)] = 0.0  # zero leading columns move every pivot
+    out = _canonical_rows(x)
+    assert out.dtype == complex
+    assert np.array_equal(_bits(out.imag), _bits(np.zeros(x.shape)))  # every part +0.0
+    # the phase step of the complex path rounds conj(x0)/|x0| to within an
+    # ulp of 1: the two paths agree to within 4 ulps of a unit entry
+    assert np.abs(out - _canonical_rows(x.astype(complex))).max() <= 4.5e-16
+    # a float32 image is taken as its float64 cast
+    rows = np.broadcast_to(np.eye(dim, dtype=complex)[0], (n, dim))
+    x32 = x.astype(np.float32)
+    images = StateMap("custom", dim, dim, lambda rows: x32).batch(rows)
+    cast = StateMap("custom", dim, dim, lambda rows: x32.astype(float)).batch(rows)
+    assert np.array_equal(_bits(images), _bits(cast))
+    # a sign bit anywhere, a -0.0 or a negative pivot in one row, sends the
+    # whole block through the phase step
+    same_as_complex = lambda y: np.array_equal(
+        _bits(_canonical_rows(y)), _bits(_canonical_rows(y.astype(complex)))
+    )
+    y = x.copy()
+    if (y == 0.0).any():
+        y[y == 0.0] = -0.0
+        assert same_as_complex(y)
+    r = rng.integers(n)
+    y[r, np.argmax(x[r] > 0.0)] *= -1.0
+    assert same_as_complex(y)

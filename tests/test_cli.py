@@ -183,6 +183,23 @@ def test_verify_rejects_a_negative_refinement_cap():
     assert result.stderr == "error: refinement cap must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --property nonexpansive --map phi",
+        "classify --map phi",
+        "classify --map wigner-random",
+        "demo block-embed",
+    ],
+    ids=lambda argv: argv.split()[0] + "-" + argv.split()[-1],
+)
+def test_a_negative_seed_exits_two_in_every_subcommand(argv, capsys):
+    assert cli.main([*argv.split(), "--seed", "-5"]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative\n"
+
+
 def test_classify_rejects_non_endomap():
     result = run_cli("classify", "--map", "block-embed", "--dim", "3")
     assert result.returncode == 2
@@ -296,9 +313,16 @@ def test_maps_below_dimension_two_exit_two():
         {"family": "proper_subspace", "params": {"dim": 3.0, "k": 1, "alpha0": 0}},
         {"family": "proper_subspace", "params": {"dim": 3, "k": 1.5}},
         {"family": "proper_subspace", "params": {"dim": 3, "k": True}},
+        {"family": "wigner", "params": {"unitary": [[1, 0], [0, 0], [0, 0], [1, 0]],
+                                        "antiunitary": "no"}},
+        {"family": "wigner", "params": {"unitary": [[1, 0], [0, 0], [0, 0], [1, 0]],
+                                        "antiunitary": 0}},
+        {"family": "block_embed", "params": {"dim": 3, "threshold": True}},
+        {"family": "block_embed", "params": {"dim": 3, "threshold": "0.5"}},
     ],
     ids=["phi-dim", "block_embed-dim", "proper_subspace-dim", "proper_subspace-k",
-         "proper_subspace-bool-k"],
+         "proper_subspace-bool-k", "wigner-string-antiunitary", "wigner-int-antiunitary",
+         "block_embed-bool-threshold", "block_embed-string-threshold"],
 )
 def test_non_integer_descriptor_params_exit_two(params, capsys):
     code = cli.main([
@@ -320,9 +344,22 @@ def test_non_integer_descriptor_params_exit_two(params, capsys):
         ({"kind": "fold", "c": [0, 1]}, "circle map kind 'fold' has no param 'c'"),
         ({"kind": "rotation", "c": [0, 1], "k": 3}, "circle map kind 'rotation' has no param 'k'"),
         ({"kind": "rotation"}, "circle map kind 'rotation' needs param 'c'"),
+        *(
+            ({"kind": "rotation", "c": c},
+             f"circle map param 'c' must be an [re, im] pair of numbers, got {c!r}")
+            for c in ([1], [True, 0], 5, [0, 1, 2], ["1", "0"])
+        ),
+        *(
+            ({"kind": "sampled", "table": [entry]},
+             "sampled circle map table entries must be [theta_in, [re, im]] pairs of "
+             f"numbers, got {entry!r}")
+            for entry in ([True, [1, 0]], ["1.5", [1, 0]], [0, [True, 0]], [0, ["1", 0]])
+        ),
     ],
     ids=["power-float-k", "power-bool-k", "fold-extra-key", "rotation-extra-key",
-         "rotation-missing-key"],
+         "rotation-missing-key", "c-one-number", "c-bool", "c-scalar", "c-three-numbers",
+         "c-strings", "table-bool-angle", "table-string-angle", "table-bool-value",
+         "table-string-value"],
 )
 def test_invalid_circle_descriptors_exit_two(g, message, capsys):
     # in dimension 2, where a valid tau descriptor would be verified
