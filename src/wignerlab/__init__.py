@@ -24,8 +24,6 @@ from .circle import (
     power,
     rotation,
     sampled,
-    sampled_from_json,
-    sampled_to_json,
     unit_grid,
 )
 from .classify import (
@@ -42,7 +40,14 @@ from .classify import (
     classify_dim2,
     reduce_to_canonical,
 )
-from .descriptors import map_from_json, map_to_json
+from .descriptors import (
+    map_from_json,
+    map_to_json,
+    sampled_from_json,
+    sampled_to_json,
+    state_from_json,
+    state_to_json,
+)
 from .maps import (
     StateMap,
     block_embed,
@@ -64,9 +69,7 @@ from .states import (
     random_unitary,
     sample_pure_state,
     sample_unitary,
-    state_from_json,
     state_from_params,
-    state_to_json,
     transition_probability,
     two_by_two_params,
 )

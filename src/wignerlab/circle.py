@@ -11,6 +11,7 @@ sampled tables) has an array form.  check_nonexpansive_circle searches
 seeded pairs for an expanding chord, classify_homomorphism reads a
 multiplicative map's branch off its values at i and -1, and
 classify_circle_map sorts a nonexpansive map into the three forms.
+A circle map's JSON form is read and written in wignerlab.descriptors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import _is_integer, _is_number, _is_number_pair
+from .states import _is_integer
 
 __all__ = [
     "UNIT_TOL",
@@ -46,8 +47,6 @@ __all__ = [
     "check_nonexpansive_circle",
     "classify_homomorphism",
     "classify_circle_map",
-    "sampled_to_json",
-    "sampled_from_json",
 ]
 
 UNIT_TOL = 1e-12
@@ -64,13 +63,12 @@ NOT_APPLICABLE = "not_applicable"
 
 def _require_unit(c: complex) -> complex:
     c = complex(c)
-    if abs(abs(c) - 1.0) > UNIT_TOL:
-        raise ValueError("circle values must have modulus 1 within 1e-12")
+    _require_units(np.array(c))
     return c
 
 
 def _require_units(values: np.ndarray) -> None:
-    """The array form of _require_unit."""
+    """Refuse values of modulus other than 1; _require_unit is its one-point call."""
     if not (np.abs(np.abs(values) - 1.0) <= UNIT_TOL).all():  # NaN fails too
         raise ValueError("circle values must have modulus 1 within 1e-12")
 
@@ -312,25 +310,3 @@ def classify_circle_map(g: CircleMap) -> CircleMapForm:
             "image spread exceeds a half-circle; map cannot be nonexpansive"
         )
     return CircleMapForm("half_circle", spread=spread)
-
-
-def sampled_to_json(g: CircleMap) -> list[list]:
-    """[theta_in, [re, im]] pairs of a sampled map: its stored input angle
-    and output value, so that decoding gives back the same table."""
-    if g.table is None:
-        raise ValueError("only sampled circle maps serialize to a table")
-    return [[t, [w.real, w.imag]] for t, w in g.table]
-
-
-def sampled_from_json(pairs) -> CircleMap:
-    """Rebuild a sampled map from [theta_in, [re, im]] pairs of numbers."""
-    if not isinstance(pairs, (list, tuple)):
-        raise ValueError(f"sampled circle map table must be a list, got {pairs!r}")
-    for entry in pairs:
-        pair = isinstance(entry, (list, tuple)) and len(entry) == 2
-        if not (pair and _is_number(entry[0]) and _is_number_pair(entry[1])):
-            raise ValueError(
-                "sampled circle map table entries must be [theta_in, [re, im]] "
-                f"pairs of numbers, got {entry!r}"
-            )
-    return _sampled_table([t for t, _ in pairs], [complex(*w) for _, w in pairs])

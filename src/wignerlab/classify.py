@@ -32,10 +32,9 @@ from .circle import (
     classify_circle_map,
     conjugate_rotation,
     rotation,
-    sampled_to_json,
     unit_grid,
 )
-from .descriptors import matrix_to_json
+from .descriptors import _pairs, matrix_to_json, sampled_to_json
 from .maps import StateMap, _apply, composed_phi_form, standard_map, wigner_map
 from .states import (
     OrthoSystem,
@@ -120,9 +119,7 @@ class ClassificationResult:
         if self.g_form is not None:
             g_class = {
                 "kind": self.g_form.kind,
-                "c": None
-                if self.g_form.c is None
-                else [self.g_form.c.real, self.g_form.c.imag],
+                "c": None if self.g_form.c is None else _pairs([self.g_form.c])[0],
                 "spread": self.g_form.spread,
             }
         return {

@@ -70,6 +70,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    """json.loads hook: an integer beyond the float range is non-finite as a float."""
+    _finite_float(text)
+    return int(text)
+
+
 def _load_map(source: str, dim: int, seed: int) -> StateMap:
     """Resolve --map: builtin name, inline JSON object, or @file path."""
     text = source
@@ -83,7 +89,8 @@ def _load_map(source: str, dim: int, seed: int) -> StateMap:
     if not text.startswith("{"):
         return _builtin_map(text, dim, seed)
     try:
-        obj = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+        obj = json.loads(text, parse_float=_finite_float, parse_int=_float_sized_int,
+                         parse_constant=_finite_float)
     except json.JSONDecodeError as err:
         raise CLIError(f"malformed map descriptor: {err}") from err
     try:
@@ -228,6 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         # classify of a map that draws no rotation would never see the seed
         if getattr(args, "seed", 0) < 0:
             raise CLIError("seed must be nonnegative")
+        if getattr(args, "refine_steps", 0) < 0:  # classify and selftest have no such option
+            raise CLIError("refinement cap must be nonnegative")
         return args.handler(args)
     except (ValueError, OSError) as err:  # CLIError is a ValueError
         print(f"error: {err}", file=sys.stderr)

@@ -1,26 +1,41 @@
-"""JSON wire formats for matrices, circle maps, and map descriptors.
+"""JSON wire formats: complex numbers, matrices, states, circle maps, map descriptors.
 
-Complex matrices serialize as flat row-major lists of [re, im] pairs.
-Circle maps are tagged objects {"kind": ..., <param>: ...}, declared once
-per kind in _CIRCLE_KINDS; map descriptors {"family": ..., "params": ...}
-carry a family's StateMap.params, one builder per family in _FAMILIES.
+The only module that reads or writes the wire form.  A complex number is
+an [re, im] pair of two JSON numbers (not bools or strings), written by
+_pairs and read by _complex_values; a matrix is a flat row-major list of
+pairs, a state {"dim": d, "vec": [pairs]}, a circle map {"kind": ...,
+<param>: ...} (one entry per kind in _CIRCLE_KINDS) and a map descriptor
+{"family": ..., "params": ...} (one builder per family in _FAMILIES).
+An unknown key is refused at every level.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+from itertools import chain
 
 import numpy as np
 
 from . import circle, maps
-from .circle import CircleMap, sampled_from_json, sampled_to_json
+from .circle import CircleMap, _sampled_table
 from .maps import StateMap
-from .states import _is_number_pair, state_from_json, state_to_json
+from .states import (
+    UNIT_NORM_TOL,
+    PureState,
+    _is_integer,
+    _is_number_type,
+    _trusted_state,
+    pure_state,
+)
 
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
+    "state_to_json",
+    "state_from_json",
+    "sampled_to_json",
+    "sampled_from_json",
     "circle_map_to_json",
     "circle_map_from_json",
     "map_to_json",
@@ -28,30 +43,123 @@ __all__ = [
 ]
 
 
+def _pairs(values) -> list[list[float]]:
+    """[re, im] pairs of floats, one per complex value: the one encoder of the wire form."""
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
+    return flat.view(float).reshape(-1, 2).tolist()
+
+
+def _pair_list(items) -> bool:
+    """A list whose entries are lists (or tuples) of exactly two items."""
+    return (
+        isinstance(items, (list, tuple))
+        and set(map(type, items)) <= {list, tuple}
+        and set(map(len, items)) <= {2}
+    )
+
+
+def _numbers(items) -> bool:
+    """Every item is a number and not a bool: checked once per distinct type, not per item."""
+    return all(map(_is_number_type, set(map(type, items))))
+
+
+def _refuse_unless(ok, items, what: str) -> None:
+    """A ValueError "<what>, got <x>" unless ok(items): x is items if it is
+    not a list, else its first entry that ok refuses on its own."""
+    if not ok(items):
+        if isinstance(items, (list, tuple)):
+            items = next(item for item in items if not ok([item]))
+        raise ValueError(f"{what}, got {items!r}")
+
+
+def _number_pairs(pairs) -> bool:
+    return _pair_list(pairs) and _numbers(chain.from_iterable(pairs))
+
+
+def _complex_values(pairs, what: str) -> np.ndarray:
+    """The complex numbers of a list of [re, im] pairs of numbers, each the
+    bits of complex(re, im): the one decoder of the wire form.  Anything
+    else is a ValueError "<what>, got <x>" (see _refuse_unless)."""
+    flat = list(chain.from_iterable(pairs)) if _pair_list(pairs) else None
+    if flat is None or not _numbers(flat):
+        _refuse_unless(_number_pairs, pairs, what)  # raises, naming the bad entry
+    return np.array(flat, dtype=float).view(complex)
+
+
 def matrix_to_json(mat: np.ndarray) -> list[list[float]]:
     """Flat row-major [re, im] pairs of a square complex matrix."""
-    mat = np.asarray(mat, dtype=complex)
-    return [[float(c.real), float(c.imag)] for c in mat.reshape(-1)]
+    return _pairs(mat)
+
+
+def _square_matrix(data, name: str) -> np.ndarray:
+    flat = _complex_values(data, f"{name} must be a list of [re, im] pairs of numbers")
+    n = math.isqrt(flat.size)
+    if n == 0 or n * n != flat.size:
+        raise ValueError(f"{name} entry count {flat.size} is not a nonzero square")
+    return flat.reshape(n, n)
 
 
 def matrix_from_json(data) -> np.ndarray:
     """Rebuild a square matrix from flat row-major [re, im] pairs."""
-    flat = np.array([complex(re, im) for re, im in data])
-    n = math.isqrt(flat.size)
-    if n * n != flat.size:
-        raise ValueError(f"matrix entry count {flat.size} is not a square")
-    return flat.reshape(n, n)
+    return _square_matrix(data, "matrix")
+
+
+def state_to_json(state: PureState) -> dict:
+    """JSON object for a state: dimension plus [re, im] amplitude pairs."""
+    return {"dim": state.dim, "vec": _pairs(state.vec)}
+
+
+def state_from_json(obj: dict) -> PureState:
+    """Rebuild a state from its JSON object, whose only keys are 'dim' and 'vec'.
+
+    Canonical amplitudes are kept exactly, so a witness on a decision
+    boundary reloads on its side; others are renormalized and re-gauged.
+    """
+    if not isinstance(obj, dict) or "dim" not in obj or "vec" not in obj:
+        raise ValueError("state JSON must carry 'dim' and 'vec'")
+    for name in obj:
+        if name not in ("dim", "vec"):
+            raise ValueError(f"state JSON has no key {name!r}")
+    dim = obj["dim"]
+    if not _is_integer(dim):
+        raise ValueError(f"state JSON 'dim' must be an integer, got {dim!r}")
+    vec = _complex_values(
+        obj["vec"], "state JSON 'vec' must be a list of [re, im] pairs of numbers"
+    )
+    if vec.size != dim:
+        raise ValueError(f"state JSON length {vec.size} does not match dim {dim}")
+    state = pure_state(vec)
+    # PureState's test of a canonical vector, without a second canonicalization
+    return _trusted_state(vec) if np.abs(state.vec - vec).max() <= UNIT_NORM_TOL else state
+
+
+def sampled_to_json(g: CircleMap) -> list[list]:
+    """[theta_in, [re, im]] pairs of a sampled map: its stored input angle
+    and output value, so that decoding gives back the same table."""
+    if g.table is None:
+        raise ValueError("only sampled circle maps serialize to a table")
+    angles, values = zip(*g.table)
+    return [[t, w] for t, w in zip(angles, _pairs(values))]
+
+
+_TABLE_ENTRIES = "sampled circle map table entries must be [theta_in, [re, im]] pairs of numbers"
+
+
+def sampled_from_json(table) -> CircleMap:
+    """Rebuild a sampled map from [theta_in, [re, im]] pairs of numbers."""
+    entries = lambda es: (_pair_list(es) and _numbers([t for t, _ in es])
+                          and _number_pairs([w for _, w in es]))
+    _refuse_unless(entries, table, _TABLE_ENTRIES)
+    values = _complex_values([w for _, w in table], _TABLE_ENTRIES)
+    return _sampled_table([t for t, _ in table], values)
 
 
 def _unit_kind(build):
     """A circle kind with one unit-complex parameter c, as an [re, im] pair."""
-
-    def decode(c) -> CircleMap:
-        if not _is_number_pair(c):
-            raise ValueError(f"circle map param 'c' must be an [re, im] pair of numbers, got {c!r}")
-        return build(complex(*c))
-
-    return "c", lambda g: [g.param.real, g.param.imag], decode
+    decode = lambda c: build(
+        _complex_values([c], "circle map param 'c' must be an [re, im] pair of numbers")[0]
+    )
+    return "c", lambda g: _pairs([g.param])[0], decode
 
 
 # kind -> (wire parameter or None, its encoder, constructor from its wire value)
@@ -91,6 +199,12 @@ def circle_map_from_json(obj: dict) -> CircleMap:
     return build(obj[key])
 
 
+def _anchors(data, name: str) -> list[PureState]:
+    if not isinstance(data, list):
+        raise ValueError(f"{name} must be a list of states, got {data!r}")
+    return [state_from_json(s) for s in data]
+
+
 # family -> builder taking the decoded wire params as keywords; a
 # builder without a dim parameter gets its dimension from the other
 # params, and map_from_json checks a dim in the descriptor against it
@@ -105,11 +219,12 @@ _FAMILIES = {
     "constant": maps.constant_map,
 }
 
-# parameter name -> (encoder, decoder) of the params that are not JSON scalars
+# parameter name -> (encoder, decoder given the value and the param's name)
+# of the params that are not JSON scalars
 _CODECS = {
-    **dict.fromkeys(("unitary", "basis", "pre", "post"), (matrix_to_json, matrix_from_json)),
-    "anchors": (lambda a: [state_to_json(s) for s in a], lambda a: [state_from_json(s) for s in a]),
-    "g": (circle_map_to_json, circle_map_from_json),
+    **dict.fromkeys(("unitary", "basis", "pre", "post"), (matrix_to_json, _square_matrix)),
+    "anchors": (lambda a: [state_to_json(s) for s in a], _anchors),
+    "g": (circle_map_to_json, lambda g, name: circle_map_from_json(g)),
 }
 
 
@@ -122,7 +237,9 @@ def _encode(name: str, value):
 
 
 def _decode(name: str, value):
-    return value if value is None or name not in _CODECS else _CODECS[name][1](value)
+    if value is None or name not in _CODECS:
+        return value
+    return _CODECS[name][1](value, f"map param {name!r}")
 
 
 def map_to_json(map_: StateMap) -> dict:
@@ -137,6 +254,9 @@ def map_from_json(obj: dict) -> StateMap:
     """Build a map from its tagged JSON descriptor; a dim in params must be the map's."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError("map descriptor must be an object with a 'family' tag")
+    for name in obj:
+        if name not in ("family", "params"):
+            raise ValueError(f"map descriptor has no key {name!r}")
     family = obj["family"]
     if family not in _FAMILIES:
         raise ValueError(f"unknown map family {family!r}")

@@ -21,7 +21,7 @@ from .states import (
     PureState,
     _canonical_rows,
     _is_integer,
-    _is_number,
+    _is_number_type,
     _param_rows,
     _row_params,
     _trusted_state,
@@ -48,8 +48,8 @@ UNITARY_TOL = 1e-10
 def require_unitary(mat: np.ndarray) -> np.ndarray:
     """Validate and return a square matrix with U*U = I within UNITARY_TOL."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("unitary parameter must be a square matrix")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(f"unitary parameter must be a nonempty square matrix, got {mat.shape}")
     gram = mat.conj().T @ mat
     if not np.max(np.abs(gram - np.eye(mat.shape[0]))) <= UNITARY_TOL:  # NaN fails too
         raise ValueError("matrix is not unitary within 1e-10")
@@ -201,7 +201,7 @@ def block_embed(dim: int, threshold: float = 0.5) -> StateMap:
     noncontractive but not an isometry: a pair straddling the threshold
     is pushed to distance 1.
     """
-    if not _is_number(threshold):
+    if not _is_number_type(type(threshold)):
         raise ValueError(f"threshold must be a number, got {threshold!r}")
     threshold = float(threshold)
 

@@ -6,7 +6,8 @@ real and strictly positive.  All metric quantities reduce to inner
 products of representatives; the only dense matrix is the rank-one
 projection that PureState.projector builds.  Each formula is one kernel
 on (n, dim) row arrays; a function of single states checks its arguments
-and makes a one-row call.
+and makes a one-row call.  A state's JSON form is read and written in
+wignerlab.descriptors.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "sample_pure_state",
     "sample_unitary",
     "random_unitary",
-    "state_to_json",
-    "state_from_json",
 ]
 
 UNIT_NORM_TOL = 1e-12
@@ -90,14 +89,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    """An int, float or numpy number, and not a bool: what a JSON number decodes to."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _is_number_pair(value) -> bool:
-    """A list or tuple of two numbers: the [re, im] wire form of a complex number."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+def _is_number_type(kind: type) -> bool:
+    """int, float or a numpy number type, and not bool: the types a JSON number decodes to."""
+    return issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
 
 
 def _trusted_state(vec: np.ndarray) -> PureState:
@@ -363,32 +357,3 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("dimension must be positive")
     return sample_unitary(np.random.default_rng(seed), dim)
-
-
-def state_to_json(state: PureState) -> dict:
-    """JSON object for a state: dimension plus [re, im] amplitude pairs."""
-    return {
-        "dim": state.dim,
-        "vec": [[float(c.real), float(c.imag)] for c in state.vec],
-    }
-
-
-def state_from_json(obj: dict) -> PureState:
-    """Rebuild a state from its JSON object.
-
-    Canonical amplitudes are kept exactly, so a witness on a decision
-    boundary reloads on its side; others are renormalized and re-gauged.
-    """
-    if not isinstance(obj, dict) or "dim" not in obj or "vec" not in obj:
-        raise ValueError("state JSON must carry 'dim' and 'vec'")
-    dim = obj["dim"]
-    if not _is_integer(dim):
-        raise ValueError(f"state JSON 'dim' must be an integer, got {dim!r}")
-    pairs = obj["vec"]
-    if len(pairs) != dim:
-        raise ValueError(f"state JSON length {len(pairs)} does not match dim {dim}")
-    vec = np.array([complex(re, im) for re, im in pairs])
-    try:
-        return PureState(vec)
-    except ValueError:
-        return pure_state(vec)

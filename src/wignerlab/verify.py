@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descriptors import state_to_json
 from .maps import StateMap
 from .states import (
     OrthoSystem,
@@ -32,7 +33,6 @@ from .states import (
     _sample_state_rows,
     _trusted_state,
     sample_unitary,
-    state_to_json,
 )
 
 __all__ = [

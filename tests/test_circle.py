@@ -60,6 +60,10 @@ def test_constructors_reject_non_unit_coefficients():
         rotation(2.0)
     with pytest.raises(ValueError):
         constant(0.0)
+    for build in (rotation, conjugate_rotation, constant):
+        for c in (complex(math.nan, 0.0), complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match="modulus 1"):
+                build(c)
 
 
 def test_evaluator_output_is_validated():

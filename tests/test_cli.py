@@ -76,6 +76,28 @@ def test_descriptors_must_be_strict_json():
         assert "non-finite" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"family": "block_embed", "params": {"dim": 3, "threshold": 10**400}},
+        {"family": "tau", "params": {"g": {"kind": "sampled", "table": [[-10**400, [1, 0]]]}}},
+        {"family": "wigner", "params": {"unitary": [[10**400, 0], [0, 0], [0, 0], [1, 0]]}},
+    ],
+    ids=["threshold", "table-angle", "matrix-entry"],
+)
+def test_integers_beyond_the_float_range_exit_two(desc, capsys):
+    # as JSON floats such numbers are infinite; as integers they used to crash a float()
+    code = cli.main([
+        "verify", "--property", "nonexpansive", "--dim", "3", "--samples", "100",
+        "--map", json.dumps(desc),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: map descriptor has a non-finite number ")
+    assert captured.err.count("\n") == 1
+
+
 def test_constant_descriptor_matches_the_builtin():
     desc = json.dumps({"family": "constant", "params": {"dim": 3}})
     from_json = run_cli("classify", "--map", desc, "--dim", "3")
@@ -181,6 +203,19 @@ def test_verify_rejects_a_negative_refinement_cap():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: refinement cap must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["verify --property orthogonality --map phi", "demo block-embed"],
+    ids=["verify-orthogonality", "demo-block-embed"],
+)
+def test_a_negative_refinement_cap_exits_two_in_every_search(argv, capsys):
+    # the orthogonality search refines nothing, yet the cap is checked at the boundary
+    assert cli.main([*argv.split(), "--refine-steps", "-1"]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: refinement cap must be nonnegative\n"
 
 
 @pytest.mark.parametrize(
@@ -366,6 +401,55 @@ def test_invalid_circle_descriptors_exit_two(g, message, capsys):
     code = cli.main([
         "verify", "--property", "nonexpansive", "--dim", "2", "--samples", "100",
         "--map", json.dumps({"family": "tau", "params": {"g": g}}),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: invalid map descriptor: {message}\n"
+
+
+_UNITARY = "map param 'unitary' must be a list of [re, im] pairs of numbers, got "
+_VEC = "state JSON 'vec' must be a list of [re, im] pairs of numbers, got "
+_ANCHOR = {"dim": 2, "vec": [[1.0, 0.0], [0.0, 0.0]]}
+
+
+def _wigner(*entries):
+    return {"family": "wigner", "params": {"unitary": [*entries]}}
+
+
+def _anchored(anchor):
+    return {"family": "separable_embed", "params": {"anchors": [anchor, _ANCHOR]}}
+
+
+@pytest.mark.parametrize(
+    "desc, message",
+    [
+        (_wigner([True, 0], [0, 0], [0, 0], [True, False]), _UNITARY + "[True, 0]"),
+        (_wigner(["1", 0], [0, 0], [0, 0], [1, 0]), _UNITARY + "['1', 0]"),
+        (_wigner([1, 0], [0], [0, 0], [1, 0]), _UNITARY + "[0]"),
+        (_wigner([1, 0], [0, 0, 0], [0, 0], [1, 0]), _UNITARY + "[0, 0, 0]"),
+        ({"family": "wigner", "params": {"unitary": 5}}, _UNITARY + "5"),
+        ({"family": "wigner", "params": {"unitary": {}}}, _UNITARY + "{}"),
+        ({"family": "wigner", "params": {"unitary": []}},
+         "map param 'unitary' entry count 0 is not a nonzero square"),
+        ({"family": "phi", "params": {"dim": 2}, "famliy": "wigner"},
+         "map descriptor has no key 'famliy'"),
+        (_anchored({"dim": 2, "vec": [[True, 0], [0, False]]}), _VEC + "[True, 0]"),
+        (_anchored({**_ANCHOR, "dims": 2}), "state JSON has no key 'dims'"),
+        (_anchored({"dim": 2, "vec": 5}), _VEC + "5"),
+        ({"family": "separable_embed", "params": {"anchors": 5}},
+         "map param 'anchors' must be a list of states, got 5"),
+    ],
+    ids=["entry-bool", "entry-string", "entry-one-number", "entry-three-numbers",
+         "unitary-scalar", "unitary-object", "unitary-empty",
+         "unknown-top-level-key", "anchor-bool", "anchor-extra-key", "anchor-vec-scalar",
+         "anchors-scalar"],
+)
+def test_invalid_wire_values_exit_two(desc, message, capsys):
+    # in dimension 2, where either valid descriptor would be verified
+    code = cli.main([
+        "verify", "--property", "isometry", "--dim", "2", "--samples", "100",
+        "--map", json.dumps(desc),
     ])
     captured = capsys.readouterr()
     assert code == 2

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerlab import (
     block_embed,
@@ -19,17 +23,23 @@ from wignerlab import (
     map_to_json,
     power,
     proper_subspace_map,
+    pure_state,
     rotation,
     random_unitary,
     sample_pure_state,
     sampled,
+    sampled_from_json,
+    sampled_to_json,
     separable_embed,
     standard_map,
+    state_from_json,
     state_from_params,
+    state_to_json,
     unit_grid,
     wigner_map,
 )
 from wignerlab.descriptors import (
+    _complex_values,
     circle_map_from_json,
     circle_map_to_json,
     matrix_from_json,
@@ -53,6 +63,59 @@ def test_circle_map_round_trip():
             assert abs(back(z) - g(z)) <= 1e-12
     with pytest.raises(ValueError):
         circle_map_from_json({"kind": "mystery"})
+
+
+# every finite float: -0.0, subnormals and the largest magnitudes included
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# unit values, with signed zeros and subnormal parts among them
+_UNITS = st.one_of(
+    st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t)),
+    st.sampled_from([complex(1.0, -0.0), complex(-0.0, 1.0), complex(1.0, 5e-324),
+                     complex(-1.0, -2.2250738585072014e-308)]),
+)
+
+
+def _decodes_to_complex_bits(pairs) -> bool:
+    expected = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    return _complex_values(pairs, "pairs").tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    entries=st.lists(st.tuples(_FLOATS, _FLOATS), min_size=25, max_size=25),
+    state_parts=st.lists(_FLOATS, min_size=4, max_size=4),
+    table=st.lists(st.tuples(_FLOATS, _UNITS), min_size=1, max_size=6),
+    ints=st.lists(st.tuples(st.integers(-2**80, 2**80), _FLOATS), max_size=4),
+)
+def test_wire_values_round_trip_to_the_same_text(n, entries, state_parts, table, ints):
+    # encode -> json text -> decode -> encode gives the same text, and every
+    # [re, im] pair decodes to the bits of complex(re, im)
+    mat = np.array([complex(re, im) for re, im in entries[: n * n]]).reshape(n, n)
+    text = json.dumps(matrix_to_json(mat))
+    back = matrix_from_json(json.loads(text))
+    assert back.tobytes() == mat.tobytes()
+    assert json.dumps(matrix_to_json(back)) == text
+    assert _decodes_to_complex_bits(json.loads(text))
+
+    scale = max(map(abs, state_parts))
+    if scale > 0.0:  # scaled to parts of at most 1, so that the norm is finite
+        parts = np.array(state_parts) / scale
+        state = pure_state(parts[:2] + 1j * parts[2:])
+        text = json.dumps(state_to_json(state))
+        back = state_from_json(json.loads(text))
+        assert back.vec.tobytes() == state.vec.tobytes()
+        assert json.dumps(state_to_json(back)) == text
+        assert _decodes_to_complex_bits(json.loads(text)["vec"])
+
+    g = sampled_from_json([[theta, [w.real, w.imag]] for theta, w in table])
+    text = json.dumps(sampled_to_json(g))
+    back = sampled_from_json(json.loads(text))
+    assert back.table == g.table
+    assert json.dumps(sampled_to_json(back)) == text
+    assert _decodes_to_complex_bits([w for _, w in json.loads(text)])
+    # a JSON integer is a number too, rounded as complex() rounds it
+    assert _decodes_to_complex_bits(json.loads(json.dumps(ints)))
 
 
 def _rows(dim: int, g=None) -> np.ndarray:

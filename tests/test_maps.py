@@ -28,6 +28,7 @@ from wignerlab import (
     transition_probability,
     wigner_map,
 )
+from wignerlab.maps import require_unitary
 
 
 def test_wigner_identity_fixes_states():
@@ -84,6 +85,15 @@ def test_wigner_map_rejects_a_non_finite_matrix():
     u[1, 2] = np.nan
     with pytest.raises(ValueError, match="not unitary"):
         wigner_map(u)
+
+
+def test_an_empty_matrix_is_not_a_unitary():
+    # refused by the package's own check, not by numpy's zero-size reduction
+    for call in (require_unitary, wigner_map, lambda u: composed_phi_form(u, u)):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            call(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        entrywise_abs(2, basis=np.zeros((0, 0)))
 
 
 def test_constant_map_sends_every_state_to_the_first_basis_state():

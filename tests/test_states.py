@@ -272,6 +272,27 @@ def test_state_from_json_requires_an_integer_dim():
             state_from_json({"dim": dim, "vec": vec})
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"dim": 2, "vec": [[True, 0], [0, False]]},
+         "state JSON 'vec' must be a list of [re, im] pairs of numbers, got [True, 0]"),
+        ({"dim": 2, "vec": [[1, 0], ["0", 0]]},
+         "state JSON 'vec' must be a list of [re, im] pairs of numbers, got ['0', 0]"),
+        ({"dim": 2, "vec": [[1, 0], [0]]},
+         "state JSON 'vec' must be a list of [re, im] pairs of numbers, got [0]"),
+        ({"dim": 2, "vec": 5},
+         "state JSON 'vec' must be a list of [re, im] pairs of numbers, got 5"),
+        ({"dim": 2, "vec": [[1, 0], [0, 0]], "dims": 2}, "state JSON has no key 'dims'"),
+    ],
+    ids=["bool-entry", "string-entry", "one-number-entry", "scalar-vec", "extra-key"],
+)
+def test_state_from_json_refuses_malformed_objects(obj, message):
+    with pytest.raises(ValueError) as err:
+        state_from_json(obj)
+    assert str(err.value) == message
+
+
 def test_state_from_json_keeps_canonical_amplitudes():
     # block_embed's isometry witness sits on the weight-1/2 boundary; a
     # renormalized reload can land in the other block and lose d_out = 1
