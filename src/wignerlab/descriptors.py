@@ -1,12 +1,13 @@
 """JSON wire formats: complex numbers, matrices, states, circle maps, map descriptors.
 
 The only module that reads or writes the wire form.  A complex number is
-an [re, im] pair of two JSON numbers (not bools or strings), written by
-_pairs and read by _complex_values; a matrix is a flat row-major list of
-pairs, a state {"dim": d, "vec": [pairs]}, a circle map {"kind": ...,
-<param>: ...} (one entry per kind in _CIRCLE_KINDS) and a map descriptor
-{"family": ..., "params": ...} (one builder per family in _FAMILIES).
-An unknown key is refused at every level.
+an [re, im] pair of two JSON numbers (not bools or strings, nor integers
+beyond the float range), written by _pairs and read by _complex_values;
+a matrix is a flat row-major list of pairs, a state {"dim": d, "vec":
+[pairs]} (a real or complex vector, written the same way), a circle map
+{"kind": ..., <param>: ...} (one entry per kind in _CIRCLE_KINDS) and a
+map descriptor {"family": ..., "params": ...} (one builder per family in
+_FAMILIES).  An unknown key is refused at every level.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .maps import StateMap
 from .states import (
     UNIT_NORM_TOL,
     PureState,
+    _fits_float,
     _is_integer,
     _is_number_type,
     _trusted_state,
@@ -83,7 +85,10 @@ def _complex_values(pairs, what: str) -> np.ndarray:
     flat = list(chain.from_iterable(pairs)) if _pair_list(pairs) else None
     if flat is None or not _numbers(flat):
         _refuse_unless(_number_pairs, pairs, what)  # raises, naming the bad entry
-    return np.array(flat, dtype=float).view(complex)
+    try:
+        return np.array(flat, dtype=float).view(complex)
+    except OverflowError:  # an integer beyond the float range
+        _refuse_unless(_fits_float, pairs, what)  # raises, naming its pair
 
 
 def matrix_to_json(mat: np.ndarray) -> list[list[float]]:
@@ -147,7 +152,8 @@ _TABLE_ENTRIES = "sampled circle map table entries must be [theta_in, [re, im]] 
 
 def sampled_from_json(table) -> CircleMap:
     """Rebuild a sampled map from [theta_in, [re, im]] pairs of numbers."""
-    entries = lambda es: (_pair_list(es) and _numbers([t for t, _ in es])
+    angles = lambda es: [t for t, _ in es]
+    entries = lambda es: (_pair_list(es) and _numbers(angles(es)) and _fits_float(angles(es))
                           and _number_pairs([w for _, w in es]))
     _refuse_unless(entries, table, _TABLE_ENTRIES)
     values = _complex_values([w for _, w in table], _TABLE_ENTRIES)

@@ -46,7 +46,9 @@ class PureState:
 
     Construct through :func:`pure_state`, which normalizes and fixes the
     phase; the constructor itself rejects vectors that are not already in
-    canonical form.
+    canonical form.  vec is complex, except for the image of a map whose
+    raw image is real (StateMap.__call__), which is float64: the batch
+    row, bit for bit.  Both dtypes have the same JSON form.
     """
 
     vec: np.ndarray
@@ -94,10 +96,20 @@ def _is_number_type(kind: type) -> bool:
     return issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
 
 
+def _fits_float(values) -> bool:
+    """float64 holds every number of values: an integer beyond the float range is refused."""
+    try:
+        np.asarray(values, dtype=float)
+    except OverflowError:
+        return False
+    return True
+
+
 def _trusted_state(vec: np.ndarray) -> PureState:
     """Wrap an already canonical vector without re-validating.
 
-    Internal fast path: vec must be a fresh complex unit vector in gauge.
+    Internal fast path: vec must be a fresh unit vector in gauge, complex
+    or float64; it is kept as it is, dtype included.
     """
     state = object.__new__(PureState)
     vec.setflags(write=False)
@@ -125,20 +137,21 @@ def _canonical_rows(raw: np.ndarray) -> np.ndarray:
     """Normalize and phase-gauge each row of an (n, dim) matrix.
 
     The one implementation of pure_state: a non-finite or (near) zero
-    row is an error.  Returns a new complex array and never writes into
-    raw.  A float64 block with no sign bit set (no negative entry, no
-    -0.0) is already in gauge: each row is divided by its norm, and
-    every imaginary part is +0.0.  Any other block is cast to complex
-    and its rows are multiplied by the conjugate phase of their pivot.
+    row is an error.  Returns a new array and never writes into raw.  A
+    float64 block stays float64, and the gauge of a real row is the sign
+    of its pivot: when every row's pivot is a positive entry 0, each row
+    is only divided by its norm.  A block of any other dtype is cast to
+    complex.  Otherwise each row is multiplied by the conjugate phase of
+    its pivot (for a real row, its sign) and divided by its own norm.
     """
-    if raw.dtype == np.float64 and not np.signbit(raw).any():
-        out = np.zeros(raw.shape, dtype=complex)
-        np.divide(raw, _checked_norms(raw)[:, None], out=out.real)
-        return out
-    raw = np.ascontiguousarray(raw, dtype=complex)
-    norms = _checked_norms(raw.view(float))
+    real = raw.dtype == np.float64
+    if not real:
+        raw = np.ascontiguousarray(raw, dtype=complex)
+    norms = _checked_norms(raw if real else raw.view(float))
     # the pivot: the first entry of modulus above GAUGE_TOL in the unit row
     # (a unit vector always has an entry of modulus >= dim**-0.5 > tol)
+    if real and (raw[:, 0] > GAUGE_TOL * norms).all():
+        return raw / norms[:, None]
     first = np.abs(raw[:, 0])
     if (first > GAUGE_TOL * norms).all():
         # every pivot is entry 0, as for any Haar sample: the same phases
@@ -152,8 +165,9 @@ def _canonical_rows(raw: np.ndarray) -> np.ndarray:
         phases = raw[r, piv].conj() / mods[r, piv]
     # gauge first, then divide each real component by the gauged row's own
     # norm: every row comes out unit to within about one rounding
-    parts = (raw * phases[:, None]).view(float)
-    return (parts / np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]).view(complex)
+    gauged = raw * phases[:, None]
+    parts = gauged if real else gauged.view(float)
+    return (parts / np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]).view(raw.dtype)
 
 
 def pure_state(entries) -> PureState:

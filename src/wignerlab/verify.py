@@ -142,9 +142,12 @@ def _row_blocks(n: int, width: int) -> list[slice]:
     Blocks of _block_rows(width) rows, but at least two, and a lone last
     row joins the block before it: numpy computes a one-row matrix
     product as gemv, which rounds differently from the gemm of a larger
-    block, while every block of two or more rows of a Gram product
-    matches the whole product bit for bit.  Only n = 1 gives a one-row
-    block, as the whole product would be.
+    block.  Only n = 1 gives a one-row block, as the whole product would
+    be.  Under OpenBLAS's SkylakeX (AVX-512) kernel every block of two or
+    more rows of a Gram product matches the whole product bit for bit.
+    Other kernels round some blocks differently: under Haswell or Zen
+    (OpenBLAS's choice on AVX2 CPUs) and Sandybridge a blocked Gram may
+    differ from the whole product in its last bits.
     """
     size = max(2, _block_rows(width))
     starts = list(range(0, n, size))
@@ -159,17 +162,22 @@ def _map_rows(map_: StateMap, rows: np.ndarray, out: np.ndarray | None = None) -
     The one place the searches evaluate the map, in batches of at most
     MAP_ENTRIES entries: _block_rows(max(dim_in, dim_out)) rows, so a
     narrow map takes a whole chunk in one call.  StateMap.batch rejects
-    an invalid image, so every returned row is a valid state.  Given
-    out, an array of at least n rows, the images are written into its
-    first n rows, and that prefix view is returned.
+    an invalid image, so every returned row is a valid state.  The
+    images are float64 while every batch is real: a complex batch
+    promotes the rows before it to complex, so no imaginary part is
+    dropped.  Given out, an array of at least n rows, the images are
+    written into its first n rows, and that prefix view is returned,
+    unless a complex batch meets a real out: then a new array is.
     """
     block = _block_rows(max(map_.dim_in, map_.dim_out))
-    if out is None:
-        images = np.empty((len(rows), map_.dim_out), dtype=complex)
-    else:
-        images = out[: len(rows)]
+    images = np.empty((len(rows), map_.dim_out)) if out is None else out[: len(rows)]
     for start in range(0, len(rows), block):
-        images[start : start + block] = map_.batch(rows[start : start + block])
+        batch = map_.batch(rows[start : start + block])
+        if batch.dtype == complex and images.dtype != complex:
+            promoted = np.empty(images.shape, dtype=complex)
+            promoted[:start] = images[:start]
+            images = promoted
+        images[start : start + block] = batch
     return images
 
 
@@ -198,10 +206,12 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
 
     Every chunk maps into one image block, allocated for the first and
     largest chunk: a multi-MB block freed after each chunk would go back
-    to the OS and be faulted in again by the next.  Gaps are measured in
-    _row_blocks of as many samples as a map batch has rows (a whole
-    chunk for a narrow map), so a gap's temporaries are no larger than a
-    map batch's.  The winner's rows are copied out, so no result aliases
+    to the OS and be faulted in again by the next.  The block takes the
+    dtype of the first chunk's images, float64 for a real map, and is
+    replaced once by a complex one if a later chunk's images are
+    complex.  Gaps are measured in _row_blocks of as many samples as a
+    map batch has rows (a whole chunk for a narrow map), so a gap's
+    temporaries are no larger than a map batch's.  The winner's rows are copied out, so no result aliases
     the block.
     """
     if seed < 0:
@@ -216,9 +226,11 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
         nonlocal image_block
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
         rows = sample(_chunk_rng(seed, index), count)
-        if image_block is None:
-            image_block = np.empty((len(rows), map_.dim_out), dtype=complex)
         images = _map_rows(map_, rows, image_block)
+        if image_block is None or images.dtype != image_block.dtype:
+            # the first chunk's images, or a block promoted to complex: no
+            # later chunk is larger
+            image_block = images
         rows, images = (a.reshape(-1, count, a.shape[1]) for a in (rows, images))
         gaps = np.empty(count)
         for block in _row_blocks(count, width):
@@ -263,8 +275,8 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     +step, -step, +i step, -i step) order replaces its row, so a tie at
     the rounding level does not decide the pick.  The search stops once
     the step falls below REFINE_FLOOR, or after steps steps.  pair and
-    images are (2, dim) row arrays; returns the final gap, pair, images
-    and the number of steps used.
+    images are (2, dim) row arrays, images real or complex; returns the
+    final gap, pair, images and the number of steps used.
     """
     pair, images = pair.copy(), images.copy()
     dim = pair.shape[1]
@@ -292,6 +304,8 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
             best = int(np.argmax(gaps >= top - REFINE_TOL))
             gap = gaps[best]
             which = best // (4 * dim)
+            # a complex candidate image promotes real images
+            images = images.astype(np.result_type(images, f_cands), copy=False)
             pair[which], images[which] = cands[best], f_cands[best]
         else:
             step *= REFINE_SHRINK

@@ -211,6 +211,31 @@ def test_map_from_json_rejects_malformed_descriptors():
             map_from_json({"family": "separable_embed", "params": {"anchors": [anchor]}})
 
 
+_HUGE = 10**400  # a Python integer that no float64 holds
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"family": "block_embed", "params": {"dim": 3, "threshold": _HUGE}},
+         f"threshold must be a number in the float range, got {_HUGE}"),
+        ({"family": "wigner", "params": {"unitary": [[1, 0], [0, 0], [0, 0], [-_HUGE, 0]]}},
+         f"map param 'unitary' must be a list of [re, im] pairs of numbers, got [{-_HUGE}, 0]"),
+        ({"family": "tau", "params": {"g": {"kind": "sampled", "table": [[0, [1, 0]], [_HUGE, [1, 0]]]}}},
+         "sampled circle map table entries must be [theta_in, [re, im]] pairs of numbers, "
+         f"got [{_HUGE}, [1, 0]]"),
+        ({"family": "tau", "params": {"g": {"kind": "rotation", "c": [1, _HUGE]}}},
+         f"circle map param 'c' must be an [re, im] pair of numbers, got [1, {_HUGE}]"),
+    ],
+    ids=["threshold", "unitary-entry", "table-angle", "rotation-c"],
+)
+def test_integers_beyond_the_float_range_name_their_field(obj, message):
+    # float() of such an integer raises OverflowError, which is not a descriptor error
+    with pytest.raises(ValueError) as err:
+        map_from_json(obj)
+    assert str(err.value) == message
+
+
 def test_descriptor_errors_name_the_family_and_the_param():
     cases = [
         ({"family": "phi", "params": {"dim": 3, "foo": 1}}, "map family 'phi' has no param 'foo'"),

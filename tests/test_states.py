@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerlab import (
     OrthoSystem,
@@ -24,7 +26,7 @@ from wignerlab import (
     transition_probability,
     two_by_two_params,
 )
-from wignerlab.states import ORTHO_TOL
+from wignerlab.states import GAUGE_TOL, ORTHO_TOL, _canonical_rows
 
 T_1 = state_from_params(0.5, 1.0 + 0j)
 
@@ -88,6 +90,34 @@ def test_gauge_phase_invariance():
 def test_gauge_pivot_skips_leading_zeros():
     s = pure_state([0.0, -2j, 0.0])
     assert np.allclose(s.vec, [0.0, 1.0, 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dim=st.integers(2, 16),
+    scale=st.integers(-20, 20),
+)
+def test_real_blocks_stay_real_and_take_the_sign_of_their_pivot(seed, n, dim, scale):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, dim)) * 2.0**scale  # negative pivots among them
+    # before each row's pivot column: +0.0, -0.0, or entries below GAUGE_TOL
+    # of the pivot; after it, a few +0.0 and -0.0
+    cols, lead = np.arange(dim), rng.integers(0, dim, size=(n, 1))
+    pivots = np.abs(np.take_along_axis(raw, lead, axis=1))
+    small = rng.choice([0.0, -0.0, 1e-14, -1e-14], size=(n, dim)) * pivots
+    raw = np.where(cols < lead, small, raw)
+    raw = np.where((cols > lead) & (rng.random((n, dim)) < 0.2), small * 0.0, raw)
+    out = _canonical_rows(raw)
+    assert out.dtype == np.float64
+    assert np.abs(np.sqrt(np.einsum("ij,ij->i", out, out)) - 1.0).max() <= 4.5e-16
+    norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+    piv = (np.abs(raw) > GAUGE_TOL * norms[:, None]).argmax(axis=1)
+    assert (piv == lead[:, 0]).all() and (out[np.arange(n), piv] > 0.0).all()
+    # a row whose column 0 is the positive pivot is only divided by its norm
+    positive = raw[:, 0] > GAUGE_TOL * norms
+    assert out[positive].tobytes() == (raw[positive] / norms[positive, None]).tobytes()
+    # and every row is within 4 ulps of a unit entry of the complex path
+    assert np.abs(out - _canonical_rows(raw.astype(complex))).max() <= 4.5e-16
 
 
 def test_pure_state_rejects_degenerate_input():

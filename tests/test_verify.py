@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from wignerlab import (
     OrthoSystem,
     PureState,
+    StateMap,
     basis_state,
     block_embed,
     composed_phi_form,
@@ -718,3 +720,41 @@ def test_a_witness_from_the_first_of_several_chunks_keeps_its_images():
     assert report.worst_gap == first_chunk.worst_gap
     w = report.witness
     assert w.d_out == distance(map_(w.P), map_(w.Q))
+
+
+def _nearest_basis_state_map(dim: int) -> StateMap:
+    """P -> the basis projection of P's largest weight, as a float64 image
+    and as a complex one (i times it) on alternate calls of fn.
+
+    Both forms canonicalize to the same bits, so a state's image does not
+    depend on the call that mapped it.
+    """
+    calls = []
+
+    def fn(rows):
+        calls.append(len(rows))
+        images = np.eye(dim)[np.abs(rows).argmax(axis=1)]
+        return images if len(calls) % 2 else 1j * images
+
+    return StateMap("custom", dim, dim, fn)
+
+
+# 100 pairs are one real map batch, so refinement starts from real images
+# and meets complex candidates; 1537 pairs promote the search's block
+@pytest.mark.parametrize("n_samples", [100, 1537])
+def test_real_and_complex_image_batches_mix_without_a_complex_warning(monkeypatch, n_samples):
+    # 200-row map batches: the first batch of a chunk is real, the next
+    # complex, so a real image block is promoted within a chunk and across
+    # chunks; refinement's candidates alternate too
+    monkeypatch.setattr(verify, "MAP_ENTRIES", 3 * 200)
+    map_ = _nearest_basis_state_map(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would drop an imaginary part
+        report = check_nonexpansive(map_, 3, n_samples, refine_steps=20, seed=1)
+        ortho = check_orthogonality_preserving(map_, 3, n_samples, seed=1)
+        overlap, distinct = max_image_overlap(map_, np.random.default_rng(1))
+    w = report.witness
+    assert w is not None and w.d_out == distance(map_(w.P), map_(w.Q))
+    assert ortho.witness is not None and ortho.worst_gap == 1.0
+    assert overlap == 1.0 and not distinct
+
