@@ -142,10 +142,16 @@ def fold() -> CircleMap:
 
 
 def power(k: int) -> CircleMap:
-    """z -> z**k for an integer k; expanding for |k| >= 2."""
+    """z -> z**k for an integer k with |k| <= 2**53; expanding for |k| >= 2.
+
+    A larger exponent is refused: it need not be exact as a float64, and
+    numpy's z**k overflows, with warnings, on some (2**62).
+    """
     if not _is_integer(k):
         raise ValueError(f"power exponent must be an integer, got {k!r}")
     k = int(k)
+    if abs(k) > 2**53:
+        raise ValueError(f"power exponent k must be at most 2**53 in absolute value, got {k}")
     return CircleMap("power", lambda z: z**k, param=k)
 
 

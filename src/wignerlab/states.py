@@ -126,9 +126,11 @@ def _checked_norms(parts: np.ndarray) -> np.ndarray:
     # einsum raises no floating-point warning: a non-finite row reaches the
     # check below without one
     norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    if not np.isfinite(norms).all():
-        raise ValueError("cannot build a state from a non-finite vector")
-    if not (norms > GAUGE_TOL).all():
+    # a NaN fails both comparisons; which message applies is worked out
+    # only for a failing block
+    if norms.size and not (norms.min() > GAUGE_TOL and norms.max() < np.inf):
+        if not np.isfinite(norms).all():
+            raise ValueError("cannot build a state from a non-finite vector")
         raise ValueError("cannot build a state from a (near) zero vector")
     return norms
 
@@ -221,7 +223,8 @@ def _row_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     sqrt(1 - transition probability) loses all digits.
     """
     residual = v - _row_overlaps(v, w)[:, None] * w
-    norms = np.sqrt(np.einsum("ij,ij->i", residual.conj(), residual).real)
+    left = residual if residual.dtype == np.float64 else residual.conj()
+    norms = np.sqrt(np.einsum("ij,ij->i", left, residual).real)
     return np.minimum(norms, 1.0)
 
 

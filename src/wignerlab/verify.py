@@ -5,6 +5,9 @@ reports a witness when the worst gap exceeds 1e-9; the metric checks
 first sharpen the worst pair by local refinement, a pattern search that
 accepts only gains above REFINE_TOL (1e-12) and stops once its step
 falls below REFINE_FLOOR (1e-10), after at most refine_steps steps.
+After a stall, the candidates of several halved step sizes are mapped
+in one batch; the pick and the step count are those of one step at a
+time, bit for bit.
 Every check runs through one serial engine: sampling is split into
 fixed-size chunks with RNG substreams derived from (seed, chunk index),
 and the chunks run one after another.  A chunk's rows are mapped, and
@@ -66,6 +69,11 @@ REFINE_SHRINK = 0.5
 REFINE_TOL = 1e-12
 # refinement ends once the step is far below any witness gap
 REFINE_FLOOR = WITNESS_TOL / 10
+# after this many steps in a row without a gain, the next step sizes are
+# tried in one batch: REFINE_STALL of them, then REFINE_GROWTH times as
+# many per batch while none gains
+REFINE_STALL = 2
+REFINE_GROWTH = 2
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,8 @@ def _map_rows(map_: StateMap, rows: np.ndarray, out: np.ndarray | None = None) -
     unless a complex batch meets a real out: then a new array is.
     """
     block = _block_rows(max(map_.dim_in, map_.dim_out))
+    if out is None and 0 < len(rows) <= block:
+        return map_.batch(rows)
     images = np.empty((len(rows), map_.dim_out)) if out is None else out[: len(rows)]
     for start in range(0, len(rows), block):
         batch = map_.batch(rows[start : start + block])
@@ -260,7 +270,22 @@ def _pair_report(prop, n_samples, seed, worst, pair, images) -> CheckReport:
     return _report(prop, n_samples, seed, worst, p, q, d_in, d_out)
 
 
-_DIRECTIONS = np.array([1.0, -1.0, 1.0j, -1.0j])
+# a step's four moves of a coordinate, +1, -1, +i and -i, as (re, im) parts
+_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _move_table(dim: int) -> np.ndarray:
+    """The (8 * dim, 2 * dim) float view of the unit moves of a step's candidates.
+
+    Row (which, coord, move) holds the move's parts at coord and -0.0
+    everywhere else: x + step * -0.0 is x itself, -0.0 included, so a
+    candidate differs from its row only at coord, by the same parts as
+    step * move in complex arithmetic.
+    """
+    table = np.full((2, dim, 4, dim, 2), -0.0)
+    coords = np.arange(dim)
+    table[:, coords, :, coords] = _MOVES
+    return table.reshape(8 * dim, 2 * dim)
 
 
 def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
@@ -277,38 +302,71 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     the step falls below REFINE_FLOOR, or after steps steps.  pair and
     images are (2, dim) row arrays, images real or complex; returns the
     final gap, pair, images and the number of steps used.
+
+    How the steps are evaluated changes no result.  After REFINE_STALL
+    steps in a row without a gain, the candidates of the next steps'
+    halved step sizes are mapped in one batch around the same pair:
+    REFINE_STALL levels, then REFINE_GROWTH times as many while none
+    gains, within the remaining steps, the floor and MAP_ENTRIES
+    entries (at least one level).  The first level that gains is taken
+    as its own step would be, and every level up to it counts as a
+    step; after a gain, batches are one level again.  Every kernel on
+    the way works row by row, so each level's gaps are bit for bit
+    those of its own step, provided the map's image dtype does not
+    depend on which rows share a batch (true of every family; an opaque
+    map whose function returns real images for some states and complex
+    ones for others would promote a level's real images).
     """
-    pair, images = pair.copy(), images.copy()
+    pair, images = pair.astype(complex), images.copy()
+    parts = pair.view(float)  # the rows' (re, im) parts, updated with them
     dim = pair.shape[1]
     gap = oriented(
         _row_distances(pair[:1], pair[1:]), _row_distances(images[:1], images[1:])
     )[0]
-    # candidate (which, coord, direction) perturbs row which at coord;
-    # its partner is the other row of the pair
-    coords = np.arange(dim)
-    partner = np.repeat([1, 0], 4 * dim)
+    # candidate (which, coord, move) perturbs row which at coord; its
+    # partner is the other row of the pair
+    width = 8 * dim
+    moves = _move_table(dim)
+    which_row = np.repeat([0, 1], 4 * dim)
+    max_levels = max(1, _block_rows(max(map_.dim_in, map_.dim_out)) // width)
+    partners = np.tile(1 - which_row, max_levels)
     step = REFINE_START_STEP
-    used = 0
+    used = failed = 0
+    levels = 1
     while used < steps and step >= REFINE_FLOOR:
-        used += 1
-        cands = np.repeat(pair, 4 * dim, axis=0).reshape(2, dim, 4, dim)
-        cands[:, coords, :, coords] += step * _DIRECTIONS
-        cands = _canonical_rows(cands.reshape(8 * dim, dim))
+        sizes = [step]
+        while len(sizes) < min(levels, steps - used, max_levels) and (
+            sizes[-1] * REFINE_SHRINK >= REFINE_FLOOR
+        ):
+            sizes.append(sizes[-1] * REFINE_SHRINK)
+        n = len(sizes)
+        raw = parts[which_row] + np.multiply.outer(sizes, moves)
+        cands = _canonical_rows(raw.view(complex).reshape(n * width, dim))
         f_cands = _map_rows(map_, cands)
+        partner = partners[: n * width]
         gaps = oriented(
             _row_distances(cands, pair[partner]),
             _row_distances(f_cands, images[partner]),
-        )
-        top = gaps.max()
-        if top > gap + REFINE_TOL:
-            best = int(np.argmax(gaps >= top - REFINE_TOL))
-            gap = gaps[best]
-            which = best // (4 * dim)
+        ).reshape(n, width)
+        tops = gaps.max(axis=1)
+        gains = tops > gap + REFINE_TOL
+        level = int(gains.argmax())
+        if gains[level]:
+            used += level + 1
+            step = sizes[level]
+            best = int((gaps[level] >= tops[level] - REFINE_TOL).argmax())
+            gap = gaps[level, best]
+            row = level * width + best
             # a complex candidate image promotes real images
             images = images.astype(np.result_type(images, f_cands), copy=False)
-            pair[which], images[which] = cands[best], f_cands[best]
+            pair[which_row[best]], images[which_row[best]] = cands[row], f_cands[row]
+            failed, levels = 0, 1
         else:
-            step *= REFINE_SHRINK
+            used += n
+            failed += n
+            step = sizes[-1] * REFINE_SHRINK
+            if failed >= REFINE_STALL:
+                levels = max(REFINE_STALL, levels * REFINE_GROWTH)
     return gap, pair, images, used
 
 

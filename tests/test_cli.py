@@ -408,6 +408,22 @@ def test_invalid_circle_descriptors_exit_two(g, message, capsys):
     assert captured.err == f"error: invalid map descriptor: {message}\n"
 
 
+@pytest.mark.parametrize("k", [2**53 + 1, 10**30], ids=["2**53+1", "10**30"])
+def test_a_power_exponent_beyond_two_to_the_53_exits_two_with_one_line(k):
+    # in a fresh process, so a numpy warning would reach stderr too
+    g = {"kind": "power", "k": k}
+    result = run_cli(
+        "verify", "--property", "nonexpansive", "--dim", "2", "--samples", "100",
+        "--map", json.dumps({"family": "tau", "params": {"g": g}}),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: invalid map descriptor: power exponent k must be at most 2**53 "
+        f"in absolute value, got {k}\n"
+    )
+
+
 _UNITARY = "map param 'unitary' must be a list of [re, im] pairs of numbers, got "
 _VEC = "state JSON 'vec' must be a list of [re, im] pairs of numbers, got "
 _ANCHOR = {"dim": 2, "vec": [[1.0, 0.0], [0.0, 0.0]]}

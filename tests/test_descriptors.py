@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,17 @@ def test_power_exponent_must_be_an_integer():
         with pytest.raises(ValueError, match="integer"):
             circle_map_from_json({"kind": "power", "k": k})
     assert circle_map_from_json({"kind": "power", "k": 2}).param == 2
+
+
+def test_power_exponent_is_at_most_two_to_the_53():
+    for k in (2**53, -(2**53)):
+        assert power(k).param == k
+    for k in (2**53 + 1, -(2**53 + 1), 10**30):
+        message = re.escape(f"power exponent k must be at most 2**53 in absolute value, got {k}")
+        with pytest.raises(ValueError, match=message):
+            power(k)
+        with pytest.raises(ValueError, match=message):
+            map_from_json({"family": "tau", "params": {"g": {"kind": "power", "k": k}}})
 
 
 def test_map_from_json_rejects_malformed_descriptors():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from wignerlab import (
     transition_probability,
     two_by_two_params,
 )
-from wignerlab.states import GAUGE_TOL, ORTHO_TOL, _canonical_rows
+from wignerlab.states import GAUGE_TOL, ORTHO_TOL, _canonical_rows, _checked_norms
 
 T_1 = state_from_params(0.5, 1.0 + 0j)
 
@@ -134,6 +135,24 @@ def test_pure_state_rejects_non_finite_input():
         pure_state([np.nan, np.nan])
     with pytest.raises(ValueError, match="non-finite"):
         pure_state([1.0, np.inf])
+
+
+def test_checked_norms_pass_an_empty_block_and_name_each_failure():
+    assert _checked_norms(np.empty((0, 4))).shape == (0,)
+    non_finite = "cannot build a state from a non-finite vector"
+    zero = "cannot build a state from a (near) zero vector"
+    cases = [
+        ([[1.0, np.nan]], non_finite),
+        ([[np.inf, 0.0]], non_finite),
+        ([[-np.inf, 1.0], [1.0, 0.0]], non_finite),
+        # a non-finite row is named before a zero one
+        ([[0.0, 0.0], [np.nan, 0.0]], non_finite),
+        ([[0.0, 0.0]], zero),
+        ([[1.0, 0.0], [GAUGE_TOL / 2, 0.0]], zero),
+    ]
+    for parts, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _checked_norms(np.array(parts))
 
 
 def test_constructor_rejects_a_nan_norm():

@@ -428,6 +428,76 @@ def test_refinement_takes_the_first_candidate_within_tolerance_of_the_best():
     assert np.array_equal(got, np.array([_canonical_rows(moved[None])[0], pair[1]]))
 
 
+# name: (map, dim, oriented gap, start seed, refine_steps, map batches);
+# every search runs into halvings, which are batched after a stall
+HALVING_CASES = {
+    # no candidate ever gains: 30 halvings in batches of 1, 1, 2, 4, 8 and
+    # 14 levels, so caps 3, 7 and 17 cut a batch short
+    **{
+        f"wigner isometry, cap {steps}": (
+            lambda: wigner_map(random_unitary(4, 36)), 4,
+            lambda d_in, d_out: abs(d_out - d_in), 18, steps, batches,
+        )
+        for steps, batches in ((3, 3), (7, 4), (17, 6), (30, 6), (31, 6))
+    },
+    # a gain 17 halvings into a run, then a final run of 10
+    "phi dim 3 nonexpansive": (
+        lambda: entrywise_abs(3), 3, lambda d_in, d_out: d_out - d_in, 17, 200, 155
+    ),
+    # a final run of 27 halvings
+    "phi dim 4 nonexpansive": (
+        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 17, 200, 137
+    ),
+    # the 200-step cap falls 27 halvings into the final run
+    "phi dim 4 nonexpansive, capped": (
+        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 18, 200, 179
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HALVING_CASES))
+def test_batched_halvings_match_the_sequential_search(name):
+    build, dim, oriented, seed, steps, expected_batches = HALVING_CASES[name]
+    map_ = build()
+    pair = _sample_rows(np.random.default_rng(seed), 2, dim)
+    images = map_.batch(pair)
+    ref_gap, ref_pair, ref_images, ref_used = _sequential_refine(
+        map_, oriented, pair, images, steps
+    )
+    shapes = []
+    gap, got_pair, got_images, used = _refine_pair(
+        _recording(map_, shapes), oriented, pair, images, steps
+    )
+    assert gap == ref_gap and used == ref_used
+    assert np.array_equal(got_pair, ref_pair)
+    assert got_images.dtype == ref_images.dtype and np.array_equal(got_images, ref_images)
+    assert len(shapes) == expected_batches
+
+
+def test_a_stalled_search_takes_the_first_level_that_gains():
+    # two steps fail, then one batch holds the next two step sizes: level 0
+    # gains a little at candidate 3 and level 1 more at candidate 5.  Level 0
+    # is taken, as its own step would take it, and is the third step; the
+    # fourth, one level again, gains nothing
+    map_ = entrywise_abs(2)
+    pair = _sample_rows(np.random.default_rng(20), 2, 2)
+    sizes = []
+
+    def oriented(d_in, d_out):
+        sizes.append(len(d_in))
+        gaps = np.zeros(len(d_in))
+        if len(sizes) == 4:
+            gaps[3], gaps[16 + 5] = 1e-6, 1e-3
+        return gaps
+
+    gap, got, _, used = _refine_pair(map_, oriented, pair, map_.batch(pair), 4)
+    assert sizes == [1, 16, 16, 32, 16]
+    assert gap == 1e-6 and used == 4
+    # candidate 3: row 0 moved by -i step at coordinate 0, at the third step size
+    moved = pair[0] + np.array([-1j * REFINE_START_STEP * REFINE_SHRINK**2, 0.0])
+    assert np.array_equal(got, np.array([_canonical_rows(moved[None])[0], pair[1]]))
+
+
 def _isometry_refinement(steps):
     map_ = wigner_map(random_unitary(4, 36))
     pair = _sample_rows(np.random.default_rng(18), 2, 4)
