@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -63,19 +62,6 @@ def _builtin_map(name: str, dim: int, seed: int) -> StateMap:
     return map_
 
 
-def _finite_float(text: str) -> float:
-    """json.loads hook: descriptors are strict JSON, with finite numbers only."""
-    if not math.isfinite(value := float(text)):
-        raise CLIError(f"map descriptor has a non-finite number {text}")
-    return value
-
-
-def _float_sized_int(text: str) -> int:
-    """json.loads hook: an integer beyond the float range is non-finite as a float."""
-    _finite_float(text)
-    return int(text)
-
-
 def _load_map(source: str, dim: int, seed: int) -> StateMap:
     """Resolve --map: builtin name, inline JSON object, or @file path."""
     text = source
@@ -89,10 +75,12 @@ def _load_map(source: str, dim: int, seed: int) -> StateMap:
     if not text.startswith("{"):
         return _builtin_map(text, dim, seed)
     try:
-        obj = json.loads(text, parse_float=_finite_float, parse_int=_float_sized_int,
-                         parse_constant=_finite_float)
+        obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise CLIError(f"malformed map descriptor: {err}") from err
+    except ValueError as err:  # an integer of more digits than int() converts
+        raise CLIError(f"malformed map descriptor: an integer has more than "
+                       f"{sys.get_int_max_str_digits()} digits") from err
     try:
         return map_from_json(obj)
     except (KeyError, ValueError, TypeError) as err:

@@ -1,8 +1,8 @@
 """JSON wire formats: complex numbers, matrices, states, circle maps, map descriptors.
 
 The only module that reads or writes the wire form.  A complex number is
-an [re, im] pair of two JSON numbers (not bools or strings, nor integers
-beyond the float range), written by _pairs and read by _complex_values;
+an [re, im] pair of two finite JSON numbers (not bools or strings, nor
+integers beyond the float range), written by _pairs and read by _complex_values;
 a matrix is a flat row-major list of pairs, a state {"dim": d, "vec":
 [pairs]} (a real or complex vector, written the same way), a circle map
 {"kind": ..., <param>: ...} (one entry per kind in _CIRCLE_KINDS) and a
@@ -78,17 +78,24 @@ def _number_pairs(pairs) -> bool:
     return _pair_list(pairs) and _numbers(chain.from_iterable(pairs))
 
 
+def _finite(values) -> bool:
+    return _fits_float(values) and bool(np.isfinite(np.asarray(values, dtype=float)).all())
+
+
 def _complex_values(pairs, what: str) -> np.ndarray:
-    """The complex numbers of a list of [re, im] pairs of numbers, each the
-    bits of complex(re, im): the one decoder of the wire form.  Anything
+    """The complex numbers of a list of [re, im] pairs of finite numbers, each
+    the bits of complex(re, im): the one decoder of the wire form.  Anything
     else is a ValueError "<what>, got <x>" (see _refuse_unless)."""
     flat = list(chain.from_iterable(pairs)) if _pair_list(pairs) else None
     if flat is None or not _numbers(flat):
         _refuse_unless(_number_pairs, pairs, what)  # raises, naming the bad entry
     try:
-        return np.array(flat, dtype=float).view(complex)
+        values = np.array(flat, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        _refuse_unless(_fits_float, pairs, what)  # raises, naming its pair
+        values = None
+    if values is None or not np.isfinite(values).all():  # or NaN, or an infinity
+        _refuse_unless(_finite, pairs, what)  # raises, naming its pair
+    return values.view(complex)
 
 
 def matrix_to_json(mat: np.ndarray) -> list[list[float]]:

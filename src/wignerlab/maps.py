@@ -51,8 +51,9 @@ def require_unitary(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ValueError(f"unitary parameter must be a nonempty square matrix, got {mat.shape}")
-    gram = mat.conj().T @ mat
-    if not np.max(np.abs(gram - np.eye(mat.shape[0]))) <= UNITARY_TOL:  # NaN fails too
+    # an entry of modulus above 1 (no unitary has one) could overflow the Gram
+    if not (np.abs(mat).max() <= 1.0 + UNITARY_TOL  # NaN fails too
+            and np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= UNITARY_TOL):
         raise ValueError("matrix is not unitary within 1e-10")
     return mat
 
@@ -75,8 +76,9 @@ def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _require_dims(dim_in, dim_out) -> None:
     """Reject map dimensions that are not integers of at least 2."""
-    if not (_is_integer(dim_in) and _is_integer(dim_out)):
-        raise ValueError(f"map dimensions must be integers, got {dim_in!r} -> {dim_out!r}")
+    if not (_is_integer(dim_in) and _is_integer(dim_out) and _fits_float([dim_in, dim_out])):
+        raise ValueError(f"map dimensions must be integers in the float range, "
+                         f"got {dim_in!r} -> {dim_out!r}")
     if dim_in < 2 or dim_out < 2:
         raise ValueError(f"map dimensions must be at least 2, got {dim_in} -> {dim_out}")
 
@@ -209,7 +211,8 @@ def block_embed(dim: int, threshold: float = 0.5) -> StateMap:
     """
     if not (_is_number_type(type(threshold)) and _fits_float(threshold)):
         raise ValueError(f"threshold must be a number in the float range, got {threshold!r}")
-    threshold = float(threshold)
+    if not np.isfinite(threshold := float(threshold)):
+        raise ValueError(f"threshold must be finite, got non-finite {threshold!r}")
 
     def fn(rows: np.ndarray) -> np.ndarray:
         mask = np.abs(rows[:, 0]) ** 2 > threshold

@@ -263,11 +263,11 @@ def _report(prop, n_samples, seed, worst, p, q, d_in, d_out) -> CheckReport:
     return CheckReport(prop, n_samples, worst, witness, seed)
 
 
-def _pair_report(prop, n_samples, seed, worst, pair, images) -> CheckReport:
-    """_report for a witness pair given as (2, dim) input and image rows."""
+def _pair_report(prop, n_samples, seed, gap_of, pair, images) -> CheckReport:
+    """_report for a (2, dim) witness pair and its images, with gap gap_of(d_in, d_out)."""
     p, q = (_trusted_state(r) for r in pair)
     d_in, d_out = (float(_row_distances(r[:1], r[1:])[0]) for r in (pair, images))
-    return _report(prop, n_samples, seed, worst, p, q, d_in, d_out)
+    return _report(prop, n_samples, seed, gap_of(d_in, d_out), p, q, d_in, d_out)
 
 
 # a step's four moves of a coordinate, +1, -1, +i and -i, as (re, im) parts
@@ -387,12 +387,13 @@ def _metric_check(
     def gap(rows, images):
         return oriented(_row_distances(*rows), _row_distances(*images))
 
-    worst, pair, images = _search(
+    _, pair, images = _search(
         map_, n_samples, seed, lambda rng, count: _sample_rows(rng, 2 * count, dim), gap
     )
     if refine_steps > 0:
-        worst, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
-    return _pair_report(prop, n_samples, seed, worst, pair, images)
+        _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
+    # the gap of the reported distances: refinement's d(Q', P) may differ from d(P, Q')
+    return _pair_report(prop, n_samples, seed, oriented, pair, images)
 
 
 def check_nonexpansive(
@@ -466,7 +467,7 @@ def check_orthogonality_preserving(
         return _row_transition_probabilities(images[1], images[0])
 
     worst, pair, images = _search(map_, n_samples, seed, sample, gap)
-    return _pair_report("orthogonality-preserving", n_samples, seed, worst, pair, images)
+    return _pair_report("orthogonality-preserving", n_samples, seed, lambda *_: worst, pair, images)
 
 
 def check_inclusion_lemma(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerlab import cli, map_to_json, opaque_map, pure_state, random_unitary, wigner_map
+from wignerlab import (
+    cli, map_from_json, map_to_json, opaque_map, pure_state, random_unitary, wigner_map,
+)
 from wignerlab.acceptance import COUNTEREXAMPLES
 
 TIMEOUT = 120
@@ -77,15 +80,17 @@ def test_descriptors_must_be_strict_json():
 
 
 @pytest.mark.parametrize(
-    "desc",
+    "desc, field",
     [
-        {"family": "block_embed", "params": {"dim": 3, "threshold": 10**400}},
-        {"family": "tau", "params": {"g": {"kind": "sampled", "table": [[-10**400, [1, 0]]]}}},
-        {"family": "wigner", "params": {"unitary": [[10**400, 0], [0, 0], [0, 0], [1, 0]]}},
+        ({"family": "block_embed", "params": {"dim": 3, "threshold": 10**400}}, "threshold"),
+        ({"family": "tau", "params": {"g": {"kind": "sampled", "table": [[-10**400, [1, 0]]]}}},
+         "sampled circle map table entries"),
+        ({"family": "wigner", "params": {"unitary": [[10**400, 0], [0, 0], [0, 0], [1, 0]]}},
+         "map param 'unitary'"),
     ],
     ids=["threshold", "table-angle", "matrix-entry"],
 )
-def test_integers_beyond_the_float_range_exit_two(desc, capsys):
+def test_integers_beyond_the_float_range_exit_two(desc, field, capsys):
     # as JSON floats such numbers are infinite; as integers they used to crash a float()
     code = cli.main([
         "verify", "--property", "nonexpansive", "--dim", "3", "--samples", "100",
@@ -94,8 +99,56 @@ def test_integers_beyond_the_float_range_exit_two(desc, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: map descriptor has a non-finite number ")
+    assert captured.err.startswith(f"error: invalid map descriptor: {field} must be ")
     assert captured.err.count("\n") == 1
+
+
+# a descriptor per wire number a field holds, X standing for the number,
+# with (a pattern of) the field its refusal names
+_NUMBER_FIELDS = {
+    "threshold": ("threshold", '{"family": "block_embed", "params": {"dim": 3, "threshold": X}}'),
+    "matrix-entry": ("map param 'unitary'",
+                     '{"family": "wigner", "params": {"unitary": [[1, 0], [0, 0], [0, 0], [X, 0]]}}'),
+    "state-amplitude": ("state JSON 'vec'", '{"family": "separable_embed", "params": '
+                        '{"anchors": [{"dim": 2, "vec": [[1, 0], [X, 0]]}]}}'),
+    "circle-c": ("circle map param 'c'",
+                 '{"family": "tau", "params": {"g": {"kind": "rotation", "c": [1, X]}}}'),
+    "table-angle": ("sampled circle map (input angles|table entries)", '{"family": "tau", "params": '
+                    '{"g": {"kind": "sampled", "table": [[0, [1, 0]], [X, [1, 0]]]}}}'),
+    "table-value": ("sampled circle map table entries", '{"family": "tau", "params": '
+                    '{"g": {"kind": "sampled", "table": [[0, [1, X]]]}}}'),
+    "dim": ("map dimensions", '{"family": "phi", "params": {"dim": X}}'),
+}
+_UNWIRED_NUMBERS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e999": "1e999",
+                    "10**400": str(10**400)}
+
+
+@pytest.mark.parametrize("number", sorted(_UNWIRED_NUMBERS))
+@pytest.mark.parametrize("where", sorted(_NUMBER_FIELDS))
+def test_every_field_refuses_non_finite_and_overflowing_numbers(where, number, capsys):
+    # one rule for CLI and Python callers: the codec or the builder refuses
+    # the number, and its message names the field
+    field, template = _NUMBER_FIELDS[where]
+    text = template.replace("X", _UNWIRED_NUMBERS[number])
+    with pytest.raises(ValueError) as err:
+        map_from_json(json.loads(text))
+    assert re.match(f"{field} must be ", str(err.value))
+    code = cli.main(["verify", "--property", "nonexpansive", "--samples", "100", "--map", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: invalid map descriptor: {err.value}\n"
+
+
+def test_an_integer_of_too_many_digits_is_a_malformed_descriptor(capsys):
+    desc = '{"family": "block_embed", "params": {"dim": 3, "threshold": %s}}' % ("1" * 5000)
+    code = cli.main(["verify", "--property", "nonexpansive", "--map", desc])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed map descriptor: ")
+    assert captured.err.count("\n") == 1
+    assert "set_int_max_str_digits" not in captured.err
 
 
 def test_constant_descriptor_matches_the_builtin():

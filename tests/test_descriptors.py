@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wignerlab import (
@@ -246,6 +246,54 @@ def test_integers_beyond_the_float_range_name_their_field(obj, message):
     with pytest.raises(ValueError) as err:
         map_from_json(obj)
     assert str(err.value) == message
+
+
+def test_block_embed_refuses_a_non_finite_threshold():
+    # a NaN threshold sent every state to one block, and its descriptor was not JSON
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite, got non-finite"):
+            block_embed(3, value)
+
+
+# wire numbers, the ones no descriptor may hold included
+_NUMBERS = st.one_of(
+    st.floats(), st.integers(-3, 6), st.integers(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 0.5, 1, -1]),
+)
+_DESCRIPTORS = st.one_of(
+    st.builds(lambda d, t: {"family": "block_embed", "params": {"dim": d, "threshold": t}},
+              st.one_of(st.integers(2, 5), _NUMBERS), _NUMBERS),
+    st.builds(lambda d: {"family": "phi", "params": {"dim": d}},
+              st.one_of(st.integers(-1, 5), st.sampled_from([math.nan, math.inf, 10**400]))),
+    st.builds(lambda d, k, a: {"family": "proper_subspace", "params": {"dim": d, "k": k, "alpha0": a}},
+              st.integers(2, 5), _NUMBERS, _NUMBERS),
+    st.builds(lambda x, y: {"family": "wigner",
+                            "params": {"unitary": [[1, 0], [0, 0], [0, 0], [x, y]]}},
+              _NUMBERS, _NUMBERS),
+    st.builds(lambda x, y: {"family": "tau", "params": {"g": {"kind": "rotation", "c": [x, y]}}},
+              _NUMBERS, _NUMBERS),
+    st.builds(lambda k: {"family": "tau", "params": {"g": {"kind": "power", "k": k}}}, _NUMBERS),
+    st.builds(lambda es: {"family": "tau", "params": {"g": {"kind": "sampled", "table": es}}},
+              st.lists(st.tuples(_NUMBERS, st.tuples(_NUMBERS, _NUMBERS)).map(
+                  lambda e: [e[0], list(e[1])]), min_size=1, max_size=3)),
+    st.builds(lambda x, y: {"family": "separable_embed",
+                            "params": {"anchors": [{"dim": 2, "vec": [[1, 0], [x, y]]}]}},
+              _NUMBERS, _NUMBERS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_DESCRIPTORS)
+@example(obj={"family": "block_embed", "params": {"dim": 3, "threshold": math.nan}})
+@example(obj={"family": "block_embed", "params": {"dim": 3, "threshold": -math.inf}})
+def test_every_accepted_descriptor_is_strict_json(obj):
+    # the decoder refuses every number the strict encoder cannot write
+    try:
+        map_ = map_from_json(obj)
+    except ValueError:
+        return
+    text = json.dumps(map_to_json(map_), allow_nan=False)
+    assert json.dumps(map_to_json(map_from_json(json.loads(text))), allow_nan=False) == text
 
 
 def test_descriptor_errors_name_the_family_and_the_param():

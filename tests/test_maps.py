@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ def test_wigner_map_rejects_a_non_finite_matrix():
     u[1, 2] = np.nan
     with pytest.raises(ValueError, match="not unitary"):
         wigner_map(u)
+
+
+def test_a_matrix_entry_too_large_for_its_gram_is_refused_without_a_warning():
+    # no unitary has an entry of modulus above 1: it is refused before the
+    # Gram product, which would overflow with a RuntimeWarning
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = 1e308 + 1e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not unitary"):
+            wigner_map(u)
 
 
 def test_an_empty_matrix_is_not_a_unitary():

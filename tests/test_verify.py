@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +42,7 @@ from wignerlab import (
     transition_probability,
     wigner_map,
 )
-from wignerlab import maps, verify
+from wignerlab import cli, map_from_json, maps, verify
 from wignerlab.acceptance import COUNTEREXAMPLES
 from wignerlab.states import (
     _canonical_rows,
@@ -384,6 +387,75 @@ def test_batched_refinement_matches_the_sequential_search(name):
     else:
         assert used == ref_used < 200
     assert gap > oriented(distance(*map(PureState, pair)), distance(*map(PureState, images)))
+
+
+ORIENTED = {
+    "nonexpansive": lambda d_in, d_out: d_out - d_in,
+    "noncontractive": lambda d_in, d_out: d_in - d_out,
+    "isometry": lambda d_in, d_out: abs(d_out - d_in),
+}
+# the verify and demo invocations whose reports CI compares byte for byte
+CI_REPORTS = [
+    "verify --property noncontractive --map phi --dim 2",
+    "verify --property nonexpansive --map tau-power2 --dim 2",
+    "verify --property nonexpansive --map phi --dim 4",
+    "verify --property isometry --map wigner-random --dim 4 --refine-steps 17",
+    "demo block-embed --dim 3",
+    "demo separable-embed --dim 4 --anchors 32",
+    "demo separable-embed --dim 8 --anchors 64",
+    "demo proper-subspace --dim 5 --k 3",
+]
+
+
+def _bench_inputs():
+    """bench/inputs.py, the benchmark's seeded operations (numpy only)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = sys.modules.setdefault("bench_inputs", importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+def _metric_reports(capsys):
+    for argv in CI_REPORTS:
+        cli.main(argv.split())
+        doc = json.loads(capsys.readouterr().out)
+        yield from ([doc] if "property" in doc else doc["checks"].values())
+    inputs = _bench_inputs()
+    for seed in (1, 2, 3):
+        for op in inputs.build("verify", seed):
+            if op.kind == "check" and op.prop in ORIENTED:
+                check = verify._METRIC_CHECKS[op.prop]
+                yield check(map_from_json(op.map), op.dim, n_samples=op.samples,
+                            refine_steps=op.refine_steps, seed=op.check_seed).to_json()
+    for name, (build, dim, _, _) in REFINE_CASES.items():
+        yield verify._METRIC_CHECKS[name.split()[-1]](build(), dim).to_json()
+
+
+def test_a_witness_gap_is_the_gap_of_its_own_distances(capsys):
+    # refinement measures a moved row as d(Q', P), the report as d(P, Q'):
+    # the reported gap is the one of the reported distances, bit for bit
+    witnesses = 0
+    for report in _metric_reports(capsys):
+        witness = report.get("witness")
+        if report.get("property") in ORIENTED and witness is not None:
+            assert witness["gap"] == ORIENTED[report["property"]](witness["d_in"], witness["d_out"])
+            assert report["worst_gap"] == witness["gap"]
+            witnesses += 1
+    assert witnesses >= 15
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_the_search_sampler_follows_the_cap_law(dim):
+    # a Haar state lies within distance r of a fixed state with probability
+    # r^(2(d-1)), the law behind the README's "What a verdict covers" radii;
+    # r is chosen so that the probability is 0.05
+    n, p = 20000, 0.05
+    r = p ** (1 / (2 * (dim - 1)))
+    center = _sample_rows(np.random.default_rng(1000 + dim), 1, dim)
+    rows = _sample_rows(np.random.default_rng(dim), n, dim)
+    share = np.mean(_row_distances(rows, np.repeat(center, n, axis=0)) <= r)
+    assert abs(share - p) <= 5 * np.sqrt(p * (1 - p) / n)
 
 
 def test_refinement_with_split_candidate_batches_matches_the_sequential_search():
