@@ -3,8 +3,9 @@
 Each criterion is a function returning a :class:`CriterionResult`; the
 test suite asserts them one by one and the CLI selftest prints them as a
 table.  Seeds and tolerances are fixed so results are reproducible.
-The paper's counterexamples are declared once, in COUNTEREXAMPLES:
-criteria 08-10 and the CLI demo both run them.
+What the paper claims of each family of maps is declared once, in
+CLAIMS: criteria 02-05 and 08-10, the CLI's builtin maps and its demo
+all read their expected verdicts there.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .circle import (
 )
 from .classify import (
     ENTRYWISE_ABS,
+    NOT_CLASSIFIED,
     PROBE_GRID,
     STANDARD_DIM2,
     WIGNER_ANTIUNITARY,
@@ -44,6 +46,7 @@ from .maps import (
     StateMap,
     block_embed,
     composed_phi_form,
+    constant_map,
     entrywise_abs,
     proper_subspace_map,
     separable_embed,
@@ -60,6 +63,7 @@ from .states import (
     pure_state,
     random_unitary,
     sample_pure_state,
+    sample_unitary,
 )
 from .verify import (
     _METRIC_CHECKS,
@@ -68,6 +72,7 @@ from .verify import (
     check_inclusion_lemma,
     check_isometry,
     check_nonexpansive,
+    check_orthogonality_preserving,
     max_image_overlap,
 )
 
@@ -120,49 +125,44 @@ def criterion_01() -> CriterionResult:
 def criterion_02() -> CriterionResult:
     """Entrywise-absolute-value map is nonexpansive in dims 2..6."""
     t0 = time.time()
-    worst = -math.inf
-    witnesses = 0
-    for dim in range(2, 7):
-        rep = check_nonexpansive(entrywise_abs(dim), dim, 10000, seed=42)
-        worst = max(worst, rep.worst_gap)
-        witnesses += 0 if rep.holds else 1
-    passed = witnesses == 0 and worst <= 1e-12
-    return _result(
-        2,
-        "abs map nonexpansive",
-        t0,
-        passed,
-        f"witnesses {witnesses}, worst gap {worst:.2e}",
-        10.0,
-    )
+    claim = CLAIMS["phi"]
+    reports = [check_nonexpansive(claim.build(None, d), d, 10000, seed=42) for d in claim.dims]
+    worst = max(rep.worst_gap for rep in reports)
+    witnesses = sum(not rep.holds for rep in reports)
+    passed = all(rep.holds == claim.expect["nonexpansive"] for rep in reports) and worst <= 1e-12
+    detail = f"witnesses {witnesses}, worst gap {worst:.2e}"
+    return _result(2, "abs map nonexpansive", t0, passed, detail, 10.0)
 
 
 def criterion_03() -> CriterionResult:
     """Entrywise-absolute-value map contracts strictly somewhere in dim 2."""
     t0 = time.time()
-    rep = check_isometry(entrywise_abs(2), 2, 10000, seed=42)
+    claim = CLAIMS["phi"]
+    rep = check_isometry(claim.build(None, 2), 2, 10000, seed=42)
     gap = rep.witness.gap if rep.witness is not None else 0.0
-    return _result(
-        3, "abs map not an isometry", t0, gap >= 0.5, f"witness |gap| {gap:.3f}", 5.0
-    )
+    passed = rep.holds == claim.expect["isometry"] and gap >= 0.5
+    return _result(3, "abs map not an isometry", t0, passed, f"witness |gap| {gap:.3f}", 5.0)
 
 
 def criterion_04() -> CriterionResult:
-    """Phase-map lifts inherit circle behaviour: each lift's verdict is its
-    circle map's, fold and constant 1 pass, squaring fails."""
+    """Phase-map lifts inherit circle behaviour: for the fold, the constant 1
+    and squaring, each lift's verdict is its circle map's, and both are claimed."""
     t0 = time.time()
-    cases = [
-        ("fold", fold(), 10000),
-        ("constant", constant(1.0), 10000),
-        ("squaring", power(2), 1000),
-    ]
-    lifts = {name: check_nonexpansive(standard_map(g), 2, n, seed=42) for name, g, n in cases}
-    circles = {name: check_nonexpansive_circle(g) is None for name, g, _ in cases}
+    cases = [("fold", "tau-fold", 10000), ("constant", "tau-constant", 10000),
+             ("squaring", "tau-power2", 1000)]
+    lifts, circles, claimed = {}, {}, True
+    for label, name, n in cases:
+        claim = CLAIMS[name]
+        map_ = claim.build(None, 2)
+        lifts[label] = check_nonexpansive(map_, 2, n, seed=42)
+        circles[label] = check_nonexpansive_circle(map_.params["g"]) is None
+        expected = (claim.expect["nonexpansive"], claim.circle)
+        claimed &= (lifts[label].holds, circles[label]) == expected
     witness = lifts["squaring"].witness
     gap = witness.gap if witness is not None else 0.0
-    agree = all(lifts[name].holds == circles[name] for name in lifts)
-    passed = agree and lifts["fold"].holds and lifts["constant"].holds and gap >= 0.25
-    verdicts = ", ".join(f"{name} {lifts[name].holds}/{circles[name]}" for name in lifts)
+    agree = all(lifts[label].holds == circles[label] for label in lifts)
+    passed = agree and claimed and gap >= 0.25
+    verdicts = ", ".join(f"{label} {lifts[label].holds}/{circles[label]}" for label in lifts)
     detail = f"lift/circle holds: {verdicts}; squaring gap {gap:.3f}"
     return _result(4, "phase-lift equivalence", t0, passed, detail, 10.0)
 
@@ -170,15 +170,11 @@ def criterion_04() -> CriterionResult:
 def _classifier_cases():
     for i in range(50):
         dim = (3, 4, 5)[i % 3]
-        u = random_unitary(dim, 1000 + i)
-        yield WIGNER_UNITARY, dim, wigner_map(u), None
-        u = random_unitary(dim, 2000 + i)
-        yield WIGNER_ANTIUNITARY, dim, wigner_map(u, antiunitary=True), None
+        build = lambda name, seed: CLAIMS[name].build(np.random.default_rng(seed), dim)
+        yield "wigner-random", dim, build("wigner-random", 1000 + i)
+        yield "wigner-antiunitary", dim, build("wigner-antiunitary", 2000 + i)
         pre = random_unitary(dim, 3000 + i)
-        post = random_unitary(dim, 4000 + i)
-        # the preimage system: the columns of pre*, that is the rows of conj(pre)
-        hint = OrthoSystem(tuple(map(_trusted_state, _canonical_rows(pre.conj()))))
-        yield ENTRYWISE_ABS, dim, composed_phi_form(pre, post), hint
+        yield "composed", dim, composed_phi_form(pre, random_unitary(dim, 4000 + i))
 
 
 def criterion_05() -> CriterionResult:
@@ -187,11 +183,12 @@ def criterion_05() -> CriterionResult:
     correct = 0
     total = 0
     worst_residual = 0.0
-    for expected, dim, model, hint in _classifier_cases():
+    for name, dim, model in _classifier_cases():
         total += 1
-        res = classify(model, dim, preimage_hint=hint)
+        claim = CLAIMS[name]
+        res = classify(model, dim, preimage_hint=claim.hint and claim.hint(model))
         if (
-            res.branch == expected
+            res.branch == claim.branch
             and res.residual <= 1e-8
             and res.diag_u is not None
             and res.diag_u[0, 0] == 1.0
@@ -246,35 +243,25 @@ def criterion_07() -> CriterionResult:
     t0 = time.time()
     rng = np.random.default_rng(701)
     dim = 4
-    cases = []
-    q1, q2 = _disjoint_support_pair(rng, dim)
-    cases.append(("abs", entrywise_abs(dim), OrthoSystem((q1, q2))))
     pre = random_unitary(dim, 702)
-    post = random_unitary(dim, 703)
-    r1, r2 = _disjoint_support_pair(rng, dim)
-    cases.append(
-        (
-            "composed",
-            composed_phi_form(pre, post),
-            OrthoSystem(
-                (pure_state(pre.conj().T @ r1.vec), pure_state(pre.conj().T @ r2.vec))
-            ),
-        )
+    # each map with its preimage states, drawn from rng in this order
+    cases = [
+        (CLAIMS["phi"].build(None, dim), _disjoint_support_pair(rng, dim)),
+        (composed_phi_form(pre, random_unitary(dim, 703)),
+         [pure_state(pre.conj().T @ r.vec) for r in _disjoint_support_pair(rng, dim)]),
+        (CLAIMS["wigner-random"].build(np.random.default_rng(704), dim),
+         map(pure_state, _orthogonal_pair_rows(lambda n: _sample_state_rows(rng, n, dim), 1))),
+    ]
+    worst = max(
+        check_inclusion_lemma(map_, OrthoSystem(tuple(states)), 1000, seed=42).worst_gap
+        for map_, states in cases
     )
-    pair = _orthogonal_pair_rows(lambda n: _sample_state_rows(rng, n, dim), 1)
-    cases.append(
-        ("wigner", wigner_map(random_unitary(dim, 704)), OrthoSystem(tuple(map(pure_state, pair))))
-    )
-    worst = -math.inf
-    for _, map_, preimages in cases:
-        rep = check_inclusion_lemma(map_, preimages, 1000, seed=42)
-        worst = max(worst, rep.worst_gap)
     passed = worst <= 1e-9
     return _result(7, "inclusion of dominated states", t0, passed, f"worst gap {worst:.2e}", 10.0)
 
 
 def _run_check(name, map_, dim, rng, samples, seed, refine_steps):
-    """One check of a counterexample.
+    """One check of a map by name, as a claim declares it or `verify --property` asks.
 
     Returns whether it holds, its report, its demo-bundle JSON (None: the
     check shows in the summary only) and its summary label on failure.
@@ -286,23 +273,40 @@ def _run_check(name, map_, dim, rng, samples, seed, refine_steps):
     if name == "cosp_image":
         complete = basis_image_completes_span(map_, map_.params["k"])
         return complete, complete, None, "fail"
-    report = _METRIC_CHECKS[name](map_, dim, samples, refine_steps=refine_steps, seed=seed)
+    if name == "orthogonality":
+        report = check_orthogonality_preserving(map_, dim, samples, seed=seed)
+    else:
+        report = _METRIC_CHECKS[name](map_, dim, samples, refine_steps=refine_steps, seed=seed)
     return report.holds, report, report.to_json(), "witness"
 
 
 @dataclass(frozen=True)
-class Counterexample:
-    """A counterexample of the paper, declared once for demo and criterion.
+class Claim:
+    """What the paper claims of one family of maps, declared once.
 
-    build(rng, dim, **params) returns the map; expect gives, in run
-    order, whether each check must hold; params names the demo options
-    build takes; shown names map params repeated atop the demo bundle.
+    build(rng, dim, **params) returns the family's map, drawing any
+    random part from rng, and params names the demo options it takes;
+    dims are the dimensions where the claim is checked.  expect gives,
+    in run order, whether each check must hold.  branch is what classify
+    returns in dimension >= 3 (in dimension 2 a classified map is a
+    phase lift, STANDARD_DIM2; None: classify refuses a map that is no
+    endomap), given hint(map_) as its preimage system if hint is set.
+    circle is, for a lift tau_g, whether g is chord-nonexpansive.  shown
+    names the map params repeated atop the demo bundle.
     """
 
     build: Callable[..., StateMap]
+    dims: Sequence[int]
     expect: dict[str, bool]
+    branch: str | None
+    hint: Callable[[StateMap], OrthoSystem] | None = None
+    circle: bool | None = None
     params: tuple[str, ...] = ()
     shown: tuple[str, ...] = ()
+
+
+_DIMS = range(2, 7)
+_PHI = {"nonexpansive": True, "noncontractive": False, "isometry": False, "orthogonality": False}
 
 
 def _anchor_states(rng, dim, count):
@@ -311,46 +315,76 @@ def _anchor_states(rng, dim, count):
     return [_trusted_state(r) for r in rows]
 
 
-COUNTEREXAMPLES = {
-    "block-embed": Counterexample(
-        lambda rng, dim: block_embed(dim), {"noncontractive": True, "isometry": False}
+def _preimage_hint(map_: StateMap) -> OrthoSystem:
+    """The preimage system of V phi(U P U*) V*: the columns of U*, the rows of conj(U)."""
+    return OrthoSystem(tuple(map(_trusted_state, _canonical_rows(map_.params["pre"].conj()))))
+
+
+def _wigner(antiunitary, branch):
+    """A Wigner symmetry of a seeded Haar unitary: an isometry, so every check holds."""
+    build = lambda rng, dim: wigner_map(sample_unitary(rng, dim), antiunitary=antiunitary)
+    checks = ("nonexpansive", "noncontractive", "isometry", "orthogonality", "injectivity")
+    return Claim(build, _DIMS, dict.fromkeys(checks, True), branch)
+
+
+def _lift(g, nonexpansive, branch):
+    """The dimension-2 lift tau_g: as nonexpansive as g, never noncontractive."""
+    expect = {"nonexpansive": nonexpansive, "noncontractive": False, "isometry": False}
+    return Claim(lambda rng, dim: standard_map(g), (2,), expect, branch, circle=nonexpansive)
+
+
+CLAIMS = {
+    "wigner-random": _wigner(False, WIGNER_UNITARY),
+    "wigner-antiunitary": _wigner(True, WIGNER_ANTIUNITARY),
+    "phi": Claim(lambda rng, dim: entrywise_abs(dim), _DIMS, _PHI, ENTRYWISE_ABS),
+    # classified given its preimage system: the COSP search misses composed forms
+    "composed": Claim(
+        lambda rng, dim: composed_phi_form(sample_unitary(rng, dim), sample_unitary(rng, dim)),
+        _DIMS, _PHI, ENTRYWISE_ABS, hint=_preimage_hint,
     ),
-    "separable-embed": Counterexample(
+    "tau-fold": _lift(fold(), True, STANDARD_DIM2),
+    "tau-constant": _lift(constant(1.0), True, STANDARD_DIM2),
+    # the lift is probed and validated, but the image of z**2 fits no half-circle
+    "tau-power2": _lift(power(2), False, NOT_CLASSIFIED),
+    "block-embed": Claim(lambda rng, dim: block_embed(dim), _DIMS,
+                         {"noncontractive": True, "isometry": False}, None),
+    "separable-embed": Claim(
         lambda rng, dim, anchors: separable_embed(
             _anchor_states(rng, dim, 32 if anchors is None else anchors)
         ),
-        {"nonexpansive": True, "injectivity": True, "isometry": False},
+        _DIMS, {"nonexpansive": True, "injectivity": True, "isometry": False}, None,
         params=("anchors",),
     ),
-    "proper-subspace": Counterexample(
+    "proper-subspace": Claim(
         lambda rng, dim, k: proper_subspace_map(dim, dim - 1 if k is None else k),
-        {"nonexpansive": True, "cosp_image": True},
-        params=("k",),
-        shown=("k",),
+        _DIMS, {"nonexpansive": True, "cosp_image": True}, NOT_CLASSIFIED,
+        params=("k",), shown=("k",),
     ),
+    "constant": Claim(lambda rng, dim: constant_map(dim), _DIMS, {**_PHI, "injectivity": False},
+                      NOT_CLASSIFIED),
 }
 
 
-def run_counterexample(target, dim, rng, samples, seed, refine_steps, **params):
-    """Build a counterexample and run its checks.
+def run_claim(name, dim, rng, samples, seed, refine_steps, **params):
+    """Build a family's map and run the checks its claim declares.
 
     samples is the metric checks' budget, or a dict with one per check.
-    Returns the demo bundle, whether every check came out as expected,
+    Returns the demo bundle, whether every check came out as claimed,
     and the report of each check.
     """
-    entry = COUNTEREXAMPLES[target]
-    map_ = entry.build(rng, dim, **params)
-    bundle = {"target": target, "map": map_to_json(map_), "checks": {}, "summary": {}}
-    bundle.update((name, map_.params[name]) for name in entry.shown)
+    claim = CLAIMS[name]
+    map_ = claim.build(rng, dim, **params)
+    bundle = {"target": name, "map": map_to_json(map_), "checks": {}, "summary": {}}
+    bundle.update((key, map_.params[key]) for key in claim.shown)
     ok, reports = True, {}
-    for name, expected in entry.expect.items():
-        n = samples.get(name) if isinstance(samples, dict) else samples
-        holds, reports[name], shown, on_fail = _run_check(
-            name, map_, dim, rng, n, seed, refine_steps
+    for check, expected in claim.expect.items():
+        n = samples.get(check) if isinstance(samples, dict) else samples
+        holds, reports[check], shown, on_fail = _run_check(
+            check, map_, dim, rng, n, seed, refine_steps
         )
         if shown is not None:
-            bundle["checks"][name] = shown
-        bundle["summary"][name] = "pass" if holds else on_fail
+            bundle["checks"][check] = shown
+        bundle["summary"][check] = "pass" if holds else on_fail
         ok = ok and holds == expected
     return bundle, ok, reports
 
@@ -358,9 +392,7 @@ def run_counterexample(target, dim, rng, samples, seed, refine_steps, **params):
 def criterion_08() -> CriterionResult:
     """Block embedding is noncontractive yet tears a boundary pair apart."""
     t0 = time.time()
-    _, ok, reports = run_counterexample(
-        "block-embed", 3, np.random.default_rng(801), 10000, 42, 200
-    )
+    _, ok, reports = run_claim("block-embed", 3, np.random.default_rng(801), 10000, 42, 200)
     w = reports["isometry"].witness
     passed = ok and w.d_in < 0.5 and abs(w.d_out - 1.0) <= 1e-12
     detail = (
@@ -373,7 +405,7 @@ def criterion_08() -> CriterionResult:
 def criterion_09() -> CriterionResult:
     """Overlap-profile embedding: nonexpansive, injective, never isometric."""
     t0 = time.time()
-    _, ok, reports = run_counterexample(
+    _, ok, reports = run_claim(
         "separable-embed", 4, np.random.default_rng(901),
         {"nonexpansive": 10000, "isometry": 1000}, 42, 200, anchors=32,
     )
@@ -390,9 +422,8 @@ def criterion_09() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Subspace collapse is nonexpansive and completes the designated system."""
     t0 = time.time()
-    _, passed, reports = run_counterexample(
-        "proper-subspace", 5, np.random.default_rng(1001), 10000, 42, 200, k=3
-    )
+    _, passed, reports = run_claim("proper-subspace", 5, np.random.default_rng(1001), 10000, 42,
+                                   200, k=3)
     detail = (
         f"nonexpansive holds {reports['nonexpansive'].holds}, "
         f"image complete in span {reports['cosp_image']}"

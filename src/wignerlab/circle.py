@@ -165,13 +165,11 @@ def _phases(zs) -> np.ndarray:
 
 
 def _sampled_table(angles, values) -> CircleMap:
-    """Tabulated map from an array of input angles and one of unit output values."""
+    """Tabulated map from an array of finite input angles and one of unit output values."""
     angles = np.array(angles, dtype=float)
     values = np.array(values, dtype=complex)
     if not angles.size:
         raise ValueError("sampled circle map needs at least one entry")
-    if not np.isfinite(angles).all():
-        raise ValueError("sampled circle map input angles must be finite")
     _require_units(values)
     table = tuple(zip(angles.tolist(), values.tolist()))
 

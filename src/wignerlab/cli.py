@@ -15,20 +15,11 @@ import sys
 
 import numpy as np
 
-from .acceptance import COUNTEREXAMPLES, run_all, run_counterexample
-from .circle import constant, fold, power
+from .acceptance import CLAIMS, _run_check, run_all, run_claim
 from .classify import classify
 from .descriptors import map_from_json
-from .maps import (
-    StateMap,
-    block_embed,
-    constant_map,
-    entrywise_abs,
-    standard_map,
-    wigner_map,
-)
-from .states import random_unitary
-from .verify import _METRIC_CHECKS, check_orthogonality_preserving
+from .maps import StateMap
+from .verify import _METRIC_CHECKS
 
 EXIT_HOLDS = 0
 EXIT_WITNESS = 1
@@ -39,24 +30,20 @@ class CLIError(ValueError):
     """Invalid invocation or unreadable input."""
 
 
-_BUILTINS = {
-    "phi": lambda dim, seed: entrywise_abs(dim),
-    "block-embed": lambda dim, seed: block_embed(dim),
-    "wigner-random": lambda dim, seed: wigner_map(random_unitary(dim, seed)),
-    "constant": lambda dim, seed: constant_map(dim),
-    "tau-fold": lambda dim, seed: standard_map(fold()),
-    "tau-constant": lambda dim, seed: standard_map(constant(1.0)),
-    "tau-power2": lambda dim, seed: standard_map(power(2)),
-}
+# the families of acceptance.CLAIMS that the CLI takes by name: the builtin
+# maps of verify and classify, and the counterexamples that demo runs
+_MAP_NAMES = ("phi", "block-embed", "wigner-random", "constant", "tau-fold", "tau-constant",
+              "tau-power2")
+_DEMOS = ("block-embed", "proper-subspace", "separable-embed")
 
 
 def _builtin_map(name: str, dim: int, seed: int) -> StateMap:
-    if name not in _BUILTINS:
+    if name not in _MAP_NAMES:
         raise CLIError(
             f"unknown builtin map {name!r}; use a name from "
-            f"{{{', '.join(_BUILTINS)}}}, inline JSON, or @file"
+            f"{{{', '.join(_MAP_NAMES)}}}, inline JSON, or @file"
         )
-    map_ = _BUILTINS[name](dim, seed)
+    map_ = CLAIMS[name].build(np.random.default_rng(seed), dim)
     if map_.dim_in != dim:
         raise CLIError(f"builtin map {name!r} requires --dim {map_.dim_in}")
     return map_
@@ -101,20 +88,11 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     map_ = _load_map(args.map, args.dim, args.seed)
-    if args.property == "orthogonality":
-        report = check_orthogonality_preserving(
-            map_, args.dim, n_samples=args.samples, seed=args.seed
-        )
-    else:
-        report = _METRIC_CHECKS[args.property](
-            map_,
-            args.dim,
-            n_samples=args.samples,
-            refine_steps=args.refine_steps,
-            seed=args.seed,
-        )
+    holds, report, _, _ = _run_check(
+        args.property, map_, args.dim, None, args.samples, args.seed, args.refine_steps
+    )
     _emit(report.to_json(), args.out)
-    return EXIT_HOLDS if report.holds else EXIT_WITNESS
+    return EXIT_HOLDS if holds else EXIT_WITNESS
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -125,16 +103,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 # the target options of demo: each target takes the ones its builder declares
-_DEMO_OPTIONS = {name for entry in COUNTEREXAMPLES.values() for name in entry.params}
+_DEMO_OPTIONS = {name for target in _DEMOS for name in CLAIMS[target].params}
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    params = {name: getattr(args, name) for name in COUNTEREXAMPLES[args.target].params}
+    params = {name: getattr(args, name) for name in CLAIMS[args.target].params}
     refused = [f"--{name}" for name in sorted(_DEMO_OPTIONS - set(params))
                if getattr(args, name) is not None]
     if refused:
         raise CLIError(f"demo {args.target} takes no {', '.join(refused)}")
-    bundle, ok, _ = run_counterexample(
+    bundle, ok, _ = run_claim(
         args.target, args.dim, np.random.default_rng(np.random.SeedSequence((args.seed, 9))),
         args.samples, args.seed, args.refine_steps, **params,
     )
@@ -199,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.set_defaults(handler=_cmd_classify)
 
     demo = subs.add_parser("demo", help="build a counterexample and verify it")
-    demo.add_argument("target", choices=sorted(COUNTEREXAMPLES))
+    demo.add_argument("target", choices=_DEMOS)
     demo.add_argument("--anchors", type=int, default=None,
                       help="anchor count for separable-embed (default 32)")
     demo.add_argument("--k", type=int, default=None,

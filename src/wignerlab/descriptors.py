@@ -140,6 +140,9 @@ def state_from_json(obj: dict) -> PureState:
     )
     if vec.size != dim:
         raise ValueError(f"state JSON length {vec.size} does not match dim {dim}")
+    if not np.isfinite(np.einsum("i,i", vec.view(float), vec.view(float))):
+        # every amplitude is finite, but the squared norm pure_state divides by is not
+        raise ValueError(f"state JSON 'vec' norm overflows float64, got {obj['vec']!r}")
     state = pure_state(vec)
     # PureState's test of a canonical vector, without a second canonicalization
     return _trusted_state(vec) if np.abs(state.vec - vec).max() <= UNIT_NORM_TOL else state
@@ -163,6 +166,8 @@ def sampled_from_json(table) -> CircleMap:
     entries = lambda es: (_pair_list(es) and _numbers(angles(es)) and _fits_float(angles(es))
                           and _number_pairs([w for _, w in es]))
     _refuse_unless(entries, table, _TABLE_ENTRIES)
+    _refuse_unless(lambda es: _finite(angles(es)), table,
+                   "sampled circle map input angles must be finite")
     values = _complex_values([w for _, w in table], _TABLE_ENTRIES)
     return _sampled_table([t for t, _ in table], values)
 

@@ -14,7 +14,7 @@ import pytest
 from wignerlab import (
     cli, map_from_json, map_to_json, opaque_map, pure_state, random_unitary, wigner_map,
 )
-from wignerlab.acceptance import COUNTEREXAMPLES
+from wignerlab.acceptance import CLAIMS
 
 TIMEOUT = 120
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -336,11 +336,11 @@ def test_demo_proper_subspace():
 def test_demo_reports_the_declared_outcome(invocation, capsys):
     subs = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
     target = next(a for a in subs.choices["demo"]._actions if a.dest == "target")
-    assert sorted(target.choices) == sorted(COUNTEREXAMPLES)
+    assert sorted(target.choices) == ["block-embed", "proper-subspace", "separable-embed"]
     assert f"wignerlab demo {invocation}\n" in README.read_text(encoding="utf-8")
     assert cli.main(["demo", *invocation.split()]) == cli.EXIT_HOLDS
     summary = json.loads(capsys.readouterr().out)["summary"]
-    expect = COUNTEREXAMPLES[invocation.split()[0]].expect
+    expect = CLAIMS[invocation.split()[0]].expect
     assert {name: label == "pass" for name, label in summary.items()} == expect
 
 
@@ -360,6 +360,24 @@ def test_demo_refuses_options_its_target_does_not_take(capsys):
         assert captured.out == ""
         target = argv.split()[0]
         assert captured.err == f"error: demo {target} takes no {refused}\n"
+
+
+def test_every_builtin_map_name_is_a_claimed_family(capsys):
+    names = "phi, block-embed, wigner-random, constant, tau-fold, tau-constant, tau-power2"
+    assert set(names.split(", ")) <= set(CLAIMS)
+    assert cli.main(["verify", "--property", "isometry", "--map", "nope"]) == cli.EXIT_ERROR
+    assert f"use a name from {{{names}}}" in capsys.readouterr().err
+
+
+def test_an_overflowing_state_norm_exits_two_naming_the_field(capsys):
+    desc = ('{"family": "separable_embed", "params": {"anchors": '
+            '[{"dim": 2, "vec": [[1e308, 0], [1e308, 1e308]]}]}}')
+    code = cli.main(["verify", "--property", "nonexpansive", "--dim", "2", "--map", desc])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err == ("error: invalid map descriptor: state JSON 'vec' norm overflows "
+                            "float64, got [[1e+308, 0], [1e+308, 1e+308]]\n")
 
 
 def test_builtin_tau_maps_require_dim_two():

@@ -248,6 +248,26 @@ def test_integers_beyond_the_float_range_name_their_field(obj, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_table_angle_is_refused_by_its_entry(angle):
+    with pytest.raises(ValueError) as err:
+        sampled_from_json([[0.0, [1.0, 0.0]], [angle, [0.0, 1.0]]])
+    assert str(err.value) == (
+        f"sampled circle map input angles must be finite, got [{angle!r}, [0.0, 1.0]]"
+    )
+
+
+def test_a_state_whose_norm_overflows_is_refused_by_its_field():
+    # every amplitude is finite, but the squared norm that normalizing divides by is not
+    for vec in ([[1e308, 0], [1e308, 1e308]], [[1e200, 0], [0, 0]]):
+        with pytest.raises(ValueError) as err:
+            state_from_json({"dim": 2, "vec": vec})
+        assert str(err.value) == f"state JSON 'vec' norm overflows float64, got {vec!r}"
+    # a norm whose square stays in the float range still loads
+    state = state_from_json({"dim": 2, "vec": [[1e153, 0], [0, 1e153]]})
+    assert np.abs(state.vec - [2**-0.5, 2**-0.5 * 1j]).max() <= 1e-15
+
+
 def test_block_embed_refuses_a_non_finite_threshold():
     # a NaN threshold sent every state to one block, and its descriptor was not JSON
     for value in (math.nan, math.inf, -math.inf):

@@ -43,7 +43,7 @@ from wignerlab import (
     wigner_map,
 )
 from wignerlab import cli, map_from_json, maps, verify
-from wignerlab.acceptance import COUNTEREXAMPLES
+from wignerlab.acceptance import CLAIMS
 from wignerlab.states import (
     _canonical_rows,
     _pairwise_transition_probabilities,
@@ -811,7 +811,7 @@ def _one_product_overlap(map_, rng):
 
 def _demo_separable_embed():
     # demo separable-embed --dim 4 --anchors 32, as criterion 09 builds it
-    return COUNTEREXAMPLES["separable-embed"].build(np.random.default_rng(901), 4, anchors=32)
+    return CLAIMS["separable-embed"].build(np.random.default_rng(901), 4, anchors=32)
 
 
 OVERLAP_MAPS = {
