@@ -6,8 +6,11 @@ circle map, and the circle maps combine into multiplicative maps whose
 branch (identity / conjugation / constant 1) decides whether the black
 box is a unitary symmetry, an antiunitary symmetry, or a conjugated
 entrywise-absolute-value map.  Maps that merely carry some complete
-orthogonal system onto another are first reduced to that canonical
-situation by sandwiching with the two associated basis changes.
+orthogonal system (COSP) onto another are first reduced to that
+canonical situation by sandwiching with the two associated basis
+changes.  Without a hint that system is the standard basis: a map that
+carries other COSPs onto COSPs but not the basis (a composed form) does
+so only on a set of frames of measure zero, which random frames miss.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .descriptors import _pairs, matrix_to_json, sampled_to_json
 from .maps import StateMap, _apply, composed_phi_form, standard_map, wigner_map
 from .states import (
     OrthoSystem,
+    _basis_system,
     _canonical_rows,
     _param_rows,
     _require_orthogonal,
@@ -45,7 +49,6 @@ from .states import (
     _row_transition_probabilities,
     _sample_state_rows,
 )
-from .verify import find_cosp_in_image
 
 __all__ = [
     "WIGNER_UNITARY",
@@ -86,7 +89,7 @@ _BRANCH_OF_HOM = {
 
 
 class ProbeError(ValueError):
-    """A probe response contradicts the canonical-map hypothesis."""
+    """A map's response refutes the COSP-image or the canonical-map hypothesis."""
 
 
 @dataclass(frozen=True)
@@ -365,23 +368,23 @@ def reduce_to_canonical(
 ) -> tuple[np.ndarray, np.ndarray, StateMap]:
     """Sandwich a map into one fixing every standard basis projection.
 
-    preimages must be a complete orthogonal system whose image under the
-    map is again complete orthogonal (validated; ValueError otherwise).
-    Returns (U, V, canonical) with U built from the preimage
-    representatives and V from the image representatives so that
-    canonical(P) = V* map(U* P U) V fixes each basis projection and
-    map(P) = V canonical(U P U*) V*.
+    preimages must be a complete orthogonal system; this is the one check
+    that its image is one too (ProbeError otherwise; an invalid image
+    raises the batch's own ValueError).  Returns (U, V, canonical) with U
+    built from the preimage representatives and V from the image
+    representatives so that canonical(P) = V* map(U* P U) V fixes each
+    basis projection and map(P) = V canonical(U P U*) V*.
     """
     dim = map_.dim_in
     if map_.dim_out != dim:
         raise ValueError("reduction requires an endomap")
     if preimages.dim != dim or len(preimages) != dim:
         raise ValueError("preimage system is not complete for the map dimension")
+    images = map_.batch(preimages.rows)
     try:
-        images = map_.batch(preimages.rows)
         _require_orthogonal(images)
     except ValueError as err:
-        raise ValueError(f"image of the preimage system is not a COSP: {err}") from err
+        raise ProbeError(f"image of the preimage system is not a COSP: {err}") from err
     b = preimages.rows.T
     c = images.T
     c_h = images.conj()
@@ -415,19 +418,20 @@ def classify(
 ) -> ClassificationResult:
     """Full classification pipeline for a black-box nonexpansive endomap.
 
-    Locates a complete orthogonal system with complete orthogonal image
-    (or uses the supplied hint), reduces to the canonical situation,
-    decides the branch there, and composes the recovered pieces into a
-    model of the original map whose residual is validated once against
-    the black box.
+    Reduces to the canonical situation through the hint or else the
+    standard basis, decides the branch there, and validates the composed
+    model once against the black box: three map calls in all.  A basis
+    whose image is not a COSP is NOT_CLASSIFIED after one; such a hint
+    raises ProbeError.
     """
     if dim != map_.dim_in or map_.dim_in != map_.dim_out:
         raise ValueError("classification requires an endomap of the given dimension")
-    preimages = preimage_hint
-    if preimages is None:
-        preimages = find_cosp_in_image(map_, dim)
-    if preimages is None:
+    preimages = _basis_system(dim) if preimage_hint is None else preimage_hint
+    try:
+        u, v, canonical = reduce_to_canonical(map_, preimages)
+    except ProbeError:
+        if preimage_hint is not None:
+            raise
         return _not_classified("COSP-image hypothesis unverified")
-    u, v, canonical = reduce_to_canonical(map_, preimages)
     pipeline = _classify_lift if dim == 2 else _classify_branch
     return pipeline(map_, canonical, u, v)

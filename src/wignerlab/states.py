@@ -284,6 +284,11 @@ class OrthoSystem:
         return iter(self.members)
 
 
+def _basis_system(dim: int) -> OrthoSystem:
+    """The standard basis states of dimension dim, as one orthogonal system."""
+    return OrthoSystem(tuple(_trusted_state(r) for r in np.eye(dim, dtype=complex)))
+
+
 def _row_params(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weight/phase parameters (p, z) of dimension-2 state rows, and which rows are degenerate.
 
@@ -363,6 +368,8 @@ def sample_pure_state(rng: np.random.Generator, dim: int) -> PureState:
 
 def sample_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Draw a Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     z = rng.standard_normal((2, dim, dim))
     q, r = np.linalg.qr(z[0] + 1j * z[1])
     d = np.diagonal(r)
@@ -371,6 +378,4 @@ def sample_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Seeded Haar-distributed unitary matrix."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
     return sample_unitary(np.random.default_rng(seed), dim)

@@ -27,6 +27,7 @@ from .maps import StateMap
 from .states import (
     OrthoSystem,
     PureState,
+    _basis_system,
     _canonical_rows,
     _orthogonal_pair_rows,
     _pairwise_transition_probabilities,
@@ -35,7 +36,6 @@ from .states import (
     _row_transition_probabilities,
     _sample_state_rows,
     _trusted_state,
-    sample_unitary,
 )
 
 __all__ = [
@@ -60,9 +60,6 @@ CHUNK_SIZE = 512
 # injectivity probe without splitting narrow ones
 MAP_ENTRIES = 16384
 INJECTIVITY_SAMPLES = 1000
-# the COSP search: the standard basis, then this many seeded Haar rotations
-COSP_ROTATIONS = 8
-COSP_SEED = 0
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
 # a candidate must beat the current gap by more than rounding noise
@@ -537,21 +534,11 @@ def basis_image_completes_span(map_: StateMap, k: int) -> bool:
 
 
 def find_cosp_in_image(map_: StateMap, dim: int) -> OrthoSystem | None:
-    """Search for a complete orthogonal system whose image is one too.
+    """The standard basis if its image is a complete orthogonal system, else None.
 
-    Tries the standard basis states and then COSP_ROTATIONS Haar-rotated
-    complete systems, trial t drawn from the RNG substream
-    (COSP_SEED, t) only when the earlier candidates missed; returns the
-    preimage system of the first hit, or None.
+    The basis is mapped once; an invalid image is an error (ValueError).
     """
     if map_.dim_in != dim or map_.dim_out != dim:
         raise ValueError("COSP search requires an endomap of the given dimension")
-    for trial in range(COSP_ROTATIONS + 1):
-        if trial == 0:
-            cols = np.eye(dim, dtype=complex)
-        else:
-            cols = sample_unitary(_chunk_rng(COSP_SEED, trial), dim)
-        rows = _canonical_rows(cols.T)
-        if _orthogonal_images(map_, rows) is not None:
-            return OrthoSystem(tuple(_trusted_state(r) for r in rows))
-    return None
+    basis = _basis_system(dim)
+    return basis if _orthogonal_images(map_, basis.rows) is not None else None

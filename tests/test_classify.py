@@ -34,10 +34,12 @@ from wignerlab import (
     classify_homomorphism,
     classify_dim2,
     composed_phi_form,
+    constant_map,
     entrywise_abs,
     fold,
     opaque_map,
     PROBE_GRID,
+    proper_subspace_map,
     pure_state,
     random_unitary,
     reduce_to_canonical,
@@ -413,6 +415,65 @@ def test_classification_without_a_cosp_gives_a_reason():
     assert res.branch == NOT_CLASSIFIED
     assert not res.classified
     assert "COSP" in res.reason
+
+
+def _counted(map_, calls):
+    """map_ with a fn that appends its batch's row count to calls."""
+    return replace(map_, fn=lambda rows: calls.append(len(rows)) or map_.fn(rows))
+
+
+@pytest.mark.parametrize(
+    "make_map, dim, branch, batches",
+    [
+        (lambda: wigner_map(random_unitary(4, 57)), 4, WIGNER_UNITARY, 3),
+        (lambda: entrywise_abs(5), 5, ENTRYWISE_ABS, 3),
+        (lambda: standard_map(fold()), 2, STANDARD_DIM2, 3),
+        (lambda: proper_subspace_map(5, 3), 5, NOT_CLASSIFIED, 1),
+        (lambda: constant_map(4), 4, NOT_CLASSIFIED, 1),
+    ],
+    ids=["wigner", "phi", "tau-fold", "proper-subspace", "constant"],
+)
+def test_classification_maps_the_black_box_once_per_stage(make_map, dim, branch, batches):
+    # the basis once, one probe batch, the validation states; a basis
+    # whose image is not a COSP ends the run after its one batch
+    calls = []
+    res = classify(_counted(make_map(), calls), dim)
+    assert res.branch == branch
+    assert len(calls) == batches
+    assert calls[0] == dim
+    if not res.classified:
+        assert res.reason == "COSP-image hypothesis unverified"
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_a_map_broken_at_a_basis_state_is_not_classified(dim):
+    # a Wigner symmetry whose cap of radius 0.05 around e_0 collapses onto
+    # the image of e_1: F(e_0) = F(e_1), so the basis image is not a COSP,
+    # although F agrees with the symmetry on every frame that misses the cap
+    u = random_unitary(dim, 90 + dim)
+
+    def fn(rows):
+        images = rows @ u.T
+        images[np.abs(rows[:, 0]) ** 2 > 1.0 - 0.05**2] = u[:, 1]
+        return images
+
+    res = classify(StateMap("dented", dim, dim, fn), dim)
+    assert res.branch == NOT_CLASSIFIED
+    assert res.reason == "COSP-image hypothesis unverified"
+
+
+def test_reduction_reports_an_invalid_image_as_itself():
+    nan_map = StateMap("nan", 3, 3, lambda rows: np.full(rows.shape, np.nan))
+    basis = OrthoSystem(tuple(basis_state(3, k) for k in range(3)))
+    with pytest.raises(ValueError, match="^cannot build a state from a non-finite vector"):
+        reduce_to_canonical(nan_map, basis)
+
+
+def test_a_hint_whose_image_is_not_a_cosp_raises():
+    collapse = opaque_map(lambda s: basis_state(3, 0), 3, 3)
+    basis = OrthoSystem(tuple(basis_state(3, k) for k in range(3)))
+    with pytest.raises(ProbeError, match="not a COSP"):
+        classify(collapse, 3, preimage_hint=basis)
 
 
 def test_classification_result_json_shape():

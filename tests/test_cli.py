@@ -288,6 +288,16 @@ def test_a_negative_seed_exits_two_in_every_subcommand(argv, capsys):
     assert captured.err == "error: seed must be nonnegative\n"
 
 
+@pytest.mark.parametrize("dim", ["-1", "0"])
+@pytest.mark.parametrize("command", ["verify --property isometry", "classify"])
+def test_a_random_unitary_of_no_positive_dimension_exits_two(command, dim, capsys):
+    # the unitary sampler refuses the dimension before numpy or the map builder sees it
+    assert cli.main([*command.split(), "--map", "wigner-random", "--dim", dim]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dimension must be positive\n"
+
+
 def test_classify_rejects_non_endomap():
     result = run_cli("classify", "--map", "block-embed", "--dim", "3")
     assert result.returncode == 2

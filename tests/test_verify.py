@@ -35,7 +35,6 @@ from wignerlab import (
     pure_state,
     random_unitary,
     sample_pure_state,
-    sample_unitary,
     separable_embed,
     standard_map,
     state_from_params,
@@ -200,26 +199,24 @@ def test_cosp_search_outcomes():
     assert find_cosp_in_image(collapse, 3) is None
 
 
-def test_cosp_search_draws_only_the_rotations_it_tries(monkeypatch):
-    drawn = []
+def test_cosp_search_tries_only_the_standard_basis():
+    calls = []
 
-    def counted(rng, dim):
-        drawn.append(dim)
-        return sample_unitary(rng, dim)
+    def counted(map_):
+        return dataclasses.replace(map_, fn=lambda rows: calls.append(len(rows)) or map_.fn(rows))
 
-    monkeypatch.setattr(verify, "sample_unitary", counted)
-    # the standard basis hits: no rotation is drawn
-    assert find_cosp_in_image(entrywise_abs(4), 4) is not None
-    assert find_cosp_in_image(wigner_map(random_unitary(4, 35)), 4) is not None
-    assert drawn == []
-    # a composed form whose pre undoes the third rotation misses on the
-    # standard basis and on trials 1 and 2, and hits at trial 3
-    third = sample_unitary(_chunk_rng(0, 3), 4)
-    map_ = composed_phi_form(third.conj().T, random_unitary(4, 36))
-    found = find_cosp_in_image(map_, 4)
-    assert drawn == [4, 4, 4]
-    expected = [pure_state(third[:, j]).vec for j in range(4)]
-    assert all(np.array_equal(q.vec, e) for q, e in zip(found, expected))
+    # the standard basis hits, in one call of its dim rows
+    assert find_cosp_in_image(counted(entrywise_abs(4)), 4) is not None
+    assert find_cosp_in_image(counted(wigner_map(random_unitary(4, 35))), 4) is not None
+    assert calls == [4, 4]
+    # a composed form whose qualifying frame is a Haar one: only its own
+    # frame, a set of measure zero, has a COSP image, and no frame but the
+    # basis is tried
+    frame = random_unitary(4, 37)
+    composed = counted(composed_phi_form(frame.conj().T, random_unitary(4, 36)))
+    calls.clear()
+    assert find_cosp_in_image(composed, 4) is None
+    assert calls == [4]
 
 
 def test_reports_are_seed_deterministic():
@@ -228,14 +225,6 @@ def test_reports_are_seed_deterministic():
     assert a.to_json() == b.to_json()
     c = check_nonexpansive(entrywise_abs(3), 3, n_samples=1200, seed=8)
     assert c.worst_gap != a.worst_gap
-
-
-def test_reports_do_not_depend_on_thread_count(monkeypatch):
-    monkeypatch.setenv("WIGNERLAB_THREADS", "1")
-    serial = check_noncontractive(entrywise_abs(2), 2, n_samples=1500, seed=3)
-    monkeypatch.setenv("WIGNERLAB_THREADS", "3")
-    threaded = check_noncontractive(entrywise_abs(2), 2, n_samples=1500, seed=3)
-    assert serial.to_json() == threaded.to_json()
 
 
 def test_check_validates_arguments():
