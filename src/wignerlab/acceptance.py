@@ -39,7 +39,6 @@ from .classify import (
     WIGNER_ANTIUNITARY,
     WIGNER_UNITARY,
     classify,
-    classify_dim2,
 )
 from .descriptors import map_to_json
 from .maps import (
@@ -211,7 +210,7 @@ def criterion_06() -> CriterionResult:
     ]
     failures = []
     for g, expected_kind in cases:
-        res = classify_dim2(standard_map(g))
+        res = classify(standard_map(g), 2)
         if res.branch != STANDARD_DIM2:
             failures.append(f"{g.kind}: {res.reason}")
             continue

@@ -294,7 +294,8 @@ def classify_canonical(map_: StateMap, dim: int | None = None) -> Classification
     branch.  The diagonal unitary is read off the pair-map values at 1
     and gauge-normalized to a leading entry of exactly 1; the
     reconstructed model must reproduce the black box on a validation set
-    within RESIDUAL_TOL, otherwise the result is NOT_CLASSIFIED.
+    within RESIDUAL_TOL, otherwise the result is NOT_CLASSIFIED.  classify
+    does not call it; it is kept for bench/spans.py and the tests.
     """
     dim = map_.dim_in if dim is None else dim
     if dim != map_.dim_in or map_.dim_in != map_.dim_out:
@@ -356,6 +357,7 @@ def classify_dim2(map_: StateMap) -> ClassificationResult:
 
     Extracts the phase action g, validates the lift model on a grid of
     weight/phase parameters, and attaches the structural form of g.
+    classify does not call it; it is kept for bench/spans.py and the tests.
     """
     if map_.dim_in != 2 or map_.dim_out != 2:
         raise ValueError("dimension-2 classification requires an endomap of dim 2")

@@ -7,14 +7,14 @@ a matrix is a flat row-major list of pairs, a state {"dim": d, "vec":
 [pairs]} (a real or complex vector, written the same way), a circle map
 {"kind": ..., <param>: ...} (one entry per kind in _CIRCLE_KINDS) and a
 map descriptor {"family": ..., "params": ...} (one builder per family in
-_FAMILIES).  An unknown key is refused at every level.
+_FAMILIES).  An unknown key is refused at every level, and the entries of
+a list are checked once, in order: a refusal names the first refused one.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from . import circle, maps
 from .circle import CircleMap, _sampled_table
 from .maps import StateMap
 from .states import (
+    GAUGE_TOL,
     UNIT_NORM_TOL,
     PureState,
-    _fits_float,
     _is_integer,
     _is_number_type,
     _trusted_state,
@@ -51,51 +51,37 @@ def _pairs(values) -> list[list[float]]:
     return flat.view(float).reshape(-1, 2).tolist()
 
 
-def _pair_list(items) -> bool:
-    """A list whose entries are lists (or tuples) of exactly two items."""
-    return (
-        isinstance(items, (list, tuple))
-        and set(map(type, items)) <= {list, tuple}
-        and set(map(len, items)) <= {2}
-    )
+def _float(x) -> float | None:
+    """float(x) for an int, a float or a numpy number (not a bool) that float64
+    holds, else None: the one test of a wire number."""
+    if type(x) is float:
+        return x
+    try:
+        return float(x) if _is_number_type(type(x)) else None
+    except OverflowError:  # an integer beyond the float range
+        return None
 
 
-def _numbers(items) -> bool:
-    """Every item is a number and not a bool: checked once per distinct type, not per item."""
-    return all(map(_is_number_type, set(map(type, items))))
-
-
-def _refuse_unless(ok, items, what: str) -> None:
-    """A ValueError "<what>, got <x>" unless ok(items): x is items if it is
-    not a list, else its first entry that ok refuses on its own."""
-    if not ok(items):
-        if isinstance(items, (list, tuple)):
-            items = next(item for item in items if not ok([item]))
-        raise ValueError(f"{what}, got {items!r}")
-
-
-def _number_pairs(pairs) -> bool:
-    return _pair_list(pairs) and _numbers(chain.from_iterable(pairs))
-
-
-def _finite(values) -> bool:
-    return _fits_float(values) and bool(np.isfinite(np.asarray(values, dtype=float)).all())
+def _finite_pair(pair) -> bool:
+    """pair is a list or tuple of two finite numbers (see _float)."""
+    if type(pair) not in (list, tuple) or len(pair) != 2:
+        return False
+    re, im = _float(pair[0]), _float(pair[1])
+    return re is not None and im is not None and math.isfinite(re) and math.isfinite(im)
 
 
 def _complex_values(pairs, what: str) -> np.ndarray:
     """The complex numbers of a list of [re, im] pairs of finite numbers, each
-    the bits of complex(re, im): the one decoder of the wire form.  Anything
-    else is a ValueError "<what>, got <x>" (see _refuse_unless)."""
-    flat = list(chain.from_iterable(pairs)) if _pair_list(pairs) else None
-    if flat is None or not _numbers(flat):
-        _refuse_unless(_number_pairs, pairs, what)  # raises, naming the bad entry
-    try:
-        values = np.array(flat, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        values = None
-    if values is None or not np.isfinite(values).all():  # or NaN, or an infinity
-        _refuse_unless(_finite, pairs, what)  # raises, naming its pair
-    return values.view(complex)
+    the bits of complex(re, im): the one decoder of the wire form.  The first
+    entry that is not such a pair is a ValueError "<what>, got <entry>"."""
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"{what}, got {pairs!r}")
+    flat = []
+    for pair in pairs:
+        if not _finite_pair(pair):
+            raise ValueError(f"{what}, got {pair!r}")
+        flat += pair
+    return np.array(flat, dtype=float).view(complex)
 
 
 def matrix_to_json(mat: np.ndarray) -> list[list[float]]:
@@ -140,9 +126,14 @@ def state_from_json(obj: dict) -> PureState:
     )
     if vec.size != dim:
         raise ValueError(f"state JSON length {vec.size} does not match dim {dim}")
-    if not np.isfinite(np.einsum("i,i", vec.view(float), vec.view(float))):
+    if dim < 2:
+        raise ValueError(f"state JSON 'dim' must be at least 2, got {dim}")
+    norm = np.sqrt(np.einsum("i,i", vec.view(float), vec.view(float)))
+    if not np.isfinite(norm):
         # every amplitude is finite, but the squared norm pure_state divides by is not
         raise ValueError(f"state JSON 'vec' norm overflows float64, got {obj['vec']!r}")
+    if not norm > GAUGE_TOL:
+        raise ValueError(f"state JSON 'vec' is a (near) zero vector, got {obj['vec']!r}")
     state = pure_state(vec)
     # PureState's test of a canonical vector, without a second canonicalization
     return _trusted_state(vec) if np.abs(state.vec - vec).max() <= UNIT_NORM_TOL else state
@@ -161,15 +152,21 @@ _TABLE_ENTRIES = "sampled circle map table entries must be [theta_in, [re, im]] 
 
 
 def sampled_from_json(table) -> CircleMap:
-    """Rebuild a sampled map from [theta_in, [re, im]] pairs of numbers."""
-    angles = lambda es: [t for t, _ in es]
-    entries = lambda es: (_pair_list(es) and _numbers(angles(es)) and _fits_float(angles(es))
-                          and _number_pairs([w for _, w in es]))
-    _refuse_unless(entries, table, _TABLE_ENTRIES)
-    _refuse_unless(lambda es: _finite(angles(es)), table,
-                   "sampled circle map input angles must be finite")
-    values = _complex_values([w for _, w in table], _TABLE_ENTRIES)
-    return _sampled_table([t for t, _ in table], values)
+    """Rebuild a sampled map from [theta_in, [re, im]] pairs of finite numbers.
+    The first refused entry is named whole: "input angles must be finite" if
+    its only fault is a NaN or infinite angle, else _TABLE_ENTRIES."""
+    if not isinstance(table, (list, tuple)):
+        raise ValueError(f"{_TABLE_ENTRIES}, got {table!r}")
+    angles, flat = [], []
+    for entry in table:
+        angle = _float(entry[0]) if type(entry) in (list, tuple) and len(entry) == 2 else None
+        if angle is None or not _finite_pair(entry[1]):
+            raise ValueError(f"{_TABLE_ENTRIES}, got {entry!r}")
+        if not math.isfinite(angle):
+            raise ValueError(f"sampled circle map input angles must be finite, got {entry!r}")
+        angles.append(entry[0])
+        flat += entry[1]
+    return _sampled_table(angles, np.array(flat, dtype=float).view(complex))
 
 
 def _unit_kind(build):

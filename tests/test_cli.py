@@ -570,6 +570,26 @@ def test_constant_descriptor_dim_is_checked_before_the_target_is_built(dim, mess
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "anchor, message",
+    [
+        ({"dim": 1, "vec": [[1, 0]]}, "state JSON 'dim' must be at least 2, got 1"),
+        ({"dim": 2, "vec": [[0, 0], [0, 0]]},
+         "state JSON 'vec' is a (near) zero vector, got [[0, 0], [0, 0]]"),
+    ],
+    ids=["dim-1", "zero-vec"],
+)
+def test_anchor_refusals_name_their_field(anchor, message, capsys):
+    code = cli.main([
+        "verify", "--property", "isometry", "--dim", "2", "--samples", "100",
+        "--map", json.dumps(_anchored(anchor)),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: invalid map descriptor: {message}\n"
+
+
 def test_running_out_of_memory_exits_two(capsys):
     # 10**17 anchors in dimension 4 ask for 6.4e18 bytes of normal draws,
     # beyond any address space, so the allocation fails before it starts

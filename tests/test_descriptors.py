@@ -119,6 +119,95 @@ def test_wire_values_round_trip_to_the_same_text(n, entries, state_parts, table,
     assert _decodes_to_complex_bits(json.loads(json.dumps(ints)))
 
 
+# the smallest integer that float64 does not hold: it and every larger one round to infinity
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _number_type(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _in_float_range(x) -> bool:
+    return not isinstance(x, int) or abs(x) < _FLOAT_LIMIT
+
+
+def _finite_number(x) -> bool:
+    """Reference rule of a wire number: an int or a float, not a bool, finite as a float64."""
+    return _number_type(x) and _in_float_range(x) and abs(x) < math.inf
+
+
+def _valid_pair(entry) -> bool:
+    return isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_finite_number, entry))
+
+
+_TABLE_FAULT = "sampled circle map table entries must be [theta_in, [re, im]] pairs of numbers"
+_ANGLE_FAULT = "sampled circle map input angles must be finite"
+
+
+def _table_fault(entry) -> str | None:
+    """Reference rule of a table entry: the message that refuses it, or None."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and _valid_pair(entry[1])
+            and _number_type(entry[0]) and _in_float_range(entry[0])):
+        return _TABLE_FAULT
+    return None if _finite_number(entry[0]) else _ANGLE_FAULT
+
+
+# numbers every field accepts (three branches of four), and ones that none accepts
+_WIRE_NUMBERS = st.one_of(
+    _FLOATS, st.integers(-2**64, 2**64), st.sampled_from([_FLOAT_LIMIT - 1, -0.0, 5e-324]),
+    st.sampled_from([True, False, "1", None, math.nan, math.inf, -math.inf,
+                     10**400, -(10**400), _FLOAT_LIMIT, -_FLOAT_LIMIT]),
+)
+_REFUSED_SHAPES = st.one_of(
+    st.lists(_WIRE_NUMBERS, min_size=1, max_size=1),
+    st.lists(_WIRE_NUMBERS, min_size=3, max_size=3),
+    _WIRE_NUMBERS, st.just({}),
+)
+_WIRE_PAIRS = st.one_of(st.lists(_WIRE_NUMBERS, min_size=2, max_size=2),
+                        st.tuples(_WIRE_NUMBERS, _WIRE_NUMBERS), _REFUSED_SHAPES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(_WIRE_PAIRS, max_size=5))
+@example(pairs=[[math.nan, 0], [True, 0]])
+@example(pairs=[[1, 0], [10**400, 0], ["x", 0]])
+def test_the_first_refused_pair_is_named(pairs):
+    refused = [entry for entry in pairs if not _valid_pair(entry)]
+    try:
+        _complex_values(pairs, "pairs")
+    except ValueError as err:
+        assert refused and str(err) == f"pairs, got {refused[0]!r}"
+    else:
+        assert not refused and _decodes_to_complex_bits(pairs)
+
+
+_TABLE_VALUES = st.one_of(_UNITS.map(lambda w: [w.real, w.imag]), _WIRE_PAIRS)
+_TABLE = st.lists(st.one_of(st.tuples(_WIRE_NUMBERS, _TABLE_VALUES).map(list), _REFUSED_SHAPES),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_TABLE)
+@example(table=[[math.nan, [1, 0]], [True, [1, 0]]])
+@example(table=[[0, [1, 0]], [10**400, [1, 0]], [math.inf, [0, 1]]])
+@example(table=[[0, [1, math.nan]]])
+def test_the_first_refused_table_entry_is_named_whole(table):
+    faults = [(entry, fault) for entry in table if (fault := _table_fault(entry))]
+    try:
+        g = sampled_from_json(table)
+    except ValueError as err:
+        if not faults:  # well-formed, but a value is off the unit circle
+            assert str(err).startswith("circle values must have modulus 1")
+            return
+        entry, fault = faults[0]
+        assert str(err) == f"{fault}, got {entry!r}"
+    else:
+        assert not faults
+        angles, values = map(np.array, zip(*g.table))
+        assert angles.tobytes() == np.array([float(t) for t, _ in table]).tobytes()
+        assert values.tobytes() == np.array([complex(*w) for _, w in table]).tobytes()
+
+
 def _rows(dim: int, g=None) -> np.ndarray:
     """Sample rows: random states, or in dimension 2 the weight/phase grid
     (at a sampled phase map's recorded inputs, where it is defined)."""

@@ -342,6 +342,32 @@ def test_state_from_json_refuses_malformed_objects(obj, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"dim": 1, "vec": [[1, 0]]}, "state JSON 'dim' must be at least 2, got 1"),
+        ({"dim": 0, "vec": []}, "state JSON 'dim' must be at least 2, got 0"),
+        ({"dim": 2, "vec": [[0, 0], [0, 0]]},
+         "state JSON 'vec' is a (near) zero vector, got [[0, 0], [0, 0]]"),
+        ({"dim": 2, "vec": [[1e-13, 0], [0, -0.0]]},
+         "state JSON 'vec' is a (near) zero vector, got [[1e-13, 0], [0, -0.0]]"),
+    ],
+    ids=["dim-1", "dim-0", "zero-vec", "near-zero-vec"],
+)
+def test_state_from_json_refusals_name_their_field(obj, message):
+    with pytest.raises(ValueError) as err:
+        state_from_json(obj)
+    assert str(err.value) == message
+
+
+def test_a_short_vector_above_the_gauge_tolerance_still_loads():
+    state = state_from_json({"dim": 2, "vec": [[2 * GAUGE_TOL, 0], [0, 0]]})
+    assert state.vec.tobytes() == np.array([1, 0], dtype=complex).tobytes()
+    # pure_state keeps its own message for Python callers
+    with pytest.raises(ValueError, match=r"^state vector must be one-dimensional with dim >= 2$"):
+        pure_state([1.0])
+
+
 def test_state_from_json_keeps_canonical_amplitudes():
     # block_embed's isometry witness sits on the weight-1/2 boundary; a
     # renormalized reload can land in the other block and lose d_out = 1
