@@ -65,14 +65,10 @@ from .states import (
     sample_unitary,
 )
 from .verify import (
-    _METRIC_CHECKS,
-    INJECTIVITY_SAMPLES,
-    basis_image_completes_span,
+    _run_check,
     check_inclusion_lemma,
     check_isometry,
     check_nonexpansive,
-    check_orthogonality_preserving,
-    max_image_overlap,
 )
 
 
@@ -257,26 +253,6 @@ def criterion_07() -> CriterionResult:
     )
     passed = worst <= 1e-9
     return _result(7, "inclusion of dominated states", t0, passed, f"worst gap {worst:.2e}", 10.0)
-
-
-def _run_check(name, map_, dim, rng, samples, seed, refine_steps):
-    """One check of a map by name, as a claim declares it or `verify --property` asks.
-
-    Returns whether it holds, its report, its demo-bundle JSON (None: the
-    check shows in the summary only) and its summary label on failure.
-    """
-    if name == "injectivity":
-        overlap, distinct = max_image_overlap(map_, rng)
-        shown = {"samples": INJECTIVITY_SAMPLES, "max_image_overlap": overlap, "distinct": distinct}
-        return distinct, overlap, shown, "collision"
-    if name == "cosp_image":
-        complete = basis_image_completes_span(map_, map_.params["k"])
-        return complete, complete, None, "fail"
-    if name == "orthogonality":
-        report = check_orthogonality_preserving(map_, dim, samples, seed=seed)
-    else:
-        report = _METRIC_CHECKS[name](map_, dim, samples, refine_steps=refine_steps, seed=seed)
-    return report.holds, report, report.to_json(), "witness"
 
 
 @dataclass(frozen=True)

@@ -62,15 +62,20 @@ NOT_APPLICABLE = "not_applicable"
 
 
 def _require_unit(c: complex) -> complex:
+    """c as a complex number of modulus 1, the parameter c of a circle map."""
     c = complex(c)
-    _require_units(np.array(c))
+    _require_units(np.array([c]), "circle map param 'c'")
     return c
 
 
-def _require_units(values: np.ndarray) -> None:
-    """Refuse values of modulus other than 1; _require_unit is its one-point call."""
-    if not (np.abs(np.abs(values) - 1.0) <= UNIT_TOL).all():  # NaN fails too
-        raise ValueError("circle values must have modulus 1 within 1e-12")
+def _require_units(values: np.ndarray, what: str, entries=None) -> None:
+    """Refuse a 1-d array of values of modulus other than 1: the ValueError
+    names what they are and the first refused value, or its entry of
+    entries (entries[i], the source of values[i]) if given."""
+    off = np.flatnonzero(~(np.abs(np.abs(values) - 1.0) <= UNIT_TOL))  # NaN is off too
+    if off.size:
+        got = complex(values[off[0]]) if entries is None else entries[off[0]]
+        raise ValueError(f"{what} must have modulus 1 within 1e-12, got {got!r}")
 
 
 @dataclass(frozen=True)
@@ -164,13 +169,14 @@ def _phases(zs) -> np.ndarray:
     return np.array([cmath.phase(z) for z in np.asarray(zs, dtype=complex).tolist()])
 
 
-def _sampled_table(angles, values) -> CircleMap:
-    """Tabulated map from an array of finite input angles and one of unit output values."""
+def _sampled_table(angles, values, entries=None) -> CircleMap:
+    """Tabulated map from an array of finite input angles and one of unit output
+    values; a refused value is named by its entry of entries if given."""
     angles = np.array(angles, dtype=float)
     values = np.array(values, dtype=complex)
     if not angles.size:
         raise ValueError("sampled circle map needs at least one entry")
-    _require_units(values)
+    _require_units(values, "sampled circle map table values", entries)
     table = tuple(zip(angles.tolist(), values.tolist()))
 
     def fn(zs: np.ndarray) -> np.ndarray:
@@ -188,13 +194,14 @@ def _sampled_table(angles, values) -> CircleMap:
 
 def sampled(pairs) -> CircleMap:
     """Tabulated map from (input point, output point) unit-complex pairs."""
-    points = np.array(list(pairs), dtype=complex)
+    pairs = list(pairs)
+    points = np.array(pairs, dtype=complex)
     if not points.size:
         raise ValueError("sampled circle map needs at least one entry")
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("sampled circle map entries must be (input, output) pairs")
-    _require_units(points[:, 0])
-    return _sampled_table(_phases(points[:, 0]), points[:, 1])
+    _require_units(points[:, 0], "sampled circle map inputs", pairs)
+    return _sampled_table(_phases(points[:, 0]), points[:, 1], pairs)
 
 
 def unit_grid(n: int) -> list[complex]:

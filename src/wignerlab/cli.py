@@ -15,11 +15,9 @@ import sys
 
 import numpy as np
 
-from .acceptance import CLAIMS, _run_check, run_all, run_claim
 from .classify import classify
 from .descriptors import map_from_json
 from .maps import StateMap
-from .verify import _METRIC_CHECKS
 
 EXIT_HOLDS = 0
 EXIT_WITNESS = 1
@@ -30,11 +28,15 @@ class CLIError(ValueError):
     """Invalid invocation or unreadable input."""
 
 
-# the families of acceptance.CLAIMS that the CLI takes by name: the builtin
+# The parser's names are kept here, so that start-up loads neither the
+# acceptance suite nor the witness search: each handler imports what it runs.
+# The families of acceptance.CLAIMS that the CLI takes by name: the builtin
 # maps of verify and classify, and the counterexamples that demo runs
 _MAP_NAMES = ("phi", "block-embed", "wigner-random", "constant", "tau-fold", "tau-constant",
               "tau-power2")
 _DEMOS = ("block-embed", "proper-subspace", "separable-embed")
+# the checks of verify --property, by the names verify._REPORT_CHECKS takes
+_PROPERTIES = ("nonexpansive", "noncontractive", "isometry", "orthogonality")
 
 
 def _builtin_map(name: str, dim: int, seed: int) -> StateMap:
@@ -43,6 +45,8 @@ def _builtin_map(name: str, dim: int, seed: int) -> StateMap:
             f"unknown builtin map {name!r}; use a name from "
             f"{{{', '.join(_MAP_NAMES)}}}, inline JSON, or @file"
         )
+    from .acceptance import CLAIMS
+
     map_ = CLAIMS[name].build(np.random.default_rng(seed), dim)
     if map_.dim_in != dim:
         raise CLIError(f"builtin map {name!r} requires --dim {map_.dim_in}")
@@ -87,6 +91,8 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import _run_check
+
     map_ = _load_map(args.map, args.dim, args.seed)
     holds, report, _, _ = _run_check(
         args.property, map_, args.dim, None, args.samples, args.seed, args.refine_steps
@@ -102,13 +108,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_HOLDS if result.classified else EXIT_WITNESS
 
 
-# the target options of demo: each target takes the ones its builder declares
-_DEMO_OPTIONS = {name for target in _DEMOS for name in CLAIMS[target].params}
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from .acceptance import CLAIMS, run_claim
+
     params = {name: getattr(args, name) for name in CLAIMS[args.target].params}
-    refused = [f"--{name}" for name in sorted(_DEMO_OPTIONS - set(params))
+    # the target options of demo: each target takes the ones its builder declares
+    options = {name for target in _DEMOS for name in CLAIMS[target].params}
+    refused = [f"--{name}" for name in sorted(options - set(params))
                if getattr(args, name) is not None]
     if refused:
         raise CLIError(f"demo {args.target} takes no {', '.join(refused)}")
@@ -121,6 +127,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .acceptance import run_all
+
     results = run_all()
     for r in results:
         line = f"[{'PASS' if r.passed else 'FAIL'}] {r.num:2d} {r.name}: {r.detail}"
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="seeded witness search for one property")
     verify.add_argument(
         "--property",
-        choices=[*_METRIC_CHECKS, "orthogonality"],
+        choices=_PROPERTIES,
         required=True,
     )
     verify.add_argument("--map", required=True,

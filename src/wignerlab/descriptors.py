@@ -154,7 +154,9 @@ _TABLE_ENTRIES = "sampled circle map table entries must be [theta_in, [re, im]] 
 def sampled_from_json(table) -> CircleMap:
     """Rebuild a sampled map from [theta_in, [re, im]] pairs of finite numbers.
     The first refused entry is named whole: "input angles must be finite" if
-    its only fault is a NaN or infinite angle, else _TABLE_ENTRIES."""
+    its only fault is a NaN or infinite angle, else _TABLE_ENTRIES.  Once
+    every entry is such a pair, the first whose value is off the unit circle
+    is named."""
     if not isinstance(table, (list, tuple)):
         raise ValueError(f"{_TABLE_ENTRIES}, got {table!r}")
     angles, flat = [], []
@@ -166,7 +168,7 @@ def sampled_from_json(table) -> CircleMap:
             raise ValueError(f"sampled circle map input angles must be finite, got {entry!r}")
         angles.append(entry[0])
         flat += entry[1]
-    return _sampled_table(angles, np.array(flat, dtype=float).view(complex))
+    return _sampled_table(angles, np.array(flat, dtype=float).view(complex), table)
 
 
 def _unit_kind(build):

@@ -46,15 +46,18 @@ __all__ = [
 UNITARY_TOL = 1e-10
 
 
-def require_unitary(mat: np.ndarray) -> np.ndarray:
-    """Validate and return a square matrix with U*U = I within UNITARY_TOL."""
+def require_unitary(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Validate and return a square matrix with U*U = I within UNITARY_TOL.
+    A refusal names what the matrix is and its largest |U*U - I| entry."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
-        raise ValueError(f"unitary parameter must be a nonempty square matrix, got {mat.shape}")
-    # an entry of modulus above 1 (no unitary has one) could overflow the Gram
-    if not (np.abs(mat).max() <= 1.0 + UNITARY_TOL  # NaN fails too
-            and np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= UNITARY_TOL):
-        raise ValueError("matrix is not unitary within 1e-10")
+        raise ValueError(f"{what} must be a nonempty square matrix, got shape {mat.shape}")
+    # an entry too large for the Gram (no unitary has one) makes the deviation inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+    if not deviation <= UNITARY_TOL:  # NaN fails too
+        raise ValueError(f"{what} is not unitary within 1e-10, got largest |U*U - I| entry "
+                         f"{deviation!r}")
     return mat
 
 
@@ -143,7 +146,7 @@ def wigner_map(unitary: np.ndarray, antiunitary: bool = False) -> StateMap:
     """
     if not isinstance(antiunitary, (bool, np.bool_)):
         raise ValueError(f"antiunitary must be a boolean, got {antiunitary!r}")
-    u = require_unitary(unitary)
+    u = require_unitary(unitary, "map param 'unitary'")
     dim = u.shape[0]
     if antiunitary:
         fn = lambda rows: _apply(u, rows.conj())
@@ -163,7 +166,7 @@ def entrywise_abs(dim: int, basis: np.ndarray | None = None) -> StateMap:
     if basis is None:
         fn = np.abs
     else:
-        b = require_unitary(basis)
+        b = require_unitary(basis, "map param 'basis'")
         if b.shape[0] != dim:
             raise ValueError("reference basis dimension mismatch")
         bh = b.conj().T
@@ -192,8 +195,8 @@ def standard_map(g: CircleMap) -> StateMap:
 
 def composed_phi_form(pre: np.ndarray, post: np.ndarray) -> StateMap:
     """P -> V Phi(U P U*) V* with Phi in the standard basis."""
-    u = require_unitary(pre)
-    v = require_unitary(post)
+    u = require_unitary(pre, "map param 'pre'")
+    v = require_unitary(post, "map param 'post'")
     if u.shape != v.shape:
         raise ValueError("pre and post unitaries must share a dimension")
     dim = u.shape[0]

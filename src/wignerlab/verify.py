@@ -438,7 +438,7 @@ def check_isometry(
     )
 
 
-# the metric checks by property name, as the CLI and the counterexamples name them
+# the metric checks by property name, as `verify --property` and acceptance.CLAIMS name them
 _METRIC_CHECKS = {
     "nonexpansive": check_nonexpansive,
     "noncontractive": check_noncontractive,
@@ -531,6 +531,33 @@ def basis_image_completes_span(map_: StateMap, k: int) -> bool:
     """
     rows = _orthogonal_images(map_, np.eye(map_.dim_in, dtype=complex)[:k])
     return rows is not None and bool(np.all(np.abs(rows[:, k:]) <= 1e-12))
+
+
+# the checks that give a CheckReport, by the names of `verify --property`
+_REPORT_CHECKS = {
+    **_METRIC_CHECKS,
+    "orthogonality": lambda map_, dim, n_samples, *, refine_steps, seed: (
+        check_orthogonality_preserving(map_, dim, n_samples, seed=seed)
+    ),
+}
+
+
+def _run_check(name, map_, dim, rng, samples, seed, refine_steps):
+    """One check of a map by name, as a claim declares it or `verify --property` asks:
+    a name of _REPORT_CHECKS, "injectivity" or "cosp_image".
+
+    Returns whether it holds, its report, its demo-bundle JSON (None: the
+    check shows in the summary only) and its summary label on failure.
+    """
+    if name == "injectivity":
+        overlap, distinct = max_image_overlap(map_, rng)
+        shown = {"samples": INJECTIVITY_SAMPLES, "max_image_overlap": overlap, "distinct": distinct}
+        return distinct, overlap, shown, "collision"
+    if name == "cosp_image":
+        complete = basis_image_completes_span(map_, map_.params["k"])
+        return complete, complete, None, "fail"
+    report = _REPORT_CHECKS[name](map_, dim, samples, refine_steps=refine_steps, seed=seed)
+    return report.holds, report, report.to_json(), "witness"
 
 
 def find_cosp_in_image(map_: StateMap, dim: int) -> OrthoSystem | None:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerlab import NOT_CLASSIFIED, STANDARD_DIM2, check_nonexpansive_circle, classify
-from wignerlab.acceptance import CLAIMS, _run_check
+from wignerlab.acceptance import CLAIMS
+from wignerlab.verify import _run_check
 
 SAMPLES = 2000
 # refinement's later steps only chase rounding-level gaps on maps that hold

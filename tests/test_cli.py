@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
-    cli, map_from_json, map_to_json, opaque_map, pure_state, random_unitary, wigner_map,
+    cli, map_from_json, map_to_json, opaque_map, pure_state, random_unitary, verify, wigner_map,
 )
 from wignerlab.acceptance import CLAIMS
 
@@ -166,6 +166,15 @@ def test_verify_rejects_unknown_builtin_and_bad_usage():
     assert result.returncode == 2
     result = run_cli("frobnicate")
     assert result.returncode == 2
+
+
+def test_the_property_choices_are_the_checks_that_give_a_report():
+    # the parser keeps its own names so that start-up need not load verify
+    assert cli._PROPERTIES == tuple(verify._REPORT_CHECKS)
+    map_ = CLAIMS["phi"].build(None, 2)
+    for name in cli._PROPERTIES:
+        holds, report, shown, _ = verify._run_check(name, map_, 2, None, 50, 0, 0)
+        assert isinstance(report, verify.CheckReport) and shown == report.to_json()
 
 
 def test_verify_accepts_inline_json_descriptor():
@@ -471,11 +480,15 @@ def test_non_integer_descriptor_params_exit_two(params, capsys):
              f"numbers, got {entry!r}")
             for entry in ([True, [1, 0]], ["1.5", [1, 0]], [0, [True, 0]], [0, ["1", 0]])
         ),
+        ({"kind": "rotation", "c": [2, 0]},
+         "circle map param 'c' must have modulus 1 within 1e-12, got (2+0j)"),
+        ({"kind": "sampled", "table": [[1, [0, 1]], [0, [0, 0]]]},
+         "sampled circle map table values must have modulus 1 within 1e-12, got [0, [0, 0]]"),
     ],
     ids=["power-float-k", "power-bool-k", "fold-extra-key", "rotation-extra-key",
          "rotation-missing-key", "c-one-number", "c-bool", "c-scalar", "c-three-numbers",
          "c-strings", "table-bool-angle", "table-string-angle", "table-bool-value",
-         "table-string-value"],
+         "table-string-value", "c-off-circle", "table-value-off-circle"],
 )
 def test_invalid_circle_descriptors_exit_two(g, message, capsys):
     # in dimension 2, where a valid tau descriptor would be verified
@@ -536,11 +549,13 @@ def _anchored(anchor):
         (_anchored({"dim": 2, "vec": 5}), _VEC + "5"),
         ({"family": "separable_embed", "params": {"anchors": 5}},
          "map param 'anchors' must be a list of states, got 5"),
+        (_wigner([2, 0], [0, 0], [0, 0], [1, 0]),
+         "map param 'unitary' is not unitary within 1e-10, got largest |U*U - I| entry 3.0"),
     ],
     ids=["entry-bool", "entry-string", "entry-one-number", "entry-three-numbers",
          "unitary-scalar", "unitary-object", "unitary-empty",
          "unknown-top-level-key", "anchor-bool", "anchor-extra-key", "anchor-vec-scalar",
-         "anchors-scalar"],
+         "anchors-scalar", "not-unitary"],
 )
 def test_invalid_wire_values_exit_two(desc, message, capsys):
     # in dimension 2, where either valid descriptor would be verified

@@ -196,8 +196,11 @@ def test_the_first_refused_table_entry_is_named_whole(table):
     try:
         g = sampled_from_json(table)
     except ValueError as err:
-        if not faults:  # well-formed, but a value is off the unit circle
-            assert str(err).startswith("circle values must have modulus 1")
+        if not faults:  # well-formed, but a value is off the unit circle: the first is named
+            off = next(entry for entry in table if abs(abs(complex(*entry[1])) - 1.0) > 1e-12)
+            assert str(err) == (
+                f"sampled circle map table values must have modulus 1 within 1e-12, got {off!r}"
+            )
             return
         entry, fault = faults[0]
         assert str(err) == f"{fault}, got {entry!r}"
@@ -355,6 +358,61 @@ def test_a_state_whose_norm_overflows_is_refused_by_its_field():
     # a norm whose square stays in the float range still loads
     state = state_from_json({"dim": 2, "vec": [[1e153, 0], [0, 1e153]]})
     assert np.abs(state.vec - [2**-0.5, 2**-0.5 * 1j]).max() <= 1e-15
+
+
+_NOT_UNITARY = "is not unitary within 1e-10, got largest |U*U - I| entry"
+_DIAG_2_1 = [[2, 0], [0, 0], [0, 0], [1, 0]]  # diag(2, 1): its U*U - I is diag(3, 0)
+_IDENTITY_2 = [[1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"family": "tau", "params": {"g": {"kind": "sampled", "table": [[0, [0, 0]]]}}},
+         "sampled circle map table values must have modulus 1 within 1e-12, got [0, [0, 0]]"),
+        ({"family": "tau", "params": {"g": {"kind": "sampled",
+                                             "table": [[0, [1, 0]], [1, [0.6, 0.8]], [2, [1, 1]]]}}},
+         "sampled circle map table values must have modulus 1 within 1e-12, got [2, [1, 1]]"),
+        *(
+            ({"family": "tau", "params": {"g": {"kind": kind, "c": [2, 0]}}},
+             "circle map param 'c' must have modulus 1 within 1e-12, got (2+0j)")
+            for kind in ("rotation", "conj_rotation", "constant")
+        ),
+        ({"family": "wigner", "params": {"unitary": _DIAG_2_1}},
+         f"map param 'unitary' {_NOT_UNITARY} 3.0"),
+        ({"family": "phi", "params": {"dim": 2, "basis": _DIAG_2_1}},
+         f"map param 'basis' {_NOT_UNITARY} 3.0"),
+        ({"family": "composed", "params": {"pre": _DIAG_2_1, "post": _IDENTITY_2}},
+         f"map param 'pre' {_NOT_UNITARY} 3.0"),
+        ({"family": "composed", "params": {"pre": _IDENTITY_2, "post": _DIAG_2_1}},
+         f"map param 'post' {_NOT_UNITARY} 3.0"),
+    ],
+    ids=["table-zero", "table-third", "rotation", "conj_rotation", "constant", "wigner",
+         "phi-basis", "composed-pre", "composed-post"],
+)
+def test_off_circle_and_non_unitary_values_name_their_field(obj, message):
+    with pytest.raises(ValueError) as err:
+        map_from_json(obj)
+    assert str(err.value) == message
+
+
+def test_builders_name_the_value_they_refuse():
+    # a Python caller gets the same ValueError as a descriptor
+    for build in (rotation, conjugate_rotation, constant):
+        with pytest.raises(ValueError) as err:
+            build(0.5j)
+        assert str(err.value) == "circle map param 'c' must have modulus 1 within 1e-12, got 0.5j"
+    with pytest.raises(ValueError) as err:
+        sampled([(1, 1j), (1j, 2)])
+    assert str(err.value) == (
+        "sampled circle map table values must have modulus 1 within 1e-12, got (1j, 2)"
+    )
+    with pytest.raises(ValueError) as err:
+        sampled([(2, 1)])
+    assert str(err.value) == "sampled circle map inputs must have modulus 1 within 1e-12, got (2, 1)"
+    with pytest.raises(ValueError) as err:
+        wigner_map(np.diag([2.0, 1.0]))
+    assert str(err.value) == f"map param 'unitary' {_NOT_UNITARY} 3.0"
 
 
 def test_block_embed_refuses_a_non_finite_threshold():
