@@ -84,6 +84,7 @@ _VERIFY_EXPORTS = (
     "CheckReport",
     "ViolationWitness",
     "check_inclusion_lemma",
+    "check_injective",
     "check_isometry",
     "check_noncontractive",
     "check_nonexpansive",

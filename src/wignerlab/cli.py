@@ -36,7 +36,7 @@ _MAP_NAMES = ("phi", "block-embed", "wigner-random", "constant", "tau-fold", "ta
               "tau-power2")
 _DEMOS = ("block-embed", "proper-subspace", "separable-embed")
 # the checks of verify --property, by the names verify._REPORT_CHECKS takes
-_PROPERTIES = ("nonexpansive", "noncontractive", "isometry", "orthogonality")
+_PROPERTIES = ("nonexpansive", "noncontractive", "isometry", "orthogonality", "injectivity")
 
 
 def _builtin_map(name: str, dim: int, seed: int) -> StateMap:
@@ -95,7 +95,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     map_ = _load_map(args.map, args.dim, args.seed)
     holds, report, _, _ = _run_check(
-        args.property, map_, args.dim, None, args.samples, args.seed, args.refine_steps
+        args.property, map_, args.dim, args.samples, args.seed, args.refine_steps
     )
     _emit(report.to_json(), args.out)
     return EXIT_HOLDS if holds else EXIT_WITNESS

@@ -12,8 +12,8 @@ Every check runs through one serial engine: sampling is split into
 fixed-size chunks with RNG substreams derived from (seed, chunk index),
 and the chunks run one after another.  A chunk's rows are mapped, and
 its gaps measured, in blocks of at most MAP_ENTRIES entries, so a narrow
-map takes a whole chunk in one call and only a wide one splits it; the
-injectivity probe's Gram is built in blocks of rows under the same budget.
+map takes a whole chunk in one call and only a wide one splits it.
+Injectivity is a collision search on the same engine and refinement.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .states import (
     _require_orthogonal,
     _row_distances,
     _row_transition_probabilities,
-    _sample_state_rows,
     _trusted_state,
 )
 
@@ -47,19 +46,16 @@ __all__ = [
     "check_isometry",
     "check_orthogonality_preserving",
     "check_inclusion_lemma",
+    "check_injective",
     "find_cosp_in_image",
-    "INJECTIVITY_SAMPLES",
-    "max_image_overlap",
     "basis_image_completes_span",
 ]
 
 WITNESS_TOL = 1e-9
 CHUNK_SIZE = 512
-# entries (rows times row width) per map batch, gap block or Gram block:
-# bounds the temporaries of wide maps (separable_embed) and of the
-# injectivity probe without splitting narrow ones
+# entries (rows times row width) per map batch or gap block: bounds the
+# temporaries of wide maps (separable_embed) without splitting narrow ones
 MAP_ENTRIES = 16384
-INJECTIVITY_SAMPLES = 1000
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
 # a candidate must beat the current gap by more than rounding noise
@@ -146,13 +142,9 @@ def _row_blocks(n: int, width: int) -> list[slice]:
 
     Blocks of _block_rows(width) rows, but at least two, and a lone last
     row joins the block before it: numpy computes a one-row matrix
-    product as gemv, which rounds differently from the gemm of a larger
-    block.  Only n = 1 gives a one-row block, as the whole product would
-    be.  Under OpenBLAS's SkylakeX (AVX-512) kernel every block of two or
-    more rows of a Gram product matches the whole product bit for bit.
-    Other kernels round some blocks differently: under Haswell or Zen
-    (OpenBLAS's choice on AVX2 CPUs) and Sandybridge a blocked Gram may
-    differ from the whole product in its last bits.
+    product, such as the inclusion gap's Gram, as gemv, which rounds
+    differently from the gemm of a larger block.  Only n = 1 gives a
+    one-row block, as the whole product would be.
     """
     size = max(2, _block_rows(width))
     starts = list(range(0, n, size))
@@ -375,7 +367,16 @@ def _metric_check(
     refine_steps: int,
     seed: int,
     oriented,
+    *,
+    polish=None,
+    gap_of=None,
 ) -> CheckReport:
+    """Scan pairs under the oriented gap, refine the winner under it, and report.
+
+    Given polish, the refined pair is refined again for refine_steps steps
+    under the gap polish(pair).  The report's gap is gap_of(d_in, d_out),
+    the oriented gap by default.
+    """
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
     if refine_steps < 0:
@@ -389,8 +390,10 @@ def _metric_check(
     )
     if refine_steps > 0:
         _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
+        if polish is not None:
+            _, pair, images, _ = _refine_pair(map_, polish(pair), pair, images, refine_steps)
     # the gap of the reported distances: refinement's d(Q', P) may differ from d(P, Q')
-    return _pair_report(prop, n_samples, seed, oriented, pair, images)
+    return _pair_report(prop, n_samples, seed, gap_of or oriented, pair, images)
 
 
 def check_nonexpansive(
@@ -436,14 +439,6 @@ def check_isometry(
         "isometry", map_, dim, n_samples, refine_steps, seed,
         lambda d_in, d_out: abs(d_out - d_in),
     )
-
-
-# the metric checks by property name, as `verify --property` and acceptance.CLAIMS name them
-_METRIC_CHECKS = {
-    "nonexpansive": check_nonexpansive,
-    "noncontractive": check_noncontractive,
-    "isometry": check_isometry,
-}
 
 
 def check_orthogonality_preserving(
@@ -505,22 +500,27 @@ def check_inclusion_lemma(
     )
 
 
-def max_image_overlap(map_: StateMap, rng: np.random.Generator) -> tuple[float, bool]:
-    """Injectivity probe: the largest image overlap of distinct samples.
+def check_injective(
+    map_: StateMap, dim: int, n_samples: int = 10000, *, refine_steps: int = 200, seed: int = 42
+) -> CheckReport:
+    """Collision search for d(P, Q) >= 0.5 with d(f(P), f(Q)) <= WITNESS_TOL.
 
-    Maps INJECTIVITY_SAMPLES states drawn from rng; returns the largest
-    transition probability between two of their images, and whether it
-    stays below 1 - 1e-9 (no two sampled states collide).  The Gram of
-    the images is built in _row_blocks of rows, each row as wide as the
-    sample count (16 rows of 1000 by default), never all at once.
+    Scans pairs under the gap d_in - 10 d_out and refines the winner under
+    it, then polishes the pair, minimizing d_out while d_in stays at or
+    above half its refined value.  A witness proves the map is not
+    injective, and its gap is its d_in; a pass is evidence only, and its
+    gap is minus the final pair's image distance.
     """
-    images = _map_rows(map_, _sample_state_rows(rng, INJECTIVITY_SAMPLES, map_.dim_in))
-    overlap = 0.0
-    for block in _row_blocks(len(images), max(len(images), map_.dim_out)):
-        gram = _pairwise_transition_probabilities(images[block], images)
-        np.fill_diagonal(gram[:, block], 0.0)  # the block's own pairs with themselves
-        overlap = max(overlap, float(gram.max()))
-    return overlap, overlap < 1.0 - WITNESS_TOL
+
+    def polish(pair):
+        floor = 0.5 * _row_distances(pair[:1], pair[1:])[0]
+        return lambda d_in, d_out: np.where(d_in >= floor, -d_out, -np.inf)
+
+    return _metric_check(
+        "injectivity", map_, dim, n_samples, refine_steps, seed,
+        lambda d_in, d_out: d_in - 10 * d_out, polish=polish,
+        gap_of=lambda d_in, d_out: d_in if d_in >= 0.5 and d_out <= WITNESS_TOL else -d_out,
+    )
 
 
 def basis_image_completes_span(map_: StateMap, k: int) -> bool:
@@ -533,26 +533,25 @@ def basis_image_completes_span(map_: StateMap, k: int) -> bool:
     return rows is not None and bool(np.all(np.abs(rows[:, k:]) <= 1e-12))
 
 
-# the checks that give a CheckReport, by the names of `verify --property`
+# the checks that give a CheckReport, as `verify --property` and acceptance.CLAIMS name them
 _REPORT_CHECKS = {
-    **_METRIC_CHECKS,
+    "nonexpansive": check_nonexpansive,
+    "noncontractive": check_noncontractive,
+    "isometry": check_isometry,
     "orthogonality": lambda map_, dim, n_samples, *, refine_steps, seed: (
         check_orthogonality_preserving(map_, dim, n_samples, seed=seed)
     ),
+    "injectivity": check_injective,
 }
 
 
-def _run_check(name, map_, dim, rng, samples, seed, refine_steps):
+def _run_check(name, map_, dim, samples, seed, refine_steps):
     """One check of a map by name, as a claim declares it or `verify --property` asks:
-    a name of _REPORT_CHECKS, "injectivity" or "cosp_image".
+    a name of _REPORT_CHECKS or "cosp_image".
 
     Returns whether it holds, its report, its demo-bundle JSON (None: the
     check shows in the summary only) and its summary label on failure.
     """
-    if name == "injectivity":
-        overlap, distinct = max_image_overlap(map_, rng)
-        shown = {"samples": INJECTIVITY_SAMPLES, "max_image_overlap": overlap, "distinct": distinct}
-        return distinct, overlap, shown, "collision"
     if name == "cosp_image":
         complete = basis_image_completes_span(map_, map_.params["k"])
         return complete, complete, None, "fail"

@@ -37,7 +37,7 @@ def test_every_family_behaves_as_its_claim_says(name, data):
     rng = np.random.default_rng(seed)
     map_ = claim.build(rng, dim, **params)
     verdicts = {
-        check: _run_check(check, map_, dim, rng, SAMPLES, seed, REFINE_STEPS)[0]
+        check: _run_check(check, map_, dim, SAMPLES, seed, REFINE_STEPS)[0]
         for check in claim.expect
     }
     assert verdicts == claim.expect

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from wignerlab import (
-    cli, map_from_json, map_to_json, opaque_map, pure_state, random_unitary, verify, wigner_map,
+    cli, distance, map_from_json, map_to_json, opaque_map, pure_state, random_unitary,
+    state_from_json, verify, wigner_map,
 )
 from wignerlab.acceptance import CLAIMS
 
@@ -173,7 +174,7 @@ def test_the_property_choices_are_the_checks_that_give_a_report():
     assert cli._PROPERTIES == tuple(verify._REPORT_CHECKS)
     map_ = CLAIMS["phi"].build(None, 2)
     for name in cli._PROPERTIES:
-        holds, report, shown, _ = verify._run_check(name, map_, 2, None, 50, 0, 0)
+        holds, report, shown, _ = verify._run_check(name, map_, 2, 50, 0, 0)
         assert isinstance(report, verify.CheckReport) and shown == report.to_json()
 
 
@@ -327,10 +328,25 @@ def test_demo_separable_embed():
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)
-    assert payload["summary"]["nonexpansive"] == "pass"
-    assert payload["summary"]["injectivity"] == "pass"
-    assert payload["summary"]["isometry"] == "witness"
-    assert payload["checks"]["injectivity"]["max_image_overlap"] < 1.0 - 1e-9
+    assert payload["summary"] == {"nonexpansive": "pass", "injectivity": "pass", "isometry": "witness"}
+    # the collision search's closest pair of images stays far from a collision
+    collision = payload["checks"]["injectivity"]
+    assert collision["property"] == "injectivity" and collision["samples"] == 1500
+    assert collision["witness"] is None and collision["worst_gap"] < -1e-2
+
+
+def test_demo_separable_embed_with_two_anchors_finds_a_collision():
+    # two overlap moduli cannot separate the 6-real-dimensional ray space of C^4
+    result = run_cli("demo", "separable-embed", "--dim", "4", "--anchors", "2")
+    assert result.returncode == 1
+    payload = json.loads(result.stdout)
+    assert payload["summary"] == {"nonexpansive": "pass", "injectivity": "witness",
+                                  "isometry": "witness"}
+    w = payload["checks"]["injectivity"]["witness"]
+    assert w["d_in"] >= 0.5 and w["d_out"] <= 1e-9 and w["gap"] == w["d_in"]
+    p, q = (state_from_json(w[key]) for key in "PQ")
+    map_ = map_from_json(payload["map"])
+    assert (distance(p, q), distance(map_(p), map_(q))) == (w["d_in"], w["d_out"])
 
 
 def test_demo_proper_subspace():

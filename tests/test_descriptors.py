@@ -197,7 +197,8 @@ def test_the_first_refused_table_entry_is_named_whole(table):
         g = sampled_from_json(table)
     except ValueError as err:
         if not faults:  # well-formed, but a value is off the unit circle: the first is named
-            off = next(entry for entry in table if abs(abs(complex(*entry[1])) - 1.0) > 1e-12)
+            # hypot: the modulus of a value near the float limit is inf, not an OverflowError
+            off = next(entry for entry in table if abs(math.hypot(*entry[1]) - 1.0) > 1e-12)
             assert str(err) == (
                 f"sampled circle map table values must have modulus 1 within 1e-12, got {off!r}"
             )

@@ -20,7 +20,9 @@ from wignerlab import (
     basis_state,
     block_embed,
     composed_phi_form,
+    constant_map,
     check_inclusion_lemma,
+    check_injective,
     check_isometry,
     check_noncontractive,
     check_nonexpansive,
@@ -29,12 +31,15 @@ from wignerlab import (
     distance,
     entrywise_abs,
     find_cosp_in_image,
+    fold,
     opaque_map,
     power,
     proper_subspace_map,
     pure_state,
     random_unitary,
+    rotation,
     sample_pure_state,
+    sample_unitary,
     separable_embed,
     standard_map,
     state_from_params,
@@ -48,19 +53,18 @@ from wignerlab.states import (
     _pairwise_transition_probabilities,
     _row_distances,
     _row_overlaps,
-    _sample_state_rows,
 )
 from wignerlab.verify import (
     REFINE_FLOOR,
     REFINE_SHRINK,
     REFINE_START_STEP,
     REFINE_TOL,
+    WITNESS_TOL,
     _chunk_rng,
     _refine_pair,
     _sample_rows,
     _search,
     basis_image_completes_span,
-    max_image_overlap,
 )
 
 
@@ -292,13 +296,52 @@ def test_checks_take_refinement_and_seed_by_keyword_only():
 
 
 def test_shared_probes_of_the_embeddings():
-    rng = np.random.default_rng(32)
-    overlap, distinct = max_image_overlap(entrywise_abs(2), rng)
-    assert overlap == pytest.approx(1.0) and not distinct
-    overlap, distinct = max_image_overlap(wigner_map(np.eye(3)), rng)
-    assert overlap < 1.0 - 1e-9 and distinct
+    collision = check_injective(entrywise_abs(2), 2, 1000, seed=32).witness
+    assert collision.d_in >= 0.5 and collision.d_out <= 1e-9
+    assert check_injective(wigner_map(np.eye(3)), 3, 1000, seed=32).holds
     assert basis_image_completes_span(proper_subspace_map(5, 3), 3)
     assert not basis_image_completes_span(wigner_map(random_unitary(3, 35)), 2)
+
+
+def _anchored(dim, anchors):
+    """The overlap-profile embedding of anchors states, drawn as its claim draws them."""
+    build = CLAIMS["separable-embed"].build
+    return lambda seed: build(np.random.default_rng(seed), dim, anchors=anchors)
+
+
+# (label, build(seed), dim, seeds, injective).  Not injective: at most
+# 2 (dim - 1) anchors cannot separate the 2 (dim - 1)-real-dimensional ray
+# space, a collapse or a constant map forgets coordinates, and the fold
+# lift folds.  Injective: Wigner symmetries, the rotation lift, criterion
+# 09's 32-anchor map and 4 dim - 4 generic anchors (as in phase retrieval)
+COLLISION_CASES = [
+    *((f"separable_embed dim{d}/{a}", _anchored(d, a), d, range(1, 6), False)
+      for d in (3, 4, 5) for a in (1, 2)),
+    ("proper_subspace 3/1", lambda seed: proper_subspace_map(3, 1), 3, range(1, 6), False),
+    ("proper_subspace 4/2", lambda seed: proper_subspace_map(4, 2), 4, range(1, 6), False),
+    ("tau-fold", lambda seed: standard_map(fold()), 2, range(1, 6), False),
+    ("constant dim4", lambda seed: constant_map(4), 4, range(1, 6), False),
+    *((f"wigner dim{d}", lambda seed, d=d: wigner_map(sample_unitary(np.random.default_rng(seed), d)),
+       d, range(1, 6), True) for d in (2, 4, 6)),
+    ("tau-rotation", lambda seed: standard_map(rotation(1j)), 2, range(1, 6), True),
+    ("criterion 09", lambda seed: _anchored(4, 32)(901), 4, [42], True),
+    *((f"separable_embed dim{d}/{4 * d - 4}", _anchored(d, 4 * d - 4), d, range(20), True)
+      for d in range(2, 7)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, dim, seeds, injective", [case[1:] for case in COLLISION_CASES],
+    ids=[case[0] for case in COLLISION_CASES],
+)
+def test_the_collision_search_finds_exactly_the_maps_that_collide(build, dim, seeds, injective):
+    # criterion 09's budget: 1000 pairs, then 200 steps of refinement and 200 of polish
+    for seed in seeds:
+        report = check_injective(build(seed), dim, 1000, seed=seed)
+        assert report.holds == injective, seed
+        if not injective:
+            w = report.witness
+            assert w.d_in >= 0.5 and w.d_out <= WITNESS_TOL and w.gap == w.d_in, seed
 
 
 def _sequential_refine(map_, oriented, pair, images, steps):
@@ -414,11 +457,11 @@ def _metric_reports(capsys):
     for seed in (1, 2, 3):
         for op in inputs.build("verify", seed):
             if op.kind == "check" and op.prop in ORIENTED:
-                check = verify._METRIC_CHECKS[op.prop]
+                check = verify._REPORT_CHECKS[op.prop]
                 yield check(map_from_json(op.map), op.dim, n_samples=op.samples,
                             refine_steps=op.refine_steps, seed=op.check_seed).to_json()
     for name, (build, dim, _, _) in REFINE_CASES.items():
-        yield verify._METRIC_CHECKS[name.split()[-1]](build(), dim).to_json()
+        yield verify._REPORT_CHECKS[name.split()[-1]](build(), dim).to_json()
 
 
 def test_a_witness_gap_is_the_gap_of_its_own_distances(capsys):
@@ -676,8 +719,8 @@ def test_a_wide_map_batch_stays_within_the_entry_budget():
 
 def test_map_block_size_cannot_change_a_report(monkeypatch):
     # chunk substreams are fixed by CHUNK_SIZE; MAP_ENTRIES only splits the
-    # rows of a chunk into map batches and gap blocks, and the injectivity
-    # probe's Gram into row blocks, so no report may depend on it
+    # rows of a chunk, and refinement's candidates, into map batches and gap
+    # blocks, so no report may depend on it
     def reports():
         rng = np.random.default_rng(9)
         sep = separable_embed([sample_pure_state(rng, 4) for _ in range(8)])
@@ -695,9 +738,9 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
                 check_orthogonality_preserving(map_, dim, 600, seed=3),
                 check_inclusion_lemma(map_, pre, 600, seed=3),
             ]
-        out = [json.dumps(r.to_json(), sort_keys=True) for r in out]
-        # the injectivity probe's Gram blocks come from the same budget
-        return out + [json.dumps(max_image_overlap(sep, np.random.default_rng(10)))]
+        # the collision search refines and polishes under the same budget
+        out.append(check_injective(sep, 4, 600, seed=3))
+        return [json.dumps(r.to_json(), sort_keys=True) for r in out]
 
     # one-row batches; 7 rows of the widest map (8 anchors: 16-dim
     # images), an odd split of every chunk; 128 rows of it, an even split
@@ -789,61 +832,6 @@ def test_row_blocks_never_leave_a_lone_row(monkeypatch):
     assert sizes(0, 10) == []
 
 
-def _one_product_overlap(map_, rng):
-    """max_image_overlap's figure from the whole Gram of the images at once."""
-    rows = _sample_state_rows(rng, verify.INJECTIVITY_SAMPLES, map_.dim_in)
-    images = verify._map_rows(map_, rows)
-    gram = _pairwise_transition_probabilities(images, images)
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max()), gram, images
-
-
-def _demo_separable_embed():
-    # demo separable-embed --dim 4 --anchors 32, as criterion 09 builds it
-    return CLAIMS["separable-embed"].build(np.random.default_rng(901), 4, anchors=32)
-
-
-OVERLAP_MAPS = {
-    2: lambda: wigner_map(random_unitary(2, 41)),
-    3: lambda: composed_phi_form(random_unitary(3, 42), random_unitary(3, 43)),
-    64: _demo_separable_embed,
-    128: _wide_separable_embed,
-}
-
-
-# 1 gives two-row blocks; 27000 gives 27-row blocks of the 1000-wide Gram
-# rows, 37 of which leave a lone last row; the default gives 16-row blocks
-@pytest.mark.parametrize("entries", [1, 27000, verify.MAP_ENTRIES])
-@pytest.mark.parametrize("width", sorted(OVERLAP_MAPS))
-def test_gram_blocks_match_the_one_product_overlap(monkeypatch, width, entries):
-    map_ = OVERLAP_MAPS[width]()
-    assert map_.dim_out == width
-    want, gram, images = _one_product_overlap(map_, np.random.default_rng(width))
-    monkeypatch.setattr(verify, "MAP_ENTRIES", entries)
-    blocks = verify._row_blocks(len(images), len(images))
-    assert min(b.stop - b.start for b in blocks) >= 2
-    for block in blocks:
-        got = _pairwise_transition_probabilities(images[block], images)
-        np.fill_diagonal(got[:, block], 0.0)
-        assert got.tobytes() == gram[block].tobytes()
-    overlap, distinct = max_image_overlap(map_, np.random.default_rng(width))
-    assert overlap == want and distinct == (want < 1.0 - 1e-9)
-
-
-def test_gram_blocks_bound_the_injectivity_probe_memory():
-    # the whole 1000 x 1000 Gram and its moduli took 25 MB here
-    map_ = _demo_separable_embed()
-    rng = np.random.default_rng(5)
-    tracemalloc.start()
-    try:
-        _, distinct = max_image_overlap(map_, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert distinct
-    assert peak < 6e6
-
-
 def test_a_witness_from_the_first_of_several_chunks_keeps_its_images():
     map_ = _wide_separable_embed()
     report = check_isometry(map_, 8, 1537, refine_steps=0, seed=1)
@@ -883,9 +871,10 @@ def test_real_and_complex_image_batches_mix_without_a_complex_warning(monkeypatc
         warnings.simplefilter("error")  # a ComplexWarning would drop an imaginary part
         report = check_nonexpansive(map_, 3, n_samples, refine_steps=20, seed=1)
         ortho = check_orthogonality_preserving(map_, 3, n_samples, seed=1)
-        overlap, distinct = max_image_overlap(map_, np.random.default_rng(1))
+        collision = check_injective(map_, 3, n_samples, refine_steps=20, seed=1)
     w = report.witness
     assert w is not None and w.d_out == distance(map_(w.P), map_(w.Q))
     assert ortho.witness is not None and ortho.worst_gap == 1.0
-    assert overlap == 1.0 and not distinct
+    w = collision.witness
+    assert w is not None and w.d_in >= 0.5 and w.d_out == 0.0
 
