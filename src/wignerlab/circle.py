@@ -263,11 +263,9 @@ def _hom_branches(at_i: np.ndarray, at_minus_one: np.ndarray) -> np.ndarray:
     signalling a failed precondition.
     """
     near = lambda a, b: np.abs(a - b) <= HOM_BRANCH_TOL
-    return np.select(
-        [near(at_i, 1j), near(at_i, -1j), near(at_i, 1.0) & near(at_minus_one, 1.0)],
-        [IDENTITY, CONJUGATION, CONSTANT_ONE],
-        NOT_APPLICABLE,
-    )
+    # the first branch that matches, as np.select picks it
+    constant = np.where(near(at_i, 1.0) & near(at_minus_one, 1.0), CONSTANT_ONE, NOT_APPLICABLE)
+    return np.where(near(at_i, 1j), IDENTITY, np.where(near(at_i, -1j), CONJUGATION, constant))
 
 
 def classify_homomorphism(g: CircleMap) -> str:

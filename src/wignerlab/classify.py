@@ -19,6 +19,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,32 +152,62 @@ def _probe_rows(phases, i, j, dim: int) -> np.ndarray:
     return _canonical_rows(rows)
 
 
-def _pair_values(map_: StateMap, pairs) -> np.ndarray:
-    """The phase action of a map on every pair: entry [p, m] is the value
-    of pairs[p]'s pair map at PROBE_GRID[m].
+class _ProbeTable(NamedTuple):
+    """The probe constants of one dimension (see _probe_table)."""
+
+    pairs: tuple[tuple[int, int], ...]
+    i: np.ndarray
+    j: np.ndarray
+    rows: np.ndarray
+    triples: tuple[np.ndarray, np.ndarray]
+
+
+@functools.cache
+def _probe_table(dim: int) -> _ProbeTable:
+    """Every pair (i, j), i < j, of dimension dim and its probe batch, read-only.
+
+    rows holds the dim basis states, then row p * len(PROBE_GRID) + m
+    probing pairs[p] at phase PROBE_GRID[m]; i and j name each probe
+    row's two coordinates.  pairs lists (0, 1) .. (0, dim - 1) first,
+    then the (j, k) with 0 < j < k in the order of the triples (0, j, k)
+    that triples, triu_indices(dim - 1, k=1), enumerates.  Built once
+    per dimension.
+    """
+    n = len(PROBE_GRID)
+    pairs = tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
+    i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
+    probes = _probe_rows(np.tile(PROBE_GRID, len(pairs)), i, j, dim)
+    rows = np.concatenate([np.eye(dim, dtype=complex), probes])
+    triples = np.triu_indices(dim - 1, k=1)
+    for array in (i, j, rows, *triples):
+        array.setflags(write=False)
+    return _ProbeTable(pairs, i, j, rows, triples)
+
+
+def _pair_values(map_: StateMap) -> np.ndarray:
+    """The phase action of a map on every pair of its dimension: entry
+    [p, m] is the value of pair p's pair map at PROBE_GRID[m], pairs in
+    the order of _probe_table.
 
     The map must fix every basis projection.  The image of the (i, j)
     probe at phase u must then be a balanced state on coordinates
     {i, j}; its scaled (i, j) matrix entry is the value at u.  A
     response that refutes the canonical hypothesis is a ProbeError.
-    Maps the basis states and the probe states of every (pair, phase)
-    in one batch: the basis first, then row p * len(PROBE_GRID) + m
-    probing pairs[p] at phase PROBE_GRID[m].  A moved basis projection
-    names the ProbeError before any probe, and otherwise the first
-    response in that order that fails a check.
+    Maps the table's basis and probe rows in one batch.  A moved basis
+    projection names the ProbeError before any probe, and otherwise the
+    first response in row order that fails a check.
     """
     dim, n = map_.dim_in, len(PROBE_GRID)
-    basis = np.eye(dim, dtype=complex)
-    i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
-    probes = _probe_rows(np.tile(PROBE_GRID, len(pairs)), i, j, dim)
-    out = map_.batch(np.concatenate([basis, probes]))
+    pairs, i, j, rows, _ = _probe_table(dim)
+    basis = rows[:dim]
+    out = map_.batch(rows)
     weights = _row_transition_probabilities(out[:dim], basis)
     moved = np.flatnonzero(weights < 1.0 - CANONICAL_TOL)
     if moved.size:
         raise ProbeError(f"map does not fix basis projection {moved[0]} within 1e-8")
     out = out[dim:]
-    rows = np.arange(i.size)
-    out_i, out_j = out[rows, i], out[rows, j]
+    r = np.arange(i.size)
+    out_i, out_j = out[r, i], out[r, j]
     unbalanced = (np.abs(np.abs(out_i) ** 2 - 0.5) > SUPPORT_TOL) | (
         np.abs(np.abs(out_j) ** 2 - 0.5) > SUPPORT_TOL
     )
@@ -216,6 +247,20 @@ def _validation_rows(dim: int) -> np.ndarray:
     return rows
 
 
+@functools.cache
+def _lift_grid() -> np.ndarray:
+    """The raw weight/phase rows that validate dim-2 lifts, read-only.
+
+    Row k * len(PROBE_GRID) + m is _param_rows of weight
+    linspace(0.1, 0.9, 9)[k] and phase PROBE_GRID[m].  Built once.
+    """
+    p = np.repeat(np.linspace(0.1, 0.9, 9), len(PROBE_GRID))
+    z = np.tile(np.asarray(PROBE_GRID, dtype=complex), 9)
+    rows = _param_rows(p, z)
+    rows.setflags(write=False)
+    return rows
+
+
 def _lift_rows(u: np.ndarray) -> np.ndarray:
     """Preimages under u* of the weight/phase grid that validates dim-2 lifts.
 
@@ -223,9 +268,7 @@ def _lift_rows(u: np.ndarray) -> np.ndarray:
     state_from_params builds from weight linspace(0.1, 0.9, 9)[k] and
     phase PROBE_GRID[m].
     """
-    p = np.repeat(np.linspace(0.1, 0.9, 9), len(PROBE_GRID))
-    z = np.tile(np.asarray(PROBE_GRID, dtype=complex), 9)
-    return _canonical_rows(_apply(u.conj().T, _param_rows(p, z)))
+    return _canonical_rows(_apply(u.conj().T, _lift_grid()))
 
 
 def _not_classified(reason: str) -> ClassificationResult:
@@ -258,15 +301,13 @@ def _classify_branch(
     reports U = u and V = v diag.
     """
     dim = map_.dim_in
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     try:
-        values = _pair_values(canonical, pairs)
+        values = _pair_values(canonical)
     except ProbeError as err:
         return _not_classified(str(err))
-    # pairs lists (0, 1) .. (0, dim - 1) first, then the (j, k) with 0 < j < k
-    # in the order of the triples (0, j, k) that triu_indices enumerates
+    # the pairs (0, j) come first, then the (j, k) of each triple (0, j, k)
     at_one = values[: dim - 1, 0]
-    j, k = np.triu_indices(dim - 1, k=1)
+    j, k = _probe_table(dim).triples
     induced = _induced_values(at_one[j], at_one[k], values[dim - 1 :])
     branches = set(_hom_branches(induced[:, 4], induced[:, 8]).tolist())
     if NOT_APPLICABLE in branches:
@@ -274,7 +315,7 @@ def _classify_branch(
     if len(branches) != 1:
         return _not_classified("induced circle maps disagree across coordinate triples")
     branch = _BRANCH_OF_HOM[branches.pop()]
-    diag = np.diag(np.r_[1.0 + 0j, at_one.conj()])
+    diag = np.diag(np.concatenate([[1.0 + 0j], at_one.conj()]))
     post = v @ diag
     try:
         model = _compose_model(branch, u, post)
@@ -334,7 +375,7 @@ def _classify_lift(
     result reports U = u and V = v.
     """
     try:
-        (values,) = _pair_values(canonical, [(0, 1)])
+        (values,) = _pair_values(canonical)
     except ProbeError as err:
         return _not_classified(str(err))
     g = _sampled_table(_phases(PROBE_GRID), values)  # as sampled() records it

@@ -12,6 +12,7 @@ wignerlab.descriptors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,8 +247,17 @@ def distance(p: PureState, q: PureState) -> float:
 
 
 def _require_orthogonal(rows: np.ndarray) -> None:
-    """Raise unless the state rows are pairwise orthogonal within ORTHO_TOL."""
-    overlapping = _pairwise_transition_probabilities(rows, rows) > ORTHO_TOL
+    """Raise unless the state rows are pairwise orthogonal within ORTHO_TOL.
+
+    An orthogonal system returns after one comparison; only a failing
+    one is searched for its first pair.
+    """
+    overlaps = _pairwise_transition_probabilities(rows, rows)
+    np.fill_diagonal(overlaps, 0.0)
+    overlapping = overlaps > ORTHO_TOL
+    if not overlapping.any():
+        return
+    # only pairs i < j count: the Gram may round its two triangles differently
     bad = np.argwhere(np.triu(overlapping, k=1))  # row-major: the first pair (i, j)
     if bad.size:
         i, j = bad[0]
@@ -284,8 +294,13 @@ class OrthoSystem:
         return iter(self.members)
 
 
+@functools.cache
 def _basis_system(dim: int) -> OrthoSystem:
-    """The standard basis states of dimension dim, as one orthogonal system."""
+    """The standard basis states of dimension dim, as one orthogonal system.
+
+    Built once per dimension: the system is frozen and its rows and
+    member vectors are read-only.
+    """
     return OrthoSystem(tuple(_trusted_state(r) for r in np.eye(dim, dtype=complex)))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import re
@@ -29,7 +30,7 @@ from wignerlab import (
     sampled_to_json,
     unit_grid,
 )
-from wignerlab.circle import CIRCLE_WITNESS_TOL
+from wignerlab.circle import CIRCLE_WITNESS_TOL, HOM_BRANCH_TOL, _hom_branches
 from wignerlab.descriptors import circle_map_from_json, circle_map_to_json
 
 
@@ -150,6 +151,23 @@ def test_homomorphism_branch_decision():
     assert classify_homomorphism(constant(1.0)) == CONSTANT_ONE
     assert classify_homomorphism(rotation(1j)) == NOT_APPLICABLE
     assert classify_homomorphism(power(2)) == NOT_APPLICABLE
+
+
+def test_the_branch_of_each_value_is_the_first_branch_that_matches():
+    # the oracle is np.select over the three branch tests, in order
+    near = lambda a, b: np.abs(a - b) <= HOM_BRANCH_TOL
+    steps = [0.0, 0.5 * HOM_BRANCH_TOL, -0.5 * HOM_BRANCH_TOL, 2.0 * HOM_BRANCH_TOL, 1e-3]
+    values = [c + s * d for c in (1j, -1j, 1.0, -1.0) for s in steps for d in (1.0, 1j)]
+    values.append(math.nan)  # classify_homomorphism off the constant branch
+    at_i, at_minus_one = (np.array(v, dtype=complex) for v in zip(*itertools.product(values, values)))
+    oracle = np.select(
+        [near(at_i, 1j), near(at_i, -1j), near(at_i, 1.0) & near(at_minus_one, 1.0)],
+        [IDENTITY, CONJUGATION, CONSTANT_ONE],
+        NOT_APPLICABLE,
+    )
+    branches = _hom_branches(at_i, at_minus_one).tolist()
+    assert branches == oracle.tolist()
+    assert set(branches) == {IDENTITY, CONJUGATION, CONSTANT_ONE, NOT_APPLICABLE}
 
 
 def test_structural_classification():

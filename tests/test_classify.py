@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import importlib
+import json
 import math
 from dataclasses import replace
 
@@ -34,15 +35,19 @@ from wignerlab import (
     classify_homomorphism,
     classify_dim2,
     composed_phi_form,
+    conjugate_rotation,
+    constant,
     constant_map,
     entrywise_abs,
     fold,
     opaque_map,
+    power,
     PROBE_GRID,
     proper_subspace_map,
     pure_state,
     random_unitary,
     reduce_to_canonical,
+    rotation,
     sample_pure_state,
     sampled,
     standard_map,
@@ -54,12 +59,15 @@ from wignerlab.classify import (
     CANONICAL_TOL,
     SUPPORT_TOL,
     _classify_branch,
+    _lift_grid,
     _pair_values,
     _probe_rows,
+    _probe_table,
     _validation_rows,
 )
 from wignerlab.circle import _phases, _sampled_table
 from wignerlab.maps import StateMap
+from wignerlab.states import _basis_system
 
 
 def probe_state(u: complex, i: int, j: int, dim: int):
@@ -555,12 +563,13 @@ def test_probe_errors_name_the_first_failing_pair_and_phase():
     ids=["identity", "phi", "canonical-wigner"],
 )
 def test_extract_pair_map_matches_the_all_pairs_batch(make_map):
-    # a pair map does not depend on the batch its probes were mapped in
+    # a pair map does not depend on the batch its probes were mapped in;
+    # the batch probes every pair of the dimension, in row-major order
     map_ = make_map()
     grid = PROBE_GRID
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     angles = _phases(grid)  # as sampled() records them
-    for (i, j), row in zip(pairs, _pair_values(map_, pairs)):
+    for (i, j), row in zip(pairs, _pair_values(map_), strict=True):
         assert extract_pair_map(map_, i, j, grid).table == _sampled_table(angles, row).table
 
 
@@ -630,3 +639,56 @@ def test_validation_rows_are_drawn_once_per_dimension_and_read_only(monkeypatch)
     module = importlib.import_module("wignerlab.classify")  # the name classify is the function
     monkeypatch.setattr(module, "_validation_rows", _validation_rows.__wrapped__)
     assert [classify(m, m.dim_in).to_json() for m in maps] == cached
+
+
+def _bench_family_cases():
+    """One map of each bench classify family, dims 2-8, with its hint.
+
+    The hinted composed forms carry the columns of pre* as their COSP;
+    the squaring lift and the proper subspace map are rejections.
+    """
+    cases = [
+        (wigner_map(random_unitary(8, 91)), None),
+        (wigner_map(random_unitary(7, 92), antiunitary=True), None),
+        (entrywise_abs(3), None),
+        (proper_subspace_map(5, 3), None),
+    ]
+    for dim, seed in ((4, 93), (6, 94)):
+        pre, post = random_unitary(dim, seed), random_unitary(dim, seed + 10)
+        hint = OrthoSystem(tuple(pure_state(row) for row in pre.conj()))
+        cases.append((composed_phi_form(pre, post), hint))
+    for g in (fold(), constant(1.0), rotation(cmath.exp(0.7j)), conjugate_rotation(cmath.exp(2.1j)), power(2)):
+        cases.append((standard_map(g), None))
+    return cases
+
+
+def test_the_cached_probe_constants_leave_every_report_unchanged():
+    cases = _bench_family_cases()
+    assert sorted({m.dim_in for m, _ in cases}) == list(range(2, 9))
+
+    def reports():
+        return [
+            json.dumps(classify(m, m.dim_in, preimage_hint=hint).to_json(), sort_keys=True)
+            for m, hint in cases
+        ]
+
+    warm = reports()
+    assert sum('"not_classified"' in r for r in warm) == 2
+    assert reports() == warm
+    for cached in (_probe_table, _basis_system, _lift_grid):
+        cached.cache_clear()
+    assert reports() == warm
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_the_cached_probe_constants_are_read_only(dim):
+    table = _probe_table(dim)
+    assert _probe_table(dim) is table and _basis_system(dim) is _basis_system(dim)
+    system = _basis_system(dim)
+    arrays = [table.i, table.j, table.rows, *table.triples, system.rows]
+    arrays += [m.vec for m in system] + [_lift_grid()]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert table.rows.shape == (dim + len(PROBE_GRID) * len(table.pairs), dim)
+    assert table.pairs == tuple((i, j) for i in range(dim) for j in range(i + 1, dim))

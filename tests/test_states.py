@@ -27,7 +27,13 @@ from wignerlab import (
     transition_probability,
     two_by_two_params,
 )
-from wignerlab.states import GAUGE_TOL, ORTHO_TOL, _canonical_rows, _checked_norms
+from wignerlab.states import (
+    GAUGE_TOL,
+    ORTHO_TOL,
+    _canonical_rows,
+    _checked_norms,
+    _require_orthogonal,
+)
 
 T_1 = state_from_params(0.5, 1.0 + 0j)
 
@@ -223,6 +229,16 @@ def test_ortho_system_names_the_first_overlapping_pair_in_row_major_order():
     with pytest.raises(ValueError) as err:
         OrthoSystem(members)
     assert str(err.value) == "members 0 and 3 are not orthogonal within 1e-09"
+
+
+def test_the_orthogonality_check_names_a_lone_overlapping_pair():
+    # only (1, 3) overlaps: the check searches past the orthogonal pairs for it
+    rows = np.eye(4, dtype=complex)
+    rows[3] = pure_state([0.0, 1.0, 0.0, 1.0]).vec
+    with pytest.raises(ValueError) as err:
+        _require_orthogonal(rows)
+    assert str(err.value) == "members 1 and 3 are not orthogonal within 1e-09"
+    _require_orthogonal(np.eye(4, dtype=complex))
 
 
 def test_two_by_two_params_examples():
