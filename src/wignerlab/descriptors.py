@@ -25,8 +25,8 @@ from .states import (
     GAUGE_TOL,
     UNIT_NORM_TOL,
     PureState,
+    _float,
     _is_integer,
-    _is_number_type,
     _trusted_state,
     pure_state,
 )
@@ -49,17 +49,6 @@ def _pairs(values) -> list[list[float]]:
     """[re, im] pairs of floats, one per complex value: the one encoder of the wire form."""
     flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
     return flat.view(float).reshape(-1, 2).tolist()
-
-
-def _float(x) -> float | None:
-    """float(x) for an int, a float or a numpy number (not a bool) that float64
-    holds, else None: the one test of a wire number."""
-    if type(x) is float:
-        return x
-    try:
-        return float(x) if _is_number_type(type(x)) else None
-    except OverflowError:  # an integer beyond the float range
-        return None
 
 
 def _finite_pair(pair) -> bool:

@@ -20,9 +20,8 @@ from .circle import CircleMap
 from .states import (
     PureState,
     _canonical_rows,
-    _fits_float,
+    _float,
     _is_integer,
-    _is_number_type,
     _param_rows,
     _row_params,
     _trusted_state,
@@ -79,7 +78,7 @@ def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _require_dims(dim_in, dim_out) -> None:
     """Reject map dimensions that are not integers of at least 2."""
-    if not (_is_integer(dim_in) and _is_integer(dim_out) and _fits_float([dim_in, dim_out])):
+    if not all(_is_integer(d) and _float(d) is not None for d in (dim_in, dim_out)):
         raise ValueError(f"map dimensions must be integers in the float range, "
                          f"got {dim_in!r} -> {dim_out!r}")
     if dim_in < 2 or dim_out < 2:
@@ -212,7 +211,7 @@ def block_embed(dim: int, threshold: float = 0.5) -> StateMap:
     noncontractive but not an isometry: a pair straddling the threshold
     is pushed to distance 1.
     """
-    if not (_is_number_type(type(threshold)) and _fits_float(threshold)):
+    if _float(threshold) is None:
         raise ValueError(f"threshold must be a number in the float range, got {threshold!r}")
     if not np.isfinite(threshold := float(threshold)):
         raise ValueError(f"threshold must be finite, got non-finite {threshold!r}")

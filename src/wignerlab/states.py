@@ -92,18 +92,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_number_type(kind: type) -> bool:
-    """int, float or a numpy number type, and not bool: the types a JSON number decodes to."""
-    return issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
-
-
-def _fits_float(values) -> bool:
-    """float64 holds every number of values: an integer beyond the float range is refused."""
+def _float(x) -> float | None:
+    """float(x) for an int, a float or a numpy number (not a bool) that float64
+    holds, else None: the one test of a wire number."""
+    if type(x) is float:
+        return x
+    number = issubclass(type(x), (int, float, np.integer, np.floating)) and type(x) is not bool
     try:
-        np.asarray(values, dtype=float)
-    except OverflowError:
-        return False
-    return True
+        return float(x) if number else None
+    except OverflowError:  # an integer beyond the float range
+        return None
 
 
 def _trusted_state(vec: np.ndarray) -> PureState:
@@ -208,9 +206,12 @@ def _row_transition_probabilities(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _pairwise_transition_probabilities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Transition probabilities of every row of a with every row of b.
 
-    Entry [i, j] is |<b_j, a_i>|**2, read off one Gram product (not clamped).
+    Entry [i, j] is |<b_j, a_i>|**2 (not clamped).  A row kernel: numpy's
+    own einsum loop, with no BLAS call, sums each entry on its own, so a
+    row's bits do not depend on the rows it came with or on the CPU's BLAS
+    kernel, and a against itself gives a symmetric matrix bit for bit.
     """
-    return np.abs(a.conj() @ b.T) ** 2
+    return np.abs(np.einsum("ij,kj->ik", a.conj(), b)) ** 2
 
 
 def _row_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -255,12 +256,9 @@ def _require_orthogonal(rows: np.ndarray) -> None:
     overlaps = _pairwise_transition_probabilities(rows, rows)
     np.fill_diagonal(overlaps, 0.0)
     overlapping = overlaps > ORTHO_TOL
-    if not overlapping.any():
-        return
-    # only pairs i < j count: the Gram may round its two triangles differently
-    bad = np.argwhere(np.triu(overlapping, k=1))  # row-major: the first pair (i, j)
-    if bad.size:
-        i, j = bad[0]
+    if overlapping.any():
+        # the matrix is symmetric: its first entry in row-major order is the first pair i < j
+        i, j = np.argwhere(overlapping)[0]
         raise ValueError(f"members {i} and {j} are not orthogonal within {ORTHO_TOL}")
 
 

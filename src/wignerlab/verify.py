@@ -63,10 +63,8 @@ REFINE_TOL = 1e-12
 # refinement ends once the step is far below any witness gap
 REFINE_FLOOR = WITNESS_TOL / 10
 # after this many steps in a row without a gain, the next step sizes are
-# tried in one batch: REFINE_STALL of them, then REFINE_GROWTH times as
-# many per batch while none gains
+# tried in one batch, as many as have failed in a row
 REFINE_STALL = 2
-REFINE_GROWTH = 2
 
 
 @dataclass(frozen=True)
@@ -137,22 +135,6 @@ def _block_rows(width: int) -> int:
     return max(1, MAP_ENTRIES // width)
 
 
-def _row_blocks(n: int, width: int) -> list[slice]:
-    """Slices splitting n rows of width entries into blocks for a row kernel.
-
-    Blocks of _block_rows(width) rows, but at least two, and a lone last
-    row joins the block before it: numpy computes a one-row matrix
-    product, such as the inclusion gap's Gram, as gemv, which rounds
-    differently from the gemm of a larger block.  Only n = 1 gives a
-    one-row block, as the whole product would be.
-    """
-    size = max(2, _block_rows(width))
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        del starts[-1]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
 def _map_rows(map_: StateMap, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Images of canonical state rows, as an (n, dim_out) array.
 
@@ -208,17 +190,18 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     to the OS and be faulted in again by the next.  The block takes the
     dtype of the first chunk's images, float64 for a real map, and is
     replaced once by a complex one if a later chunk's images are
-    complex.  Gaps are measured in _row_blocks of as many samples as a
-    map batch has rows (a whole chunk for a narrow map), so a gap's
-    temporaries are no larger than a map batch's.  The winner's rows are copied out, so no result aliases
-    the block.
+    complex.  Gaps are measured in slices of as many samples as a map
+    batch has rows (a whole chunk for a narrow map), so a gap's
+    temporaries are no larger than a map batch's; every gap kernel works
+    row by row, so the slicing changes no gap's bits.  The winner's rows
+    are copied out, so no result aliases the block.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if n_samples < 1:
         raise ValueError("sample budget must be at least 1")
     image_block = None
-    width = max(map_.dim_in, map_.dim_out)
+    size = _block_rows(max(map_.dim_in, map_.dim_out))
 
     def chunk(index: int):
         # a function, so one chunk's rows and gaps are freed before the next is drawn
@@ -232,7 +215,8 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
             image_block = images
         rows, images = (a.reshape(-1, count, a.shape[1]) for a in (rows, images))
         gaps = np.empty(count)
-        for block in _row_blocks(count, width):
+        for start in range(0, count, size):
+            block = slice(start, start + size)
             gaps[block] = gap(rows[:, block], images[:, block])
         i = int(np.argmax(gaps))
         return float(gaps[i]), rows[:, i].copy(), images[:, i].copy()
@@ -292,19 +276,19 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     images are (2, dim) row arrays, images real or complex; returns the
     final gap, pair, images and the number of steps used.
 
-    How the steps are evaluated changes no result.  After REFINE_STALL
-    steps in a row without a gain, the candidates of the next steps'
-    halved step sizes are mapped in one batch around the same pair:
-    REFINE_STALL levels, then REFINE_GROWTH times as many while none
-    gains, within the remaining steps, the floor and MAP_ENTRIES
-    entries (at least one level).  The first level that gains is taken
-    as its own step would be, and every level up to it counts as a
-    step; after a gain, batches are one level again.  Every kernel on
-    the way works row by row, so each level's gaps are bit for bit
-    those of its own step, provided the map's image dtype does not
-    depend on which rows share a batch (true of every family; an opaque
-    map whose function returns real images for some states and complex
-    ones for others would promote a level's real images).
+    How the steps are evaluated changes no result.  Once REFINE_STALL
+    or more steps in a row have failed to gain, the candidates of the
+    next halved step sizes, as many as have failed (so the batch doubles
+    while none gains), are mapped in one batch around the same pair,
+    within the remaining steps, the floor and MAP_ENTRIES entries (at
+    least one level).  The first level that gains is taken as its own
+    step would be, and every level up to it counts as a step; after a
+    gain, batches are one level again.  Every kernel on the way works
+    row by row, so each level's gaps are bit for bit those of its own
+    step, provided the map's image dtype does not depend on which rows
+    share a batch (true of every family; an opaque map whose function
+    returns real images for some states and complex ones for others
+    would promote a level's real images).
     """
     pair, images = pair.astype(complex), images.copy()
     parts = pair.view(float)  # the rows' (re, im) parts, updated with them
@@ -321,8 +305,8 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     partners = np.tile(1 - which_row, max_levels)
     step = REFINE_START_STEP
     used = failed = 0
-    levels = 1
     while used < steps and step >= REFINE_FLOOR:
+        levels = failed if failed >= REFINE_STALL else 1
         sizes = [step]
         while len(sizes) < min(levels, steps - used, max_levels) and (
             sizes[-1] * REFINE_SHRINK >= REFINE_FLOOR
@@ -349,13 +333,11 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
             # a complex candidate image promotes real images
             images = images.astype(np.result_type(images, f_cands), copy=False)
             pair[which_row[best]], images[which_row[best]] = cands[row], f_cands[row]
-            failed, levels = 0, 1
+            failed = 0
         else:
             used += n
             failed += n
             step = sizes[-1] * REFINE_SHRINK
-            if failed >= REFINE_STALL:
-                levels = max(REFINE_STALL, levels * REFINE_GROWTH)
     return gap, pair, images, used
 
 
@@ -489,7 +471,7 @@ def check_inclusion_lemma(
 
     def sample(rng, count):
         z = rng.standard_normal((2, count, len(preimages)))
-        return _canonical_rows((z[0] + 1j * z[1]) @ span_basis)
+        return _canonical_rows(np.einsum("ij,jk->ik", z[0] + 1j * z[1], span_basis))
 
     worst, state, image = _search(
         map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images[0])

@@ -692,3 +692,53 @@ def test_the_cached_probe_constants_are_read_only(dim):
             array[...] = 0
     assert table.rows.shape == (dim + len(PROBE_GRID) * len(table.pairs), dim)
     assert table.pairs == tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
+
+
+def _scale_coordinate_0(rows):
+    out = rows.copy()
+    out[:, 0] *= 2
+    return out
+
+
+def _conjugate_coordinate_3(rows):
+    out = rows.copy()
+    out[:, 3] = out[:, 3].conj()
+    return out
+
+
+def _warp_weight(rows):
+    # p -> p**2 / (p**2 + (1 - p)**2) on a dimension-2 row, keeping its phase
+    # (entry 0 of a gauged row is real and nonnegative)
+    p = np.abs(rows[:, 0]) ** 2
+    q = p**2 / (p**2 + (1 - p) ** 2)
+    return np.column_stack([np.sqrt(q), np.sqrt(1 - q) * np.exp(1j * np.angle(rows[:, 1]))])
+
+
+def _nearly_unitary(rows):
+    m = random_unitary(3, 1)
+    m[:, 2] += 1e-8 * m[:, 1]
+    return rows @ m.T
+
+
+@pytest.mark.parametrize(
+    "fn, dim, reason",
+    [
+        (_scale_coordinate_0, 3, "probe image of pair (0, 1) is not balanced on the pair"),
+        # dimension 2: the lift's probe fails
+        (_scale_coordinate_0, 2, "probe image of pair (0, 1) is not balanced on the pair"),
+        (_conjugate_coordinate_3, 4, "induced circle maps disagree across coordinate triples"),
+        (_warp_weight, 2, "phase-lift residual 2.169e-01 exceeds 1.0e-08"),
+        # followed by the entry, about 1e-8, whose digits depend on the BLAS kernel
+        (_nearly_unitary, 3,
+         "recovered unitaries fail validation: map param 'unitary' is not unitary within 1e-10, "
+         "got largest |U*U - I| entry "),
+    ],
+    ids=["unbalanced-probe", "unbalanced-lift-probe", "triples-disagree", "lift-residual",
+         "model-invalid"],
+)
+def test_each_rejection_keeps_its_reason(fn, dim, reason):
+    res = classify(StateMap("custom", dim, dim, fn), dim)
+    assert res.branch == NOT_CLASSIFIED
+    assert res.reason.startswith(reason)
+    entry = res.reason[len(reason):]
+    assert entry == "" or float(entry) == pytest.approx(1e-8, rel=1e-6)

@@ -331,8 +331,10 @@ _HUGE = 10**400  # a Python integer that no float64 holds
          f"got [{_HUGE}, [1, 0]]"),
         ({"family": "tau", "params": {"g": {"kind": "rotation", "c": [1, _HUGE]}}},
          f"circle map param 'c' must be an [re, im] pair of numbers, got [1, {_HUGE}]"),
+        ({"family": "constant", "params": {"dim": _HUGE}},
+         f"map dimensions must be integers in the float range, got {_HUGE} -> {_HUGE}"),
     ],
-    ids=["threshold", "unitary-entry", "table-angle", "rotation-c"],
+    ids=["threshold", "unitary-entry", "table-angle", "rotation-c", "constant-dim"],
 )
 def test_integers_beyond_the_float_range_name_their_field(obj, message):
     # float() of such an integer raises OverflowError, which is not a descriptor error

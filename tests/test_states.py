@@ -32,7 +32,9 @@ from wignerlab.states import (
     ORTHO_TOL,
     _canonical_rows,
     _checked_norms,
+    _pairwise_transition_probabilities,
     _require_orthogonal,
+    _sample_state_rows,
 )
 
 T_1 = state_from_params(0.5, 1.0 + 0j)
@@ -239,6 +241,24 @@ def test_the_orthogonality_check_names_a_lone_overlapping_pair():
         _require_orthogonal(rows)
     assert str(err.value) == "members 1 and 3 are not orthogonal within 1e-09"
     _require_orthogonal(np.eye(4, dtype=complex))
+
+
+def test_pairwise_transition_probabilities_are_a_row_kernel():
+    # a row alone has the bits of the same row in its block, under any BLAS
+    # kernel, as the searches' gap blocks need
+    rng = np.random.default_rng(0)
+    rows, targets = _sample_state_rows(rng, 512, 4), _sample_state_rows(rng, 2, 4)
+    block = _pairwise_transition_probabilities(rows, targets)
+    for i in range(len(rows)):
+        alone = _pairwise_transition_probabilities(rows[i : i + 1], targets)
+        assert alone.tobytes() == block[i].tobytes(), i
+    # a family against itself gives a symmetric matrix, real rows or complex,
+    # so _require_orthogonal's first entry in row-major order is its first pair i < j
+    for dim in range(2, 17):
+        family = _sample_state_rows(rng, dim, dim)
+        for a in (family, np.abs(family)):
+            gram = _pairwise_transition_probabilities(a, a)
+            assert np.array_equal(gram, gram.T), dim
 
 
 def test_two_by_two_params_examples():

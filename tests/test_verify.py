@@ -774,9 +774,9 @@ def _isometry_gap(rows, images):
 
 
 def _overlap_mass_gap(rows, images):
-    # a Gram product, like the inclusion gap: each pair's first input row
-    # against 3 fixed states.  Input rows, as they are complex: on the real
-    # images of both maps a one-row product matched the block's product
+    # the inclusion gap's kernel: each pair's first input row against 3
+    # fixed states (input rows, as they are complex where both maps' images
+    # are real)
     targets = _sample_rows(np.random.default_rng(3), 3, rows.shape[2])
     return np.sum(_pairwise_transition_probabilities(rows[0], targets), axis=1)
 
@@ -791,8 +791,8 @@ def _recorded(gap, calls):
     return recorded
 
 
-# 129 samples are one 128-sample gap block of the 128-wide map and a lone
-# last sample, which joins that block
+# 129 samples are one 128-sample gap block of the 128-wide map and a
+# one-sample block
 @pytest.mark.parametrize("n_samples", [1, 129, 511, 512, 513, 1537])
 @pytest.mark.parametrize(
     "build, dim",
@@ -820,16 +820,24 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
         assert np.concatenate(got_gaps).tobytes() == np.concatenate(want_gaps).tobytes()
 
 
-def test_row_blocks_never_leave_a_lone_row(monkeypatch):
-    monkeypatch.setattr(verify, "MAP_ENTRIES", 1000)
-    sizes = lambda n, width: [b.stop - b.start for b in verify._row_blocks(n, width)]
-    assert sizes(1, 10) == [1]
-    assert sizes(250, 10) == [100, 100, 50]
-    assert sizes(201, 10) == [100, 101]
-    # a budget below two rows still gives two-row blocks
-    assert sizes(5, 1000) == [2, 3]
-    assert sizes(5, 10**6) == [2, 3]
-    assert sizes(0, 10) == []
+def _rotated_block_embed(dim: int) -> StateMap:
+    """x -> U block_embed(x), U a fixed unitary of dimension 2 dim."""
+    embed, u = block_embed(dim), random_unitary(2 * dim, 7)
+    return StateMap("custom", dim, 2 * dim, lambda rows: maps._apply(u, embed.fn(rows)))
+
+
+def test_an_inclusion_witness_gap_is_one_minus_its_own_d_out():
+    # a state of the span of e_0 and e_1 with first weight above 1/2 lands
+    # in the other block, where only e_0's image covers it.  The search
+    # measures the gap of a block of samples, the report the witness's
+    # d_out alone, and the two kernels must agree bit for bit
+    for dim in range(2, 6):
+        map_ = _rotated_block_embed(dim)
+        pre = OrthoSystem((basis_state(dim, 0), basis_state(dim, 1)))
+        for seed in range(20):
+            report = check_inclusion_lemma(map_, pre, 1000, seed=seed)
+            w = report.witness
+            assert w is not None and w.gap == report.worst_gap == 1.0 - w.d_out, (dim, seed)
 
 
 def test_a_witness_from_the_first_of_several_chunks_keeps_its_images():
