@@ -281,7 +281,10 @@ class Claim:
 
 
 _DIMS = range(2, 7)
-_PHI = {"nonexpansive": True, "noncontractive": False, "isometry": False, "orthogonality": False}
+_PHI = {
+    "nonexpansive": True, "noncontractive": False, "isometry": False, "orthogonality": False,
+    "injectivity": False,
+}
 
 
 def _anchor_states(rng, dim, count):
@@ -335,8 +338,7 @@ CLAIMS = {
         _DIMS, {"nonexpansive": True, "cosp_image": True}, NOT_CLASSIFIED,
         params=("k",), shown=("k",),
     ),
-    "constant": Claim(lambda rng, dim: constant_map(dim), _DIMS, {**_PHI, "injectivity": False},
-                      NOT_CLASSIFIED),
+    "constant": Claim(lambda rng, dim: constant_map(dim), _DIMS, _PHI, NOT_CLASSIFIED),
 }
 
 

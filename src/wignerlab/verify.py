@@ -13,7 +13,9 @@ fixed-size chunks with RNG substreams derived from (seed, chunk index),
 and the chunks run one after another.  A chunk's rows are mapped, and
 its gaps measured, in blocks of at most MAP_ENTRIES entries, so a narrow
 map takes a whole chunk in one call and only a wide one splits it.
-Injectivity is a collision search on the same engine and refinement.
+Injectivity is a collision search on the same engine and refinement,
+whose pair is then polished by Gauss-Newton on the difference of its
+images (_least_squares).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .states import (
     _pairwise_transition_probabilities,
     _require_orthogonal,
     _row_distances,
+    _row_overlaps,
     _row_transition_probabilities,
     _trusted_state,
 )
@@ -65,6 +68,13 @@ REFINE_FLOOR = WITNESS_TOL / 10
 # after this many steps in a row without a gain, the next step sizes are
 # tried in one batch, as many as have failed in a row
 REFINE_STALL = 2
+# the Gauss-Newton polish of a collision: central-difference step, the
+# relative singular-value cut of its lstsq, the line search's step lengths
+# 1, 1/2, ..., 2**-15 and the iteration cap
+LSQ_DIFF = 1e-7
+LSQ_RCOND = 1e-6
+LSQ_LENGTHS = 0.5 ** np.arange(16)
+LSQ_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -341,23 +351,67 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     return gap, pair, images, used
 
 
-def _metric_check(
-    prop: str,
-    map_: StateMap,
-    dim: int,
-    n_samples: int,
-    refine_steps: int,
-    seed: int,
-    oriented,
-    *,
-    polish=None,
-    gap_of=None,
-) -> CheckReport:
-    """Scan pairs under the oriented gap, refine the winner under it, and report.
+def _least_squares(map_: StateMap, rows, residual, keep):
+    """Gauss-Newton from k state rows, driving a residual of their images to zero.
 
-    Given polish, the refined pair is refined again for refine_steps steps
-    under the gap polish(pair).  The report's gap is gap_of(d_in, d_out),
-    the oriented gap by default.
+    rows is a (k, dim) array.  residual(images) maps (n, k, dim_out) image
+    rows to (n, m) real residuals, and keep(rows) says which of n
+    candidate row sets, given as (n, k, dim), may be taken.  The variables
+    are the 2 k dim real parts of the rows, and every candidate row is
+    renormalized and re-gauged.  Each iteration maps one batch for the
+    Jacobian, by central differences of LSQ_DIFF with each candidate
+    perturbing one row, and solves for the step by lstsq with the cut
+    LSQ_RCOND, which drops the directions normalization and gauge make
+    flat, with their finite-difference noise.  One more batch tries the
+    step at each length of LSQ_LENGTHS, and the first that lowers the
+    squared residual and is kept is taken.  Stops when none is, when the
+    residual is zero, or after LSQ_ITERATIONS iterations.  Every kernel
+    works row by row, so no MAP_ENTRIES split can change a result.
+    Returns the final rows and their images.
+    """
+    rows = rows.astype(complex)
+    images = _map_rows(map_, rows)
+    k, dim = rows.shape
+    width = 2 * k * dim
+    which = np.tile(np.repeat(np.arange(k), 2 * dim), 2)
+    shifts = LSQ_DIFF * np.tile(np.eye(2 * dim), (k, 1))
+    shifts = np.concatenate([shifts, -shifts])
+    lengths = LSQ_LENGTHS[:, None, None]
+
+    def costs(images):
+        r = residual(images)
+        return r, np.einsum("ij,ij->i", r, r)
+
+    r, cost = (a[0] for a in costs(images[None]))
+    for _ in range(LSQ_ITERATIONS):
+        if cost == 0:
+            break
+        parts = rows.view(float)
+        f_moved = _map_rows(map_, _canonical_rows((parts[which] + shifts).view(complex)))
+        # a complex image of a moved row promotes real images
+        moved = np.repeat(images[None], 2 * width, axis=0).astype(
+            np.result_type(images, f_moved), copy=False
+        )
+        moved[np.arange(2 * width), which] = f_moved
+        plus, minus = residual(moved).reshape(2, width, -1)
+        jacobian = ((plus - minus) / (2 * LSQ_DIFF)).T
+        step = -np.linalg.lstsq(jacobian, r, rcond=LSQ_RCOND)[0].reshape(k, 2 * dim)
+        raw = (parts + lengths * step).view(complex)
+        cands = _canonical_rows(raw.reshape(-1, dim)).reshape(len(LSQ_LENGTHS), k, dim)
+        f_cands = _map_rows(map_, cands.reshape(-1, dim)).reshape(len(LSQ_LENGTHS), k, -1)
+        r_cands, cost_cands = costs(f_cands)
+        taken = (cost_cands < cost) & keep(cands)
+        if not taken.any():
+            break
+        i = int(taken.argmax())
+        rows, images, r, cost = cands[i], f_cands[i], r_cands[i], cost_cands[i]
+    return rows, images
+
+
+def _refined_pair(map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented):
+    """Scan pairs under the oriented gap and refine the winner under it.
+
+    Returns the (2, dim) pair rows and their images.
     """
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
@@ -372,10 +426,16 @@ def _metric_check(
     )
     if refine_steps > 0:
         _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
-        if polish is not None:
-            _, pair, images, _ = _refine_pair(map_, polish(pair), pair, images, refine_steps)
+    return pair, images
+
+
+def _metric_check(
+    prop: str, map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented
+) -> CheckReport:
+    """Scan pairs under the oriented gap, refine the winner under it, and report."""
+    pair, images = _refined_pair(map_, dim, n_samples, refine_steps, seed, oriented)
     # the gap of the reported distances: refinement's d(Q', P) may differ from d(P, Q')
-    return _pair_report(prop, n_samples, seed, gap_of or oriented, pair, images)
+    return _pair_report(prop, n_samples, seed, oriented, pair, images)
 
 
 def check_nonexpansive(
@@ -488,20 +548,32 @@ def check_injective(
     """Collision search for d(P, Q) >= 0.5 with d(f(P), f(Q)) <= WITNESS_TOL.
 
     Scans pairs under the gap d_in - 10 d_out and refines the winner under
-    it, then polishes the pair, minimizing d_out while d_in stays at or
-    above half its refined value.  A witness proves the map is not
-    injective, and its gap is its d_in; a pass is evidence only, and its
-    gap is minus the final pair's image distance.
+    it, then polishes the pair by _least_squares on the images' phase-free
+    difference, keeping d_in at or above half its refined value.  A witness
+    proves the map is not injective, and its gap is its d_in; a pass is
+    evidence only, and its gap is minus the final pair's image distance.
     """
-
-    def polish(pair):
+    pair, images = _refined_pair(
+        map_, dim, n_samples, refine_steps, seed, lambda d_in, d_out: d_in - 10 * d_out
+    )
+    if refine_steps > 0:
         floor = 0.5 * _row_distances(pair[:1], pair[1:])[0]
-        return lambda d_in, d_out: np.where(d_in >= floor, -d_out, -np.inf)
 
-    return _metric_check(
-        "injectivity", map_, dim, n_samples, refine_steps, seed,
-        lambda d_in, d_out: d_in - 10 * d_out, polish=polish,
-        gap_of=lambda d_in, d_out: d_in if d_in >= 0.5 and d_out <= WITNESS_TOL else -d_out,
+        def difference(images):
+            # F(y) c - F(x), c the phase of <F(y), F(x)>, so the images' gauge drops out
+            x, y = images[:, 0], images[:, 1]
+            overlaps = _row_overlaps(x, y)
+            moduli = np.abs(overlaps)
+            phases = np.divide(overlaps, moduli, out=np.ones_like(overlaps), where=moduli > 0)
+            return np.asarray(y * phases[:, None] - x, dtype=complex).view(float)
+
+        pair, images = _least_squares(
+            map_, pair, difference, lambda rows: _row_distances(rows[:, 0], rows[:, 1]) >= floor
+        )
+    return _pair_report(
+        "injectivity", n_samples, seed,
+        lambda d_in, d_out: d_in if d_in >= 0.5 and d_out <= WITNESS_TOL else -d_out,
+        pair, images,
     )
 
 

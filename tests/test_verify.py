@@ -311,8 +311,8 @@ def _anchored(dim, anchors):
 
 # (label, build(seed), dim, seeds, injective).  Not injective: at most
 # 2 (dim - 1) anchors cannot separate the 2 (dim - 1)-real-dimensional ray
-# space, a collapse or a constant map forgets coordinates, and the fold
-# lift folds.  Injective: Wigner symmetries, the rotation lift, criterion
+# space, a collapse or a constant map forgets coordinates, phi forgets
+# phases, and the fold lift folds.  Injective: Wigner symmetries, the rotation lift, criterion
 # 09's 32-anchor map and 4 dim - 4 generic anchors (as in phase retrieval)
 COLLISION_CASES = [
     *((f"separable_embed dim{d}/{a}", _anchored(d, a), d, range(1, 6), False)
@@ -321,6 +321,10 @@ COLLISION_CASES = [
     ("proper_subspace 4/2", lambda seed: proper_subspace_map(4, 2), 4, range(1, 6), False),
     ("tau-fold", lambda seed: standard_map(fold()), 2, range(1, 6), False),
     ("constant dim4", lambda seed: constant_map(4), 4, range(1, 6), False),
+    *((f"phi dim{d}", lambda seed, d=d: entrywise_abs(d), d, range(1, 6), False)
+      for d in (3, 4, 5, 6)),
+    ("proper_subspace 5/3", lambda seed: proper_subspace_map(5, 3), 5, range(1, 6), False),
+    ("separable_embed dim5/8", _anchored(5, 8), 5, range(1, 6), False),
     *((f"wigner dim{d}", lambda seed, d=d: wigner_map(sample_unitary(np.random.default_rng(seed), d)),
        d, range(1, 6), True) for d in (2, 4, 6)),
     ("tau-rotation", lambda seed: standard_map(rotation(1j)), 2, range(1, 6), True),
@@ -335,7 +339,7 @@ COLLISION_CASES = [
     ids=[case[0] for case in COLLISION_CASES],
 )
 def test_the_collision_search_finds_exactly_the_maps_that_collide(build, dim, seeds, injective):
-    # criterion 09's budget: 1000 pairs, then 200 steps of refinement and 200 of polish
+    # criterion 09's budget: 1000 pairs, then 200 steps of refinement and the polish
     for seed in seeds:
         report = check_injective(build(seed), dim, 1000, seed=seed)
         assert report.holds == injective, seed
@@ -738,7 +742,8 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
                 check_orthogonality_preserving(map_, dim, 600, seed=3),
                 check_inclusion_lemma(map_, pre, 600, seed=3),
             ]
-        # the collision search refines and polishes under the same budget
+        # the collision search's polish maps its Jacobian and line-search batches
+        # through the same blocks
         out.append(check_injective(sep, 4, 600, seed=3))
         return [json.dumps(r.to_json(), sort_keys=True) for r in out]
 
