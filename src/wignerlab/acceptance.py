@@ -245,7 +245,7 @@ def criterion_07() -> CriterionResult:
         (composed_phi_form(pre, random_unitary(dim, 703)),
          [pure_state(pre.conj().T @ r.vec) for r in _disjoint_support_pair(rng, dim)]),
         (CLAIMS["wigner-random"].build(np.random.default_rng(704), dim),
-         map(pure_state, _orthogonal_pair_rows(lambda n: _sample_state_rows(rng, n, dim), 1))),
+         map(pure_state, _orthogonal_pair_rows(rng, 1, dim))),
     ]
     worst = max(
         check_inclusion_lemma(map_, OrthoSystem(tuple(states)), 1000, seed=42).worst_gap

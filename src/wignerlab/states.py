@@ -143,7 +143,8 @@ def _canonical_rows(raw: np.ndarray) -> np.ndarray:
     of its pivot: when every row's pivot is a positive entry 0, each row
     is only divided by its norm.  A block of any other dtype is cast to
     complex.  Otherwise each row is multiplied by the conjugate phase of
-    its pivot (for a real row, its sign) and divided by its own norm.
+    its pivot (for a real row, its sign), its pivot set to its modulus (so
+    exactly real), and divided by its own norm.
     """
     real = raw.dtype == np.float64
     if not real:
@@ -158,15 +159,16 @@ def _canonical_rows(raw: np.ndarray) -> np.ndarray:
         # every pivot is entry 0, as for any Haar sample: the same phases
         # without the moduli of the other columns, the (n, dim) comparison
         # and the gather
-        phases = raw[:, 0].conj() / first
+        r, piv, moduli = slice(None), 0, first
     else:
         mods = np.abs(raw)
         piv = (mods > GAUGE_TOL * norms[:, None]).argmax(axis=1)
         r = np.arange(len(raw))
-        phases = raw[r, piv].conj() / mods[r, piv]
+        moduli = mods[r, piv]
     # gauge first, then divide each real component by the gauged row's own
     # norm: every row comes out unit to within about one rounding
-    gauged = raw * phases[:, None]
+    gauged = raw * (raw[r, piv].conj() / moduli)[:, None]
+    gauged[r, piv] = moduli
     parts = gauged if real else gauged.view(float)
     return (parts / np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]).view(raw.dtype)
 
@@ -347,31 +349,34 @@ def state_from_params(p: float, z: complex) -> PureState:
     return _trusted_state(_canonical_rows(_param_rows(p, z))[0])
 
 
-def _orthogonal_pair_rows(draw, count: int) -> np.ndarray:
+def _orthogonal_pair_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """count orthogonal pairs of state rows, by Gram-Schmidt on two draws.
 
-    draw(n) returns n canonical state rows.  Returns 2 * count rows, pair
-    i being rows i and count + i: a first draw, and the normalized part of
-    a second draw orthogonal to it.  A second draw (nearly) parallel to
-    the first, with a residual norm below 1e-6, is drawn again.
+    Returns 2 * count rows, pair i being rows i and count + i: a first
+    _sample_state_rows draw of count rows from rng, and the normalized
+    part of a second draw orthogonal to it.  A second draw (nearly)
+    parallel to the first, with a residual norm below 1e-6, is drawn again.
     """
-    first = draw(count)
-    second = draw(count)
+    first = _sample_state_rows(rng, count, dim)
+    second = _sample_state_rows(rng, count, dim)
     residual = second - _row_overlaps(second, first)[:, None] * first
     norms = np.linalg.norm(residual, axis=1)
     while (bad := np.flatnonzero(norms < 1e-6)).size > 0:
-        redraw = draw(bad.size)
+        redraw = _sample_state_rows(rng, bad.size, dim)
         residual[bad] = redraw - _row_overlaps(redraw, first[bad])[:, None] * first[bad]
         norms[bad] = np.linalg.norm(residual[bad], axis=1)
     return np.concatenate([first, _canonical_rows(residual)])
 
 
 def _sample_state_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """count sample_pure_state draws from rng, as canonical rows."""
+    """count sample_pure_state draws from rng, as canonical rows: the one
+    Haar sampler, filling one complex block without re + 1j * im's temporaries."""
     if dim < 2:
         raise ValueError("state vector must be one-dimensional with dim >= 2")
     z = rng.standard_normal((count, 2, dim))
-    return _canonical_rows(z[:, 0] + 1j * z[:, 1])
+    raw = np.empty((count, dim), dtype=complex)
+    raw.real, raw.imag = z[:, 0], z[:, 1]
+    return _canonical_rows(raw)
 
 
 def sample_pure_state(rng: np.random.Generator, dim: int) -> PureState:

@@ -10,12 +10,14 @@ in one batch; the pick and the step count are those of one step at a
 time, bit for bit.
 Every check runs through one serial engine: sampling is split into
 fixed-size chunks with RNG substreams derived from (seed, chunk index),
-and the chunks run one after another.  A chunk's rows are mapped, and
-its gaps measured, in blocks of at most MAP_ENTRIES entries, so a narrow
-map takes a whole chunk in one call and only a wide one splits it.
-Injectivity is a collision search on the same engine and refinement,
-whose pair is then polished by Gauss-Newton on the difference of its
-images (_least_squares).
+and the chunks run one after another; a metric check's pair i of a
+chunk of count pairs is sample_pure_state draws i and count + i of its
+substream.  A chunk's rows are mapped, and its gaps measured, in blocks
+of at most MAP_ENTRIES entries, so a narrow map takes a whole chunk in
+one call and only a wide one splits it.  Injectivity is a collision
+search on the same engine and refinement, whose pair is then polished
+by Gauss-Newton on the difference of its images (_least_squares), every
+stage keeping to pairs at least COLLISION_D_IN apart.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .states import (
     _row_distances,
     _row_overlaps,
     _row_transition_probabilities,
+    _sample_state_rows,
     _trusted_state,
 )
 
@@ -75,6 +78,8 @@ LSQ_DIFF = 1e-7
 LSQ_RCOND = 1e-6
 LSQ_LENGTHS = 0.5 ** np.arange(16)
 LSQ_ITERATIONS = 40
+# the least d_in of a collision, in every stage of check_injective
+COLLISION_D_IN = 0.5
 
 
 @dataclass(frozen=True)
@@ -123,21 +128,6 @@ class CheckReport:
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
-
-
-def _sample_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """count Haar-random canonical state rows, as the searches draw them.
-
-    The draw is laid out (2, count, dim), all real parts and then all
-    imaginary parts, while states._sample_state_rows draws (count, 2, dim)
-    as sample_pure_state does.  Both layouts are fixed by seeded reports:
-    either one decides which normal variate lands in which row.  The
-    parts fill one complex block, without the temporaries of re + 1j * im.
-    """
-    z = rng.standard_normal((2, count, dim))
-    raw = np.empty((count, dim), dtype=complex)
-    raw.real, raw.imag = z
-    return _canonical_rows(raw)
 
 
 def _block_rows(width: int) -> int:
@@ -422,7 +412,7 @@ def _refined_pair(map_: StateMap, dim: int, n_samples: int, refine_steps: int, s
         return oriented(_row_distances(*rows), _row_distances(*images))
 
     _, pair, images = _search(
-        map_, n_samples, seed, lambda rng, count: _sample_rows(rng, 2 * count, dim), gap
+        map_, n_samples, seed, lambda rng, count: _sample_state_rows(rng, 2 * count, dim), gap
     )
     if refine_steps > 0:
         _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
@@ -494,13 +484,12 @@ def check_orthogonality_preserving(
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
 
-    def sample(rng, count):
-        return _orthogonal_pair_rows(lambda n: _sample_rows(rng, n, dim), count)
-
     def gap(rows, images):
         return _row_transition_probabilities(images[1], images[0])
 
-    worst, pair, images = _search(map_, n_samples, seed, sample, gap)
+    worst, pair, images = _search(
+        map_, n_samples, seed, lambda rng, count: _orthogonal_pair_rows(rng, count, dim), gap
+    )
     return _pair_report("orthogonality-preserving", n_samples, seed, lambda *_: worst, pair, images)
 
 
@@ -545,20 +534,21 @@ def check_inclusion_lemma(
 def check_injective(
     map_: StateMap, dim: int, n_samples: int = 10000, *, refine_steps: int = 200, seed: int = 42
 ) -> CheckReport:
-    """Collision search for d(P, Q) >= 0.5 with d(f(P), f(Q)) <= WITNESS_TOL.
+    """Collision search for d(P, Q) >= COLLISION_D_IN with d(f(P), f(Q)) <= WITNESS_TOL.
 
-    Scans pairs under the gap d_in - 10 d_out and refines the winner under
-    it, then polishes the pair by _least_squares on the images' phase-free
-    difference, keeping d_in at or above half its refined value.  A witness
+    Scans pairs and refines the winner under one ranking: a pair at least
+    COLLISION_D_IN apart scores d_in - 10 d_out, above every closer pair.
+    Then _least_squares polishes the pair on the images' phase-free
+    difference, keeping d_in at or above COLLISION_D_IN.  A witness
     proves the map is not injective, and its gap is its d_in; a pass is
-    evidence only, and its gap is minus the final pair's image distance.
+    evidence only, and its gap is minus the closest image distance found
+    for two states at least COLLISION_D_IN apart.
     """
     pair, images = _refined_pair(
-        map_, dim, n_samples, refine_steps, seed, lambda d_in, d_out: d_in - 10 * d_out
+        map_, dim, n_samples, refine_steps, seed,
+        lambda d_in, d_out: np.where(d_in >= COLLISION_D_IN, d_in - 10 * d_out, d_in - 11),
     )
     if refine_steps > 0:
-        floor = 0.5 * _row_distances(pair[:1], pair[1:])[0]
-
         def difference(images):
             # F(y) c - F(x), c the phase of <F(y), F(x)>, so the images' gauge drops out
             x, y = images[:, 0], images[:, 1]
@@ -568,11 +558,12 @@ def check_injective(
             return np.asarray(y * phases[:, None] - x, dtype=complex).view(float)
 
         pair, images = _least_squares(
-            map_, pair, difference, lambda rows: _row_distances(rows[:, 0], rows[:, 1]) >= floor
+            map_, pair, difference,
+            lambda rows: _row_distances(rows[:, 0], rows[:, 1]) >= COLLISION_D_IN,
         )
     return _pair_report(
         "injectivity", n_samples, seed,
-        lambda d_in, d_out: d_in if d_in >= 0.5 and d_out <= WITNESS_TOL else -d_out,
+        lambda d_in, d_out: d_in if d_in >= COLLISION_D_IN and d_out <= WITNESS_TOL else -d_out,
         pair, images,
     )
 

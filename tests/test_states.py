@@ -101,6 +101,22 @@ def test_gauge_pivot_skips_leading_zeros():
     assert np.allclose(s.vec, [0.0, 1.0, 0.0])
 
 
+def test_every_complex_pivot_is_exactly_real():
+    # a Haar block takes the pivot-0 path; with column 0 zero in alternate
+    # rows, the pivots are gathered.  On both paths each pivot is written as
+    # its modulus, not left with an imaginary part of rounding size
+    rng = np.random.default_rng(14)
+    haar = rng.standard_normal((1000, 5)) + 1j * rng.standard_normal((1000, 5))
+    alternate = haar.copy()
+    alternate[::2, 0] = 0.0
+    for raw, first_pivots in ((haar, [0, 0]), (alternate, [1, 0])):
+        out = _canonical_rows(raw)
+        piv = (np.abs(raw) > 0.0).argmax(axis=1)
+        assert (piv == np.tile(first_pivots, 500)).all()
+        pivots = out[np.arange(len(out)), piv]
+        assert (pivots.imag == 0.0).all() and (pivots.real > 0.0).all()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dim=st.integers(2, 16),

@@ -53,6 +53,7 @@ from wignerlab.states import (
     _pairwise_transition_probabilities,
     _row_distances,
     _row_overlaps,
+    _sample_state_rows,
 )
 from wignerlab.verify import (
     REFINE_FLOOR,
@@ -62,7 +63,6 @@ from wignerlab.verify import (
     WITNESS_TOL,
     _chunk_rng,
     _refine_pair,
-    _sample_rows,
     _search,
     basis_image_completes_span,
 )
@@ -348,6 +348,32 @@ def test_the_collision_search_finds_exactly_the_maps_that_collide(build, dim, se
             assert w.d_in >= 0.5 and w.d_out <= WITNESS_TOL and w.gap == w.d_in, seed
 
 
+ISOMETRY_ROWS = [
+    case for case in COLLISION_CASES
+    if case[0] in ("wigner dim2", "wigner dim4", "wigner dim6", "tau-rotation")
+]
+
+
+@pytest.mark.parametrize(
+    "build, dim, seeds", [case[1:4] for case in ISOMETRY_ROWS], ids=[case[0] for case in ISOMETRY_ROWS]
+)
+def test_an_isometry_passes_with_the_collision_threshold_as_its_gap(build, dim, seeds):
+    # an isometry keeps every distance, so the closest images of two states
+    # at least 0.5 apart are 0.5 apart: the search pulls its pair in to the
+    # threshold and reports minus that image distance
+    for seed in seeds:
+        report = check_injective(build(seed), dim, 1000, seed=seed)
+        assert report.holds and abs(report.worst_gap + 0.5) <= WITNESS_TOL, seed
+
+
+def _start_pair(rng, dim):
+    """Two canonical state rows from a (2, 2, dim) draw, both real parts and
+    then both imaginary parts: the start pairs that the refinement cases
+    below were pinned on, kept as they were drawn."""
+    z = rng.standard_normal((2, 2, dim))
+    return _canonical_rows(z[0] + 1j * z[1])
+
+
 def _sequential_refine(map_, oriented, pair, images, steps):
     """Reference pattern search: one candidate at a time, in (which, coord,
     delta) order, with per-state map calls and the row kernels on single
@@ -411,7 +437,7 @@ REFINE_CASES = {
 def test_batched_refinement_matches_the_sequential_search(name):
     build, dim, oriented, capped = REFINE_CASES[name]
     map_ = build()
-    pair = _sample_rows(np.random.default_rng(17), 2, dim)
+    pair = _start_pair(np.random.default_rng(17), dim)
     images = map_.batch(pair)
     ref_gap, ref_pair, _, ref_used = _sequential_refine(map_, oriented, pair, images, 200)
     gap, got_pair, got_images, used = _refine_pair(map_, oriented, pair, images, 200)
@@ -488,8 +514,8 @@ def test_the_search_sampler_follows_the_cap_law(dim):
     # r is chosen so that the probability is 0.05
     n, p = 20000, 0.05
     r = p ** (1 / (2 * (dim - 1)))
-    center = _sample_rows(np.random.default_rng(1000 + dim), 1, dim)
-    rows = _sample_rows(np.random.default_rng(dim), n, dim)
+    center = _sample_state_rows(np.random.default_rng(1000 + dim), 1, dim)
+    rows = _sample_state_rows(np.random.default_rng(dim), n, dim)
     share = np.mean(_row_distances(rows, np.repeat(center, n, axis=0)) <= r)
     assert abs(share - p) <= 5 * np.sqrt(p * (1 - p) / n)
 
@@ -506,7 +532,7 @@ def test_refinement_with_split_candidate_batches_matches_the_sequential_search()
     def oriented(d_in, d_out):
         return abs(d_out - d_in)
 
-    pair = _sample_rows(np.random.default_rng(17), 2, 8)
+    pair = _start_pair(np.random.default_rng(17), 8)
     images = map_.batch(pair)
     ref_gap, ref_pair, _, ref_used = _sequential_refine(map_, oriented, pair, images, 40)
     gap, got_pair, got_images, used = _refine_pair(map_, oriented, pair, images, 40)
@@ -522,7 +548,7 @@ def test_refinement_takes_the_first_candidate_within_tolerance_of_the_best():
     # but the first within REFINE_TOL of the best is taken: candidate 0,
     # row 0 moved by +step at coordinate 0
     map_ = entrywise_abs(2)
-    pair = _sample_rows(np.random.default_rng(20), 2, 2)
+    pair = _start_pair(np.random.default_rng(20), 2)
 
     def oriented(d_in, d_out):
         gaps = np.zeros(len(d_in))
@@ -567,7 +593,7 @@ HALVING_CASES = {
 def test_batched_halvings_match_the_sequential_search(name):
     build, dim, oriented, seed, steps, expected_batches = HALVING_CASES[name]
     map_ = build()
-    pair = _sample_rows(np.random.default_rng(seed), 2, dim)
+    pair = _start_pair(np.random.default_rng(seed), dim)
     images = map_.batch(pair)
     ref_gap, ref_pair, ref_images, ref_used = _sequential_refine(
         map_, oriented, pair, images, steps
@@ -588,7 +614,7 @@ def test_a_stalled_search_takes_the_first_level_that_gains():
     # is taken, as its own step would take it, and is the third step; the
     # fourth, one level again, gains nothing
     map_ = entrywise_abs(2)
-    pair = _sample_rows(np.random.default_rng(20), 2, 2)
+    pair = _start_pair(np.random.default_rng(20), 2)
     sizes = []
 
     def oriented(d_in, d_out):
@@ -608,7 +634,7 @@ def test_a_stalled_search_takes_the_first_level_that_gains():
 
 def _isometry_refinement(steps):
     map_ = wigner_map(random_unitary(4, 36))
-    pair = _sample_rows(np.random.default_rng(18), 2, 4)
+    pair = _start_pair(np.random.default_rng(18), 4)
     return _refine_pair(map_, lambda d_in, d_out: abs(d_out - d_in), pair, map_.batch(pair), steps)
 
 
@@ -620,14 +646,14 @@ def test_refinement_of_an_isometry_only_halves_its_step():
     gap, pair, _, used = _isometry_refinement(200)
     assert used == 30
     assert gap <= 1e-12
-    assert np.array_equal(pair, _sample_rows(np.random.default_rng(18), 2, 4))
+    assert np.array_equal(pair, _start_pair(np.random.default_rng(18), 4))
 
 
 def test_refine_steps_caps_the_steps_used():
     assert _isometry_refinement(7)[3] == 7
     assert _isometry_refinement(0)[3] == 0
     tau = standard_map(power(2))
-    pair = _sample_rows(np.random.default_rng(19), 2, 2)
+    pair = _start_pair(np.random.default_rng(19), 2)
 
     def used(steps):
         return _refine_pair(tau, lambda d_in, d_out: d_out - d_in, pair, tau.batch(pair), steps)[3]
@@ -782,7 +808,7 @@ def _overlap_mass_gap(rows, images):
     # the inclusion gap's kernel: each pair's first input row against 3
     # fixed states (input rows, as they are complex where both maps' images
     # are real)
-    targets = _sample_rows(np.random.default_rng(3), 3, rows.shape[2])
+    targets = _sample_state_rows(np.random.default_rng(3), 3, rows.shape[2])
     return np.sum(_pairwise_transition_probabilities(rows[0], targets), axis=1)
 
 
@@ -806,19 +832,19 @@ def _recorded(gap, calls):
 )
 def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
     # every chunk maps into one block, a short last chunk into its prefix;
-    # at seed 1 the winner of 1537 samples is in the first of four chunks,
+    # at seed 5 the winner of 1537 samples is in the first of four chunks,
     # whose images the later chunks overwrite in the block.  The wide map's
     # gaps are measured 128 samples at a time, the narrow map's a chunk at
     # a time, and neither may differ from one gap call on the whole chunk
     map_ = build()
 
     def sample(rng, count):
-        return _sample_rows(rng, 2 * count, dim)
+        return _sample_state_rows(rng, 2 * count, dim)
 
     for gap in (_isometry_gap, _overlap_mass_gap):
         got_gaps, want_gaps = [], []
-        got = _search(map_, n_samples, 1, sample, _recorded(gap, got_gaps))
-        want = _fresh_search(map_, n_samples, 1, sample, _recorded(gap, want_gaps))
+        got = _search(map_, n_samples, 5, sample, _recorded(gap, got_gaps))
+        want = _fresh_search(map_, n_samples, 5, sample, _recorded(gap, want_gaps))
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         # every gap, not only the winner's, is the whole-chunk gap bit for bit
@@ -847,8 +873,9 @@ def test_an_inclusion_witness_gap_is_one_minus_its_own_d_out():
 
 def test_a_witness_from_the_first_of_several_chunks_keeps_its_images():
     map_ = _wide_separable_embed()
-    report = check_isometry(map_, 8, 1537, refine_steps=0, seed=1)
-    first_chunk = check_isometry(map_, 8, verify.CHUNK_SIZE, refine_steps=0, seed=1)
+    # at seed 5 the winner of 1537 pairs is in the first of four chunks
+    report = check_isometry(map_, 8, 1537, refine_steps=0, seed=5)
+    first_chunk = check_isometry(map_, 8, verify.CHUNK_SIZE, refine_steps=0, seed=5)
     assert report.worst_gap == first_chunk.worst_gap
     w = report.witness
     assert w.d_out == distance(map_(w.P), map_(w.Q))
