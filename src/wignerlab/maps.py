@@ -23,6 +23,7 @@ from .states import (
     _float,
     _is_integer,
     _param_rows,
+    _row_distances,
     _row_params,
     _trusted_state,
     basis_state,
@@ -234,6 +235,9 @@ def separable_embed(anchors: Sequence[PureState]) -> StateMap:
     2^(-n/2) * sqrt(1 - t_n^2) on the n-th lower one, where
     t_n = |<x, x_n>|.  Nonexpansive; injective once the anchors are dense
     enough, yet never an isometry on a set of more than one point.
+    sqrt(1 - t_n^2) is d(x, x_n), and within 1e-3 of an anchor it is taken
+    from the residual kernel, as sqrt(1 - t_n^2) has no correct digits
+    left within about 1e-8 of the anchor.
     """
     anchors = tuple(anchors)
     if not anchors:
@@ -242,13 +246,19 @@ def separable_embed(anchors: Sequence[PureState]) -> StateMap:
     if any(a.dim != dim for a in anchors):
         raise ValueError("anchor states must share one dimension")
     n_anchors = len(anchors)
-    conj_rows = np.array([a.vec.conj() for a in anchors])
+    anchor_rows = np.array([a.vec for a in anchors])
+    conj_rows = anchor_rows.conj()
     weights = np.array([2.0 ** (-(n + 1) / 2.0) for n in range(n_anchors)])
 
     def fn(rows: np.ndarray) -> np.ndarray:
         t = np.minimum(np.abs(_apply(conj_rows, rows)), 1.0)
+        s = np.sqrt(1.0 - t**2)
+        # no Haar draw comes this close to an anchor, but refinement can
+        near, anchor = np.nonzero(s < 1e-3)
+        if near.size:
+            s[near, anchor] = _row_distances(rows[near], anchor_rows[anchor])
         # each half contiguous, then one copy: faster than strided writes
-        return np.concatenate([weights * t, weights * np.sqrt(1.0 - t**2)], axis=1)
+        return np.concatenate([weights * t, weights * s], axis=1)
 
     return StateMap(
         "separable_embed", dim, 2 * n_anchors, fn, {"anchors": anchors}

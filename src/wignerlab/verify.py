@@ -5,19 +5,21 @@ reports a witness when the worst gap exceeds 1e-9; the metric checks
 first sharpen the worst pair by local refinement, a pattern search that
 accepts only gains above REFINE_TOL (1e-12) and stops once its step
 falls below REFINE_FLOOR (1e-10), after at most refine_steps steps.
-After a stall, the candidates of several halved step sizes are mapped
-in one batch; the pick and the step count are those of one step at a
-time, bit for bit.
+After k failed steps in a row, the candidates of the next k halved step
+sizes are mapped in one batch; the pick and the step count are those of
+one step at a time, bit for bit.
 Every check runs through one serial engine: sampling is split into
 fixed-size chunks with RNG substreams derived from (seed, chunk index),
-and the chunks run one after another; a metric check's pair i of a
-chunk of count pairs is sample_pure_state draws i and count + i of its
-substream.  A chunk's rows are mapped, and its gaps measured, in blocks
-of at most MAP_ENTRIES entries, so a narrow map takes a whole chunk in
-one call and only a wide one splits it.  Injectivity is a collision
-search on the same engine and refinement, whose pair is then polished
-by Gauss-Newton on the difference of its images (_least_squares), every
-stage keeping to pairs at least COLLISION_D_IN apart.
+and the chunks run one after another; a metric or collision check's
+pair j of a chunk of count pairs is draws j and j + 1 of count + 1
+sample_pure_state draws, so each pair is Haar x Haar (the per-pair cap
+law holds) and a scan maps n_samples + chunks states.  A chunk's rows
+are mapped, and its gaps measured, in blocks of at most MAP_ENTRIES
+entries, so a narrow map takes a whole chunk in one call and only a
+wide one splits it.  Injectivity is a collision search on the same
+engine and refinement, whose pair is then polished by Gauss-Newton on
+the difference of its images (_least_squares), every stage keeping to
+pairs at least COLLISION_D_IN apart.
 """
 
 from __future__ import annotations
@@ -68,9 +70,6 @@ REFINE_SHRINK = 0.5
 REFINE_TOL = 1e-12
 # refinement ends once the step is far below any witness gap
 REFINE_FLOOR = WITNESS_TOL / 10
-# after this many steps in a row without a gain, the next step sizes are
-# tried in one batch, as many as have failed in a row
-REFINE_STALL = 2
 # the Gauss-Newton polish of a collision: central-difference step, the
 # relative singular-value cut of its lstsq, the line search's step lengths
 # 1, 1/2, ..., 2**-15 and the iteration cap
@@ -178,12 +177,14 @@ def _orthogonal_images(map_: StateMap, rows: np.ndarray) -> np.ndarray | None:
 def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     """The serial search engine: worst gap over seeded samples.
 
-    sample(rng, count) -> input rows stacked as k blocks of count rows,
-    sample i being rows i, count + i, ...; gap(rows, images) -> the gaps
-    of m samples given as (k, m, dim) arrays, row [j, i] the j-th row of
-    sample i.  Chunk i draws from the RNG substream (seed, i).  The
-    strictly largest gap wins, earliest first.  Returns the worst gap
-    with the (k, dim) input rows and image rows of its sample.
+    sample(rng, count) -> (rows, offsets), sample i of the chunk being
+    rows i + o for o in offsets: (0,) for single states, (0, count) for
+    two blocks of count rows, (0, 1) for adjacent rows of count + 1;
+    gap(rows, images) -> the gaps of m samples given as k (m, dim) row
+    views, the j-th holding row j of each sample.  Chunk i draws from
+    the RNG substream (seed, i).  The strictly largest gap wins, earliest
+    first.  Returns the worst gap with the (k, dim) input rows and image
+    rows of its sample.
 
     Every chunk maps into one image block, allocated for the first and
     largest chunk: a multi-MB block freed after each chunk would go back
@@ -207,19 +208,19 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
         # a function, so one chunk's rows and gaps are freed before the next is drawn
         nonlocal image_block
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
-        rows = sample(_chunk_rng(seed, index), count)
+        rows, offsets = sample(_chunk_rng(seed, index), count)
         images = _map_rows(map_, rows, image_block)
         if image_block is None or images.dtype != image_block.dtype:
             # the first chunk's images, or a block promoted to complex: no
             # later chunk is larger
             image_block = images
-        rows, images = (a.reshape(-1, count, a.shape[1]) for a in (rows, images))
+        views = [[a[o : o + count] for o in offsets] for a in (rows, images)]
         gaps = np.empty(count)
         for start in range(0, count, size):
             block = slice(start, start + size)
-            gaps[block] = gap(rows[:, block], images[:, block])
+            gaps[block] = gap(*([v[block] for v in vs] for vs in views))
         i = int(np.argmax(gaps))
-        return float(gaps[i]), rows[:, i].copy(), images[:, i].copy()
+        return float(gaps[i]), *(np.array([v[i] for v in vs]) for vs in views)
 
     worst = (-np.inf, None, None)
     for index in range(-(-n_samples // CHUNK_SIZE)):
@@ -276,12 +277,11 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     images are (2, dim) row arrays, images real or complex; returns the
     final gap, pair, images and the number of steps used.
 
-    How the steps are evaluated changes no result.  Once REFINE_STALL
-    or more steps in a row have failed to gain, the candidates of the
-    next halved step sizes, as many as have failed (so the batch doubles
-    while none gains), are mapped in one batch around the same pair,
-    within the remaining steps, the floor and MAP_ENTRIES entries (at
-    least one level).  The first level that gains is taken as its own
+    How the steps are evaluated changes no result.  After k steps in a
+    row have failed to gain, the candidates of the next k halved step
+    sizes (so the batch doubles while none gains) are mapped in one batch
+    around the same pair, within the remaining steps, the floor and
+    MAP_ENTRIES entries (at least one level).  The first level that gains is taken as its own
     step would be, and every level up to it counts as a step; after a
     gain, batches are one level again.  Every kernel on the way works
     row by row, so each level's gaps are bit for bit those of its own
@@ -306,7 +306,7 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     step = REFINE_START_STEP
     used = failed = 0
     while used < steps and step >= REFINE_FLOOR:
-        levels = failed if failed >= REFINE_STALL else 1
+        levels = max(failed, 1)
         sizes = [step]
         while len(sizes) < min(levels, steps - used, max_levels) and (
             sizes[-1] * REFINE_SHRINK >= REFINE_FLOOR
@@ -411,9 +411,8 @@ def _refined_pair(map_: StateMap, dim: int, n_samples: int, refine_steps: int, s
     def gap(rows, images):
         return oriented(_row_distances(*rows), _row_distances(*images))
 
-    _, pair, images = _search(
-        map_, n_samples, seed, lambda rng, count: _sample_state_rows(rng, 2 * count, dim), gap
-    )
+    _, pair, images = _search(map_, n_samples, seed, lambda rng, count: (
+        _sample_state_rows(rng, count + 1, dim), (0, 1)), gap)
     if refine_steps > 0:
         _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
     return pair, images
@@ -487,9 +486,8 @@ def check_orthogonality_preserving(
     def gap(rows, images):
         return _row_transition_probabilities(images[1], images[0])
 
-    worst, pair, images = _search(
-        map_, n_samples, seed, lambda rng, count: _orthogonal_pair_rows(rng, count, dim), gap
-    )
+    worst, pair, images = _search(map_, n_samples, seed, lambda rng, count: (
+        _orthogonal_pair_rows(rng, count, dim), (0, count)), gap)
     return _pair_report("orthogonality-preserving", n_samples, seed, lambda *_: worst, pair, images)
 
 
@@ -520,7 +518,7 @@ def check_inclusion_lemma(
 
     def sample(rng, count):
         z = rng.standard_normal((2, count, len(preimages)))
-        return _canonical_rows(np.einsum("ij,jk->ik", z[0] + 1j * z[1], span_basis))
+        return _canonical_rows(np.einsum("ij,jk->ik", z[0] + 1j * z[1], span_basis)), (0,)
 
     worst, state, image = _search(
         map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images[0])

@@ -30,6 +30,8 @@ from wignerlab import (
     wigner_map,
 )
 from wignerlab.maps import require_unitary
+from wignerlab.states import _canonical_rows, _row_distances
+from wignerlab.verify import WITNESS_TOL
 
 
 def test_wigner_identity_fixes_states():
@@ -204,6 +206,26 @@ def test_separable_embed_never_shrinks_transition_probability():
         assert transition_probability(phi(p), phi(q)) >= (
             transition_probability(p, q) - 1e-12
         )
+
+
+def test_separable_embed_is_nonexpansive_to_rounding_near_its_anchors():
+    # sqrt(1 - t^2) has no correct digits left within about 1e-8 of an
+    # anchor, where it let refinement report a false nonexpansive witness:
+    # pairs of states 1e-10 to 1e-5 from one of 4 anchors, 200 per dimension
+    rng = np.random.default_rng(23)
+    for dim in (2, 4, 6):
+        anchors = [sample_pure_state(rng, dim) for _ in range(4)]
+        phi = separable_embed(anchors)
+        centers = np.array([anchors[i].vec for i in rng.integers(4, size=200)])
+
+        def near():
+            z = rng.standard_normal((200, dim)) + 1j * rng.standard_normal((200, dim))
+            radii = 10.0 ** rng.uniform(-10, -5, 200) / np.linalg.norm(z, axis=1)
+            return _canonical_rows(centers + radii[:, None] * z)
+
+        p, q = near(), near()
+        gaps = _row_distances(phi.batch(p), phi.batch(q)) - _row_distances(p, q)
+        assert gaps.max() <= WITNESS_TOL, dim
 
 
 def test_separable_embed_validates_anchors():
