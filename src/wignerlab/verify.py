@@ -10,16 +10,18 @@ sizes are mapped in one batch; the pick and the step count are those of
 one step at a time, bit for bit.
 Every check runs through one serial engine: sampling is split into
 fixed-size chunks with RNG substreams derived from (seed, chunk index),
-and the chunks run one after another; a metric or collision check's
-pair j of a chunk of count pairs is draws j and j + 1 of count + 1
-sample_pure_state draws, so each pair is Haar x Haar (the per-pair cap
-law holds) and a scan maps n_samples + chunks states.  A chunk's rows
-are mapped, and its gaps measured, in blocks of at most MAP_ENTRIES
-entries, so a narrow map takes a whole chunk in one call and only a
-wide one splits it.  Injectivity is a collision search on the same
-engine and refinement, whose pair is then polished by Gauss-Newton on
-the difference of its images (_least_squares), every stage keeping to
-pairs at least COLLISION_D_IN apart.
+and the chunks run one after another.  A metric or collision check's
+chunk of count pairs takes L + 4 sample_pure_state draws, L =
+ceil(count / 4), and pairs draw i with draws i + 1 to i + 4 for i < L,
+all pairs at offset 1 first, cut to count: each pair is still Haar x
+Haar (the per-pair cap law holds), and a scan maps about a quarter of
+a state per pair.  A chunk's rows are mapped, and its gaps measured,
+in blocks of at most MAP_ENTRIES entries, so a narrow map takes a
+whole chunk in one call and only a wide one splits it.  Injectivity is
+a collision search on the same engine and refinement, whose pair is
+then polished by Gauss-Newton on the difference of its images
+(_least_squares), every stage keeping to pairs at least COLLISION_D_IN
+apart.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ __all__ = [
 
 WITNESS_TOL = 1e-9
 CHUNK_SIZE = 512
+# a metric or collision scan pairs each of a chunk's first ceil(count /
+# PAIR_OFFSETS) draws with each of its next PAIR_OFFSETS draws, all
+# pairs at offset 1 first
+PAIR_OFFSETS = 4
+_PAIR_LAYOUT = tuple((0, k) for k in range(1, PAIR_OFFSETS + 1))
 # entries (rows times row width) per map batch or gap block: bounds the
 # temporaries of wide maps (separable_embed) without splitting narrow ones
 MAP_ENTRIES = 16384
@@ -177,25 +184,29 @@ def _orthogonal_images(map_: StateMap, rows: np.ndarray) -> np.ndarray | None:
 def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     """The serial search engine: worst gap over seeded samples.
 
-    sample(rng, count) -> (rows, offsets), sample i of the chunk being
-    rows i + o for o in offsets: (0,) for single states, (0, count) for
-    two blocks of count rows, (0, 1) for adjacent rows of count + 1;
-    gap(rows, images) -> the gaps of m samples given as k (m, dim) row
-    views, the j-th holding row j of each sample.  Chunk i draws from
-    the RNG substream (seed, i).  The strictly largest gap wins, earliest
-    first.  Returns the worst gap with the (k, dim) input rows and image
-    rows of its sample.
+    sample(rng, count) -> (rows, layout), layout a tuple of offset
+    groups: with L = ceil(count / len(layout)), sample s of the chunk is
+    in group s // L and is rows (s mod L) + o for o in that group.  One
+    group serves single states, ((0,),), and two blocks of count rows,
+    ((0, count),); _PAIR_LAYOUT, ((0, 1), ..., (0, PAIR_OFFSETS)), pairs
+    each of the first L of L + PAIR_OFFSETS rows with its next
+    PAIR_OFFSETS rows, all pairs at offset 1 first.  gap(rows, images)
+    -> the gaps of m samples given as k (m, dim) row views, the j-th
+    holding row j of each sample.  Chunk i draws from the RNG substream
+    (seed, i).  The strictly largest gap wins, earliest first.  Returns
+    the worst gap with the (k, dim) input rows and image rows of its
+    sample.
 
     Every chunk maps into one image block, allocated for the first and
     largest chunk: a multi-MB block freed after each chunk would go back
     to the OS and be faulted in again by the next.  The block takes the
     dtype of the first chunk's images, float64 for a real map, and is
     replaced once by a complex one if a later chunk's images are
-    complex.  Gaps are measured in slices of as many samples as a map
-    batch has rows (a whole chunk for a narrow map), so a gap's
-    temporaries are no larger than a map batch's; every gap kernel works
-    row by row, so the slicing changes no gap's bits.  The winner's rows
-    are copied out, so no result aliases the block.
+    complex.  Gaps are measured group by group, in slices of as many
+    samples as a map batch has rows (a whole group for a narrow map), so
+    a gap's temporaries are no larger than a map batch's; every gap
+    kernel works row by row, so the slicing changes no gap's bits.  The
+    winner's rows are copied out, so no result aliases the block.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
@@ -208,19 +219,23 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
         # a function, so one chunk's rows and gaps are freed before the next is drawn
         nonlocal image_block
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
-        rows, offsets = sample(_chunk_rng(seed, index), count)
+        rows, layout = sample(_chunk_rng(seed, index), count)
         images = _map_rows(map_, rows, image_block)
         if image_block is None or images.dtype != image_block.dtype:
             # the first chunk's images, or a block promoted to complex: no
             # later chunk is larger
             image_block = images
-        views = [[a[o : o + count] for o in offsets] for a in (rows, images)]
+        span = -(-count // len(layout))
         gaps = np.empty(count)
-        for start in range(0, count, size):
-            block = slice(start, start + size)
-            gaps[block] = gap(*([v[block] for v in vs] for vs in views))
+        for first in range(0, count, span):
+            out = gaps[first : first + span]  # the last group may be cut short
+            views = [[a[o : o + len(out)] for o in layout[first // span]] for a in (rows, images)]
+            for start in range(0, len(out), size):
+                block = slice(start, start + size)
+                out[block] = gap(*([v[block] for v in vs] for vs in views))
         i = int(np.argmax(gaps))
-        return float(gaps[i]), *(np.array([v[i] for v in vs]) for vs in views)
+        offsets, j = layout[i // span], i % span
+        return float(gaps[i]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
 
     worst = (-np.inf, None, None)
     for index in range(-(-n_samples // CHUNK_SIZE)):
@@ -412,7 +427,7 @@ def _refined_pair(map_: StateMap, dim: int, n_samples: int, refine_steps: int, s
         return oriented(_row_distances(*rows), _row_distances(*images))
 
     _, pair, images = _search(map_, n_samples, seed, lambda rng, count: (
-        _sample_state_rows(rng, count + 1, dim), (0, 1)), gap)
+        _sample_state_rows(rng, -(-count // PAIR_OFFSETS) + PAIR_OFFSETS, dim), _PAIR_LAYOUT), gap)
     if refine_steps > 0:
         _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
     return pair, images
@@ -487,7 +502,7 @@ def check_orthogonality_preserving(
         return _row_transition_probabilities(images[1], images[0])
 
     worst, pair, images = _search(map_, n_samples, seed, lambda rng, count: (
-        _orthogonal_pair_rows(rng, count, dim), (0, count)), gap)
+        _orthogonal_pair_rows(rng, count, dim), ((0, count),)), gap)
     return _pair_report("orthogonality-preserving", n_samples, seed, lambda *_: worst, pair, images)
 
 
@@ -518,7 +533,7 @@ def check_inclusion_lemma(
 
     def sample(rng, count):
         z = rng.standard_normal((2, count, len(preimages)))
-        return _canonical_rows(np.einsum("ij,jk->ik", z[0] + 1j * z[1], span_basis)), (0,)
+        return _canonical_rows(np.einsum("ij,jk->ik", z[0] + 1j * z[1], span_basis)), ((0,),)
 
     worst, state, image = _search(
         map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images[0])

@@ -520,6 +520,33 @@ def test_the_search_sampler_follows_the_cap_law(dim):
     assert abs(share - p) <= 5 * np.sqrt(p * (1 - p) / n)
 
 
+def _dented_abs(dim: int, seed: int) -> StateMap:
+    """entrywise_abs(dim) with image coordinate 0 raised by
+    0.5 max(0, 1 - d(x, s) / 0.3), s a Haar state drawn from default_rng(seed):
+    a violation of nonexpansiveness confined to the cap of radius 0.3 about s."""
+    s = _sample_state_rows(np.random.default_rng(seed), 1, dim)
+
+    def fn(rows):
+        images = np.abs(rows)
+        d = _row_distances(rows, np.repeat(s, len(rows), axis=0))
+        images[:, 0] += 0.5 * np.maximum(0.0, 1.0 - d / 0.3)
+        return images
+
+    return StateMap("custom", dim, dim, fn)
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2])
+def test_a_violation_confined_to_a_cap_is_found(seed):
+    # the scan needs a pair with a state in the dent's cap; in dim 3 the
+    # default 10000 pairs find it on all three seeds, as do pairs of
+    # adjacent draws only.  In dims 4 and 5 the cap holds a share 0.3^6 or
+    # 0.3^8 of the states, and neither layout finds it on these seeds: the
+    # cap law's limit, recorded here and not asserted
+    report = check_nonexpansive(_dented_abs(3, seed), 3)
+    assert report.witness is not None
+    assert report.worst_gap > 0.2
+
+
 def test_refinement_with_split_candidate_batches_matches_the_sequential_search():
     # 256 anchors in dim 8: 512-dim images, 32 rows per map batch, so the
     # 64 candidates of a step are mapped in two batches.  The isometry gap
@@ -730,34 +757,37 @@ def _recording(map_, shapes):
 
 def test_a_narrow_map_takes_a_whole_chunk_per_call():
     # 10000 pairs are 19 chunks of 512 pairs and one of 272, each chunk of
-    # count pairs count + 1 states
+    # count pairs ceil(count / 4) + 4 states
     shapes = []
     report = check_nonexpansive(_recording(entrywise_abs(4), shapes), 4, 10000, refine_steps=0)
     assert report.holds
-    assert shapes == [(513, 4)] * 19 + [(273, 4)]
+    assert shapes == [(132, 4)] * 19 + [(72, 4)]
     # no rows make no call, so a map need not accept an empty block
     identity = opaque_map(lambda state: state, 3, 3)
     assert verify._map_rows(identity, np.empty((0, 3), dtype=complex)).shape == (0, 3)
 
 
-def test_a_scan_maps_one_state_per_pair_and_one_per_chunk():
-    # pair j of a chunk is draws j and j + 1 of its count + 1 states, so
-    # 10000 pairs in 20 chunks map 10020 states, not 20000
+def test_a_scan_maps_a_quarter_of_a_state_per_pair_and_four_per_chunk():
+    # a chunk of count pairs pairs each of its first L = ceil(count / 4)
+    # draws with its next four, so 10000 pairs in 20 chunks map
+    # 19 * (128 + 4) + (68 + 4) = 2580 states
     shapes = []
     tau = standard_map(power(2))
     report = check_nonexpansive(_recording(tau, shapes), 2, 10000, refine_steps=0, seed=4)
-    assert sum(n for n, _ in shapes) == 10000 + -(-10000 // verify.CHUNK_SIZE) == 10020
+    chunks = -(-10000 // verify.CHUNK_SIZE)
+    counts = [min(verify.CHUNK_SIZE, 10000 - index * verify.CHUNK_SIZE) for index in range(chunks)]
+    assert sum(n for n, _ in shapes) == sum(-(-count // 4) + 4 for count in counts) == 2580
     w = report.witness
     assert w is not None
-    adjacent = []
-    for index in range(-(-10000 // verify.CHUNK_SIZE)):
-        count = min(verify.CHUNK_SIZE, 10000 - index * verify.CHUNK_SIZE)
-        rows = _sample_state_rows(_chunk_rng(4, index), count + 1, 2)
-        adjacent += [
-            j for j in range(count)
-            if np.array_equal(rows[j], w.P.vec) and np.array_equal(rows[j + 1], w.Q.vec)
+    pairs = []
+    for index, count in enumerate(counts):
+        span = -(-count // 4)
+        rows = _sample_state_rows(_chunk_rng(4, index), span + 4, 2)
+        pairs += [
+            (index, i, k) for i in range(span) for k in range(1, 5)
+            if np.array_equal(rows[i], w.P.vec) and np.array_equal(rows[i + k], w.Q.vec)
         ]
-    assert len(adjacent) == 1
+    assert len(pairs) == 1
 
 
 def test_a_wide_map_batch_stays_within_the_entry_budget():
@@ -808,14 +838,16 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
 def _fresh_search(map_, n_samples, seed, sample, gap):
     """_search with fresh image arrays for every chunk and one gap call on
     copies of the whole chunk's sample rows: the reference for its reused
-    block, its blocks of gaps and its row views."""
+    block, its groups and blocks of gaps and its row views."""
     worst = (-np.inf, None, None)
     for index in range(-(-n_samples // verify.CHUNK_SIZE)):
         count = min(verify.CHUNK_SIZE, n_samples - index * verify.CHUNK_SIZE)
-        rows, offsets = sample(_chunk_rng(seed, index), count)
+        rows, layout = sample(_chunk_rng(seed, index), count)
         images = verify._map_rows(map_, rows)
-        # (k, count) row indices: sample i is rows i + o for o in offsets
-        at = np.add.outer(offsets, np.arange(count))
+        # (k, count) row indices: sample s is rows (s mod L) + o for o in
+        # group s // L of the layout, L = ceil(count / groups)
+        span = -(-count // len(layout))
+        at = np.array([np.add(layout[s // span], s % span) for s in range(count)]).T
         rows, images = rows[at], images[at]
         gaps = gap(rows, images)
         i = int(np.argmax(gaps))
@@ -847,7 +879,8 @@ def _recorded(gap, calls):
 
 
 # 129 samples are one 128-sample gap block of the 128-wide map and a
-# one-sample block
+# one-sample block; in groups of offsets 1 to 4 they are three groups of
+# 33 samples and one of 30, and 1 sample is one group of one
 @pytest.mark.parametrize("n_samples", [1, 129, 511, 512, 513, 1537])
 @pytest.mark.parametrize(
     "build, dim",
@@ -856,22 +889,27 @@ def _recorded(gap, calls):
 )
 def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
     # every chunk maps into one block, a short last chunk into its prefix;
-    # at seed 10 the winner of 1537 samples of the wide map is in the first
-    # of four chunks, whose images the later chunks overwrite in the block,
-    # under both gaps and both pair layouts: adjacent rows of count + 1, as
-    # the metric checks draw them, and two blocks of count, as the
-    # orthogonal pairs.  The wide map's gaps are measured 128 samples at a
-    # time, the narrow map's a chunk at a time, and neither may differ from
-    # one gap call on copies of the whole chunk's rows
+    # at the seed given with each pair layout the winner of 1537 samples of
+    # the wide map is in the first of four chunks, whose images the later
+    # chunks overwrite in the block, under both gaps: seed 11 for each of
+    # ceil(count / 4) rows with its next four, as the metric checks draw
+    # them, and seed 10 for adjacent rows of count + 1 and for two blocks
+    # of count, as the orthogonal pairs.  The wide map's gaps are measured
+    # 128 samples at a time within a group, the narrow map's a group at a
+    # time, and neither may differ from one gap call on copies of the
+    # whole chunk's rows
     map_ = build()
     layouts = (
-        lambda rng, count: (_sample_state_rows(rng, count + 1, dim), (0, 1)),
-        lambda rng, count: (_sample_state_rows(rng, 2 * count, dim), (0, count)),
+        (lambda rng, count: (
+            _sample_state_rows(rng, -(-count // 4) + 4, dim), ((0, 1), (0, 2), (0, 3), (0, 4))
+        ), 11),
+        (lambda rng, count: (_sample_state_rows(rng, count + 1, dim), ((0, 1),)), 10),
+        (lambda rng, count: (_sample_state_rows(rng, 2 * count, dim), ((0, count),)), 10),
     )
-    for sample, gap in ((s, g) for s in layouts for g in (_isometry_gap, _overlap_mass_gap)):
+    for (sample, seed), gap in ((s, g) for s in layouts for g in (_isometry_gap, _overlap_mass_gap)):
         got_gaps, want_gaps = [], []
-        got = _search(map_, n_samples, 10, sample, _recorded(gap, got_gaps))
-        want = _fresh_search(map_, n_samples, 10, sample, _recorded(gap, want_gaps))
+        got = _search(map_, n_samples, seed, sample, _recorded(gap, got_gaps))
+        want = _fresh_search(map_, n_samples, seed, sample, _recorded(gap, want_gaps))
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         # every gap, not only the winner's, is the whole-chunk gap bit for bit
@@ -900,9 +938,10 @@ def test_an_inclusion_witness_gap_is_one_minus_its_own_d_out():
 
 def test_a_witness_from_the_first_of_several_chunks_keeps_its_images():
     map_ = _wide_separable_embed()
-    # at seed 1 the winner of 1537 pairs is in the first of four chunks
-    report = check_isometry(map_, 8, 1537, refine_steps=0, seed=1)
-    first_chunk = check_isometry(map_, 8, verify.CHUNK_SIZE, refine_steps=0, seed=1)
+    # at seed 4 (the first seed from 0 on) the winner of 1537 pairs is in
+    # the first of four chunks
+    report = check_isometry(map_, 8, 1537, refine_steps=0, seed=4)
+    first_chunk = check_isometry(map_, 8, verify.CHUNK_SIZE, refine_steps=0, seed=4)
     assert report.worst_gap == first_chunk.worst_gap
     w = report.witness
     assert w.d_out == distance(map_(w.P), map_(w.Q))
