@@ -15,13 +15,16 @@ chunk of count pairs takes L + 4 sample_pure_state draws, L =
 ceil(count / 4), and pairs draw i with draws i + 1 to i + 4 for i < L,
 all pairs at offset 1 first, cut to count: each pair is still Haar x
 Haar (the per-pair cap law holds), and a scan maps about a quarter of
-a state per pair.  A chunk's rows are mapped, and its gaps measured,
-in blocks of at most MAP_ENTRIES entries, so a narrow map takes a
-whole chunk in one call and only a wide one splits it.  Injectivity is
-a collision search on the same engine and refinement, whose pair is
-then polished by Gauss-Newton on the difference of its images
-(_least_squares), every stage keeping to pairs at least COLLISION_D_IN
-apart.
+a state per pair.  Consecutive chunks of one count form a run, as many
+as fit one map batch of at most MAP_ENTRIES entries; a run is mapped
+in one call, and its gaps measured on contiguous slices of it, so a
+narrow map takes several chunks per call and a wide one splits a
+single chunk.  The pairs that straddle two chunks of a run are measured
+and dropped, and every gap kernel works row by row, so runs change no
+report.  Injectivity is a collision search on the same engine and
+refinement, whose pair is then polished by Gauss-Newton on the
+difference of its images (_least_squares), every stage keeping to pairs
+at least COLLISION_D_IN apart.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def _map_rows(map_: StateMap, rows: np.ndarray, out: np.ndarray | None = None) -
 
     The one place the searches evaluate the map, in batches of at most
     MAP_ENTRIES entries: _block_rows(max(dim_in, dim_out)) rows, so a
-    narrow map takes a whole chunk in one call.  StateMap.batch rejects
+    narrow map takes a whole run of chunks in one call.  StateMap.batch rejects
     an invalid image, so every returned row is a valid state.  The
     images are float64 while every batch is real: a complex batch
     promotes the rows before it to complex, so no imaginary part is
@@ -197,51 +200,76 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     the worst gap with the (k, dim) input rows and image rows of its
     sample.
 
-    Every chunk maps into one image block, allocated for the first and
-    largest chunk: a multi-MB block freed after each chunk would go back
+    Consecutive chunks of one count are drawn, mapped and measured
+    together as a run.  A run holds as many chunks as fit one map batch
+    of _block_rows(max(dim_in, dim_out)) rows, each chunk counting its
+    width rows and the width - L pairs of a group that straddle from it
+    into the next (at least one chunk; the short last chunk is a run of
+    its own), so the orthogonal pairs, half of whose run slice
+    straddles, run fewer chunks at a time than the metric scans.  The
+    run's rows are mapped by one _map_rows call, and each offset group's
+    gaps are measured on contiguous slices of the whole run, rows a + t
+    against rows b + t: sample j of chunk k is slice entry k * width + j,
+    and the entries between two chunks' samples, pairs that straddle two
+    chunks, are dropped.  The slices go in blocks of as many samples as
+    a map batch has rows, so a gap's temporaries are no larger than a
+    map batch's.  Every gap kernel works row by row, so neither runs nor
+    blocks change a gap's bits, and the argmax runs over the run's gaps
+    in (chunk, sample) order.
+
+    Every run maps into one image block, allocated for the first and
+    largest run: a multi-MB block freed after each run would go back
     to the OS and be faulted in again by the next.  The block takes the
-    dtype of the first chunk's images, float64 for a real map, and is
-    replaced once by a complex one if a later chunk's images are
-    complex.  Gaps are measured group by group, in slices of as many
-    samples as a map batch has rows (a whole group for a narrow map), so
-    a gap's temporaries are no larger than a map batch's; every gap
-    kernel works row by row, so the slicing changes no gap's bits.  The
-    winner's rows are copied out, so no result aliases the block.
+    dtype of the first run's images, float64 for a real map, and is
+    replaced once by a complex one if a later run's images are
+    complex.  The winner's rows are copied out, so no result aliases
+    the block.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if n_samples < 1:
         raise ValueError("sample budget must be at least 1")
-    image_block = None
+    image_block, worst = None, (-np.inf, None, None)
     size = _block_rows(max(map_.dim_in, map_.dim_out))
+    full_chunks = n_samples // CHUNK_SIZE
 
-    def chunk(index: int):
-        # a function, so one chunk's rows and gaps are freed before the next is drawn
-        nonlocal image_block
+    def run(index: int) -> int:
+        # a function, so one run's rows and gaps are freed before the next is drawn
+        nonlocal image_block, worst
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
         rows, layout = sample(_chunk_rng(seed, index), count)
+        width, span = len(rows), -(-count // len(layout))
+        # each chunk counts its rows and a group's straddling pairs
+        chunks = max(1, min(size // (2 * width - span), full_chunks - index))
+        if chunks > 1:
+            rows = np.concatenate(
+                [rows] + [sample(_chunk_rng(seed, i), count)[0] for i in range(index + 1, index + chunks)]
+            )
         images = _map_rows(map_, rows, image_block)
         if image_block is None or images.dtype != image_block.dtype:
-            # the first chunk's images, or a block promoted to complex: no
-            # later chunk is larger
+            # the first run's images, or a block promoted to complex: no
+            # later run is larger
             image_block = images
-        span = -(-count // len(layout))
-        gaps = np.empty(count)
+        gaps = np.empty((chunks, count))
+        measured = np.empty((chunks, width))
         for first in range(0, count, span):
-            out = gaps[first : first + span]  # the last group may be cut short
-            views = [[a[o : o + len(out)] for o in layout[first // span]] for a in (rows, images)]
+            n = min(span, count - first)  # the last group may be cut short
+            # sample j of chunk k is slice entry k * width + j
+            out = measured.reshape(-1)[: (chunks - 1) * width + n]
+            offsets = layout[first // span]
             for start in range(0, len(out), size):
-                block = slice(start, start + size)
-                out[block] = gap(*([v[block] for v in vs] for vs in views))
-        i = int(np.argmax(gaps))
-        offsets, j = layout[i // span], i % span
-        return float(gaps[i]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
+                stop = min(start + size, len(out))
+                out[start:stop] = gap(*([a[o + start : o + stop] for o in offsets] for a in (rows, images)))
+            gaps[:, first : first + n] = measured[:, :n]
+        k, i = divmod(int(np.argmax(gaps)), count)
+        if gaps[k, i] > worst[0]:
+            offsets, j = layout[i // span], k * width + i % span
+            worst = float(gaps[k, i]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
+        return index + chunks
 
-    worst = (-np.inf, None, None)
-    for index in range(-(-n_samples // CHUNK_SIZE)):
-        found = chunk(index)
-        if found[0] > worst[0]:
-            worst = found
+    index = 0
+    while index * CHUNK_SIZE < n_samples:
+        index = run(index)
     return worst
 
 

@@ -755,13 +755,26 @@ def _recording(map_, shapes):
     return dataclasses.replace(map_, fn=fn)
 
 
-def test_a_narrow_map_takes_a_whole_chunk_per_call():
-    # 10000 pairs are 19 chunks of 512 pairs and one of 272, each chunk of
-    # count pairs ceil(count / 4) + 4 states
+# n pairs are n // 512 chunks of 512 pairs and a short last one, each chunk
+# of count pairs ceil(count / 4) + 4 states.  A run takes consecutive
+# chunks of one count while each chunk's 132 rows and the 4 pairs of a
+# group that straddle into the next fit one map batch of 16384 // dim rows:
+# in dim 4 the 19 full chunks (2508 rows), in dim 16 seven (924 rows) at a
+# time; the short last chunk is a run of its own.  An orthogonal-pair
+# chunk is 1024 rows, and its run slice straddles at every one of its 512
+# samples, so in dim 4 a run takes two chunks, not four
+@pytest.mark.parametrize("prop, dim, n_samples, holds, want", [
+    ("nonexpansive", 4, 10000, True, [(2508, 4), (72, 4)]),
+    ("nonexpansive", 16, 20000, True, [(924, 16)] * 5 + [(528, 16), (12, 16)]),
+    ("orthogonality", 4, 10000, False, [(2048, 4)] * 9 + [(1024, 4), (544, 4)]),
+])
+def test_a_narrow_map_takes_a_whole_run_of_chunks_per_call(prop, dim, n_samples, holds, want):
     shapes = []
-    report = check_nonexpansive(_recording(entrywise_abs(4), shapes), 4, 10000, refine_steps=0)
-    assert report.holds
-    assert shapes == [(132, 4)] * 19 + [(72, 4)]
+    report = verify._REPORT_CHECKS[prop](
+        _recording(entrywise_abs(dim), shapes), dim, n_samples, refine_steps=0, seed=42
+    )
+    assert report.holds is holds
+    assert shapes == want
     # no rows make no call, so a map need not accept an empty block
     identity = opaque_map(lambda state: state, 3, 3)
     assert verify._map_rows(identity, np.empty((0, 3), dtype=complex)).shape == (0, 3)
@@ -799,9 +812,10 @@ def test_a_wide_map_batch_stays_within_the_entry_budget():
 
 
 def test_map_block_size_cannot_change_a_report(monkeypatch):
-    # chunk substreams are fixed by CHUNK_SIZE; MAP_ENTRIES only splits the
-    # rows of a chunk, and refinement's candidates, into map batches and gap
-    # blocks, so no report may depend on it
+    # chunk substreams are fixed by CHUNK_SIZE; MAP_ENTRIES only groups
+    # chunks into runs and splits the rows of a run, and refinement's
+    # candidates, into map batches and gap blocks, so no report may depend
+    # on it
     def reports():
         rng = np.random.default_rng(9)
         sep = separable_embed([sample_pure_state(rng, 4) for _ in range(8)])
@@ -814,19 +828,22 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
         out = []
         for map_, dim, pre in cases:
             out += [
-                check_nonexpansive(map_, dim, 600, seed=3),
-                check_isometry(map_, dim, 600, seed=3),
-                check_orthogonality_preserving(map_, dim, 600, seed=3),
-                check_inclusion_lemma(map_, pre, 600, seed=3),
+                check_nonexpansive(map_, dim, 1600, seed=3),
+                check_isometry(map_, dim, 1600, seed=3),
+                check_orthogonality_preserving(map_, dim, 1600, seed=3),
+                check_inclusion_lemma(map_, pre, 1600, seed=3),
             ]
         # the collision search's polish maps its Jacobian and line-search batches
         # through the same blocks
-        out.append(check_injective(sep, 4, 600, seed=3))
+        out.append(check_injective(sep, 4, 1600, seed=3))
         return [json.dumps(r.to_json(), sort_keys=True) for r in out]
 
-    # one-row batches; 7 rows of the widest map (8 anchors: 16-dim
-    # images), an odd split of every chunk; 128 rows of it, an even split
-    # of a 1024-row chunk; the default, a whole chunk per call
+    # 1600 samples are three full chunks and a short one, so the budgets
+    # form different runs: one-row batches, one chunk per run; 7 rows of
+    # the widest map (8 anchors: 16-dim images), an odd split of every
+    # chunk; 128 rows of it, an even split of a 1024-row chunk, while the
+    # narrow maps' scans run all three full chunks at once; the default,
+    # runs of up to three chunks in every check
     budgets = (7 * 16, 128 * 16, verify.MAP_ENTRIES)
     monkeypatch.setattr(verify, "MAP_ENTRIES", 1)
     reference = reports()
@@ -836,9 +853,10 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
 
 
 def _fresh_search(map_, n_samples, seed, sample, gap):
-    """_search with fresh image arrays for every chunk and one gap call on
-    copies of the whole chunk's sample rows: the reference for its reused
-    block, its groups and blocks of gaps and its row views."""
+    """_search chunk by chunk, with fresh image arrays for every chunk and
+    one gap call on copies of the whole chunk's sample rows: the reference
+    for its runs, its reused block, its groups and blocks of gaps and its
+    row views."""
     worst = (-np.inf, None, None)
     for index in range(-(-n_samples // verify.CHUNK_SIZE)):
         count = min(verify.CHUNK_SIZE, n_samples - index * verify.CHUNK_SIZE)
@@ -868,12 +886,14 @@ def _overlap_mass_gap(rows, images):
     return np.sum(_pairwise_transition_probabilities(rows[0], targets), axis=1)
 
 
-def _recorded(gap, calls):
-    """gap, also appending a copy of every result to calls."""
+def _recorded(gap, gaps):
+    """gap, also recording in gaps the bytes of every sample's gap, keyed by
+    the bytes of the sample's input rows."""
 
     def recorded(rows, images):
-        calls.append(gap(rows, images).copy())
-        return calls[-1]
+        out = gap(rows, images)
+        gaps.update(zip((r.tobytes() for r in np.stack(list(rows), axis=1)), (g.tobytes() for g in out)))
+        return out
 
     return recorded
 
@@ -895,9 +915,10 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
     # ceil(count / 4) rows with its next four, as the metric checks draw
     # them, and seed 10 for adjacent rows of count + 1 and for two blocks
     # of count, as the orthogonal pairs.  The wide map's gaps are measured
-    # 128 samples at a time within a group, the narrow map's a group at a
-    # time, and neither may differ from one gap call on copies of the
-    # whole chunk's rows
+    # 128 samples at a time within a group of one chunk, the narrow map's a
+    # group of a run of chunks at a time (1537 samples are three full chunks
+    # and a short one), and neither may differ from one gap call on copies
+    # of the whole chunk's rows
     map_ = build()
     layouts = (
         (lambda rng, count: (
@@ -907,13 +928,28 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
         (lambda rng, count: (_sample_state_rows(rng, 2 * count, dim), ((0, count),)), 10),
     )
     for (sample, seed), gap in ((s, g) for s in layouts for g in (_isometry_gap, _overlap_mass_gap)):
-        got_gaps, want_gaps = [], []
+        got_gaps, want_gaps = {}, {}
         got = _search(map_, n_samples, seed, sample, _recorded(gap, got_gaps))
         want = _fresh_search(map_, n_samples, seed, sample, _recorded(gap, want_gaps))
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        # every gap, not only the winner's, is the whole-chunk gap bit for bit
-        assert np.concatenate(got_gaps).tobytes() == np.concatenate(want_gaps).tobytes()
+        # every sample's gap, not only the winner's, is the whole-chunk gap bit
+        # for bit; the run's gap calls also measure the pairs that straddle two
+        # chunks, which no sample is
+        assert len(want_gaps) == n_samples
+        assert {key: got_gaps.get(key) for key in want_gaps} == want_gaps
+
+
+def test_the_earliest_of_equal_gaps_wins():
+    # every sample ties: the winner is sample 0 of chunk 0, not the first
+    # sample of a later chunk or run (1537 samples of a narrow map are a
+    # run of three chunks and a short one)
+    def sample(rng, count):
+        return _sample_state_rows(rng, count + 1, 3), ((0, 1),)
+
+    worst, rows, _ = _search(entrywise_abs(3), 1537, 5, sample, lambda rows, images: np.zeros(len(rows[0])))
+    assert worst == 0.0
+    assert rows.tobytes() == sample(_chunk_rng(5, 0), verify.CHUNK_SIZE)[0][:2].tobytes()
 
 
 def _rotated_block_embed(dim: int) -> StateMap:
