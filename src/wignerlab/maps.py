@@ -18,13 +18,12 @@ import numpy as np
 
 from .circle import CircleMap
 from .states import (
+    GAUGE_TOL,
     PureState,
     _canonical_rows,
     _float,
     _is_integer,
-    _param_rows,
     _row_distances,
-    _row_params,
     _trusted_state,
     basis_state,
 )
@@ -179,15 +178,22 @@ def standard_map(g: CircleMap) -> StateMap:
     """Lift of a circle map to dimension 2, acting on the phase parameter.
 
     Fixes both standard basis states exactly and sends the state with
-    parameters (p, z) to the state with parameters (p, g(z)).
+    parameters (p, z) to the state with parameters (p, g(z)).  The image
+    row is [|v_0|, conj(g(z)) |v_1|], built from the row's own moduli:
+    sqrt(p) and sqrt(1 - p) lose the smaller amplitude's digits within
+    about 1e-8 of a basis state.  A row whose off-diagonal entry
+    v_0 conj(v_1) is at most GAUGE_TOL is a basis projection, which the
+    lift fixes.
     """
 
     def fn(rows: np.ndarray) -> np.ndarray:
-        p, z, degenerate = _row_params(rows)
-        # a degenerate row is a basis projection, which the lift fixes
-        moved = ~degenerate
+        off = rows[:, 0] * rows[:, 1].conj()
+        mods = np.abs(off)
+        moved = mods > GAUGE_TOL
         out = rows.copy()
-        out[moved] = _param_rows(p[moved], g.batch(z[moved]))
+        g_z = g.batch(off[moved] / mods[moved])
+        moduli = np.abs(rows[moved])
+        out[moved] = np.column_stack([moduli[:, 0], g_z.conj() * moduli[:, 1]])
         return out
 
     return StateMap("tau", 2, 2, fn, {"g": g})

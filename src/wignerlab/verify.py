@@ -5,9 +5,12 @@ reports a witness when the worst gap exceeds 1e-9; the metric checks
 first sharpen the worst pair by local refinement, a pattern search that
 accepts only gains above REFINE_TOL (1e-12) and stops once its step
 falls below REFINE_FLOOR (1e-10), after at most refine_steps steps.
-After k failed steps in a row, the candidates of the next k halved step
-sizes are mapped in one batch; the pick and the step count are those of
-one step at a time, bit for bit.
+A move that wins two steps in a row is also tried at 2 to 4096 times
+the step in each next step's batch, so a climb along one coordinate
+takes a few steps, not dozens.  After k failed steps in a row, the
+candidates of the next k halved step sizes are mapped in one batch; the
+pick and the step count are those of one candidate at a time under the
+same rules, bit for bit.
 Every check runs through one serial engine: sampling is split into
 fixed-size chunks with RNG substreams derived from (seed, chunk index),
 and the chunks run one after another.  A metric or collision check's
@@ -76,6 +79,8 @@ _PAIR_LAYOUT = tuple((0, k) for k in range(1, PAIR_OFFSETS + 1))
 MAP_ENTRIES = 16384
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
+# a move that wins two steps in a row is also tried at these multiples of the step
+REFINE_EXTENSION = 2.0 ** np.arange(1, 13)
 # a candidate must beat the current gap by more than rounding noise
 REFINE_TOL = 1e-12
 # refinement ends once the step is far below any witness gap
@@ -320,18 +325,32 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     images are (2, dim) row arrays, images real or complex; returns the
     final gap, pair, images and the number of steps used.
 
-    How the steps are evaluated changes no result.  After k steps in a
-    row have failed to gain, the candidates of the next k halved step
-    sizes (so the batch doubles while none gains) are mapped in one batch
-    around the same pair, within the remaining steps, the floor and
-    MAP_ENTRIES entries (at least one level).  The first level that gains is taken as its own
-    step would be, and every level up to it counts as a step; after a
-    gain, batches are one level again.  Every kernel on the way works
-    row by row, so each level's gaps are bit for bit those of its own
-    step, provided the map's image dtype does not depend on which rows
-    share a batch (true of every family; an opaque map whose function
-    returns real images for some states and complex ones for others
-    would promote a level's real images).
+    A climb extends a repeated move (the pattern move of Hooke and
+    Jeeves, J. ACM 1961).  Once one candidate (row, coordinate and move)
+    has won two steps in a row, each next step also tries that move from
+    the current row at the lengths step * REFINE_EXTENSION (2 to 4096
+    times the step), against the same partner, in the step's own map
+    batch.  When the best of them beats both the current gap and the
+    step's best candidate by more than REFINE_TOL, the first within
+    REFINE_TOL of it replaces the row, the step size stays and the
+    streak goes on; otherwise the step is decided by its candidates.
+    The step counts as one either way, and a failed step ends the streak.
+
+    How the steps are evaluated changes no result: the pick and the step
+    count are those of one candidate at a time under the same rules.
+    After k steps in a row have failed to gain, the candidates of the
+    next k halved step sizes (so the batch doubles while none gains) are
+    mapped in one batch around the same pair, within the remaining
+    steps, the floor and MAP_ENTRIES entries (at least one level).  The
+    first level that gains is taken as its own step would be, and every
+    level up to it counts as a step; after a gain, batches are one level
+    again.  A failed step has ended any streak, so a batch of several
+    levels holds no extension.  Every kernel on the way works row by row,
+    so each level's gaps are bit for bit those of its own step, provided
+    the map's image dtype does not depend on which rows share a batch
+    (true of every family; an opaque map whose function returns real
+    images for some states and complex ones for others would promote a
+    level's real images).
     """
     pair, images = pair.astype(complex), images.copy()
     parts = pair.view(float)  # the rows' (re, im) parts, updated with them
@@ -348,6 +367,8 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     partners = np.tile(1 - which_row, max_levels)
     step = REFINE_START_STEP
     used = failed = 0
+    # the candidate that won the last streak gaining steps in a row
+    last, streak = -1, 0
     while used < steps and step >= REFINE_FLOOR:
         levels = max(failed, 1)
         sizes = [step]
@@ -356,31 +377,46 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
         ):
             sizes.append(sizes[-1] * REFINE_SHRINK)
         n = len(sizes)
-        raw = parts[which_row] + np.multiply.outer(sizes, moves)
-        cands = _canonical_rows(raw.view(complex).reshape(n * width, dim))
-        f_cands = _map_rows(map_, cands)
+        raw = (parts[which_row] + np.multiply.outer(sizes, moves)).reshape(n * width, 2 * dim)
         partner = partners[: n * width]
-        gaps = oriented(
+        if streak >= 2:
+            # the streak's move extended from its row, after the step's candidates
+            extension = parts[which_row[last]] + np.multiply.outer(step * REFINE_EXTENSION, moves[last])
+            raw = np.concatenate([raw, extension])
+            partner = np.append(partner, np.full(len(extension), partners[last]))
+        cands = _canonical_rows(raw.view(complex))
+        f_cands = _map_rows(map_, cands)
+        all_gaps = oriented(
             _row_distances(cands, pair[partner]),
             _row_distances(f_cands, images[partner]),
-        ).reshape(n, width)
+        )
+        gaps, extended = all_gaps[: n * width].reshape(n, width), all_gaps[n * width :]
         tops = gaps.max(axis=1)
         gains = tops > gap + REFINE_TOL
         level = int(gains.argmax())
-        if gains[level]:
+        reach = extended.max(initial=-np.inf)
+        if reach > max(gap, tops[0]) + REFINE_TOL:
+            # the extension beats the step's own candidates: the step size stays
+            used += 1
+            row = n * width + int((extended >= reach - REFINE_TOL).argmax())
+            best, streak = last, streak + 1
+        elif gains[level]:
             used += level + 1
             step = sizes[level]
             best = int((gaps[level] >= tops[level] - REFINE_TOL).argmax())
-            gap = gaps[level, best]
             row = level * width + best
-            # a complex candidate image promotes real images
-            images = images.astype(np.result_type(images, f_cands), copy=False)
-            pair[which_row[best]], images[which_row[best]] = cands[row], f_cands[row]
+            streak = streak + 1 if best == last else 1
             failed = 0
         else:
             used += n
             failed += n
             step = sizes[-1] * REFINE_SHRINK
+            streak = 0
+            continue
+        gap, last = all_gaps[row], best
+        # a complex candidate image promotes real images
+        images = images.astype(np.result_type(images, f_cands), copy=False)
+        pair[which_row[best]], images[which_row[best]] = cands[row], f_cands[row]
     return gap, pair, images, used
 
 

@@ -160,6 +160,27 @@ def test_phase_lift_substitutes_the_phase():
     assert standard_map(g)(s) == state_from_params(0.2, g(np.exp(1.1j)))
 
 
+@pytest.mark.parametrize("g", [constant(1.0), fold()], ids=["constant", "fold"])
+def test_phase_lift_is_nonexpansive_to_rounding_near_the_basis_states(g):
+    # p = |v_0|^2 rounds to 0 or 1 within about 1e-8 of a basis state, where
+    # sqrt(1 - p) lost the smaller amplitude's digits and let refinement
+    # report a false nonexpansive witness: pairs of states 1e-10 to 1e-5
+    # from e_0 or e_1, 200 per basis state
+    rng = np.random.default_rng(24)
+    tau = standard_map(g)
+    for k in (0, 1):
+        center = np.eye(2, dtype=complex)[k]
+
+        def near():
+            z = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+            radii = 10.0 ** rng.uniform(-10, -5, 200) / np.linalg.norm(z, axis=1)
+            return _canonical_rows(center + radii[:, None] * z)
+
+        p, q = near(), near()
+        gaps = _row_distances(tau.batch(p), tau.batch(q)) - _row_distances(p, q)
+        assert gaps.max() <= WITNESS_TOL, k
+
+
 def test_composed_form_reduces_to_abs_map_at_identity():
     eye = np.eye(3, dtype=complex)
     phi = composed_phi_form(eye, eye)

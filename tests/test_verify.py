@@ -379,33 +379,55 @@ def _sequential_refine(map_, oriented, pair, images, steps):
     delta) order, with per-state map calls and the row kernels on single
     rows.  When the best candidate gains more than REFINE_TOL, it takes the
     first one within REFINE_TOL of the best; stops below REFINE_FLOOR or
-    after steps steps."""
+    after steps steps.  Once one candidate has won two steps in a row, a
+    step also tries its move from the current row at step * 2**j, j = 1 to
+    12; when the best of these beats the current gap and the step's own
+    best by more than REFINE_TOL, the first within REFINE_TOL of it is
+    taken, the step size stays and the streak goes on.  A failed step ends
+    the streak."""
 
     def d(a, b):
         return _row_distances(a[None], b[None])[0]
 
+    def tried(which, coord, delta):
+        base, other, f_other = (p, q, fq) if which == 0 else (q, p, fp)
+        vec = base.copy()
+        vec[coord] += delta
+        cand = _canonical_rows(vec[None])[0]
+        f_cand = map_(PureState(cand)).vec
+        return oriented(d(cand, other), d(f_cand, f_other)), which, cand, f_cand
+
     (p, q), (fp, fq) = pair, images
     gap = oriented(d(p, q), d(fp, fq))
     step = REFINE_START_STEP
-    used = 0
+    used = streak = 0
+    last = None  # (which, coord, unit move) of the streak's winner
     while used < steps and step >= REFINE_FLOOR:
         used += 1
-        moves = []
+        moves, keys = [], []
         for which in (0, 1):
-            base, other, f_other = (p, q, fq) if which == 0 else (q, p, fp)
-            for coord in range(len(base)):
-                for delta in (step, -step, 1j * step, -1j * step):
-                    vec = base.copy()
-                    vec[coord] += delta
-                    cand = _canonical_rows(vec[None])[0]
-                    f_cand = map_(PureState(cand)).vec
-                    g = oriented(d(cand, other), d(f_cand, f_other))
-                    moves.append((g, which, cand, f_cand))
+            for coord in range(len(p)):
+                for unit in (1, -1, 1j, -1j):
+                    moves.append(tried(which, coord, unit * step))
+                    keys.append((which, coord, unit))
+        extended = []
+        if streak >= 2:
+            which, coord, unit = last
+            extended = [tried(which, coord, unit * (step * 2.0**j)) for j in range(1, 13)]
         best_gap = max(move[0] for move in moves)
-        if not best_gap > gap + REFINE_TOL:
+        top = max((move[0] for move in extended), default=-np.inf)
+        if top > max(gap, best_gap) + REFINE_TOL:
+            gap, which, cand, f_cand = next(m for m in extended if m[0] >= top - REFINE_TOL)
+            streak += 1
+        elif best_gap > gap + REFINE_TOL:
+            i = next(i for i, m in enumerate(moves) if m[0] >= best_gap - REFINE_TOL)
+            gap, which, cand, f_cand = moves[i]
+            streak = streak + 1 if keys[i] == last else 1
+            last = keys[i]
+        else:
             step *= REFINE_SHRINK
+            streak = 0
             continue
-        gap, which, cand, f_cand = next(m for m in moves if m[0] >= best_gap - REFINE_TOL)
         if which == 0:
             p, fp = cand, f_cand
         else:
@@ -601,17 +623,24 @@ HALVING_CASES = {
         )
         for steps, batches in ((3, 3), (7, 4), (17, 6), (30, 6), (31, 6))
     },
-    # a gain 17 halvings into a run, then a final run of 10
+    # a climb that extends its winning move five times, then a final run of
+    # 30 halvings: a failed extension step, then batches of 1, 2, 4, 8 and 14
     "phi dim 3 nonexpansive": (
-        lambda: entrywise_abs(3), 3, lambda d_in, d_out: d_out - d_in, 17, 200, 155
+        lambda: entrywise_abs(3), 3, lambda d_in, d_out: d_out - d_in, 17, 200, 13
     ),
-    # a final run of 27 halvings
+    # four extensions, then the same final run
     "phi dim 4 nonexpansive": (
-        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 17, 200, 137
+        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 17, 200, 13
     ),
-    # the 200-step cap falls 27 halvings into the final run
+    # the cap of 30 falls 24 halvings into the final run, cutting its batch
+    # of 14 levels to 8
     "phi dim 4 nonexpansive, capped": (
-        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 18, 200, 179
+        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 18, 30, 12
+    ),
+    # after 8 failed steps, a batch cut to 7 levels by the floor gains at its
+    # last level, 15 halvings into the run; one more failed step ends the search
+    "proper_subspace 4/2 noncontractive": (
+        lambda: proper_subspace_map(4, 2), 4, lambda d_in, d_out: d_in - d_out, 2, 200, 70
     ),
 }
 
@@ -687,6 +716,24 @@ def test_refine_steps_caps_the_steps_used():
 
     assert 12 < used(200) < 200
     assert used(12) == 12
+
+
+def test_criterion_02s_phi_checks_climb_in_few_steps(monkeypatch):
+    # phi holds, so refinement climbs from the scan's gap to about -1e-12.
+    # One step length at a time that took 85 to 195 steps; a move that wins
+    # twice in a row is also tried at 2 to 4096 times the step, which
+    # collapses the climb
+    used = []
+
+    def recording(*args):
+        result = _refine_pair(*args)
+        used.append(result[3])
+        return result
+
+    monkeypatch.setattr(verify, "_refine_pair", recording)
+    for dim in range(2, 7):
+        assert check_nonexpansive(entrywise_abs(dim), dim, 10000, seed=42).holds
+    assert len(used) == 5 and max(used) <= 45, used
 
 
 def _gemm_apply(mat, rows):
