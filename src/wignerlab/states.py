@@ -304,8 +304,8 @@ def _basis_system(dim: int) -> OrthoSystem:
     return OrthoSystem(tuple(_trusted_state(r) for r in np.eye(dim, dtype=complex)))
 
 
-def _row_params(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weight/phase parameters (p, z) of dimension-2 state rows, and which rows are degenerate.
+def _row_params(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight/phase parameters (p, z) of dimension-2 state rows.
 
     p = |v_0|**2 and z is the phase of the off-diagonal entry v_0 conj(v_1).
     A row is degenerate when that entry is at most GAUGE_TOL, or when p has
@@ -318,7 +318,7 @@ def _row_params(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mods = np.abs(off)
     degenerate = (mods <= GAUGE_TOL) | (p * (1.0 - p) <= GAUGE_TOL**2)
     z = np.divide(off, mods, out=np.ones_like(off), where=~degenerate)
-    return np.where(degenerate, np.round(p), p), z, degenerate
+    return np.where(degenerate, np.round(p), p), z
 
 
 def two_by_two_params(state: PureState) -> tuple[float, complex]:
@@ -330,7 +330,7 @@ def two_by_two_params(state: PureState) -> tuple[float, complex]:
     """
     if state.dim != 2:
         raise ValueError("two_by_two_params requires a dimension-2 state")
-    p, z, _ = _row_params(state.vec[None])
+    p, z = _row_params(state.vec[None])
     return float(p[0]), complex(z[0])
 
 

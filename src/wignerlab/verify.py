@@ -12,22 +12,20 @@ candidates of the next k halved step sizes are mapped in one batch; the
 pick and the step count are those of one candidate at a time under the
 same rules, bit for bit.
 Every check runs through one serial engine: sampling is split into
-fixed-size chunks with RNG substreams derived from (seed, chunk index),
-and the chunks run one after another.  A metric or collision check's
-chunk of count pairs takes L + 4 sample_pure_state draws, L =
-ceil(count / 4), and pairs draw i with draws i + 1 to i + 4 for i < L,
-all pairs at offset 1 first, cut to count: each pair is still Haar x
-Haar (the per-pair cap law holds), and a scan maps about a quarter of
-a state per pair.  Consecutive chunks of one count form a run, as many
-as fit one map batch of at most MAP_ENTRIES entries; a run is mapped
-in one call, and its gaps measured on contiguous slices of it, so a
-narrow map takes several chunks per call and a wide one splits a
-single chunk.  The pairs that straddle two chunks of a run are measured
-and dropped, and every gap kernel works row by row, so runs change no
-report.  Injectivity is a collision search on the same engine and
-refinement, whose pair is then polished by Gauss-Newton on the
-difference of its images (_least_squares), every stage keeping to pairs
-at least COLLISION_D_IN apart.
+chunks of CHUNK_SIZE samples with RNG substreams derived from (seed,
+chunk index), and the chunks run one after another, each mapped by one
+map call (a wide map's in several batches of at most MAP_ENTRIES
+entries).  A metric or collision check's chunk of count pairs takes L +
+4 sample_pure_state draws, L = ceil(count / 4), and pairs draw i with
+draws i + 1 to i + 4 for i < L, all pairs at offset 1 first, cut to
+count, and a scan maps about a quarter of a state per pair.  The metric
+checks move each odd draw 2m + 1 to within about LOCAL_STEPS[m % 4] of
+draw 2m, so a violation confined to a small cap needs one state in it,
+not two; every other pair is still Haar x Haar (the per-pair cap law
+holds).  Injectivity is a collision search on the same engine, with
+plain draws, and refinement, whose pair is then polished by
+Gauss-Newton on the difference of its images (_least_squares), every
+stage keeping to pairs at least COLLISION_D_IN apart.
 """
 
 from __future__ import annotations
@@ -68,12 +66,14 @@ __all__ = [
 ]
 
 WITNESS_TOL = 1e-9
-CHUNK_SIZE = 512
+CHUNK_SIZE = 2048
 # a metric or collision scan pairs each of a chunk's first ceil(count /
 # PAIR_OFFSETS) draws with each of its next PAIR_OFFSETS draws, all
 # pairs at offset 1 first
 PAIR_OFFSETS = 4
 _PAIR_LAYOUT = tuple((0, k) for k in range(1, PAIR_OFFSETS + 1))
+# a metric scan's draw 2m + 1 is draw 2m moved by about LOCAL_STEPS[m % 4]
+LOCAL_STEPS = np.array([0.3, 0.1, 0.03, 0.01])
 # entries (rows times row width) per map batch or gap block: bounds the
 # temporaries of wide maps (separable_embed) without splitting narrow ones
 MAP_ENTRIES = 16384
@@ -154,7 +154,7 @@ def _map_rows(map_: StateMap, rows: np.ndarray, out: np.ndarray | None = None) -
 
     The one place the searches evaluate the map, in batches of at most
     MAP_ENTRIES entries: _block_rows(max(dim_in, dim_out)) rows, so a
-    narrow map takes a whole run of chunks in one call.  StateMap.batch rejects
+    narrow map takes a whole chunk in one call.  StateMap.batch rejects
     an invalid image, so every returned row is a valid state.  The
     images are float64 while every batch is real: a complex batch
     promotes the rows before it to complex, so no imaginary part is
@@ -201,32 +201,19 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     PAIR_OFFSETS rows, all pairs at offset 1 first.  gap(rows, images)
     -> the gaps of m samples given as k (m, dim) row views, the j-th
     holding row j of each sample.  Chunk i draws from the RNG substream
-    (seed, i).  The strictly largest gap wins, earliest first.  Returns
-    the worst gap with the (k, dim) input rows and image rows of its
-    sample.
+    (seed, i), and its rows are mapped by one _map_rows call.  Each
+    offset group's gaps are measured on contiguous slices, rows a + t
+    against rows b + t, in blocks of as many samples as a map batch has
+    rows, so a gap's temporaries are no larger than a map batch's; every
+    gap kernel works row by row, so no block changes a gap's bits.  The
+    strictly largest gap wins, earliest first.  Returns the worst gap
+    with the (k, dim) input rows and image rows of its sample.
 
-    Consecutive chunks of one count are drawn, mapped and measured
-    together as a run.  A run holds as many chunks as fit one map batch
-    of _block_rows(max(dim_in, dim_out)) rows, each chunk counting its
-    width rows and the width - L pairs of a group that straddle from it
-    into the next (at least one chunk; the short last chunk is a run of
-    its own), so the orthogonal pairs, half of whose run slice
-    straddles, run fewer chunks at a time than the metric scans.  The
-    run's rows are mapped by one _map_rows call, and each offset group's
-    gaps are measured on contiguous slices of the whole run, rows a + t
-    against rows b + t: sample j of chunk k is slice entry k * width + j,
-    and the entries between two chunks' samples, pairs that straddle two
-    chunks, are dropped.  The slices go in blocks of as many samples as
-    a map batch has rows, so a gap's temporaries are no larger than a
-    map batch's.  Every gap kernel works row by row, so neither runs nor
-    blocks change a gap's bits, and the argmax runs over the run's gaps
-    in (chunk, sample) order.
-
-    Every run maps into one image block, allocated for the first and
-    largest run: a multi-MB block freed after each run would go back
+    Every chunk maps into one image block, allocated for the first and
+    largest chunk: a multi-MB block freed after each chunk would go back
     to the OS and be faulted in again by the next.  The block takes the
-    dtype of the first run's images, float64 for a real map, and is
-    replaced once by a complex one if a later run's images are
+    dtype of the first chunk's images, float64 for a real map, and is
+    replaced once by a complex one if a later chunk's images are
     complex.  The winner's rows are copied out, so no result aliases
     the block.
     """
@@ -236,45 +223,29 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
         raise ValueError("sample budget must be at least 1")
     image_block, worst = None, (-np.inf, None, None)
     size = _block_rows(max(map_.dim_in, map_.dim_out))
-    full_chunks = n_samples // CHUNK_SIZE
-
-    def run(index: int) -> int:
-        # a function, so one run's rows and gaps are freed before the next is drawn
-        nonlocal image_block, worst
+    for index in range(-(-n_samples // CHUNK_SIZE)):
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
         rows, layout = sample(_chunk_rng(seed, index), count)
-        width, span = len(rows), -(-count // len(layout))
-        # each chunk counts its rows and a group's straddling pairs
-        chunks = max(1, min(size // (2 * width - span), full_chunks - index))
-        if chunks > 1:
-            rows = np.concatenate(
-                [rows] + [sample(_chunk_rng(seed, i), count)[0] for i in range(index + 1, index + chunks)]
-            )
         images = _map_rows(map_, rows, image_block)
         if image_block is None or images.dtype != image_block.dtype:
-            # the first run's images, or a block promoted to complex: no
-            # later run is larger
+            # the first chunk's images, or a block promoted to complex: no
+            # later chunk is larger
             image_block = images
-        gaps = np.empty((chunks, count))
-        measured = np.empty((chunks, width))
+        span = -(-count // len(layout))
+        gaps = np.empty(count)
         for first in range(0, count, span):
-            n = min(span, count - first)  # the last group may be cut short
-            # sample j of chunk k is slice entry k * width + j
-            out = measured.reshape(-1)[: (chunks - 1) * width + n]
             offsets = layout[first // span]
-            for start in range(0, len(out), size):
-                stop = min(start + size, len(out))
-                out[start:stop] = gap(*([a[o + start : o + stop] for o in offsets] for a in (rows, images)))
-            gaps[:, first : first + n] = measured[:, :n]
-        k, i = divmod(int(np.argmax(gaps)), count)
-        if gaps[k, i] > worst[0]:
-            offsets, j = layout[i // span], k * width + i % span
-            worst = float(gaps[k, i]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
-        return index + chunks
-
-    index = 0
-    while index * CHUNK_SIZE < n_samples:
-        index = run(index)
+            n = min(span, count - first)  # the last group may be cut short
+            for start in range(0, n, size):
+                stop = min(start + size, n)
+                gaps[first + start : first + stop] = gap(
+                    *([a[o + start : o + stop] for o in offsets] for a in (rows, images))
+                )
+        i = int(np.argmax(gaps))
+        if gaps[i] > worst[0]:
+            offsets, j = layout[i // span], i % span
+            worst = float(gaps[i]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
+        del rows  # freed before the next chunk is drawn
     return worst
 
 
@@ -477,10 +448,33 @@ def _least_squares(map_: StateMap, rows, residual, keep):
     return rows, images
 
 
-def _refined_pair(map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented):
-    """Scan pairs under the oriented gap and refine the winner under it.
+def _pair_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """The L + PAIR_OFFSETS state rows of a chunk of count pairs, L = ceil(count / PAIR_OFFSETS)."""
+    return _sample_state_rows(rng, -(-count // PAIR_OFFSETS) + PAIR_OFFSETS, dim)
 
-    Returns the (2, dim) pair rows and their images.
+
+def _local_pair_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """_pair_rows with each odd row 2m + 1 replaced by row 2m + LOCAL_STEPS[m % 4] z_m / sqrt(2 dim).
+
+    z_m is complex standard normal, drawn after the rows.  Its law is
+    unitarily invariant, so every row is still Haar, and every pair but
+    the local ones, at offset 1 from even rows, is Haar x Haar.
+    """
+    rows = _pair_rows(rng, count, dim)
+    m = len(rows) // 2
+    z = rng.standard_normal((m, 2, dim))
+    steps = LOCAL_STEPS[np.arange(m) % len(LOCAL_STEPS), None] / np.sqrt(2 * dim)
+    rows[1::2] = _canonical_rows(rows[: 2 * m : 2] + steps * (z[:, 0] + 1j * z[:, 1]))
+    return rows
+
+
+def _refined_pair(
+    map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented, draw
+):
+    """Scan pairs of draw's rows under the oriented gap and refine the winner under it.
+
+    draw is _pair_rows or _local_pair_rows.  Returns the (2, dim) pair
+    rows and their images.
     """
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
@@ -490,8 +484,8 @@ def _refined_pair(map_: StateMap, dim: int, n_samples: int, refine_steps: int, s
     def gap(rows, images):
         return oriented(_row_distances(*rows), _row_distances(*images))
 
-    _, pair, images = _search(map_, n_samples, seed, lambda rng, count: (
-        _sample_state_rows(rng, -(-count // PAIR_OFFSETS) + PAIR_OFFSETS, dim), _PAIR_LAYOUT), gap)
+    _, pair, images = _search(
+        map_, n_samples, seed, lambda rng, count: (draw(rng, count, dim), _PAIR_LAYOUT), gap)
     if refine_steps > 0:
         _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
     return pair, images
@@ -500,8 +494,8 @@ def _refined_pair(map_: StateMap, dim: int, n_samples: int, refine_steps: int, s
 def _metric_check(
     prop: str, map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented
 ) -> CheckReport:
-    """Scan pairs under the oriented gap, refine the winner under it, and report."""
-    pair, images = _refined_pair(map_, dim, n_samples, refine_steps, seed, oriented)
+    """Scan pairs, local ones included, under the oriented gap, refine the winner under it, and report."""
+    pair, images = _refined_pair(map_, dim, n_samples, refine_steps, seed, oriented, _local_pair_rows)
     # the gap of the reported distances: refinement's d(Q', P) may differ from d(P, Q')
     return _pair_report(prop, n_samples, seed, oriented, pair, images)
 
@@ -624,6 +618,7 @@ def check_injective(
     pair, images = _refined_pair(
         map_, dim, n_samples, refine_steps, seed,
         lambda d_in, d_out: np.where(d_in >= COLLISION_D_IN, d_in - 10 * d_out, d_in - 11),
+        _pair_rows,
     )
     if refine_steps > 0:
         def difference(images):
