@@ -224,7 +224,10 @@ def _row_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     computed norm of a unit row, which may read a few ulps below 1 (up
     to 4 * 2**-53 on canonical rows in dims 2-16); the formula is kept
     for its accuracy on nearly equal states, where
-    sqrt(1 - transition probability) loses all digits.
+    sqrt(1 - transition probability) loses all digits.  It serves
+    refinement and every reported distance; the pair scans rank pairs
+    by sqrt(1 - _row_transition_probabilities), which is cheaper and
+    agrees within 1e-12 for pairs at least 1e-3 apart.
     """
     residual = v - _row_overlaps(v, w)[:, None] * w
     left = residual if residual.dtype == np.float64 else residual.conj()

@@ -20,12 +20,16 @@ entries).  A metric or collision check's chunk of count pairs takes L +
 draws i + 1 to i + 4 for i < L, all pairs at offset 1 first, cut to
 count, and a scan maps about a quarter of a state per pair.  The metric
 checks move each odd draw 2m + 1 to within about LOCAL_STEPS[m % 4] of
-draw 2m, so a violation confined to a small cap needs one state in it,
-not two; every other pair is still Haar x Haar (the per-pair cap law
-holds).  Injectivity is a collision search on the same engine, with
-plain draws, and refinement, whose pair is then polished by
-Gauss-Newton on the difference of its images (_least_squares), every
-stage keeping to pairs at least COLLISION_D_IN apart.
+draw 2m, its own Gaussian row serving as the move, so a violation
+confined to a small cap needs one state in it, not two; every other pair
+is still Haar x Haar (the per-pair cap law holds).  A scan ranks pairs
+by sqrt(1 - transition probability), within 1e-12 of the residual
+kernel (_row_distances) for pairs at least 1e-3 apart; refinement and
+every report measure with the residual kernel.  Injectivity is a
+collision search on the same engine, with plain draws, and refinement,
+whose pair is then polished by Gauss-Newton on the difference of its
+images (_least_squares), every stage keeping to pairs at least
+COLLISION_D_IN apart.
 """
 
 from __future__ import annotations
@@ -454,17 +458,24 @@ def _pair_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 
 
 def _local_pair_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """_pair_rows with each odd row 2m + 1 replaced by row 2m + LOCAL_STEPS[m % 4] z_m / sqrt(2 dim).
+    """_pair_rows with each odd row 2m + 1 moved to row 2m + LOCAL_STEPS[m % 4] z_m / sqrt(2 dim).
 
-    z_m is complex standard normal, drawn after the rows.  Its law is
+    One Gaussian block, the standard_normal((L + PAIR_OFFSETS, 2, dim))
+    draw of _pair_rows, gives every row: raw row i is its (re, im) parts
+    i.  Even rows are raw rows canonicalized, as in _pair_rows; odd row
+    2m + 1 spends its own raw row as z_m, so no normal is drawn and
+    dropped.  z_m is independent of every other row and its law is
     unitarily invariant, so every row is still Haar, and every pair but
     the local ones, at offset 1 from even rows, is Haar x Haar.
     """
-    rows = _pair_rows(rng, count, dim)
+    z = rng.standard_normal((-(-count // PAIR_OFFSETS) + PAIR_OFFSETS, 2, dim))
+    rows = np.empty((len(z), dim), dtype=complex)
+    rows.real, rows.imag = z[:, 0], z[:, 1]
     m = len(rows) // 2
-    z = rng.standard_normal((m, 2, dim))
     steps = LOCAL_STEPS[np.arange(m) % len(LOCAL_STEPS), None] / np.sqrt(2 * dim)
-    rows[1::2] = _canonical_rows(rows[: 2 * m : 2] + steps * (z[:, 0] + 1j * z[:, 1]))
+    rows[::2] = _canonical_rows(rows[::2])
+    # the odd rows are still raw: each is its own move z_m
+    rows[1::2] = _canonical_rows(rows[: 2 * m : 2] + steps * rows[1::2])
     return rows
 
 
@@ -473,8 +484,13 @@ def _refined_pair(
 ):
     """Scan pairs of draw's rows under the oriented gap and refine the winner under it.
 
-    draw is _pair_rows or _local_pair_rows.  Returns the (2, dim) pair
-    rows and their images.
+    draw is _pair_rows or _local_pair_rows.  The scan ranks a pair by the
+    oriented gap of sqrt(1 - transition probability) of its rows and of
+    its images: an einsum row kernel, under half the residual kernel's
+    cost, that differs from it by at most about 1e-15 / d at distance d.
+    The scan only picks the winner; refinement and the report measure it
+    again with _row_distances.  Returns the (2, dim) pair rows and their
+    images.
     """
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
@@ -482,7 +498,7 @@ def _refined_pair(
         raise ValueError("refinement cap must be nonnegative")
 
     def gap(rows, images):
-        return oriented(_row_distances(*rows), _row_distances(*images))
+        return oriented(*(np.sqrt(1.0 - _row_transition_probabilities(*r)) for r in (rows, images)))
 
     _, pair, images = _search(
         map_, n_samples, seed, lambda rng, count: (draw(rng, count, dim), _PAIR_LAYOUT), gap)
