@@ -78,8 +78,9 @@ PAIR_OFFSETS = 4
 _PAIR_LAYOUT = tuple((0, k) for k in range(1, PAIR_OFFSETS + 1))
 # a metric scan's draw 2m + 1 is draw 2m moved by about LOCAL_STEPS[m % 4]
 LOCAL_STEPS = np.array([0.3, 0.1, 0.03, 0.01])
-# entries (rows times row width) per map batch or gap block: bounds the
-# temporaries of wide maps (separable_embed) without splitting narrow ones
+# entries (rows times row width) per map batch, and per refinement batch of
+# halved levels: bounds the temporaries of wide maps (separable_embed)
+# without splitting narrow ones
 MAP_ENTRIES = 16384
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
@@ -206,10 +207,11 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     -> the gaps of m samples given as k (m, dim) row views, the j-th
     holding row j of each sample.  Chunk i draws from the RNG substream
     (seed, i), and its rows are mapped by one _map_rows call.  Each
-    offset group's gaps are measured on contiguous slices, rows a + t
-    against rows b + t, in blocks of as many samples as a map batch has
-    rows, so a gap's temporaries are no larger than a map batch's; every
-    gap kernel works row by row, so no block changes a gap's bits.  The
+    offset group's gaps are measured by one gap call on contiguous row
+    views, rows a + t against rows b + t.  Every gap kernel is an einsum
+    row kernel, whose temporaries are length-m vectors (m x k overlaps
+    with the k image members, for inclusion) and conjugate copies no
+    larger than the chunk's rows and image block.  The
     strictly largest gap wins, earliest first.  Returns the worst gap
     with the (k, dim) input rows and image rows of its sample.
 
@@ -226,7 +228,6 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     if n_samples < 1:
         raise ValueError("sample budget must be at least 1")
     image_block, worst = None, (-np.inf, None, None)
-    size = _block_rows(max(map_.dim_in, map_.dim_out))
     for index in range(-(-n_samples // CHUNK_SIZE)):
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
         rows, layout = sample(_chunk_rng(seed, index), count)
@@ -240,11 +241,7 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
         for first in range(0, count, span):
             offsets = layout[first // span]
             n = min(span, count - first)  # the last group may be cut short
-            for start in range(0, n, size):
-                stop = min(start + size, n)
-                gaps[first + start : first + stop] = gap(
-                    *([a[o + start : o + stop] for o in offsets] for a in (rows, images))
-                )
+            gaps[first : first + n] = gap(*([a[o : o + n] for o in offsets] for a in (rows, images)))
         i = int(np.argmax(gaps))
         if gaps[i] > worst[0]:
             offsets, j = layout[i // span], i % span

@@ -261,7 +261,8 @@ def test_the_orthogonality_check_names_a_lone_overlapping_pair():
 
 def test_pairwise_transition_probabilities_are_a_row_kernel():
     # a row alone has the bits of the same row in its block, under any BLAS
-    # kernel, as the searches' gap blocks need
+    # kernel, as the inclusion check needs: its report measures the scan's
+    # winner again on its own row
     rng = np.random.default_rng(0)
     rows, targets = _sample_state_rows(rng, 512, 4), _sample_state_rows(rng, 2, 4)
     block = _pairwise_transition_probabilities(rows, targets)

@@ -878,9 +878,10 @@ def _wide_separable_embed():
 
 
 def test_row_blocking_bounds_the_scan_memory():
-    # one unblocked batch of a chunk's 516 rows, and one gap call on a
-    # whole 512-pair group, would hold all their temporaries at once: 2.2
-    # MB here, against 1.2 MB in 128-row map batches and 128-pair gap blocks
+    # one unblocked batch of a chunk's 516 rows would hold all its
+    # temporaries at once: 2.2 MB here, against 1.2 MB in 128-row map
+    # batches.  The gaps, one call per 512-pair offset group, add nothing
+    # to either peak
     map_ = _wide_separable_embed()
     tracemalloc.start()
     try:
@@ -974,9 +975,10 @@ def test_a_wide_map_batch_stays_within_the_entry_budget():
 
 def test_map_block_size_cannot_change_a_report(monkeypatch):
     # chunk substreams are fixed by CHUNK_SIZE; MAP_ENTRIES only splits the
-    # rows of a chunk, and refinement's candidates, into map batches and
-    # gap blocks, so no report may depend on it.  A full chunk and a short
-    # one, so that the image block is reused by a shorter chunk
+    # rows of a chunk, and refinement's candidates, into map batches, and
+    # caps how many halved levels refinement maps in one batch, so no
+    # report may depend on it.  A full chunk and a short one, so that the
+    # image block is reused by a shorter chunk
     n = verify.CHUNK_SIZE + 64
 
     def reports():
@@ -1017,7 +1019,7 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
 def _fresh_search(map_, n_samples, seed, sample, gap):
     """_search with fresh image arrays for every chunk and one gap call on
     copies of the whole chunk's sample rows: the reference for its reused
-    block, its groups and blocks of gaps and its row views."""
+    block, its one gap call per offset group and its row views."""
     worst = (-np.inf, None, None)
     for index in range(-(-n_samples // verify.CHUNK_SIZE)):
         count = min(verify.CHUNK_SIZE, n_samples - index * verify.CHUNK_SIZE)
@@ -1047,23 +1049,25 @@ def _overlap_mass_gap(rows, images):
     return np.sum(_pairwise_transition_probabilities(rows[0], targets), axis=1)
 
 
-def _recorded(gap, gaps):
+def _recorded(gap, gaps, calls):
     """gap, also recording in gaps the bytes of every sample's gap, keyed by
-    the bytes of the sample's input rows."""
+    the bytes of the sample's input rows, and appending to calls the number
+    of samples of each call."""
 
     def recorded(rows, images):
         out = gap(rows, images)
+        calls.append(len(out))
         gaps.update(zip((r.tobytes() for r in np.stack(list(rows), axis=1)), (g.tobytes() for g in out)))
         return out
 
     return recorded
 
 
-# 129 samples are one 128-sample gap block of the 128-wide map and a
-# one-sample block; in groups of offsets 1 to 4 they are three groups of
-# 33 samples and one of 30, and 1 sample is one group of one.  The others
-# end just before, at and after a chunk's end, and one sample into a
-# fourth chunk
+# 129 samples are one group of 129 as adjacent rows or two blocks, one
+# sample more than the 128 rows of a map batch of the 128-wide map; in
+# groups of offsets 1 to 4 they are three groups of 33 samples and one of
+# 30, and 1 sample is one group of one.  The others end just before, at
+# and after a chunk's end, and one sample into a fourth chunk
 @pytest.mark.parametrize(
     "n_samples", [1, 129, *(verify.CHUNK_SIZE + k for k in (-1, 0, 1)), 3 * verify.CHUNK_SIZE + 1]
 )
@@ -1080,10 +1084,11 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
     # 5 for each of ceil(count / 4) rows with its next four, as the
     # metric and collision scans pair their draws, and seed 12 for adjacent
     # rows of count + 1 and for two blocks of count, as the orthogonal
-    # pairs.  The wide map's gaps are measured 128 samples at a time within
-    # a group of one chunk, the narrow map's a whole group at a time, and
-    # neither may differ from one gap call on copies of the whole chunk's
-    # rows
+    # pairs.  Each map's gaps are measured by one gap call per nonempty
+    # offset group of each chunk, however wide its images (CHUNK_SIZE + 1
+    # samples in groups of offsets 1 to 4 are four groups of 512 and one
+    # of 1: 5 calls), and no gap may differ from one gap call on copies
+    # of the whole chunk's rows
     map_ = build()
     layouts = (
         (lambda rng, count: (
@@ -1093,15 +1098,23 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
         (lambda rng, count: (_sample_state_rows(rng, 2 * count, dim), ((0, count),)), 12),
     )
     for (sample, seed), gap in ((s, g) for s in layouts for g in (_isometry_gap, _overlap_mass_gap)):
-        got_gaps, want_gaps = {}, {}
-        got = _search(map_, n_samples, seed, sample, _recorded(gap, got_gaps))
-        want = _fresh_search(map_, n_samples, seed, sample, _recorded(gap, want_gaps))
+        got_gaps, want_gaps, got_calls = {}, {}, []
+        got = _search(map_, n_samples, seed, sample, _recorded(gap, got_gaps, got_calls))
+        want = _fresh_search(map_, n_samples, seed, sample, _recorded(gap, want_gaps, []))
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         # every sample's gap, not only the winner's, is the whole-chunk gap bit
         # for bit, and no other pair is measured
         assert len(want_gaps) == n_samples
         assert got_gaps == want_gaps
+        # one call per nonempty offset group of each chunk, on the whole group
+        n_groups = len(sample(np.random.default_rng(0), 1)[1])
+        groups = []
+        for index in range(-(-n_samples // verify.CHUNK_SIZE)):
+            count = min(verify.CHUNK_SIZE, n_samples - index * verify.CHUNK_SIZE)
+            span = -(-count // n_groups)
+            groups += [min(span, count - first) for first in range(0, count, span)]
+        assert got_calls == groups
 
 
 def test_the_earliest_of_equal_gaps_wins():
