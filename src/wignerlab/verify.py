@@ -626,7 +626,8 @@ def check_injective(
     difference, keeping d_in at or above COLLISION_D_IN.  A witness
     proves the map is not injective, and its gap is its d_in; a pass is
     evidence only, and its gap is minus the closest image distance found
-    for two states at least COLLISION_D_IN apart.
+    for two states at least COLLISION_D_IN apart, or -1.0 (no two images
+    are farther apart) when the final pair is closer than that.
     """
     pair, images = _refined_pair(
         map_, dim, n_samples, refine_steps, seed,
@@ -648,7 +649,7 @@ def check_injective(
         )
     return _pair_report(
         "injectivity", n_samples, seed,
-        lambda d_in, d_out: d_in if d_in >= COLLISION_D_IN and d_out <= WITNESS_TOL else -d_out,
+        lambda d_in, d_out: -1.0 if d_in < COLLISION_D_IN else d_in if d_out <= WITNESS_TOL else -d_out,
         pair, images,
     )
 

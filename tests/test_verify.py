@@ -68,6 +68,8 @@ from wignerlab.verify import (
     basis_image_completes_span,
 )
 
+from planted import dented_abs
+
 
 def test_abs_map_has_no_nonexpansive_witness():
     report = check_nonexpansive(entrywise_abs(4), 4, n_samples=2000, seed=42)
@@ -367,6 +369,17 @@ def test_an_isometry_passes_with_the_collision_threshold_as_its_gap(build, dim, 
         assert report.holds and abs(report.worst_gap + 0.5) <= WITNESS_TOL, seed
 
 
+@pytest.mark.parametrize("seed", [4, 5, 7, 9, 10])
+def test_a_pass_from_a_pair_closer_than_the_threshold_reports_minus_one(seed):
+    # one unrefined pair closer than COLLISION_D_IN is never compared: its
+    # image distance is no collision evidence, so the gap is -1.0, below
+    # minus every image distance, and there is no witness
+    pair = verify._pair_rows(_chunk_rng(seed, 0), 1, 2)
+    assert _row_distances(pair[:1], pair[1:2])[0] < verify.COLLISION_D_IN
+    report = check_injective(entrywise_abs(2), 2, 1, refine_steps=0, seed=seed)
+    assert report.holds and report.worst_gap == -1.0
+
+
 def _start_pair(rng, dim):
     """Two canonical state rows from a (2, 2, dim) draw, both real parts and
     then both imaginary parts: the start pairs that the refinement cases
@@ -643,21 +656,6 @@ def test_only_the_metric_checks_draw_local_partners():
     assert plain.tobytes() == _sample_state_rows(_chunk_rng(seed, 0), 25 + 4, dim).tobytes()
 
 
-def _dented_abs(dim: int, seed: int) -> StateMap:
-    """entrywise_abs(dim) with image coordinate 0 raised by
-    0.5 max(0, 1 - d(x, s) / 0.3), s a Haar state drawn from default_rng(seed):
-    a violation of nonexpansiveness confined to the cap of radius 0.3 about s."""
-    s = _sample_state_rows(np.random.default_rng(seed), 1, dim)
-
-    def fn(rows):
-        images = np.abs(rows)
-        d = _row_distances(rows, np.repeat(s, len(rows), axis=0))
-        images[:, 0] += 0.5 * np.maximum(0.0, 1.0 - d / 0.3)
-        return images
-
-    return StateMap("custom", dim, dim, fn)
-
-
 @pytest.mark.parametrize("seed", [42, 1, 2])
 def test_a_violation_confined_to_a_cap_is_found(seed):
     # the scan needs a state in the dent's cap paired with a local partner
@@ -665,7 +663,7 @@ def test_a_violation_confined_to_a_cap_is_found(seed):
     # find it on all three seeds.  In dims 4 and 5 the cap holds a share
     # 0.3^6 or 0.3^8 of the states, and the default finds the dent only in
     # dim 4 on seed 1: the cap law's limit, recorded here and not asserted
-    report = check_nonexpansive(_dented_abs(3, seed), 3)
+    report = check_nonexpansive(dented_abs(3, seed), 3)
     assert report.witness is not None
     assert report.worst_gap > 0.2
 
