@@ -2,7 +2,10 @@
 
 Exit codes are the machine contract: 0 when the property holds (or the
 map classifies), 1 when a witness is found (or classification fails),
-2 on usage or input errors, an input too large for memory included.
+2 on usage or input errors, an input too large for memory included:
+an allocation that numpy is refused.  An allocation that the system
+grants but cannot back is not caught: the operating system kills the
+process, with no error line.
 All results are JSON on standard output (or --out); diagnostics go to
 standard error.
 """

@@ -211,8 +211,10 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     views, rows a + t against rows b + t.  Every gap kernel is an einsum
     row kernel, whose temporaries are length-m vectors (m x k overlaps
     with the k image members, for inclusion) and conjugate copies no
-    larger than the chunk's rows and image block.  The
-    strictly largest gap wins, earliest first.  Returns the worst gap
+    larger than the chunk's rows and image block.  Each group's largest
+    gap, the earliest of equal ones, replaces the winner only when it is
+    strictly larger, so the earliest strictly largest gap in chunk order
+    wins.  Returns the worst gap
     with the (k, dim) input rows and image rows of its sample.
 
     Every chunk maps into one image block, allocated for the first and
@@ -237,15 +239,13 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
             # later chunk is larger
             image_block = images
         span = -(-count // len(layout))
-        gaps = np.empty(count)
         for first in range(0, count, span):
             offsets = layout[first // span]
             n = min(span, count - first)  # the last group may be cut short
-            gaps[first : first + n] = gap(*([a[o : o + n] for o in offsets] for a in (rows, images)))
-        i = int(np.argmax(gaps))
-        if gaps[i] > worst[0]:
-            offsets, j = layout[i // span], i % span
-            worst = float(gaps[i]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
+            gaps = gap(*([a[o : o + n] for o in offsets] for a in (rows, images)))
+            j = int(np.argmax(gaps))
+            if gaps[j] > worst[0]:
+                worst = float(gaps[j]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
         del rows  # freed before the next chunk is drawn
     return worst
 

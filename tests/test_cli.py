@@ -17,6 +17,8 @@ from wignerlab import (
 )
 from wignerlab.acceptance import CLAIMS
 
+from invocations import INVOCATIONS
+
 TIMEOUT = 120
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -226,6 +228,31 @@ def test_identical_invocations_are_byte_identical(args, code):
     first, second = run_cli(*args), run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == code
+
+
+@pytest.mark.parametrize("argv, code", INVOCATIONS)
+def test_each_pinned_invocation_exits_as_declared_with_the_same_bytes_twice(argv, code, tmp_path):
+    # the report of the first run is removed, so a run that writes none
+    # fails at the read, whatever its exit code
+    out, reports = tmp_path / "report.json", []
+    for _ in range(2):
+        out.unlink(missing_ok=True)
+        assert cli.main([*argv.split(), "--out", str(out)]) == code
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_selftest_runs_are_identical_apart_from_timings(tmp_path):
+    docs = []
+    for run in range(2):
+        out = tmp_path / f"selftest-{run}.json"
+        result = run_cli("selftest", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(out.read_text())
+        for criterion in doc["criteria"]:
+            del criterion["seconds"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_classify_phi_reports_abs_branch():

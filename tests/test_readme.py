@@ -1,13 +1,14 @@
-"""The README's layout figures, recomputed from the package's constants.
+"""The README's examples and layout figures, checked against the package.
 
-Every figure the README states about the sampler's layout, the map
-batches, refinement's level rule, the cap law and the fixed constants is
-rebuilt here from wignerlab.verify and wignerlab.classify, and each test
-asserts the exact phrase the README prints (whitespace collapsed, so a
-phrase may wrap).  No search runs: the figures are arithmetic, and the
-layout arithmetic is checked against the samplers' row counts.  Figures
-that only a search or a timing can produce carry their own command in
-the README instead.
+The fenced python blocks run, and each command of the CLI block exits
+with the code its note declares.  Every figure the README states about
+the sampler's layout, the map batches, refinement's level rule, the cap
+law and the fixed constants is rebuilt here from wignerlab.verify and
+wignerlab.classify, and each test asserts the exact phrase the README
+prints (whitespace collapsed, so a phrase may wrap).  No search runs for
+the figures: they are arithmetic, and the layout arithmetic is checked
+against the samplers' row counts.  Figures that only a search or a
+timing can produce carry their own command in the README instead.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ import inspect
 import itertools
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wignerlab import check_isometry, check_nonexpansive, sample_pure_state, separable_embed, verify
+from wignerlab import check_isometry, check_nonexpansive, cli, sample_pure_state, separable_embed, verify
 from wignerlab.classify import PROBE_GRID, RESIDUAL_TOL, VALIDATION_STATES, _lift_grid
 from wignerlab.states import _orthogonal_pair_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-LINES = README.read_text(encoding="utf-8").splitlines()
+SOURCE = README.read_text(encoding="utf-8")
+LINES = SOURCE.splitlines()
 TEXT = " ".join(" ".join(LINES).split())
 DEFAULT_SAMPLES = inspect.signature(check_nonexpansive).parameters["n_samples"].default
 WORDS = {1: "one", 2: "two"}
@@ -241,3 +244,46 @@ def test_the_classification_constants():
         f"the {len(PROBE_GRID) - 1} sixteenth roots of unity",
         f"`RESIDUAL_TOL` = {sci(RESIDUAL_TOL)}",
     )
+
+
+def cli_commands() -> list[tuple[list[str], int]]:
+    """The commands of the sh block under "## CLI", each with the code of
+    the "# exit N" note on its last line, 0 where it has none.  A command
+    goes on over lines inside a quoted argument."""
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", SOURCE, re.S | re.M).group(1)
+    commands, pending = [], ""
+    for line in block.splitlines():
+        pending += line + "\n"
+        try:
+            words = shlex.split(pending, comments=True)
+        except ValueError:  # an open quote: the command goes on
+            continue
+        if words:
+            note = re.search(r"#\s*exit (\d+)", line)
+            commands.append((words, int(note.group(1)) if note else 0))
+        pending = ""
+    assert not pending, pending
+    return commands
+
+
+def test_the_python_blocks_run_in_order_in_one_namespace():
+    # "Batched maps" reuses the names of "Library"; each block is padded to
+    # its README line, so a traceback names the README's own line
+    blocks = list(re.finditer(r"^```python\n(.*?)^```", SOURCE, re.S | re.M))
+    assert len(blocks) == 2, len(blocks)
+    code = ""
+    for block in blocks:
+        code += "\n" * (SOURCE.count("\n", 0, block.start(1)) - code.count("\n")) + block.group(1)
+    exec(compile(code, str(README), "exec"), {"__name__": "__main__"})
+
+
+def test_the_cli_block_exits_as_annotated():
+    commands = cli_commands()
+    assert len(commands) >= 9, commands
+    for words, code in commands:
+        assert words[0] == "wignerlab", words
+        try:
+            status = cli.main(words[1:])
+        except SystemExit as stop:  # argparse exits on a usage error, with 2
+            status = stop.code
+        assert status == code, shlex.join(words)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import sys
 import tracemalloc
@@ -1127,6 +1128,19 @@ def test_the_earliest_of_equal_gaps_wins():
     )
     assert worst == 0.0
     assert rows.tobytes() == sample(_chunk_rng(5, 0), verify.CHUNK_SIZE)[0][:2].tobytes()
+
+    # groups 1 and 2 of one chunk tie above group 0: the winner is group 1's
+    # first sample, rows 0 and 2, not group 2's
+    def three_groups(rng, count):
+        return _sample_state_rows(rng, -(-count // 3) + 3, 3), ((0, 1), (0, 2), (0, 3))
+
+    calls = itertools.count()
+    worst, rows, _ = _search(
+        entrywise_abs(3), 30, 5, three_groups,
+        lambda rows, images: np.full(len(rows[0]), float(next(calls) > 0)),
+    )
+    assert worst == 1.0
+    assert rows.tobytes() == three_groups(_chunk_rng(5, 0), 30)[0][[0, 2]].tobytes()
 
 
 def _rotated_block_embed(dim: int) -> StateMap:
