@@ -142,7 +142,7 @@ def criterion_03() -> CriterionResult:
 
 def criterion_04() -> CriterionResult:
     """Phase-map lifts inherit circle behaviour: for the fold, the constant 1
-    and squaring, each lift's verdict is its circle map's, and both are claimed."""
+    and squaring, each lift's verdict is its circle map's and its claim's."""
     t0 = time.time()
     cases = [("fold", "tau-fold", 10000), ("constant", "tau-constant", 10000),
              ("squaring", "tau-power2", 1000)]
@@ -152,8 +152,7 @@ def criterion_04() -> CriterionResult:
         map_ = claim.build(None, 2)
         lifts[label] = check_nonexpansive(map_, 2, n, seed=42)
         circles[label] = check_nonexpansive_circle(map_.params["g"]) is None
-        expected = (claim.expect["nonexpansive"], claim.circle)
-        claimed &= (lifts[label].holds, circles[label]) == expected
+        claimed &= lifts[label].holds == claim.expect["nonexpansive"]
     witness = lifts["squaring"].witness
     gap = witness.gap if witness is not None else 0.0
     agree = all(lifts[label].holds == circles[label] for label in lifts)
@@ -267,8 +266,7 @@ class Claim:
     returns in dimension >= 3 (in dimension 2 a classified map is a
     phase lift, STANDARD_DIM2; None: classify refuses a map that is no
     endomap), given hint(map_) as its preimage system if hint is set.
-    circle is, for a lift tau_g, whether g is chord-nonexpansive.  shown
-    names the map params repeated atop the demo bundle.
+    shown names the map params repeated atop the demo bundle.
     """
 
     build: Callable[..., StateMap]
@@ -276,7 +274,6 @@ class Claim:
     expect: dict[str, bool]
     branch: str | None
     hint: Callable[[StateMap], OrthoSystem] | None = None
-    circle: bool | None = None
     params: tuple[str, ...] = ()
     shown: tuple[str, ...] = ()
 
@@ -309,7 +306,7 @@ def _wigner(antiunitary, branch):
 def _lift(g, nonexpansive, branch):
     """The dimension-2 lift tau_g: as nonexpansive as g, never noncontractive."""
     expect = {"nonexpansive": nonexpansive, "noncontractive": False, "isometry": False}
-    return Claim(lambda rng, dim: standard_map(g), (2,), expect, branch, circle=nonexpansive)
+    return Claim(lambda rng, dim: standard_map(g), (2,), expect, branch)
 
 
 CLAIMS = {

@@ -206,7 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse has written the usage error (2) or --help (0)
+        return stop.code
     try:
         # one check for every subcommand, before a handler seeds anything:
         # classify of a map that draws no rotation would never see the seed

@@ -29,7 +29,8 @@ every report measure with the residual kernel.  Injectivity is a
 collision search on the same engine, with plain draws, and refinement,
 whose pair is then polished by Gauss-Newton on the difference of its
 images (_least_squares), every stage keeping to pairs at least
-COLLISION_D_IN apart.
+COLLISION_D_IN apart; while no polished pair collides, the scan winners
+of the other offset groups are polished in turn, best first.
 """
 
 from __future__ import annotations
@@ -214,8 +215,10 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     larger than the chunk's rows and image block.  Each group's largest
     gap, the earliest of equal ones, replaces the winner only when it is
     strictly larger, so the earliest strictly largest gap in chunk order
-    wins.  Returns the worst gap
-    with the (k, dim) input rows and image rows of its sample.
+    wins.  Returns the worst gap with the (k, dim) input rows and image
+    rows of its sample, and the winner of each offset group under the
+    same rule, a dict from group index to such a triple (the overall
+    winner is one of them).
 
     Every chunk maps into one image block, allocated for the first and
     largest chunk: a multi-MB block freed after each chunk would go back
@@ -229,7 +232,7 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
         raise ValueError("seed must be nonnegative")
     if n_samples < 1:
         raise ValueError("sample budget must be at least 1")
-    image_block, worst = None, (-np.inf, None, None)
+    image_block, worst, groups = None, (-np.inf, None, None), {}
     for index in range(-(-n_samples // CHUNK_SIZE)):
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
         rows, layout = sample(_chunk_rng(seed, index), count)
@@ -240,14 +243,18 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
             image_block = images
         span = -(-count // len(layout))
         for first in range(0, count, span):
-            offsets = layout[first // span]
+            group = first // span
+            offsets = layout[group]
             n = min(span, count - first)  # the last group may be cut short
             gaps = gap(*([a[o : o + n] for o in offsets] for a in (rows, images)))
             j = int(np.argmax(gaps))
-            if gaps[j] > worst[0]:
-                worst = float(gaps[j]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
+            # a gap above the overall winner's is above its group winner's too
+            if gaps[j] > groups.get(group, (-np.inf,))[0]:
+                groups[group] = float(gaps[j]), *(np.array([a[j + o] for o in offsets]) for a in (rows, images))
+                if gaps[j] > worst[0]:
+                    worst = groups[group]
         del rows  # freed before the next chunk is drawn
-    return worst
+    return worst, groups
 
 
 def _report(prop, n_samples, seed, worst, p, q, d_in, d_out) -> CheckReport:
@@ -487,7 +494,8 @@ def _refined_pair(
     cost, that differs from it by at most about 1e-15 / d at distance d.
     The scan only picks the winner; refinement and the report measure it
     again with _row_distances.  Returns the (2, dim) pair rows and their
-    images.
+    images, and the scan winners of the other offset groups as (gap,
+    rows, images), best first.
     """
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
@@ -497,18 +505,19 @@ def _refined_pair(
     def gap(rows, images):
         return oriented(*(np.sqrt(1.0 - _row_transition_probabilities(*r)) for r in (rows, images)))
 
-    _, pair, images = _search(
+    worst, groups = _search(
         map_, n_samples, seed, lambda rng, count: (draw(rng, count, dim), _PAIR_LAYOUT), gap)
+    _, pair, images = worst
     if refine_steps > 0:
         _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
-    return pair, images
+    return pair, images, sorted((w for w in groups.values() if w is not worst), key=lambda w: -w[0])
 
 
 def _metric_check(
     prop: str, map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented
 ) -> CheckReport:
     """Scan pairs, local ones included, under the oriented gap, refine the winner under it, and report."""
-    pair, images = _refined_pair(map_, dim, n_samples, refine_steps, seed, oriented, _local_pair_rows)
+    pair, images, _ = _refined_pair(map_, dim, n_samples, refine_steps, seed, oriented, _local_pair_rows)
     # the gap of the reported distances: refinement's d(Q', P) may differ from d(P, Q')
     return _pair_report(prop, n_samples, seed, oriented, pair, images)
 
@@ -572,7 +581,7 @@ def check_orthogonality_preserving(
     def gap(rows, images):
         return _row_transition_probabilities(images[1], images[0])
 
-    worst, pair, images = _search(map_, n_samples, seed, lambda rng, count: (
+    (worst, pair, images), _ = _search(map_, n_samples, seed, lambda rng, count: (
         _orthogonal_pair_rows(rng, count, dim), ((0, count),)), gap)
     return _pair_report("orthogonality-preserving", n_samples, seed, lambda *_: worst, pair, images)
 
@@ -606,7 +615,7 @@ def check_inclusion_lemma(
         z = rng.standard_normal((2, count, len(preimages)))
         return _canonical_rows(np.einsum("ij,jk->ik", z[0] + 1j * z[1], span_basis)), ((0,),)
 
-    worst, state, image = _search(
+    (worst, state, image), _ = _search(
         map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images[0])
     )
     return _report(
@@ -623,13 +632,16 @@ def check_injective(
     Scans pairs and refines the winner under one ranking: a pair at least
     COLLISION_D_IN apart scores d_in - 10 d_out, above every closer pair.
     Then _least_squares polishes the pair on the images' phase-free
-    difference, keeping d_in at or above COLLISION_D_IN.  A witness
+    difference, keeping d_in at or above COLLISION_D_IN.  If that pair
+    is no witness, the scan winners of the other offset groups are
+    polished the same way, best first, and the first witness among them
+    is reported; if none is, the first polished pair is.  A witness
     proves the map is not injective, and its gap is its d_in; a pass is
     evidence only, and its gap is minus the closest image distance found
     for two states at least COLLISION_D_IN apart, or -1.0 (no two images
     are farther apart) when the final pair is closer than that.
     """
-    pair, images = _refined_pair(
+    pair, images, others = _refined_pair(
         map_, dim, n_samples, refine_steps, seed,
         lambda d_in, d_out: np.where(d_in >= COLLISION_D_IN, d_in - 10 * d_out, d_in - 11),
         _pair_rows,
@@ -643,10 +655,20 @@ def check_injective(
             phases = np.divide(overlaps, moduli, out=np.ones_like(overlaps), where=moduli > 0)
             return np.asarray(y * phases[:, None] - x, dtype=complex).view(float)
 
-        pair, images = _least_squares(
-            map_, pair, difference,
-            lambda rows: _row_distances(rows[:, 0], rows[:, 1]) >= COLLISION_D_IN,
-        )
+        def polish(rows):
+            rows, images = _least_squares(
+                map_, rows, difference,
+                lambda rows: _row_distances(rows[:, 0], rows[:, 1]) >= COLLISION_D_IN,
+            )
+            d_in, d_out = (_row_distances(r[:1], r[1:])[0] for r in (rows, images))
+            return rows, images, d_in >= COLLISION_D_IN and d_out <= WITNESS_TOL
+
+        pair, images, collides = polish(pair)
+        for _, rows, _ in () if collides else others:
+            *polished, collides = polish(rows)
+            if collides:
+                pair, images = polished
+                break
     return _pair_report(
         "injectivity", n_samples, seed,
         lambda d_in, d_out: -1.0 if d_in < COLLISION_D_IN else d_in if d_out <= WITNESS_TOL else -d_out,

@@ -171,6 +171,15 @@ def test_verify_rejects_unknown_builtin_and_bad_usage():
     assert result.returncode == 2
 
 
+def test_main_returns_the_code_of_a_usage_error_and_of_help(capsys):
+    # argparse exits on a usage error and on --help; main returns the code
+    # instead, so an in-process caller reads what `python -m wignerlab` exits with
+    assert cli.main(["verify", "--map", "phi"]) == cli.EXIT_ERROR
+    assert "the following arguments are required: --property" in capsys.readouterr().err
+    assert cli.main(["--help"]) == cli.EXIT_HOLDS
+    assert capsys.readouterr().out.startswith("usage: wignerlab")
+
+
 def test_the_property_choices_are_the_checks_that_give_a_report():
     # the parser keeps its own names so that start-up need not load verify
     assert cli._PROPERTIES == tuple(verify._REPORT_CHECKS)

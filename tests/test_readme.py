@@ -282,8 +282,4 @@ def test_the_cli_block_exits_as_annotated():
     assert len(commands) >= 9, commands
     for words, code in commands:
         assert words[0] == "wignerlab", words
-        try:
-            status = cli.main(words[1:])
-        except SystemExit as stop:  # argparse exits on a usage error, with 2
-            status = stop.code
-        assert status == code, shlex.join(words)
+        assert cli.main(words[1:]) == code, shlex.join(words)

@@ -317,10 +317,14 @@ def _anchored(dim, anchors):
 # 2 (dim - 1) anchors cannot separate the 2 (dim - 1)-real-dimensional ray
 # space, a collapse or a constant map forgets coordinates, phi forgets
 # phases, and the fold lift folds.  Injective: Wigner symmetries, the rotation lift, criterion
-# 09's 32-anchor map and 4 dim - 4 generic anchors (as in phase retrieval)
+# 09's 32-anchor map and 4 dim - 4 generic anchors (as in phase retrieval).
+# The 2 (dim - 1)-anchor maps of dim4/6, of seed 215 of dim5/8 and of
+# dim6/10 are those whose refined scan winner polishes to no collision:
+# only the winner of another offset group finds theirs
 COLLISION_CASES = [
     *((f"separable_embed dim{d}/{a}", _anchored(d, a), d, range(1, 6), False)
       for d in (3, 4, 5) for a in (1, 2)),
+    ("separable_embed dim4/6", _anchored(4, 6), 4, [251], False),
     ("proper_subspace 3/1", lambda seed: proper_subspace_map(3, 1), 3, range(1, 6), False),
     ("proper_subspace 4/2", lambda seed: proper_subspace_map(4, 2), 4, range(1, 6), False),
     ("tau-fold", lambda seed: standard_map(fold()), 2, range(1, 6), False),
@@ -328,7 +332,8 @@ COLLISION_CASES = [
     *((f"phi dim{d}", lambda seed, d=d: entrywise_abs(d), d, range(1, 6), False)
       for d in (3, 4, 5, 6)),
     ("proper_subspace 5/3", lambda seed: proper_subspace_map(5, 3), 5, range(1, 6), False),
-    ("separable_embed dim5/8", _anchored(5, 8), 5, range(1, 6), False),
+    ("separable_embed dim5/8", _anchored(5, 8), 5, [*range(1, 6), 215], False),
+    ("separable_embed dim6/10", _anchored(6, 10), 6, [23, 45, 78, 88, 146, 171, 195, 252, 258], False),
     *((f"wigner dim{d}", lambda seed, d=d: wigner_map(sample_unitary(np.random.default_rng(seed), d)),
        d, range(1, 6), True) for d in (2, 4, 6)),
     ("tau-rotation", lambda seed: standard_map(rotation(1j)), 2, range(1, 6), True),
@@ -1018,8 +1023,9 @@ def test_map_block_size_cannot_change_a_report(monkeypatch):
 def _fresh_search(map_, n_samples, seed, sample, gap):
     """_search with fresh image arrays for every chunk and one gap call on
     copies of the whole chunk's sample rows: the reference for its reused
-    block, its one gap call per offset group and its row views."""
-    worst = (-np.inf, None, None)
+    block, its one gap call per offset group and its row views, and for
+    its overall and group winners, each found on its own."""
+    worst, groups = (-np.inf, None, None), {}
     for index in range(-(-n_samples // verify.CHUNK_SIZE)):
         count = min(verify.CHUNK_SIZE, n_samples - index * verify.CHUNK_SIZE)
         rows, layout = sample(_chunk_rng(seed, index), count)
@@ -1033,7 +1039,17 @@ def _fresh_search(map_, n_samples, seed, sample, gap):
         i = int(np.argmax(gaps))
         if gaps[i] > worst[0]:
             worst = (gaps[i], rows[:, i], images[:, i])
-    return worst
+        for group, first in enumerate(range(0, count, span)):
+            i = first + int(np.argmax(gaps[first : first + span]))
+            if gaps[i] > groups.get(group, (-np.inf,))[0]:
+                groups[group] = (gaps[i], rows[:, i], images[:, i])
+    return worst, groups
+
+
+def _winner_bytes(found):
+    """The bytes of _search's overall winner and of each group's, by group."""
+    worst, groups = found
+    return [np.asarray(a).tobytes() for w in (worst, *groups.values()) for a in w], list(groups)
 
 
 def _isometry_gap(rows, images):
@@ -1100,8 +1116,8 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
         got_gaps, want_gaps, got_calls = {}, {}, []
         got = _search(map_, n_samples, seed, sample, _recorded(gap, got_gaps, got_calls))
         want = _fresh_search(map_, n_samples, seed, sample, _recorded(gap, want_gaps, []))
-        for a, b in zip(got, want):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        # the overall winner and every group's, in group order
+        assert _winner_bytes(got) == _winner_bytes(want)
         # every sample's gap, not only the winner's, is the whole-chunk gap bit
         # for bit, and no other pair is measured
         assert len(want_gaps) == n_samples
@@ -1118,29 +1134,53 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
 
 def test_the_earliest_of_equal_gaps_wins():
     # every sample ties: the winner is sample 0 of chunk 0, not the first
-    # sample of a later chunk (three full chunks and one more sample)
+    # sample of a later chunk (three full chunks and one more sample), and
+    # it is the one group's winner
     def sample(rng, count):
         return _sample_state_rows(rng, count + 1, 3), ((0, 1),)
 
-    worst, rows, _ = _search(
+    (worst, rows, _), groups = _search(
         entrywise_abs(3), 3 * verify.CHUNK_SIZE + 1, 5, sample,
         lambda rows, images: np.zeros(len(rows[0])),
     )
     assert worst == 0.0
     assert rows.tobytes() == sample(_chunk_rng(5, 0), verify.CHUNK_SIZE)[0][:2].tobytes()
+    assert list(groups) == [0] and groups[0][1].tobytes() == rows.tobytes()
 
     # groups 1 and 2 of one chunk tie above group 0: the winner is group 1's
-    # first sample, rows 0 and 2, not group 2's
+    # first sample, rows 0 and 2, not group 2's, and each group's winner is
+    # its own first sample: rows [0, 1], [0, 2] and [0, 3]
     def three_groups(rng, count):
         return _sample_state_rows(rng, -(-count // 3) + 3, 3), ((0, 1), (0, 2), (0, 3))
 
     calls = itertools.count()
-    worst, rows, _ = _search(
+    (worst, rows, _), groups = _search(
         entrywise_abs(3), 30, 5, three_groups,
         lambda rows, images: np.full(len(rows[0]), float(next(calls) > 0)),
     )
+    drawn = three_groups(_chunk_rng(5, 0), 30)[0]
     assert worst == 1.0
-    assert rows.tobytes() == three_groups(_chunk_rng(5, 0), 30)[0][[0, 2]].tobytes()
+    assert rows.tobytes() == drawn[[0, 2]].tobytes()
+    assert [(g, w[0], w[1].tobytes()) for g, w in groups.items()] == [
+        (0, 0.0, drawn[[0, 1]].tobytes()), (1, 1.0, drawn[[0, 2]].tobytes()),
+        (2, 1.0, drawn[[0, 3]].tobytes()),
+    ]
+
+    # group 1 of chunk 0 ties group 0 of chunk 1 above every other gap: the
+    # overall winner is chunk 0's sample, while group 0's winner is chunk 1's
+    def two_groups(rng, count):
+        return _sample_state_rows(rng, -(-count // 2) + 2, 3), ((0, 1), (0, 2))
+
+    calls = itertools.count()
+    (worst, rows, _), groups = _search(
+        entrywise_abs(3), 2 * verify.CHUNK_SIZE, 5, two_groups,
+        lambda rows, images: np.full(len(rows[0]), float(next(calls) in (1, 2))),
+    )
+    first, second = (two_groups(_chunk_rng(5, i), verify.CHUNK_SIZE)[0] for i in (0, 1))
+    assert worst == 1.0
+    assert rows.tobytes() == first[[0, 2]].tobytes()
+    assert groups[0][1].tobytes() == second[[0, 1]].tobytes()
+    assert groups[1][1].tobytes() == first[[0, 2]].tobytes()
 
 
 def _rotated_block_embed(dim: int) -> StateMap:
