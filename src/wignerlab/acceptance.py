@@ -265,8 +265,9 @@ class Claim:
     in run order, whether each check must hold.  branch is what classify
     returns in dimension >= 3 (in dimension 2 a classified map is a
     phase lift, STANDARD_DIM2; None: classify refuses a map that is no
-    endomap), given hint(map_) as its preimage system if hint is set.
-    shown names the map params repeated atop the demo bundle.
+    endomap), given hint(map_) as its preimage system if hint is set;
+    refusal is the reason_code of a NOT_CLASSIFIED result.  shown names
+    the map params repeated atop the demo bundle.
     """
 
     build: Callable[..., StateMap]
@@ -276,6 +277,7 @@ class Claim:
     hint: Callable[[StateMap], OrthoSystem] | None = None
     params: tuple[str, ...] = ()
     shown: tuple[str, ...] = ()
+    refusal: str | None = None
 
 
 _DIMS = range(2, 7)
@@ -303,10 +305,10 @@ def _wigner(antiunitary, branch):
     return Claim(build, _DIMS, dict.fromkeys(checks, True), branch)
 
 
-def _lift(g, nonexpansive, branch):
+def _lift(g, nonexpansive, branch, refusal=None):
     """The dimension-2 lift tau_g: as nonexpansive as g, never noncontractive."""
     expect = {"nonexpansive": nonexpansive, "noncontractive": False, "isometry": False}
-    return Claim(lambda rng, dim: standard_map(g), (2,), expect, branch)
+    return Claim(lambda rng, dim: standard_map(g), (2,), expect, branch, refusal=refusal)
 
 
 CLAIMS = {
@@ -320,8 +322,7 @@ CLAIMS = {
     ),
     "tau-fold": _lift(fold(), True, STANDARD_DIM2),
     "tau-constant": _lift(constant(1.0), True, STANDARD_DIM2),
-    # the lift is probed and validated, but the image of z**2 fits no half-circle
-    "tau-power2": _lift(power(2), False, NOT_CLASSIFIED),
+    "tau-power2": _lift(power(2), False, NOT_CLASSIFIED, "not_half_circle"),
     "block-embed": Claim(lambda rng, dim: block_embed(dim), _DIMS,
                          {"noncontractive": True, "isometry": False}, None),
     "separable-embed": Claim(
@@ -334,9 +335,10 @@ CLAIMS = {
     "proper-subspace": Claim(
         lambda rng, dim, k: proper_subspace_map(dim, dim - 1 if k is None else k),
         _DIMS, {"nonexpansive": True, "cosp_image": True}, NOT_CLASSIFIED,
-        params=("k",), shown=("k",),
+        params=("k",), shown=("k",), refusal="cosp_not_found",
     ),
-    "constant": Claim(lambda rng, dim: constant_map(dim), _DIMS, _PHI, NOT_CLASSIFIED),
+    "constant": Claim(lambda rng, dim: constant_map(dim), _DIMS, _PHI, NOT_CLASSIFIED,
+                      refusal="cosp_not_found"),
 }
 
 

@@ -89,8 +89,32 @@ _BRANCH_OF_HOM = {
 }
 
 
+# why classification refuses a map: stable code -> reason text, formatted
+# with the details of the refusal
+_REFUSALS = {
+    "cosp_not_found": "COSP-image hypothesis unverified",
+    "probe_not_fixed": "map does not fix basis projection {k} within 1e-8",
+    "probe_unbalanced": "probe image of pair ({i}, {j}) is not balanced on the pair",
+    "probe_off_block": "probe image of pair ({i}, {j}) has off-block weight",
+    "branch_not_multiplicative": "an induced circle map is not multiplicative",
+    "branch_disagree": "induced circle maps disagree across coordinate triples",
+    "model_invalid": "recovered unitaries fail validation: {err}",
+    "residual_exceeded": "{what} residual {residual:.3e} exceeds {tol:.1e}",
+    "not_half_circle": "image spread exceeds a half-circle; map cannot be nonexpansive",
+}
+
+
 class ProbeError(ValueError):
     """A map's response refutes the COSP-image or the canonical-map hypothesis."""
+
+    code: str | None = None  # the _REFUSALS key of a refusal that classification raised
+
+
+def _refusal(code: str, **details) -> ProbeError:
+    """The ProbeError of one refusal, its text _REFUSALS[code] with details."""
+    err = ProbeError(_REFUSALS[code].format(**details))
+    err.code = code
+    return err
 
 
 @dataclass(frozen=True)
@@ -101,7 +125,8 @@ class ClassificationResult:
     diag_u the diagonal recovered from the canonical stage; the
     reconstruction satisfies map(P) ~ V' branch-form(U P U*) V'* where
     the diagonal is already folded into V.  For dimension-2 results g is
-    the extracted phase map with its structural form.
+    the extracted phase map with its structural form.  A refused map's
+    reason_code is its refusal's key in _REFUSALS, reason the text.
     """
 
     branch: str
@@ -112,6 +137,7 @@ class ClassificationResult:
     g_form: CircleMapForm | None = None
     residual: float = math.inf
     reason: str | None = None
+    reason_code: str | None = None
     model: StateMap | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -204,7 +230,7 @@ def _pair_values(map_: StateMap) -> np.ndarray:
     weights = _row_transition_probabilities(out[:dim], basis)
     moved = np.flatnonzero(weights < 1.0 - CANONICAL_TOL)
     if moved.size:
-        raise ProbeError(f"map does not fix basis projection {moved[0]} within 1e-8")
+        raise _refusal("probe_not_fixed", k=moved[0])
     out = out[dim:]
     r = np.arange(i.size)
     out_i, out_j = out[r, i], out[r, j]
@@ -215,10 +241,8 @@ def _pair_values(map_: StateMap) -> np.ndarray:
     failed = np.flatnonzero(unbalanced | (np.abs(np.abs(values) - 1.0) > SUPPORT_TOL))
     if failed.size:
         first_i, first_j = pairs[failed[0] // n]
-        pair = f"pair ({first_i}, {first_j})"
-        if unbalanced[failed[0]]:
-            raise ProbeError(f"probe image of {pair} is not balanced on the pair")
-        raise ProbeError(f"probe image of {pair} has off-block weight")
+        code = "probe_unbalanced" if unbalanced[failed[0]] else "probe_off_block"
+        raise _refusal(code, i=first_i, j=first_j)
     return (values / np.abs(values)).reshape(len(pairs), n)
 
 
@@ -271,8 +295,16 @@ def _lift_rows(u: np.ndarray) -> np.ndarray:
     return _canonical_rows(_apply(u.conj().T, _lift_grid()))
 
 
-def _not_classified(reason: str) -> ClassificationResult:
-    return ClassificationResult(branch=NOT_CLASSIFIED, reason=reason)
+def _not_classified(err: ProbeError) -> ClassificationResult:
+    return ClassificationResult(branch=NOT_CLASSIFIED, reason=str(err), reason_code=err.code)
+
+
+def _decided(pipeline, *args) -> ClassificationResult:
+    """pipeline(*args), or NOT_CLASSIFIED with the reason of the refusal it raises."""
+    try:
+        return pipeline(*args)
+    except ProbeError as err:
+        return _not_classified(err)
 
 
 def _verdict(model: StateMap, map_: StateMap, rows, what: str, **fields):
@@ -280,11 +312,11 @@ def _verdict(model: StateMap, map_: StateMap, rows, what: str, **fields):
 
     rows are state rows, each side mapped in one batch.  The residual is
     the largest state distance between model and map images; above
-    RESIDUAL_TOL it becomes the NOT_CLASSIFIED reason.
+    RESIDUAL_TOL it is a residual_exceeded refusal.
     """
     residual = float(_row_distances(model.batch(rows), map_.batch(rows)).max())
     if residual > RESIDUAL_TOL:
-        return _not_classified(f"{what} residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+        raise _refusal("residual_exceeded", what=what, residual=residual, tol=RESIDUAL_TOL)
     return ClassificationResult(residual=residual, model=model, **fields)
 
 
@@ -298,29 +330,26 @@ def _classify_branch(
     Both are read from the probe values: the diagonal from the pair maps
     at phase 1 (PROBE_GRID[0]), each triple's branch from its induced
     values at i and -1 (PROBE_GRID[4] and PROBE_GRID[8]).  The result
-    reports U = u and V = v diag.
+    reports U = u and V = v diag.  A refusal raises its ProbeError.
     """
     dim = map_.dim_in
-    try:
-        values = _pair_values(canonical)
-    except ProbeError as err:
-        return _not_classified(str(err))
+    values = _pair_values(canonical)
     # the pairs (0, j) come first, then the (j, k) of each triple (0, j, k)
     at_one = values[: dim - 1, 0]
     j, k = _probe_table(dim).triples
     induced = _induced_values(at_one[j], at_one[k], values[dim - 1 :])
     branches = set(_hom_branches(induced[:, 4], induced[:, 8]).tolist())
     if NOT_APPLICABLE in branches:
-        return _not_classified("an induced circle map is not multiplicative")
+        raise _refusal("branch_not_multiplicative")
     if len(branches) != 1:
-        return _not_classified("induced circle maps disagree across coordinate triples")
+        raise _refusal("branch_disagree")
     branch = _BRANCH_OF_HOM[branches.pop()]
     diag = np.diag(np.concatenate([[1.0 + 0j], at_one.conj()]))
     post = v @ diag
     try:
         model = _compose_model(branch, u, post)
     except ValueError as err:
-        return _not_classified(f"recovered unitaries fail validation: {err}")
+        raise _refusal("model_invalid", err=err) from err
     return _verdict(
         model, map_, _validation_rows(dim), "reconstruction",
         branch=branch, U=u, V=post, diag_u=diag,
@@ -344,7 +373,7 @@ def classify_canonical(map_: StateMap, dim: int | None = None) -> Classification
     if dim < 3:
         raise ValueError("canonical classification requires dimension >= 3")
     eye = np.eye(dim, dtype=complex)
-    res = _classify_branch(map_, map_, eye, eye)
+    res = _decided(_classify_branch, map_, map_, eye, eye)
     # in canonical coordinates the recovered unitary is the diagonal itself
     return replace(res, U=res.diag_u, V=None)
 
@@ -372,23 +401,18 @@ def _classify_lift(
     the lift of g sandwiched by u and v against map_ once on the
     weight/phase grid, and only then sorts g into its structural form;
     the returned model lifts the total evaluator of that form.  The
-    result reports U = u and V = v.
+    result reports U = u and V = v.  A refusal raises its ProbeError.
     """
-    try:
-        (values,) = _pair_values(canonical)
-    except ProbeError as err:
-        return _not_classified(str(err))
+    (values,) = _pair_values(canonical)
     g = _sampled_table(_phases(PROBE_GRID), values)  # as sampled() records it
     checked = _verdict(
         _compose_model(STANDARD_DIM2, u, v, g), map_, _lift_rows(u),
         "phase-lift", branch=STANDARD_DIM2, U=u, V=v, g=g,
     )
-    if not checked.classified:
-        return checked
     try:
         form = classify_circle_map(g)
     except ValueError as err:
-        return _not_classified(str(err))
+        raise _refusal("not_half_circle") from err
     model = _compose_model(STANDARD_DIM2, u, v, _total_lift(g, form))
     return replace(checked, g_form=form, model=model)
 
@@ -403,7 +427,7 @@ def classify_dim2(map_: StateMap) -> ClassificationResult:
     if map_.dim_in != 2 or map_.dim_out != 2:
         raise ValueError("dimension-2 classification requires an endomap of dim 2")
     eye = np.eye(2, dtype=complex)
-    return replace(_classify_lift(map_, map_, eye, eye), U=None, V=None)
+    return replace(_decided(_classify_lift, map_, map_, eye, eye), U=None, V=None)
 
 
 def reduce_to_canonical(
@@ -475,6 +499,6 @@ def classify(
     except ProbeError:
         if preimage_hint is not None:
             raise
-        return _not_classified("COSP-image hypothesis unverified")
+        return _not_classified(_refusal("cosp_not_found"))
     pipeline = _classify_lift if dim == 2 else _classify_branch
-    return pipeline(map_, canonical, u, v)
+    return _decided(pipeline, map_, canonical, u, v)

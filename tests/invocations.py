@@ -59,6 +59,10 @@ INVOCATIONS = [
     # check of its image rejects it: NOT_CLASSIFIED, "COSP-image hypothesis
     # unverified"
     ("classify --map constant --dim 3", 1),
+    # tau-power2 in dim 2 passes its probes and the lift's validation, but
+    # the image of z -> z**2 fits no half-circle: NOT_CLASSIFIED, "image
+    # spread exceeds a half-circle; map cannot be nonexpansive"
+    ("classify --map tau-power2 --dim 2", 1),
     # inline JSON maps load neither acceptance (builtin names do) nor, for
     # classify, verify: the lift of the rotation by i in dim 2 classifies as
     # a phase lift, and the collapse onto 2 of 4 coordinates is not

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from wignerlab import acceptance
 
 
@@ -37,6 +39,17 @@ def test_criterion_04_fails_when_the_circle_side_disagrees(monkeypatch):
     result = acceptance.criterion_04()
     assert not result.passed
     assert "squaring False/True" in result.detail
+
+
+def test_criterion_04_fails_when_a_lift_contradicts_its_claim(monkeypatch):
+    # the fold's lift and circle map agree that it is nonexpansive, but its
+    # claim now says otherwise: the criterion must hold each lift to its claim
+    claim = acceptance.CLAIMS["tau-fold"]
+    expect = {**claim.expect, "nonexpansive": False}
+    monkeypatch.setitem(acceptance.CLAIMS, "tau-fold", replace(claim, expect=expect))
+    result = acceptance.criterion_04()
+    assert not result.passed
+    assert "fold True/True" in result.detail
 
 
 def test_criterion_05_classifier_round_trip():

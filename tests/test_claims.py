@@ -52,6 +52,18 @@ def test_every_family_behaves_as_its_claim_says(name, data):
         assert result.branch == (STANDARD_DIM2 if dim == 2 and classified else claim.branch), (
             result.reason
         )
+        assert result.reason_code == claim.refusal
     if map_.family == "tau":
         # a lift tau_g is as nonexpansive as its circle map g
         assert (check_nonexpansive_circle(map_.params["g"]) is None) == claim.expect["nonexpansive"]
+
+
+@pytest.mark.parametrize(
+    "name, dim",
+    [(name, dim) for name, claim in CLAIMS.items() if claim.refusal for dim in claim.dims],
+)
+def test_every_refused_family_is_refused_for_its_reason_in_each_dim(name, dim):
+    claim = CLAIMS[name]
+    params = dict.fromkeys(claim.params)
+    result = classify(claim.build(np.random.default_rng(dim), dim, **params), dim)
+    assert (result.branch, result.reason_code) == (NOT_CLASSIFIED, claim.refusal), result.reason

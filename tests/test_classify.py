@@ -56,6 +56,7 @@ from wignerlab import (
 )
 from wignerlab.classify import (
     _BRANCH_OF_HOM,
+    _REFUSALS,
     CANONICAL_TOL,
     SUPPORT_TOL,
     _classify_branch,
@@ -714,31 +715,59 @@ def _warp_weight(rows):
     return np.column_stack([np.sqrt(q), np.sqrt(1 - q) * np.exp(1j * np.angle(rows[:, 1]))])
 
 
-def _nearly_unitary(rows):
-    m = random_unitary(3, 1)
-    m[:, 2] += 1e-8 * m[:, 1]
+def _lean_coordinate_2(rows):
+    # e_2 -> e_2 + 1e-9 e_1: every product with the identity's 0s and 1s is
+    # exact, so the unitarity defect reads the same under every BLAS kernel
+    m = np.eye(3)
+    m[1, 2] = 1e-9
     return rows @ m.T
 
 
-@pytest.mark.parametrize(
-    "fn, dim, reason",
-    [
-        (_scale_coordinate_0, 3, "probe image of pair (0, 1) is not balanced on the pair"),
-        # dimension 2: the lift's probe fails
-        (_scale_coordinate_0, 2, "probe image of pair (0, 1) is not balanced on the pair"),
-        (_conjugate_coordinate_3, 4, "induced circle maps disagree across coordinate triples"),
-        (_warp_weight, 2, "phase-lift residual 2.169e-01 exceeds 1.0e-08"),
-        # followed by the entry, about 1e-8, whose digits depend on the BLAS kernel
-        (_nearly_unitary, 3,
-         "recovered unitaries fail validation: map param 'unitary' is not unitary within 1e-10, "
-         "got largest |U*U - I| entry "),
-    ],
-    ids=["unbalanced-probe", "unbalanced-lift-probe", "triples-disagree", "lift-residual",
-         "model-invalid"],
-)
-def test_each_rejection_keeps_its_reason(fn, dim, reason):
+def _lean_every_coordinate(rows):
+    # e_k -> e_k + 1.55e-5 (every other e_j) in dim 12: each pair of basis
+    # images overlaps with transition probability 9.6e-10, within ORTHO_TOL,
+    # but the eleven overlaps of one image together move its canonical basis
+    # projection by 1.06e-8
+    return rows @ (np.eye(12) + 1.55e-5 * (1 - np.eye(12))).T
+
+
+# one black-box map per refusal code, with its exact reason
+REJECTIONS = [
+    pytest.param(lambda rows: np.ones_like(rows), 3, "cosp_not_found",
+                 "COSP-image hypothesis unverified", id="no-cosp"),
+    pytest.param(_lean_every_coordinate, 12, "probe_not_fixed",
+                 "map does not fix basis projection 0 within 1e-8", id="basis-moved"),
+    pytest.param(_scale_coordinate_0, 3, "probe_unbalanced",
+                 "probe image of pair (0, 1) is not balanced on the pair", id="unbalanced-probe"),
+    # dimension 2: the lift's probe fails
+    pytest.param(_scale_coordinate_0, 2, "probe_unbalanced",
+                 "probe image of pair (0, 1) is not balanced on the pair", id="unbalanced-lift-probe"),
+    pytest.param(_broken_pairs_map(4).fn, 4, "probe_off_block",
+                 "probe image of pair (0, 2) has off-block weight", id="off-block-probe"),
+    # squares every amplitude's phase: each induced circle map is z -> z**2
+    pytest.param(lambda rows: rows**2 / np.maximum(np.abs(rows), 1e-300), 4,
+                 "branch_not_multiplicative", "an induced circle map is not multiplicative",
+                 id="not-multiplicative"),
+    pytest.param(_conjugate_coordinate_3, 4, "branch_disagree",
+                 "induced circle maps disagree across coordinate triples", id="triples-disagree"),
+    pytest.param(_warp_weight, 2, "residual_exceeded",
+                 "phase-lift residual 2.169e-01 exceeds 1.0e-08", id="lift-residual"),
+    pytest.param(_lean_coordinate_2, 3, "model_invalid",
+                 "recovered unitaries fail validation: map param 'unitary' is not unitary within "
+                 "1e-10, got largest |U*U - I| entry 1.0000000000000003e-09", id="model-invalid"),
+    # the lift of z -> z**2 is probed and validated, but its image fits no half-circle
+    pytest.param(standard_map(power(2)).fn, 2, "not_half_circle",
+                 "image spread exceeds a half-circle; map cannot be nonexpansive",
+                 id="wider-than-half-circle"),
+]
+
+
+@pytest.mark.parametrize("fn, dim, code, reason", REJECTIONS)
+def test_each_rejection_keeps_its_reason(fn, dim, code, reason):
     res = classify(StateMap("custom", dim, dim, fn), dim)
     assert res.branch == NOT_CLASSIFIED
-    assert res.reason.startswith(reason)
-    entry = res.reason[len(reason):]
-    assert entry == "" or float(entry) == pytest.approx(1e-8, rel=1e-6)
+    assert (res.reason_code, res.reason) == (code, reason)
+
+
+def test_the_rejections_reach_every_refusal_code():
+    assert {case.values[2] for case in REJECTIONS} == set(_REFUSALS)

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from wignerlab import check_isometry, check_nonexpansive, cli, sample_pure_state, separable_embed, verify
-from wignerlab.classify import PROBE_GRID, RESIDUAL_TOL, VALIDATION_STATES, _lift_grid
+from wignerlab.classify import PROBE_GRID, RESIDUAL_TOL, VALIDATION_STATES, _REFUSALS, _lift_grid
 from wignerlab.states import _orthogonal_pair_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -244,6 +244,12 @@ def test_the_classification_constants():
         f"the {len(PROBE_GRID) - 1} sixteenth roots of unity",
         f"`RESIDUAL_TOL` = {sci(RESIDUAL_TOL)}",
     )
+
+
+def test_the_refusal_codes():
+    # the classify section's list of codes is the table, keys and texts in order
+    listed = re.findall(r"^  - `(\w+)`: `(.*)`$", SOURCE, re.M)
+    assert listed == list(_REFUSALS.items())
 
 
 def cli_commands() -> list[tuple[list[str], int]]:

@@ -375,6 +375,32 @@ def test_an_isometry_passes_with_the_collision_threshold_as_its_gap(build, dim, 
         assert report.holds and abs(report.worst_gap + 0.5) <= WITNESS_TOL, seed
 
 
+def test_the_extra_polishes_start_from_the_other_group_winners_best_first(monkeypatch):
+    # an injective map polishes its refined pair to no collision, then the
+    # unrefined scan winners of the other three offset groups, whose scan
+    # gaps are distinct, in order of descending gap
+    search, least_squares = verify._search, verify._least_squares
+    searched, starts = [], []
+
+    def searching(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
+    def polishing(map_, rows, *args):
+        starts.append(rows)
+        return least_squares(map_, rows, *args)
+
+    monkeypatch.setattr(verify, "_search", searching)
+    monkeypatch.setattr(verify, "_least_squares", polishing)
+    assert check_injective(wigner_map(random_unitary(4, 3)), 4, 1000, seed=42).holds
+    ((worst, groups),) = searched
+    others = sorted((w for w in groups.values() if w is not worst), key=lambda w: w[0], reverse=True)
+    assert [w[0] for w in others] == pytest.approx([-4.674, -4.688, -5.070], abs=1e-3)
+    assert len(starts) == 4
+    for start, (_, rows, _) in zip(starts[1:], others, strict=True):
+        assert np.array_equal(start, rows)
+
+
 @pytest.mark.parametrize("seed", [4, 5, 7, 9, 10])
 def test_a_pass_from_a_pair_closer_than_the_threshold_reports_minus_one(seed):
     # one unrefined pair closer than COLLISION_D_IN is never compared: its
