@@ -35,6 +35,7 @@ from .classify import (
     ENTRYWISE_ABS,
     NOT_CLASSIFIED,
     PROBE_GRID,
+    RESIDUAL_TOL,
     STANDARD_DIM2,
     WIGNER_ANTIUNITARY,
     WIGNER_UNITARY,
@@ -65,6 +66,7 @@ from .states import (
     sample_unitary,
 )
 from .verify import (
+    WITNESS_TOL,
     _run_check,
     check_inclusion_lemma,
     check_isometry,
@@ -184,7 +186,7 @@ def criterion_05() -> CriterionResult:
         res = classify(model, dim, preimage_hint=claim.hint and claim.hint(model))
         if (
             res.branch == claim.branch
-            and res.residual <= 1e-8
+            and res.residual <= RESIDUAL_TOL
             and res.diag_u is not None
             and res.diag_u[0, 0] == 1.0
         ):
@@ -251,7 +253,7 @@ def criterion_07() -> CriterionResult:
         check_inclusion_lemma(map_, OrthoSystem(tuple(states)), 1000, seed=42).worst_gap
         for map_, states in cases
     )
-    passed = worst <= 1e-9
+    passed = worst <= WITNESS_TOL
     return _result(7, "inclusion of dominated states", t0, passed, f"worst gap {worst:.2e}", 10.0)
 
 

@@ -23,10 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .states import _is_integer
+from .states import UNIT_NORM_TOL, _is_integer
 
 __all__ = [
-    "UNIT_TOL",
     "CIRCLE_WITNESS_TOL",
     "FORM_MATCH_TOL",
     "HOM_BRANCH_TOL",
@@ -49,7 +48,6 @@ __all__ = [
     "classify_circle_map",
 ]
 
-UNIT_TOL = 1e-12
 CIRCLE_WITNESS_TOL = 1e-9
 FORM_MATCH_TOL = 1e-8
 HOM_BRANCH_TOL = 1e-6
@@ -72,10 +70,10 @@ def _require_units(values: np.ndarray, what: str, entries=None) -> None:
     """Refuse a 1-d array of values of modulus other than 1: the ValueError
     names what they are and the first refused value, or its entry of
     entries (entries[i], the source of values[i]) if given."""
-    off = np.flatnonzero(~(np.abs(np.abs(values) - 1.0) <= UNIT_TOL))  # NaN is off too
+    off = np.flatnonzero(~(np.abs(np.abs(values) - 1.0) <= UNIT_NORM_TOL))  # NaN is off too
     if off.size:
         got = complex(values[off[0]]) if entries is None else entries[off[0]]
-        raise ValueError(f"{what} must have modulus 1 within 1e-12, got {got!r}")
+        raise ValueError(f"{what} must have modulus 1 within {UNIT_NORM_TOL}, got {got!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ class CircleMap:
         w = np.asarray(self.fn(zs), dtype=complex)
         if w.shape != zs.shape:
             raise ValueError(f"{self.kind} map returned shape {w.shape} for {zs.size} points")
-        off = ~(np.abs(np.abs(w) - 1.0) <= UNIT_TOL)  # NaN is off too
+        off = ~(np.abs(np.abs(w) - 1.0) <= UNIT_NORM_TOL)  # NaN is off too
         if off.any():
             raise ValueError(f"{self.kind} map produced a non-unit value {complex(w[off][0])!r}")
         return w

@@ -73,7 +73,6 @@ STANDARD_DIM2 = "standard_dim2"
 NOT_CLASSIFIED = "not_classified"
 
 CANONICAL_TOL = 1e-8
-SUPPORT_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 VALIDATION_STATES = 32
 
@@ -93,7 +92,7 @@ _BRANCH_OF_HOM = {
 # with the details of the refusal
 _REFUSALS = {
     "cosp_not_found": "COSP-image hypothesis unverified",
-    "probe_not_fixed": "map does not fix basis projection {k} within 1e-8",
+    "probe_not_fixed": f"map does not fix basis projection {{k}} within {CANONICAL_TOL}",
     "probe_unbalanced": "probe image of pair ({i}, {j}) is not balanced on the pair",
     "probe_off_block": "probe image of pair ({i}, {j}) has off-block weight",
     "branch_not_multiplicative": "an induced circle map is not multiplicative",
@@ -234,11 +233,11 @@ def _pair_values(map_: StateMap) -> np.ndarray:
     out = out[dim:]
     r = np.arange(i.size)
     out_i, out_j = out[r, i], out[r, j]
-    unbalanced = (np.abs(np.abs(out_i) ** 2 - 0.5) > SUPPORT_TOL) | (
-        np.abs(np.abs(out_j) ** 2 - 0.5) > SUPPORT_TOL
+    unbalanced = (np.abs(np.abs(out_i) ** 2 - 0.5) > CANONICAL_TOL) | (
+        np.abs(np.abs(out_j) ** 2 - 0.5) > CANONICAL_TOL
     )
     values = 2.0 * out_i * out_j.conj()
-    failed = np.flatnonzero(unbalanced | (np.abs(np.abs(values) - 1.0) > SUPPORT_TOL))
+    failed = np.flatnonzero(unbalanced | (np.abs(np.abs(values) - 1.0) > CANONICAL_TOL))
     if failed.size:
         first_i, first_j = pairs[failed[0] // n]
         code = "probe_unbalanced" if unbalanced[failed[0]] else "probe_off_block"

@@ -19,6 +19,7 @@ import numpy as np
 from .circle import CircleMap
 from .states import (
     GAUGE_TOL,
+    ORTHO_TOL,
     PureState,
     _canonical_rows,
     _float,
@@ -29,7 +30,6 @@ from .states import (
 )
 
 __all__ = [
-    "UNITARY_TOL",
     "StateMap",
     "wigner_map",
     "entrywise_abs",
@@ -42,11 +42,9 @@ __all__ = [
     "opaque_map",
 ]
 
-UNITARY_TOL = 1e-10
-
 
 def require_unitary(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Validate and return a square matrix with U*U = I within UNITARY_TOL.
+    """Validate and return a square matrix whose Gram entries meet U*U = I within ORTHO_TOL.
     A refusal names what the matrix is and its largest |U*U - I| entry."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
@@ -54,8 +52,8 @@ def require_unitary(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     # an entry too large for the Gram (no unitary has one) makes the deviation inf
     with np.errstate(over="ignore", invalid="ignore"):
         deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-    if not deviation <= UNITARY_TOL:  # NaN fails too
-        raise ValueError(f"{what} is not unitary within 1e-10, got largest |U*U - I| entry "
+    if not deviation <= ORTHO_TOL:  # NaN fails too
+        raise ValueError(f"{what} is not unitary within {ORTHO_TOL}, got largest |U*U - I| entry "
                          f"{deviation!r}")
     return mat
 

@@ -37,7 +37,7 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 GAUGE_TOL = 1e-12
-ORTHO_TOL = 1e-9
+ORTHO_TOL = 1e-10
 STATE_EQ_TOL = 1e-9
 
 
@@ -58,9 +58,9 @@ class PureState:
         vec = np.asarray(self.vec, dtype=complex)
         if vec.ndim != 1 or vec.size < 2:
             raise ValueError("state vector must be one-dimensional with dim >= 2")
-        # canonical: pure_state would leave it in place, up to 1e-12 per entry
+        # canonical: pure_state would leave it in place, up to UNIT_NORM_TOL per entry
         if not np.abs(_canonical_rows(vec[None])[0] - vec).max() <= UNIT_NORM_TOL:
-            raise ValueError("state vector is not a gauge-fixed unit vector within 1e-12")
+            raise ValueError(f"state vector is not a gauge-fixed unit vector within {UNIT_NORM_TOL}")
         vec = vec.copy()
         vec.setflags(write=False)
         object.__setattr__(self, "vec", vec)
@@ -253,14 +253,15 @@ def distance(p: PureState, q: PureState) -> float:
 
 
 def _require_orthogonal(rows: np.ndarray) -> None:
-    """Raise unless the state rows are pairwise orthogonal within ORTHO_TOL.
+    """Raise unless every overlap |<v_j, v_k>| of two rows is at most ORTHO_TOL,
+    the bound maps.require_unitary puts on the same Gram entries (squared here).
 
     An orthogonal system returns after one comparison; only a failing
     one is searched for its first pair.
     """
     overlaps = _pairwise_transition_probabilities(rows, rows)
     np.fill_diagonal(overlaps, 0.0)
-    overlapping = overlaps > ORTHO_TOL
+    overlapping = overlaps > ORTHO_TOL**2
     if overlapping.any():
         # the matrix is symmetric: its first entry in row-major order is the first pair i < j
         i, j = np.argwhere(overlapping)[0]
@@ -344,10 +345,10 @@ def _param_rows(p, z) -> np.ndarray:
 
 def state_from_params(p: float, z: complex) -> PureState:
     """Two-dimensional state with given weight p and unit phase z."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
+    if not -UNIT_NORM_TOL <= p <= 1.0 + UNIT_NORM_TOL:
         raise ValueError("weight parameter must lie in [0, 1]")
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise ValueError("phase parameter must have modulus 1 within 1e-12")
+    if abs(abs(z) - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"phase parameter must have modulus 1 within {UNIT_NORM_TOL}")
     p = min(max(p, 0.0), 1.0)
     return _trusted_state(_canonical_rows(_param_rows(p, z))[0])
 

@@ -42,6 +42,7 @@ import numpy as np
 from .descriptors import state_to_json
 from .maps import StateMap
 from .states import (
+    GAUGE_TOL,
     OrthoSystem,
     PureState,
     _basis_system,
@@ -683,7 +684,7 @@ def basis_image_completes_span(map_: StateMap, k: int) -> bool:
     system of the span of the first k basis vectors.
     """
     rows = _orthogonal_images(map_, np.eye(map_.dim_in, dtype=complex)[:k])
-    return rows is not None and bool(np.all(np.abs(rows[:, k:]) <= 1e-12))
+    return rows is not None and bool(np.all(np.abs(rows[:, k:]) <= GAUGE_TOL))
 
 
 # the checks that give a CheckReport, as `verify --property` and acceptance.CLAIMS name them

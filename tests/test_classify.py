@@ -58,7 +58,6 @@ from wignerlab.classify import (
     _BRANCH_OF_HOM,
     _REFUSALS,
     CANONICAL_TOL,
-    SUPPORT_TOL,
     _classify_branch,
     _lift_grid,
     _pair_values,
@@ -68,7 +67,7 @@ from wignerlab.classify import (
 )
 from wignerlab.circle import _phases, _sampled_table
 from wignerlab.maps import StateMap
-from wignerlab.states import _basis_system
+from wignerlab.states import ORTHO_TOL, _basis_system
 
 
 def probe_state(u: complex, i: int, j: int, dim: int):
@@ -90,15 +89,15 @@ def extract_pair_map(map_, i: int, j: int, grid):
     for k in range(dim):
         e_k = basis_state(dim, k)
         if transition_probability(map_(e_k), e_k) < 1.0 - CANONICAL_TOL:
-            raise ProbeError(f"map does not fix basis projection {k} within 1e-8")
+            raise ProbeError(f"map does not fix basis projection {k} within {CANONICAL_TOL}")
     images = np.array([map_(probe_state(u, i, j, dim)).vec for u in grid])
     out_i, out_j = images[:, i], images[:, j]
     # numpy's complex arithmetic, not Python's, which rounds differently
     values = 2.0 * out_i * out_j.conj()
     for w_i, w_j, size in zip(np.abs(out_i) ** 2, np.abs(out_j) ** 2, np.abs(values)):
-        if abs(w_i - 0.5) > SUPPORT_TOL or abs(w_j - 0.5) > SUPPORT_TOL:
+        if abs(w_i - 0.5) > CANONICAL_TOL or abs(w_j - 0.5) > CANONICAL_TOL:
             raise ProbeError(f"probe image of pair ({i}, {j}) is not balanced on the pair")
-        if abs(size - 1.0) > SUPPORT_TOL:
+        if abs(size - 1.0) > CANONICAL_TOL:
             raise ProbeError(f"probe image of pair ({i}, {j}) has off-block weight")
     return sampled(zip(grid, values / np.abs(values)))
 
@@ -716,8 +715,7 @@ def _warp_weight(rows):
 
 
 def _lean_coordinate_2(rows):
-    # e_2 -> e_2 + 1e-9 e_1: every product with the identity's 0s and 1s is
-    # exact, so the unitarity defect reads the same under every BLAS kernel
+    # e_2 -> e_2 + 1e-9 e_1: basis images 2 and 1 overlap by 1e-9, past ORTHO_TOL
     m = np.eye(3)
     m[1, 2] = 1e-9
     return rows @ m.T
@@ -725,48 +723,88 @@ def _lean_coordinate_2(rows):
 
 def _lean_every_coordinate(rows):
     # e_k -> e_k + 1.55e-5 (every other e_j) in dim 12: each pair of basis
-    # images overlaps with transition probability 9.6e-10, within ORTHO_TOL,
-    # but the eleven overlaps of one image together move its canonical basis
-    # projection by 1.06e-8
+    # images overlaps by 3.1e-5, past ORTHO_TOL, and eleven such overlaps
+    # would move a canonical basis projection by 1.06e-8, past CANONICAL_TOL
     return rows @ (np.eye(12) + 1.55e-5 * (1 - np.eye(12))).T
 
 
-# one black-box map per refusal code, with its exact reason
+# (I + eps (J - I)) H / 2 for the 4x4 Hadamard matrix H and eps = 3 * 2**-37:
+# its rows overlap by 2 eps = 4.4e-11, within ORTHO_TOL, but its columns'
+# Gram matrix is I + eps (8 e_0 e_0^T - 2 I), whose entry (0, 0) is off by
+# 6 eps = 1.3e-10.  Every entry is dyadic and every product it takes is exact
+# but for its eps**2 part, which rounds away, so the defect reads 6 eps
+# under every BLAS kernel
+_HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+_LEANING_FRAME = (np.eye(4) + 3 * 2.0**-37 * (1 - np.eye(4))) @ _HADAMARD / 2
+
+
+def _phi_of_leaning_frame(rows):
+    # phi(F P F*) for the frame F above: the rows of F map onto a COSP, and
+    # the model's pre = F fails require_unitary on the columns' Gram entries
+    return np.abs(rows @ _LEANING_FRAME.T)
+
+
+def _hinted_by_leaning_frame(map_, dim):
+    return classify(map_, dim, preimage_hint=OrthoSystem(tuple(map(pure_state, _LEANING_FRAME))))
+
+
+def _rejection(fn, dim, code, reason, id, run=classify):
+    """One refusal case: run(map, dim) on StateMap("custom", dim, dim, fn)."""
+    return pytest.param(fn, dim, code, reason, run, id=id)
+
+
+# one black-box map per refusal code, with its exact reason; the code of a
+# map refused at the COSP check is cosp_not_found, so probe_not_fixed is
+# reached through classify_canonical and model_invalid through a hint
 REJECTIONS = [
-    pytest.param(lambda rows: np.ones_like(rows), 3, "cosp_not_found",
-                 "COSP-image hypothesis unverified", id="no-cosp"),
-    pytest.param(_lean_every_coordinate, 12, "probe_not_fixed",
-                 "map does not fix basis projection 0 within 1e-8", id="basis-moved"),
-    pytest.param(_scale_coordinate_0, 3, "probe_unbalanced",
-                 "probe image of pair (0, 1) is not balanced on the pair", id="unbalanced-probe"),
+    _rejection(lambda rows: np.ones_like(rows), 3, "cosp_not_found",
+               "COSP-image hypothesis unverified", "no-cosp"),
+    _rejection(_lean_every_coordinate, 12, "cosp_not_found",
+               "COSP-image hypothesis unverified", "basis-moved"),
+    # e_0 -> e_2: classify_canonical takes the basis as fixed without a COSP check
+    _rejection(lambda rows: rows[:, ::-1], 3, "probe_not_fixed",
+               "map does not fix basis projection 0 within 1e-08", "canonical-basis-moved",
+               classify_canonical),
+    _rejection(_scale_coordinate_0, 3, "probe_unbalanced",
+               "probe image of pair (0, 1) is not balanced on the pair", "unbalanced-probe"),
     # dimension 2: the lift's probe fails
-    pytest.param(_scale_coordinate_0, 2, "probe_unbalanced",
-                 "probe image of pair (0, 1) is not balanced on the pair", id="unbalanced-lift-probe"),
-    pytest.param(_broken_pairs_map(4).fn, 4, "probe_off_block",
-                 "probe image of pair (0, 2) has off-block weight", id="off-block-probe"),
+    _rejection(_scale_coordinate_0, 2, "probe_unbalanced",
+               "probe image of pair (0, 1) is not balanced on the pair", "unbalanced-lift-probe"),
+    _rejection(_broken_pairs_map(4).fn, 4, "probe_off_block",
+               "probe image of pair (0, 2) has off-block weight", "off-block-probe"),
     # squares every amplitude's phase: each induced circle map is z -> z**2
-    pytest.param(lambda rows: rows**2 / np.maximum(np.abs(rows), 1e-300), 4,
-                 "branch_not_multiplicative", "an induced circle map is not multiplicative",
-                 id="not-multiplicative"),
-    pytest.param(_conjugate_coordinate_3, 4, "branch_disagree",
-                 "induced circle maps disagree across coordinate triples", id="triples-disagree"),
-    pytest.param(_warp_weight, 2, "residual_exceeded",
-                 "phase-lift residual 2.169e-01 exceeds 1.0e-08", id="lift-residual"),
-    pytest.param(_lean_coordinate_2, 3, "model_invalid",
-                 "recovered unitaries fail validation: map param 'unitary' is not unitary within "
-                 "1e-10, got largest |U*U - I| entry 1.0000000000000003e-09", id="model-invalid"),
+    _rejection(lambda rows: rows**2 / np.maximum(np.abs(rows), 1e-300), 4,
+               "branch_not_multiplicative", "an induced circle map is not multiplicative",
+               "not-multiplicative"),
+    _rejection(_conjugate_coordinate_3, 4, "branch_disagree",
+               "induced circle maps disagree across coordinate triples", "triples-disagree"),
+    _rejection(_warp_weight, 2, "residual_exceeded",
+               "phase-lift residual 2.169e-01 exceeds 1.0e-08", "lift-residual"),
+    _rejection(_lean_coordinate_2, 3, "cosp_not_found",
+               "COSP-image hypothesis unverified", "model-invalid"),
+    _rejection(_phi_of_leaning_frame, 4, "model_invalid",
+               "recovered unitaries fail validation: map param 'pre' is not unitary within "
+               "1e-10, got largest |U*U - I| entry 1.3096723705530167e-10",
+               "hinted-model-invalid", _hinted_by_leaning_frame),
     # the lift of z -> z**2 is probed and validated, but its image fits no half-circle
-    pytest.param(standard_map(power(2)).fn, 2, "not_half_circle",
-                 "image spread exceeds a half-circle; map cannot be nonexpansive",
-                 id="wider-than-half-circle"),
+    _rejection(standard_map(power(2)).fn, 2, "not_half_circle",
+               "image spread exceeds a half-circle; map cannot be nonexpansive",
+               "wider-than-half-circle"),
 ]
 
 
-@pytest.mark.parametrize("fn, dim, code, reason", REJECTIONS)
-def test_each_rejection_keeps_its_reason(fn, dim, code, reason):
-    res = classify(StateMap("custom", dim, dim, fn), dim)
+@pytest.mark.parametrize("fn, dim, code, reason, run", REJECTIONS)
+def test_each_rejection_keeps_its_reason(fn, dim, code, reason, run):
+    res = run(StateMap("custom", dim, dim, fn), dim)
     assert res.branch == NOT_CLASSIFIED
     assert (res.reason_code, res.reason) == (code, reason)
+
+
+def test_the_leaning_frame_passes_as_rows_and_fails_as_columns():
+    gram = _LEANING_FRAME @ _LEANING_FRAME.T - np.eye(4)
+    assert np.abs(gram).max() <= ORTHO_TOL < np.abs(_LEANING_FRAME.T @ _LEANING_FRAME - np.eye(4)).max()
+    # and its rows are canonical states as they stand
+    assert all((pure_state(row).vec == row).all() for row in _LEANING_FRAME)
 
 
 def test_the_rejections_reach_every_refusal_code():

@@ -24,8 +24,15 @@ import numpy as np
 import pytest
 
 from wignerlab import check_isometry, check_nonexpansive, cli, sample_pure_state, separable_embed, verify
-from wignerlab.classify import PROBE_GRID, RESIDUAL_TOL, VALIDATION_STATES, _REFUSALS, _lift_grid
-from wignerlab.states import _orthogonal_pair_rows
+from wignerlab.classify import (
+    CANONICAL_TOL,
+    PROBE_GRID,
+    RESIDUAL_TOL,
+    VALIDATION_STATES,
+    _REFUSALS,
+    _lift_grid,
+)
+from wignerlab.states import ORTHO_TOL, _orthogonal_pair_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCE = README.read_text(encoding="utf-8")
@@ -244,6 +251,19 @@ def test_the_classification_constants():
         f"the {len(PROBE_GRID) - 1} sixteenth roots of unity",
         f"`RESIDUAL_TOL` = {sci(RESIDUAL_TOL)}",
     )
+
+
+def test_the_cosp_criterion():
+    # a COSP image's overlaps meet the unitarity bound, and the d - 1 squared
+    # overlaps of one basis image stay inside CANONICAL_TOL up to d = 10**12
+    says(
+        f"every overlap of two of its states is at most `ORTHO_TOL` = {sci(ORTHO_TOL)}",
+        f"a basis projection moves by at most (d − 1)·{sci(ORTHO_TOL**2)}, inside "
+        f"`CANONICAL_TOL` = {sci(CANONICAL_TOL)}",
+        f"Since (d − 1)·{sci(ORTHO_TOL**2)} stays inside {sci(CANONICAL_TOL)} up to d = 10¹²",
+        f"has a Gram entry off by more than {sci(ORTHO_TOL)}",
+    )
+    assert (10**12 - 1) * ORTHO_TOL**2 <= CANONICAL_TOL < 10**13 * ORTHO_TOL**2
 
 
 def test_the_refusal_codes():

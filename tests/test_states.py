@@ -206,10 +206,11 @@ def test_ray_equality_tolerance():
 
 
 def test_orthogonality_examples():
-    assert transition_probability(basis_state(2, 0), basis_state(2, 1)) <= ORTHO_TOL
+    # ORTHO_TOL bounds the overlap, so a transition probability meets its square
+    assert transition_probability(basis_state(2, 0), basis_state(2, 1)) <= ORTHO_TOL**2
     p = pure_state([2.0, 1.0])
-    assert transition_probability(p, p) > ORTHO_TOL
-    assert transition_probability(pure_state([1.0, 1.0]), pure_state([1.0, -1.0])) <= ORTHO_TOL
+    assert transition_probability(p, p) > ORTHO_TOL**2
+    assert transition_probability(pure_state([1.0, 1.0]), pure_state([1.0, -1.0])) <= ORTHO_TOL**2
 
 
 def test_ortho_system_examples():
@@ -246,7 +247,7 @@ def test_ortho_system_names_the_first_overlapping_pair_in_row_major_order():
     )
     with pytest.raises(ValueError) as err:
         OrthoSystem(members)
-    assert str(err.value) == "members 0 and 3 are not orthogonal within 1e-09"
+    assert str(err.value) == "members 0 and 3 are not orthogonal within 1e-10"
 
 
 def test_the_orthogonality_check_names_a_lone_overlapping_pair():
@@ -255,7 +256,7 @@ def test_the_orthogonality_check_names_a_lone_overlapping_pair():
     rows[3] = pure_state([0.0, 1.0, 0.0, 1.0]).vec
     with pytest.raises(ValueError) as err:
         _require_orthogonal(rows)
-    assert str(err.value) == "members 1 and 3 are not orthogonal within 1e-09"
+    assert str(err.value) == "members 1 and 3 are not orthogonal within 1e-10"
     _require_orthogonal(np.eye(4, dtype=complex))
 
 
