@@ -57,6 +57,12 @@ def sci(x: float) -> str:
     return f"{x:g}".replace("e-0", "e-")
 
 
+def exponent_form(x: float) -> str:
+    """x in exponent form, as the README writes a share: 1e-3, not 0.001."""
+    mantissa, exponent = f"{x:e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
+
+
 def listing(items) -> str:
     """'a, b and c'."""
     *head, last = (str(item) for item in items)
@@ -240,6 +246,9 @@ def test_the_refinement_and_polish_constants():
         f"lengths 1, 1/2, …, 2{exponent} in one batch",
         f"or after {verify.LSQ_ITERATIONS} iterations",
         f"`WITNESS_TOL` = {sci(verify.WITNESS_TOL)}",
+        f"above the {sci(verify.WITNESS_TOL)} witness tolerance by more than {sci(verify.REFINE_TOL)} "
+        f"and its last {verify.REFINE_STALL_STEPS} gains together raised the gap by less than "
+        f"{exponent_form(verify.REFINE_STALL_GAIN)} of it",
     )
 
 

@@ -23,7 +23,9 @@ import pytest
 from wignerlab import STANDARD_DIM2, WIGNER_UNITARY, StateMap, classify, cli, sampled
 from wignerlab.classify import CANONICAL_TOL
 from wignerlab.states import ORTHO_TOL, UNIT_NORM_TOL
-from wignerlab.verify import REFINE_FLOOR, REFINE_TOL
+from wignerlab.verify import REFINE_FLOOR, REFINE_STALL_GAIN, REFINE_STALL_STEPS, REFINE_TOL, WITNESS_TOL
+
+from test_readme import exponent_form
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
 
@@ -165,7 +167,11 @@ def test_a_table_of_unit_values_evaluates():
 
 def test_the_cli_help_states_the_refinement_constants(capsys):
     # the CLI cannot import wignerlab.verify to build its help
-    # (tests/test_startup.py), so the help restates the two constants
+    # (tests/test_startup.py), so the help restates the refinement constants
     assert cli.main(["verify", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"only gains above {REFINE_TOL:g} and stops once its step is below {REFINE_FLOOR:g} " in help_text
+    assert (
+        f"(gap above {exponent_form(WITNESS_TOL)} + {exponent_form(REFINE_TOL)}), once its last "
+        f"{REFINE_STALL_STEPS} gains raised the gap by less than {exponent_form(REFINE_STALL_GAIN)} of it"
+    ) in help_text

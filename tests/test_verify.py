@@ -420,7 +420,7 @@ def _start_pair(rng, dim):
     return _canonical_rows(z[0] + 1j * z[1])
 
 
-def _sequential_refine(map_, oriented, pair, images, steps):
+def _sequential_refine(map_, oriented, pair, images, steps, stall=False):
     """Reference pattern search: one candidate at a time, in (which, coord,
     delta) order, with per-state map calls and the row kernels on single
     rows.  When the best candidate gains more than REFINE_TOL, it takes the
@@ -430,7 +430,9 @@ def _sequential_refine(map_, oriented, pair, images, steps):
     12; when the best of these beats the current gap and the step's own
     best by more than REFINE_TOL, the first within REFINE_TOL of it is
     taken, the step size stays and the streak goes on.  A failed step ends
-    the streak."""
+    the streak.  With stall, the search also stops before a step once its
+    gap exceeds WITNESS_TOL + REFINE_TOL and the last REFINE_STALL_STEPS
+    gains raised it by less than REFINE_STALL_GAIN of itself."""
 
     def d(a, b):
         return _row_distances(a[None], b[None])[0]
@@ -448,7 +450,11 @@ def _sequential_refine(map_, oriented, pair, images, steps):
     step = REFINE_START_STEP
     used = streak = 0
     last = None  # (which, coord, unit move) of the streak's winner
+    gains = [gap]
     while used < steps and step >= REFINE_FLOOR:
+        if stall and gap > WITNESS_TOL + REFINE_TOL and len(gains) > verify.REFINE_STALL_STEPS:
+            if gap - gains[-1 - verify.REFINE_STALL_STEPS] < verify.REFINE_STALL_GAIN * gap:
+                break
         used += 1
         moves, keys = [], []
         for which in (0, 1):
@@ -474,6 +480,7 @@ def _sequential_refine(map_, oriented, pair, images, steps):
             step *= REFINE_SHRINK
             streak = 0
             continue
+        gains.append(gap)
         if which == 0:
             p, fp = cand, f_cand
         else:
@@ -519,6 +526,32 @@ def test_batched_refinement_matches_the_sequential_search(name):
     assert gap > oriented(distance(*map(PureState, pair)), distance(*map(PureState, images)))
 
 
+def _bench_scan_winner(seed, name):
+    """The map and oriented gap of bench verify op name of seed, with its
+    scan winner's pair and images."""
+    op = next(op for op in _bench_inputs().build("verify", seed) if op.name == name)
+    map_, oriented = map_from_json(op.map), ORIENTED[op.prop]
+    pair, images, _ = verify._refined_pair(
+        map_, op.dim, op.samples, 0, op.check_seed, oriented, verify._local_pair_rows, False
+    )
+    return map_, oriented, pair, images
+
+
+def test_a_stalled_witness_climb_stops_as_the_sequential_search_does():
+    # bench verify seed 11's phi dim 2 noncontractive witness creeps to the
+    # 200-step cap when the stall rule is off; with it on, both searches stop
+    # at the same step with the same pair and images
+    map_, oriented, pair, images = _bench_scan_winner(11, "noncontractive phi dim2")
+    assert _refine_pair(map_, oriented, pair, images, 200)[3] == 200
+    ref_gap, ref_pair, ref_images, ref_used = _sequential_refine(
+        map_, oriented, pair, images, 200, stall=True
+    )
+    gap, got_pair, got_images, used = _refine_pair(map_, oriented, pair, images, 200, stall=True)
+    assert gap == ref_gap and used == ref_used < 200
+    assert np.array_equal(got_pair, ref_pair)
+    assert got_images.dtype == ref_images.dtype and np.array_equal(got_images, ref_images)
+
+
 ORIENTED = {
     "nonexpansive": lambda d_in, d_out: d_out - d_in,
     "noncontractive": lambda d_in, d_out: d_in - d_out,
@@ -560,6 +593,51 @@ def _metric_reports(capsys):
                             refine_steps=op.refine_steps, seed=op.check_seed).to_json()
     for name, (build, dim, _, _) in REFINE_CASES.items():
         yield verify._REPORT_CHECKS[name.split()[-1]](build(), dim).to_json()
+
+
+def _scope_reports(capsys, refine_steps=None):
+    """(key, report JSON) of every report in the stall rule's scope: the
+    CI_REPORTS invocations, the bench verify checks of seeds 1-3 and the
+    first seed of each COLLISION_CASES row at criterion 09's budget.  A
+    refine_steps overrides every refinement cap, and leaves out the
+    collision searches."""
+    cap = [] if refine_steps is None else ["--refine-steps", str(refine_steps)]
+    for argv in CI_REPORTS:
+        cli.main(argv.split() + cap)
+        doc = json.loads(capsys.readouterr().out)
+        yield from ((f"{argv} {k}", r) for k, r in ({"": doc} if "property" in doc else doc["checks"]).items())
+    inputs = _bench_inputs()
+    for seed in (1, 2, 3):
+        for i, op in enumerate(inputs.build("verify", seed)):
+            if op.kind == "check":
+                steps = op.refine_steps if refine_steps is None else refine_steps
+                yield f"seed {seed} op {i}", verify._REPORT_CHECKS[op.prop](
+                    map_from_json(op.map), op.dim, n_samples=op.samples, refine_steps=steps,
+                    seed=op.check_seed,
+                ).to_json()
+    for name, build, dim, seeds, _ in () if refine_steps is not None else COLLISION_CASES:
+        yield name, check_injective(build(seeds[0]), dim, 1000, seed=seeds[0]).to_json()
+
+
+def test_the_stall_rule_moves_only_witnesses_and_only_their_gaps_down(monkeypatch, capsys):
+    # with REFINE_STALL_GAIN 0 no gain is small enough to stall a climb, so
+    # the rule is off: every report that holds and every collision search is
+    # byte for byte the same, and a witness keeps its verdict, with a gap
+    # between its scan winner's and the one of the climb the rule cut short
+    default = dict(_scope_reports(capsys))
+    scan = dict(_scope_reports(capsys, refine_steps=0))
+    monkeypatch.setattr(verify, "REFINE_STALL_GAIN", 0.0)
+    off = dict(_scope_reports(capsys))
+    assert default.keys() == off.keys()
+    stalled = 0
+    for key, report in default.items():
+        if report["witness"] is None or report["property"] == "injectivity":
+            assert json.dumps(report) == json.dumps(off[key]), key
+        else:
+            assert off[key]["witness"] is not None, key
+            assert scan[key]["worst_gap"] <= report["worst_gap"] <= off[key]["worst_gap"], key
+            stalled += report["worst_gap"] < off[key]["worst_gap"]
+    assert stalled >= 10, stalled
 
 
 # unrefined scans with a witness: (property, map builder, dim)
