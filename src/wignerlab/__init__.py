@@ -36,8 +36,6 @@ from .classify import (
     ClassificationResult,
     ProbeError,
     classify,
-    classify_canonical,
-    classify_dim2,
     reduce_to_canonical,
 )
 from .descriptors import (
@@ -89,7 +87,6 @@ _VERIFY_EXPORTS = (
     "check_noncontractive",
     "check_nonexpansive",
     "check_orthogonality_preserving",
-    "find_cosp_in_image",
 )
 
 __all__ = [
@@ -100,8 +97,7 @@ __all__ = [
     "sampled", "unit_grid",
     # classify
     "ENTRYWISE_ABS", "NOT_CLASSIFIED", "PROBE_GRID", "STANDARD_DIM2", "WIGNER_ANTIUNITARY",
-    "WIGNER_UNITARY", "ClassificationResult", "ProbeError", "classify", "classify_canonical",
-    "classify_dim2", "reduce_to_canonical",
+    "WIGNER_UNITARY", "ClassificationResult", "ProbeError", "classify", "reduce_to_canonical",
     # descriptors
     "map_from_json", "map_to_json", "sampled_from_json", "sampled_to_json", "state_from_json",
     "state_to_json",

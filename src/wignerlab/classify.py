@@ -47,7 +47,6 @@ from .states import (
     _param_rows,
     _require_orthogonal,
     _row_distances,
-    _row_transition_probabilities,
     _sample_state_rows,
 )
 
@@ -92,7 +91,6 @@ _BRANCH_OF_HOM = {
 # with the details of the refusal
 _REFUSALS = {
     "cosp_not_found": "COSP-image hypothesis unverified",
-    "probe_not_fixed": f"map does not fix basis projection {{k}} within {CANONICAL_TOL}",
     "probe_unbalanced": "probe image of pair ({i}, {j}) is not balanced on the pair",
     "probe_off_block": "probe image of pair ({i}, {j}) has off-block weight",
     "branch_not_multiplicative": "an induced circle map is not multiplicative",
@@ -191,18 +189,16 @@ class _ProbeTable(NamedTuple):
 def _probe_table(dim: int) -> _ProbeTable:
     """Every pair (i, j), i < j, of dimension dim and its probe batch, read-only.
 
-    rows holds the dim basis states, then row p * len(PROBE_GRID) + m
-    probing pairs[p] at phase PROBE_GRID[m]; i and j name each probe
-    row's two coordinates.  pairs lists (0, 1) .. (0, dim - 1) first,
-    then the (j, k) with 0 < j < k in the order of the triples (0, j, k)
-    that triples, triu_indices(dim - 1, k=1), enumerates.  Built once
-    per dimension.
+    Row p * len(PROBE_GRID) + m of rows probes pairs[p] at phase
+    PROBE_GRID[m]; i and j name each row's two coordinates.  pairs lists
+    (0, 1) .. (0, dim - 1) first, then the (j, k) with 0 < j < k in the
+    order of the triples (0, j, k) that triples, triu_indices(dim - 1,
+    k=1), enumerates.  Built once per dimension.
     """
     n = len(PROBE_GRID)
     pairs = tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
     i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
-    probes = _probe_rows(np.tile(PROBE_GRID, len(pairs)), i, j, dim)
-    rows = np.concatenate([np.eye(dim, dtype=complex), probes])
+    rows = _probe_rows(np.tile(PROBE_GRID, len(pairs)), i, j, dim)
     triples = np.triu_indices(dim - 1, k=1)
     for array in (i, j, rows, *triples):
         array.setflags(write=False)
@@ -214,23 +210,16 @@ def _pair_values(map_: StateMap) -> np.ndarray:
     [p, m] is the value of pair p's pair map at PROBE_GRID[m], pairs in
     the order of _probe_table.
 
-    The map must fix every basis projection.  The image of the (i, j)
-    probe at phase u must then be a balanced state on coordinates
-    {i, j}; its scaled (i, j) matrix entry is the value at u.  A
-    response that refutes the canonical hypothesis is a ProbeError.
-    Maps the table's basis and probe rows in one batch.  A moved basis
-    projection names the ProbeError before any probe, and otherwise the
-    first response in row order that fails a check.
+    The map must fix every basis projection, as reduce_to_canonical's
+    COSP check ensures.  The image of the (i, j) probe at phase u must
+    then be a balanced state on coordinates {i, j}; its scaled (i, j)
+    matrix entry is the value at u.  Maps the table's probe rows in one
+    batch; the first response in row order that refutes the canonical
+    hypothesis is a ProbeError.
     """
-    dim, n = map_.dim_in, len(PROBE_GRID)
-    pairs, i, j, rows, _ = _probe_table(dim)
-    basis = rows[:dim]
+    n = len(PROBE_GRID)
+    pairs, i, j, rows, _ = _probe_table(map_.dim_in)
     out = map_.batch(rows)
-    weights = _row_transition_probabilities(out[:dim], basis)
-    moved = np.flatnonzero(weights < 1.0 - CANONICAL_TOL)
-    if moved.size:
-        raise _refusal("probe_not_fixed", k=moved[0])
-    out = out[dim:]
     r = np.arange(i.size)
     out_i, out_j = out[r, i], out[r, j]
     unbalanced = (np.abs(np.abs(out_i) ** 2 - 0.5) > CANONICAL_TOL) | (
@@ -298,14 +287,6 @@ def _not_classified(err: ProbeError) -> ClassificationResult:
     return ClassificationResult(branch=NOT_CLASSIFIED, reason=str(err), reason_code=err.code)
 
 
-def _decided(pipeline, *args) -> ClassificationResult:
-    """pipeline(*args), or NOT_CLASSIFIED with the reason of the refusal it raises."""
-    try:
-        return pipeline(*args)
-    except ProbeError as err:
-        return _not_classified(err)
-
-
 def _verdict(model: StateMap, map_: StateMap, rows, what: str, **fields):
     """The result with these fields if model reproduces map_ on rows.
 
@@ -356,25 +337,16 @@ def _classify_branch(
 
 
 def classify_canonical(map_: StateMap, dim: int | None = None) -> ClassificationResult:
-    """Classify a map that fixes every standard basis projection, dim >= 3.
+    """classify(map_, dim) for an endomap of dimension dim >= 3 (default map_.dim_in).
 
-    Extracts all pair maps, forms the induced multiplicative maps for
-    every coordinate triple through 0, and requires them to agree on one
-    branch.  The diagonal unitary is read off the pair-map values at 1
-    and gauge-normalized to a leading entry of exactly 1; the
-    reconstructed model must reproduce the black box on a validation set
-    within RESIDUAL_TOL, otherwise the result is NOT_CLASSIFIED.  classify
-    does not call it; it is kept for bench/spans.py and the tests.
+    Kept for bench/spans.py, which times it on a reduced map.
     """
     dim = map_.dim_in if dim is None else dim
     if dim != map_.dim_in or map_.dim_in != map_.dim_out:
         raise ValueError("canonical classification requires an endomap of dim")
     if dim < 3:
         raise ValueError("canonical classification requires dimension >= 3")
-    eye = np.eye(dim, dtype=complex)
-    res = _decided(_classify_branch, map_, map_, eye, eye)
-    # in canonical coordinates the recovered unitary is the diagonal itself
-    return replace(res, U=res.diag_u, V=None)
+    return classify(map_, dim)
 
 
 def _total_lift(g: CircleMap, form: CircleMapForm) -> CircleMap:
@@ -417,16 +389,13 @@ def _classify_lift(
 
 
 def classify_dim2(map_: StateMap) -> ClassificationResult:
-    """Classify a canonical map on dimension 2 as a circle-map lift.
+    """classify(map_, 2) for an endomap of dimension 2.
 
-    Extracts the phase action g, validates the lift model on a grid of
-    weight/phase parameters, and attaches the structural form of g.
-    classify does not call it; it is kept for bench/spans.py and the tests.
+    Kept for bench/spans.py, which times it on a reduced map.
     """
     if map_.dim_in != 2 or map_.dim_out != 2:
         raise ValueError("dimension-2 classification requires an endomap of dim 2")
-    eye = np.eye(2, dtype=complex)
-    return replace(_decided(_classify_lift, map_, map_, eye, eye), U=None, V=None)
+    return classify(map_, 2)
 
 
 def reduce_to_canonical(
@@ -500,4 +469,7 @@ def classify(
             raise
         return _not_classified(_refusal("cosp_not_found"))
     pipeline = _classify_lift if dim == 2 else _classify_branch
-    return _decided(pipeline, map_, canonical, u, v)
+    try:
+        return pipeline(map_, canonical, u, v)
+    except ProbeError as err:
+        return _not_classified(err)

@@ -49,8 +49,8 @@ INVOCATIONS = [
     # phi in dim 4 is entrywise_abs and wigner-random in dim 3 a unitary
     # symmetry, both through the dimension >= 3 pipeline; tau-fold and
     # tau-constant in dim 2 report their sampled phase maps.  tau-constant's
-    # basis probes are the degenerate rows of the dimension-2 parameter
-    # kernel
+    # basis states, which the COSP check maps, are the degenerate rows of the
+    # dimension-2 parameter kernel
     ("classify --map phi --dim 4", 0),
     ("classify --map wigner-random --dim 3", 0),
     ("classify --map tau-fold --dim 2", 0),

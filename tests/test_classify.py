@@ -30,10 +30,9 @@ from wignerlab import (
     OrthoSystem,
     ProbeError,
     basis_state,
+    block_embed,
     classify,
-    classify_canonical,
     classify_homomorphism,
-    classify_dim2,
     composed_phi_form,
     conjugate_rotation,
     constant,
@@ -54,11 +53,15 @@ from wignerlab import (
     transition_probability,
     wigner_map,
 )
+from wignerlab.acceptance import CLAIMS
 from wignerlab.classify import (
     _BRANCH_OF_HOM,
     _REFUSALS,
     CANONICAL_TOL,
+    VALIDATION_STATES,
     _classify_branch,
+    classify_canonical,
+    classify_dim2,
     _lift_grid,
     _pair_values,
     _probe_rows,
@@ -220,7 +223,7 @@ def test_pair_maps_satisfy_the_coherence_relation(make_map):
 
 
 def test_canonical_classification_identity():
-    res = classify_canonical(wigner_map(np.eye(3)))
+    res = classify(wigner_map(np.eye(3)), 3)
     assert res.branch == WIGNER_UNITARY
     assert np.allclose(res.U, np.eye(3))
     assert res.residual <= 1e-10
@@ -228,27 +231,27 @@ def test_canonical_classification_identity():
 
 def test_canonical_classification_antiunitary_diagonal():
     u = np.diag([1.0, 1j, -1.0]).astype(complex)
-    res = classify_canonical(wigner_map(u, antiunitary=True))
+    res = classify(wigner_map(u, antiunitary=True), 3)
     assert res.branch == WIGNER_ANTIUNITARY
-    assert np.max(np.abs(res.U - u)) <= 1e-8
+    assert np.max(np.abs(res.diag_u - u)) <= 1e-8
     assert res.residual <= 1e-8
 
 
 def test_canonical_classification_abs_map():
-    res = classify_canonical(entrywise_abs(3))
+    res = classify(entrywise_abs(3), 3)
     assert res.branch == ENTRYWISE_ABS
     assert np.allclose(res.U, np.eye(3))
 
 
 def test_canonical_diag_gauge_is_exact():
     u = np.diag([1.0, cmath.exp(2.1j), cmath.exp(-0.8j), 1j]).astype(complex)
-    res = classify_canonical(wigner_map(u))
+    res = classify(wigner_map(u), 4)
     assert res.diag_u[0, 0] == 1.0
     assert np.allclose(res.diag_u, np.diag(np.diagonal(res.diag_u)))
     assert np.max(np.abs(res.diag_u - u)) <= 1e-8
 
 
-def test_canonical_classification_checks_the_basis_once():
+def test_a_classification_maps_the_basis_once():
     basis = [basis_state(4, k).vec for k in range(4)]
     hits = [0] * 4
     ident = wigner_map(np.eye(4))
@@ -258,19 +261,24 @@ def test_canonical_classification_checks_the_basis_once():
             hits[k] += np.array_equal(s.vec, e_k)
         return ident(s)
 
-    res = classify_canonical(opaque_map(counted, 4, 4))
+    res = classify(opaque_map(counted, 4, 4), 4)
     assert res.branch == WIGNER_UNITARY
     assert hits == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize(
     "classify_one, dim",
-    [(classify_canonical, 4), (classify_dim2, 2)],
-    ids=["canonical-dim4", "dim2"],
+    [
+        (lambda m: classify(m, 4), 4),
+        (classify_canonical, 4),
+        (lambda m: classify(m, 2), 2),
+        (classify_dim2, 2),
+    ],
+    ids=["classify-dim4", "canonical-dim4", "classify-dim2", "dim2"],
 )
-def test_a_classification_maps_one_probe_batch_and_one_validation_batch(classify_one, dim):
-    # the basis and every pair probe go through the map in one call, the
-    # validation states in a second
+def test_a_classification_maps_the_basis_the_probes_and_the_validation_states(classify_one, dim):
+    # the basis in one call, every pair probe in a second, the validation
+    # states (dimension 2: the lift's weight/phase grid) in a third
     calls = []
     opaque = opaque_map(wigner_map(np.eye(dim)), dim, dim)
 
@@ -281,8 +289,8 @@ def test_a_classification_maps_one_probe_batch_and_one_validation_batch(classify
     res = classify_one(replace(opaque, fn=counted))
     assert res.classified
     n_pairs = dim * (dim - 1) // 2
-    assert calls[0] == dim + n_pairs * len(PROBE_GRID)
-    assert len(calls) == 2
+    checked = VALIDATION_STATES if dim > 2 else len(_lift_grid())
+    assert calls == [dim, n_pairs * len(PROBE_GRID), checked]
 
 
 def test_canonical_classification_rejects_small_dims_and_non_endomaps():
@@ -290,12 +298,8 @@ def test_canonical_classification_rejects_small_dims_and_non_endomaps():
         classify_canonical(entrywise_abs(2))
     with pytest.raises(ValueError):
         classify_canonical(entrywise_abs(3), dim=4)
-
-
-def test_canonical_classification_refuses_non_basis_fixing_maps():
-    res = classify_canonical(wigner_map(random_unitary(3, 41)))
-    assert res.branch == NOT_CLASSIFIED
-    assert "basis projection" in res.reason
+    with pytest.raises(ValueError):
+        classify_canonical(block_embed(3))
 
 
 def test_entrywise_phase_fold_is_not_classified():
@@ -304,17 +308,17 @@ def test_entrywise_phase_fold_is_not_classified():
         out = np.abs(s.vec) * np.exp(1j * np.abs(np.angle(s.vec)))
         return pure_state(out)
 
-    res = classify_canonical(opaque_map(phase_fold, 3, 3))
+    res = classify(opaque_map(phase_fold, 3, 3), 3)
     assert res.branch == NOT_CLASSIFIED
     assert res.reason
 
 
 def test_dim2_classification_examples():
-    res = classify_dim2(wigner_map(np.eye(2)))
+    res = classify(wigner_map(np.eye(2)), 2)
     assert res.branch == STANDARD_DIM2
     assert res.g_form.kind == "rotation" and abs(res.g_form.c - 1.0) <= 1e-9
 
-    res = classify_dim2(standard_map(fold()))
+    res = classify(standard_map(fold()), 2)
     assert res.branch == STANDARD_DIM2
     assert res.g_form.kind == "half_circle"
     assert res.g_form.spread == pytest.approx(math.pi, abs=1e-9)
@@ -322,7 +326,7 @@ def test_dim2_classification_examples():
 
 def test_dim2_diagonal_conjugation_recovers_the_rotation():
     u = np.diag([1.0, cmath.exp(1j * math.pi / 3)]).astype(complex)
-    res = classify_dim2(wigner_map(u))
+    res = classify(wigner_map(u), 2)
     assert res.branch == STANDARD_DIM2
     assert res.g_form.kind == "rotation"
     assert abs(res.g_form.c - cmath.exp(-1j * math.pi / 3)) <= 1e-9
@@ -331,6 +335,37 @@ def test_dim2_diagonal_conjugation_recovers_the_rotation():
 def test_dim2_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         classify_dim2(entrywise_abs(3))
+    with pytest.raises(ValueError):
+        classify_dim2(block_embed(2))
+
+
+# every CLAIMS family that classify decides, in each of its dims, and the
+# reversal e_k -> e_(d-1-k), a Wigner symmetry that moves the basis
+SHIM_CASES = [
+    (name, dim) for name, claim in sorted(CLAIMS.items()) if claim.branch is not None
+    for dim in claim.dims
+] + [("reversal", dim) for dim in range(2, 7)]
+
+
+@pytest.mark.parametrize("name, dim", SHIM_CASES, ids=[f"{n}-dim{d}" for n, d in SHIM_CASES])
+def test_the_shims_return_what_classify_returns(name, dim):
+    if name == "reversal":
+        map_ = StateMap("custom", dim, dim, lambda rows: rows[:, ::-1])
+    else:
+        claim = CLAIMS[name]
+        map_ = claim.build(np.random.default_rng(dim), dim, **dict.fromkeys(claim.params))
+    expected = classify(map_, dim)
+    if dim == 2:
+        results = [classify_dim2(map_)]
+    else:
+        results = [classify_canonical(map_), classify_canonical(map_, dim)]
+    text = json.dumps(expected.to_json(), sort_keys=True)
+    for res in results:
+        assert json.dumps(res.to_json(), sort_keys=True) == text
+        assert res.reason_code == expected.reason_code
+        assert np.array_equal(res.diag_u, expected.diag_u)  # both None on a refusal
+    if name == "reversal":
+        assert expected.branch == (STANDARD_DIM2 if dim == 2 else WIGNER_UNITARY)
 
 
 def test_reduction_produces_a_basis_fixing_map():
@@ -492,7 +527,7 @@ def test_classification_result_json_shape():
     assert len(obj["U"]) == 9 and len(obj["V"]) == 9
     assert obj["reason"] is None
 
-    res2 = classify_dim2(standard_map(fold()))
+    res2 = classify(standard_map(fold()), 2)
     obj2 = res2.to_json()
     assert obj2["g_class"]["kind"] == "half_circle"
     assert len(obj2["g"]) == 17
@@ -537,7 +572,7 @@ def test_probe_errors_name_the_first_failing_pair_and_phase():
     # failing (pair, phase) in pair order: (0, 2) at phase 2, off-block
     broken = _broken_pairs_map(4)
     grid = PROBE_GRID
-    res = classify_canonical(broken)
+    res = classify(broken, 4)
     assert res.branch == NOT_CLASSIFIED
     assert res.reason == "probe image of pair (0, 2) has off-block weight"
     for (i, j), reason in (
@@ -622,7 +657,7 @@ def test_a_non_multiplicative_canonical_map_keeps_its_reason():
     f = {(i, j): extract_pair_map(square, i, j, grid) for i in range(3) for j in range(i + 1, 3)}
     hom = induced_homomorphism(f[0, 1], f[0, 2], f[1, 2])
     assert classify_homomorphism(hom) == NOT_APPLICABLE
-    res = classify_canonical(square)
+    res = classify(square, 4)
     assert res.branch == NOT_CLASSIFIED
     assert res.reason == "an induced circle map is not multiplicative"
 
@@ -690,7 +725,7 @@ def test_the_cached_probe_constants_are_read_only(dim):
     for array in arrays:
         with pytest.raises(ValueError):
             array[...] = 0
-    assert table.rows.shape == (dim + len(PROBE_GRID) * len(table.pairs), dim)
+    assert table.rows.shape == (len(PROBE_GRID) * len(table.pairs), dim)
     assert table.pairs == tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
 
 
@@ -754,17 +789,13 @@ def _rejection(fn, dim, code, reason, id, run=classify):
 
 
 # one black-box map per refusal code, with its exact reason; the code of a
-# map refused at the COSP check is cosp_not_found, so probe_not_fixed is
-# reached through classify_canonical and model_invalid through a hint
+# map refused at the COSP check is cosp_not_found, so model_invalid is
+# reached through a hint
 REJECTIONS = [
     _rejection(lambda rows: np.ones_like(rows), 3, "cosp_not_found",
                "COSP-image hypothesis unverified", "no-cosp"),
     _rejection(_lean_every_coordinate, 12, "cosp_not_found",
                "COSP-image hypothesis unverified", "basis-moved"),
-    # e_0 -> e_2: classify_canonical takes the basis as fixed without a COSP check
-    _rejection(lambda rows: rows[:, ::-1], 3, "probe_not_fixed",
-               "map does not fix basis projection 0 within 1e-08", "canonical-basis-moved",
-               classify_canonical),
     _rejection(_scale_coordinate_0, 3, "probe_unbalanced",
                "probe image of pair (0, 1) is not balanced on the pair", "unbalanced-probe"),
     # dimension 2: the lift's probe fails

@@ -259,17 +259,20 @@ def test_the_classification_constants():
         f"on the {weights}×{len(PROBE_GRID)} weight/phase grid in dimension 2",
         f"the {len(PROBE_GRID) - 1} sixteenth roots of unity",
         f"`RESIDUAL_TOL` = {sci(RESIDUAL_TOL)}",
+        # the rows of the three map calls: the basis, the pair probes, the validation states
+        f"d rows, then {len(PROBE_GRID)}·C(d, 2), then {VALIDATION_STATES} (in dimension 2: "
+        f"2, {len(PROBE_GRID)} and {len(_lift_grid())})",
     )
 
 
 def test_the_cosp_criterion():
     # a COSP image's overlaps meet the unitarity bound, and the d - 1 squared
-    # overlaps of one basis image stay inside CANONICAL_TOL up to d = 10**12
+    # overlaps of one basis image stay inside CANONICAL_TOL up to d = 10**12,
+    # so the probe stage does not weigh the basis
     says(
         f"every overlap of two of its states is at most `ORTHO_TOL` = {sci(ORTHO_TOL)}",
         f"a basis projection moves by at most (d − 1)·{sci(ORTHO_TOL**2)}, inside "
-        f"`CANONICAL_TOL` = {sci(CANONICAL_TOL)}",
-        f"Since (d − 1)·{sci(ORTHO_TOL**2)} stays inside {sci(CANONICAL_TOL)} up to d = 10¹²",
+        f"`CANONICAL_TOL` = {sci(CANONICAL_TOL)} for d up to 10¹²",
         f"has a Gram entry off by more than {sci(ORTHO_TOL)}",
     )
     assert (10**12 - 1) * ORTHO_TOL**2 <= CANONICAL_TOL < 10**13 * ORTHO_TOL**2

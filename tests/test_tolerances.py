@@ -47,10 +47,7 @@ CHAIN = {
         "every Gram entry of a frame: |<v_j, v_k>| of two state rows (OrthoSystem, the "
         "COSP check of classify.reduce_to_canonical, verify._orthogonal_images) and "
         "|U*U - I| of a matrix param (maps.require_unitary)",
-        [
-            "classify._pair_values, on the canonical basis weights, under CANONICAL_TOL",
-            "maps.require_unitary, on the model's V, whose Gram entries are the image's",
-        ],
+        ["maps.require_unitary, on the model's V, whose Gram entries are the image's"],
     ),
     "STATE_EQ_TOL": ("1 - the transition probability of two equal states (PureState ==)", []),
     "CIRCLE_WITNESS_TOL": ("the chord gap of a circle map's expanding pair", []),
@@ -60,8 +57,8 @@ CHAIN = {
     ),
     "SPREAD_TOL": ("the excess of a phase map image's angular spread over pi", []),
     "CANONICAL_TOL": (
-        "the probe responses of classify._pair_values: 1 - a basis weight, |w - 1/2| "
-        "of a probe image's pair weights and | |value| - 1 | of a pair value",
+        "the probe responses of classify._pair_values: |w - 1/2| of a probe image's "
+        "pair weights and | |value| - 1 | of a pair value",
         [],
     ),
     "RESIDUAL_TOL": (
@@ -129,7 +126,8 @@ def test_a_later_stage_reads_the_constant_of_the_stage_it_follows(later, name, h
 def test_the_cosp_check_implies_the_basis_weights():
     # reduce_to_canonical maps basis state k to (<f(e_j), f(e_k)>)_j, normalized,
     # so its weight on e_k is 1 / (1 + the sum of d - 1 squared overlaps), at
-    # least 1 - (d - 1) ORTHO_TOL**2: within CANONICAL_TOL for d up to 10**12
+    # least 1 - (d - 1) ORTHO_TOL**2: within CANONICAL_TOL for d up to 10**12.
+    # So the probe stage does not weigh the basis: the COSP check is its one test
     assert (10**12 - 1) * Fraction(ORTHO_TOL) ** 2 <= Fraction(CANONICAL_TOL)
 
 

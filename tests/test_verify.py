@@ -31,7 +31,6 @@ from wignerlab import (
     check_nonexpansive_circle,
     distance,
     entrywise_abs,
-    find_cosp_in_image,
     fold,
     opaque_map,
     power,
@@ -67,9 +66,10 @@ from wignerlab.verify import (
     _refine_pair,
     _search,
     basis_image_completes_span,
+    find_cosp_in_image,
 )
 
-from planted import dented_abs
+from planted import dented_abs, pinched
 
 
 def test_abs_map_has_no_nonexpansive_witness():
@@ -776,6 +776,17 @@ def test_a_violation_confined_to_a_cap_is_found(seed):
     report = check_nonexpansive(dented_abs(3, seed), 3)
     assert report.witness is not None
     assert report.worst_gap > 0.2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("check", [check_noncontractive, check_isometry, check_orthogonality_preserving])
+def test_a_pinch_confined_to_a_cap_is_found(check, seed):
+    # the pinch pulls the cap of radius 0.3 about its centre towards the
+    # centre; at their defaults in dim 3 each check reports a witness on
+    # centres 0-2 (worst gaps about 0.06, 0.03-0.06 and 8e-4)
+    report = check(pinched(3, seed), 3)
+    assert not report.holds
+    assert report.witness is not None
 
 
 def test_refinement_with_split_candidate_batches_matches_the_sequential_search():
