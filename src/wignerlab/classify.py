@@ -102,16 +102,15 @@ _REFUSALS = {
 
 
 class ProbeError(ValueError):
-    """A map's response refutes the COSP-image or the canonical-map hypothesis."""
+    """A map's response refutes the COSP-image or the canonical-map hypothesis.
 
-    code: str | None = None  # the _REFUSALS key of a refusal that classification raised
+    code is the refusal's key in _REFUSALS; the message is its text
+    formatted with details.
+    """
 
-
-def _refusal(code: str, **details) -> ProbeError:
-    """The ProbeError of one refusal, its text _REFUSALS[code] with details."""
-    err = ProbeError(_REFUSALS[code].format(**details))
-    err.code = code
-    return err
+    def __init__(self, code: str, **details):
+        super().__init__(_REFUSALS[code].format(**details))
+        self.code = code
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ def _pair_values(map_: StateMap) -> np.ndarray:
     if failed.size:
         first_i, first_j = pairs[failed[0] // n]
         code = "probe_unbalanced" if unbalanced[failed[0]] else "probe_off_block"
-        raise _refusal(code, i=first_i, j=first_j)
+        raise ProbeError(code, i=first_i, j=first_j)
     return (values / np.abs(values)).reshape(len(pairs), n)
 
 
@@ -283,10 +282,6 @@ def _lift_rows(u: np.ndarray) -> np.ndarray:
     return _canonical_rows(_apply(u.conj().T, _lift_grid()))
 
 
-def _not_classified(err: ProbeError) -> ClassificationResult:
-    return ClassificationResult(branch=NOT_CLASSIFIED, reason=str(err), reason_code=err.code)
-
-
 def _verdict(model: StateMap, map_: StateMap, rows, what: str, **fields):
     """The result with these fields if model reproduces map_ on rows.
 
@@ -296,7 +291,7 @@ def _verdict(model: StateMap, map_: StateMap, rows, what: str, **fields):
     """
     residual = float(_row_distances(model.batch(rows), map_.batch(rows)).max())
     if residual > RESIDUAL_TOL:
-        raise _refusal("residual_exceeded", what=what, residual=residual, tol=RESIDUAL_TOL)
+        raise ProbeError("residual_exceeded", what=what, residual=residual, tol=RESIDUAL_TOL)
     return ClassificationResult(residual=residual, model=model, **fields)
 
 
@@ -320,16 +315,16 @@ def _classify_branch(
     induced = _induced_values(at_one[j], at_one[k], values[dim - 1 :])
     branches = set(_hom_branches(induced[:, 4], induced[:, 8]).tolist())
     if NOT_APPLICABLE in branches:
-        raise _refusal("branch_not_multiplicative")
+        raise ProbeError("branch_not_multiplicative")
     if len(branches) != 1:
-        raise _refusal("branch_disagree")
+        raise ProbeError("branch_disagree")
     branch = _BRANCH_OF_HOM[branches.pop()]
     diag = np.diag(np.concatenate([[1.0 + 0j], at_one.conj()]))
     post = v @ diag
     try:
         model = _compose_model(branch, u, post)
     except ValueError as err:
-        raise _refusal("model_invalid", err=err) from err
+        raise ProbeError("model_invalid", err=err) from err
     return _verdict(
         model, map_, _validation_rows(dim), "reconstruction",
         branch=branch, U=u, V=post, diag_u=diag,
@@ -383,7 +378,7 @@ def _classify_lift(
     try:
         form = classify_circle_map(g)
     except ValueError as err:
-        raise _refusal("not_half_circle") from err
+        raise ProbeError("not_half_circle") from err
     model = _compose_model(STANDARD_DIM2, u, v, _total_lift(g, form))
     return replace(checked, g_form=form, model=model)
 
@@ -404,9 +399,10 @@ def reduce_to_canonical(
     """Sandwich a map into one fixing every standard basis projection.
 
     preimages must be a complete orthogonal system; this is the one check
-    that its image is one too (ProbeError otherwise; an invalid image
-    raises the batch's own ValueError).  Returns (U, V, canonical) with U
-    built from the preimage representatives and V from the image
+    that its image is one too (else a cosp_not_found ProbeError, caused
+    by the ValueError that names the first overlapping pair; an invalid
+    image raises the batch's own ValueError).  Returns (U, V, canonical)
+    with U built from the preimage representatives and V from the image
     representatives so that canonical(P) = V* map(U* P U) V fixes each
     basis projection and map(P) = V canonical(U P U*) V*.
     """
@@ -419,7 +415,7 @@ def reduce_to_canonical(
     try:
         _require_orthogonal(images)
     except ValueError as err:
-        raise ProbeError(f"image of the preimage system is not a COSP: {err}") from err
+        raise ProbeError("cosp_not_found") from err
     b = preimages.rows.T
     c = images.T
     c_h = images.conj()
@@ -455,21 +451,18 @@ def classify(
 
     Reduces to the canonical situation through the hint or else the
     standard basis, decides the branch there, and validates the composed
-    model once against the black box: three map calls in all.  A basis
-    whose image is not a COSP is NOT_CLASSIFIED after one; such a hint
-    raises ProbeError.
+    model once against the black box: three map calls in all.  A map
+    that refutes a hypothesis is NOT_CLASSIFIED with its refusal's code,
+    a hint or basis whose image is not a COSP after one call; only
+    malformed input (not an endomap of dim, an incomplete hint, an
+    invalid image) raises, as ValueError.
     """
     if dim != map_.dim_in or map_.dim_in != map_.dim_out:
         raise ValueError("classification requires an endomap of the given dimension")
     preimages = _basis_system(dim) if preimage_hint is None else preimage_hint
-    try:
-        u, v, canonical = reduce_to_canonical(map_, preimages)
-    except ProbeError:
-        if preimage_hint is not None:
-            raise
-        return _not_classified(_refusal("cosp_not_found"))
     pipeline = _classify_lift if dim == 2 else _classify_branch
     try:
+        u, v, canonical = reduce_to_canonical(map_, preimages)
         return pipeline(map_, canonical, u, v)
     except ProbeError as err:
-        return _not_classified(err)
+        return ClassificationResult(branch=NOT_CLASSIFIED, reason=str(err), reason_code=err.code)

@@ -1,21 +1,29 @@
 """Planted violations: maps with a known fault that the searches should find.
 
-A helper module, not a test module; the README's dent command imports it
-with PYTHONPATH=src:tests.
+A helper module, not a test module; the README's dent and coverage
+commands import it with PYTHONPATH=src:tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from wignerlab import StateMap
+from wignerlab import (
+    StateMap,
+    check_injective,
+    check_isometry,
+    check_noncontractive,
+    check_nonexpansive,
+    check_orthogonality_preserving,
+)
 from wignerlab.states import _row_distances, _sample_state_rows
+from wignerlab.verify import COLLISION_D_IN
 
 
 def _cap_weight(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """0.5 max(0, 1 - d(x, s) / 0.3) for each row x: a bump on the cap of radius 0.3 about s."""
+    """max(0, 1 - d(x, s) / 0.3) for each row x: a bump on the cap of radius 0.3 about s."""
     d = _row_distances(rows, np.repeat(s, len(rows), axis=0))
-    return 0.5 * np.maximum(0.0, 1.0 - d / 0.3)
+    return np.maximum(0.0, 1.0 - d / 0.3)
 
 
 def dented_abs(dim: int, seed: int) -> StateMap:
@@ -26,7 +34,7 @@ def dented_abs(dim: int, seed: int) -> StateMap:
 
     def fn(rows):
         images = np.abs(rows)
-        images[:, 0] += _cap_weight(rows, s)
+        images[:, 0] += 0.5 * _cap_weight(rows, s)
         return images
 
     return StateMap("custom", dim, dim, fn)
@@ -38,4 +46,54 @@ def pinched(dim: int, seed: int) -> StateMap:
     radius 0.3 about s towards s, a violation of noncontractiveness, of
     isometry and of orthogonality preservation confined to that cap."""
     s = _sample_state_rows(np.random.default_rng(seed), 1, dim)
-    return StateMap("custom", dim, dim, lambda rows: rows + _cap_weight(rows, s)[:, None] * s)
+    return StateMap("custom", dim, dim, lambda rows: rows + 0.5 * _cap_weight(rows, s)[:, None] * s)
+
+
+def _fold_ends(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """s and t, the first two Haar states drawn from default_rng(seed), as one-row arrays."""
+    rows = _sample_state_rows(np.random.default_rng(seed), 2, dim)
+    return rows[:1], rows[1:]
+
+
+def folded(dim: int, seed: int) -> StateMap:
+    """The identity of dimension dim, but x -> (1 - w) x + w s inside the cap
+    of radius 0.3 about t, w = max(0, 1 - d(x, t) / 0.3), s and t from
+    _fold_ends: the map folds t onto s, F(t) = F(s) = s, a collision
+    confined to that cap.  A seed counts only when fold_counts holds."""
+    s, t = _fold_ends(dim, seed)
+
+    def fn(rows):
+        w = _cap_weight(rows, t)[:, None]
+        return (1.0 - w) * rows + w * s
+
+    return StateMap("custom", dim, dim, fn)
+
+
+def fold_counts(dim: int, seed: int) -> bool:
+    """Whether folded(dim, seed) has its collision where the collision
+    search looks: s and t at least COLLISION_D_IN apart."""
+    s, t = _fold_ends(dim, seed)
+    return bool(_row_distances(s, t)[0] >= COLLISION_D_IN)
+
+
+# the README's coverage table: each planted map with a check it violates
+COVERAGE = (
+    (dented_abs, check_nonexpansive),
+    (pinched, check_noncontractive),
+    (pinched, check_isometry),
+    (pinched, check_orthogonality_preserving),
+    (folded, check_injective),
+)
+
+
+def coverage(dims=(3, 4, 5), seeds=range(40)) -> list[list[tuple[int, int]]]:
+    """Per COVERAGE row and dim, (found, counted): of the seeds that count,
+    how many maps the check refutes at its defaults."""
+    table = []
+    for plant, check in COVERAGE:
+        row = []
+        for dim in dims:
+            counted = [s for s in seeds if plant is not folded or fold_counts(dim, s)]
+            row.append((sum(not check(plant(dim, s), dim).holds for s in counted), len(counted)))
+        table.append(row)
+    return table

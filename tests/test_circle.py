@@ -97,9 +97,9 @@ def _first_strictly_largest(gaps):
     return worst
 
 
-@pytest.mark.parametrize("n_samples", [0, 1000])
-def test_circle_checks_report_the_first_strictly_largest_gap(n_samples):
+def test_circle_checks_report_the_first_strictly_largest_gap():
     # the pair-by-pair search written out: same pairs, same order, same pick
+    n_samples = 1000
     rng = np.random.default_rng(42)
     extra = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=2 * n_samples))
     extra = list(zip(extra[:n_samples], extra[n_samples:]))
@@ -109,7 +109,7 @@ def test_circle_checks_report_the_first_strictly_largest_gap(n_samples):
     re_dot = lambda a, b: a.real * b.real + a.imag * b.imag
     gaps = [re_dot(z1, z2) - re_dot(square(z1), square(z2)) for z1, z2 in pairs]
     k = _first_strictly_largest(gaps)
-    violation = check_nonexpansive_circle(square, n_samples=n_samples)
+    violation = check_nonexpansive_circle(square)
     assert (violation.z1, violation.z2, violation.gap) == (*pairs[k], gaps[k])
 
 
@@ -135,7 +135,7 @@ def test_squaring_expands_chords():
     # z1=1, z2=i: chord sqrt(2) grows to |1-(-1)| = 2
     assert abs(1 - 1j) == pytest.approx(math.sqrt(2))
     assert abs(power(2)(1.0 + 0j) - power(2)(1j)) == pytest.approx(2.0)
-    violation = check_nonexpansive_circle(power(2), seed=5)
+    violation = check_nonexpansive_circle(power(2))
     assert violation is not None
     z1, z2 = violation.z1, violation.z2
     recomputed = (z1 * z2.conjugate()).real - (

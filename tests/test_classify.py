@@ -85,23 +85,24 @@ def extract_pair_map(map_, i: int, j: int, grid):
 
     map_ must fix every basis projection; then the image of each probe
     must be balanced on {i, j}, and its scaled (i, j) matrix entry is
-    the value at the probe's phase.  Raises the package's ProbeError for
-    the first failure.
+    the value at the probe's phase.  A moved basis projection is a
+    ValueError; a failing probe raises the package's coded ProbeError
+    for the first failure.
     """
     dim = map_.dim_in
     for k in range(dim):
         e_k = basis_state(dim, k)
         if transition_probability(map_(e_k), e_k) < 1.0 - CANONICAL_TOL:
-            raise ProbeError(f"map does not fix basis projection {k} within {CANONICAL_TOL}")
+            raise ValueError(f"map does not fix basis projection {k} within {CANONICAL_TOL}")
     images = np.array([map_(probe_state(u, i, j, dim)).vec for u in grid])
     out_i, out_j = images[:, i], images[:, j]
     # numpy's complex arithmetic, not Python's, which rounds differently
     values = 2.0 * out_i * out_j.conj()
     for w_i, w_j, size in zip(np.abs(out_i) ** 2, np.abs(out_j) ** 2, np.abs(values)):
         if abs(w_i - 0.5) > CANONICAL_TOL or abs(w_j - 0.5) > CANONICAL_TOL:
-            raise ProbeError(f"probe image of pair ({i}, {j}) is not balanced on the pair")
+            raise ProbeError("probe_unbalanced", i=i, j=j)
         if abs(size - 1.0) > CANONICAL_TOL:
-            raise ProbeError(f"probe image of pair ({i}, {j}) has off-block weight")
+            raise ProbeError("probe_off_block", i=i, j=j)
     return sampled(zip(grid, values / np.abs(values)))
 
 
@@ -161,14 +162,14 @@ def test_pair_map_of_diagonal_conjugation_is_a_rotation():
 
 
 def test_pair_map_rejects_non_canonical_maps():
-    with pytest.raises(ProbeError):
+    with pytest.raises(ValueError, match="basis projection"):
         extract_pair_map(wigner_map(random_unitary(3, 40)), 0, 1, PROBE_GRID)
 
 
 def test_pair_map_checks_every_basis_projection():
     # the (0, 1) block is fixed, but e_2 and e_3 trade places
     swap = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-    with pytest.raises(ProbeError, match="basis projection"):
+    with pytest.raises(ValueError, match="basis projection 2"):
         extract_pair_map(wigner_map(swap), 0, 1, PROBE_GRID)
 
 
@@ -398,10 +399,6 @@ def test_reduction_validates_its_preimages():
     phi = wigner_map(np.eye(3))
     with pytest.raises(ValueError):
         reduce_to_canonical(phi, OrthoSystem((basis_state(3, 0),)))  # incomplete
-    collapse = opaque_map(lambda s: basis_state(3, 0), 3, 3)
-    basis = OrthoSystem(tuple(basis_state(3, k) for k in range(3)))
-    with pytest.raises(ValueError, match="not a COSP"):
-        reduce_to_canonical(collapse, basis)
 
 
 def _fresh_states(dim, seed, count=100):
@@ -512,11 +509,33 @@ def test_reduction_reports_an_invalid_image_as_itself():
         reduce_to_canonical(nan_map, basis)
 
 
-def test_a_hint_whose_image_is_not_a_cosp_raises():
+def test_a_refuted_hint_is_a_result_and_only_malformed_input_raises():
+    # a hint whose image is not a COSP refutes the hypothesis as the basis
+    # does: cosp_not_found, for the collapse onto e_0 and for a composed
+    # form given a Haar frame in place of its own
     collapse = opaque_map(lambda s: basis_state(3, 0), 3, 3)
     basis = OrthoSystem(tuple(basis_state(3, k) for k in range(3)))
-    with pytest.raises(ProbeError, match="not a COSP"):
-        classify(collapse, 3, preimage_hint=basis)
+    haar = OrthoSystem(tuple(map(pure_state, random_unitary(4, 87))))
+    composed = composed_phi_form(random_unitary(4, 88), random_unitary(4, 89))
+    for map_, hint in ((collapse, basis), (composed, haar)):
+        res = classify(map_, map_.dim_in, preimage_hint=hint)
+        assert (res.branch, res.reason_code) == (NOT_CLASSIFIED, "cosp_not_found")
+        assert res.reason == _REFUSALS["cosp_not_found"]
+    # the reduction raises the coded refusal, caused by the pair that overlaps
+    with pytest.raises(ProbeError) as err:
+        reduce_to_canonical(collapse, basis)
+    assert err.value.code == "cosp_not_found"
+    assert str(err.value.__cause__) == f"members 0 and 1 are not orthogonal within {ORTHO_TOL}"
+    # malformed input is a ValueError, never a refusal
+    nan_map = StateMap("nan", 3, 3, lambda rows: np.full(rows.shape, np.nan))
+    for map_, dim, hint in (
+        (block_embed(2), 2, None),  # not an endomap
+        (wigner_map(np.eye(3)), 3, OrthoSystem((basis_state(3, 0),))),  # incomplete hint
+        (nan_map, 3, None),  # non-finite image
+    ):
+        with pytest.raises(ValueError) as err:
+            classify(map_, dim, preimage_hint=hint)
+        assert not isinstance(err.value, ProbeError)
 
 
 def test_classification_result_json_shape():

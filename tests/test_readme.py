@@ -23,7 +23,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerlab import check_isometry, check_nonexpansive, cli, sample_pure_state, separable_embed, verify
+from wignerlab import (
+    check_isometry,
+    check_nonexpansive,
+    check_orthogonality_preserving,
+    cli,
+    sample_pure_state,
+    separable_embed,
+    verify,
+)
 from wignerlab.classify import (
     CANONICAL_TOL,
     PROBE_GRID,
@@ -212,6 +220,22 @@ def test_the_radii_table():
     rows = [f"| {d} | " + " | ".join(f"{radius(m, d):.2f}" for m in counts) + " |" for d in (3, 5, 8, 16)]
     assert LINES[start : start + len(rows) + 1] == [*rows, ""]
     assert LINES[start - 1] == "|---|---|---|---|"
+
+
+def test_the_coverage_table():
+    # the one-state law beside the planted counts: one of a default metric
+    # or collision scan's states lands in a cap of radius 0.3; the counts
+    # come from a search, and the README carries its command
+    n = states(DEFAULT_SAMPLES)
+    hit = [f"{1 - (1 - 0.3 ** (2 * (d - 1))) ** n:.2f}" for d in (3, 4, 5)]
+    assert "| a state in the cap | (probability) | " + " | ".join(hit) + " |" in LINES
+    orthogonal = inspect.signature(check_orthogonality_preserving).parameters["n_samples"].default
+    says(
+        f"one of the {prose(n)} states of a metric or collision scan lands in the cap, "
+        f"1 − (1 − 0.3^(2(d−1)))^{prose(n)}",
+        f"where a state lands in its cap with probability {hit[1]}",
+        f"two fresh states per pair, {prose(2 * orthogonal)} in all",
+    )
 
 
 def test_the_refinement_batches():

@@ -69,7 +69,7 @@ from wignerlab.verify import (
     find_cosp_in_image,
 )
 
-from planted import dented_abs, pinched
+from planted import COVERAGE, dented_abs, fold_counts, folded
 
 
 def test_abs_map_has_no_nonexpansive_witness():
@@ -778,13 +778,21 @@ def test_a_violation_confined_to_a_cap_is_found(seed):
     assert report.worst_gap > 0.2
 
 
+# every planted row of the README's coverage table but the dent, which
+# test_a_violation_confined_to_a_cap_is_found checks on its own centres
+_CAPPED = [(plant, check) for plant, check in COVERAGE if plant is not dented_abs]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("check", [check_noncontractive, check_isometry, check_orthogonality_preserving])
-def test_a_pinch_confined_to_a_cap_is_found(check, seed):
+@pytest.mark.parametrize("plant, check", _CAPPED, ids=[check.__name__ for _, check in _CAPPED])
+def test_a_pinch_confined_to_a_cap_is_found(plant, check, seed):
     # the pinch pulls the cap of radius 0.3 about its centre towards the
-    # centre; at their defaults in dim 3 each check reports a witness on
-    # centres 0-2 (worst gaps about 0.06, 0.03-0.06 and 8e-4)
-    report = check(pinched(3, seed), 3)
+    # centre, and the fold folds the cap about t onto s; at their defaults
+    # in dim 3 each check reports a witness on centres 0-2 (worst gaps
+    # about 0.06, 0.03-0.06, 8e-4 and 0.52-0.74), and each fold counts:
+    # its s and t lie at least 0.5 apart, where the collision search looks
+    assert plant is not folded or fold_counts(3, seed)
+    report = check(plant(3, seed), 3)
     assert not report.holds
     assert report.witness is not None
 
