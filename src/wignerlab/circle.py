@@ -231,10 +231,9 @@ def check_nonexpansive_circle(g: CircleMap) -> CircleViolation | None:
     """Search for a chord-expanding input pair; None when none is found.
 
     Tests all pairs from a grid of 32 points (a sampled map's recorded
-    inputs instead) plus CIRCLE_SAMPLES random pairs drawn from
-    CIRCLE_SEED.  The gap of a pair is
-    Re(z1*conj(z2)) - Re(g(z1)*conj(g(z2))), positive exactly when the
-    image chord is longer.
+    inputs instead) plus CIRCLE_SAMPLES random pairs seeded by
+    CIRCLE_SEED.  The gap of a pair is Re(z1*conj(z2)) -
+    Re(g(z1)*conj(g(z2))), positive exactly when the image chord is longer.
     """
     rng = np.random.default_rng(CIRCLE_SEED)
     points = _grid_points(g, 32)

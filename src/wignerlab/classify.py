@@ -104,13 +104,16 @@ _REFUSALS = {
 class ProbeError(ValueError):
     """A map's response refutes the COSP-image or the canonical-map hypothesis.
 
-    code is the refusal's key in _REFUSALS; the message is its text
-    formatted with details.
+    code is the refusal's key in _REFUSALS, the message its text formatted
+    with details; pickle and copy rebuild it from both.
     """
 
     def __init__(self, code: str, **details):
         super().__init__(_REFUSALS[code].format(**details))
-        self.code = code
+        self.code, self.details = code, details
+
+    def __reduce__(self):
+        return functools.partial(ProbeError, self.code, **self.details), ()
 
 
 @dataclass(frozen=True)
@@ -399,12 +402,12 @@ def reduce_to_canonical(
     """Sandwich a map into one fixing every standard basis projection.
 
     preimages must be a complete orthogonal system; this is the one check
-    that its image is one too (else a cosp_not_found ProbeError, caused
-    by the ValueError that names the first overlapping pair; an invalid
-    image raises the batch's own ValueError).  Returns (U, V, canonical)
-    with U built from the preimage representatives and V from the image
-    representatives so that canonical(P) = V* map(U* P U) V fixes each
-    basis projection and map(P) = V canonical(U P U*) V*.
+    that its image is one too (else ProbeError cosp_not_found, caused by
+    the ValueError naming the overlapping pair; an invalid image raises
+    the batch's own).  Returns (U, V, canonical) with U built from the
+    preimage representatives and V from the image representatives so
+    that canonical(P) = V* map(U* P U) V fixes each basis projection and
+    map(P) = V canonical(U P U*) V*.
     """
     dim = map_.dim_in
     if map_.dim_out != dim:
@@ -451,11 +454,9 @@ def classify(
 
     Reduces to the canonical situation through the hint or else the
     standard basis, decides the branch there, and validates the composed
-    model once against the black box: three map calls in all.  A map
-    that refutes a hypothesis is NOT_CLASSIFIED with its refusal's code,
-    a hint or basis whose image is not a COSP after one call; only
-    malformed input (not an endomap of dim, an incomplete hint, an
-    invalid image) raises, as ValueError.
+    model once against the black box: three map calls in all.  A refuted
+    hypothesis, as a hint or basis whose image is not a COSP, is
+    NOT_CLASSIFIED with its refusal's code; only malformed input raises.
     """
     if dim != map_.dim_in or map_.dim_in != map_.dim_out:
         raise ValueError("classification requires an endomap of the given dimension")

@@ -10,9 +10,11 @@ batched path must agree with them.
 from __future__ import annotations
 
 import cmath
+import copy
 import importlib
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -536,6 +538,13 @@ def test_a_refuted_hint_is_a_result_and_only_malformed_input_raises():
         with pytest.raises(ValueError) as err:
             classify(map_, dim, preimage_hint=hint)
         assert not isinstance(err.value, ProbeError)
+
+
+def test_a_refusal_survives_pickle_and_copy():
+    refusal = ProbeError("residual_exceeded", what="model", residual=3e-6, tol=1e-8)
+    for twin in (pickle.loads(pickle.dumps(refusal)), copy.copy(refusal)):
+        assert type(twin) is ProbeError
+        assert (twin.code, str(twin)) == (refusal.code, str(refusal))
 
 
 def test_classification_result_json_shape():
