@@ -151,14 +151,24 @@ def power(k: int) -> CircleMap:
     """z -> z**k for an integer k with |k| <= 2**53; expanding for |k| >= 2.
 
     A larger exponent is refused: it need not be exact as a float64, and
-    numpy's z**k overflows, with warnings, on some (2**62).
+    numpy's z**k overflows, with warnings, on some (2**62).  For |k| >= 100
+    numpy computes z**k as exp(k log z), whose modulus drifts from 1 by
+    about k roundings of |z|: an image more than UNIT_NORM_TOL off the
+    circle is divided by its modulus, and every other keeps its bits.
     """
     if not _is_integer(k):
         raise ValueError(f"power exponent must be an integer, got {k!r}")
     k = int(k)
     if abs(k) > 2**53:
         raise ValueError(f"power exponent k must be at most 2**53 in absolute value, got {k}")
-    return CircleMap("power", lambda z: z**k, param=k)
+
+    def fn(z: np.ndarray) -> np.ndarray:
+        w = z**k
+        off = np.abs(np.abs(w) - 1.0) > UNIT_NORM_TOL
+        w[off] /= np.abs(w[off])
+        return w
+
+    return CircleMap("power", fn, param=k)
 
 
 def _phases(zs) -> np.ndarray:

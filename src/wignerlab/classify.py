@@ -334,19 +334,6 @@ def _classify_branch(
     )
 
 
-def classify_canonical(map_: StateMap, dim: int | None = None) -> ClassificationResult:
-    """classify(map_, dim) for an endomap of dimension dim >= 3 (default map_.dim_in).
-
-    Kept for bench/spans.py, which times it on a reduced map.
-    """
-    dim = map_.dim_in if dim is None else dim
-    if dim != map_.dim_in or map_.dim_in != map_.dim_out:
-        raise ValueError("canonical classification requires an endomap of dim")
-    if dim < 3:
-        raise ValueError("canonical classification requires dimension >= 3")
-    return classify(map_, dim)
-
-
 def _total_lift(g: CircleMap, form: CircleMapForm) -> CircleMap:
     """Total evaluator for a classified phase map.
 
@@ -384,16 +371,6 @@ def _classify_lift(
         raise ProbeError("not_half_circle") from err
     model = _compose_model(STANDARD_DIM2, u, v, _total_lift(g, form))
     return replace(checked, g_form=form, model=model)
-
-
-def classify_dim2(map_: StateMap) -> ClassificationResult:
-    """classify(map_, 2) for an endomap of dimension 2.
-
-    Kept for bench/spans.py, which times it on a reduced map.
-    """
-    if map_.dim_in != 2 or map_.dim_out != 2:
-        raise ValueError("dimension-2 classification requires an endomap of dim 2")
-    return classify(map_, 2)
 
 
 def reduce_to_canonical(
@@ -467,3 +444,8 @@ def classify(
         return pipeline(map_, canonical, u, v)
     except ProbeError as err:
         return ClassificationResult(branch=NOT_CLASSIFIED, reason=str(err), reason_code=err.code)
+
+
+# the stage names bench/spans.py times on a reduced map
+classify_canonical = classify
+classify_dim2 = functools.partial(classify, dim=2)

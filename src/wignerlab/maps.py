@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-def require_unitary(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
+def require_unitary(mat: np.ndarray, what: str) -> np.ndarray:
     """Validate and return a square matrix whose Gram entries meet U*U = I within ORTHO_TOL.
     A refusal names what the matrix is and its largest |U*U - I| entry."""
     mat = np.asarray(mat, dtype=complex)

@@ -252,16 +252,21 @@ def distance(p: PureState, q: PureState) -> float:
     return float(_row_distances(p.vec[None], q.vec[None])[0])
 
 
+def _overlapping(rows: np.ndarray) -> np.ndarray:
+    """Which pairs of distinct rows overlap, |<v_j, v_k>| above ORTHO_TOL (the bound
+    maps.require_unitary puts on the same Gram entries), as a symmetric boolean matrix."""
+    overlaps = _pairwise_transition_probabilities(rows, rows)
+    np.fill_diagonal(overlaps, 0.0)
+    return overlaps > ORTHO_TOL**2
+
+
 def _require_orthogonal(rows: np.ndarray) -> None:
-    """Raise unless every overlap |<v_j, v_k>| of two rows is at most ORTHO_TOL,
-    the bound maps.require_unitary puts on the same Gram entries (squared here).
+    """Raise unless no two rows overlap (_overlapping).
 
     An orthogonal system returns after one comparison; only a failing
     one is searched for its first pair.
     """
-    overlaps = _pairwise_transition_probabilities(rows, rows)
-    np.fill_diagonal(overlaps, 0.0)
-    overlapping = overlaps > ORTHO_TOL**2
+    overlapping = _overlapping(rows)
     if overlapping.any():
         # the matrix is symmetric: its first entry in row-major order is the first pair i < j
         i, j = np.argwhere(overlapping)[0]

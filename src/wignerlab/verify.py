@@ -56,8 +56,8 @@ from .states import (
     _basis_system,
     _canonical_rows,
     _orthogonal_pair_rows,
+    _overlapping,
     _pairwise_transition_probabilities,
-    _require_orthogonal,
     _row_distances,
     _row_overlaps,
     _row_transition_probabilities,
@@ -196,17 +196,15 @@ def _map_rows(map_: StateMap, rows: np.ndarray, out: np.ndarray | None = None) -
     return images
 
 
-def _orthogonal_images(map_: StateMap, rows: np.ndarray) -> np.ndarray | None:
-    """Images of a family of state rows, or None unless pairwise orthogonal.
+def _basis_prefix(map_: StateMap) -> tuple[np.ndarray, int]:
+    """The images of the standard basis, mapped in one call, and k: the length
+    of the longest basis prefix in which no two images overlap (_overlapping).
 
-    An invalid image is an error (ValueError), never a missing system.
+    An invalid image is an error (ValueError), never a short prefix.
     """
-    images = _map_rows(map_, rows)
-    try:
-        _require_orthogonal(images)
-    except ValueError:
-        return None
-    return images
+    images = _map_rows(map_, np.eye(map_.dim_in, dtype=complex))
+    overlapping = _overlapping(images)
+    return images, next((j for j in range(len(images)) if overlapping[j, :j].any()), len(images))
 
 
 def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
@@ -649,8 +647,8 @@ def check_inclusion_lemma(
     if preimages.dim != map_.dim_in:
         raise ValueError("preimage system dimension does not match the map domain")
     span_basis = preimages.rows
-    image_rows = _orthogonal_images(map_, span_basis)
-    if image_rows is None:
+    image_rows = _map_rows(map_, span_basis)
+    if _overlapping(image_rows).any():
         raise ValueError("the image of the preimage system is not orthogonal")
 
     def covered(images):
@@ -721,14 +719,15 @@ def check_injective(
     )
 
 
-def basis_image_completes_span(map_: StateMap, k: int) -> bool:
-    """Subspace-completeness probe for a map collapsing onto k coordinates.
+def basis_image_completes_span(map_: StateMap) -> bool:
+    """Subspace-completeness probe, read from the black box alone.
 
-    True when the first k basis states map onto a complete orthogonal
-    system of the span of the first k basis vectors.
+    With k the longest basis prefix whose images do not overlap, True when
+    those k images lie in the span of the first k basis vectors, so that
+    they are a complete orthogonal system of that span.
     """
-    rows = _orthogonal_images(map_, np.eye(map_.dim_in, dtype=complex)[:k])
-    return rows is not None and bool(np.all(np.abs(rows[:, k:]) <= GAUGE_TOL))
+    images, k = _basis_prefix(map_)
+    return bool(np.all(np.abs(images[:k, k:]) <= GAUGE_TOL))
 
 
 # the checks that give a CheckReport, as `verify --property` and acceptance.CLAIMS name them
@@ -751,7 +750,7 @@ def _run_check(name, map_, dim, samples, seed, refine_steps):
     check shows in the summary only) and its summary label on failure.
     """
     if name == "cosp_image":
-        complete = basis_image_completes_span(map_, map_.params["k"])
+        complete = basis_image_completes_span(map_)
         return complete, complete, None, "fail"
     report = _REPORT_CHECKS[name](map_, dim, samples, refine_steps=refine_steps, seed=seed)
     return report.holds, report, report.to_json(), "witness"
@@ -764,5 +763,4 @@ def find_cosp_in_image(map_: StateMap, dim: int) -> OrthoSystem | None:
     """
     if map_.dim_in != dim or map_.dim_out != dim:
         raise ValueError("COSP search requires an endomap of the given dimension")
-    basis = _basis_system(dim)
-    return basis if _orthogonal_images(map_, basis.rows) is not None else None
+    return _basis_system(dim) if _basis_prefix(map_)[1] == dim else None

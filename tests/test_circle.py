@@ -17,6 +17,7 @@ from wignerlab import (
     IDENTITY,
     NOT_APPLICABLE,
     CircleMap,
+    check_nonexpansive,
     check_nonexpansive_circle,
     classify_circle_map,
     classify_homomorphism,
@@ -28,10 +29,12 @@ from wignerlab import (
     sampled,
     sampled_from_json,
     sampled_to_json,
+    standard_map,
     unit_grid,
 )
 from wignerlab.circle import CIRCLE_WITNESS_TOL, HOM_BRANCH_TOL, _hom_branches
 from wignerlab.descriptors import circle_map_from_json, circle_map_to_json
+from wignerlab.states import UNIT_NORM_TOL
 
 
 def test_closed_form_values():
@@ -143,6 +146,26 @@ def test_squaring_expands_chords():
     ).real
     assert recomputed == pytest.approx(violation.gap)
     assert violation.gap > 1e-9
+
+
+@pytest.mark.parametrize(
+    "k", [10**4, 10**5, 2**53, -(2**53)], ids=["10**4", "10**5", "2**53", "-2**53"]
+)
+def test_a_large_power_evaluates_and_expands(k):
+    # numpy's z**k drifts off the unit circle for large |k|, and power
+    # renormalizes such an image instead of refusing it
+    g = power(k)
+    assert check_nonexpansive_circle(g) is not None
+    assert not check_nonexpansive(standard_map(g), 2, 1000).holds
+
+
+@pytest.mark.parametrize("k", [2, -5, 17, 99, 100, 1000, 10**4, 2**53])
+def test_a_power_image_on_the_unit_circle_keeps_its_bits(k):
+    z = np.exp(2j * np.pi * np.arange(1000) / 1000)
+    w = z**k
+    kept = np.abs(np.abs(w) - 1.0) <= UNIT_NORM_TOL
+    assert kept.any()
+    assert np.array_equal(power(k).batch(z)[kept], w[kept])
 
 
 def test_homomorphism_branch_decision():

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab import NOT_CLASSIFIED, STANDARD_DIM2, check_nonexpansive_circle, classify
+from wignerlab import (
+    NOT_CLASSIFIED,
+    STANDARD_DIM2,
+    StateMap,
+    check_nonexpansive_circle,
+    classify,
+    map_from_json,
+)
 from wignerlab.acceptance import CLAIMS
-from wignerlab.verify import _run_check
+from wignerlab.verify import _basis_prefix, _run_check
 
 SAMPLES = 2000
 # refinement's later steps only chase rounding-level gaps on maps that hold
@@ -67,3 +74,42 @@ def test_every_refused_family_is_refused_for_its_reason_in_each_dim(name, dim):
     params = dict.fromkeys(claim.params)
     result = classify(claim.build(np.random.default_rng(dim), dim, **params), dim)
     assert (result.branch, result.reason_code) == (NOT_CLASSIFIED, claim.refusal), result.reason
+
+
+# whether the images of the longest basis prefix with pairwise orthogonal
+# images complete the span of its coordinates (verify.basis_image_completes_span)
+COSP_IMAGE = {
+    "wigner-random": True, "wigner-antiunitary": True, "phi": True, "composed": False,
+    "tau-fold": True, "tau-constant": True, "tau-power2": True, "block-embed": False,
+    "separable-embed": False, "proper-subspace": True, "constant": True,
+}
+# the collapse onto the first k coordinates, loaded from JSON, for every k
+# and alpha0 of dims 2-6
+COLLAPSES = [
+    (dim, k, alpha0) for dim in range(2, 7) for k in range(1, dim) for alpha0 in range(k)
+]
+
+
+def _cosp_image(map_, dim):
+    return _run_check("cosp_image", map_, dim, SAMPLES, 0, REFINE_STEPS)[0]
+
+
+@pytest.mark.parametrize(
+    "name, dim", [(name, dim) for name, claim in CLAIMS.items() for dim in claim.dims]
+)
+def test_the_cosp_image_check_reads_only_the_black_box(name, dim):
+    claim = CLAIMS[name]
+    map_ = claim.build(np.random.default_rng(dim), dim, **dict.fromkeys(claim.params))
+    # the same map with no family params: the verdict comes from its images alone
+    opaque = StateMap("custom", map_.dim_in, map_.dim_out, map_.fn)
+    assert _cosp_image(map_, dim) is _cosp_image(opaque, dim) is COSP_IMAGE[name]
+
+
+@pytest.mark.parametrize("dim, k, alpha0", COLLAPSES)
+def test_a_collapse_completes_the_span_of_its_k_coordinates(dim, k, alpha0):
+    map_ = map_from_json(
+        {"family": "proper_subspace", "params": {"dim": dim, "k": k, "alpha0": alpha0}}
+    )
+    assert _basis_prefix(map_)[1] == k
+    opaque = StateMap("custom", dim, dim, map_.fn)
+    assert _cosp_image(map_, dim) is _cosp_image(opaque, dim) is True

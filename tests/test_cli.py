@@ -570,6 +570,17 @@ def test_a_power_exponent_beyond_two_to_the_53_exits_two_with_one_line(k):
     )
 
 
+def test_a_lift_of_a_large_power_exits_one_with_a_witness(capsys):
+    # its images are evaluated, not refused as non-unit values
+    tau = {"family": "tau", "params": {"g": {"kind": "power", "k": 10000}}}
+    code = cli.main(
+        ["verify", "--property", "nonexpansive", "--map", json.dumps(tau), "--dim", "2"]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert json.loads(captured.out)["witness"] is not None
+
+
 _UNITARY = "map param 'unitary' must be a list of [re, im] pairs of numbers, got "
 _VEC = "state JSON 'vec' must be a list of [re, im] pairs of numbers, got "
 _ANCHOR = {"dim": 2, "vec": [[1.0, 0.0], [0.0, 0.0]]}

@@ -103,7 +103,8 @@ def test_a_matrix_entry_too_large_for_its_gram_is_refused_without_a_warning():
 
 def test_an_empty_matrix_is_not_a_unitary():
     # refused by the package's own check, not by numpy's zero-size reduction
-    for call in (require_unitary, wigner_map, lambda u: composed_phi_form(u, u)):
+    for call in (lambda u: require_unitary(u, "matrix"), wigner_map,
+                 lambda u: composed_phi_form(u, u)):
         with pytest.raises(ValueError, match="nonempty square matrix"):
             call(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="nonempty square matrix"):

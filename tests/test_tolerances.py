@@ -44,9 +44,10 @@ CHAIN = {
         [],
     ),
     "ORTHO_TOL": (
-        "every Gram entry of a frame: |<v_j, v_k>| of two state rows (OrthoSystem, the "
-        "COSP check of classify.reduce_to_canonical, verify._orthogonal_images) and "
-        "|U*U - I| of a matrix param (maps.require_unitary)",
+        "every Gram entry of a frame: |<v_j, v_k>| of two state rows (states._overlapping, "
+        "read by OrthoSystem, the COSP check of classify.reduce_to_canonical, "
+        "verify._basis_prefix and verify.check_inclusion_lemma) and |U*U - I| of a "
+        "matrix param (maps.require_unitary)",
         ["maps.require_unitary, on the model's V, whose Gram entries are the image's"],
     ),
     "STATE_EQ_TOL": ("1 - the transition probability of two equal states (PureState ==)", []),

@@ -303,8 +303,13 @@ def test_shared_probes_of_the_embeddings():
     collision = check_injective(entrywise_abs(2), 2, 1000, seed=32).witness
     assert collision.d_in >= 0.5 and collision.d_out <= 1e-9
     assert check_injective(wigner_map(np.eye(3)), 3, 1000, seed=32).holds
-    assert basis_image_completes_span(proper_subspace_map(5, 3), 3)
-    assert not basis_image_completes_span(wigner_map(random_unitary(3, 35)), 2)
+    # k, the longest basis prefix with pairwise orthogonal images, is read
+    # from the map: 3 for the collapse, the whole basis for a Wigner map, and
+    # the whole basis for block_embed too, whose images leave the first 3
+    # coordinates
+    assert basis_image_completes_span(proper_subspace_map(5, 3))
+    assert basis_image_completes_span(wigner_map(random_unitary(3, 35)))
+    assert not basis_image_completes_span(block_embed(3))
 
 
 def _anchored(dim, anchors):
