@@ -52,7 +52,8 @@ CIRCLE_WITNESS_TOL = 1e-9
 FORM_MATCH_TOL = 1e-8
 HOM_BRANCH_TOL = 1e-6
 SPREAD_TOL = 1e-6
-# the chord check's seeded random pairs, beside its grid pairs
+# the chord check's seeded random pairs, beside its grid pairs, for a map
+# that is not a sampled table
 CIRCLE_SAMPLES = 1000
 CIRCLE_SEED = 42
 
@@ -237,31 +238,38 @@ def _grid_points(g: CircleMap, grid_size: int) -> np.ndarray:
     return np.array(unit_grid(grid_size))
 
 
-def check_nonexpansive_circle(g: CircleMap) -> CircleViolation | None:
-    """Search for a chord-expanding input pair; None when none is found.
+def _expanding_chord(z1, z2, w1, w2) -> CircleViolation | None:
+    """The pair of inputs z1[k], z2[k] whose images w1[k], w2[k] expand their
+    chord most, if by more than CIRCLE_WITNESS_TOL; None otherwise.
 
-    Tests all pairs from a grid of 32 points (a sampled map's recorded
-    inputs instead) plus CIRCLE_SAMPLES random pairs seeded by
-    CIRCLE_SEED.  The gap of a pair is Re(z1*conj(z2)) -
-    Re(g(z1)*conj(g(z2))), positive exactly when the image chord is longer.
+    The gap of a pair is Re(z1 conj(z2)) - Re(w1 conj(w2)), positive
+    exactly when the image chord is longer; the witness is the first
+    strictly largest gap.  No pairs give None.
     """
-    rng = np.random.default_rng(CIRCLE_SEED)
-    points = _grid_points(g, 32)
-    first, second = np.triu_indices(len(points), k=1)
-    if g.table is not None:
-        extra = g.inputs[rng.integers(0, len(g.table), size=(2, CIRCLE_SAMPLES))]
-    else:
-        extra = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(2, CIRCLE_SAMPLES)))
-    z1 = np.concatenate([points[first], extra[0]])
-    z2 = np.concatenate([points[second], extra[1]])
-    w1, w2 = g.batch(z1), g.batch(z2)
     # Re(a * conj(b)), written out
     gaps = (z1.real * z2.real + z1.imag * z2.imag) - (w1.real * w2.real + w1.imag * w2.imag)
-    # the witness is the first strictly largest gap, if above CIRCLE_WITNESS_TOL
-    if gaps.max() <= CIRCLE_WITNESS_TOL:
+    if not gaps.size or gaps.max() <= CIRCLE_WITNESS_TOL:
         return None
     k = int(np.argmax(gaps))
     return CircleViolation(complex(z1[k]), complex(z2[k]), float(gaps[k]))
+
+
+def check_nonexpansive_circle(g: CircleMap) -> CircleViolation | None:
+    """Search for a chord-expanding input pair; None when none is found.
+
+    Tests all pairs from a grid of 32 points plus CIRCLE_SAMPLES random
+    pairs seeded by CIRCLE_SEED, by _expanding_chord.  A sampled map
+    tests all pairs of its recorded inputs, which are all the pairs it
+    can evaluate.
+    """
+    points = _grid_points(g, 32)
+    first, second = np.triu_indices(len(points), k=1)
+    z1, z2 = points[first], points[second]
+    if g.table is None:
+        extra = np.exp(1j * np.random.default_rng(CIRCLE_SEED).uniform(
+            0.0, 2.0 * math.pi, size=(2, CIRCLE_SAMPLES)))
+        z1, z2 = np.concatenate([z1, extra[0]]), np.concatenate([z2, extra[1]])
+    return _expanding_chord(z1, z2, g.batch(z1), g.batch(z2))
 
 
 def _hom_branches(at_i: np.ndarray, at_minus_one: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .circle import (
     NOT_APPLICABLE,
     CircleMap,
     CircleMapForm,
+    _expanding_chord,
     _hom_branches,
     _phases,
     _sampled_table,
@@ -75,10 +76,15 @@ CANONICAL_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 VALIDATION_STATES = 32
 
-# probe phases: 16 equispaced roots of unity, then exp(i*pi/5), which
-# guards against structure visible only off the root-of-unity lattice;
-# the branch test reads entries 4 (i) and 8 (-1)
+# probe phases: 16 equispaced roots of unity, then exp(i*pi/5), a tenth
+# root of unity, so every probe phase is an 80th root of unity; the branch
+# test reads entries 4 (i) and 8 (-1)
 PROBE_GRID = tuple(unit_grid(16) + [cmath.exp(1j * math.pi / 5.0)])
+# dimension 2 also probes the golden-angle phases exp(2 pi i m phi), phi =
+# (sqrt(5) - 1) / 2, m = 1..8: phi is irrational, so none is a root of
+# unity, and a phase map that agrees with a rotation, its conjugate or a
+# constant on every root of unity of some order is still tested between them
+GOLDEN_PHASES = tuple(cmath.exp(1j * math.pi * m * (math.sqrt(5.0) - 1.0)) for m in range(1, 9))
 
 _BRANCH_OF_HOM = {
     IDENTITY: WIGNER_UNITARY,
@@ -98,6 +104,8 @@ _REFUSALS = {
     "model_invalid": "recovered unitaries fail validation: {err}",
     "residual_exceeded": "{what} residual {residual:.3e} exceeds {tol:.1e}",
     "not_half_circle": "image spread exceeds a half-circle; map cannot be nonexpansive",
+    "phase_map_expands": "phase map expands the chord between {z1:.6f} and {z2:.6f} by {gap:.3e}; "
+    "map cannot be nonexpansive",
 }
 
 
@@ -181,6 +189,7 @@ class _ProbeTable(NamedTuple):
     """The probe constants of one dimension (see _probe_table)."""
 
     pairs: tuple[tuple[int, int], ...]
+    phases: tuple[complex, ...]
     i: np.ndarray
     j: np.ndarray
     rows: np.ndarray
@@ -191,26 +200,27 @@ class _ProbeTable(NamedTuple):
 def _probe_table(dim: int) -> _ProbeTable:
     """Every pair (i, j), i < j, of dimension dim and its probe batch, read-only.
 
-    Row p * len(PROBE_GRID) + m of rows probes pairs[p] at phase
-    PROBE_GRID[m]; i and j name each row's two coordinates.  pairs lists
+    phases are PROBE_GRID, and in dimension 2 GOLDEN_PHASES after it.  Row
+    p * len(phases) + m of rows probes pairs[p] at phases[m]; i and j
+    name each row's two coordinates.  pairs lists
     (0, 1) .. (0, dim - 1) first, then the (j, k) with 0 < j < k in the
     order of the triples (0, j, k) that triples, triu_indices(dim - 1,
     k=1), enumerates.  Built once per dimension.
     """
-    n = len(PROBE_GRID)
+    phases = PROBE_GRID + (GOLDEN_PHASES if dim == 2 else ())
     pairs = tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
-    i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, n, axis=1)
-    rows = _probe_rows(np.tile(PROBE_GRID, len(pairs)), i, j, dim)
+    i, j = np.repeat(np.array(pairs).reshape(-1, 2).T, len(phases), axis=1)
+    rows = _probe_rows(np.tile(phases, len(pairs)), i, j, dim)
     triples = np.triu_indices(dim - 1, k=1)
     for array in (i, j, rows, *triples):
         array.setflags(write=False)
-    return _ProbeTable(pairs, i, j, rows, triples)
+    return _ProbeTable(pairs, phases, i, j, rows, triples)
 
 
 def _pair_values(map_: StateMap) -> np.ndarray:
     """The phase action of a map on every pair of its dimension: entry
-    [p, m] is the value of pair p's pair map at PROBE_GRID[m], pairs in
-    the order of _probe_table.
+    [p, m] is the value of pair p's pair map at phase m of _probe_table,
+    pairs in its order.
 
     The map must fix every basis projection, as reduce_to_canonical's
     COSP check ensures.  The image of the (i, j) probe at phase u must
@@ -219,8 +229,8 @@ def _pair_values(map_: StateMap) -> np.ndarray:
     batch; the first response in row order that refutes the canonical
     hypothesis is a ProbeError.
     """
-    n = len(PROBE_GRID)
-    pairs, i, j, rows, _ = _probe_table(map_.dim_in)
+    pairs, phases, i, j, rows, _ = _probe_table(map_.dim_in)
+    n = len(phases)
     out = map_.batch(rows)
     r = np.arange(i.size)
     out_i, out_j = out[r, i], out[r, j]
@@ -356,11 +366,14 @@ def _classify_lift(
     Probes the phase map g of the canonical map in one batch, validates
     the lift of g sandwiched by u and v against map_ once on the
     weight/phase grid, and only then sorts g into its structural form;
-    the returned model lifts the total evaluator of that form.  The
-    result reports U = u and V = v.  A refusal raises its ProbeError.
+    the returned model lifts the total evaluator of that form.  g is
+    sampled at PROBE_GRID.  A lift is nonexpansive exactly when its phase
+    map is, so last every chord among the values at PROBE_GRID and
+    GOLDEN_PHASES must not expand (circle._expanding_chord).  The result
+    reports U = u and V = v.  A refusal raises its ProbeError.
     """
     (values,) = _pair_values(canonical)
-    g = _sampled_table(_phases(PROBE_GRID), values)  # as sampled() records it
+    g = _sampled_table(_phases(PROBE_GRID), values[: len(PROBE_GRID)])  # as sampled() records it
     checked = _verdict(
         _compose_model(STANDARD_DIM2, u, v, g), map_, _lift_rows(u),
         "phase-lift", branch=STANDARD_DIM2, U=u, V=v, g=g,
@@ -369,6 +382,11 @@ def _classify_lift(
         form = classify_circle_map(g)
     except ValueError as err:
         raise ProbeError("not_half_circle") from err
+    phases = np.array(_probe_table(2).phases)
+    first, second = np.triu_indices(len(phases), k=1)
+    chord = _expanding_chord(phases[first], phases[second], values[first], values[second])
+    if chord is not None:
+        raise ProbeError("phase_map_expands", z1=chord.z1, z2=chord.z2, gap=chord.gap)
     model = _compose_model(STANDARD_DIM2, u, v, _total_lift(g, form))
     return replace(checked, g_form=form, model=model)
 

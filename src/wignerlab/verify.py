@@ -7,11 +7,11 @@ accepts only gains above REFINE_TOL (1e-12) and stops once its step
 falls below REFINE_FLOOR (1e-10), after at most refine_steps steps.
 A metric check's climb also stops once it stalls: once its gap exceeds
 WITNESS_TOL + REFINE_TOL and its last REFINE_STALL_STEPS (10) gains
-together raised the gap by less than REFINE_STALL_GAIN (1e-3) of it.
+together raised the gap by less than REFINE_STALL_GAIN (3e-3) of it.
 Refinement only raises its gap, so that stop cannot change a verdict;
 a pass never climbs that high and refines as before, and so does the
 collision search.  The stop gives up sharpness: a refined witness of the
-bench's verify inputs, seeds 0-29, loses at most 1.4e-2 of its gap
+bench's verify inputs, seeds 0-29, loses at most 3.9e-2 of its gap
 (_refine_pair has the table, the README the command that regenerates it).
 A move that wins two steps in a row is also tried at 2 to 4096 times
 the step in each next step's batch, so a climb along one coordinate
@@ -23,22 +23,29 @@ Every check runs through one serial engine: sampling is split into
 chunks of CHUNK_SIZE samples with RNG substreams derived from (seed,
 chunk index), and the chunks run one after another, each mapped by one
 map call (a wide map's in several batches of at most MAP_ENTRIES
-entries).  A metric or collision check's chunk of count pairs takes L +
-4 sample_pure_state draws, L = ceil(count / 4), and pairs draw i with
-draws i + 1 to i + 4 for i < L, all pairs at offset 1 first, cut to
-count, and a scan maps about a quarter of a state per pair.  The metric
-checks move each odd draw 2m + 1 to within about LOCAL_STEPS[m % 4] of
-draw 2m, its own Gaussian row serving as the move, so a violation
-confined to a small cap needs one state in it, not two; every other pair
-is still Haar x Haar (the per-pair cap law holds).  A scan ranks pairs
-by sqrt(1 - transition probability), within 1e-12 of the residual
-kernel (_row_distances) for pairs at least 1e-3 apart; refinement and
-every report measure with the residual kernel.  Injectivity is a
-collision search on the same engine, with plain draws, and refinement,
-whose pair is then polished by Gauss-Newton on the difference of its
-images (_least_squares), every stage keeping to pairs at least
-COLLISION_D_IN apart; while no polished pair collides, the scan winners
-of the other offset groups are polished in turn, best first.
+entries).  A search ends after the first chunk whose winner proves a
+witness: its gap exceeds WITNESS_TOL, and for a metric check its gap
+measured again as the report measures it exceeds WITNESS_TOL +
+REFINE_TOL, a gap refinement then only raises.  A report's samples
+counts the samples it compared, and the report is the one of a search
+given exactly that budget.  A report that holds compared its whole
+budget, and so does every collision search, whose polishes read every
+offset group's winner.  A metric or collision check's chunk of count
+pairs takes L + 4 sample_pure_state draws, L = ceil(count / 4), and
+pairs draw i with draws i + 1 to i + 4 for i < L, all pairs at offset 1
+first, cut to count, and a scan maps about a quarter of a state per
+pair.  The metric checks move each odd draw 2m + 1 to within about
+LOCAL_STEPS[m % 4] of draw 2m, its own Gaussian row serving as the move,
+so a violation confined to a small cap needs one state in it, not two;
+every other pair is still Haar x Haar (the per-pair cap law holds).  A
+scan ranks pairs by sqrt(1 - transition probability), within 1e-12 of
+the residual kernel (_row_distances) for pairs at least 1e-3 apart;
+refinement and every report measure with the residual kernel.
+Injectivity is a collision search on the same engine, with plain draws,
+and refinement, whose pair is then polished by Gauss-Newton on the
+difference of its images (_least_squares), every stage keeping to pairs
+at least COLLISION_D_IN apart; while no polished pair collides, the scan
+winners of the other offset groups are polished in turn, best first.
 """
 
 from __future__ import annotations
@@ -102,9 +109,11 @@ REFINE_TOL = 1e-12
 REFINE_FLOOR = WITNESS_TOL / 10
 # a metric check's climb ends once its gap is a witness and its last
 # REFINE_STALL_STEPS gains together raised it by less than REFINE_STALL_GAIN
-# of itself
+# of itself.  A witness climbs from the winner of the chunk that proved it,
+# which sits lower than a whole budget's winner: at 1e-3 the 32-anchor
+# separable_embed isometry climb took 33 to 166 steps, seed by seed
 REFINE_STALL_STEPS = 10
-REFINE_STALL_GAIN = 1e-3
+REFINE_STALL_GAIN = 3e-3
 # the Gauss-Newton polish of a collision: central-difference step, the
 # relative singular-value cut of its lstsq, the line search's step lengths
 # 1, 1/2, ..., 2**-15 and the iteration cap
@@ -207,8 +216,9 @@ def _basis_prefix(map_: StateMap) -> tuple[np.ndarray, int]:
     return images, next((j for j in range(len(images)) if overlapping[j, :j].any()), len(images))
 
 
-def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
-    """The serial search engine: worst gap over seeded samples.
+def _search(map_: StateMap, n_samples: int, seed: int, sample, gap, proven):
+    """The serial search engine: worst gap over seeded samples, ending at the
+    first chunk whose winner is a proven witness.
 
     sample(rng, count) -> (rows, layout), layout a tuple of offset
     groups: with L = ceil(count / len(layout)), sample s of the chunk is
@@ -227,10 +237,15 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
     larger than the chunk's rows and image block.  Each group's largest
     gap, the earliest of equal ones, replaces the winner only when it is
     strictly larger, so the earliest strictly largest gap in chunk order
-    wins.  Returns the worst gap with the (k, dim) input rows and image
-    rows of its sample, and the winner of each offset group under the
-    same rule, a dict from group index to such a triple (the overall
-    winner is one of them).
+    wins.  proven(winner) says whether a winner, a (gap, rows, images)
+    triple, proves a witness of the caller's report; after each chunk
+    that changes the overall winner, a proven one ends the search, and
+    proven None never does.  Returns the worst gap with the (k, dim)
+    input rows and image rows of its sample, the winner of each offset
+    group under the same rule, a dict from group index to such a triple
+    (the overall winner is one of them), and the number of samples
+    compared.  A search that ends early is the search of that many
+    samples: its chunks are the first chunks of every larger budget.
 
     Every chunk maps into one image block, allocated for the first and
     largest chunk: a multi-MB block freed after each chunk would go back
@@ -244,9 +259,10 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
         raise ValueError("seed must be nonnegative")
     if n_samples < 1:
         raise ValueError("sample budget must be at least 1")
-    image_block, worst, groups = None, (-np.inf, None, None), {}
+    image_block, worst, groups, compared = None, (-np.inf, None, None), {}, 0
     for index in range(-(-n_samples // CHUNK_SIZE)):
         count = min(CHUNK_SIZE, n_samples - index * CHUNK_SIZE)
+        before = worst
         rows, layout = sample(_chunk_rng(seed, index), count)
         images = _map_rows(map_, rows, image_block)
         if image_block is None or images.dtype != image_block.dtype:
@@ -266,7 +282,15 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap):
                 if gaps[j] > worst[0]:
                     worst = groups[group]
         del rows  # freed before the next chunk is drawn
-    return worst, groups
+        compared += count
+        if worst is not before and proven is not None and proven(worst):
+            break
+    return worst, groups, compared
+
+
+def _is_witness(winner) -> bool:
+    """The proof test of a search whose report's gap is its scan winner's own gap."""
+    return winner[0] > WITNESS_TOL
 
 
 def _report(prop, n_samples, seed, worst, p, q, d_in, d_out) -> CheckReport:
@@ -358,11 +382,11 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
     search's gap lost over the bench's verify inputs of seeds 0-29
     (median, largest; the README gives the command that regenerates it):
 
-        isometry, separable_embed dim 4, 32 anchors   4.3e-3  1.4e-2
-        noncontractive, phi dim 2                     1.1e-8  2.0e-3
-        isometry, block_embed dim 3                   3.1e-5  2.5e-4
-        isometry, phi dim 2                           2.8e-8  1.9e-4
-        nonexpansive, tau power2                      2.3e-9  1.8e-7
+        isometry, separable_embed dim 4, 32 anchors   9.0e-3  3.9e-2
+        isometry, phi dim 2                           6.3e-8  1.3e-2
+        noncontractive, phi dim 2                     5.3e-8  1.5e-3
+        isometry, block_embed dim 3                   7.1e-5  3.7e-4
+        nonexpansive, tau power2                      9.6e-9  1.8e-7
     """
     pair, images = pair.astype(complex), images.copy()
     parts = pair.view(float)  # the rows' (re, im) parts, updated with them
@@ -525,19 +549,25 @@ def _local_pair_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarr
 
 
 def _refined_pair(
-    map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented, draw, stall
+    map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented, draw, witness
 ):
     """Scan pairs of draw's rows under the oriented gap and refine the winner under it.
 
-    draw is _pair_rows or _local_pair_rows, and stall turns on
-    _refine_pair's stop for a stalled witness.  The scan ranks a pair by the
-    oriented gap of sqrt(1 - transition probability) of its rows and of
-    its images: an einsum row kernel, under half the residual kernel's
-    cost, that differs from it by at most about 1e-15 / d at distance d.
-    The scan only picks the winner; refinement and the report measure it
-    again with _row_distances.  Returns the (2, dim) pair rows and their
-    images, and the scan winners of the other offset groups as (gap,
-    rows, images), best first.
+    draw is _pair_rows or _local_pair_rows.  witness says that the
+    oriented gap is a witness gap, as in the metric checks: then the scan
+    ends at its first proven witness, and _refine_pair stops a stalled
+    witness climb.  The scan ranks a pair by the oriented gap of sqrt(1 -
+    transition probability) of its rows and of its images: an einsum row
+    kernel, under half the residual kernel's cost, that differs from it
+    by at most about 1e-15 / d at distance d.  The scan only picks the
+    winner; the proof, refinement and the report measure it again with
+    _row_distances.  A winner is proven once its scan gap exceeds
+    WITNESS_TOL and its gap so measured exceeds WITNESS_TOL + REFINE_TOL:
+    refinement starts from that gap and only raises it, and the margin
+    covers the rounding between refinement's d(Q', P) and the report's
+    d(P, Q'), so the report holds a witness.  Returns the (2, dim) pair
+    rows and their images, the scan winners of the other offset groups
+    as (gap, rows, images), best first, and the number of pairs compared.
     """
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
@@ -547,22 +577,31 @@ def _refined_pair(
     def gap(rows, images):
         return oriented(*(np.sqrt(1.0 - _row_transition_probabilities(*r)) for r in (rows, images)))
 
-    worst, groups = _search(
-        map_, n_samples, seed, lambda rng, count: (draw(rng, count, dim), _PAIR_LAYOUT), gap)
+    def proven(winner):
+        # the scan's own gap first, so no winner of a search that holds is measured again
+        _, rows, images = winner
+        d_in, d_out = (_row_distances(r[:1], r[1:]) for r in (rows, images))
+        return _is_witness(winner) and oriented(d_in, d_out)[0] > WITNESS_TOL + REFINE_TOL
+
+    worst, groups, compared = _search(
+        map_, n_samples, seed, lambda rng, count: (draw(rng, count, dim), _PAIR_LAYOUT), gap,
+        proven if witness else None,
+    )
     _, pair, images = worst
     if refine_steps > 0:
-        _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps, stall)
-    return pair, images, sorted((w for w in groups.values() if w is not worst), key=lambda w: -w[0])
+        _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps, witness)
+    others = sorted((w for w in groups.values() if w is not worst), key=lambda w: -w[0])
+    return pair, images, others, compared
 
 
 def _metric_check(
     prop: str, map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented
 ) -> CheckReport:
     """Scan pairs, local ones included, under the oriented gap, refine the winner under it, and report."""
-    pair, images, _ = _refined_pair(
-        map_, dim, n_samples, refine_steps, seed, oriented, _local_pair_rows, stall=True)
+    pair, images, _, compared = _refined_pair(
+        map_, dim, n_samples, refine_steps, seed, oriented, _local_pair_rows, witness=True)
     # the gap of the reported distances: refinement's d(Q', P) may differ from d(P, Q')
-    return _pair_report(prop, n_samples, seed, oriented, pair, images)
+    return _pair_report(prop, compared, seed, oriented, pair, images)
 
 
 def check_nonexpansive(
@@ -624,9 +663,9 @@ def check_orthogonality_preserving(
     def gap(rows, images):
         return _row_transition_probabilities(images[1], images[0])
 
-    (worst, pair, images), _ = _search(map_, n_samples, seed, lambda rng, count: (
-        _orthogonal_pair_rows(rng, count, dim), ((0, count),)), gap)
-    return _pair_report("orthogonality-preserving", n_samples, seed, lambda *_: worst, pair, images)
+    (worst, pair, images), _, compared = _search(map_, n_samples, seed, lambda rng, count: (
+        _orthogonal_pair_rows(rng, count, dim), ((0, count),)), gap, _is_witness)
+    return _pair_report("orthogonality-preserving", compared, seed, lambda *_: worst, pair, images)
 
 
 def check_inclusion_lemma(
@@ -658,11 +697,11 @@ def check_inclusion_lemma(
         z = rng.standard_normal((2, count, len(preimages)))
         return _canonical_rows(np.einsum("ij,jk->ik", z[0] + 1j * z[1], span_basis)), ((0,),)
 
-    (worst, state, image), _ = _search(
-        map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images[0])
+    (worst, state, image), _, compared = _search(
+        map_, n_samples, seed, sample, lambda rows, images: 1.0 - covered(images[0]), _is_witness
     )
     return _report(
-        "inclusion", n_samples, seed, worst,
+        "inclusion", compared, seed, worst,
         _trusted_state(state[0]), _trusted_state(image[0]), 1.0, float(covered(image)[0]),
     )
 
@@ -684,10 +723,10 @@ def check_injective(
     for two states at least COLLISION_D_IN apart, or -1.0 (no two images
     are farther apart) when the final pair is closer than that.
     """
-    pair, images, others = _refined_pair(
+    pair, images, others, compared = _refined_pair(
         map_, dim, n_samples, refine_steps, seed,
         lambda d_in, d_out: np.where(d_in >= COLLISION_D_IN, d_in - 10 * d_out, d_in - 11),
-        _pair_rows, stall=False,
+        _pair_rows, witness=False,
     )
     if refine_steps > 0:
         def difference(images):
@@ -713,7 +752,7 @@ def check_injective(
                 pair, images = polished
                 break
     return _pair_report(
-        "injectivity", n_samples, seed,
+        "injectivity", compared, seed,
         lambda d_in, d_out: -1.0 if d_in < COLLISION_D_IN else d_in if d_out <= WITNESS_TOL else -d_out,
         pair, images,
     )

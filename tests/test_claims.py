@@ -11,9 +11,12 @@ from wignerlab import (
     NOT_CLASSIFIED,
     STANDARD_DIM2,
     StateMap,
+    check_nonexpansive,
     check_nonexpansive_circle,
     classify,
     map_from_json,
+    power,
+    standard_map,
 )
 from wignerlab.acceptance import CLAIMS
 from wignerlab.verify import _basis_prefix, _run_check
@@ -63,6 +66,25 @@ def test_every_family_behaves_as_its_claim_says(name, data):
     if map_.family == "tau":
         # a lift tau_g is as nonexpansive as its circle map g
         assert (check_nonexpansive_circle(map_.params["g"]) is None) == claim.expect["nonexpansive"]
+
+
+# the lifts of z -> z**k in dimension 2: every power with 2 <= |k| <= 200
+# and three large ones
+POWER_LIFTS = [k for k in range(-200, 201) if abs(k) >= 2] + [10**4, 10**4 + 1, 10**5]
+
+
+def test_no_phase_lift_is_both_classified_and_refuted():
+    # a standard_dim2 verdict says the lift is nonexpansive, and a
+    # nonexpansive witness on the same map says it is not.  Every power
+    # with |k| >= 2 expands a chord, so classification must refuse each
+    # one (it checks the phase map on more phases than the roots of unity
+    # that powers with k = 0 or +-1 mod 80 fix), and no check runs
+    contradictions = []
+    for k in POWER_LIFTS:
+        map_ = standard_map(power(k))
+        if classify(map_, 2).classified and not check_nonexpansive(map_, 2).holds:
+            contradictions.append(k)
+    assert contradictions == []
 
 
 @pytest.mark.parametrize(

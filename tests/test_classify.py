@@ -60,6 +60,7 @@ from wignerlab.classify import (
     _BRANCH_OF_HOM,
     _REFUSALS,
     CANONICAL_TOL,
+    GOLDEN_PHASES,
     VALIDATION_STATES,
     _classify_branch,
     classify_canonical,
@@ -280,8 +281,9 @@ def test_a_classification_maps_the_basis_once():
     ids=["classify-dim4", "canonical-dim4", "classify-dim2", "dim2"],
 )
 def test_a_classification_maps_the_basis_the_probes_and_the_validation_states(classify_one, dim):
-    # the basis in one call, every pair probe in a second, the validation
-    # states (dimension 2: the lift's weight/phase grid) in a third
+    # the basis in one call, every pair probe in a second (dimension 2: at
+    # the golden-angle phases too), the validation states (dimension 2: the
+    # lift's weight/phase grid) in a third
     calls = []
     opaque = opaque_map(wigner_map(np.eye(dim)), dim, dim)
 
@@ -293,7 +295,8 @@ def test_a_classification_maps_the_basis_the_probes_and_the_validation_states(cl
     assert res.classified
     n_pairs = dim * (dim - 1) // 2
     checked = VALIDATION_STATES if dim > 2 else len(_lift_grid())
-    assert calls == [dim, n_pairs * len(PROBE_GRID), checked]
+    phases = len(PROBE_GRID) + (len(GOLDEN_PHASES) if dim == 2 else 0)
+    assert calls == [dim, n_pairs * phases, checked]
 
 
 def test_entrywise_phase_fold_is_not_classified():
@@ -728,7 +731,8 @@ def test_the_cached_probe_constants_are_read_only(dim):
     for array in arrays:
         with pytest.raises(ValueError):
             array[...] = 0
-    assert table.rows.shape == (len(PROBE_GRID) * len(table.pairs), dim)
+    assert table.phases == PROBE_GRID + (GOLDEN_PHASES if dim == 2 else ())
+    assert table.rows.shape == (len(table.phases) * len(table.pairs), dim)
     assert table.pairs == tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
 
 
@@ -824,6 +828,12 @@ REJECTIONS = [
     _rejection(standard_map(power(2)).fn, 2, "not_half_circle",
                "image spread exceeds a half-circle; map cannot be nonexpansive",
                "wider-than-half-circle"),
+    # z -> z**81 is the identity on every 80th root of unity, so on every
+    # phase of PROBE_GRID, and expands the chord from exp(-i pi/8) to the
+    # eighth golden-angle phase
+    _rejection(standard_map(power(81)).fn, 2, "phase_map_expands",
+               "phase map expands the chord between 0.923880-0.382683j and 0.939321-0.343039j "
+               "by 1.953e+00; map cannot be nonexpansive", "expanding-phase-map"),
 ]
 
 

@@ -35,10 +35,12 @@ from wignerlab import (
 from wignerlab.classify import (
     CANONICAL_TOL,
     PROBE_GRID,
+    GOLDEN_PHASES,
     RESIDUAL_TOL,
     VALIDATION_STATES,
     _REFUSALS,
     _lift_grid,
+    _probe_table,
 )
 from wignerlab.states import ORTHO_TOL, _orthogonal_pair_rows
 
@@ -282,11 +284,16 @@ def test_the_classification_constants():
         f"on {VALIDATION_STATES} fixed states in dimension ≥ 3",
         f"on the {weights}×{len(PROBE_GRID)} weight/phase grid in dimension 2",
         f"the {len(PROBE_GRID) - 1} sixteenth roots of unity",
+        f"the {len(GOLDEN_PHASES)} golden-angle phases",
         f"`RESIDUAL_TOL` = {sci(RESIDUAL_TOL)}",
         # the rows of the three map calls: the basis, the pair probes, the validation states
         f"d rows, then {len(PROBE_GRID)}·C(d, 2), then {VALIDATION_STATES} (in dimension 2: "
-        f"2, {len(PROBE_GRID)} and {len(_lift_grid())})",
+        f"2, {len(_probe_table(2).rows)} and {len(_lift_grid())})",
     )
+    # every phase of PROBE_GRID is an 80th root of unity, and no golden-angle phase is one
+    roots = np.exp(2j * np.pi * np.arange(80) / 80)
+    assert all(np.abs(roots - z).min() < 1e-12 for z in PROBE_GRID)
+    assert all(np.abs(roots - z).min() > 1e-3 for z in GOLDEN_PHASES)
 
 
 def test_the_cosp_criterion():

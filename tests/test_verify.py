@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import inspect
 import itertools
 import json
 import sys
@@ -42,6 +43,7 @@ from wignerlab import (
     sample_unitary,
     separable_embed,
     standard_map,
+    state_from_json,
     state_from_params,
     transition_probability,
     wigner_map,
@@ -398,7 +400,8 @@ def test_the_extra_polishes_start_from_the_other_group_winners_best_first(monkey
     monkeypatch.setattr(verify, "_search", searching)
     monkeypatch.setattr(verify, "_least_squares", polishing)
     assert check_injective(wigner_map(random_unitary(4, 3)), 4, 1000, seed=42).holds
-    ((worst, groups),) = searched
+    ((worst, groups, compared),) = searched
+    assert compared == 1000
     others = sorted((w for w in groups.values() if w is not worst), key=lambda w: w[0], reverse=True)
     assert [w[0] for w in others] == pytest.approx([-4.674, -4.688, -5.070], abs=1e-3)
     assert len(starts) == 4
@@ -536,7 +539,7 @@ def _bench_scan_winner(seed, name):
     scan winner's pair and images."""
     op = next(op for op in _bench_inputs().build("verify", seed) if op.name == name)
     map_, oriented = map_from_json(op.map), ORIENTED[op.prop]
-    pair, images, _ = verify._refined_pair(
+    pair, images, _, _ = verify._refined_pair(
         map_, op.dim, op.samples, 0, op.check_seed, oriented, verify._local_pair_rows, False
     )
     return map_, oriented, pair, images
@@ -643,6 +646,82 @@ def test_the_stall_rule_moves_only_witnesses_and_only_their_gaps_down(monkeypatc
             assert scan[key]["worst_gap"] <= report["worst_gap"] <= off[key]["worst_gap"], key
             stalled += report["worst_gap"] < off[key]["worst_gap"]
     assert stalled >= 10, stalled
+
+
+def _whole_budget_searches(monkeypatch):
+    """Make every search map its whole budget: _search with no proof test."""
+    search = verify._search
+    monkeypatch.setattr(verify, "_search", lambda *args: search(*args[:5], None))
+
+
+def test_the_first_proven_witness_changes_no_verdict_and_no_report_that_holds(monkeypatch, capsys):
+    # with no proof test a search maps its whole budget: every report that
+    # holds and every collision search is byte for byte the same, and a
+    # witness stays a witness
+    stopped = dict(_scope_reports(capsys))
+    _whole_budget_searches(monkeypatch)
+    full = dict(_scope_reports(capsys))
+    assert stopped.keys() == full.keys()
+    witnesses = 0
+    for key, report in stopped.items():
+        assert (report["witness"] is None) == (full[key]["witness"] is None), key
+        if report["witness"] is None or report["property"] == "injectivity":
+            assert json.dumps(report) == json.dumps(full[key]), key
+        else:
+            witnesses += 1
+    assert witnesses >= 20, witnesses
+
+
+def _bench_report(op, n_samples):
+    """The report JSON of bench verify check or inclusion op at a budget of n_samples."""
+    map_ = map_from_json(op.map)
+    if op.kind == "inclusion":
+        system = OrthoSystem(tuple(map(state_from_json, op.states)))
+        return check_inclusion_lemma(map_, system, n_samples, seed=op.check_seed).to_json()
+    return verify._REPORT_CHECKS[op.prop](
+        map_, op.dim, n_samples, refine_steps=op.refine_steps, seed=op.check_seed
+    ).to_json()
+
+
+def _budget_runs(capsys):
+    """(key, budget, run) for every report of the CI_REPORTS invocations and
+    of the bench verify checks and inclusion checks of seeds 1-3: run(n)
+    is that report's JSON at a budget of n samples."""
+
+    def cli_run(argv, key):
+        def run(n):
+            cli.main([*argv.split(), "--samples", str(n)])
+            doc = json.loads(capsys.readouterr().out)
+            return doc if key is None else doc["checks"][key]
+        return run
+
+    budget = inspect.signature(check_nonexpansive).parameters["n_samples"].default
+    for argv in CI_REPORTS:
+        cli.main(argv.split())
+        doc = json.loads(capsys.readouterr().out)
+        for key in [None] if "property" in doc else list(doc["checks"]):
+            yield f"{argv} {key}", budget, cli_run(argv, key)
+    for seed in (1, 2, 3):
+        for i, op in enumerate(_bench_inputs().build("verify", seed)):
+            if op.kind in ("check", "inclusion"):
+                yield f"seed {seed} op {i}", op.samples, lambda n, op=op: _bench_report(op, n)
+
+
+def test_a_report_counts_the_samples_it_compared(capsys):
+    # a search ends with the first chunk that proves a witness, and its
+    # report is the report of the search given exactly the samples it
+    # compared, byte for byte; a report that holds, and every collision
+    # search, compared its whole budget
+    stopped = 0
+    for key, budget, run in list(_budget_runs(capsys)):
+        report = run(budget)
+        if report["witness"] is None or report["property"] == "injectivity":
+            assert report["samples"] == budget, key
+            continue
+        assert report["samples"] == budget or report["samples"] % verify.CHUNK_SIZE == 0, key
+        stopped += report["samples"] < budget
+        assert json.dumps(run(report["samples"])) == json.dumps(report), key
+    assert stopped >= 20, stopped
 
 
 # unrefined scans with a witness: (property, map builder, dim)
@@ -1025,11 +1104,13 @@ def test_row_blocking_bounds_the_scan_memory():
     assert peak < 3.8e6
 
 
-def test_an_orthogonal_chunk_bounds_the_scan_memory():
+def test_an_orthogonal_chunk_bounds_the_scan_memory(monkeypatch):
     # a chunk of 2048 orthogonal pairs is 4096 rows, whose 128-wide float64
     # images fill a 4.2 MB image block; the gaps and the next chunk's draw
     # add under 2 MB to it (5.8 MB here), and the last chunk's rows would
-    # add 0.5 MB more if they were not freed before the draw
+    # add 0.5 MB more if they were not freed before the draw.  The witness
+    # would end the search after its first chunk, so the proof test is off
+    _whole_budget_searches(monkeypatch)
     map_ = _wide_separable_embed()
     tracemalloc.start()
     try:
@@ -1055,11 +1136,12 @@ def _recording(map_, shapes):
 # chunk of count pairs ceil(count / 4) + 4 states: 516 for a full chunk,
 # within one map batch of 16384 // dim rows in dims 4 and 16.  An
 # orthogonal-pair chunk is 2 count rows, 4096 for a full one, which is a
-# whole batch in dim 4
+# whole batch in dim 4; the orthogonality witness of entrywise_abs(4) is
+# proven in the first chunk, which ends the search
 @pytest.mark.parametrize("prop, dim, n_samples, holds, want", [
     ("nonexpansive", 4, 10000, True, [(516, 4)] * 4 + [(456, 4)]),
     ("nonexpansive", 16, 20000, True, [(516, 16)] * 9 + [(396, 16)]),
-    ("orthogonality", 4, 10000, False, [(4096, 4)] * 4 + [(3616, 4)]),
+    ("orthogonality", 4, 10000, False, [(4096, 4)]),
 ])
 def test_a_narrow_map_takes_one_call_per_chunk(prop, dim, n_samples, holds, want):
     shapes = []
@@ -1068,6 +1150,7 @@ def test_a_narrow_map_takes_one_call_per_chunk(prop, dim, n_samples, holds, want
     )
     assert report.holds is holds
     assert shapes == want
+    assert report.samples == (n_samples if holds else verify.CHUNK_SIZE)
     # no rows make no call, so a map need not accept an empty block
     identity = opaque_map(lambda state: state, 3, 3)
     assert verify._map_rows(identity, np.empty((0, 3), dtype=complex)).shape == (0, 3)
@@ -1076,13 +1159,21 @@ def test_a_narrow_map_takes_one_call_per_chunk(prop, dim, n_samples, holds, want
 def test_a_scan_maps_a_quarter_of_a_state_per_pair_and_four_per_chunk():
     # a chunk of count pairs pairs each of its first L = ceil(count / 4)
     # draws with its next four, so 10000 pairs in 5 chunks map
-    # 4 * (512 + 4) + (452 + 4) = 2520 states
+    # 4 * (512 + 4) + (452 + 4) = 2520 states when the map holds
     shapes = []
-    tau = standard_map(power(2))
-    report = check_nonexpansive(_recording(tau, shapes), 2, 10000, refine_steps=0, seed=4)
+    phi = _recording(entrywise_abs(2), shapes)
+    report = check_nonexpansive(phi, 2, 10000, refine_steps=0, seed=4)
+    assert report.holds and report.samples == 10000
     chunks = -(-10000 // verify.CHUNK_SIZE)
     counts = [min(verify.CHUNK_SIZE, 10000 - index * verify.CHUNK_SIZE) for index in range(chunks)]
     assert sum(n for n, _ in shapes) == sum(-(-count // 4) + 4 for count in counts) == 2520
+    # a witness is one of the pairs of the chunks its search compared, and
+    # the search ends with the first chunk that proves one
+    shapes = []
+    tau = _recording(standard_map(power(2)), shapes)
+    report = check_nonexpansive(tau, 2, 10000, refine_steps=0, seed=4)
+    assert report.samples == verify.CHUNK_SIZE and shapes == [(516, 2)]
+    counts = counts[:1]
     w = report.witness
     assert w is not None
     pairs = []
@@ -1242,10 +1333,13 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
     )
     for (sample, seed), gap in ((s, g) for s in layouts for g in (_isometry_gap, _overlap_mass_gap)):
         got_gaps, want_gaps, got_calls = {}, {}, []
-        got = _search(map_, n_samples, seed, sample, _recorded(gap, got_gaps, got_calls))
+        *got, compared = _search(
+            map_, n_samples, seed, sample, _recorded(gap, got_gaps, got_calls), None
+        )
         want = _fresh_search(map_, n_samples, seed, sample, _recorded(gap, want_gaps, []))
         # the overall winner and every group's, in group order
         assert _winner_bytes(got) == _winner_bytes(want)
+        assert compared == n_samples
         # every sample's gap, not only the winner's, is the whole-chunk gap bit
         # for bit, and no other pair is measured
         assert len(want_gaps) == n_samples
@@ -1267,9 +1361,9 @@ def test_the_earliest_of_equal_gaps_wins():
     def sample(rng, count):
         return _sample_state_rows(rng, count + 1, 3), ((0, 1),)
 
-    (worst, rows, _), groups = _search(
+    (worst, rows, _), groups, _ = _search(
         entrywise_abs(3), 3 * verify.CHUNK_SIZE + 1, 5, sample,
-        lambda rows, images: np.zeros(len(rows[0])),
+        lambda rows, images: np.zeros(len(rows[0])), None,
     )
     assert worst == 0.0
     assert rows.tobytes() == sample(_chunk_rng(5, 0), verify.CHUNK_SIZE)[0][:2].tobytes()
@@ -1282,9 +1376,9 @@ def test_the_earliest_of_equal_gaps_wins():
         return _sample_state_rows(rng, -(-count // 3) + 3, 3), ((0, 1), (0, 2), (0, 3))
 
     calls = itertools.count()
-    (worst, rows, _), groups = _search(
+    (worst, rows, _), groups, _ = _search(
         entrywise_abs(3), 30, 5, three_groups,
-        lambda rows, images: np.full(len(rows[0]), float(next(calls) > 0)),
+        lambda rows, images: np.full(len(rows[0]), float(next(calls) > 0)), None,
     )
     drawn = three_groups(_chunk_rng(5, 0), 30)[0]
     assert worst == 1.0
@@ -1300,9 +1394,9 @@ def test_the_earliest_of_equal_gaps_wins():
         return _sample_state_rows(rng, -(-count // 2) + 2, 3), ((0, 1), (0, 2))
 
     calls = itertools.count()
-    (worst, rows, _), groups = _search(
+    (worst, rows, _), groups, _ = _search(
         entrywise_abs(3), 2 * verify.CHUNK_SIZE, 5, two_groups,
-        lambda rows, images: np.full(len(rows[0]), float(next(calls) in (1, 2))),
+        lambda rows, images: np.full(len(rows[0]), float(next(calls) in (1, 2))), None,
     )
     first, second = (two_groups(_chunk_rng(5, i), verify.CHUNK_SIZE)[0] for i in (0, 1))
     assert worst == 1.0
