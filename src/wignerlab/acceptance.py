@@ -93,7 +93,7 @@ class CriterionResult:
 
 
 def _result(num, name, t0, passed, detail, budget) -> CriterionResult:
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if elapsed >= budget:
         passed = False
         detail += f"; runtime {elapsed:.1f}s exceeded budget {budget}s"
@@ -102,7 +102,7 @@ def _result(num, name, t0, passed, detail, budget) -> CriterionResult:
 
 def criterion_01() -> CriterionResult:
     """Metric identity between the overlap formula and the spectral norm."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for dim in (2, 3, 4, 8):
         rng = np.random.default_rng(np.random.SeedSequence((101, dim)))
@@ -122,7 +122,7 @@ def criterion_01() -> CriterionResult:
 
 def criterion_02() -> CriterionResult:
     """Entrywise-absolute-value map is nonexpansive in dims 2..6."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     claim = CLAIMS["phi"]
     reports = [check_nonexpansive(claim.build(None, d), d, 10000, seed=42) for d in claim.dims]
     worst = max(rep.worst_gap for rep in reports)
@@ -134,7 +134,7 @@ def criterion_02() -> CriterionResult:
 
 def criterion_03() -> CriterionResult:
     """Entrywise-absolute-value map contracts strictly somewhere in dim 2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     claim = CLAIMS["phi"]
     rep = check_isometry(claim.build(None, 2), 2, 10000, seed=42)
     gap = rep.witness.gap if rep.witness is not None else 0.0
@@ -145,7 +145,7 @@ def criterion_03() -> CriterionResult:
 def criterion_04() -> CriterionResult:
     """Phase-map lifts inherit circle behaviour: for the fold, the constant 1
     and squaring, each lift's verdict is its circle map's and its claim's."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = [("fold", "tau-fold", 10000), ("constant", "tau-constant", 10000),
              ("squaring", "tau-power2", 1000)]
     lifts, circles, claimed = {}, {}, True
@@ -176,7 +176,7 @@ def _classifier_cases():
 
 def criterion_05() -> CriterionResult:
     """Classifier recovers branch, model, and diagonal gauge on 150 models."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     correct = 0
     total = 0
     worst_residual = 0.0
@@ -199,7 +199,7 @@ def criterion_05() -> CriterionResult:
 
 def criterion_06() -> CriterionResult:
     """Dimension-2 classification recovers the phase map and its class."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = [
         (rotation(cmath.exp(1j * math.pi / 3)), "rotation"),
         (conjugate_rotation(1.0), "conj_rotation"),
@@ -237,7 +237,7 @@ def _disjoint_support_pair(rng, dim):
 
 def criterion_07() -> CriterionResult:
     """Dominated states stay dominated by the orthogonal image family."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(701)
     dim = 4
     pre = random_unitary(dim, 702)
@@ -368,7 +368,7 @@ def run_claim(name, dim, rng, samples, seed, refine_steps, **params):
 
 def criterion_08() -> CriterionResult:
     """Block embedding is noncontractive yet tears a boundary pair apart."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, ok, reports = run_claim("block-embed", 3, np.random.default_rng(801), 10000, 42, 200)
     w = reports["isometry"].witness
     passed = ok and w.d_in < 0.5 and abs(w.d_out - 1.0) <= 1e-12
@@ -381,7 +381,7 @@ def criterion_08() -> CriterionResult:
 
 def criterion_09() -> CriterionResult:
     """Overlap-profile embedding: nonexpansive, injective, never isometric."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, ok, reports = run_claim(
         "separable-embed", 4, np.random.default_rng(901),
         {"nonexpansive": 10000, "isometry": 1000, "injectivity": 1000}, 42, 200, anchors=32,
@@ -398,7 +398,7 @@ def criterion_09() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """Subspace collapse is nonexpansive and completes the designated system."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, passed, reports = run_claim("proper-subspace", 5, np.random.default_rng(1001), 10000, 42,
                                    200, k=3)
     detail = (
@@ -410,7 +410,7 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Branch decision agrees with brute force and classes are exclusive."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = np.array(unit_grid(256))
     maps = {
         IDENTITY: rotation(1.0),

@@ -7,10 +7,12 @@ a closed half-circle.  Multiplicative maps reduce further to the
 identity, conjugation, or the constant 1.
 
 Every kind (rotation, conjugate rotation, constant, fold, power and
-sampled tables) has an array form.  check_nonexpansive_circle searches
-seeded pairs for an expanding chord, classify_homomorphism reads a
-multiplicative map's branch off its values at i and -1, and
-classify_circle_map sorts a nonexpansive map into the three forms.
+sampled tables) has an array form.  check_nonexpansive_circle tests
+every pair of one point set for an expanding chord, and
+classify_circle_map sorts a nonexpansive map into the three forms on the
+same set: a sampled map's recorded inputs, or else unit_grid(64) and
+GOLDEN_PHASES.  classify_homomorphism reads a multiplicative map's
+branch off its values at i and -1.
 A circle map's JSON form is read and written in wignerlab.descriptors.
 """
 
@@ -52,10 +54,11 @@ CIRCLE_WITNESS_TOL = 1e-9
 FORM_MATCH_TOL = 1e-8
 HOM_BRANCH_TOL = 1e-6
 SPREAD_TOL = 1e-6
-# the chord check's seeded random pairs, beside its grid pairs, for a map
-# that is not a sampled table
-CIRCLE_SAMPLES = 1000
-CIRCLE_SEED = 42
+# the golden-angle phases exp(2 pi i m phi), phi = (sqrt(5) - 1) / 2,
+# m = 1..8: phi is irrational, so none is a root of unity, and a map that
+# agrees with a rotation, its conjugate or a constant on every root of
+# unity of some order is still tested between them
+GOLDEN_PHASES = tuple(cmath.exp(1j * math.pi * m * (math.sqrt(5.0) - 1.0)) for m in range(1, 9))
 
 IDENTITY = "identity"
 CONJUGATION = "conjugation"
@@ -232,20 +235,25 @@ class CircleViolation:
     gap: float
 
 
-def _grid_points(g: CircleMap, grid_size: int) -> np.ndarray:
+def _grid_points(g: CircleMap) -> np.ndarray:
+    """The points a circle check reads g on: a sampled map's recorded inputs,
+    which are all it can evaluate, else unit_grid(64) and GOLDEN_PHASES."""
     if g.table is not None:
         return g.inputs
-    return np.array(unit_grid(grid_size))
+    return np.array(unit_grid(64) + list(GOLDEN_PHASES))
 
 
-def _expanding_chord(z1, z2, w1, w2) -> CircleViolation | None:
-    """The pair of inputs z1[k], z2[k] whose images w1[k], w2[k] expand their
-    chord most, if by more than CIRCLE_WITNESS_TOL; None otherwise.
+def _expanding_chord(points, values) -> CircleViolation | None:
+    """The pair of points whose values expand their chord most, if by more
+    than CIRCLE_WITNESS_TOL; None otherwise.
 
-    The gap of a pair is Re(z1 conj(z2)) - Re(w1 conj(w2)), positive
-    exactly when the image chord is longer; the witness is the first
-    strictly largest gap.  No pairs give None.
+    Tests every pair i < j in triu_indices order.  The gap of a pair is
+    Re(z_i conj(z_j)) - Re(w_i conj(w_j)), positive exactly when the
+    image chord is longer; the witness is the first strictly largest
+    gap.  Fewer than two points give None.
     """
+    first, second = np.triu_indices(len(points), k=1)
+    z1, z2, w1, w2 = points[first], points[second], values[first], values[second]
     # Re(a * conj(b)), written out
     gaps = (z1.real * z2.real + z1.imag * z2.imag) - (w1.real * w2.real + w1.imag * w2.imag)
     if not gaps.size or gaps.max() <= CIRCLE_WITNESS_TOL:
@@ -257,19 +265,11 @@ def _expanding_chord(z1, z2, w1, w2) -> CircleViolation | None:
 def check_nonexpansive_circle(g: CircleMap) -> CircleViolation | None:
     """Search for a chord-expanding input pair; None when none is found.
 
-    Tests all pairs from a grid of 32 points plus CIRCLE_SAMPLES random
-    pairs seeded by CIRCLE_SEED, by _expanding_chord.  A sampled map
-    tests all pairs of its recorded inputs, which are all the pairs it
-    can evaluate.
+    Reads g in one batch on _grid_points and tests every pair of them
+    by _expanding_chord.
     """
-    points = _grid_points(g, 32)
-    first, second = np.triu_indices(len(points), k=1)
-    z1, z2 = points[first], points[second]
-    if g.table is None:
-        extra = np.exp(1j * np.random.default_rng(CIRCLE_SEED).uniform(
-            0.0, 2.0 * math.pi, size=(2, CIRCLE_SAMPLES)))
-        z1, z2 = np.concatenate([z1, extra[0]]), np.concatenate([z2, extra[1]])
-    return _expanding_chord(z1, z2, g.batch(z1), g.batch(z2))
+    points = _grid_points(g)
+    return _expanding_chord(points, g.batch(points))
 
 
 def _hom_branches(at_i: np.ndarray, at_minus_one: np.ndarray) -> np.ndarray:
@@ -319,13 +319,13 @@ def classify_circle_map(g: CircleMap) -> CircleMapForm:
     """Sort a nonexpansive map into rotation / conjugate rotation / half-circle.
 
     Matches the closed forms z -> c*z and z -> c*conj(z) with c = g(1) on
-    a grid of 64 points (a sampled map's recorded inputs instead);
-    otherwise the image must fit in a closed half-circle, and a wider
-    image raises ValueError because it contradicts nonexpansiveness.
+    _grid_points, reading g at 1 and there in one batch; otherwise the
+    image must fit in a closed half-circle, and a wider image raises
+    ValueError because it contradicts nonexpansiveness.
     """
-    points = _grid_points(g, 64)
-    c = g(1.0 + 0j)
-    values = g.batch(points)
+    points = _grid_points(g)
+    values = g.batch(np.append(1.0 + 0j, points))
+    c, values = complex(values[0]), values[1:]
     if (np.abs(values - c * points) <= FORM_MATCH_TOL).all():
         return CircleMapForm("rotation", c=c)
     if (np.abs(values - c * points.conj()) <= FORM_MATCH_TOL).all():

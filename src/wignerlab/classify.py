@@ -26,6 +26,7 @@ import numpy as np
 from .circle import (
     CONJUGATION,
     CONSTANT_ONE,
+    GOLDEN_PHASES,
     IDENTITY,
     NOT_APPLICABLE,
     CircleMap,
@@ -78,13 +79,9 @@ VALIDATION_STATES = 32
 
 # probe phases: 16 equispaced roots of unity, then exp(i*pi/5), a tenth
 # root of unity, so every probe phase is an 80th root of unity; the branch
-# test reads entries 4 (i) and 8 (-1)
+# test reads entries 4 (i) and 8 (-1).  Dimension 2 also probes
+# circle.GOLDEN_PHASES, none of them a root of unity
 PROBE_GRID = tuple(unit_grid(16) + [cmath.exp(1j * math.pi / 5.0)])
-# dimension 2 also probes the golden-angle phases exp(2 pi i m phi), phi =
-# (sqrt(5) - 1) / 2, m = 1..8: phi is irrational, so none is a root of
-# unity, and a phase map that agrees with a rotation, its conjugate or a
-# constant on every root of unity of some order is still tested between them
-GOLDEN_PHASES = tuple(cmath.exp(1j * math.pi * m * (math.sqrt(5.0) - 1.0)) for m in range(1, 9))
 
 _BRANCH_OF_HOM = {
     IDENTITY: WIGNER_UNITARY,
@@ -382,9 +379,7 @@ def _classify_lift(
         form = classify_circle_map(g)
     except ValueError as err:
         raise ProbeError("not_half_circle") from err
-    phases = np.array(_probe_table(2).phases)
-    first, second = np.triu_indices(len(phases), k=1)
-    chord = _expanding_chord(phases[first], phases[second], values[first], values[second])
+    chord = _expanding_chord(np.array(_probe_table(2).phases), values)
     if chord is not None:
         raise ProbeError("phase_map_expands", z1=chord.z1, z2=chord.z2, gap=chord.gap)
     model = _compose_model(STANDARD_DIM2, u, v, _total_lift(g, form))

@@ -579,9 +579,11 @@ def _refined_pair(
 
     def proven(winner):
         # the scan's own gap first, so no winner of a search that holds is measured again
+        if not _is_witness(winner):
+            return False
         _, rows, images = winner
         d_in, d_out = (_row_distances(r[:1], r[1:]) for r in (rows, images))
-        return _is_witness(winner) and oriented(d_in, d_out)[0] > WITNESS_TOL + REFINE_TOL
+        return oriented(d_in, d_out)[0] > WITNESS_TOL + REFINE_TOL
 
     worst, groups, compared = _search(
         map_, n_samples, seed, lambda rng, count: (draw(rng, count, dim), _PAIR_LAYOUT), gap,

@@ -32,7 +32,7 @@ from wignerlab import (
     standard_map,
     unit_grid,
 )
-from wignerlab.circle import CIRCLE_WITNESS_TOL, HOM_BRANCH_TOL, _hom_branches
+from wignerlab.circle import CIRCLE_WITNESS_TOL, GOLDEN_PHASES, HOM_BRANCH_TOL, _hom_branches
 from wignerlab.descriptors import circle_map_from_json, circle_map_to_json
 from wignerlab.states import UNIT_NORM_TOL
 
@@ -102,13 +102,11 @@ def _first_strictly_largest(gaps):
 
 def test_circle_checks_report_the_first_strictly_largest_gap():
     # the pair-by-pair search written out: same pairs, same order, same pick
-    n_samples = 1000
-    rng = np.random.default_rng(42)
-    extra = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=2 * n_samples))
-    extra = list(zip(extra[:n_samples], extra[n_samples:]))
     square = power(2)
-    points = unit_grid(32)
-    pairs = [(points[i], points[j]) for i in range(32) for j in range(i + 1, 32)] + extra
+    points = unit_grid(64) + list(GOLDEN_PHASES)
+    n = len(points)
+    pairs = [(points[i], points[j]) for i in range(n) for j in range(i + 1, n)]
+    assert len(pairs) == 2556
     re_dot = lambda a, b: a.real * b.real + a.imag * b.imag
     gaps = [re_dot(z1, z2) - re_dot(square(z1), square(z2)) for z1, z2 in pairs]
     k = _first_strictly_largest(gaps)

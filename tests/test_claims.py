@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 from wignerlab import (
     NOT_CLASSIFIED,
     STANDARD_DIM2,
+    WIGNER_ANTIUNITARY,
+    WIGNER_UNITARY,
     StateMap,
+    check_injective,
+    check_isometry,
+    check_noncontractive,
     check_nonexpansive,
     check_nonexpansive_circle,
+    check_orthogonality_preserving,
     classify,
     map_from_json,
     power,
@@ -84,6 +90,45 @@ def test_no_phase_lift_is_both_classified_and_refuted():
         map_ = standard_map(power(k))
         if classify(map_, 2).classified and not check_nonexpansive(map_, 2).holds:
             contradictions.append(k)
+    assert contradictions == []
+
+
+# every family in each of its dims: the maps of the sweep's CLAIMS arm
+CLAIM_MAPS = [(name, dim) for name, claim in CLAIMS.items() for dim in claim.dims]
+REPORT_CHECKS = {
+    "nonexpansive": check_nonexpansive,
+    "noncontractive": check_noncontractive,
+    "isometry": check_isometry,
+    "orthogonality": check_orthogonality_preserving,
+    "injectivity": check_injective,
+}
+
+
+def test_no_two_verdicts_on_a_claimed_map_contradict_a_theorem():
+    # each map drawn from default_rng(dim) with its demo params unset, every
+    # check at its defaults and classify given the claim's hint: an isometry
+    # is nonexpansive, noncontractive and orthogonality preserving, a
+    # noncontractive map has no collision, a classified map is nonexpansive,
+    # and a Wigner branch is an isometry
+    contradictions = []
+    for name, dim in CLAIM_MAPS:
+        claim = CLAIMS[name]
+        map_ = claim.build(np.random.default_rng(dim), dim, **dict.fromkeys(claim.params))
+        holds = {check: run(map_, dim).holds for check, run in REPORT_CHECKS.items()}
+        branch = NOT_CLASSIFIED
+        if claim.branch is not None:  # an endomap
+            branch = classify(map_, dim, preimage_hint=claim.hint and claim.hint(map_)).branch
+        # (premise, conclusion) of each implication
+        theorems = [
+            (holds["isometry"],
+             holds["nonexpansive"] and holds["noncontractive"] and holds["orthogonality"]),
+            (holds["noncontractive"], holds["injectivity"]),
+            (branch != NOT_CLASSIFIED, holds["nonexpansive"]),
+            (branch in (WIGNER_UNITARY, WIGNER_ANTIUNITARY), holds["isometry"]),
+        ]
+        if any(premise and not conclusion for premise, conclusion in theorems):
+            contradictions.append((name, dim, holds, branch))
+    assert len(CLAIM_MAPS) == 43
     assert contradictions == []
 
 

@@ -672,6 +672,27 @@ def test_the_first_proven_witness_changes_no_verdict_and_no_report_that_holds(mo
     assert witnesses >= 20, witnesses
 
 
+def test_a_scan_that_holds_measures_no_winner_again(monkeypatch):
+    # the proof test screens a winner on its scan gap first, so a metric
+    # scan that finds no witness calls _row_distances for none of its winners
+    search, calls, searches = verify._search, [], []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return _row_distances(*args)
+
+    def searching(*args):
+        with monkeypatch.context() as scope:
+            scope.setattr(verify, "_row_distances", counting)
+            searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(verify, "_search", searching)
+    assert check_nonexpansive(entrywise_abs(4), 4).holds
+    assert check_isometry(wigner_map(random_unitary(4, 3)), 4).holds
+    assert len(searches) == 2 and calls == []
+
+
 def _bench_report(op, n_samples):
     """The report JSON of bench verify check or inclusion op at a budget of n_samples."""
     map_ = map_from_json(op.map)
