@@ -158,14 +158,13 @@ def _add_search(sub: argparse.ArgumentParser) -> None:
                      "2048 samples that proves a witness, and a report's samples "
                      "counts the samples it compared (default 10000)")
     sub.add_argument("--refine-steps", type=int, default=200,
-                     help="cap on the local refinement steps of the worst pair; "
-                     "refinement takes only gains above 1e-12 and stops once its "
-                     "step is below 1e-10 or, for a nonexpansive, noncontractive or "
-                     "isometry witness (gap above 1e-9 + 1e-12), once its last 10 "
-                     "gains raised the gap by less than 3e-3 of it. Refinement only "
-                     "raises a gap, so that stop changes no verdict, and a pass or a "
-                     "collision search refines as before; a witness loses at most "
-                     "3.9e-2 of its gap (README, refinement) (default 200)")
+                     help="cap on the local refinement steps of a metric witness "
+                     "and of the collision search's pair; a metric check that holds "
+                     "reports its scan winner unrefined. Refinement takes only gains "
+                     "above 1e-12 and stops once its step is below 1e-10 or, for a "
+                     "witness (gap above 1e-9 + 1e-12), once its last 10 gains raised "
+                     "the gap by less than 3e-3 of it, which loses at most 3.9e-2 of "
+                     "the gap (README, refinement) (default 200)")
 
 
 def build_parser() -> argparse.ArgumentParser:

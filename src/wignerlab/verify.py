@@ -1,18 +1,18 @@
 """Seeded witness search for metric properties of state maps.
 
 Each check samples inputs, maps them, measures the relevant gap, and
-reports a witness when the worst gap exceeds 1e-9; the metric checks
-first sharpen the worst pair by local refinement, a pattern search that
-accepts only gains above REFINE_TOL (1e-12) and stops once its step
-falls below REFINE_FLOOR (1e-10), after at most refine_steps steps.
-A metric check's climb also stops once it stalls: once its gap exceeds
-WITNESS_TOL + REFINE_TOL and its last REFINE_STALL_STEPS (10) gains
-together raised the gap by less than REFINE_STALL_GAIN (3e-3) of it.
-Refinement only raises its gap, so that stop cannot change a verdict;
-a pass never climbs that high and refines as before, and so does the
-collision search.  The stop gives up sharpness: a refined witness of the
-bench's verify inputs, seeds 0-29, loses at most 3.9e-2 of its gap
-(_refine_pair has the table, the README the command that regenerates it).
+reports a witness when the worst gap exceeds 1e-9.  A metric check whose
+search proves a witness sharpens it by local refinement, a pattern search
+that accepts only gains above REFINE_TOL (1e-12) and stops once its step
+falls below REFINE_FLOOR (1e-10), after at most refine_steps steps, or
+once its last REFINE_STALL_STEPS (10) gains together raised the gap by
+less than REFINE_STALL_GAIN (3e-3) of it.  Refinement only raises its
+gap, so that stop changes no verdict; a refined witness of the bench's
+verify inputs, seeds 0-29, loses at most 3.9e-2 of its gap (_refine_pair
+has the table, the README the command that regenerates it).  A metric
+check that holds reports its scan winner unrefined: over 1 415 metric
+checks no climb from such a winner found a witness (README).  The
+collision search always refines its winner, with no stall stop.
 A move that wins two steps in a row is also tried at 2 to 4096 times
 the step in each next step's batch, so a climb along one coordinate
 takes a few steps, not dozens.  After k failed steps in a row, the
@@ -107,11 +107,11 @@ REFINE_EXTENSION = 2.0 ** np.arange(1, 13)
 REFINE_TOL = 1e-12
 # refinement ends once the step is far below any witness gap
 REFINE_FLOOR = WITNESS_TOL / 10
-# a metric check's climb ends once its gap is a witness and its last
-# REFINE_STALL_STEPS gains together raised it by less than REFINE_STALL_GAIN
-# of itself.  A witness climbs from the winner of the chunk that proved it,
-# which sits lower than a whole budget's winner: at 1e-3 the 32-anchor
-# separable_embed isometry climb took 33 to 166 steps, seed by seed
+# a witness climb ends once its last REFINE_STALL_STEPS gains together
+# raised its gap by less than REFINE_STALL_GAIN of itself.  It starts from
+# the winner of the chunk that proved it, which sits lower than a whole
+# budget's winner: at 1e-3 the 32-anchor separable_embed isometry climb
+# took 33 to 166 steps, seed by seed
 REFINE_STALL_STEPS = 10
 REFINE_STALL_GAIN = 3e-3
 # the Gauss-Newton polish of a collision: central-difference step, the
@@ -367,20 +367,18 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
     images for some states and complex ones for others would promote a
     level's real images).
 
-    With stall (the metric checks), the search also ends before a step
-    once its gap exceeds WITNESS_TOL + REFINE_TOL and its last
-    REFINE_STALL_STEPS gains together raised it by less than
-    REFINE_STALL_GAIN of it.  The stop reads only the gaps after gains,
-    so a batch of halved levels picks and counts as before.  It cannot
-    change a verdict: the gap only rises, and REFINE_TOL is far wider
-    than the rounding between this search's d(Q', P) and the report's
-    d(P, Q') (about 1e-16), so the reported gap is a witness, as the
-    unstopped search's would be.  A climb that ends at or below
-    WITNESS_TOL + REFINE_TOL, every pass among them, never stops this
-    way.  check_injective leaves it off: its score d_in - 10 d_out is no
-    witness gap.  What it gives up, as the share of the unstopped
-    search's gap lost over the bench's verify inputs of seeds 0-29
-    (median, largest; the README gives the command that regenerates it):
+    With stall (a metric check, whose climb starts from a proven witness
+    above WITNESS_TOL + REFINE_TOL), the search also ends before a step
+    once its last REFINE_STALL_STEPS gains together raised the gap by less
+    than REFINE_STALL_GAIN of it.  The stop reads only the gaps after
+    gains, so a batch of halved levels picks and counts as before.  It
+    cannot change a verdict: the gap only rises, and REFINE_TOL is far
+    wider than the rounding between this search's d(Q', P) and the
+    report's d(P, Q') (about 1e-16), so the reported gap is a witness.
+    check_injective leaves it off: its score d_in - 10 d_out is no witness
+    gap.  What it gives up, as the share of the unstopped search's gap
+    lost over the bench's verify inputs of seeds 0-29 (median, largest;
+    the README gives the command that regenerates it):
 
         isometry, separable_embed dim 4, 32 anchors   9.0e-3  3.9e-2
         isometry, phi dim 2                           6.3e-8  1.3e-2
@@ -409,7 +407,7 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
     climbed = [gap]
     while used < steps and step >= REFINE_FLOOR:
         if (
-            stall and gap > WITNESS_TOL + REFINE_TOL and len(climbed) > REFINE_STALL_STEPS
+            stall and len(climbed) > REFINE_STALL_STEPS
             and gap - climbed[-1 - REFINE_STALL_STEPS] < REFINE_STALL_GAIN * gap
         ):
             break
@@ -555,12 +553,13 @@ def _refined_pair(
 
     draw is _pair_rows or _local_pair_rows.  witness says that the
     oriented gap is a witness gap, as in the metric checks: then the scan
-    ends at its first proven witness, and _refine_pair stops a stalled
-    witness climb.  The scan ranks a pair by the oriented gap of sqrt(1 -
-    transition probability) of its rows and of its images: an einsum row
-    kernel, under half the residual kernel's cost, that differs from it
-    by at most about 1e-15 / d at distance d.  The scan only picks the
-    winner; the proof, refinement and the report measure it again with
+    ends at its first proven witness, and only a proven winner climbs,
+    with _refine_pair's stall stop; a winner that proves none is returned
+    as the scan found it.  The scan ranks a pair by the oriented gap of
+    sqrt(1 - transition probability) of its rows and of its images: an
+    einsum row kernel, under half the residual kernel's cost, that differs
+    from it by at most about 1e-15 / d at distance d.  The scan only picks
+    the winner; the proof, refinement and the report measure it again with
     _row_distances.  A winner is proven once its scan gap exceeds
     WITNESS_TOL and its gap so measured exceeds WITNESS_TOL + REFINE_TOL:
     refinement starts from that gap and only raises it, and the margin
@@ -590,7 +589,7 @@ def _refined_pair(
         proven if witness else None,
     )
     _, pair, images = worst
-    if refine_steps > 0:
+    if refine_steps > 0 and (not witness or proven(worst)):
         _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps, witness)
     others = sorted((w for w in groups.values() if w is not worst), key=lambda w: -w[0])
     return pair, images, others, compared

@@ -16,11 +16,11 @@ INVOCATIONS = [
     # witness
     ("verify --property noncontractive --map phi --dim 2", 1),
     ("verify --property nonexpansive --map tau-power2 --dim 2", 1),
-    # phi in dim 4 is nonexpansive: its refined worst gap comes from real,
-    # float64 image rows
+    # phi in dim 4 is nonexpansive: its worst gap, its scan winner's, comes
+    # from real, float64 image rows
     ("verify --property nonexpansive --map phi --dim 4", 0),
-    # wigner-random in dim 4 is an isometry: its refinement only halves its
-    # step, 30 times, and the cap of 17 ends inside a batch of halvings
+    # wigner-random in dim 4 is an isometry: its check holds, so it reports
+    # its scan winner unrefined, and a check that holds ignores the cap of 17
     ("verify --property isometry --map wigner-random --dim 4 --refine-steps 17", 0),
     # constant in dim 3 is nonexpansive but not injective: the collision
     # search reports two distant states with one image
@@ -40,10 +40,9 @@ INVOCATIONS = [
     # block-embed in dim 3 is not an isometry: its refined witness straddles
     # the block boundary
     ("verify --property isometry --map block-embed --dim 3", 1),
-    # tau-fold and tau-constant in dim 2 are nonexpansive: refinement may
-    # walk their pair to within 1e-8 of a basis state, where the lift builds
-    # its image from the row's own moduli, so no rounding of the weight
-    # p = |v_0|^2 reads as a witness
+    # tau-fold and tau-constant in dim 2 are nonexpansive: near a basis
+    # state the lift builds its image from the row's own moduli, so no
+    # rounding of the weight p = |v_0|^2 reads as a witness
     ("verify --property nonexpansive --map tau-fold --dim 2", 0),
     ("verify --property nonexpansive --map tau-constant --dim 2", 0),
     # phi in dim 4 is entrywise_abs and wigner-random in dim 3 a unitary

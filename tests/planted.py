@@ -9,7 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from wignerlab import (
+    OrthoSystem,
     StateMap,
+    basis_state,
+    check_inclusion_lemma,
     check_injective,
     check_isometry,
     check_noncontractive,
@@ -76,6 +79,43 @@ def fold_counts(dim: int, seed: int) -> bool:
     return bool(_row_distances(s, t)[0] >= COLLISION_D_IN)
 
 
+def _leak_centre(dim: int, seed: int) -> np.ndarray:
+    """s, a Haar state of the span of e_0, ..., e_{dim-2} drawn from
+    default_rng(seed), as a one-row array."""
+    s = np.zeros((1, dim), dtype=complex)
+    s[:, :-1] = _sample_state_rows(np.random.default_rng(seed), 1, dim - 1)
+    return s
+
+
+def leak_preimages(dim: int) -> OrthoSystem:
+    """e_0, ..., e_{dim-2}: the preimage system of leaky(dim, seed)."""
+    return OrthoSystem(tuple(basis_state(dim, j) for j in range(dim - 1)))
+
+
+def leaky(dim: int, seed: int) -> StateMap:
+    """entrywise_abs(dim) with image coordinate dim - 1 raised by
+    0.5 max(0, 1 - d(x, s) / 0.3), s from _leak_centre: a state of the
+    span of leak_preimages(dim) near s has an image that leaks out of the
+    span of their images, a violation of the inclusion lemma confined to
+    the cap of radius 0.3 about s.  A seed counts only when leak_counts
+    holds."""
+    s = _leak_centre(dim, seed)
+
+    def fn(rows):
+        images = np.abs(rows)
+        images[:, -1] += 0.5 * _cap_weight(rows, s)
+        return images
+
+    return StateMap("custom", dim, dim, fn)
+
+
+def leak_counts(dim: int, seed: int) -> bool:
+    """Whether every preimage e_j of leaky(dim, seed) is at least 0.3 from
+    s, so that its image is e_j and the images stay orthogonal."""
+    s = _leak_centre(dim, seed)
+    return bool(np.all(np.abs(s[0, :-1]) ** 2 <= 1 - 0.3**2))
+
+
 # the README's coverage table: each planted map with a check it violates
 COVERAGE = (
     (dented_abs, check_nonexpansive),
@@ -83,17 +123,24 @@ COVERAGE = (
     (pinched, check_isometry),
     (pinched, check_orthogonality_preserving),
     (folded, check_injective),
+    (leaky, check_inclusion_lemma),
 )
+# the seeds that count, for the plants whose fault may miss where the check looks
+_COUNTS = {folded: fold_counts, leaky: leak_counts}
+
+
+def coverage_row(plant, check) -> list[tuple[int, int]]:
+    """Per dim 3, 4 and 5, (found, counted): of the seeds 0-39 that count,
+    how many maps the check refutes at its defaults.  The pair checks take
+    the dim, and check_inclusion_lemma the plant's preimage system."""
+    row = []
+    for dim in (3, 4, 5):
+        counted = [s for s in range(40) if _COUNTS.get(plant, lambda dim, s: True)(dim, s)]
+        second = leak_preimages(dim) if check is check_inclusion_lemma else dim
+        row.append((sum(not check(plant(dim, s), second).holds for s in counted), len(counted)))
+    return row
 
 
 def coverage() -> list[list[tuple[int, int]]]:
-    """Per COVERAGE row and dim 3, 4 and 5, (found, counted): of the seeds
-    0-39 that count, how many maps the check refutes at its defaults."""
-    table = []
-    for plant, check in COVERAGE:
-        row = []
-        for dim in (3, 4, 5):
-            counted = [s for s in range(40) if plant is not folded or fold_counts(dim, s)]
-            row.append((sum(not check(plant(dim, s), dim).holds for s in counted), len(counted)))
-        table.append(row)
-    return table
+    """coverage_row of each COVERAGE row."""
+    return [coverage_row(plant, check) for plant, check in COVERAGE]

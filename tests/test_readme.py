@@ -5,10 +5,11 @@ with the code its note declares.  Every figure the README states about
 the sampler's layout, the map batches, refinement's level rule, the cap
 law and the fixed constants is rebuilt here from wignerlab.verify and
 wignerlab.classify, and each test asserts the exact phrase the README
-prints (whitespace collapsed, so a phrase may wrap).  No search runs for
-the figures: they are arithmetic, and the layout arithmetic is checked
-against the samplers' row counts.  Figures that only a search or a
-timing can produce carry their own command in the README instead.
+prints (whitespace collapsed, so a phrase may wrap).  The figures are
+arithmetic, and the layout arithmetic is checked against the samplers'
+row counts.  Figures that only a search or a timing can produce carry
+their own command in the README instead; the one search that runs here
+is the coverage table's leak row, 112 inclusion checks of 1 000 states.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
+    check_inclusion_lemma,
     check_isometry,
     check_nonexpansive,
     check_orthogonality_preserving,
@@ -43,6 +45,8 @@ from wignerlab.classify import (
     _probe_table,
 )
 from wignerlab.states import ORTHO_TOL, _orthogonal_pair_rows
+
+from planted import coverage_row, leaky
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCE = README.read_text(encoding="utf-8")
@@ -226,18 +230,26 @@ def test_the_radii_table():
 
 def test_the_coverage_table():
     # the one-state law beside the planted counts: one of a default metric
-    # or collision scan's states lands in a cap of radius 0.3; the counts
-    # come from a search, and the README carries its command
+    # or collision scan's states lands in a cap of radius 0.3; the pair
+    # checks' counts come from a search, and the README carries its command
     n = states(DEFAULT_SAMPLES)
     hit = [f"{1 - (1 - 0.3 ** (2 * (d - 1))) ** n:.2f}" for d in (3, 4, 5)]
     assert "| a state in the cap | (probability) | " + " | ".join(hit) + " |" in LINES
     orthogonal = inspect.signature(check_orthogonality_preserving).parameters["n_samples"].default
+    inclusion = inspect.signature(check_inclusion_lemma).parameters["n_samples"].default
+    # the inclusion check's states lie in the (d - 1)-dimensional span of the leak's preimages
+    leak_law = [f"{1 - (1 - 0.3 ** (2 * (d - 2))) ** inclusion:.2f}" for d in (3, 4, 5)]
     says(
         f"one of the {prose(n)} states of a metric or collision scan lands in the cap, "
         f"1 − (1 − 0.3^(2(d−1)))^{prose(n)}",
         f"where a state lands in its cap with probability {hit[1]}",
         f"two fresh states per pair, {prose(2 * orthogonal)} in all",
+        f"draws {prose(inclusion)} states in the span of the preimages alone, so its one-state "
+        f"law is 1 − (1 − 0.3^(2(d−2)))^{prose(inclusion)}: {listing(leak_law)}",
     )
+    leak = coverage_row(leaky, check_inclusion_lemma)
+    assert "| leak | `check_inclusion_lemma` | " + " | ".join(
+        f"{found} of {counted}" for found, counted in leak) + " |" in LINES
 
 
 def test_the_refinement_batches():
@@ -246,10 +258,10 @@ def test_the_refinement_batches():
     dims = [d for d in range(2, 65) if halving_batches(d, steps) == batches]
     assert dims == list(range(2, dims[-1] + 1))
     says(
-        f"an isometry stops after {sum(batches)} halvings",
+        f"a climb that never gains stops after {sum(batches)} halvings",
         f"after two single steps, the batches hold {batches[2]}, {batches[3]}, {batches[4]}… step sizes",
-        f"So in dims 2 to {dims[-1]} an isometry's {sum(batches)} halvings take {len(batches)} map "
-        f"batches, of {listing(batches)} step sizes",
+        f"So in dims 2 to {dims[-1]} a climb that never gains takes its {sum(batches)} halvings in "
+        f"{len(batches)} map batches, of {listing(batches)} step sizes",
     )
 
 
