@@ -12,13 +12,8 @@ verify inputs, seeds 0-29, loses at most 3.9e-2 of its gap (_refine_pair
 has the table, the README the command that regenerates it).  A metric
 check that holds reports its scan winner unrefined: over 1 415 metric
 checks no climb from such a winner found a witness (README).  The
-collision search always refines its winner, with no stall stop.
-A move that wins two steps in a row is also tried at 2 to 4096 times
-the step in each next step's batch, so a climb along one coordinate
-takes a few steps, not dozens.  After k failed steps in a row, the
-candidates of the next k halved step sizes are mapped in one batch; the
-pick and the step count are those of one candidate at a time under the
-same rules, bit for bit.
+collision search always refines its winner, with no stall stop.  Each
+refinement step maps one batch, its 8 * dim candidates.
 Every check runs through one serial engine: sampling is split into
 chunks of CHUNK_SIZE samples with RNG substreams derived from (seed,
 chunk index), and the chunks run one after another, each mapped by one
@@ -95,14 +90,11 @@ PAIR_OFFSETS = 4
 _PAIR_LAYOUT = tuple((0, k) for k in range(1, PAIR_OFFSETS + 1))
 # a metric scan's draw 2m + 1 is draw 2m moved by about LOCAL_STEPS[m % 4]
 LOCAL_STEPS = np.array([0.3, 0.1, 0.03, 0.01])
-# entries (rows times row width) per map batch, and per refinement batch of
-# halved levels: bounds the temporaries of wide maps (separable_embed)
-# without splitting narrow ones
+# entries (rows times row width) per map batch: bounds the temporaries of
+# wide maps (separable_embed) without splitting narrow ones
 MAP_ENTRIES = 16384
 REFINE_START_STEP = 0.1
 REFINE_SHRINK = 0.5
-# a move that wins two steps in a row is also tried at these multiples of the step
-REFINE_EXTENSION = 2.0 ** np.arange(1, 13)
 # a candidate must beat the current gap by more than rounding noise
 REFINE_TOL = 1e-12
 # refinement ends once the step is far below any witness gap
@@ -330,8 +322,8 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
 
     Tries single-coordinate complex perturbations of both representative
     rows; the step starts at 0.1 and halves whenever no candidate
-    improves.  Every candidate is renormalized and re-gauged, and the
-    8 * dim candidates of a step are mapped together.  When the step's
+    improves.  Every candidate is renormalized and re-gauged, and each
+    step maps one batch, its 8 * dim candidates.  When the step's
     best beats the current gap by more than REFINE_TOL, the first
     candidate within REFINE_TOL of that best in (which row, coordinate,
     +step, -step, +i step, -i step) order replaces its row, so a tie at
@@ -340,41 +332,13 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
     images are (2, dim) row arrays, images real or complex; returns the
     final gap, pair, images and the number of steps used.
 
-    A climb extends a repeated move (the pattern move of Hooke and
-    Jeeves, J. ACM 1961).  Once one candidate (row, coordinate and move)
-    has won two steps in a row, each next step also tries that move from
-    the current row at the lengths step * REFINE_EXTENSION (2 to 4096
-    times the step), against the same partner, in the step's own map
-    batch.  When the best of them beats both the current gap and the
-    step's best candidate by more than REFINE_TOL, the first within
-    REFINE_TOL of it replaces the row, the step size stays and the
-    streak goes on; otherwise the step is decided by its candidates.
-    The step counts as one either way, and a failed step ends the streak.
-
-    How the steps are evaluated changes no result: the pick and the step
-    count are those of one candidate at a time under the same rules.
-    After k steps in a row have failed to gain, the candidates of the
-    next k halved step sizes (so the batch doubles while none gains) are
-    mapped in one batch around the same pair, within the remaining
-    steps, the floor and MAP_ENTRIES entries (at least one level).  The
-    first level that gains is taken as its own step would be, and every
-    level up to it counts as a step; after a gain, batches are one level
-    again.  A failed step has ended any streak, so a batch of several
-    levels holds no extension.  Every kernel on the way works row by row,
-    so each level's gaps are bit for bit those of its own step, provided
-    the map's image dtype does not depend on which rows share a batch
-    (true of every family; an opaque map whose function returns real
-    images for some states and complex ones for others would promote a
-    level's real images).
-
     With stall (a metric check, whose climb starts from a proven witness
     above WITNESS_TOL + REFINE_TOL), the search also ends before a step
     once its last REFINE_STALL_STEPS gains together raised the gap by less
-    than REFINE_STALL_GAIN of it.  The stop reads only the gaps after
-    gains, so a batch of halved levels picks and counts as before.  It
-    cannot change a verdict: the gap only rises, and REFINE_TOL is far
-    wider than the rounding between this search's d(Q', P) and the
-    report's d(P, Q') (about 1e-16), so the reported gap is a witness.
+    than REFINE_STALL_GAIN of it.  It cannot change a verdict: the gap
+    only rises, and REFINE_TOL is far wider than the rounding between this
+    search's d(Q', P) and the report's d(P, Q') (about 1e-16), so the
+    reported gap is a witness.
     check_injective leaves it off: its score d_in - 10 d_out is no witness
     gap.  What it gives up, as the share of the unstopped search's gap
     lost over the bench's verify inputs of seeds 0-29 (median, largest;
@@ -394,15 +358,11 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
     )[0]
     # candidate (which, coord, move) perturbs row which at coord; its
     # partner is the other row of the pair
-    width = 8 * dim
     moves = _move_table(dim)
     which_row = np.repeat([0, 1], 4 * dim)
-    max_levels = max(1, _block_rows(max(map_.dim_in, map_.dim_out)) // width)
-    partners = np.tile(1 - which_row, max_levels)
+    partner = 1 - which_row
     step = REFINE_START_STEP
-    used = failed = 0
-    # the candidate that won the last streak gaining steps in a row
-    last, streak = -1, 0
+    used = 0
     # the gap before the first gain and after each gain
     climbed = [gap]
     while used < steps and step >= REFINE_FLOOR:
@@ -411,54 +371,23 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
             and gap - climbed[-1 - REFINE_STALL_STEPS] < REFINE_STALL_GAIN * gap
         ):
             break
-        levels = max(failed, 1)
-        sizes = [step]
-        while len(sizes) < min(levels, steps - used, max_levels) and (
-            sizes[-1] * REFINE_SHRINK >= REFINE_FLOOR
-        ):
-            sizes.append(sizes[-1] * REFINE_SHRINK)
-        n = len(sizes)
-        raw = (parts[which_row] + np.multiply.outer(sizes, moves)).reshape(n * width, 2 * dim)
-        partner = partners[: n * width]
-        if streak >= 2:
-            # the streak's move extended from its row, after the step's candidates
-            extension = parts[which_row[last]] + np.multiply.outer(step * REFINE_EXTENSION, moves[last])
-            raw = np.concatenate([raw, extension])
-            partner = np.append(partner, np.full(len(extension), partners[last]))
-        cands = _canonical_rows(raw.view(complex))
+        used += 1
+        cands = _canonical_rows((parts[which_row] + step * moves).view(complex))
         f_cands = _map_rows(map_, cands)
-        all_gaps = oriented(
+        gaps = oriented(
             _row_distances(cands, pair[partner]),
             _row_distances(f_cands, images[partner]),
         )
-        gaps, extended = all_gaps[: n * width].reshape(n, width), all_gaps[n * width :]
-        tops = gaps.max(axis=1)
-        gains = tops > gap + REFINE_TOL
-        level = int(gains.argmax())
-        reach = extended.max(initial=-np.inf)
-        if reach > max(gap, tops[0]) + REFINE_TOL:
-            # the extension beats the step's own candidates: the step size stays
-            used += 1
-            row = n * width + int((extended >= reach - REFINE_TOL).argmax())
-            best, streak = last, streak + 1
-        elif gains[level]:
-            used += level + 1
-            step = sizes[level]
-            best = int((gaps[level] >= tops[level] - REFINE_TOL).argmax())
-            row = level * width + best
-            streak = streak + 1 if best == last else 1
-            failed = 0
-        else:
-            used += n
-            failed += n
-            step = sizes[-1] * REFINE_SHRINK
-            streak = 0
+        top = gaps.max()
+        if top <= gap + REFINE_TOL:
+            step *= REFINE_SHRINK
             continue
-        gap, last = all_gaps[row], best
+        best = int((gaps >= top - REFINE_TOL).argmax())
+        gap = gaps[best]
         climbed.append(gap)
         # a complex candidate image promotes real images
         images = images.astype(np.result_type(images, f_cands), copy=False)
-        pair[which_row[best]], images[which_row[best]] = cands[row], f_cands[row]
+        pair[which_row[best]], images[which_row[best]] = cands[best], f_cands[best]
     return gap, pair, images, used
 
 

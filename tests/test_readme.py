@@ -135,28 +135,6 @@ def radius(n: int, d: int) -> float:
     return (1 - 0.05 ** (1 / n)) ** (1 / (2 * (d - 1)))
 
 
-def halving_batches(dim: int, steps: int) -> list[int]:
-    """Step sizes per map batch of a refinement that never gains, in dim -> dim.
-
-    _refine_pair's level rule stepped in arithmetic: after k failed steps
-    the next batch holds k halved step sizes (at least one), within the
-    remaining steps, the floor and MAP_ENTRIES entries of 8 * dim
-    candidates per level.
-    """
-    max_levels = max(1, batch_rows(dim) // (8 * dim))
-    step, used, batches = verify.REFINE_START_STEP, 0, []
-    while used < steps and step >= verify.REFINE_FLOOR:
-        n = 1
-        while n < min(max(used, 1), steps - used, max_levels) and (
-            step * verify.REFINE_SHRINK**n >= verify.REFINE_FLOOR
-        ):
-            n += 1
-        batches.append(n)
-        used += n
-        step *= verify.REFINE_SHRINK**n
-    return batches
-
-
 @pytest.mark.parametrize("count", [1, 5, 1965, verify.CHUNK_SIZE])
 def test_the_layout_arithmetic_counts_the_samplers_rows(count):
     rng = np.random.default_rng(count)
@@ -252,22 +230,9 @@ def test_the_coverage_table():
         f"{found} of {counted}" for found, counted in leak) + " |" in LINES
 
 
-def test_the_refinement_batches():
-    steps = inspect.signature(check_isometry).parameters["refine_steps"].default
-    batches = halving_batches(4, steps)
-    dims = [d for d in range(2, 65) if halving_batches(d, steps) == batches]
-    assert dims == list(range(2, dims[-1] + 1))
-    says(
-        f"a climb that never gains stops after {sum(batches)} halvings",
-        f"after two single steps, the batches hold {batches[2]}, {batches[3]}, {batches[4]}… step sizes",
-        f"So in dims 2 to {dims[-1]} a climb that never gains takes its {sum(batches)} halvings in "
-        f"{len(batches)} map batches, of {listing(batches)} step sizes",
-    )
-
-
 def test_the_refinement_and_polish_constants():
-    extension = verify.REFINE_EXTENSION
     lengths = verify.LSQ_LENGTHS
+    halvings = math.ceil(math.log(verify.REFINE_FLOOR / verify.REFINE_START_STEP, verify.REFINE_SHRINK))
     assert verify.REFINE_FLOOR == verify.WITNESS_TOL / 10
     assert (lengths[0], lengths[1]) == (1.0, 0.5)
     exponent = str(int(math.log2(lengths[-1]))).translate(str.maketrans("-0123456789", "⁻⁰¹²³⁴⁵⁶⁷⁸⁹"))
@@ -276,7 +241,7 @@ def test_the_refinement_and_polish_constants():
         f"only when it gains more than {sci(verify.REFINE_TOL)}",
         f"the step is below {sci(verify.REFINE_FLOOR)} (a tenth of the {sci(verify.WITNESS_TOL)} "
         "witness tolerance)",
-        f"{extension[0]:g}, {extension[1]:g}, … {extension[-1]:g} times the step",
+        f"a climb that never gains stops after {halvings} halvings",
         f"d_in ≥ {verify.COLLISION_D_IN:g}",
         f"at least {verify.COLLISION_D_IN:g} apart by d_in − 10·d_out",
         f"central differences (h = {sci(verify.LSQ_DIFF)})",

@@ -432,15 +432,10 @@ def _sequential_refine(map_, oriented, pair, images, steps, stall=False):
     """Reference pattern search: one candidate at a time, in (which, coord,
     delta) order, with per-state map calls and the row kernels on single
     rows.  When the best candidate gains more than REFINE_TOL, it takes the
-    first one within REFINE_TOL of the best; stops below REFINE_FLOOR or
-    after steps steps.  Once one candidate has won two steps in a row, a
-    step also tries its move from the current row at step * 2**j, j = 1 to
-    12; when the best of these beats the current gap and the step's own
-    best by more than REFINE_TOL, the first within REFINE_TOL of it is
-    taken, the step size stays and the streak goes on.  A failed step ends
-    the streak.  With stall, the search also stops before a step once its
-    gap exceeds WITNESS_TOL + REFINE_TOL and the last REFINE_STALL_STEPS
-    gains raised it by less than REFINE_STALL_GAIN of itself."""
+    first one within REFINE_TOL of the best; otherwise the step halves.
+    Stops below REFINE_FLOOR or after steps steps.  With stall, the search
+    also stops before a step once the last REFINE_STALL_STEPS gains raised
+    its gap by less than REFINE_STALL_GAIN of itself."""
 
     def d(a, b):
         return _row_distances(a[None], b[None])[0]
@@ -456,38 +451,22 @@ def _sequential_refine(map_, oriented, pair, images, steps, stall=False):
     (p, q), (fp, fq) = pair, images
     gap = oriented(d(p, q), d(fp, fq))
     step = REFINE_START_STEP
-    used = streak = 0
-    last = None  # (which, coord, unit move) of the streak's winner
+    used = 0
     gains = [gap]
     while used < steps and step >= REFINE_FLOOR:
-        if stall and gap > WITNESS_TOL + REFINE_TOL and len(gains) > verify.REFINE_STALL_STEPS:
+        if stall and len(gains) > verify.REFINE_STALL_STEPS:
             if gap - gains[-1 - verify.REFINE_STALL_STEPS] < verify.REFINE_STALL_GAIN * gap:
                 break
         used += 1
-        moves, keys = [], []
-        for which in (0, 1):
-            for coord in range(len(p)):
-                for unit in (1, -1, 1j, -1j):
-                    moves.append(tried(which, coord, unit * step))
-                    keys.append((which, coord, unit))
-        extended = []
-        if streak >= 2:
-            which, coord, unit = last
-            extended = [tried(which, coord, unit * (step * 2.0**j)) for j in range(1, 13)]
+        moves = [
+            tried(which, coord, unit * step)
+            for which in (0, 1) for coord in range(len(p)) for unit in (1, -1, 1j, -1j)
+        ]
         best_gap = max(move[0] for move in moves)
-        top = max((move[0] for move in extended), default=-np.inf)
-        if top > max(gap, best_gap) + REFINE_TOL:
-            gap, which, cand, f_cand = next(m for m in extended if m[0] >= top - REFINE_TOL)
-            streak += 1
-        elif best_gap > gap + REFINE_TOL:
-            i = next(i for i, m in enumerate(moves) if m[0] >= best_gap - REFINE_TOL)
-            gap, which, cand, f_cand = moves[i]
-            streak = streak + 1 if keys[i] == last else 1
-            last = keys[i]
-        else:
+        if best_gap <= gap + REFINE_TOL:
             step *= REFINE_SHRINK
-            streak = 0
             continue
+        gap, which, cand, f_cand = next(m for m in moves if m[0] >= best_gap - REFINE_TOL)
         gains.append(gap)
         if which == 0:
             p, fp = cand, f_cand
@@ -501,7 +480,13 @@ def _separable_embed_of_distinct_anchors():
     return separable_embed([sample_pure_state(rng, 4) for _ in range(32)])
 
 
-# name: (map builder, dim, oriented gap, whether the search runs to the 200-step cap)
+def _collision_score(d_in, d_out):
+    """check_injective's ranking: a pair at least COLLISION_D_IN apart scores above every closer pair."""
+    return np.where(d_in >= verify.COLLISION_D_IN, d_in - 10 * d_out, d_in - 11)
+
+
+# name: (map builder, dim, oriented gap, whether the search runs to the 200-step cap);
+# a metric search starts from a drawn pair, a collision search from a scan winner
 REFINE_CASES = {
     "tau power2 nonexpansive": (
         lambda: standard_map(power(2)), 2, lambda d_in, d_out: d_out - d_in, False
@@ -513,6 +498,8 @@ REFINE_CASES = {
     "separable_embed isometry": (
         _separable_embed_of_distinct_anchors, 4, lambda d_in, d_out: abs(d_out - d_in), True
     ),
+    # every image is the same state, so the score is d_in, which climbs toward 1
+    "constant dim 3 injectivity": (lambda: constant_map(3), 3, _collision_score, False),
 }
 
 
@@ -520,8 +507,14 @@ REFINE_CASES = {
 def test_batched_refinement_matches_the_sequential_search(name):
     build, dim, oriented, capped = REFINE_CASES[name]
     map_ = build()
-    pair = _start_pair(np.random.default_rng(17), dim)
-    images = map_.batch(pair)
+    if oriented is _collision_score:
+        # check_injective's unrefined scan winner of 1000 pairs at seed 1
+        pair, images, _, _ = verify._refined_pair(
+            map_, dim, 1000, 0, 1, oriented, verify._pair_rows, False
+        )
+    else:
+        pair = _start_pair(np.random.default_rng(17), dim)
+        images = map_.batch(pair)
     ref_gap, ref_pair, _, ref_used = _sequential_refine(map_, oriented, pair, images, 200)
     gap, got_pair, got_images, used = _refine_pair(map_, oriented, pair, images, 200)
     assert np.array_equal(got_pair, ref_pair)
@@ -599,8 +592,9 @@ def _metric_reports(capsys):
                 check = verify._REPORT_CHECKS[op.prop]
                 yield check(map_from_json(op.map), op.dim, n_samples=op.samples,
                             refine_steps=op.refine_steps, seed=op.check_seed).to_json()
-    for name, (build, dim, _, _) in REFINE_CASES.items():
-        yield verify._REPORT_CHECKS[name.split()[-1]](build(), dim).to_json()
+    for name, (build, dim, oriented, _) in REFINE_CASES.items():
+        if oriented is not _collision_score:
+            yield verify._REPORT_CHECKS[name.split()[-1]](build(), dim).to_json()
 
 
 def _scope_reports(capsys, refine_steps=None):
@@ -1023,43 +1017,38 @@ def test_refinement_takes_the_first_candidate_within_tolerance_of_the_best():
     assert np.array_equal(got, np.array([_canonical_rows(moved[None])[0], pair[1]]))
 
 
-# name: (map, dim, oriented gap, start seed, refine_steps, map batches);
-# every search runs into halvings, which are batched after a stall
+# name: (map, dim, oriented gap, start seed, refine_steps); each step of
+# every search maps one batch, its 8 * dim candidates
 HALVING_CASES = {
-    # no candidate ever gains: 30 halvings in batches of 1, 1, 2, 4, 8 and
-    # 14 levels, so caps 3, 7 and 17 cut a batch short
+    # no candidate ever gains: 30 halvings, cut short by caps 3, 7 and 17
     **{
         f"wigner isometry, cap {steps}": (
             lambda: wigner_map(random_unitary(4, 36)), 4,
-            lambda d_in, d_out: abs(d_out - d_in), 18, steps, batches,
+            lambda d_in, d_out: abs(d_out - d_in), 18, steps,
         )
-        for steps, batches in ((3, 3), (7, 4), (17, 6), (30, 6), (31, 6))
+        for steps in (3, 7, 17, 30, 31)
     },
-    # a climb that extends its winning move five times, then a final run of
-    # 30 halvings: a failed extension step, then batches of 1, 2, 4, 8 and 14
+    # a climb of over a hundred gains, then 30 halvings with a few gains among them
     "phi dim 3 nonexpansive": (
-        lambda: entrywise_abs(3), 3, lambda d_in, d_out: d_out - d_in, 17, 200, 13
+        lambda: entrywise_abs(3), 3, lambda d_in, d_out: d_out - d_in, 17, 200
     ),
-    # four extensions, then the same final run
     "phi dim 4 nonexpansive": (
-        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 17, 200, 13
+        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 17, 200
     ),
-    # the cap of 30 falls 24 halvings into the final run, cutting its batch
-    # of 14 levels to 8
+    # the cap of 30 ends the climb before its first halving
     "phi dim 4 nonexpansive, capped": (
-        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 18, 30, 12
+        lambda: entrywise_abs(4), 4, lambda d_in, d_out: d_out - d_in, 18, 30
     ),
-    # after 8 failed steps, a batch cut to 7 levels by the floor gains at its
-    # last level, 15 halvings into the run; one more failed step ends the search
+    # gains and halvings interleave until the 30th halving ends the search
     "proper_subspace 4/2 noncontractive": (
-        lambda: proper_subspace_map(4, 2), 4, lambda d_in, d_out: d_in - d_out, 2, 200, 70
+        lambda: proper_subspace_map(4, 2), 4, lambda d_in, d_out: d_in - d_out, 2, 200
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(HALVING_CASES))
-def test_batched_halvings_match_the_sequential_search(name):
-    build, dim, oriented, seed, steps, expected_batches = HALVING_CASES[name]
+def test_halvings_match_the_sequential_search_one_batch_per_step(name):
+    build, dim, oriented, seed, steps = HALVING_CASES[name]
     map_ = build()
     pair = _start_pair(np.random.default_rng(seed), dim)
     images = map_.batch(pair)
@@ -1073,31 +1062,7 @@ def test_batched_halvings_match_the_sequential_search(name):
     assert gap == ref_gap and used == ref_used
     assert np.array_equal(got_pair, ref_pair)
     assert got_images.dtype == ref_images.dtype and np.array_equal(got_images, ref_images)
-    assert len(shapes) == expected_batches
-
-
-def test_a_stalled_search_takes_the_first_level_that_gains():
-    # two steps fail, then one batch holds the next two step sizes: level 0
-    # gains a little at candidate 3 and level 1 more at candidate 5.  Level 0
-    # is taken, as its own step would take it, and is the third step; the
-    # fourth, one level again, gains nothing
-    map_ = entrywise_abs(2)
-    pair = _start_pair(np.random.default_rng(20), 2)
-    sizes = []
-
-    def oriented(d_in, d_out):
-        sizes.append(len(d_in))
-        gaps = np.zeros(len(d_in))
-        if len(sizes) == 4:
-            gaps[3], gaps[16 + 5] = 1e-6, 1e-3
-        return gaps
-
-    gap, got, _, used = _refine_pair(map_, oriented, pair, map_.batch(pair), 4)
-    assert sizes == [1, 16, 16, 32, 16]
-    assert gap == 1e-6 and used == 4
-    # candidate 3: row 0 moved by -i step at coordinate 0, at the third step size
-    moved = pair[0] + np.array([-1j * REFINE_START_STEP * REFINE_SHRINK**2, 0.0])
-    assert np.array_equal(got, np.array([_canonical_rows(moved[None])[0], pair[1]]))
+    assert shapes == [(8 * dim, dim)] * used
 
 
 def _isometry_refinement(steps):
@@ -1128,28 +1093,6 @@ def test_refine_steps_caps_the_steps_used():
 
     assert 12 < used(200) < 200
     assert used(12) == 12
-
-
-def test_criterion_02s_phi_scan_winners_climb_in_few_steps(monkeypatch):
-    # phi holds, so its check reports its scan winner unrefined; a climb
-    # from that winner rises to about -1e-12.  One step length at a time
-    # that takes 39 to 152 steps; a move that wins twice in a row is also
-    # tried at 2 to 4096 times the step, which collapses the climb
-    def climbs():
-        used = []
-        for dim in range(2, 7):
-            map_, oriented = entrywise_abs(dim), ORIENTED["nonexpansive"]
-            pair, images, _, _ = verify._refined_pair(
-                map_, dim, 10000, 0, 42, oriented, verify._local_pair_rows, True
-            )
-            gap, _, _, steps = _refine_pair(map_, oriented, pair, images, 200)
-            assert -1e-11 < gap <= WITNESS_TOL
-            used.append(steps)
-        return used
-
-    used = climbs()
-    monkeypatch.setattr(verify, "REFINE_EXTENSION", np.array([]))
-    assert max(used) <= 45 < max(climbs()), used
 
 
 def _gemm_apply(mat, rows):
@@ -1302,8 +1245,7 @@ def test_a_wide_map_batch_stays_within_the_entry_budget():
 
 def test_map_block_size_cannot_change_a_report(monkeypatch):
     # chunk substreams are fixed by CHUNK_SIZE; MAP_ENTRIES only splits the
-    # rows of a chunk, and refinement's candidates, into map batches, and
-    # caps how many halved levels refinement maps in one batch, so no
+    # rows of a chunk, and refinement's candidates, into map batches, so no
     # report may depend on it.  A full chunk and a short one, so that the
     # image block is reused by a shorter chunk
     n = verify.CHUNK_SIZE + 64
