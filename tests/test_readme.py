@@ -14,6 +14,7 @@ is the coverage table's leak row, 112 inclusion checks of 1 000 states.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -30,9 +31,11 @@ from wignerlab import (
     check_nonexpansive,
     check_orthogonality_preserving,
     cli,
+    random_unitary,
     sample_pure_state,
     separable_embed,
     verify,
+    wigner_map,
 )
 from wignerlab.classify import (
     CANONICAL_TOL,
@@ -44,7 +47,7 @@ from wignerlab.classify import (
     _lift_grid,
     _probe_table,
 )
-from wignerlab.states import ORTHO_TOL, _orthogonal_pair_rows
+from wignerlab.states import ORTHO_TOL, _orthogonal_pair_rows, _sample_state_rows
 
 from planted import coverage_row, leaky
 
@@ -230,9 +233,34 @@ def test_the_coverage_table():
         f"{found} of {counted}" for found, counted in leak) + " |" in LINES
 
 
+def test_the_refinement_steps():
+    # a Wigner symmetry is an isometry, so no candidate gains: every step maps
+    # one batch of 8·dim candidates and halves the step until the floor
+    halvings = math.ceil(math.log(verify.REFINE_FLOOR / verify.REFINE_START_STEP, verify.REFINE_SHRINK))
+    for dim in (2, 4, 16):
+        assert 8 * dim * dim <= verify.MAP_ENTRIES
+        map_, shapes = wigner_map(random_unitary(dim, dim)), []
+
+        def fn(rows, inner=map_.fn):
+            shapes.append(rows.shape)
+            return inner(rows)
+
+        pair = _sample_state_rows(np.random.default_rng(dim), 2, dim)
+        _, got, _, used = verify._refine_pair(
+            dataclasses.replace(map_, fn=fn), lambda d_in, d_out: abs(d_out - d_in),
+            pair, map_.batch(pair), 200,
+        )
+        assert used == halvings and np.array_equal(got, pair)
+        assert shapes == [(8 * dim, dim)] * used
+    says(
+        "one batch, its 8·dim candidates",
+        "otherwise the step halves",
+        f"a climb that never gains stops after {halvings} halvings",
+    )
+
+
 def test_the_refinement_and_polish_constants():
     lengths = verify.LSQ_LENGTHS
-    halvings = math.ceil(math.log(verify.REFINE_FLOOR / verify.REFINE_START_STEP, verify.REFINE_SHRINK))
     assert verify.REFINE_FLOOR == verify.WITNESS_TOL / 10
     assert (lengths[0], lengths[1]) == (1.0, 0.5)
     exponent = str(int(math.log2(lengths[-1]))).translate(str.maketrans("-0123456789", "⁻⁰¹²³⁴⁵⁶⁷⁸⁹"))
@@ -241,7 +269,6 @@ def test_the_refinement_and_polish_constants():
         f"only when it gains more than {sci(verify.REFINE_TOL)}",
         f"the step is below {sci(verify.REFINE_FLOOR)} (a tenth of the {sci(verify.WITNESS_TOL)} "
         "witness tolerance)",
-        f"a climb that never gains stops after {halvings} halvings",
         f"d_in ≥ {verify.COLLISION_D_IN:g}",
         f"at least {verify.COLLISION_D_IN:g} apart by d_in − 10·d_out",
         f"central differences (h = {sci(verify.LSQ_DIFF)})",

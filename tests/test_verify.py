@@ -1017,6 +1017,31 @@ def test_refinement_takes_the_first_candidate_within_tolerance_of_the_best():
     assert np.array_equal(got, np.array([_canonical_rows(moved[None])[0], pair[1]]))
 
 
+def test_a_step_that_gains_keeps_its_size_and_a_step_that_fails_halves_it():
+    # the first two steps gain, at candidates 0 (+step) and 1 (-step) of
+    # row 0, coordinate 0, both at the start step; the third gains nothing,
+    # so the fourth, at half the start step, gains at candidate 3 (-i step)
+    map_ = entrywise_abs(2)
+    pair = _start_pair(np.random.default_rng(20), 2)
+    sizes = []
+
+    def oriented(d_in, d_out):
+        sizes.append(len(d_in))
+        gaps = np.zeros(len(d_in))
+        winner = {2: 0, 3: 1, 5: 3}.get(len(sizes))
+        if winner is not None:
+            gaps[winner] = 1e-3 * len(sizes)
+        return gaps
+
+    gap, got, _, used = _refine_pair(map_, oriented, pair, map_.batch(pair), 4)
+    assert sizes == [1, 16, 16, 16, 16]
+    assert gap == 5e-3 and used == 4
+    row = pair[0]
+    for move in (REFINE_START_STEP, -REFINE_START_STEP, -1j * REFINE_START_STEP * REFINE_SHRINK):
+        row = _canonical_rows((row + np.array([move, 0.0]))[None])[0]
+    assert np.array_equal(got, np.array([row, pair[1]]))
+
+
 # name: (map, dim, oriented gap, start seed, refine_steps); each step of
 # every search maps one batch, its 8 * dim candidates
 HALVING_CASES = {
