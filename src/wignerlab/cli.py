@@ -159,12 +159,12 @@ def _add_search(sub: argparse.ArgumentParser) -> None:
                      "counts the samples it compared (default 10000)")
     sub.add_argument("--refine-steps", type=int, default=200,
                      help="cap on the local refinement steps of a metric witness "
-                     "and of the collision search's pair; a metric check that holds "
-                     "reports its scan winner unrefined. Refinement takes only gains "
-                     "above 1e-12 and stops once its step is below 1e-10 or, for a "
-                     "witness (gap above 1e-9 + 1e-12), once its last 10 gains raised "
-                     "the gap by less than 3e-3 of it, which loses at most 3.9e-2 of "
-                     "the gap (README, refinement) (default 200)")
+                     "and of a collision search's pair that does not collide; any "
+                     "other scan winner is reported unrefined. Refinement takes only "
+                     "gains above 1e-12 and stops once its step is below 1e-10 or "
+                     "once its last 10 gains raised the gap by less than 3e-3 of it, "
+                     "which loses a witness (gap above 1e-9 + 1e-12) at most 3.9e-2 "
+                     "of its gap (README, refinement) (default 200)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,46 +1,44 @@
 """Seeded witness search for metric properties of state maps.
 
 Each check samples inputs, maps them, measures the relevant gap, and
-reports a witness when the worst gap exceeds 1e-9.  A metric check whose
-search proves a witness sharpens it by local refinement, a pattern search
-that accepts only gains above REFINE_TOL (1e-12) and stops once its step
-falls below REFINE_FLOOR (1e-10), after at most refine_steps steps, or
-once its last REFINE_STALL_STEPS (10) gains together raised the gap by
-less than REFINE_STALL_GAIN (3e-3) of it.  Refinement only raises its
-gap, so that stop changes no verdict; a refined witness of the bench's
-verify inputs, seeds 0-29, loses at most 3.9e-2 of its gap (_refine_pair
-has the table, the README the command that regenerates it).  A metric
-check that holds reports its scan winner unrefined: over 1 415 metric
-checks no climb from such a winner found a witness (README).  The
-collision search always refines its winner, with no stall stop.  Each
-refinement step maps one batch, its 8 * dim candidates.
+reports a witness when the worst gap exceeds 1e-9.  Local refinement is
+a pattern search that accepts only gains above REFINE_TOL (1e-12) and
+stops once its step falls below REFINE_FLOOR (1e-10), after at most
+refine_steps steps, or once its last REFINE_STALL_STEPS (10) gains
+together raised the gap by less than REFINE_STALL_GAIN (3e-3) of it.  A
+metric check climbs only from a proven witness, and refinement only
+raises its gap, so that stop changes no verdict; a refined witness of
+the bench's verify inputs, seeds 0-29, loses at most 3.9e-2 of its gap
+(_refine_pair has the table, the README the command that regenerates
+it).  A metric check that holds reports its scan winner unrefined: over
+1 415 metric checks no climb from such a winner found a witness
+(README).  Each refinement step maps one batch, its 8 * dim candidates.
 Every check runs through one serial engine: sampling is split into
 chunks of CHUNK_SIZE samples with RNG substreams derived from (seed,
 chunk index), and the chunks run one after another, each mapped by one
 map call (a wide map's in several batches of at most MAP_ENTRIES
 entries).  A search ends after the first chunk whose winner proves a
-witness: its gap exceeds WITNESS_TOL, and for a metric check its gap
-measured again as the report measures it exceeds WITNESS_TOL +
-REFINE_TOL, a gap refinement then only raises.  A report's samples
-counts the samples it compared, and the report is the one of a search
-given exactly that budget.  A report that holds compared its whole
-budget, and so does every collision search, whose polishes read every
-offset group's winner.  A metric or collision check's chunk of count
-pairs takes L + 4 sample_pure_state draws, L = ceil(count / 4), and
-pairs draw i with draws i + 1 to i + 4 for i < L, all pairs at offset 1
-first, cut to count, and a scan maps about a quarter of a state per
-pair.  The metric checks move each odd draw 2m + 1 to within about
+witness: its gap exceeds WITNESS_TOL, and for a pair check its report
+gap, measured again as the report measures it, exceeds WITNESS_TOL +
+REFINE_TOL.  A report's samples counts the samples it compared, and the
+report is the one of a search given exactly that budget.  A report that
+holds compared its whole budget.  A metric or collision check's chunk of
+count pairs takes L + 4 sample_pure_state draws, L = ceil(count / 4),
+and pairs draw i with draws i + 1 to i + 4 for i < L, all pairs at
+offset 1 first, cut to count, and a scan maps about a quarter of a state
+per pair.  The metric checks move each odd draw 2m + 1 to within about
 LOCAL_STEPS[m % 4] of draw 2m, its own Gaussian row serving as the move,
 so a violation confined to a small cap needs one state in it, not two;
 every other pair is still Haar x Haar (the per-pair cap law holds).  A
 scan ranks pairs by sqrt(1 - transition probability), within 1e-12 of
 the residual kernel (_row_distances) for pairs at least 1e-3 apart;
 refinement and every report measure with the residual kernel.
-Injectivity is a collision search on the same engine, with plain draws,
-and refinement, whose pair is then polished by Gauss-Newton on the
-difference of its images (_least_squares), every stage keeping to pairs
-at least COLLISION_D_IN apart; while no polished pair collides, the scan
-winners of the other offset groups are polished in turn, best first.
+Injectivity is a collision search on the same engine, with plain draws:
+a scan winner that does not collide climbs and is polished by
+Gauss-Newton on its images' difference (_least_squares), and while no
+polished pair collides the other offset groups' scan winners are
+polished in turn, best first; every stage keeps to pairs at least
+COLLISION_D_IN apart.
 """
 
 from __future__ import annotations
@@ -231,12 +229,11 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap, proven):
     strictly larger, so the earliest strictly largest gap in chunk order
     wins.  proven(winner) says whether a winner, a (gap, rows, images)
     triple, proves a witness of the caller's report; after each chunk
-    that changes the overall winner, a proven one ends the search, and
-    proven None never does.  Returns the worst gap with the (k, dim)
-    input rows and image rows of its sample, the winner of each offset
-    group under the same rule, a dict from group index to such a triple
-    (the overall winner is one of them), and the number of samples
-    compared.  A search that ends early is the search of that many
+    that changes the overall winner, a proven one ends the search.
+    Returns the worst gap with the (k, dim) input rows and image rows of
+    its sample, the winner of each offset group under the same rule, a
+    dict from group index to such a triple (the overall winner is one of
+    them), and the number of samples compared.  A search that ends early is the search of that many
     samples: its chunks are the first chunks of every larger budget.
 
     Every chunk maps into one image block, allocated for the first and
@@ -275,7 +272,7 @@ def _search(map_: StateMap, n_samples: int, seed: int, sample, gap, proven):
                     worst = groups[group]
         del rows  # freed before the next chunk is drawn
         compared += count
-        if worst is not before and proven is not None and proven(worst):
+        if worst is not before and proven(worst):
             break
     return worst, groups, compared
 
@@ -317,7 +314,7 @@ def _move_table(dim: int) -> np.ndarray:
     return table.reshape(8 * dim, 2 * dim)
 
 
-def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool = False):
+def _refine_pair(map_: StateMap, oriented, pair, images, steps: int):
     """Pattern search maximizing the oriented gap from a starting pair.
 
     Tries single-coordinate complex perturbations of both representative
@@ -328,21 +325,22 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
     candidate within REFINE_TOL of that best in (which row, coordinate,
     +step, -step, +i step, -i step) order replaces its row, so a tie at
     the rounding level does not decide the pick.  The search stops once
-    the step falls below REFINE_FLOOR, or after steps steps.  pair and
-    images are (2, dim) row arrays, images real or complex; returns the
-    final gap, pair, images and the number of steps used.
+    the step falls below REFINE_FLOOR, after steps steps, or once its last
+    REFINE_STALL_STEPS gains together raised the gap by less than
+    REFINE_STALL_GAIN of it: as every gain exceeds REFINE_TOL, never while
+    the gap is at most 0, so a collision climb stalls only while d_in -
+    10 d_out > 0, and an isometry's score, which stays negative, never
+    does.  pair and images are (2, dim) row arrays, images real or
+    complex; returns the final gap, pair, images and the number of steps
+    used.
 
-    With stall (a metric check, whose climb starts from a proven witness
-    above WITNESS_TOL + REFINE_TOL), the search also ends before a step
-    once its last REFINE_STALL_STEPS gains together raised the gap by less
-    than REFINE_STALL_GAIN of it.  It cannot change a verdict: the gap
-    only rises, and REFINE_TOL is far wider than the rounding between this
-    search's d(Q', P) and the report's d(P, Q') (about 1e-16), so the
-    reported gap is a witness.
-    check_injective leaves it off: its score d_in - 10 d_out is no witness
-    gap.  What it gives up, as the share of the unstopped search's gap
-    lost over the bench's verify inputs of seeds 0-29 (median, largest;
-    the README gives the command that regenerates it):
+    A metric check climbs only from a proven witness, above WITNESS_TOL +
+    REFINE_TOL, so the stop cannot change its verdict: the gap only rises,
+    and REFINE_TOL is far wider than the rounding between this search's
+    d(Q', P) and the report's d(P, Q') (about 1e-16).  What a metric
+    witness gives up, as the share of the unstopped search's gap lost over
+    the bench's verify inputs of seeds 0-29 (median, largest; the README
+    gives the command that regenerates it):
 
         isometry, separable_embed dim 4, 32 anchors   9.0e-3  3.9e-2
         isometry, phi dim 2                           6.3e-8  1.3e-2
@@ -367,7 +365,7 @@ def _refine_pair(map_: StateMap, oriented, pair, images, steps: int, stall: bool
     climbed = [gap]
     while used < steps and step >= REFINE_FLOOR:
         if (
-            stall and len(climbed) > REFINE_STALL_STEPS
+            len(climbed) > REFINE_STALL_STEPS
             and gap - climbed[-1 - REFINE_STALL_STEPS] < REFINE_STALL_GAIN * gap
         ):
             break
@@ -475,27 +473,23 @@ def _local_pair_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarr
     return rows
 
 
-def _refined_pair(
-    map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented, draw, witness
+def _pair_scan(
+    map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, score, gap_of, draw
 ):
-    """Scan pairs of draw's rows under the oriented gap and refine the winner under it.
+    """Scan pairs of draw's rows under score, ending at the first winner that proves a witness.
 
-    draw is _pair_rows or _local_pair_rows.  witness says that the
-    oriented gap is a witness gap, as in the metric checks: then the scan
-    ends at its first proven witness, and only a proven winner climbs,
-    with _refine_pair's stall stop; a winner that proves none is returned
-    as the scan found it.  The scan ranks a pair by the oriented gap of
-    sqrt(1 - transition probability) of its rows and of its images: an
-    einsum row kernel, under half the residual kernel's cost, that differs
-    from it by at most about 1e-15 / d at distance d.  The scan only picks
-    the winner; the proof, refinement and the report measure it again with
-    _row_distances.  A winner is proven once its scan gap exceeds
-    WITNESS_TOL and its gap so measured exceeds WITNESS_TOL + REFINE_TOL:
-    refinement starts from that gap and only raises it, and the margin
-    covers the rounding between refinement's d(Q', P) and the report's
-    d(P, Q'), so the report holds a witness.  Returns the (2, dim) pair
-    rows and their images, the scan winners of the other offset groups
-    as (gap, rows, images), best first, and the number of pairs compared.
+    draw is _pair_rows or _local_pair_rows; refine_steps, the caller's
+    climb cap, is only checked.  The scan ranks a pair by score of
+    sqrt(1 - transition probability) of its rows and of its images, an
+    einsum row kernel under half the residual kernel's cost, within
+    about 1e-15 / d of it at distance d.  A winner is proven once its
+    score exceeds WITNESS_TOL and its report gap, gap_of(d_in, d_out) of
+    its distances measured again with _row_distances as a climb and the
+    report measure them, exceeds WITNESS_TOL + REFINE_TOL: a climb only
+    raises that gap, and the margin covers the rounding between its
+    d(Q', P) and the report's d(P, Q').  Returns the winner (score, pair
+    rows, their images), the other offset groups' winners, best first,
+    the pairs compared and whether the winner is proven.
     """
     if dim != map_.dim_in:
         raise ValueError(f"map domain dimension {map_.dim_in} does not match {dim}")
@@ -503,33 +497,30 @@ def _refined_pair(
         raise ValueError("refinement cap must be nonnegative")
 
     def gap(rows, images):
-        return oriented(*(np.sqrt(1.0 - _row_transition_probabilities(*r)) for r in (rows, images)))
+        return score(*(np.sqrt(1.0 - _row_transition_probabilities(*r)) for r in (rows, images)))
 
     def proven(winner):
-        # the scan's own gap first, so no winner of a search that holds is measured again
+        # the scan's own score first, so no winner of a search that holds is measured again
         if not _is_witness(winner):
             return False
         _, rows, images = winner
-        d_in, d_out = (_row_distances(r[:1], r[1:]) for r in (rows, images))
-        return oriented(d_in, d_out)[0] > WITNESS_TOL + REFINE_TOL
+        return gap_of(*(_row_distances(r[:1], r[1:])[0] for r in (rows, images))) > WITNESS_TOL + REFINE_TOL
 
     worst, groups, compared = _search(
-        map_, n_samples, seed, lambda rng, count: (draw(rng, count, dim), _PAIR_LAYOUT), gap,
-        proven if witness else None,
+        map_, n_samples, seed, lambda rng, count: (draw(rng, count, dim), _PAIR_LAYOUT), gap, proven
     )
-    _, pair, images = worst
-    if refine_steps > 0 and (not witness or proven(worst)):
-        _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps, witness)
     others = sorted((w for w in groups.values() if w is not worst), key=lambda w: -w[0])
-    return pair, images, others, compared
+    return worst, others, compared, proven(worst)
 
 
 def _metric_check(
     prop: str, map_: StateMap, dim: int, n_samples: int, refine_steps: int, seed: int, oriented
 ) -> CheckReport:
-    """Scan pairs, local ones included, under the oriented gap, refine the winner under it, and report."""
-    pair, images, _, compared = _refined_pair(
-        map_, dim, n_samples, refine_steps, seed, oriented, _local_pair_rows, witness=True)
+    """Scan pairs, local ones included, under the oriented gap, climb from a proven winner, and report."""
+    (_, pair, images), _, compared, proven = _pair_scan(
+        map_, dim, n_samples, refine_steps, seed, oriented, oriented, _local_pair_rows)
+    if proven and refine_steps > 0:
+        _, pair, images, _ = _refine_pair(map_, oriented, pair, images, refine_steps)
     # the gap of the reported distances: refinement's d(Q', P) may differ from d(P, Q')
     return _pair_report(prop, compared, seed, oriented, pair, images)
 
@@ -636,29 +627,40 @@ def check_inclusion_lemma(
     )
 
 
+def _collision_score(d_in, d_out):
+    """check_injective's ranking: a pair at least COLLISION_D_IN apart scores above every closer pair."""
+    return np.where(d_in >= COLLISION_D_IN, d_in - 10 * d_out, d_in - 11)
+
+
+def _collision_gap(d_in, d_out):
+    """check_injective's report gap: d_in for a collision, else -d_out, or -1.0 below COLLISION_D_IN."""
+    return -1.0 if d_in < COLLISION_D_IN else d_in if d_out <= WITNESS_TOL else -d_out
+
+
 def check_injective(
     map_: StateMap, dim: int, n_samples: int = 10000, *, refine_steps: int = 200, seed: int = 42
 ) -> CheckReport:
     """Collision search for d(P, Q) >= COLLISION_D_IN with d(f(P), f(Q)) <= WITNESS_TOL.
 
-    Scans pairs and refines the winner under one ranking: a pair at least
-    COLLISION_D_IN apart scores d_in - 10 d_out, above every closer pair.
-    Then _least_squares polishes the pair on the images' phase-free
-    difference, keeping d_in at or above COLLISION_D_IN.  If that pair
-    is no witness, the scan winners of the other offset groups are
-    polished the same way, best first, and the first witness among them
-    is reported; if none is, the first polished pair is.  A witness
-    proves the map is not injective, and its gap is its d_in; a pass is
-    evidence only, and its gap is minus the closest image distance found
-    for two states at least COLLISION_D_IN apart, or -1.0 (no two images
-    are farther apart) when the final pair is closer than that.
+    Scans pairs under one ranking: a pair at least COLLISION_D_IN apart
+    scores d_in - 10 d_out, above every closer pair.  A scan winner that
+    collides ends the scan and is reported as it is.  Otherwise the winner
+    climbs under the ranking, and _least_squares polishes the pair on the
+    images' phase-free difference, keeping d_in at or above
+    COLLISION_D_IN.  If that pair is no witness, the scan winners of the
+    other offset groups are polished the same way, best first, and the
+    first witness among them is reported; if none is, the first polished
+    pair is.  A witness proves the map is not injective, and its gap is
+    its d_in; a pass is evidence only, and its gap is minus the closest
+    image distance found for two states at least COLLISION_D_IN apart, or
+    -1.0 (no two images are farther apart) when the final pair is closer
+    than that.
     """
-    pair, images, others, compared = _refined_pair(
-        map_, dim, n_samples, refine_steps, seed,
-        lambda d_in, d_out: np.where(d_in >= COLLISION_D_IN, d_in - 10 * d_out, d_in - 11),
-        _pair_rows, witness=False,
-    )
-    if refine_steps > 0:
+    (_, pair, images), others, compared, proven = _pair_scan(
+        map_, dim, n_samples, refine_steps, seed, _collision_score, _collision_gap, _pair_rows)
+    if refine_steps > 0 and not proven:
+        _, pair, images, _ = _refine_pair(map_, _collision_score, pair, images, refine_steps)
+
         def difference(images):
             # F(y) c - F(x), c the phase of <F(y), F(x)>, so the images' gauge drops out
             x, y = images[:, 0], images[:, 1]
@@ -681,11 +683,7 @@ def check_injective(
             if collides:
                 pair, images = polished
                 break
-    return _pair_report(
-        "injectivity", compared, seed,
-        lambda d_in, d_out: -1.0 if d_in < COLLISION_D_IN else d_in if d_out <= WITNESS_TOL else -d_out,
-        pair, images,
-    )
+    return _pair_report("injectivity", compared, seed, _collision_gap, pair, images)
 
 
 def basis_image_completes_span(map_: StateMap) -> bool:

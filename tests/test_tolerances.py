@@ -171,6 +171,7 @@ def test_the_cli_help_states_the_refinement_constants(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"only gains above {REFINE_TOL:g} and stops once its step is below {REFINE_FLOOR:g} " in help_text
     assert (
-        f"(gap above {exponent_form(WITNESS_TOL)} + {exponent_form(REFINE_TOL)}), once its last "
-        f"{REFINE_STALL_STEPS} gains raised the gap by less than {exponent_form(REFINE_STALL_GAIN)} of it"
+        f"or once its last {REFINE_STALL_STEPS} gains raised the gap by less than "
+        f"{exponent_form(REFINE_STALL_GAIN)} of it, which loses a witness (gap above "
+        f"{exponent_form(WITNESS_TOL)} + {exponent_form(REFINE_TOL)})"
     ) in help_text

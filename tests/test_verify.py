@@ -65,6 +65,7 @@ from wignerlab.verify import (
     REFINE_TOL,
     WITNESS_TOL,
     _chunk_rng,
+    _collision_score,
     _refine_pair,
     _search,
     basis_image_completes_span,
@@ -326,8 +327,8 @@ def _anchored(dim, anchors):
 # phases, and the fold lift folds.  Injective: Wigner symmetries, the rotation lift, criterion
 # 09's 32-anchor map and 4 dim - 4 generic anchors (as in phase retrieval).
 # The 2 (dim - 1)-anchor maps of dim4/6, of seed 215 of dim5/8 and of
-# dim6/10 are those whose refined scan winner polishes to no collision:
-# only the winner of another offset group finds theirs
+# dim6/10 are those of seeds 0-299 whose climbed scan winner polishes to no
+# collision: only the winner of another offset group finds theirs
 COLLISION_CASES = [
     *((f"separable_embed dim{d}/{a}", _anchored(d, a), d, range(1, 6), False)
       for d in (3, 4, 5) for a in (1, 2)),
@@ -340,7 +341,7 @@ COLLISION_CASES = [
       for d in (3, 4, 5, 6)),
     ("proper_subspace 5/3", lambda seed: proper_subspace_map(5, 3), 5, range(1, 6), False),
     ("separable_embed dim5/8", _anchored(5, 8), 5, [*range(1, 6), 215], False),
-    ("separable_embed dim6/10", _anchored(6, 10), 6, [23, 45, 78, 88, 146, 171, 195, 252, 258], False),
+    ("separable_embed dim6/10", _anchored(6, 10), 6, [23, 27, 45, 78, 131, 146, 195, 204, 206, 252], False),
     *((f"wigner dim{d}", lambda seed, d=d: wigner_map(sample_unitary(np.random.default_rng(seed), d)),
        d, range(1, 6), True) for d in (2, 4, 6)),
     ("tau-rotation", lambda seed: standard_map(rotation(1j)), 2, range(1, 6), True),
@@ -428,14 +429,14 @@ def _start_pair(rng, dim):
     return _canonical_rows(z[0] + 1j * z[1])
 
 
-def _sequential_refine(map_, oriented, pair, images, steps, stall=False):
+def _sequential_refine(map_, oriented, pair, images, steps):
     """Reference pattern search: one candidate at a time, in (which, coord,
     delta) order, with per-state map calls and the row kernels on single
     rows.  When the best candidate gains more than REFINE_TOL, it takes the
     first one within REFINE_TOL of the best; otherwise the step halves.
-    Stops below REFINE_FLOOR or after steps steps.  With stall, the search
-    also stops before a step once the last REFINE_STALL_STEPS gains raised
-    its gap by less than REFINE_STALL_GAIN of itself."""
+    Stops below REFINE_FLOOR, after steps steps, or before a step once the
+    last REFINE_STALL_STEPS gains raised its gap by less than
+    verify.REFINE_STALL_GAIN of itself (0 turns that stop off)."""
 
     def d(a, b):
         return _row_distances(a[None], b[None])[0]
@@ -454,7 +455,7 @@ def _sequential_refine(map_, oriented, pair, images, steps, stall=False):
     used = 0
     gains = [gap]
     while used < steps and step >= REFINE_FLOOR:
-        if stall and len(gains) > verify.REFINE_STALL_STEPS:
+        if len(gains) > verify.REFINE_STALL_STEPS:
             if gap - gains[-1 - verify.REFINE_STALL_STEPS] < verify.REFINE_STALL_GAIN * gap:
                 break
         used += 1
@@ -480,13 +481,9 @@ def _separable_embed_of_distinct_anchors():
     return separable_embed([sample_pure_state(rng, 4) for _ in range(32)])
 
 
-def _collision_score(d_in, d_out):
-    """check_injective's ranking: a pair at least COLLISION_D_IN apart scores above every closer pair."""
-    return np.where(d_in >= verify.COLLISION_D_IN, d_in - 10 * d_out, d_in - 11)
-
-
-# name: (map builder, dim, oriented gap, whether the search runs to the 200-step cap);
-# a metric search starts from a drawn pair, a collision search from a scan winner
+# name: (map builder, dim, oriented gap, whether the search runs to the 200-step cap
+# with the stall stop off); a metric search starts from a drawn pair, a collision
+# search from a scan winner
 REFINE_CASES = {
     "tau power2 nonexpansive": (
         lambda: standard_map(power(2)), 2, lambda d_in, d_out: d_out - d_in, False
@@ -504,13 +501,17 @@ REFINE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(REFINE_CASES))
-def test_batched_refinement_matches_the_sequential_search(name):
+def test_batched_refinement_matches_the_sequential_search(monkeypatch, name):
     build, dim, oriented, capped = REFINE_CASES[name]
     map_ = build()
+    if capped:
+        monkeypatch.setattr(verify, "REFINE_STALL_GAIN", 0.0)
     if oriented is _collision_score:
-        # check_injective's unrefined scan winner of 1000 pairs at seed 1
-        pair, images, _, _ = verify._refined_pair(
-            map_, dim, 1000, 0, 1, oriented, verify._pair_rows, False
+        # check_injective's scan winner of 1000 pairs at seed 1, a collision
+        # that check_injective reports unrefined: the climb from it tests
+        # the ranking alone
+        (_, pair, images), *_ = verify._pair_scan(
+            map_, dim, 1000, 0, 1, oriented, verify._collision_gap, verify._pair_rows
         )
     else:
         pair = _start_pair(np.random.default_rng(17), dim)
@@ -528,26 +529,26 @@ def test_batched_refinement_matches_the_sequential_search(name):
 
 
 def _bench_scan_winner(seed, name):
-    """The map and oriented gap of bench verify op name of seed, with its
-    scan winner's pair and images."""
+    """The map and oriented gap of bench verify op name of seed, with the
+    pair and images of the winner its scan ends at."""
     op = next(op for op in _bench_inputs().build("verify", seed) if op.name == name)
     map_, oriented = map_from_json(op.map), ORIENTED[op.prop]
-    pair, images, _, _ = verify._refined_pair(
-        map_, op.dim, op.samples, 0, op.check_seed, oriented, verify._local_pair_rows, False
+    (_, pair, images), *_ = verify._pair_scan(
+        map_, op.dim, op.samples, 0, op.check_seed, oriented, oriented, verify._local_pair_rows
     )
     return map_, oriented, pair, images
 
 
-def test_a_stalled_witness_climb_stops_as_the_sequential_search_does():
+def test_a_stalled_witness_climb_stops_as_the_sequential_search_does(monkeypatch):
     # bench verify seed 11's phi dim 2 noncontractive witness creeps to the
     # 200-step cap when the stall rule is off; with it on, both searches stop
     # at the same step with the same pair and images
     map_, oriented, pair, images = _bench_scan_winner(11, "noncontractive phi dim2")
-    assert _refine_pair(map_, oriented, pair, images, 200)[3] == 200
-    ref_gap, ref_pair, ref_images, ref_used = _sequential_refine(
-        map_, oriented, pair, images, 200, stall=True
-    )
-    gap, got_pair, got_images, used = _refine_pair(map_, oriented, pair, images, 200, stall=True)
+    with monkeypatch.context() as off:
+        off.setattr(verify, "REFINE_STALL_GAIN", 0.0)
+        assert _refine_pair(map_, oriented, pair, images, 200)[3] == 200
+    ref_gap, ref_pair, ref_images, ref_used = _sequential_refine(map_, oriented, pair, images, 200)
+    gap, got_pair, got_images, used = _refine_pair(map_, oriented, pair, images, 200)
     assert gap == ref_gap and used == ref_used < 200
     assert np.array_equal(got_pair, ref_pair)
     assert got_images.dtype == ref_images.dtype and np.array_equal(got_images, ref_images)
@@ -564,6 +565,7 @@ CI_REPORTS = [
     "verify --property nonexpansive --map tau-power2 --dim 2",
     "verify --property nonexpansive --map phi --dim 4",
     "verify --property isometry --map wigner-random --dim 4 --refine-steps 17",
+    "verify --property injectivity --map constant --dim 3",
     "demo block-embed --dim 3",
     "demo separable-embed --dim 4 --anchors 32",
     "demo separable-embed --dim 8 --anchors 64",
@@ -623,23 +625,30 @@ def _scope_reports(capsys, refine_steps=None):
 
 def test_the_stall_rule_moves_only_witnesses_and_only_their_gaps_down(monkeypatch, capsys):
     # with REFINE_STALL_GAIN 0 no gain is small enough to stall a climb, so
-    # the rule is off: every report that holds and every collision search is
-    # byte for byte the same, and a witness keeps its verdict, with a gap
-    # between its scan winner's and the one of the climb the rule cut short
+    # the rule is off: every metric report that holds is byte for byte the
+    # same, and a metric witness keeps its verdict, with a gap between its
+    # scan winner's and the one of the climb the rule cut short.  A
+    # collision climb stalls only while its score is positive, and the
+    # polish takes over from there: collision reports move, their verdicts
+    # do not
     default = dict(_scope_reports(capsys))
     scan = dict(_scope_reports(capsys, refine_steps=0))
     monkeypatch.setattr(verify, "REFINE_STALL_GAIN", 0.0)
     off = dict(_scope_reports(capsys))
     assert default.keys() == off.keys()
-    stalled = 0
+    stalled = collisions = 0
     for key, report in default.items():
-        if report["witness"] is None or report["property"] == "injectivity":
+        if report["property"] == "injectivity":
+            assert (report["witness"] is None) == (off[key]["witness"] is None), key
+            collisions += json.dumps(report) != json.dumps(off[key])
+        elif report["witness"] is None:
             assert json.dumps(report) == json.dumps(off[key]), key
         else:
             assert off[key]["witness"] is not None, key
             assert scan[key]["worst_gap"] <= report["worst_gap"] <= off[key]["worst_gap"], key
             stalled += report["worst_gap"] < off[key]["worst_gap"]
     assert stalled >= 10, stalled
+    assert collisions >= 10, collisions
 
 
 def _recorded_climbs(monkeypatch):
@@ -652,6 +661,23 @@ def _recorded_climbs(monkeypatch):
 
     monkeypatch.setattr(verify, "_refine_pair", recording)
     return climbs
+
+
+def test_a_scan_winner_that_collides_is_reported_as_it_is(monkeypatch):
+    # every image of a constant map is one state, so the first chunk's
+    # winner collides: the search ends there, with no climb and no polish,
+    # and reports that pair
+    climbs, polishes, least_squares = _recorded_climbs(monkeypatch), [], verify._least_squares
+
+    def polishing(*args):
+        polishes.append(args)
+        return least_squares(*args)
+
+    monkeypatch.setattr(verify, "_least_squares", polishing)
+    report = check_injective(constant_map(3), 3, seed=1)
+    assert report.samples == verify.CHUNK_SIZE and climbs == polishes == []
+    w = report.witness
+    assert w is not None and w.d_in >= verify.COLLISION_D_IN and w.d_out == 0.0 and w.gap == w.d_in
 
 
 def test_a_metric_check_that_holds_reports_its_scan_winner(monkeypatch, capsys):
@@ -682,22 +708,23 @@ def test_a_metric_check_that_holds_reports_its_scan_winner(monkeypatch, capsys):
 
 def _every_winner_climbs(monkeypatch):
     """Make every metric scan winner climb, as before a check climbed only
-    from a proven witness: _refined_pair refines a winner that it leaves
-    unrefined, under no stall rule.  The stall rule then fired only above
+    from a proven witness: _pair_scan climbs from a winner that proves
+    none, with the stall stop off for that climb alone, and returns the
+    climbed pair as its winner.  The stall stop then fired only above
     WITNESS_TOL + REFINE_TOL, so a climb that it would have cut short ends
     in a witness either way."""
-    refined_pair, refine_pair = verify._refined_pair, verify._refine_pair
-    climbs = _recorded_climbs(monkeypatch)
+    pair_scan, refine_pair = verify._pair_scan, verify._refine_pair
 
-    def every_winner_climbs(map_, dim, n_samples, refine_steps, seed, oriented, draw, witness):
-        before = len(climbs)
-        pair, images, others, compared = refined_pair(
-            map_, dim, n_samples, refine_steps, seed, oriented, draw, witness)
-        if refine_steps > 0 and len(climbs) == before:
-            _, pair, images, _ = refine_pair(map_, oriented, pair, images, refine_steps)
-        return pair, images, others, compared
+    def every_winner_climbs(map_, dim, n_samples, refine_steps, seed, score, gap_of, draw):
+        winner, others, compared, proven = pair_scan(
+            map_, dim, n_samples, refine_steps, seed, score, gap_of, draw)
+        if refine_steps > 0 and not proven and draw is verify._local_pair_rows:
+            with monkeypatch.context() as off:
+                off.setattr(verify, "REFINE_STALL_GAIN", 0.0)
+                winner = refine_pair(map_, score, *winner[1:], refine_steps)[:3]
+        return winner, others, compared, proven
 
-    monkeypatch.setattr(verify, "_refined_pair", every_winner_climbs)
+    monkeypatch.setattr(verify, "_pair_scan", every_winner_climbs)
 
 
 def test_no_climb_from_a_winner_that_holds_finds_a_witness(monkeypatch, capsys):
@@ -720,16 +747,20 @@ def test_no_climb_from_a_winner_that_holds_finds_a_witness(monkeypatch, capsys):
     assert moved >= 10, moved
 
 
+def _never_proven(winner):
+    """The proof test of a search that maps its whole budget."""
+    return False
+
+
 def _whole_budget_searches(monkeypatch):
-    """Make every search map its whole budget: _search with no proof test."""
+    """Make every search map its whole budget: _search with a proof test that never proves."""
     search = verify._search
-    monkeypatch.setattr(verify, "_search", lambda *args: search(*args[:5], None))
+    monkeypatch.setattr(verify, "_search", lambda *args: search(*args[:5], _never_proven))
 
 
 def test_the_first_proven_witness_changes_no_verdict_and_no_report_that_holds(monkeypatch, capsys):
-    # with no proof test a search maps its whole budget: every report that
-    # holds and every collision search is byte for byte the same, and a
-    # witness stays a witness
+    # with no proof a search maps its whole budget: every report that holds
+    # is byte for byte the same, and a witness stays a witness
     stopped = dict(_scope_reports(capsys))
     _whole_budget_searches(monkeypatch)
     full = dict(_scope_reports(capsys))
@@ -737,7 +768,7 @@ def test_the_first_proven_witness_changes_no_verdict_and_no_report_that_holds(mo
     witnesses = 0
     for key, report in stopped.items():
         assert (report["witness"] is None) == (full[key]["witness"] is None), key
-        if report["witness"] is None or report["property"] == "injectivity":
+        if report["witness"] is None:
             assert json.dumps(report) == json.dumps(full[key]), key
         else:
             witnesses += 1
@@ -803,12 +834,11 @@ def _budget_runs(capsys):
 def test_a_report_counts_the_samples_it_compared(capsys):
     # a search ends with the first chunk that proves a witness, and its
     # report is the report of the search given exactly the samples it
-    # compared, byte for byte; a report that holds, and every collision
-    # search, compared its whole budget
+    # compared, byte for byte; a report that holds compared its whole budget
     stopped = 0
     for key, budget, run in list(_budget_runs(capsys)):
         report = run(budget)
-        if report["witness"] is None or report["property"] == "injectivity":
+        if report["witness"] is None:
             assert report["samples"] == budget, key
             continue
         assert report["samples"] == budget or report["samples"] % verify.CHUNK_SIZE == 0, key
@@ -1072,7 +1102,9 @@ HALVING_CASES = {
 
 
 @pytest.mark.parametrize("name", list(HALVING_CASES))
-def test_halvings_match_the_sequential_search_one_batch_per_step(name):
+def test_halvings_match_the_sequential_search_one_batch_per_step(monkeypatch, name):
+    # with the stall stop off, so that halvings and caps alone end each search
+    monkeypatch.setattr(verify, "REFINE_STALL_GAIN", 0.0)
     build, dim, oriented, seed, steps = HALVING_CASES[name]
     map_ = build()
     pair = _start_pair(np.random.default_rng(seed), dim)
@@ -1405,7 +1437,7 @@ def test_the_reused_image_block_never_reaches_a_result(build, dim, n_samples):
     for (sample, seed), gap in ((s, g) for s in layouts for g in (_isometry_gap, _overlap_mass_gap)):
         got_gaps, want_gaps, got_calls = {}, {}, []
         *got, compared = _search(
-            map_, n_samples, seed, sample, _recorded(gap, got_gaps, got_calls), None
+            map_, n_samples, seed, sample, _recorded(gap, got_gaps, got_calls), _never_proven
         )
         want = _fresh_search(map_, n_samples, seed, sample, _recorded(gap, want_gaps, []))
         # the overall winner and every group's, in group order
@@ -1434,7 +1466,7 @@ def test_the_earliest_of_equal_gaps_wins():
 
     (worst, rows, _), groups, _ = _search(
         entrywise_abs(3), 3 * verify.CHUNK_SIZE + 1, 5, sample,
-        lambda rows, images: np.zeros(len(rows[0])), None,
+        lambda rows, images: np.zeros(len(rows[0])), _never_proven,
     )
     assert worst == 0.0
     assert rows.tobytes() == sample(_chunk_rng(5, 0), verify.CHUNK_SIZE)[0][:2].tobytes()
@@ -1449,7 +1481,7 @@ def test_the_earliest_of_equal_gaps_wins():
     calls = itertools.count()
     (worst, rows, _), groups, _ = _search(
         entrywise_abs(3), 30, 5, three_groups,
-        lambda rows, images: np.full(len(rows[0]), float(next(calls) > 0)), None,
+        lambda rows, images: np.full(len(rows[0]), float(next(calls) > 0)), _never_proven,
     )
     drawn = three_groups(_chunk_rng(5, 0), 30)[0]
     assert worst == 1.0
@@ -1467,7 +1499,7 @@ def test_the_earliest_of_equal_gaps_wins():
     calls = itertools.count()
     (worst, rows, _), groups, _ = _search(
         entrywise_abs(3), 2 * verify.CHUNK_SIZE, 5, two_groups,
-        lambda rows, images: np.full(len(rows[0]), float(next(calls) in (1, 2))), None,
+        lambda rows, images: np.full(len(rows[0]), float(next(calls) in (1, 2))), _never_proven,
     )
     first, second = (two_groups(_chunk_rng(5, i), verify.CHUNK_SIZE)[0] for i in (0, 1))
     assert worst == 1.0
