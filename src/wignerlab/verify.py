@@ -675,7 +675,7 @@ def check_injective(
                 lambda rows: _row_distances(rows[:, 0], rows[:, 1]) >= COLLISION_D_IN,
             )
             d_in, d_out = (_row_distances(r[:1], r[1:])[0] for r in (rows, images))
-            return rows, images, d_in >= COLLISION_D_IN and d_out <= WITNESS_TOL
+            return rows, images, _collision_gap(d_in, d_out) > WITNESS_TOL
 
         pair, images, collides = polish(pair)
         for _, rows, _ in () if collides else others:

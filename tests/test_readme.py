@@ -8,13 +8,15 @@ wignerlab.classify, and each test asserts the exact phrase the README
 prints (whitespace collapsed, so a phrase may wrap).  The figures are
 arithmetic, and the layout arithmetic is checked against the samplers'
 row counts.  Figures that only a search or a timing can produce carry
-their own command in the README instead; the one search that runs here
-is the coverage table's leak row, 112 inclusion checks of 1 000 states.
+their own command in the README instead, and each name those commands
+import must exist; the one search that runs here is the coverage
+table's leak row, 112 inclusion checks of 1 000 states.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import itertools
 import math
@@ -356,3 +358,19 @@ def test_the_cli_block_exits_as_annotated():
     for words, code in commands:
         assert words[0] == "wignerlab", words
         assert cli.main(words[1:]) == code, shlex.join(words)
+
+
+def test_every_name_a_readme_command_imports_exists(monkeypatch):
+    # the sh commands import from the package, from tests/planted.py and
+    # the other test modules, and from bench/, on PYTHONPATH=src:tests:bench
+    # at most, and none pipes a script in: a name that moves breaks this
+    # test, not the README
+    for part in ("bench", "tests", "src"):
+        monkeypatch.syspath_prepend(str(README.parent / part))
+    blocks = re.findall(r"^```sh\n(.*?)^```", SOURCE, re.S | re.M)
+    assert not [block for block in blocks if "<<" in block]
+    imports = re.findall(r"\bfrom ([\w.]+) import (\w+(?: as \w+)?(?:, \w+(?: as \w+)?)*)", "".join(blocks))
+    assert len(imports) >= 8, imports
+    for module, names in imports:
+        for name in names.split(", "):
+            assert hasattr(importlib.import_module(module), name.split(" as ")[0]), (module, name)

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import importlib.util
 import inspect
+import io
 import itertools
 import json
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +42,6 @@ from wignerlab import (
     sample_unitary,
     separable_embed,
     standard_map,
-    state_from_json,
     state_from_params,
     transition_probability,
     wigner_map,
@@ -72,7 +70,9 @@ from wignerlab.verify import (
     find_cosp_in_image,
 )
 
-from planted import COVERAGE, dented_abs, fold_counts, folded, leaky
+from planted import (
+    COVERAGE, bench_check, bench_inputs, dented_abs, every_winner_climbs, fold_counts, folded, leaky,
+)
 
 
 def test_abs_map_has_no_nonexpansive_witness():
@@ -531,7 +531,7 @@ def test_batched_refinement_matches_the_sequential_search(monkeypatch, name):
 def _bench_scan_winner(seed, name):
     """The map and oriented gap of bench verify op name of seed, with the
     pair and images of the winner its scan ends at."""
-    op = next(op for op in _bench_inputs().build("verify", seed) if op.name == name)
+    op = next(op for op in bench_inputs().build("verify", seed) if op.name == name)
     map_, oriented = map_from_json(op.map), ORIENTED[op.prop]
     (_, pair, images), *_ = verify._pair_scan(
         map_, op.dim, op.samples, 0, op.check_seed, oriented, oriented, verify._local_pair_rows
@@ -573,57 +573,58 @@ CI_REPORTS = [
 ]
 
 
-def _bench_inputs():
-    """bench/inputs.py, the benchmark's seeded operations (numpy only)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = sys.modules.setdefault("bench_inputs", importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return module
+def _scope_runs():
+    """(kind, budget, run) for each CI_REPORTS invocation, kind "cli", and
+    each bench verify check and inclusion check of seeds 1-3, kind "check"
+    or "inclusion".  run(n_samples, refine_steps) maps the key of each of
+    its reports to the report's JSON, at its own budget and refinement cap
+    where an argument is None."""
 
+    def cli_run(argv):
+        def run(n_samples=None, refine_steps=None):
+            flags = [f"--{flag}={value}" for flag, value in (
+                ("samples", n_samples), ("refine-steps", refine_steps)) if value is not None]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                cli.main(argv.split() + flags)
+            doc = json.loads(out.getvalue())
+            return {f"{argv} {k}": r for k, r in ({"": doc} if "property" in doc else doc["checks"]).items()}
+        return run
 
-def _metric_reports(capsys):
+    def bench_run(key, op):
+        return lambda n_samples=None, refine_steps=None: {key: bench_check(op, n_samples, refine_steps).to_json()}
+
+    budget = inspect.signature(check_nonexpansive).parameters["n_samples"].default
     for argv in CI_REPORTS:
-        cli.main(argv.split())
-        doc = json.loads(capsys.readouterr().out)
-        yield from ([doc] if "property" in doc else doc["checks"].values())
-    inputs = _bench_inputs()
+        yield "cli", budget, cli_run(argv)
     for seed in (1, 2, 3):
-        for op in inputs.build("verify", seed):
-            if op.kind == "check" and op.prop in ORIENTED:
-                check = verify._REPORT_CHECKS[op.prop]
-                yield check(map_from_json(op.map), op.dim, n_samples=op.samples,
-                            refine_steps=op.refine_steps, seed=op.check_seed).to_json()
-    for name, (build, dim, oriented, _) in REFINE_CASES.items():
-        if oriented is not _collision_score:
-            yield verify._REPORT_CHECKS[name.split()[-1]](build(), dim).to_json()
+        for i, op in enumerate(bench_inputs().build("verify", seed)):
+            if op.kind in ("check", "inclusion"):
+                yield op.kind, op.samples, bench_run(f"seed {seed} op {i}", op)
 
 
-def _scope_reports(capsys, refine_steps=None):
-    """(key, report JSON) of every report in the stall rule's scope: the
-    CI_REPORTS invocations, the bench verify checks of seeds 1-3 and the
-    first seed of each COLLISION_CASES row at criterion 09's budget.  A
-    refine_steps overrides every refinement cap, and leaves out the
-    collision searches."""
-    cap = [] if refine_steps is None else ["--refine-steps", str(refine_steps)]
-    for argv in CI_REPORTS:
-        cli.main(argv.split() + cap)
-        doc = json.loads(capsys.readouterr().out)
-        yield from ((f"{argv} {k}", r) for k, r in ({"": doc} if "property" in doc else doc["checks"]).items())
-    inputs = _bench_inputs()
-    for seed in (1, 2, 3):
-        for i, op in enumerate(inputs.build("verify", seed)):
-            if op.kind == "check":
-                steps = op.refine_steps if refine_steps is None else refine_steps
-                yield f"seed {seed} op {i}", verify._REPORT_CHECKS[op.prop](
-                    map_from_json(op.map), op.dim, n_samples=op.samples, refine_steps=steps,
-                    seed=op.check_seed,
-                ).to_json()
+def _stall_scope(refine_steps=None):
+    """key -> report JSON of every report in the stall rule's scope, under
+    the patches in force: the _scope_runs reports but the inclusion
+    checks', and the first seed of each COLLISION_CASES row at criterion
+    09's budget.  A refine_steps overrides every refinement cap, and
+    leaves out the collision searches."""
+    reports = {}
+    for kind, _, run in _scope_runs():
+        if kind != "inclusion":
+            reports.update(run(refine_steps=refine_steps))
     for name, build, dim, seeds, _ in () if refine_steps is not None else COLLISION_CASES:
-        yield name, check_injective(build(seeds[0]), dim, 1000, seed=seeds[0]).to_json()
+        reports[name] = check_injective(build(seeds[0]), dim, 1000, seed=seeds[0]).to_json()
+    return reports
 
 
-def test_the_stall_rule_moves_only_witnesses_and_only_their_gaps_down(monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def scope_reports():
+    """_stall_scope() with nothing patched, built once for the tests that
+    compare it with a patched search."""
+    return _stall_scope()
+
+
+def test_the_stall_rule_moves_only_witnesses_and_only_their_gaps_down(monkeypatch, scope_reports):
     # with REFINE_STALL_GAIN 0 no gain is small enough to stall a climb, so
     # the rule is off: every metric report that holds is byte for byte the
     # same, and a metric witness keeps its verdict, with a gap between its
@@ -631,13 +632,12 @@ def test_the_stall_rule_moves_only_witnesses_and_only_their_gaps_down(monkeypatc
     # collision climb stalls only while its score is positive, and the
     # polish takes over from there: collision reports move, their verdicts
     # do not
-    default = dict(_scope_reports(capsys))
-    scan = dict(_scope_reports(capsys, refine_steps=0))
+    scan = _stall_scope(refine_steps=0)
     monkeypatch.setattr(verify, "REFINE_STALL_GAIN", 0.0)
-    off = dict(_scope_reports(capsys))
-    assert default.keys() == off.keys()
+    off = _stall_scope()
+    assert scope_reports.keys() == off.keys()
     stalled = collisions = 0
-    for key, report in default.items():
+    for key, report in scope_reports.items():
         if report["property"] == "injectivity":
             assert (report["witness"] is None) == (off[key]["witness"] is None), key
             collisions += json.dumps(report) != json.dumps(off[key])
@@ -680,7 +680,7 @@ def test_a_scan_winner_that_collides_is_reported_as_it_is(monkeypatch):
     assert w is not None and w.d_in >= verify.COLLISION_D_IN and w.d_out == 0.0 and w.gap == w.d_in
 
 
-def test_a_metric_check_that_holds_reports_its_scan_winner(monkeypatch, capsys):
+def test_a_metric_check_that_holds_reports_its_scan_winner(monkeypatch):
     # a metric check climbs only from a proven witness: each report in the
     # stall rule's scope that holds is byte for byte its refine_steps=0
     # report and made no climb, and each witness made one
@@ -694,8 +694,7 @@ def test_a_metric_check_that_holds_reports_its_scan_winner(monkeypatch, capsys):
         return report
 
     monkeypatch.setattr(verify, "_metric_check", counted)
-    for _ in _scope_reports(capsys):
-        pass
+    _stall_scope()
     for report, calls, scan, refine_steps in seen:
         assert refine_steps > 0
         if report.holds:
@@ -706,38 +705,16 @@ def test_a_metric_check_that_holds_reports_its_scan_winner(monkeypatch, capsys):
     assert sum(not report.holds for report, *_ in seen) >= 15
 
 
-def _every_winner_climbs(monkeypatch):
-    """Make every metric scan winner climb, as before a check climbed only
-    from a proven witness: _pair_scan climbs from a winner that proves
-    none, with the stall stop off for that climb alone, and returns the
-    climbed pair as its winner.  The stall stop then fired only above
-    WITNESS_TOL + REFINE_TOL, so a climb that it would have cut short ends
-    in a witness either way."""
-    pair_scan, refine_pair = verify._pair_scan, verify._refine_pair
-
-    def every_winner_climbs(map_, dim, n_samples, refine_steps, seed, score, gap_of, draw):
-        winner, others, compared, proven = pair_scan(
-            map_, dim, n_samples, refine_steps, seed, score, gap_of, draw)
-        if refine_steps > 0 and not proven and draw is verify._local_pair_rows:
-            with monkeypatch.context() as off:
-                off.setattr(verify, "REFINE_STALL_GAIN", 0.0)
-                winner = refine_pair(map_, score, *winner[1:], refine_steps)[:3]
-        return winner, others, compared, proven
-
-    monkeypatch.setattr(verify, "_pair_scan", every_winner_climbs)
-
-
-def test_no_climb_from_a_winner_that_holds_finds_a_witness(monkeypatch, capsys):
+def test_no_climb_from_a_winner_that_holds_finds_a_witness(scope_reports):
     # the evidence for climbing only from proven witnesses: with every scan
     # winner climbing, as before, no verdict in the stall rule's scope
     # changes, no witness report moves, and a report that holds only rises
     # towards rounding level
-    default = dict(_scope_reports(capsys))
-    _every_winner_climbs(monkeypatch)
-    climbed = dict(_scope_reports(capsys))
-    assert default.keys() == climbed.keys()
+    with every_winner_climbs():
+        climbed = _stall_scope()
+    assert scope_reports.keys() == climbed.keys()
     moved = 0
-    for key, report in default.items():
+    for key, report in scope_reports.items():
         if report["witness"] is None:
             assert climbed[key]["witness"] is None, key
             assert report["worst_gap"] <= climbed[key]["worst_gap"] <= 1e-12, key
@@ -758,15 +735,14 @@ def _whole_budget_searches(monkeypatch):
     monkeypatch.setattr(verify, "_search", lambda *args: search(*args[:5], _never_proven))
 
 
-def test_the_first_proven_witness_changes_no_verdict_and_no_report_that_holds(monkeypatch, capsys):
+def test_the_first_proven_witness_changes_no_verdict_and_no_report_that_holds(monkeypatch, scope_reports):
     # with no proof a search maps its whole budget: every report that holds
     # is byte for byte the same, and a witness stays a witness
-    stopped = dict(_scope_reports(capsys))
     _whole_budget_searches(monkeypatch)
-    full = dict(_scope_reports(capsys))
-    assert stopped.keys() == full.keys()
+    full = _stall_scope()
+    assert scope_reports.keys() == full.keys()
     witnesses = 0
-    for key, report in stopped.items():
+    for key, report in scope_reports.items():
         assert (report["witness"] is None) == (full[key]["witness"] is None), key
         if report["witness"] is None:
             assert json.dumps(report) == json.dumps(full[key]), key
@@ -796,54 +772,19 @@ def test_a_scan_that_holds_measures_no_winner_again(monkeypatch):
     assert len(searches) == 2 and calls == []
 
 
-def _bench_report(op, n_samples):
-    """The report JSON of bench verify check or inclusion op at a budget of n_samples."""
-    map_ = map_from_json(op.map)
-    if op.kind == "inclusion":
-        system = OrthoSystem(tuple(map(state_from_json, op.states)))
-        return check_inclusion_lemma(map_, system, n_samples, seed=op.check_seed).to_json()
-    return verify._REPORT_CHECKS[op.prop](
-        map_, op.dim, n_samples, refine_steps=op.refine_steps, seed=op.check_seed
-    ).to_json()
-
-
-def _budget_runs(capsys):
-    """(key, budget, run) for every report of the CI_REPORTS invocations and
-    of the bench verify checks and inclusion checks of seeds 1-3: run(n)
-    is that report's JSON at a budget of n samples."""
-
-    def cli_run(argv, key):
-        def run(n):
-            cli.main([*argv.split(), "--samples", str(n)])
-            doc = json.loads(capsys.readouterr().out)
-            return doc if key is None else doc["checks"][key]
-        return run
-
-    budget = inspect.signature(check_nonexpansive).parameters["n_samples"].default
-    for argv in CI_REPORTS:
-        cli.main(argv.split())
-        doc = json.loads(capsys.readouterr().out)
-        for key in [None] if "property" in doc else list(doc["checks"]):
-            yield f"{argv} {key}", budget, cli_run(argv, key)
-    for seed in (1, 2, 3):
-        for i, op in enumerate(_bench_inputs().build("verify", seed)):
-            if op.kind in ("check", "inclusion"):
-                yield f"seed {seed} op {i}", op.samples, lambda n, op=op: _bench_report(op, n)
-
-
-def test_a_report_counts_the_samples_it_compared(capsys):
+def test_a_report_counts_the_samples_it_compared():
     # a search ends with the first chunk that proves a witness, and its
     # report is the report of the search given exactly the samples it
     # compared, byte for byte; a report that holds compared its whole budget
     stopped = 0
-    for key, budget, run in list(_budget_runs(capsys)):
-        report = run(budget)
-        if report["witness"] is None:
-            assert report["samples"] == budget, key
-            continue
-        assert report["samples"] == budget or report["samples"] % verify.CHUNK_SIZE == 0, key
-        stopped += report["samples"] < budget
-        assert json.dumps(run(report["samples"])) == json.dumps(report), key
+    for _, budget, run in _scope_runs():
+        for key, report in run(budget).items():
+            if report["witness"] is None:
+                assert report["samples"] == budget, key
+                continue
+            assert report["samples"] == budget or report["samples"] % verify.CHUNK_SIZE == 0, key
+            stopped += report["samples"] < budget
+            assert json.dumps(run(report["samples"])[key]) == json.dumps(report), key
     assert stopped >= 20, stopped
 
 
@@ -855,11 +796,13 @@ UNREFINED_SCANS = [
 ]
 
 
-def test_a_witness_gap_is_the_gap_of_its_own_distances(capsys):
+def test_a_witness_gap_is_the_gap_of_its_own_distances(scope_reports):
     # refinement measures a moved row as d(Q', P), the report as d(P, Q'):
     # the reported gap is the one of the reported distances, bit for bit
     witnesses = 0
-    for report in _metric_reports(capsys):
+    refined = [verify._REPORT_CHECKS[name.split()[-1]](build(), dim).to_json()
+               for name, (build, dim, oriented, _) in REFINE_CASES.items() if oriented is not _collision_score]
+    for report in [*scope_reports.values(), *refined]:
         witness = report.get("witness")
         if report.get("property") in ORIENTED and witness is not None:
             assert witness["gap"] == ORIENTED[report["property"]](witness["d_in"], witness["d_out"])
